@@ -59,11 +59,12 @@ fn bench(c: &mut Criterion) {
 
     // Construction must be communication-free: build inside a world and
     // verify zero messages were sent.
-    let (_, stats) = mxn_runtime::World::run_with_stats(4, |proc| {
+    let stats = mxn_runtime::World::run_opts(4, mxn_runtime::RunOpts::default(), |proc| {
         let (src, dst) = layouts(4);
         std::hint::black_box(RegionSchedule::for_sender(&src, &dst, proc.rank()));
         std::hint::black_box(RegionSchedule::for_receiver(&src, &dst, proc.rank()));
-    });
+    })
+    .stats;
     assert_eq!(stats.total_messages(), 0, "schedule construction is communication-free");
     println!(
         "\n--- E14: schedule construction sent {} messages (expected 0) ---",

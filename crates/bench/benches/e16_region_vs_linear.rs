@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mxn_bench::{criterion_config, field_value, time_universe};
 use mxn_dad::{AxisDist, Dad, Extents, LocalArray, Template};
 use mxn_linearize::ArrayOrder;
-use mxn_schedule::{LinearSchedule, RegionSchedule};
+use mxn_schedule::{LinearSchedule, RegionSchedule, TransferBuffers};
 
 fn layouts(block: usize) -> (Dad, Dad) {
     let e = Extents::new([512, 32]);
@@ -42,7 +42,7 @@ fn run_exec(region: bool, block: usize, iters: u64) -> std::time::Duration {
             for i in 0..iters {
                 let tag = (i & 0xfff) as i32;
                 if region {
-                    reg.execute_send(ic, &local, tag).unwrap();
+                    reg.execute_send(ic, &local, tag, &mut TransferBuffers::new()).unwrap();
                 } else {
                     lin.execute_send(ic, &src, &local, tag).unwrap();
                 }
@@ -57,7 +57,7 @@ fn run_exec(region: bool, block: usize, iters: u64) -> std::time::Duration {
             for i in 0..iters {
                 let tag = (i & 0xfff) as i32;
                 if region {
-                    reg.execute_recv(ic, &mut local, tag).unwrap();
+                    reg.execute_recv(ic, &mut local, tag, &mut TransferBuffers::new()).unwrap();
                 } else {
                     lin.execute_recv(ic, &dst, &mut local, tag).unwrap();
                 }

@@ -19,8 +19,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mxn_bench::{criterion_config, field_value};
 use mxn_dad::{Dad, Extents, LocalArray};
 use mxn_linearize::{request_and_fill, serve_requests, ArrayOrder};
-use mxn_runtime::{InterComm, NetworkModel, World};
-use mxn_schedule::RegionSchedule;
+use mxn_runtime::{InterComm, NetworkModel, RunOpts, World};
+use mxn_schedule::{RegionSchedule, TransferBuffers};
 
 const M: usize = 2;
 const N: usize = 3;
@@ -34,7 +34,8 @@ fn dads() -> (Dad, Dad) {
 /// returns the receivers' elapsed time.
 fn run(model: NetworkModel, use_schedule: bool, iters: u64) -> Duration {
     let (src, dst) = dads();
-    let durations = World::run_with_network(M + N, model, |p| {
+    let opts = RunOpts { network: Some(model), ..RunOpts::default() };
+    let durations = World::run_opts(M + N, opts, |p| {
         let world = p.world();
         let side = usize::from(p.rank() >= M);
         let (local_comm, ic) = InterComm::create(world, side).unwrap();
@@ -44,7 +45,9 @@ fn run(model: NetworkModel, use_schedule: bool, iters: u64) -> Duration {
             let sched = RegionSchedule::for_sender(&src, &dst, rank);
             for i in 0..iters {
                 if use_schedule {
-                    sched.execute_send(&ic, &local, (i & 0xfff) as i32).unwrap();
+                    sched
+                        .execute_send(&ic, &local, (i & 0xfff) as i32, &mut TransferBuffers::new())
+                        .unwrap();
                 } else {
                     serve_requests(&ic, &src, ArrayOrder::RowMajor, &local).unwrap();
                 }
@@ -56,14 +59,22 @@ fn run(model: NetworkModel, use_schedule: bool, iters: u64) -> Duration {
             let start = Instant::now();
             for i in 0..iters {
                 if use_schedule {
-                    sched.execute_recv(&ic, &mut local, (i & 0xfff) as i32).unwrap();
+                    sched
+                        .execute_recv(
+                            &ic,
+                            &mut local,
+                            (i & 0xfff) as i32,
+                            &mut TransferBuffers::new(),
+                        )
+                        .unwrap();
                 } else {
                     request_and_fill(&ic, &dst, ArrayOrder::RowMajor, &mut local).unwrap();
                 }
             }
             start.elapsed()
         }
-    });
+    })
+    .results;
     durations.into_iter().max().unwrap()
 }
 

@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mxn_bench::{criterion_config, field_value, time_universe};
 use mxn_dad::{AxisDist, Dad, Extents, LocalArray, Template};
-use mxn_schedule::RegionSchedule;
+use mxn_schedule::{RegionSchedule, TransferBuffers};
 
 fn fragmented(extents: &Extents, block: usize, nprocs: usize) -> Dad {
     Dad::regular(
@@ -72,10 +72,23 @@ fn bench(c: &mut Criterion) {
                         let start = Instant::now();
                         for i in 0..iters {
                             if reuse {
-                                cached.execute_send(ic, &local, i as i32 & 0xfff).unwrap();
+                                cached
+                                    .execute_send(
+                                        ic,
+                                        &local,
+                                        i as i32 & 0xfff,
+                                        &mut TransferBuffers::new(),
+                                    )
+                                    .unwrap();
                             } else {
                                 let s = RegionSchedule::for_sender(&src, &dst, rank);
-                                s.execute_send(ic, &local, i as i32 & 0xfff).unwrap();
+                                s.execute_send(
+                                    ic,
+                                    &local,
+                                    i as i32 & 0xfff,
+                                    &mut TransferBuffers::new(),
+                                )
+                                .unwrap();
                             }
                         }
                         start.elapsed()
@@ -86,10 +99,23 @@ fn bench(c: &mut Criterion) {
                         let start = Instant::now();
                         for i in 0..iters {
                             if reuse {
-                                cached.execute_recv(ic, &mut local, i as i32 & 0xfff).unwrap();
+                                cached
+                                    .execute_recv(
+                                        ic,
+                                        &mut local,
+                                        i as i32 & 0xfff,
+                                        &mut TransferBuffers::new(),
+                                    )
+                                    .unwrap();
                             } else {
                                 let s = RegionSchedule::for_receiver(&src, &dst, rank);
-                                s.execute_recv(ic, &mut local, i as i32 & 0xfff).unwrap();
+                                s.execute_recv(
+                                    ic,
+                                    &mut local,
+                                    i as i32 & 0xfff,
+                                    &mut TransferBuffers::new(),
+                                )
+                                .unwrap();
                             }
                         }
                         start.elapsed()

@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mxn_bench::{criterion_config, field_value, time_universe};
 use mxn_dad::{Dad, Extents, LocalArray};
 use mxn_linearize::{request_and_fill, serve_requests, ArrayOrder};
-use mxn_schedule::RegionSchedule;
+use mxn_schedule::{RegionSchedule, TransferBuffers};
 
 const M: usize = 3;
 const N: usize = 4;
@@ -42,7 +42,14 @@ fn session(use_schedule: bool, transfers: usize, iters: u64) -> Duration {
                     // Setup is part of the measured session.
                     let sched = RegionSchedule::for_sender(&src, &dst, rank);
                     for k in 0..transfers {
-                        sched.execute_send(ic, &local, ((i as usize + k) & 0xfff) as i32).unwrap();
+                        sched
+                            .execute_send(
+                                ic,
+                                &local,
+                                ((i as usize + k) & 0xfff) as i32,
+                                &mut TransferBuffers::new(),
+                            )
+                            .unwrap();
                     }
                 } else {
                     for _ in 0..transfers {
@@ -60,7 +67,12 @@ fn session(use_schedule: bool, transfers: usize, iters: u64) -> Duration {
                     let sched = RegionSchedule::for_receiver(&src, &dst, rank);
                     for k in 0..transfers {
                         sched
-                            .execute_recv(ic, &mut local, ((i as usize + k) & 0xfff) as i32)
+                            .execute_recv(
+                                ic,
+                                &mut local,
+                                ((i as usize + k) & 0xfff) as i32,
+                                &mut TransferBuffers::new(),
+                            )
                             .unwrap();
                     }
                 } else {

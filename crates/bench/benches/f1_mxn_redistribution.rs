@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mxn_bench::{criterion_config, field_value, time_universe};
 use mxn_dad::{Dad, Extents, LocalArray};
-use mxn_schedule::RegionSchedule;
+use mxn_schedule::{RegionSchedule, TransferBuffers};
 
 /// Times `iters` cached-schedule transfers between an m-grid and n-grid.
 fn run_transfer(m_grid: &[usize], n_grid: &[usize], extents: &Extents, iters: u64) -> Duration {
@@ -26,7 +26,9 @@ fn run_transfer(m_grid: &[usize], n_grid: &[usize], extents: &Extents, iters: u6
             let local = LocalArray::from_fn(&src, rank, field_value);
             let start = Instant::now();
             for i in 0..iters {
-                sched.execute_send(ic, &local, i as i32 & 0xfff).unwrap();
+                sched
+                    .execute_send(ic, &local, i as i32 & 0xfff, &mut TransferBuffers::new())
+                    .unwrap();
             }
             start.elapsed()
         } else {
@@ -36,7 +38,9 @@ fn run_transfer(m_grid: &[usize], n_grid: &[usize], extents: &Extents, iters: u6
             let mut local: LocalArray<f64> = LocalArray::allocate(&dst, rank);
             let start = Instant::now();
             for i in 0..iters {
-                sched.execute_recv(ic, &mut local, i as i32 & 0xfff).unwrap();
+                sched
+                    .execute_recv(ic, &mut local, i as i32 & 0xfff, &mut TransferBuffers::new())
+                    .unwrap();
             }
             start.elapsed()
         }

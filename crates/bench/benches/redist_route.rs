@@ -27,11 +27,8 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mxn_bench::{criterion_config, field_value, fmt_bytes};
 use mxn_dad::{Dad, Extents, LocalArray};
-use mxn_runtime::{reset_schedule_stats, schedule_stats, Universe, World};
-use mxn_schedule::{
-    recv_redistributed, recv_redistributed_budgeted, redistribute_within_budgeted,
-    send_redistributed, send_redistributed_budgeted, RouteKind, RoutePlanner,
-};
+use mxn_runtime::{reset_schedule_stats, schedule_stats, RunOpts, Universe, World};
+use mxn_schedule::{Redist, RouteKind, RoutePlanner};
 use mxn_trace::EventId;
 
 /// 128 producer programs + 128 consumer programs = 256 ranks.
@@ -66,16 +63,15 @@ fn shard_bytes(dad: &Dad, rank: usize) -> u64 {
 fn measure_transfer(budget: Option<u64>) -> (u64, Duration) {
     let results = Universe::run(&[SRC_PROGS, DST_PROGS], |_, ctx| {
         let (src, dst) = field_dads();
+        let redist = Redist::between(&src, &dst);
+        let redist = budget.map_or(redist, |b| redist.budget(b));
         if ctx.program == 0 {
             let rank = ctx.comm.rank();
             let local = LocalArray::from_fn(&src, rank, field_value);
             let ic = ctx.intercomm(1);
             ic.reset_mailbox_peak();
             reset_schedule_stats();
-            match budget {
-                Some(b) => send_redistributed_budgeted(ic, &src, &dst, &local, 0, b).unwrap(),
-                None => send_redistributed(ic, &src, &dst, &local, 0).unwrap(),
-            };
+            redist.send(ic, &local, 0).unwrap();
             let (_, mailbox_peak) = ic.mailbox_bytes();
             let pool_peak = schedule_stats().transfer_peak_bytes;
             (shard_bytes(&src, rank) + mailbox_peak + pool_peak, Duration::ZERO)
@@ -88,10 +84,7 @@ fn measure_transfer(budget: Option<u64>) -> (u64, Duration) {
             // the mailbox while nobody drains it.
             std::thread::sleep(STALL);
             let start = Instant::now();
-            let got: LocalArray<f64> = match budget {
-                Some(b) => recv_redistributed_budgeted(ic, &src, &dst, 0, b).unwrap(),
-                None => recv_redistributed(ic, &src, &dst, 0).unwrap(),
-            };
+            let got: LocalArray<f64> = redist.recv(ic, 0).unwrap();
             let elapsed = start.elapsed();
             let (_, mailbox_peak) = ic.mailbox_bytes();
             let pool_peak = schedule_stats().transfer_peak_bytes;
@@ -124,7 +117,7 @@ fn bench(c: &mut Criterion) {
                 let src = Dad::block(e.clone(), &[4, 1]).unwrap();
                 let dst = Dad::block(e, &[1, 4]).unwrap();
                 let local = LocalArray::from_fn(&src, comm.rank(), field_value);
-                let out = redistribute_within_budgeted(comm, &src, &dst, &local, 0, 2048).unwrap();
+                let out = Redist::between(&src, &dst).budget(2048).within(comm, &local, 0).unwrap();
                 std::hint::black_box(out);
             });
         });
@@ -196,18 +189,21 @@ fn bench(c: &mut Criterion) {
     }
 
     // --- traced run: route decisions land in the Chrome trace ----------
-    let (_, trace) = Universe::run_traced(&[2, 3], |_, ctx| {
+    let opts = RunOpts { trace: true, ..RunOpts::default() };
+    let trace = Universe::run_opts(&[2, 3], opts, |_, ctx| {
         let e = Extents::new([48, 48]);
         let src = Dad::block(e.clone(), &[2, 1]).unwrap();
         let dst = Dad::block(e, &[3, 1]).unwrap();
+        let redist = Redist::between(&src, &dst).budget(4096);
         if ctx.program == 0 {
             let local = LocalArray::from_fn(&src, ctx.comm.rank(), field_value);
-            send_redistributed_budgeted(ctx.intercomm(1), &src, &dst, &local, 0, 4096).unwrap();
+            redist.send(ctx.intercomm(1), &local, 0).unwrap();
         } else {
-            let _: LocalArray<f64> =
-                recv_redistributed_budgeted(ctx.intercomm(0), &src, &dst, 0, 4096).unwrap();
+            let _: LocalArray<f64> = redist.recv(ctx.intercomm(0), 0).unwrap();
         }
-    });
+    })
+    .trace
+    .expect("tracing was requested");
     let agg = trace.aggregate();
     assert!(agg.count(EventId::RoutePlan) > 0, "route planning must be traced");
     assert!(agg.count(EventId::RouteStep) > 0, "route rounds must be traced");

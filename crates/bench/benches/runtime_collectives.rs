@@ -22,7 +22,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mxn_bench::{criterion_config, fmt_bytes};
-use mxn_runtime::{CollOp, Comm, StatsSnapshot, World};
+use mxn_runtime::{CollOp, Comm, RunOpts, StatsSnapshot, World};
 
 const KIB: usize = 1 << 10;
 const MIB: usize = 1 << 20;
@@ -34,7 +34,7 @@ fn time_collective<F>(p: usize, iters: usize, op: F) -> (f64, StatsSnapshot)
 where
     F: Fn(&Comm) + Send + Sync,
 {
-    let (ns, stats) = World::run_with_stats(p, move |proc| {
+    let report = World::run_opts(p, RunOpts::default(), move |proc| {
         let comm = proc.world();
         op(comm);
         comm.barrier().unwrap();
@@ -44,6 +44,7 @@ where
         }
         start.elapsed().as_nanos() as f64 / iters as f64
     });
+    let (ns, stats) = (report.results, report.stats);
     (ns.into_iter().fold(0.0f64, f64::max), stats)
 }
 
@@ -179,8 +180,8 @@ fn mailbox_contention(msgs_per_sender: usize, traced: bool) -> f64 {
     };
     let mut best = 0.0f64;
     for _ in 0..5 {
-        let secs =
-            if traced { World::run_traced(2 * pairs, body).0 } else { World::run(2 * pairs, body) };
+        let opts = RunOpts { trace: traced, ..RunOpts::default() };
+        let secs = World::run_opts(2 * pairs, opts, body).results;
         let slowest = secs.into_iter().fold(0.0f64, f64::max);
         best = best.max((pairs * msgs_per_sender) as f64 / slowest);
     }
@@ -192,7 +193,8 @@ fn mailbox_contention(msgs_per_sender: usize, traced: bool) -> f64 {
 fn traced_bcast_ns(p: usize, payload: usize) -> f64 {
     let iters = iters_for(payload);
     let n = payload / 8;
-    let (ns, _) = World::run_traced(p, move |proc| {
+    let opts = RunOpts { trace: true, ..RunOpts::default() };
+    let ns = World::run_opts(p, opts, move |proc| {
         let comm = proc.world();
         let op = |comm: &Comm| {
             let v = if comm.rank() == 0 { Some(vec![1.0f64; n]) } else { None };
@@ -205,7 +207,8 @@ fn traced_bcast_ns(p: usize, payload: usize) -> f64 {
             op(comm);
         }
         start.elapsed().as_nanos() as f64 / iters as f64
-    });
+    })
+    .results;
     ns.into_iter().fold(0.0f64, f64::max)
 }
 

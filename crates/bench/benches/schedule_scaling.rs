@@ -123,7 +123,7 @@ fn transfer_reuse(steps: usize) -> (f64, u64, u64) {
         let mut after_first = 0;
         let start = Instant::now();
         for step in 0..steps {
-            RegionSchedule::execute_local_pooled(
+            RegionSchedule::execute_local(
                 &send,
                 &recv,
                 comm,

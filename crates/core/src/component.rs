@@ -14,7 +14,7 @@ use parking_lot::RwLock;
 
 use mxn_dad::{AccessMode, Dad, LocalArray};
 use mxn_runtime::{Comm, InterComm};
-use mxn_schedule::redistribute_within;
+use mxn_schedule::Redist;
 
 use crate::connection::{ConnectionKind, Direction, MxnConnection};
 use crate::coordinator::follow_order;
@@ -137,7 +137,7 @@ impl MxnComponent {
         };
         let new_local: LocalArray<f64> = {
             let src = data.read();
-            redistribute_within(comm, &old_dad, &new_dad, &src, (1 << 20) - 4)?
+            Redist::between(&old_dad, &new_dad).within(comm, &src, (1 << 20) - 4)?
         };
         self.registry.unregister(field)?;
         self.registry.register(field, new_dad, access, Arc::new(RwLock::new(new_local)))
@@ -194,6 +194,82 @@ mod tests {
                 conn.data_ready(ic, mxn.registry()).unwrap();
                 for (idx, &v) in data.read().iter() {
                     assert_eq!(v, (idx[0] * 4 + idx[1]) as f64);
+                }
+            }
+        });
+    }
+
+    fn coded(dad: &Dad, rank: usize) -> FieldData {
+        Arc::new(RwLock::new(LocalArray::from_fn(dad, rank, |idx| (idx[0] * 4 + idx[1]) as f64)))
+    }
+
+    fn assert_coded(data: &FieldData) {
+        for (idx, &v) in data.read().iter() {
+            assert_eq!(v, (idx[0] * 4 + idx[1]) as f64);
+        }
+    }
+
+    /// Destination-initiated ("pull") connection, paper §4.1: the importer
+    /// opens the connection and the unaware exporter merely accepts.
+    #[test]
+    fn import_field_pulls_from_an_accepting_exporter() {
+        Universe::run(&[2, 2], |_, ctx| {
+            let rank = ctx.comm.rank();
+            let src = Dad::block(Extents::new([4, 4]), &[2, 1]).unwrap();
+            let dst = Dad::block(Extents::new([4, 4]), &[1, 2]).unwrap();
+            let mut mxn = MxnComponent::new(rank);
+            if ctx.program == 0 {
+                let ic = ctx.intercomm(1);
+                mxn.register_field("f", src.clone(), AccessMode::Read, coded(&src, rank)).unwrap();
+                let mut conn = mxn.accept_connection(ic).unwrap();
+                assert_eq!(conn.direction(), Direction::Export);
+                conn.data_ready(ic, mxn.registry()).unwrap();
+            } else {
+                let ic = ctx.intercomm(0);
+                let data = mxn.register_allocated("g", dst, AccessMode::Write).unwrap();
+                let mut conn = mxn.import_field(ic, "g", "f", ConnectionKind::OneShot).unwrap();
+                assert_eq!(conn.direction(), Direction::Import);
+                let out = conn.data_ready(ic, mxn.registry()).unwrap();
+                assert!(matches!(out, TransferOutcome::Transferred { .. }));
+                assert_coded(&data);
+            }
+        });
+    }
+
+    /// Third-party-controlled connection, paper §4.1: neither component
+    /// names its peer; both follow a controller program's order.
+    #[test]
+    fn follow_controller_couples_two_unaware_components() {
+        // Programs: 0 = controller (1 rank), 1 = source (2), 2 = sink (2).
+        Universe::run(&[1, 2, 2], |_, ctx| {
+            let rank = ctx.comm.rank();
+            let src = Dad::block(Extents::new([4, 4]), &[2, 1]).unwrap();
+            let dst = Dad::block(Extents::new([4, 4]), &[1, 2]).unwrap();
+            let mut mxn = MxnComponent::new(rank);
+            match ctx.program {
+                0 => crate::coordinator::order_connection(
+                    ctx.intercomm(1),
+                    "f",
+                    ctx.intercomm(2),
+                    "g",
+                    ConnectionKind::OneShot,
+                )
+                .unwrap(),
+                1 => {
+                    let ic = ctx.intercomm(2);
+                    mxn.register_field("f", src.clone(), AccessMode::Read, coded(&src, rank))
+                        .unwrap();
+                    let mut conn = mxn.follow_controller(ctx.intercomm(0), ic).unwrap();
+                    assert_eq!(conn.direction(), Direction::Export);
+                    conn.data_ready(ic, mxn.registry()).unwrap();
+                }
+                _ => {
+                    let ic = ctx.intercomm(1);
+                    let data = mxn.register_allocated("g", dst, AccessMode::Write).unwrap();
+                    let mut conn = mxn.follow_controller(ctx.intercomm(0), ic).unwrap();
+                    assert_eq!(conn.direction(), Direction::Import);
+                    conn.data_ready(ic, mxn.registry()).unwrap();
+                    assert_coded(&data);
                 }
             }
         });

@@ -26,10 +26,7 @@ use parking_lot::RwLock;
 
 use mxn_dad::{AccessMode, Dad};
 use mxn_runtime::{Comm, InterComm, MsgSize, ReconfigReport, RuntimeError, ShrinkReport, Src};
-use mxn_schedule::{
-    recv_redistributed_budgeted_cached_for_epoch, send_redistributed_budgeted_cached_for_epoch,
-    RegionSchedule, ScheduleCache,
-};
+use mxn_schedule::{Redist, RegionSchedule, ScheduleCache, TransferBuffers};
 use mxn_trace::EventId;
 
 use crate::elastic::redistribute_elastic;
@@ -464,6 +461,19 @@ impl MxnConnection {
         ic: &InterComm,
         registry: &FieldRegistry,
     ) -> Result<TransferOutcome> {
+        self.due_transfer(ic, registry, None)
+    }
+
+    /// The body both `data_ready` forms share: cadence bookkeeping, the
+    /// transfer itself (over the held schedule, or over a planned route
+    /// when `budgeted` carries a cache and byte budget), and the
+    /// collective-failure check.
+    fn due_transfer(
+        &mut self,
+        ic: &InterComm,
+        registry: &FieldRegistry,
+        budgeted: Option<(&ScheduleCache, u64)>,
+    ) -> Result<TransferOutcome> {
         if self.closed {
             return Ok(TransferOutcome::Closed);
         }
@@ -475,18 +485,38 @@ impl MxnConnection {
         if !due {
             return Ok(TransferOutcome::Skipped);
         }
-        if self.transactional {
+        if self.transactional && budgeted.is_none() {
             return self.transactional_transfer(ic, registry);
         }
         let entry = registry.get(&self.field)?;
-        let moved = match self.direction {
-            Direction::Export => {
+        let moved = match (self.direction, budgeted) {
+            (Direction::Export, None) => {
                 let data = entry.data().read();
-                self.schedule.execute_send(ic, &data, self.tag)
+                self.schedule.execute_send(ic, &data, self.tag, &mut TransferBuffers::new())
             }
-            Direction::Import => {
+            (Direction::Import, None) => {
                 let mut data = entry.data().write();
-                self.schedule.execute_recv(ic, &mut data, self.tag)
+                self.schedule.execute_recv(ic, &mut data, self.tag, &mut TransferBuffers::new())
+            }
+            (Direction::Export, Some((cache, budget))) => {
+                let data = entry.data().read();
+                Redist::between(&self.my_dad, &self.peer_dad)
+                    .cache(cache)
+                    .budget(budget)
+                    .epoch(self.epoch)
+                    .send(ic, &data, self.tag)
+            }
+            (Direction::Import, Some((cache, budget))) => {
+                Redist::between(&self.peer_dad, &self.my_dad)
+                    .cache(cache)
+                    .budget(budget)
+                    .epoch(self.epoch)
+                    .recv::<f64>(ic, self.tag)
+                    .map(|arr| {
+                        let n = arr.len();
+                        *entry.data().write() = arr;
+                        n
+                    })
             }
         };
         let elements = match moved {
@@ -528,7 +558,7 @@ impl MxnConnection {
         match self.direction {
             Direction::Export => {
                 let data = entry.data().read();
-                match self.schedule.execute_send(ic, &data, self.tag) {
+                match self.schedule.execute_send(ic, &data, self.tag, &mut TransferBuffers::new()) {
                     Ok(n) => elements = n,
                     Err(e) => failure = Some(map_dead(self.tag, e.into())),
                 }
@@ -647,59 +677,7 @@ impl MxnConnection {
         cache: &ScheduleCache,
         budget_bytes: u64,
     ) -> Result<TransferOutcome> {
-        if self.closed {
-            return Ok(TransferOutcome::Closed);
-        }
-        self.calls += 1;
-        let due = match self.kind {
-            ConnectionKind::OneShot => self.transfers == 0,
-            ConnectionKind::Persistent { period } => (self.calls - 1).is_multiple_of(period as u64),
-        };
-        if !due {
-            return Ok(TransferOutcome::Skipped);
-        }
-        let entry = registry.get(&self.field)?;
-        let moved = match self.direction {
-            Direction::Export => {
-                let data = entry.data().read();
-                send_redistributed_budgeted_cached_for_epoch(
-                    cache,
-                    ic,
-                    &self.my_dad,
-                    &self.peer_dad,
-                    &data,
-                    self.tag,
-                    budget_bytes,
-                    self.epoch,
-                )
-            }
-            Direction::Import => recv_redistributed_budgeted_cached_for_epoch::<f64>(
-                cache,
-                ic,
-                &self.peer_dad,
-                &self.my_dad,
-                self.tag,
-                budget_bytes,
-                self.epoch,
-            )
-            .map(|arr| {
-                let n = arr.len();
-                *entry.data().write() = arr;
-                n
-            }),
-        };
-        let elements = match moved {
-            Ok(n) => n,
-            Err(e) => return Err(map_dead(self.tag, e.into())),
-        };
-        if let Some(rank) = ic.any_dead() {
-            return Err(MxnError::PeerFailed { rank, tag: None });
-        }
-        self.transfers += 1;
-        if self.kind == ConnectionKind::OneShot {
-            self.closed = true;
-        }
-        Ok(TransferOutcome::Transferred { elements })
+        self.due_transfer(ic, registry, Some((cache, budget_bytes)))
     }
 
     /// Collectively grows the coupling: admits `add_local` world ranks to
@@ -924,7 +902,7 @@ impl MxnConnection {
             }
             let mut data = entry.data().write();
             self.schedule
-                .execute_recv(ic, &mut data, self.tag)
+                .execute_recv(ic, &mut data, self.tag, &mut TransferBuffers::new())
                 .map_err(|e| map_dead(self.tag, e.into()))?;
             drop(data);
             self.transfers += 1;
@@ -1368,7 +1346,7 @@ mod elastic_tests {
     use super::*;
     use crate::field::{FieldData, FieldRegistry};
     use mxn_dad::{AccessMode, Extents, LocalArray};
-    use mxn_runtime::{FaultConfig, World};
+    use mxn_runtime::{FaultConfig, RunOpts, World};
     use parking_lot::RwLock;
     use std::sync::Arc;
     use std::time::Duration;
@@ -1497,7 +1475,8 @@ mod elastic_tests {
     #[test]
     fn aborted_expand_rolls_the_connection_back() {
         let cfg = FaultConfig::reliable(23);
-        World::run_with_faults(5, cfg, |p| {
+        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+        World::run_opts(5, opts, |p| {
             let world = p.world();
             // The split is a world collective, so the doomed spare takes
             // part in it (color −1) before dying.

@@ -183,7 +183,7 @@ pub fn spec_from_dads(
 mod tests {
     use super::*;
     use mxn_dad::Extents;
-    use mxn_runtime::{Universe, World};
+    use mxn_runtime::{RunOpts, Universe, World};
 
     #[test]
     fn contiguous_spec_displacements() {
@@ -277,12 +277,13 @@ mod tests {
 
     #[test]
     fn small_chunks_take_the_bruck_path() {
-        let (_, stats) = World::run_with_stats(8, |p| {
+        let stats = World::run_opts(8, RunOpts::default(), |p| {
             let comm = p.world();
             let data = vec![comm.rank() as f64; 8];
             let spec = AlltoallvSpec::contiguous(&[1; 8]);
             alltoallv_within(comm, &data, &spec).unwrap();
-        });
+        })
+        .stats;
         // Bruck: ceil(log2 8) = 3 alltoall messages per rank (the selection
         // allreduce is attributed to Allreduce, not Alltoall).
         assert_eq!(stats.coll(mxn_runtime::CollOp::Alltoall).messages, 8 * 3);

@@ -122,11 +122,6 @@ impl Exporter {
         self.stats
     }
 
-    /// Timestamps currently buffered, ascending.
-    pub fn buffered_versions(&self) -> Vec<f64> {
-        self.buffer.iter().map(|(t, _)| *t).collect()
-    }
-
     /// Exports the field at time `t` (strictly increasing across calls):
     /// snapshots the data, then answers every queued request that has
     /// become decidable.

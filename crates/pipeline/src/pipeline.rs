@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use mxn_dad::{Dad, LocalArray};
 use mxn_runtime::{Comm, Result};
-use mxn_schedule::redistribute_within;
+use mxn_schedule::Redist;
 
 use crate::filter::{fuse_affine, Filter};
 
@@ -174,7 +174,7 @@ impl Pipeline {
                     }
                 }
                 Stage::Redistribute(d) => {
-                    current = redistribute_within(comm, &current_dad, d, &current, tag)?;
+                    current = Redist::between(&current_dad, d).within(comm, &current, tag)?;
                     current_dad = d.clone();
                     tag += 1;
                 }

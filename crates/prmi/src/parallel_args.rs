@@ -16,7 +16,7 @@
 use mxn_dad::{Dad, LocalArray};
 use mxn_framework::{AnyPayload, MethodNotFound};
 use mxn_runtime::{InterComm, MsgSize};
-use mxn_schedule::RegionSchedule;
+use mxn_schedule::{Redist, RegionSchedule, TransferBuffers};
 
 use crate::collective::{
     providers_of, respondents_of, CollReq, CollResp, COLL_REQ_TAG, COLL_RESP_TAG, METHOD_SHUTDOWN,
@@ -99,8 +99,9 @@ impl ParallelEndpoint {
         let seq = self.begin_call(ic, method, simple_arg)?;
         // Redistribute the parallel argument (all caller ranks take part,
         // independent of the invocation-envelope mapping).
-        let sched = RegionSchedule::for_sender(caller_dad, callee_dad, ic.local_rank());
-        sched.execute_send(ic, local, array_tag(seq)).map_err(PrmiError::Runtime)?;
+        Redist::between(caller_dad, callee_dad)
+            .send(ic, local, array_tag(seq))
+            .map_err(PrmiError::Runtime)?;
         // Await the simple return value.
         let responder = ic.local_rank() % ic.remote_size();
         let resp: CollResp = ic.recv(responder, COLL_RESP_TAG).map_err(PrmiError::Runtime)?;
@@ -131,8 +132,9 @@ impl ParallelEndpoint {
         R: 'static,
     {
         let seq = self.begin_call(ic, method, simple_arg)?;
-        let sched = RegionSchedule::for_sender(caller_dad, callee_dad, ic.local_rank());
-        sched.execute_send(ic, local, array_tag(seq)).map_err(PrmiError::Runtime)?;
+        Redist::between(caller_dad, callee_dad)
+            .send(ic, local, array_tag(seq))
+            .map_err(PrmiError::Runtime)?;
         // Await the simple return *first*: a provider that NACKs an unknown
         // method sends no parallel return, so blocking on the array plane
         // before seeing the response would hang forever. Messages buffer
@@ -145,7 +147,9 @@ impl ParallelEndpoint {
         }
         // Receive the redistributed parallel return.
         let rsched = RegionSchedule::for_receiver(callee_out_dad, result_dad, ic.local_rank());
-        rsched.execute_recv(ic, result_local, array_tag(seq) + 1).map_err(PrmiError::Runtime)?;
+        rsched
+            .execute_recv(ic, result_local, array_tag(seq) + 1, &mut TransferBuffers::new())
+            .map_err(PrmiError::Runtime)?;
         resp.result.downcast::<R>().map_err(PrmiError::from)
     }
 
@@ -235,18 +239,17 @@ pub fn parallel_serve(
             continue;
         };
         // Receive this rank's portion of the redistributed input.
-        let mut input = LocalArray::allocate(&spec.input, j);
-        let rsched = RegionSchedule::for_receiver(caller_dad, &spec.input, j);
-        rsched.execute_recv(ic, &mut input, array_tag(req.call_seq)).map_err(PrmiError::Runtime)?;
+        let input = Redist::between(caller_dad, &spec.input)
+            .recv(ic, array_tag(req.call_seq))
+            .map_err(PrmiError::Runtime)?;
         let (simple, parallel) = service.execute(req.method, req.arg, input);
         calls += 1;
         // Send back the parallel return, if declared.
         if let (Some(out_dad), Some(out_local), Some(res_dad)) =
             (spec.output.as_ref(), parallel.as_ref(), caller_result_dad)
         {
-            let ssched = RegionSchedule::for_sender(out_dad, res_dad, j);
-            ssched
-                .execute_send(ic, out_local, array_tag(req.call_seq) + 1)
+            Redist::between(out_dad, res_dad)
+                .send(ic, out_local, array_tag(req.call_seq) + 1)
                 .map_err(PrmiError::Runtime)?;
         }
         // Simple return with ghost replication.

@@ -824,7 +824,7 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::World;
+    use crate::world::{RunOpts, RunReport, World};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -891,7 +891,7 @@ mod tests {
 
     #[test]
     fn bcast_shared_hands_out_one_allocation() {
-        let (results, stats) = World::run_with_stats(8, |proc| {
+        let RunReport { results, stats, .. } = World::run_opts(8, RunOpts::default(), |proc| {
             let c = proc.world();
             let v = if c.rank() == 0 { Some(vec![3.25f64; 64]) } else { None };
             let arc = c.bcast_shared(0, v).unwrap();
@@ -946,13 +946,14 @@ mod tests {
 
     #[test]
     fn allgather_shared_allocates_once_per_contributor() {
-        let (_, stats) = World::run_with_stats(4, |proc| {
+        let stats = World::run_opts(4, RunOpts::default(), |proc| {
             let c = proc.world();
             let got = c.allgather_shared(vec![c.rank() as u32; 8]).unwrap();
             for (r, arc) in got.iter().enumerate() {
                 assert_eq!(**arc, vec![r as u32; 8]);
             }
-        });
+        })
+        .stats;
         let ag = stats.coll(crate::stats::CollOp::Allgather);
         assert_eq!(ag.messages, 4 * 3, "ring sends p-1 messages per rank");
         assert_eq!(ag.payload_allocs, 4, "one allocation per contributed block");
@@ -1010,11 +1011,12 @@ mod tests {
 
     #[test]
     fn alltoall_bruck_uses_logarithmic_rounds() {
-        let (_, stats) = World::run_with_stats(8, |proc| {
+        let stats = World::run_opts(8, RunOpts::default(), |proc| {
             let c = proc.world();
             let vals: Vec<u64> = (0..8).map(|d| (c.rank() * 10 + d) as u64).collect();
             c.alltoall_bruck(vals).unwrap();
-        });
+        })
+        .stats;
         // ceil(log2 8) = 3 bundled messages per rank, vs 7 pairwise.
         assert_eq!(stats.coll(crate::stats::CollOp::Alltoall).messages, 8 * 3);
     }
@@ -1087,9 +1089,10 @@ mod tests {
     fn allreduce_message_complexity_and_zero_clones() {
         // Reduce (p-1 moved partials) + shared bcast (p-1 Arc handles):
         // 2(p-1) messages total, no payload deep copies, one allocation.
-        let (_, stats) = World::run_with_stats(8, |proc| {
+        let stats = World::run_opts(8, RunOpts::default(), |proc| {
             proc.world().allreduce(1u64, |a, b| *a += b).unwrap();
-        });
+        })
+        .stats;
         let cell = stats.coll(crate::stats::CollOp::Allreduce);
         assert_eq!(cell.messages, 2 * (8 - 1));
         // The algorithm itself never clones (partials move and fold in
@@ -1142,11 +1145,12 @@ mod tests {
 
     #[test]
     fn reduce_scatter_moves_blocks_without_cloning() {
-        let (_, stats) = World::run_with_stats(8, |proc| {
+        let stats = World::run_opts(8, RunOpts::default(), |proc| {
             let c = proc.world();
             let blocks: Vec<u64> = (0..8).map(|d| d as u64).collect();
             c.reduce_scatter(blocks, |a, b| *a += b).unwrap();
-        });
+        })
+        .stats;
         let rs = stats.coll(crate::stats::CollOp::ReduceScatter);
         assert_eq!(rs.messages, 8 * 3, "log2(p) halving rounds per rank");
         assert_eq!(rs.payload_clones, 0, "recursive halving moves every block");
@@ -1188,9 +1192,10 @@ mod tests {
 
     #[test]
     fn collective_traffic_is_classified() {
-        let (_, stats) = World::run_with_stats(4, |proc| {
+        let stats = World::run_opts(4, RunOpts::default(), |proc| {
             proc.world().barrier().unwrap();
-        });
+        })
+        .stats;
         assert_eq!(stats.p2p_messages, 0);
         assert!(stats.collective_messages > 0);
         // Per-op attribution agrees with the aggregate.

@@ -510,7 +510,7 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::World;
+    use crate::world::{RunOpts, World};
 
     #[test]
     fn ring_pass() {
@@ -674,28 +674,30 @@ mod tests {
 
     #[test]
     fn stats_count_messages() {
-        let (_, stats) = World::run_with_stats(2, |p| {
+        let stats = World::run_opts(2, RunOpts::default(), |p| {
             let c = p.world();
             if c.rank() == 0 {
                 c.send(1, 0, vec![0.0f64; 10]).unwrap();
             } else {
                 c.recv::<Vec<f64>>(0, 0).unwrap();
             }
-        });
+        })
+        .stats;
         assert_eq!(stats.p2p_messages, 1);
         assert_eq!(stats.p2p_bytes, 80);
     }
 
     #[test]
     fn multicast_delivers_to_every_destination() {
-        let (_, stats) = World::run_with_stats(4, |p| {
+        let stats = World::run_opts(4, RunOpts::default(), |p| {
             let c = p.world();
             if c.rank() == 0 {
                 c.multicast(&[1, 2, 3], 7, vec![1.5f64; 16]).unwrap();
             } else {
                 assert_eq!(c.recv::<Vec<f64>>(0, 7).unwrap(), vec![1.5; 16]);
             }
-        });
+        })
+        .stats;
         assert_eq!(stats.p2p_messages, 3);
         assert_eq!(stats.payload_allocs, 1, "one shared allocation for three receivers");
         // Two receivers unwrap while other handles live; the last is free.
@@ -704,7 +706,7 @@ mod tests {
 
     #[test]
     fn recv_shared_borrows_the_multicast_allocation() {
-        let (_, stats) = World::run_with_stats(3, |p| {
+        let stats = World::run_opts(3, RunOpts::default(), |p| {
             let c = p.world();
             if c.rank() == 0 {
                 c.multicast(&[1, 2], 7, String::from("shared")).unwrap();
@@ -712,7 +714,8 @@ mod tests {
                 let arc = c.recv_shared::<String>(0, 7).unwrap();
                 assert_eq!(*arc, "shared");
             }
-        });
+        })
+        .stats;
         assert_eq!(stats.payload_allocs, 1);
         assert_eq!(stats.payload_clones, 0, "Arc receivers never deep-copy");
     }
@@ -732,14 +735,15 @@ mod tests {
 
     #[test]
     fn send_replicable_is_clone_free_without_faults() {
-        let (_, stats) = World::run_with_stats(2, |p| {
+        let stats = World::run_opts(2, RunOpts::default(), |p| {
             let c = p.world();
             if c.rank() == 0 {
                 c.send_replicable(1, 0, vec![9u64; 8]).unwrap();
             } else {
                 assert_eq!(c.recv::<Vec<u64>>(0, 0).unwrap(), vec![9; 8]);
             }
-        });
+        })
+        .stats;
         assert_eq!(stats.payload_clones, 0, "sole receiver unwraps the shared payload in place");
     }
 }

@@ -103,13 +103,6 @@ impl RuntimeError {
         matches!(self, RuntimeError::Timeout { .. } | RuntimeError::PeerDead { .. })
     }
 
-    /// True when a peer was declared dead — including a *quarantined*
-    /// wire-transport zombie, which poisons its rank through the same
-    /// [`crate::Liveness`] registry and therefore surfaces as this variant.
-    pub fn is_peer_dead(&self) -> bool {
-        matches!(self, RuntimeError::PeerDead { .. })
-    }
-
     /// True if the operation failed because its communicator was revoked;
     /// the caller should join the shrink/heal protocol rather than retry
     /// on the same context.

@@ -822,7 +822,7 @@ impl InterComm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::World;
+    use crate::world::{RunOpts, World};
 
     /// Splits a world of m + n ranks into two programs joined by an
     /// intercomm; returns per-rank (local_rank, remote_size, probe result).
@@ -1007,7 +1007,8 @@ mod tests {
     fn expand_aborts_and_rolls_back_when_newcomer_dies_then_retry_commits() {
         use crate::fault::FaultConfig;
         let cfg = FaultConfig::reliable(17);
-        World::run_with_faults(6, cfg, |p| {
+        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+        World::run_opts(6, opts, |p| {
             let world = p.world();
             // side 0 = {0,1}, side 1 = {2,3}; rank 4 dies before joining,
             // rank 5 is the healthy spare the retry admits instead.
@@ -1090,7 +1091,8 @@ mod tests {
     fn shrink_drops_dead_ranks_from_both_groups() {
         use crate::fault::FaultConfig;
         let cfg = FaultConfig::reliable(5);
-        World::run_with_faults(5, cfg, |p| {
+        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+        World::run_opts(5, opts, |p| {
             // Side 0 = ranks {0,1,2}, side 1 = ranks {3,4}; rank 1 dies.
             let side = usize::from(p.rank() >= 3);
             let (_, ic) = InterComm::create(p.world(), side).unwrap();

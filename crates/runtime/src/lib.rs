@@ -23,7 +23,7 @@
 //!   volumes that transfer to a real cluster.
 //! * **Deterministic fault injection** ([`fault`]): a seeded
 //!   [`FaultConfig`] drops, duplicates, corrupts, and delays messages and
-//!   kills ranks mid-run ([`World::run_with_faults`]); blocked peers of a
+//!   kills ranks mid-run ([`RunOpts::faults`]); blocked peers of a
 //!   dead rank get [`RuntimeError::PeerDead`] instead of hanging, and the
 //!   same seed always reproduces a byte-identical [`FaultTrace`].
 //! * **Self-healing recovery** ([`membership`]): ULFM-style epoch-based
@@ -88,7 +88,7 @@ pub use stats::{
 pub use tracing::{coll_algo, err_code, fault_kind};
 pub use transport::{InProcTransport, Transport};
 pub use universe::{ProgramCtx, Universe};
-pub use world::{Process, World};
+pub use world::{Process, RunOpts, RunReport, World};
 
 // The trace plane's public surface, re-exported so downstream code (tests,
 // examples, benches) can collect and digest traces without a direct

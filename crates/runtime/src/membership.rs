@@ -504,7 +504,7 @@ mod tests {
     use super::*;
     use crate::envelope::{Src, Tag};
     use crate::fault::FaultConfig;
-    use crate::world::World;
+    use crate::world::{RunOpts, World};
     use std::time::Duration;
 
     #[test]
@@ -567,7 +567,8 @@ mod tests {
     #[test]
     fn agree_ands_votes_and_skips_the_dead() {
         let cfg = FaultConfig::reliable(7);
-        let (masks, _) = World::run_with_faults(3, cfg, |p| {
+        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+        let masks = World::run_opts(3, opts, |p| {
             if p.rank() == 0 {
                 p.kill_rank(0);
                 return 0;
@@ -575,7 +576,8 @@ mod tests {
             let c = p.world();
             let vote = if c.rank() == 1 { 0b110 } else { 0b111 };
             c.membership().agree(vote).unwrap()
-        });
+        })
+        .results;
         assert_eq!(masks[1], 0b110);
         assert_eq!(masks[2], 0b110, "all survivors agree on the AND of survivor votes");
     }
@@ -583,7 +585,8 @@ mod tests {
     #[test]
     fn shrink_renumbers_and_survivor_comm_works() {
         let cfg = FaultConfig::reliable(11);
-        World::run_with_faults(4, cfg, |p| {
+        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+        World::run_opts(4, opts, |p| {
             if p.rank() == 1 {
                 p.kill_rank(1);
                 return;
@@ -615,7 +618,8 @@ mod tests {
     #[test]
     fn repeated_shrink_is_idempotent_on_the_same_failure() {
         let cfg = FaultConfig::reliable(13);
-        World::run_with_faults(3, cfg, |p| {
+        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+        World::run_opts(3, opts, |p| {
             if p.rank() == 2 {
                 p.kill_rank(2);
                 return;

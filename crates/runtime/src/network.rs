@@ -119,11 +119,15 @@ mod tests {
 #[cfg(test)]
 mod integration_tests {
     use super::*;
-    use crate::world::World;
+    use crate::world::{RunOpts, World};
 
     #[test]
     fn latency_delays_visibility() {
-        World::run_with_network(2, NetworkModel::latency_only(Duration::from_millis(30)), |p| {
+        let opts = RunOpts {
+            network: Some(NetworkModel::latency_only(Duration::from_millis(30))),
+            ..RunOpts::default()
+        };
+        World::run_opts(2, opts, |p| {
             let c = p.world();
             if c.rank() == 0 {
                 c.send(1, 0, 7u8).unwrap();
@@ -144,7 +148,11 @@ mod integration_tests {
 
     #[test]
     fn try_recv_respects_inflight_messages() {
-        World::run_with_network(2, NetworkModel::latency_only(Duration::from_millis(40)), |p| {
+        let opts = RunOpts {
+            network: Some(NetworkModel::latency_only(Duration::from_millis(40))),
+            ..RunOpts::default()
+        };
+        World::run_opts(2, opts, |p| {
             let c = p.world();
             if c.rank() == 0 {
                 c.send(1, 1, 1u8).unwrap();
@@ -173,7 +181,8 @@ mod integration_tests {
     fn bandwidth_term_scales_with_size() {
         // 1 MB at 10 MB/s = 100 ms; small message ≈ latency only.
         let model = NetworkModel { latency: Duration::from_millis(1), bytes_per_sec: 10e6 };
-        World::run_with_network(2, model, |p| {
+        let opts = RunOpts { network: Some(model), ..RunOpts::default() };
+        World::run_opts(2, opts, |p| {
             let c = p.world();
             if c.rank() == 0 {
                 c.send(1, 0, vec![0u8; 1_000_000]).unwrap();
@@ -192,10 +201,12 @@ mod integration_tests {
     #[test]
     fn collectives_work_under_network_model() {
         let model = NetworkModel::latency_only(Duration::from_micros(200));
-        let sums = World::run_with_network(4, model, |p| {
+        let opts = RunOpts { network: Some(model), ..RunOpts::default() };
+        let sums = World::run_opts(4, opts, |p| {
             let c = p.world();
             c.allreduce(c.rank() as u64, |a, b| *a += b).unwrap()
-        });
+        })
+        .results;
         assert_eq!(sums, vec![6, 6, 6, 6]);
     }
 }

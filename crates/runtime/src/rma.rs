@@ -158,11 +158,6 @@ impl<'a> RmaWindow<'a> {
         &self.data
     }
 
-    /// Consumes the window, returning the exposed block.
-    pub fn into_data(self) -> Vec<f64> {
-        self.data
-    }
-
     fn member_index(&self, target: usize) -> Result<usize> {
         self.members
             .binary_search(&target)

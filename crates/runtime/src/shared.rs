@@ -40,11 +40,6 @@ impl WorldShared {
         Self::with_config(n, None, None)
     }
 
-    /// Creates shared state with an optional synthetic network model.
-    pub fn with_network(n: usize, network: Option<NetworkModel>) -> Arc<Self> {
-        Self::with_config(n, network, None)
-    }
-
     /// Creates shared state with an optional network model and an optional
     /// fault plane.
     pub fn with_config(

@@ -7,11 +7,8 @@
 
 use crate::comm::Comm;
 use crate::error::Result;
-use crate::fault::{FaultConfig, FaultTrace};
 use crate::intercomm::InterComm;
-use crate::stats::StatsSnapshot;
-use crate::world::{Process, World};
-use mxn_trace::RunTrace;
+use crate::world::{Process, RunOpts, RunReport, World};
 
 /// Per-rank context inside a multi-program universe.
 pub struct ProgramCtx {
@@ -51,53 +48,24 @@ impl Universe {
         R: Send,
         F: Fn(&Process, &ProgramCtx) -> R + Send + Sync,
     {
-        Self::run_with_stats(sizes, f).0
+        Self::run_opts(sizes, RunOpts::default(), f).results
     }
 
-    /// Like [`Universe::run`] but also returns final traffic counters.
-    pub fn run_with_stats<R, F>(sizes: &[usize], f: F) -> (Vec<R>, StatsSnapshot)
-    where
-        R: Send,
-        F: Fn(&Process, &ProgramCtx) -> R + Send + Sync,
-    {
-        let (total, starts) = Self::layout(sizes);
-        World::run_with_stats(total, move |p| {
-            let ctx = Self::setup(p, sizes, &starts).expect("universe setup is deadlock-free");
-            f(p, &ctx)
-        })
-    }
-
-    /// Like [`Universe::run`] but with the trace plane armed: the merged
-    /// [`RunTrace`] covers bootstrap (program splits, intercomm mesh) and
-    /// the coupling traffic of `f` alike.
-    pub fn run_traced<R, F>(sizes: &[usize], f: F) -> (Vec<R>, RunTrace)
-    where
-        R: Send,
-        F: Fn(&Process, &ProgramCtx) -> R + Send + Sync,
-    {
-        let (total, starts) = Self::layout(sizes);
-        World::run_traced(total, move |p| {
-            let ctx = Self::setup(p, sizes, &starts).expect("universe setup is deadlock-free");
-            f(p, &ctx)
-        })
-    }
-
-    /// Like [`Universe::run`] but under a deterministic [`FaultConfig`];
-    /// returns per-rank results plus the canonical [`FaultTrace`]. Rank
-    /// closures must surface failure-detection errors (`PeerDead`,
-    /// `Timeout`) as values rather than panicking.
+    /// [`Universe::run`] under a launch policy (see [`RunOpts`]). A trace
+    /// covers bootstrap (program splits, intercomm mesh) and the coupling
+    /// traffic of `f` alike.
     ///
-    /// The universe's own bootstrap (program splits and the intercomm mesh)
-    /// runs with the fault plane disarmed, so lossy policies and scheduled
-    /// deaths cannot strand setup: faults apply to the coupling traffic
-    /// only, and a death's `at_op` counts ops from the start of `f`.
-    pub fn run_with_faults<R, F>(sizes: &[usize], faults: FaultConfig, f: F) -> (Vec<R>, FaultTrace)
+    /// The universe's own bootstrap runs with the fault plane disarmed, so
+    /// lossy policies and scheduled deaths cannot strand setup: faults
+    /// apply to the coupling traffic only, and a death's `at_op` counts ops
+    /// from the start of `f`.
+    pub fn run_opts<R, F>(sizes: &[usize], opts: RunOpts, f: F) -> RunReport<R>
     where
         R: Send,
         F: Fn(&Process, &ProgramCtx) -> R + Send + Sync,
     {
         let (total, starts) = Self::layout(sizes);
-        World::run_with_faults(total, faults, move |p| {
+        World::run_opts(total, opts, move |p| {
             p.set_faults_armed(false);
             let ctx = Self::setup(p, sizes, &starts).expect("universe setup is deadlock-free");
             p.set_faults_armed(true);

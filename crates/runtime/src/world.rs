@@ -86,6 +86,43 @@ impl Process {
     }
 }
 
+/// Launch policy for [`World::run_opts`] and [`crate::Universe::run_opts`]:
+/// everything that changes *how* a world runs, as one value. The default is
+/// the zero-policy launch of [`World::run`].
+#[derive(Debug, Clone, Default)]
+pub struct RunOpts {
+    /// Delays every inter-rank message by a synthetic [`NetworkModel`] —
+    /// cluster-shaped timing on one machine.
+    pub network: Option<NetworkModel>,
+    /// Arms a deterministic fault plane injecting message drops,
+    /// duplication, corruption, delays and scheduled rank deaths. Rank
+    /// closures must then treat failure-detection errors (`PeerDead`,
+    /// `Timeout`) as values rather than panicking, so surviving ranks can
+    /// report results after a scripted death.
+    pub faults: Option<FaultConfig>,
+    /// Arms the trace plane: every rank records structured events into a
+    /// per-rank buffer, merged into [`RunReport::trace`] after teardown.
+    pub trace: bool,
+}
+
+/// Everything a finished run can report, whatever its [`RunOpts`].
+#[derive(Debug)]
+pub struct RunReport<R> {
+    /// Per-rank results in rank order.
+    pub results: Vec<R>,
+    /// Final traffic counters.
+    pub stats: StatsSnapshot,
+    /// The canonical trace of injected faults (empty without a fault
+    /// plane): the same seed and communication pattern yield a
+    /// byte-identical trace.
+    pub fault_trace: FaultTrace,
+    /// The merged event trace; `Some` exactly when [`RunOpts::trace`] was
+    /// set. Identical programs with identical seeds produce identical
+    /// digests (see [`RunTrace::digest`]); fault injections appear as
+    /// `FaultInject` events alongside the runtime's own spans.
+    pub trace: Option<RunTrace>,
+}
+
 /// A parallel "machine": `n` ranks running one function SPMD-style.
 pub struct World;
 
@@ -98,132 +135,19 @@ impl World {
         R: Send,
         F: Fn(&Process) -> R + Send + Sync,
     {
-        Self::run_with_stats(n, f).0
+        Self::run_opts(n, RunOpts::default(), f).results
     }
 
-    /// Runs an *elastic* computation: a universe of `capacity` ranks (the
-    /// `MPI_UNIVERSE_SIZE` analogue) of which only the first `active` start
-    /// out as workers; the rest are spare capacity. `f` receives
-    /// `(process, is_active)` — spares typically park in
-    /// [`crate::InterComm::await_join`] until an expand epoch admits them.
-    /// Liveness, mailboxes and the fault plane are provisioned for the full
-    /// capacity, so admission is purely a membership-level handshake.
-    pub fn run_elastic<R, F>(active: usize, capacity: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&Process, bool) -> R + Send + Sync,
-    {
-        assert!(active <= capacity, "active ranks cannot exceed the universe capacity");
-        Self::run(capacity, move |p| f(p, p.rank() < active))
-    }
-
-    /// Like [`World::run`] but every inter-rank message is delayed by the
-    /// synthetic [`NetworkModel`] — cluster-shaped timing on one machine.
-    pub fn run_with_network<R, F>(n: usize, network: NetworkModel, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&Process) -> R + Send + Sync,
-    {
-        Self::run_inner(n, Some(network), None, false, f).0
-    }
-
-    /// Like [`World::run`] but also returns the final traffic counters.
-    pub fn run_with_stats<R, F>(n: usize, f: F) -> (Vec<R>, StatsSnapshot)
-    where
-        R: Send,
-        F: Fn(&Process) -> R + Send + Sync,
-    {
-        let (results, stats, _, _) = Self::run_inner(n, None, None, false, f);
-        (results, stats)
-    }
-
-    /// Like [`World::run`] but with the trace plane armed: every rank
-    /// records structured events into a per-rank buffer, and the merged
-    /// [`RunTrace`] is returned after teardown. Identical programs with
-    /// identical seeds produce identical trace digests (see
-    /// [`RunTrace::digest`]).
-    pub fn run_traced<R, F>(n: usize, f: F) -> (Vec<R>, RunTrace)
-    where
-        R: Send,
-        F: Fn(&Process) -> R + Send + Sync,
-    {
-        let (results, _, _, trace) = Self::run_inner(n, None, None, true, f);
-        (results, trace.expect("tracing was requested"))
-    }
-
-    /// [`World::run_traced`] plus the final traffic counters, for
-    /// cross-checking trace aggregates against [`StatsSnapshot`].
-    pub fn run_traced_with_stats<R, F>(n: usize, f: F) -> (Vec<R>, StatsSnapshot, RunTrace)
-    where
-        R: Send,
-        F: Fn(&Process) -> R + Send + Sync,
-    {
-        let (results, stats, _, trace) = Self::run_inner(n, None, None, true, f);
-        (results, stats, trace.expect("tracing was requested"))
-    }
-
-    /// [`World::run_with_faults`] with the trace plane armed: fault
-    /// injections appear in the [`RunTrace`] as `FaultInject` events
-    /// alongside the runtime's own spans.
-    pub fn run_traced_with_faults<R, F>(
-        n: usize,
-        faults: FaultConfig,
-        f: F,
-    ) -> (Vec<R>, FaultTrace, RunTrace)
-    where
-        R: Send,
-        F: Fn(&Process) -> R + Send + Sync,
-    {
-        let (results, _, fault_trace, trace) = Self::run_inner(n, None, Some(faults), true, f);
-        (results, fault_trace, trace.expect("tracing was requested"))
-    }
-
-    /// [`World::run_traced_with_faults`] plus the final traffic counters —
-    /// the full-visibility harness the error-accounting cross-checks use.
-    pub fn run_traced_with_stats_and_faults<R, F>(
-        n: usize,
-        faults: FaultConfig,
-        f: F,
-    ) -> (Vec<R>, StatsSnapshot, RunTrace)
-    where
-        R: Send,
-        F: Fn(&Process) -> R + Send + Sync,
-    {
-        let (results, stats, _, trace) = Self::run_inner(n, None, Some(faults), true, f);
-        (results, stats, trace.expect("tracing was requested"))
-    }
-
-    /// Like [`World::run`] but with a deterministic [`FaultConfig`] injecting
-    /// message drops, duplication, corruption, delays, and scheduled rank
-    /// deaths. Returns per-rank results plus the canonical [`FaultTrace`]:
-    /// the same seed and communication pattern yield a byte-identical trace.
-    ///
-    /// Rank closures must treat failure-detection errors (`PeerDead`,
-    /// `Timeout`) as values rather than panicking, so surviving ranks can
-    /// report results after a scripted death.
-    pub fn run_with_faults<R, F>(n: usize, faults: FaultConfig, f: F) -> (Vec<R>, FaultTrace)
-    where
-        R: Send,
-        F: Fn(&Process) -> R + Send + Sync,
-    {
-        let (results, _, trace, _) = Self::run_inner(n, None, Some(faults), false, f);
-        (results, trace)
-    }
-
-    fn run_inner<R, F>(
-        n: usize,
-        network: Option<NetworkModel>,
-        faults: Option<FaultConfig>,
-        trace: bool,
-        f: F,
-    ) -> (Vec<R>, StatsSnapshot, FaultTrace, Option<RunTrace>)
+    /// [`World::run`] under a launch policy, returning the full
+    /// [`RunReport`].
+    pub fn run_opts<R, F>(n: usize, opts: RunOpts, f: F) -> RunReport<R>
     where
         R: Send,
         F: Fn(&Process) -> R + Send + Sync,
     {
         assert!(n > 0, "world must have at least one rank");
-        let shared = WorldShared::with_config(n, network, faults);
-        let collector = trace.then(|| TraceCollector::new(n));
+        let shared = WorldShared::with_config(n, opts.network, opts.faults);
+        let collector = opts.trace.then(|| TraceCollector::new(n));
         let f = &f;
         let mut outcomes: Vec<std::thread::Result<R>> = Vec::with_capacity(n);
 
@@ -264,8 +188,12 @@ impl World {
         if let Some(p) = first_panic {
             resume_unwind(p);
         }
-        let trace = shared.fault_trace();
-        (results, shared.stats().snapshot(), trace, run_trace)
+        RunReport {
+            results,
+            stats: shared.stats().snapshot(),
+            fault_trace: shared.fault_trace(),
+            trace: run_trace,
+        }
     }
 }
 
@@ -317,14 +245,15 @@ mod tests {
 
     #[test]
     fn stats_returned_after_run() {
-        let (_, stats) = World::run_with_stats(2, |p| {
+        let stats = World::run_opts(2, RunOpts::default(), |p| {
             let c = p.world();
             if c.rank() == 0 {
                 c.send(1, 0, 7u64).unwrap();
             } else {
                 c.recv::<u64>(0, 0).unwrap();
             }
-        });
+        })
+        .stats;
         assert_eq!(stats.p2p_messages, 1);
         assert_eq!(stats.p2p_bytes, 8);
     }

@@ -4,7 +4,9 @@
 
 use std::time::Duration;
 
-use mxn_runtime::{err_code, ChannelPolicy, CollOp, EventId, FaultConfig, RuntimeError, World};
+use mxn_runtime::{
+    err_code, ChannelPolicy, CollOp, EventId, FaultConfig, RunOpts, RuntimeError, World,
+};
 
 /// Drives every collective at least once, then checks that the trace's
 /// per-op `CollMsg`/`CollClone`/`CollAlloc` totals equal the stats
@@ -12,7 +14,8 @@ use mxn_runtime::{err_code, ChannelPolicy, CollOp, EventId, FaultConfig, Runtime
 /// means an instrumentation bug.
 #[test]
 fn per_collective_trace_aggregates_match_world_stats() {
-    let (_, stats, trace) = World::run_traced_with_stats(4, |p| {
+    let opts = RunOpts { trace: true, ..RunOpts::default() };
+    let report = World::run_opts(4, opts, |p| {
         let c = p.world();
         let r = c.rank();
         c.barrier().unwrap();
@@ -45,6 +48,7 @@ fn per_collective_trace_aggregates_match_world_stats() {
         let sc = c.scan(r as u64, |a, b| *a += b).unwrap();
         assert_eq!(sc, (0..=r as u64).sum::<u64>());
     });
+    let (stats, trace) = (report.stats, report.trace.unwrap());
 
     let agg = trace.aggregate();
     for op in CollOp::ALL {
@@ -87,7 +91,8 @@ fn error_returns_update_both_accounting_planes() {
     let cfg = FaultConfig::reliable(0xFEED)
         .with_channel(0, 1, ChannelPolicy::lossy(1.0))
         .with_death(0, 2);
-    let (_, stats, trace) = World::run_traced_with_stats_and_faults(2, cfg, |p| {
+    let opts = RunOpts { faults: Some(cfg), trace: true, ..RunOpts::default() };
+    let report = World::run_opts(2, opts, |p| {
         let c = p.world();
         if c.rank() == 0 {
             c.send(1, 3, 7u8).unwrap(); // op 0: dropped
@@ -105,6 +110,7 @@ fn error_returns_update_both_accounting_planes() {
             assert!(matches!(e, RuntimeError::PeerDead { .. }), "got {e}");
         }
     });
+    let (stats, trace) = (report.stats, report.trace.unwrap());
 
     assert_eq!(stats.recv_timeouts, 2, "both timeouts counted");
     assert!(stats.peer_dead_errors >= 1, "the PeerDead return counted");

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use mxn_runtime::{ChannelPolicy, Comm, FaultConfig, RuntimeError, Src, Tag, World};
+use mxn_runtime::{ChannelPolicy, Comm, FaultConfig, RunOpts, RuntimeError, Src, Tag, World};
 use proptest::prelude::*;
 
 /// A traced message: (sender rank, tag it was sent on, per-(sender, tag)
@@ -136,7 +136,8 @@ fn recv_timeout_fires_on_empty_bucket_despite_other_traffic() {
 fn peer_death_unblocks_bucketed_receiver() {
     let faults =
         FaultConfig::reliable(11).with_default_policy(ChannelPolicy::reliable()).with_death(0, 0);
-    let (_, trace) = World::run_with_faults(2, faults, |p: &mxn_runtime::Process| {
+    let opts = RunOpts { faults: Some(faults), ..RunOpts::default() };
+    let trace = World::run_opts(2, opts, |p: &mxn_runtime::Process| {
         let comm: &Comm = p.world();
         if comm.rank() == 1 {
             let e = comm.recv::<u64>(0, 5).unwrap_err();
@@ -145,6 +146,7 @@ fn peer_death_unblocks_bucketed_receiver() {
             // Rank 0 dies on its first operation.
             let _ = comm.send(1, 99, 0u64);
         }
-    });
+    })
+    .fault_trace;
     assert!(!trace.events().is_empty(), "the death must be traced");
 }

@@ -169,19 +169,11 @@ impl HaloSchedule {
     }
 
     /// One halo exchange: sends this rank's boundary cells and fills the
-    /// ghost fringe from the neighbours. Collective over `comm`.
-    pub fn exchange<T>(&self, comm: &Comm, ghosted: &mut GhostedPatch<T>, tag: i32) -> Result<()>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        let mut pool = TransferBuffers::new();
-        self.exchange_pooled(comm, ghosted, tag, &mut pool)
-    }
-
-    /// [`Self::exchange`] with a caller-owned buffer pool: every rank both
-    /// sends and receives, so received buffers satisfy the next step's
-    /// leases and steady-state stencil loops stop allocating.
-    pub fn exchange_pooled<T>(
+    /// ghost fringe from the neighbours. Collective over `comm`. Message
+    /// buffers are leased from `pool`: every rank both sends and receives,
+    /// so received buffers satisfy the next step's leases and steady-state
+    /// stencil loops that keep the pool stop allocating.
+    pub fn exchange<T>(
         &self,
         comm: &Comm,
         ghosted: &mut GhostedPatch<T>,
@@ -248,7 +240,7 @@ mod tests {
             let plan = HaloSchedule::build(&dad, comm.rank(), 2);
             let local = LocalArray::from_fn(&dad, comm.rank(), |idx| idx[0] as i64 * 10);
             let mut g = plan.allocate(&local);
-            plan.exchange(comm, &mut g, 7).unwrap();
+            plan.exchange(comm, &mut g, 7, &mut TransferBuffers::new()).unwrap();
             // Every cell of the expanded region now holds its global value.
             for idx in plan.expanded().clone().iter() {
                 assert_eq!(g.get(&idx), idx[0] as i64 * 10, "at {idx:?}");
@@ -264,7 +256,7 @@ mod tests {
             let plan = HaloSchedule::build(&dad, comm.rank(), 1);
             let local = LocalArray::from_fn(&dad, comm.rank(), |idx| (idx[0] * 8 + idx[1]) as f64);
             let mut g = plan.allocate(&local);
-            plan.exchange(comm, &mut g, 3).unwrap();
+            plan.exchange(comm, &mut g, 3, &mut TransferBuffers::new()).unwrap();
             for idx in plan.expanded().clone().iter() {
                 assert_eq!(g.get(&idx), (idx[0] * 8 + idx[1]) as f64);
             }
@@ -295,7 +287,7 @@ mod tests {
             let plan = HaloSchedule::build(&dad, comm.rank(), 1);
             let local = LocalArray::from_fn(&dad, comm.rank(), |idx| (idx[0] * idx[0]) as f64);
             let mut g = plan.allocate(&local);
-            plan.exchange(comm, &mut g, 0).unwrap();
+            plan.exchange(comm, &mut g, 0, &mut TransferBuffers::new()).unwrap();
             for idx in plan.owned().clone().iter() {
                 let i = idx[0];
                 let left = if i == 0 { g.get(&[0]) } else { g.get(&[i - 1]) };
@@ -341,7 +333,7 @@ mod tests {
             let mut g = plan.allocate(&local);
             let mut pool = TransferBuffers::new();
             for step in 0..5 {
-                plan.exchange_pooled(comm, &mut g, step, &mut pool).unwrap();
+                plan.exchange(comm, &mut g, step, &mut pool).unwrap();
             }
             let (leases, fresh) = pool.stats();
             assert_eq!(leases, 5);
@@ -361,7 +353,7 @@ mod tests {
             let local = LocalArray::from_fn(&dad, comm.rank(), |idx| idx[0] as i64);
             let mut g = plan.allocate(&local);
             for step in 0..5 {
-                plan.exchange(comm, &mut g, step).unwrap();
+                plan.exchange(comm, &mut g, step, &mut TransferBuffers::new()).unwrap();
                 for idx in plan.expanded().clone().iter() {
                     assert_eq!(g.get(&idx), idx[0] as i64);
                 }

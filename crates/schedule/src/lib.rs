@@ -36,13 +36,9 @@ pub use cache::ScheduleCache;
 pub use halo::{GhostedPatch, HaloSchedule};
 pub use linear_schedule::LinearSchedule;
 pub use plan::{CopyPlan, TransferBuffers};
-pub use redistribute::{
-    recv_redistributed, recv_redistributed_budgeted, recv_redistributed_budgeted_cached,
-    recv_redistributed_budgeted_cached_for_epoch, recv_redistributed_cached, redistribute_within,
-    redistribute_within_budgeted, redistribute_within_pooled, send_redistributed,
-    send_redistributed_budgeted, send_redistributed_budgeted_cached,
-    send_redistributed_budgeted_cached_for_epoch, send_redistributed_cached,
-};
+pub use redistribute::Redist;
+#[doc(hidden)]
+pub use redistribute::{recv_redistributed_cached, send_redistributed_cached};
 pub use region_schedule::{PairRegions, RegionSchedule, Role};
 pub use route::{
     execute_recv_routed, execute_send_routed, execute_within_routed, RedistProfile, RedistRoute,

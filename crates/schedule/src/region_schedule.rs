@@ -246,22 +246,13 @@ impl RegionSchedule {
     }
 
     /// Sender side, across an inter-communicator: one packed message per
-    /// destination peer. Returns elements sent.
+    /// destination peer, leased from `pool` (the transport consumes the
+    /// buffer, so sends alone cannot recycle — pair with a receive path
+    /// that feeds the same pool). Returns elements sent.
     ///
     /// # Panics
     /// If the schedule's role is not [`Role::Sender`].
-    pub fn execute_send<T>(&self, ic: &InterComm, local: &LocalArray<T>, tag: i32) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        let mut pool = TransferBuffers::new();
-        self.execute_send_pooled(ic, local, tag, &mut pool)
-    }
-
-    /// [`Self::execute_send`] drawing message buffers from a caller-owned
-    /// pool (the transport consumes the buffer, so sends alone cannot
-    /// recycle — pair with a receive path that feeds the same pool).
-    pub fn execute_send_pooled<T>(
+    pub fn execute_send<T>(
         &self,
         ic: &InterComm,
         local: &LocalArray<T>,
@@ -283,27 +274,13 @@ impl RegionSchedule {
         Ok(moved)
     }
 
-    /// Receiver side, across an inter-communicator. Returns elements
-    /// received.
+    /// Receiver side, across an inter-communicator; every received buffer
+    /// is recycled into `pool` for later sends to draw from. Returns
+    /// elements received.
     ///
     /// # Panics
     /// If the schedule's role is not [`Role::Receiver`].
     pub fn execute_recv<T>(
-        &self,
-        ic: &InterComm,
-        local: &mut LocalArray<T>,
-        tag: i32,
-    ) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        let mut pool = TransferBuffers::new();
-        self.execute_recv_pooled(ic, local, tag, &mut pool)
-    }
-
-    /// [`Self::execute_recv`] recycling every received buffer into a
-    /// caller-owned pool for later sends to draw from.
-    pub fn execute_recv_pooled<T>(
         &self,
         ic: &InterComm,
         local: &mut LocalArray<T>,
@@ -329,27 +306,11 @@ impl RegionSchedule {
     /// self-connection): every rank sends with its sender schedule and
     /// receives with its receiver schedule over the same communicator.
     /// All sends are posted before any receive, so the exchange cannot
-    /// deadlock.
+    /// deadlock. Because every rank both sends and receives, buffers
+    /// circulate through `pool`: received buffers are recycled and satisfy
+    /// the next step's leases, so a caller that keeps the pool across a
+    /// steady-state exchange stops allocating after the first step.
     pub fn execute_local<T>(
-        send: &RegionSchedule,
-        recv: &RegionSchedule,
-        comm: &Comm,
-        src_local: &LocalArray<T>,
-        dst_local: &mut LocalArray<T>,
-        tag: i32,
-    ) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        let mut pool = TransferBuffers::new();
-        Self::execute_local_pooled(send, recv, comm, src_local, dst_local, tag, &mut pool)
-    }
-
-    /// [`Self::execute_local`] with a caller-owned buffer pool. Because
-    /// every rank both sends and receives, buffers circulate: received
-    /// buffers are recycled and satisfy the next step's leases, so fresh
-    /// allocation stops after the first step of a steady-state exchange.
-    pub fn execute_local_pooled<T>(
         send: &RegionSchedule,
         recv: &RegionSchedule,
         comm: &Comm,
@@ -514,11 +475,15 @@ mod tests {
             if ctx.program == 0 {
                 let sched = RegionSchedule::for_sender(&src, &dst, ctx.comm.rank());
                 let local = LocalArray::from_fn(&src, ctx.comm.rank(), |idx| value(idx, cols));
-                sched.execute_send(ctx.intercomm(1), &local, 1).unwrap();
+                sched
+                    .execute_send(ctx.intercomm(1), &local, 1, &mut TransferBuffers::new())
+                    .unwrap();
             } else {
                 let sched = RegionSchedule::for_receiver(&src, &dst, ctx.comm.rank());
                 let mut local: LocalArray<f64> = LocalArray::allocate(&dst, ctx.comm.rank());
-                let moved = sched.execute_recv(ctx.intercomm(0), &mut local, 1).unwrap();
+                let moved = sched
+                    .execute_recv(ctx.intercomm(0), &mut local, 1, &mut TransferBuffers::new())
+                    .unwrap();
                 assert_eq!(moved, local.len());
                 for (idx, &v) in local.iter() {
                     assert_eq!(v, value(&idx, cols), "at {idx:?}");
@@ -563,11 +528,15 @@ mod tests {
             if ctx.program == 0 {
                 let sched = RegionSchedule::for_sender(&src, &dst, ctx.comm.rank());
                 let local = LocalArray::from_fn(&src, ctx.comm.rank(), |idx| value(idx, 4));
-                sched.execute_send(ctx.intercomm(1), &local, 0).unwrap();
+                sched
+                    .execute_send(ctx.intercomm(1), &local, 0, &mut TransferBuffers::new())
+                    .unwrap();
             } else {
                 let sched = RegionSchedule::for_receiver(&src, &dst, ctx.comm.rank());
                 let mut local: LocalArray<f64> = LocalArray::allocate(&dst, ctx.comm.rank());
-                sched.execute_recv(ctx.intercomm(0), &mut local, 0).unwrap();
+                sched
+                    .execute_recv(ctx.intercomm(0), &mut local, 0, &mut TransferBuffers::new())
+                    .unwrap();
                 for (idx, &v) in local.iter() {
                     assert_eq!(v, value(&idx, 4));
                 }
@@ -587,9 +556,16 @@ mod tests {
             let recv = RegionSchedule::for_receiver(&src, &dst, comm.rank());
             let src_local = LocalArray::from_fn(&src, comm.rank(), |idx| value(idx, 8));
             let mut dst_local: LocalArray<f64> = LocalArray::allocate(&dst, comm.rank());
-            let moved =
-                RegionSchedule::execute_local(&send, &recv, comm, &src_local, &mut dst_local, 3)
-                    .unwrap();
+            let moved = RegionSchedule::execute_local(
+                &send,
+                &recv,
+                comm,
+                &src_local,
+                &mut dst_local,
+                3,
+                &mut TransferBuffers::new(),
+            )
+            .unwrap();
             assert_eq!(moved, 16);
             for (idx, &v) in dst_local.iter() {
                 assert_eq!(v, value(&idx, 8));
@@ -611,7 +587,7 @@ mod tests {
             let mut pool = TransferBuffers::new();
             let mut after_first = 0;
             for step in 0..6 {
-                RegionSchedule::execute_local_pooled(
+                RegionSchedule::execute_local(
                     &send,
                     &recv,
                     comm,
@@ -649,13 +625,27 @@ mod tests {
                     let local = LocalArray::from_fn(&src, ctx.comm.rank(), |idx| {
                         (idx[0] * 6 + idx[1]) as i64 + step * 100
                     });
-                    sched.execute_send(ctx.intercomm(1), &local, step as i32).unwrap();
+                    sched
+                        .execute_send(
+                            ctx.intercomm(1),
+                            &local,
+                            step as i32,
+                            &mut TransferBuffers::new(),
+                        )
+                        .unwrap();
                 }
             } else {
                 let sched = RegionSchedule::for_receiver(&src, &dst, ctx.comm.rank());
                 for step in 0..5i64 {
                     let mut local: LocalArray<i64> = LocalArray::allocate(&dst, ctx.comm.rank());
-                    sched.execute_recv(ctx.intercomm(0), &mut local, step as i32).unwrap();
+                    sched
+                        .execute_recv(
+                            ctx.intercomm(0),
+                            &mut local,
+                            step as i32,
+                            &mut TransferBuffers::new(),
+                        )
+                        .unwrap();
                     for (idx, &v) in local.iter() {
                         assert_eq!(v, (idx[0] * 6 + idx[1]) as i64 + step * 100);
                     }

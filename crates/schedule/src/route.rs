@@ -381,7 +381,7 @@ where
     let moved = match route.kind {
         RouteKind::Direct => {
             let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), 0, 0, 0]);
-            let moved = sched.execute_send_pooled(ic, local, tag, pool)?;
+            let moved = sched.execute_send(ic, local, tag, pool)?;
             step.set_end([route.kind.code(), 0, moved as u64 * size_of::<T>() as u64, 0]);
             moved
         }
@@ -411,7 +411,7 @@ where
     let moved = match route.kind {
         RouteKind::Direct => {
             let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), 0, 0, 0]);
-            let moved = sched.execute_recv_pooled(ic, local, tag, pool)?;
+            let moved = sched.execute_recv(ic, local, tag, pool)?;
             step.set_end([route.kind.code(), 0, moved as u64 * size_of::<T>() as u64, 0]);
             moved
         }
@@ -447,9 +447,8 @@ where
     let moved = match route.kind {
         RouteKind::Direct => {
             let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), 0, 0, 0]);
-            let moved = RegionSchedule::execute_local_pooled(
-                send, recv, comm, src_local, dst_local, tag, pool,
-            )?;
+            let moved =
+                RegionSchedule::execute_local(send, recv, comm, src_local, dst_local, tag, pool)?;
             step.set_end([route.kind.code(), 0, moved as u64 * size_of::<T>() as u64, 0]);
             moved
         }

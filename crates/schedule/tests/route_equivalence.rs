@@ -14,9 +14,8 @@ use std::time::Duration;
 use mxn_dad::{AxisDist, Dad, ExplicitDist, Extents, LocalArray, Region, Template};
 use mxn_runtime::{Universe, World};
 use mxn_schedule::{
-    execute_recv_routed, execute_send_routed, execute_within_routed, recv_redistributed_budgeted,
-    redistribute_within, redistribute_within_budgeted, send_redistributed_budgeted, RedistRoute,
-    RegionSchedule, RouteKind, RouteStep, StepOp, TransferBuffers,
+    execute_recv_routed, execute_send_routed, execute_within_routed, Redist, RedistProfile,
+    RedistRoute, RegionSchedule, RouteKind, RouteStep, ScheduleCache, StepOp, TransferBuffers,
 };
 use proptest::prelude::*;
 
@@ -116,6 +115,16 @@ fn value(idx: &[usize], cols: usize) -> i64 {
     (idx[0] * cols + idx[1]) as i64 + 1
 }
 
+/// `redist` with the optional parts of a transmission policy applied.
+fn with_policy<'a>(
+    redist: Redist<'a>,
+    cache: Option<&'a ScheduleCache>,
+    budget: Option<u64>,
+) -> Redist<'a> {
+    let redist = cache.map_or(redist, |c| redist.cache(c));
+    budget.map_or(redist, |b| redist.budget(b))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -143,17 +152,17 @@ proptest! {
                 let mut pool = TransferBuffers::new();
                 // Oracle, forced chunked, then planner-driven (starved
                 // budget → best-effort chunked; tag separates the three).
-                sched.execute_send(ic, &local, 0).unwrap();
+                sched.execute_send(ic, &local, 0, &mut TransferBuffers::new()).unwrap();
                 execute_send_routed(
                     &forced(RouteKind::Chunked, chunk_elems), &sched, ic, &local, 1, &mut pool,
                 ).unwrap();
-                send_redistributed_budgeted(ic, &src, &dst, &local, 2, 1).unwrap();
+                Redist::between(&src, &dst).budget(1).send(ic, &local, 2).unwrap();
             } else {
                 let ic = ctx.intercomm(0);
                 let rank = ctx.comm.rank();
                 let sched = RegionSchedule::for_receiver(&src, &dst, rank);
                 let mut want: LocalArray<i64> = LocalArray::allocate(&dst, rank);
-                sched.execute_recv(ic, &mut want, 0).unwrap();
+                sched.execute_recv(ic, &mut want, 0, &mut TransferBuffers::new()).unwrap();
 
                 let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);
                 let mut pool = TransferBuffers::new();
@@ -164,7 +173,7 @@ proptest! {
                 assert_eq!(got, want, "chunked != direct for {src:?} -> {dst:?}");
 
                 let budgeted: LocalArray<i64> =
-                    recv_redistributed_budgeted(ic, &src, &dst, 2, 1).unwrap();
+                    Redist::between(&src, &dst).budget(1).recv(ic, 2).unwrap();
                 assert_eq!(budgeted, want, "budgeted != direct for {src:?} -> {dst:?}");
             }
         });
@@ -201,7 +210,7 @@ proptest! {
             let comm = proc.world();
             let rank = comm.rank();
             let src_local = LocalArray::from_fn(&src, rank, |idx| value(idx, cols));
-            let want = redistribute_within(comm, &src, &dst, &src_local, 0).unwrap();
+            let want = Redist::between(&src, &dst).within(comm, &src_local, 0).unwrap();
 
             let send = RegionSchedule::for_sender(&src, &dst, rank);
             let recv = RegionSchedule::for_receiver(&src, &dst, rank);
@@ -220,8 +229,80 @@ proptest! {
             // Planner-driven under a starved and an unlimited budget.
             for (tag, budget) in [(4, 1u64), (5, u64::MAX)] {
                 let got =
-                    redistribute_within_budgeted(comm, &src, &dst, &src_local, tag, budget).unwrap();
+                    Redist::between(&src, &dst).budget(budget).within(comm, &src_local, tag).unwrap();
                 assert_eq!(got, want, "budget {budget} != direct");
+            }
+        });
+    }
+
+    /// Every [`Redist`] policy combination — {no cache, cache} × {no
+    /// budget, tight, unlimited} — through both the `send`/`recv` pair and
+    /// `within`, each against the `LocalArray::from_fn` oracle.
+    #[test]
+    fn redist_policy_matrix_matches_from_fn_oracle(
+        rows in 4..16usize,
+        cols in 3..10usize,
+        src_family in 0..5u8,
+        dst_family in 0..5u8,
+        seed in 0..u64::MAX,
+    ) {
+        let src = make_dad(rows, cols, src_family, seed);
+        let dst = make_dad(rows, cols, dst_family, seed ^ 0x5851_f42d_4c95_7f2d);
+        // `within` needs one rank space: rows dealt evenly over exactly the
+        // source's rank count (zero-size blocks when it exceeds `rows`).
+        let p = src.nranks();
+        let sizes = (0..p).map(|r| rows / p + usize::from(r < rows % p)).collect();
+        let same = Dad::regular(
+            Template::new(
+                Extents::new([rows, cols]),
+                vec![AxisDist::GenBlock { sizes }, AxisDist::Collapsed],
+            )
+            .unwrap(),
+        );
+        // Room for the destination shard plus a quarter of it: the full
+        // receive set cannot sit in the mailbox, so the planner must chunk.
+        let tight = |s: &Dad, d: &Dad| {
+            let shard = RedistProfile::compute(s, d, size_of::<i64>()).max_dst_shard_bytes;
+            shard + shard / 4
+        };
+        let policies = |s: &Dad, d: &Dad| [None, Some(tight(s, d)), Some(u64::MAX)];
+
+        let (src2, inter) = (src.clone(), policies(&src, &dst));
+        Universe::run(&[src.nranks(), dst.nranks()], move |_, ctx| {
+            let src = &src2;
+            let cache = ScheduleCache::new();
+            let rank = ctx.comm.rank();
+            let mut tag = 0;
+            for cached in [false, true] {
+                for budget in inter {
+                    let redist = with_policy(Redist::between(src, &dst), cached.then_some(&cache), budget);
+                    if ctx.program == 0 {
+                        let local = LocalArray::from_fn(src, rank, |idx| value(idx, cols));
+                        redist.send(ctx.intercomm(1), &local, tag).unwrap();
+                    } else {
+                        let got: LocalArray<i64> = redist.recv(ctx.intercomm(0), tag).unwrap();
+                        let want = LocalArray::from_fn(&dst, rank, |idx| value(idx, cols));
+                        assert_eq!(got, want, "cached {cached} budget {budget:?}");
+                    }
+                    tag += 1;
+                }
+            }
+        });
+
+        let intra = policies(&src, &same);
+        World::run(p, move |proc| {
+            let comm = proc.world();
+            let cache = ScheduleCache::new();
+            let src_local = LocalArray::from_fn(&src, comm.rank(), |idx| value(idx, cols));
+            let want = LocalArray::from_fn(&same, comm.rank(), |idx| value(idx, cols));
+            let mut tag = 0;
+            for cached in [false, true] {
+                for budget in intra {
+                    let redist = with_policy(Redist::between(&src, &same), cached.then_some(&cache), budget);
+                    let got = redist.within(comm, &src_local, tag).unwrap();
+                    assert_eq!(got, want, "within: cached {cached} budget {budget:?}");
+                    tag += 1;
+                }
             }
         });
     }
@@ -289,7 +370,7 @@ fn allgather_slice_handles_multi_patch_sources() {
         let comm = proc.world();
         let rank = comm.rank();
         let src_local = LocalArray::from_fn(&src, rank, |idx| value(idx, 6));
-        let want = redistribute_within(comm, &src, &dst, &src_local, 0).unwrap();
+        let want = Redist::between(&src, &dst).within(comm, &src_local, 0).unwrap();
         let send = RegionSchedule::for_sender(&src, &dst, rank);
         let recv = RegionSchedule::for_receiver(&src, &dst, rank);
         let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);

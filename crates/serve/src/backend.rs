@@ -79,22 +79,13 @@ impl PlaneBackend for ServiceBackend {
 pub struct PrmiBackend {
     ic: InterComm,
     endpoint: CollectiveEndpoint,
-    /// Whether to send the collective shutdown when the plane stops.
-    shutdown_providers: bool,
 }
 
 impl PrmiBackend {
     /// Bridges to the providers on the far side of `ic` (taking ownership:
     /// one shard thread drives this intercomm rank).
     pub fn new(ic: InterComm) -> Self {
-        PrmiBackend { ic, endpoint: CollectiveEndpoint::new(), shutdown_providers: true }
-    }
-
-    /// Leaves provider serve loops running at plane shutdown (for planes
-    /// that share an intercomm with other callers).
-    pub fn leave_providers_running(mut self) -> Self {
-        self.shutdown_providers = false;
-        self
+        PrmiBackend { ic, endpoint: CollectiveEndpoint::new() }
     }
 }
 
@@ -129,8 +120,6 @@ impl PlaneBackend for PrmiBackend {
     }
 
     fn shutdown(&mut self) {
-        if self.shutdown_providers {
-            let _ = self.endpoint.shutdown(&self.ic);
-        }
+        let _ = self.endpoint.shutdown(&self.ic);
     }
 }

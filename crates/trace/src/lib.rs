@@ -749,11 +749,6 @@ pub struct RunTrace {
 }
 
 impl RunTrace {
-    /// Events recorded by one rank, in program order.
-    pub fn events_for(&self, rank: usize) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.rank as usize == rank)
-    }
-
     /// Canonical byte serialization. Covers **logical content only**: the
     /// [`EventId::in_digest`] subset of events, in merged `(rank, seq)`
     /// order, each as `(rank, id, phase, args)` little-endian fixed width.

@@ -312,12 +312,6 @@ impl CodecRegistry {
         matched.then_some((*tag, out))
     }
 
-    /// Encodes a typed value directly (the non-erased fast path).
-    pub fn encode_typed<T: WireCodec + Any + Send>(&self, value: &T) -> Option<(u32, Vec<u8>)> {
-        let (tag, _) = self.by_type.get(&TypeId::of::<T>())?;
-        Some((*tag, encode_value(value)))
-    }
-
     /// Decodes payload bytes under `tag` back into a type-erased box.
     pub fn decode_any(&self, tag: u32, bytes: &[u8]) -> Result<Box<dyn Any + Send>, CodecError> {
         let dec = self.by_tag.get(&tag).ok_or(CodecError::BadTag { tag })?;

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -173,7 +173,27 @@ struct MuxShared {
     shutdown: AtomicBool,
     next_conn: AtomicU64,
     conns: Mutex<HashMap<ConnId, ConnState>>,
+    /// Reader threads still running. A reader that detaches its own
+    /// connection (client EOF) is in no map, so `shutdown` waits for zero:
+    /// every `on_close` has run by the time it returns.
+    readers: AtomicUsize,
     handler: Arc<dyn MuxHandler>,
+}
+
+/// Counts one reader thread in [`MuxShared::readers`] until dropped.
+struct ReaderAlive<'a>(&'a AtomicUsize);
+
+impl<'a> ReaderAlive<'a> {
+    fn new(readers: &'a AtomicUsize) -> Self {
+        readers.fetch_add(1, Ordering::AcqRel);
+        ReaderAlive(readers)
+    }
+}
+
+impl Drop for ReaderAlive<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
 }
 
 /// One UDS listener multiplexing any number of client connections onto a
@@ -195,6 +215,7 @@ impl MuxServer {
             shutdown: AtomicBool::new(false),
             next_conn: AtomicU64::new(0),
             conns: Mutex::new(HashMap::new()),
+            readers: AtomicUsize::new(0),
             handler,
         });
         let acc = {
@@ -245,6 +266,9 @@ impl MuxServer {
                 let _ = h.join();
             }
             self.shared.handler.on_close(conn);
+        }
+        while self.shared.readers.load(Ordering::Acquire) != 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
         let _ = std::fs::remove_file(&self.path);
     }
@@ -302,6 +326,9 @@ impl MuxShared {
             .name(format!("mux-write-{conn}"))
             .spawn(move || writer_loop(write_half, rx))
             .ok();
+        // Register under the lock the reader's first reply must take, so
+        // it can never look the connection up before it exists.
+        let mut conns = self.conns.lock();
         let reader = {
             let shared = Arc::clone(self);
             std::thread::Builder::new()
@@ -309,11 +336,12 @@ impl MuxShared {
                 .spawn(move || shared.reader_loop(conn, stream))
                 .ok()
         };
-        self.conns.lock().insert(conn, ConnState { replies: tx, writer, reader });
+        conns.insert(conn, ConnState { replies: tx, writer, reader });
     }
 
     /// Per-connection reader: framed requests → handler, until EOF.
     fn reader_loop(self: Arc<Self>, conn: ConnId, mut stream: UnixStream) {
+        let _alive = ReaderAlive::new(&self.readers);
         // Bounded read timeout so shutdown is observed even on idle conns.
         let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
         let mut frames = FrameReader::new();

@@ -65,14 +65,26 @@ pub const JOIN_REQ_TAG: i32 = -1;
 /// Join handshake: sponsor → incumbent, a serialized
 /// [`JoinOffer`](mxn_runtime::JoinOffer).
 pub const JOIN_OFFER_TAG: i32 = -2;
-/// Join handshake: sponsor → newcomer, `[commit_flag, attempt(u32 LE),
-/// state…]` — the replayed state blob on commit, the abort notice
-/// otherwise.
+/// Join handshake: sponsor → newcomer, `[phase, attempt(u32 LE), state…]`
+/// — phase 2 (prepare) asks for the newcomer's vote, 1 (commit) carries
+/// the replayed state blob, 0 is the abort notice.
 pub const JOIN_STATE_TAG: i32 = -6;
+const JOIN_ABORT: u8 = 0;
+const JOIN_COMMIT: u8 = 1;
+const JOIN_PREPARE: u8 = 2;
 
-/// Vote tag for join `attempt` (incumbent → sponsor). Salted per attempt
-/// so a straggling vote from an aborted attempt can never satisfy a later
-/// one.
+/// A [`JOIN_STATE_TAG`] message.
+fn join_state_msg(phase: u8, attempt: u64, state: &[u8]) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(5 + state.len());
+    msg.push(phase);
+    msg.extend_from_slice(&(attempt as u32).to_le_bytes());
+    msg.extend_from_slice(state);
+    msg
+}
+
+/// Vote tag for join `attempt` (incumbent or newcomer → sponsor). Salted
+/// per attempt so a straggling vote from an aborted attempt can never
+/// satisfy a later one.
 fn join_vote_tag(attempt: u64) -> i32 {
     -100 - attempt as i32
 }
@@ -1277,8 +1289,11 @@ impl WireNode {
     /// 2. wait for the newcomer's `JoinReq` — it has already dialed the
     ///    whole mesh by the time it sends one;
     /// 3. serialize a [`JoinOffer`](mxn_runtime::JoinOffer) to every live
-    ///    incumbent and collect their votes (a vote arrives only if the
-    ///    newcomer's connection reached that incumbent too);
+    ///    incumbent and a prepare to the newcomer, then collect everyone's
+    ///    vote. An incumbent votes yes only if the newcomer's connection
+    ///    reached it; the newcomer's own vote is what proves it survived
+    ///    the handshake — an incumbent's "its socket is connected right
+    ///    now" races the EOF of a spare that died after its `JoinReq`;
     /// 4. unanimity → commit + state replay; anything else →
     ///    [`RuntimeError::ReconfigAborted`] and a rescind on every node.
     pub fn expand_mesh(&self, attempt: u64, state: &[u8], timeout: Duration) -> Result<usize> {
@@ -1299,8 +1314,7 @@ impl WireNode {
                     let _ = self.send(r, WIRE_CTRL_CONTEXT, join_commit_tag(attempt), 0u64);
                 }
             }
-            let mut notice = vec![0u8];
-            notice.extend_from_slice(&(attempt as u32).to_le_bytes());
+            let notice = join_state_msg(JOIN_ABORT, attempt, &[]);
             let _ = self.send(new_rank, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, notice);
             self.shared.rescind_admit(new_rank);
             self.shared.stats.joins_aborted.fetch_add(1, Ordering::Relaxed);
@@ -1332,19 +1346,23 @@ impl WireNode {
             participants: new_group,
         };
         let bytes = offer.to_wire_bytes();
+        // One deadline for all votes: the verdict goes out within `timeout`
+        // of the offer, and every voter waits twice that for it, so a vote
+        // that lands near the deadline cannot commit here while a voter
+        // that answered early has already given up and rescinded.
+        let deadline = Instant::now() + timeout;
         for &r in &incumbents {
             let _ = self.send(r, WIRE_CTRL_CONTEXT, JOIN_OFFER_TAG, bytes.clone());
         }
+        let prepare = join_state_msg(JOIN_PREPARE, attempt, &[]);
+        let _ = self.send(new_rank, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, prepare);
         let mut unanimous = true;
-        for &r in &incumbents {
-            match self.recv_timeout::<u64>(r, WIRE_CTRL_CONTEXT, join_vote_tag(attempt), timeout) {
+        for &r in incumbents.iter().chain([&new_rank]) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match self.recv_timeout::<u64>(r, WIRE_CTRL_CONTEXT, join_vote_tag(attempt), left) {
                 Ok(1) => {}
                 Ok(_) | Err(_) => unanimous = false,
             }
-        }
-        // Our own vote: the newcomer must still be wired to us.
-        if self.is_dead(new_rank) || !self.shared.peers[new_rank].sender.lock().is_connected() {
-            unanimous = false;
         }
         if !unanimous {
             return abort(
@@ -1356,17 +1374,10 @@ impl WireNode {
         for &r in &incumbents {
             let _ = self.send(r, WIRE_CTRL_CONTEXT, join_commit_tag(attempt), 1u64);
         }
-        let mut msg = Vec::with_capacity(5 + state.len());
-        msg.push(1u8);
-        msg.extend_from_slice(&(attempt as u32).to_le_bytes());
-        msg.extend_from_slice(state);
+        let msg = join_state_msg(JOIN_COMMIT, attempt, state);
         self.send(new_rank, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, msg)?;
         self.shared.stats.joins_committed.fetch_add(1, Ordering::Relaxed);
-        emit(
-            EventId::WireJoin,
-            Phase::End,
-            [new_rank as u64, attempt, 1, (new_rank + 1) as u64],
-        );
+        emit(EventId::WireJoin, Phase::End, [new_rank as u64, attempt, 1, (new_rank + 1) as u64]);
         Ok(new_rank + 1)
     }
 
@@ -1399,10 +1410,14 @@ impl WireNode {
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
-        let _ =
-            self.send(sponsor, WIRE_CTRL_CONTEXT, join_vote_tag(attempt), u64::from(wired));
-        let verdict =
-            self.recv_timeout::<u64>(sponsor, WIRE_CTRL_CONTEXT, join_commit_tag(attempt), timeout);
+        let _ = self.send(sponsor, WIRE_CTRL_CONTEXT, join_vote_tag(attempt), u64::from(wired));
+        // Twice the sponsor's vote window (see `expand_mesh`).
+        let verdict = self.recv_timeout::<u64>(
+            sponsor,
+            WIRE_CTRL_CONTEXT,
+            join_commit_tag(attempt),
+            timeout * 2,
+        );
         match verdict {
             Ok(1) => {
                 self.shared.stats.joins_committed.fetch_add(1, Ordering::Relaxed);
@@ -1421,25 +1436,36 @@ impl WireNode {
     }
 
     /// Newcomer's side: announces itself to the sponsor (call after
-    /// [`WireNode::connect`] wired the mesh) and blocks for the verdict.
-    /// On commit, returns the state blob the sponsor replayed — the
-    /// newcomer resumes exactly where the membership left off. On abort,
-    /// [`RuntimeError::ReconfigAborted`].
+    /// [`WireNode::connect`] wired the mesh), votes when the sponsor asks,
+    /// and blocks for the verdict. On commit, returns the state blob the
+    /// sponsor replayed — the newcomer resumes exactly where the membership
+    /// left off. On abort, [`RuntimeError::ReconfigAborted`].
     pub fn join_mesh(&self, sponsor: usize, timeout: Duration) -> Result<Vec<u8>> {
         self.send(sponsor, WIRE_CTRL_CONTEXT, JOIN_REQ_TAG, self.rank() as u64)?;
-        let msg: Vec<u8> = self.recv_timeout(sponsor, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, timeout)?;
-        match msg.split_first() {
-            Some((1, rest)) if rest.len() >= 4 => Ok(rest[4..].to_vec()),
-            Some((_, rest)) => {
-                let attempt = rest
-                    .get(..4)
-                    .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
-                Err(RuntimeError::ReconfigAborted {
-                    context: WIRE_CTRL_CONTEXT,
-                    attempt: u64::from(attempt),
-                })
+        let mut deadline = Instant::now() + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let msg: Vec<u8> =
+                self.recv_timeout(sponsor, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, left)?;
+            let (Some(&phase), Some(attempt)) = (msg.first(), msg.get(1..5)) else {
+                return Err(RuntimeError::Corrupt { src: sponsor, tag: JOIN_STATE_TAG });
+            };
+            let attempt = u64::from(u32::from_le_bytes(attempt.try_into().expect("4 bytes")));
+            match phase {
+                JOIN_PREPARE => {
+                    self.send(sponsor, WIRE_CTRL_CONTEXT, join_vote_tag(attempt), 1u64)?;
+                    // Having voted, wait out the sponsor's whole vote
+                    // window like every other voter (see `expand_mesh`).
+                    deadline = Instant::now() + timeout * 2;
+                }
+                JOIN_COMMIT => return Ok(msg[5..].to_vec()),
+                _ => {
+                    return Err(RuntimeError::ReconfigAborted {
+                        context: WIRE_CTRL_CONTEXT,
+                        attempt,
+                    })
+                }
             }
-            None => Err(RuntimeError::Corrupt { src: sponsor, tag: JOIN_STATE_TAG }),
         }
     }
 
@@ -1792,6 +1818,55 @@ mod tests {
         assert_eq!(transport.size(), 4);
         assert_eq!(transport.capacity(), 4);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn late_or_missing_newcomer_vote_never_splits_the_mesh() {
+        // A spare that announces itself and then sits on its vote with every
+        // socket still open: each incumbent sees it wired and votes at once,
+        // so only the newcomer's own vote decides. Everyone uses the same
+        // timeout; the vote comes well inside the sponsor's window (commit),
+        // right at its edge (either verdict) or never (abort), and the
+        // incumbent must apply the sponsor's verdict every time.
+        let t = Duration::from_millis(400);
+        let cases = [
+            (Some(t / 2), Some(true)),
+            (Some(t - Duration::from_millis(10)), None),
+            (None, Some(false)),
+        ];
+        for (i, (delay, expect)) in cases.into_iter().enumerate() {
+            let dir = test_dir(&format!("join-late-{i}"));
+            let nodes = mesh_max(&dir, 2, 3);
+            let mut cfg = WireConfig::new(&dir, 2, 3);
+            cfg.max_size = 3;
+            let spare = WireNode::start(cfg, CodecRegistry::with_defaults()).unwrap();
+            let (sponsor, voter) = std::thread::scope(|s| {
+                let sponsor = s.spawn(|| nodes[0].expand_mesh(0, b"", t));
+                let voter = s.spawn(|| nodes[1].join_vote(0, t));
+                spare.connect().unwrap();
+                spare.send(0, WIRE_CTRL_CONTEXT, JOIN_REQ_TAG, 2u64).unwrap();
+                if let Some(delay) = delay {
+                    let prepare: Vec<u8> =
+                        spare.recv_timeout(0, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, t).unwrap();
+                    assert_eq!(prepare[0], JOIN_PREPARE);
+                    std::thread::sleep(delay);
+                    let _ = spare.send(0, WIRE_CTRL_CONTEXT, join_vote_tag(0), 1u64);
+                }
+                (sponsor.join().unwrap(), voter.join().unwrap())
+            });
+            assert_eq!(sponsor.is_ok(), voter.is_ok(), "{delay:?}: {sponsor:?} vs {voter:?}");
+            if let Some(commit) = expect {
+                assert_eq!(sponsor.is_ok(), commit, "{delay:?}: {sponsor:?}");
+            }
+            for err in [sponsor.as_ref().err(), voter.as_ref().err()].into_iter().flatten() {
+                assert!(matches!(err, RuntimeError::ReconfigAborted { attempt: 0, .. }), "{err:?}");
+            }
+            let size = if sponsor.is_ok() { 3 } else { 2 };
+            for node in &nodes {
+                assert_eq!(node.size(), size, "{delay:?}: rank {} diverged", node.rank());
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -83,14 +83,18 @@ impl WorkerGuard {
     /// SIGSTOPs the worker — the "zombie" fault. The process freezes but
     /// its sockets stay open and its listener backlog keeps accepting, so
     /// heartbeat-miss/reconnect alone never convicts it; only the
-    /// progress-fence watermark does.
+    /// progress-fence watermark does. Returns once every thread of the
+    /// worker is observed stopped (`false` if that does not happen within
+    /// the deadline): signal delivery alone leaves a window in which the
+    /// worker still answers.
     pub fn sigstop(&self) -> bool {
-        signal(self.pid(), "-STOP")
+        signal(self.pid(), "-STOP") && await_stopped(self.pid(), true)
     }
 
-    /// SIGCONTs a stopped worker, resuming it where it froze.
+    /// SIGCONTs a stopped worker, resuming it where it froze. Returns once
+    /// its threads are observed out of the stopped state.
     pub fn sigcont(&self) -> bool {
-        signal(self.pid(), "-CONT")
+        signal(self.pid(), "-CONT") && await_stopped(self.pid(), false)
     }
 
     /// Waits up to `timeout` for clean exit; returns whether the worker
@@ -131,6 +135,33 @@ fn signal(pid: u32, sig: &str) -> bool {
         .status()
         .map(|s| s.success())
         .unwrap_or(false)
+}
+
+/// Polls `/proc/<pid>/task/*/stat` until every thread of `pid` is in the
+/// job-control stop state `T` (`stopped`) or none is (`!stopped`); `false`
+/// if the deadline passes first or the process is gone.
+fn await_stopped(pid: u32, stopped: bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        match task_states(pid) {
+            Some(states) if states.iter().all(|&s| (s == b'T') == stopped) => return true,
+            Some(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(1)),
+            _ => return false,
+        }
+    }
+}
+
+/// The scheduler state letter of every thread of `pid`.
+fn task_states(pid: u32) -> Option<Vec<u8>> {
+    let mut states = Vec::new();
+    for task in std::fs::read_dir(format!("/proc/{pid}/task")).ok()? {
+        // A thread may exit between the listing and the read; skip it.
+        let Ok(stat) = std::fs::read_to_string(task.ok()?.path().join("stat")) else { continue };
+        // `pid (comm) S …`: the state follows the last `)`; comm may
+        // itself contain parentheses.
+        states.push(*stat.as_bytes().get(stat.rfind(')')? + 2)?);
+    }
+    (!states.is_empty()).then_some(states)
 }
 
 /// Re-execs the current binary as worker `rank` of `size`, passing through
@@ -212,10 +243,9 @@ mod tests {
         assert_eq!(wire_role(), None);
     }
 
-    #[test]
-    fn guard_kills_on_drop() {
-        // Spawn a sleeper (re-exec with an unknown filter just burns a
-        // moment listing tests; use /bin/sleep to be explicit).
+    /// A guard over `/bin/sleep` (re-exec with an unknown filter just
+    /// burns a moment listing tests; a sleeper is explicit).
+    fn sleeper() -> WorkerGuard {
         let child = Command::new("/bin/sleep")
             .arg("100")
             .stdin(Stdio::null())
@@ -223,10 +253,23 @@ mod tests {
             .stderr(Stdio::null())
             .spawn()
             .expect("spawn sleep");
-        let pid = child.id();
-        let guard = WorkerGuard { child, rank: 1 };
+        WorkerGuard { child, rank: 1 }
+    }
+
+    #[test]
+    fn sigstop_and_sigcont_return_with_the_state_observed() {
+        let guard = sleeper();
+        assert!(guard.sigstop());
+        assert_eq!(task_states(guard.pid()), Some(vec![b'T']));
+        assert!(guard.sigcont());
+        assert_ne!(task_states(guard.pid()), Some(vec![b'T']));
+    }
+
+    #[test]
+    fn guard_kills_on_drop() {
+        let guard = sleeper();
+        let pid = guard.pid();
         assert_eq!(guard.rank(), 1);
-        assert_eq!(guard.pid(), pid);
         drop(guard);
         // After drop the pid must be reaped: kill(pid, 0) fails.
         let alive = Command::new("/bin/kill")

@@ -41,7 +41,7 @@ use mxn::core::{
     MxnConnection, MxnError, ScaleDecision,
 };
 use mxn::dad::{AccessMode, Dad, Extents};
-use mxn::runtime::{InterComm, World};
+use mxn::runtime::{InterComm, RunOpts, World};
 use mxn::trace::EventId;
 
 const CAPACITY: usize = 7; // 4 incumbents + 3 spares
@@ -79,7 +79,8 @@ fn main() {
     let out_path =
         std::env::args().nth(1).unwrap_or_else(|| "target/autoscale_coupling_trace.json".into());
 
-    let (_, trace) = World::run_traced(CAPACITY, |p| {
+    let opts = RunOpts { trace: true, ..RunOpts::default() };
+    let trace = World::run_opts(CAPACITY, opts, |p| {
         let world = p.world();
         // The split is a world collective: every rank takes part, spares
         // with color −1, before anyone dies or parks.
@@ -218,7 +219,9 @@ fn main() {
         }
         assert_eq!(scaler.current(), 4, "the cycle closes at the original size");
         assert_eq!(conn.stats(), (EPOCHS, EPOCHS), "every epoch committed exactly once");
-    });
+    })
+    .trace
+    .expect("tracing was requested");
 
     // Both the grow and the graceful contract commit through the same
     // reconfigure handshake; each commit emits one Expand event per

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use mxn::runtime::{ChannelPolicy, FaultConfig, FaultTrace, RuntimeError, Universe};
+use mxn::runtime::{ChannelPolicy, FaultConfig, FaultTrace, RunOpts, RuntimeError, Universe};
 
 /// One lossy coupling round-trip; returns a per-rank outcome summary.
 fn coupled_run(seed: u64) -> (Vec<String>, FaultTrace) {
@@ -25,7 +25,8 @@ fn coupled_run(seed: u64) -> (Vec<String>, FaultTrace) {
         })
         .with_death(3, 40);
 
-    Universe::run_with_faults(&[2, 3], faults, |p, ctx| {
+    let opts = RunOpts { faults: Some(faults), ..RunOpts::default() };
+    let report = Universe::run_opts(&[2, 3], opts, |p, ctx| {
         let timeout = Duration::from_millis(50);
         let mut delivered = 0u32;
         let mut dropped = 0u32;
@@ -62,7 +63,8 @@ fn coupled_run(seed: u64) -> (Vec<String>, FaultTrace) {
             "rank {}: delivered={delivered} dropped={dropped} corrupt={corrupt} peer_dead={peer_dead}",
             p.rank()
         )
-    })
+    });
+    (report.results, report.fault_trace)
 }
 
 fn main() {

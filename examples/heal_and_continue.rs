@@ -27,7 +27,7 @@ use std::fs;
 
 use mxn::core::{ConnectionKind, Direction, FieldRegistry, MxnConnection, TransferOutcome};
 use mxn::dad::{AccessMode, Dad, Extents};
-use mxn::runtime::Universe;
+use mxn::runtime::{RunOpts, Universe};
 use mxn::trace::EventId;
 
 const DEAD_WORLD_RANK: usize = 1; // exporter of rows 2..4
@@ -36,7 +36,8 @@ fn main() {
     let out_path =
         std::env::args().nth(1).unwrap_or_else(|| "target/heal_and_continue_trace.json".into());
 
-    let (results, trace) = Universe::run_traced(&[3, 1], |p, ctx| {
+    let opts = RunOpts { trace: true, ..RunOpts::default() };
+    let report = Universe::run_opts(&[3, 1], opts, |p, ctx| {
         let rank = ctx.comm.rank();
         let exporting = ctx.program == 0;
         let src = Dad::block(Extents::new([6, 6]), &[3, 1]).unwrap();
@@ -127,6 +128,8 @@ fn main() {
             )
         }
     });
+    let results = report.results;
+    let trace = report.trace.expect("tracing was requested");
 
     for line in &results {
         println!("{line}");

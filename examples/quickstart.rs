@@ -8,8 +8,8 @@
 //! ```
 
 use mxn::dad::{Dad, Extents, LocalArray};
-use mxn::runtime::Universe;
-use mxn::schedule::{recv_redistributed, send_redistributed, RegionSchedule};
+use mxn::runtime::{RunOpts, Universe};
+use mxn::schedule::{Redist, RegionSchedule};
 
 fn main() {
     let extents = Extents::new([6, 6, 6]);
@@ -20,7 +20,7 @@ fn main() {
 
     let value = |idx: &[usize]| (idx[0] * 36 + idx[1] * 6 + idx[2]) as f64;
 
-    let (_, stats) = Universe::run_with_stats(&[8, 27], |_, ctx| {
+    let stats = Universe::run_opts(&[8, 27], RunOpts::default(), |_, ctx| {
         if ctx.program == 0 {
             // The "M side": owns the field in 3×3×3-element blocks.
             let rank = ctx.comm.rank();
@@ -34,11 +34,11 @@ fn main() {
                     sched.num_messages()
                 );
             }
-            send_redistributed(ctx.intercomm(1), &src, &dst, &mine, 0).unwrap();
+            Redist::between(&src, &dst).send(ctx.intercomm(1), &mine, 0).unwrap();
         } else {
             // The "N side": receives its 2×2×2-element block.
             let mine: LocalArray<f64> =
-                recv_redistributed(ctx.intercomm(0), &src, &dst, 0).unwrap();
+                Redist::between(&src, &dst).recv(ctx.intercomm(0), 0).unwrap();
             for (idx, &v) in mine.iter() {
                 assert_eq!(v, value(&idx), "wrong value at {idx:?}");
             }
@@ -46,7 +46,8 @@ fn main() {
                 println!("receiver 0 verified its {} elements", mine.len());
             }
         }
-    });
+    })
+    .stats;
 
     println!("\ntransfer complete and verified on all 27 receivers");
     println!(

@@ -11,14 +11,15 @@
 use std::fs;
 
 use mxn::dad::{AxisDist, Dad, Extents, LocalArray, Template};
-use mxn::runtime::Universe;
-use mxn::schedule::{recv_redistributed, send_redistributed};
+use mxn::runtime::{RunOpts, Universe};
+use mxn::schedule::Redist;
 
 fn main() {
     let out_path =
         std::env::args().nth(1).unwrap_or_else(|| "target/trace_viewer_export.json".to_string());
 
-    let (_, trace) = Universe::run_traced(&[2, 3], |_, ctx| {
+    let opts = RunOpts { trace: true, ..RunOpts::default() };
+    let trace = Universe::run_opts(&[2, 3], opts, |_, ctx| {
         let e = Extents::new([8, 8]);
         let src = Dad::block(e.clone(), &[2, 1]).unwrap();
         let dst = Dad::regular(
@@ -26,10 +27,10 @@ fn main() {
         );
         if ctx.program == 0 {
             let mine = LocalArray::from_fn(&src, ctx.comm.rank(), |i| (i[0] * 8 + i[1]) as f64);
-            send_redistributed(ctx.intercomm(1), &src, &dst, &mine, 7).unwrap();
+            Redist::between(&src, &dst).send(ctx.intercomm(1), &mine, 7).unwrap();
         } else {
             let mine: LocalArray<f64> =
-                recv_redistributed(ctx.intercomm(0), &src, &dst, 7).unwrap();
+                Redist::between(&src, &dst).recv(ctx.intercomm(0), 7).unwrap();
             for (idx, &v) in mine.iter() {
                 assert_eq!(v, (idx[0] * 8 + idx[1]) as f64);
             }
@@ -39,7 +40,9 @@ fn main() {
         let expect: u64 = (0..ctx.comm.size() as u64).sum();
         assert_eq!(sum, expect);
         ctx.comm.barrier().unwrap();
-    });
+    })
+    .trace
+    .expect("tracing was requested");
 
     println!("digest: {}", trace.digest_hex());
     println!("{}", trace.summary_table());

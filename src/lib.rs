@@ -14,7 +14,7 @@
 //! | [`runtime`] | `mxn-runtime` | MPI-like message-passing substrate (ranks as threads, communicators, collectives, intercommunicators, multi-program universes) |
 //! | [`dad`] | `mxn-dad` | The Distributed Array Descriptor (block/cyclic/block-cyclic/gen-block/implicit/explicit), local patch storage, DA-package converters |
 //! | [`linearize`] | `mxn-linearize` | Meta-Chaos-style linearization: segment lists, array/tree/graph orders, the schedule-free receiver-request protocol |
-//! | [`schedule`] | `mxn-schedule` | Reusable communication schedules (region fast path + generic linearization sweep), schedule caching, one-call redistribution |
+//! | [`schedule`] | `mxn-schedule` | Reusable communication schedules (region fast path + generic linearization sweep), schedule caching, the one-call `Redist` operation |
 //! | [`framework`] | `mxn-framework` | CCA component framework: uses/provides ports, direct-connected and distributed (RMI) flavors, Go ports |
 //! | [`core`] | `mxn-core` | **The paper's contribution**: the generalized M×N component — field registration, one-shot/persistent connections, `data_ready()`, third-party coordination |
 //! | [`prmi`] | `mxn-prmi` | Parallel RMI: independent & collective calls, ghost invocations/returns, parallel arguments, one-way methods, Figure-5 synchronization |
@@ -30,7 +30,7 @@
 //! ```
 //! use mxn::dad::{Dad, Extents, LocalArray};
 //! use mxn::runtime::Universe;
-//! use mxn::schedule::{recv_redistributed, send_redistributed};
+//! use mxn::schedule::Redist;
 //!
 //! Universe::run(&[2, 3], |_, ctx| {
 //!     let e = Extents::new([6, 6]);
@@ -38,10 +38,10 @@
 //!     let dst = Dad::block(e, &[1, 3]).unwrap(); // 3 col blocks
 //!     if ctx.program == 0 {
 //!         let mine = LocalArray::from_fn(&src, ctx.comm.rank(), |i| (i[0] * 6 + i[1]) as f64);
-//!         send_redistributed(ctx.intercomm(1), &src, &dst, &mine, 0).unwrap();
+//!         Redist::between(&src, &dst).send(ctx.intercomm(1), &mine, 0).unwrap();
 //!     } else {
 //!         let mine: LocalArray<f64> =
-//!             recv_redistributed(ctx.intercomm(0), &src, &dst, 0).unwrap();
+//!             Redist::between(&src, &dst).recv(ctx.intercomm(0), 0).unwrap();
 //!         for (idx, &v) in mine.iter() {
 //!             assert_eq!(v, (idx[0] * 6 + idx[1]) as f64);
 //!         }

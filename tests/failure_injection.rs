@@ -4,7 +4,7 @@
 use mxn::core::{ConnectionKind, Direction, FieldRegistry, MxnConnection, MxnError};
 use mxn::dad::{AccessMode, Dad, Extents};
 use mxn::framework::{serve, AnyPayload, Dispatch, RemotePort, RemoteService};
-use mxn::runtime::{RuntimeError, Src, Tag, Universe, World};
+use mxn::runtime::{RunOpts, RunReport, RuntimeError, Src, Tag, Universe, World};
 
 /// RMI marshalling type confusion is caught, not UB: the callee asked for
 /// the wrong payload type.
@@ -196,7 +196,8 @@ use std::time::Duration;
 #[test]
 fn dropped_handshake_times_out_with_context() {
     let cfg = FaultConfig::reliable(0xBEEF).with_channel(0, 1, ChannelPolicy::lossy(1.0));
-    let (_, trace) = World::run_with_faults(2, cfg, |p| {
+    let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+    let trace = World::run_opts(2, opts, |p| {
         let c = p.world();
         if c.rank() == 0 {
             // The "handshake": swallowed whole by the 0→1 policy.
@@ -212,7 +213,8 @@ fn dropped_handshake_times_out_with_context() {
                 other => panic!("expected Timeout, got {other}"),
             }
         }
-    });
+    })
+    .fault_trace;
     assert!(
         trace.events().iter().any(|e| e.kind == FaultKind::Dropped && e.src == 0 && e.dst == 1),
         "the dropped handshake is in the trace: {:?}",
@@ -226,7 +228,8 @@ fn dropped_handshake_times_out_with_context() {
 fn initiator_death_unblocks_receiver_with_peer_dead() {
     let cfg =
         FaultConfig::reliable(3).with_channel(0, 1, ChannelPolicy::lossy(1.0)).with_death(0, 1);
-    let (results, trace) = World::run_with_faults(2, cfg, |p| {
+    let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+    let RunReport { results, fault_trace: trace, .. } = World::run_opts(2, opts, |p| {
         let c = p.world();
         if c.rank() == 0 {
             c.send(1, 5, 1u8).unwrap(); // op 0: sent, dropped
@@ -411,7 +414,8 @@ fn poll_latest_withholds_torn_rounds_on_lossy_channel() {
     // World layout: ranks 0,1 = producers, rank 2 = consumer. Every
     // coupling message from producer 1 to the consumer is eaten.
     let cfg = FaultConfig::reliable(0xD1CE).with_channel(1, 2, ChannelPolicy::lossy(1.0));
-    let (_, trace) = Universe::run_with_faults(&[2, 1], cfg, |_, ctx| {
+    let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+    let trace = Universe::run_opts(&[2, 1], opts, |_, ctx| {
         let src = Dad::block(Extents::new([6]), &[2]).unwrap();
         let dst = Dad::block(Extents::new([6]), &[1]).unwrap();
         if ctx.program == 0 {
@@ -454,7 +458,8 @@ fn poll_latest_withholds_torn_rounds_on_lossy_channel() {
                 assert_eq!(*d.get(&[i]).unwrap(), 0.0, "no tearing: field untouched");
             }
         }
-    });
+    })
+    .fault_trace;
     assert!(
         trace.events().iter().any(|e| e.kind == FaultKind::Dropped && e.src == 1 && e.dst == 2),
         "the swallowed half-round is attributable: {:?}",

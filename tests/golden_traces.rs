@@ -24,14 +24,18 @@ use mxn::dad::{AxisDist, Dad, Extents, LocalArray, Template};
 use mxn::dca::{alltoallv_within, AlltoallvSpec};
 use mxn::framework::{AnyPayload, Dispatch, RemoteService};
 use mxn::prmi::{collective_serve, CollectiveEndpoint};
-use mxn::runtime::{ChannelPolicy, FaultConfig, InterComm, RunTrace, Universe, World};
-use mxn::schedule::{recv_redistributed, send_redistributed};
+use mxn::runtime::{ChannelPolicy, FaultConfig, InterComm, RunOpts, RunTrace, Universe, World};
+use mxn::schedule::Redist;
+
+fn traced() -> RunOpts {
+    RunOpts { trace: true, ..RunOpts::default() }
+}
 
 const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_digests.txt");
 
 /// 8×8 block-rows on 2 ranks → cyclic-columns on 3 ranks.
 fn redistribute_block_to_cyclic() -> RunTrace {
-    let (_, trace) = Universe::run_traced(&[2, 3], |_, ctx| {
+    let report = Universe::run_opts(&[2, 3], traced(), |_, ctx| {
         let e = Extents::new([8, 8]);
         let src = Dad::block(e.clone(), &[2, 1]).unwrap();
         let dst = Dad::regular(
@@ -39,21 +43,21 @@ fn redistribute_block_to_cyclic() -> RunTrace {
         );
         if ctx.program == 0 {
             let mine = LocalArray::from_fn(&src, ctx.comm.rank(), |i| (i[0] * 8 + i[1]) as f64);
-            send_redistributed(ctx.intercomm(1), &src, &dst, &mine, 7).unwrap();
+            Redist::between(&src, &dst).send(ctx.intercomm(1), &mine, 7).unwrap();
         } else {
             let mine: LocalArray<f64> =
-                recv_redistributed(ctx.intercomm(0), &src, &dst, 7).unwrap();
+                Redist::between(&src, &dst).recv(ctx.intercomm(0), 7).unwrap();
             for (idx, &v) in mine.iter() {
                 assert_eq!(v, (idx[0] * 8 + idx[1]) as f64);
             }
         }
     });
-    trace
+    report.trace.expect("tracing was requested")
 }
 
 /// The reverse direction: cyclic-columns on 3 ranks → block-rows on 2.
 fn redistribute_cyclic_to_block() -> RunTrace {
-    let (_, trace) = Universe::run_traced(&[3, 2], |_, ctx| {
+    let report = Universe::run_opts(&[3, 2], traced(), |_, ctx| {
         let e = Extents::new([8, 8]);
         let src = Dad::regular(
             Template::new(e.clone(), vec![AxisDist::Collapsed, AxisDist::Cyclic { nprocs: 3 }])
@@ -62,22 +66,22 @@ fn redistribute_cyclic_to_block() -> RunTrace {
         let dst = Dad::block(e, &[2, 1]).unwrap();
         if ctx.program == 0 {
             let mine = LocalArray::from_fn(&src, ctx.comm.rank(), |i| (i[0] * 8 + i[1]) as f64);
-            send_redistributed(ctx.intercomm(1), &src, &dst, &mine, 9).unwrap();
+            Redist::between(&src, &dst).send(ctx.intercomm(1), &mine, 9).unwrap();
         } else {
             let mine: LocalArray<f64> =
-                recv_redistributed(ctx.intercomm(0), &src, &dst, 9).unwrap();
+                Redist::between(&src, &dst).recv(ctx.intercomm(0), 9).unwrap();
             for (idx, &v) in mine.iter() {
                 assert_eq!(v, (idx[0] * 8 + idx[1]) as f64);
             }
         }
     });
-    trace
+    report.trace.expect("tracing was requested")
 }
 
 /// Intra-program alltoallv in the latency-bound regime: tiny chunks on 4
 /// ranks take the Bruck path.
 fn dca_alltoallv_small() -> RunTrace {
-    let (_, trace) = World::run_traced(4, |p| {
+    let report = World::run_opts(4, traced(), |p| {
         let c = p.world();
         let r = c.rank();
         let data: Vec<f64> = (0..8).map(|i| (r * 100 + i) as f64).collect();
@@ -87,13 +91,13 @@ fn dca_alltoallv_small() -> RunTrace {
             assert_eq!(chunk, &[(src * 100 + r * 2) as f64, (src * 100 + r * 2 + 1) as f64]);
         }
     });
-    trace
+    report.trace.expect("tracing was requested")
 }
 
 /// The bandwidth-bound regime: 4800-byte chunks exceed the small-message
 /// threshold, so the same call takes the pairwise path.
 fn dca_alltoallv_large() -> RunTrace {
-    let (_, trace) = World::run_traced(4, |p| {
+    let report = World::run_opts(4, traced(), |p| {
         let c = p.world();
         let r = c.rank();
         const PER_PEER: usize = 600; // 4800 B/chunk > SMALL_COLLECTIVE_BYTES
@@ -105,7 +109,7 @@ fn dca_alltoallv_large() -> RunTrace {
             assert_eq!(chunk[0], (src * 10_000 + r * PER_PEER) as f64);
         }
     });
-    trace
+    report.trace.expect("tracing was requested")
 }
 
 /// A PRMI collective call: 2 callers drive 2 providers through three
@@ -118,7 +122,7 @@ fn prmi_collective_call() -> RunTrace {
             AnyPayload::replicable(v + method as f64).into()
         }
     }
-    let (_, trace) = Universe::run_traced(&[2, 2], |_, ctx| {
+    let report = Universe::run_opts(&[2, 2], traced(), |_, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
             let mut ep = CollectiveEndpoint::new();
@@ -131,7 +135,7 @@ fn prmi_collective_call() -> RunTrace {
             collective_serve(ctx.intercomm(0), &AddMethod).unwrap();
         }
     });
-    trace
+    report.trace.expect("tracing was requested")
 }
 
 /// A lossy run under the seeded fault plane: a dropped message, then the
@@ -141,7 +145,7 @@ fn lossy_faulted_run() -> RunTrace {
     let cfg = FaultConfig::reliable(0xD1CE)
         .with_channel(0, 1, ChannelPolicy::lossy(1.0))
         .with_death(0, 1);
-    let (_, _, trace) = World::run_traced_with_faults(2, cfg, |p| {
+    let report = World::run_opts(2, RunOpts { faults: Some(cfg), ..traced() }, |p| {
         let c = p.world();
         if c.rank() == 0 {
             c.send(1, 5, 1u8).unwrap(); // op 0: sent, dropped by policy
@@ -150,7 +154,7 @@ fn lossy_faulted_run() -> RunTrace {
             c.recv::<u8>(0, 5).unwrap_err(); // unblocked by PeerDead
         }
     });
-    trace
+    report.trace.expect("tracing was requested")
 }
 
 /// Shared body for the elastic-grow scenarios: a 1×1 coupling on world
@@ -213,8 +217,8 @@ fn elastic_grow_body(p: &mxn::runtime::Process, faulted: bool) {
 
 /// A clean elastic grow: membership handshake, commit, RMA spread.
 fn elastic_grow_commit() -> RunTrace {
-    let (_, trace) = World::run_traced(3, |p| elastic_grow_body(p, false));
-    trace
+    let report = World::run_opts(3, traced(), |p| elastic_grow_body(p, false));
+    report.trace.expect("tracing was requested")
 }
 
 /// The same grow under a seeded fault plane: the sponsor→newcomer channel
@@ -225,8 +229,10 @@ fn elastic_grow_under_seeded_faults() -> RunTrace {
     let cfg = FaultConfig::reliable(0xE1A5)
         .with_channel(0, 2, ChannelPolicy::lossy(1.0))
         .with_channel(1, 2, ChannelPolicy::lossy(1.0));
-    let (_, _, trace) = World::run_traced_with_faults(3, cfg, |p| elastic_grow_body(p, true));
-    trace
+    let report = World::run_opts(3, RunOpts { faults: Some(cfg), ..traced() }, |p| {
+        elastic_grow_body(p, true)
+    });
+    report.trace.expect("tracing was requested")
 }
 
 type Scenario = (&'static str, fn() -> RunTrace);

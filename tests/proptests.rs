@@ -274,7 +274,7 @@ mod fault_determinism {
     use proptest::prelude::*;
     use std::time::Duration;
 
-    use mxn::runtime::{ChannelPolicy, FaultConfig, RuntimeError, World};
+    use mxn::runtime::{ChannelPolicy, FaultConfig, RunOpts, RunReport, RuntimeError, World};
 
     /// Stable, timing-free rendering of one op's outcome (Timeout's elapsed
     /// duration would otherwise differ between runs).
@@ -293,7 +293,8 @@ mod fault_determinism {
     /// per-rank outcome log plus the canonical fault-trace digest.
     fn exchange(cfg: FaultConfig) -> (Vec<Vec<String>>, u64) {
         const N: usize = 4;
-        let (results, trace) = World::run_with_faults(N, cfg, |p| {
+        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+        let RunReport { results, fault_trace: trace, .. } = World::run_opts(N, opts, |p| {
             let c = p.world();
             let me = c.rank();
             let mut log = Vec::new();

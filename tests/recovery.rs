@@ -12,7 +12,7 @@ use mxn::framework::{
     serve, AnyPayload, CallPolicy, Dispatch, RemotePort, RemoteService, ServeStats,
 };
 use mxn::prmi::{collective_serve_recovering, CollectiveEndpoint};
-use mxn::runtime::{ChannelPolicy, FaultConfig, InterComm, Universe, World};
+use mxn::runtime::{ChannelPolicy, FaultConfig, InterComm, RunOpts, Universe, World};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -188,7 +188,8 @@ impl RemoteService for Doubler {
 /// the idempotency token keeps execution exactly-once.
 fn drop_matrix(seed: u64) {
     let cfg = FaultConfig::reliable(seed).with_channel(0, 1, ChannelPolicy::lossy(0.5));
-    Universe::run_with_faults(&[1, 1], cfg, |p, ctx| {
+    let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+    Universe::run_opts(&[1, 1], opts, |p, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
             let port = RemotePort::to_rank(0);
@@ -220,7 +221,8 @@ fn corrupt_matrix(seed: u64) {
     let corrupting = ChannelPolicy { corrupt: 0.4, ..ChannelPolicy::reliable() };
     let cfg =
         FaultConfig::reliable(seed).with_channel(0, 1, corrupting).with_channel(1, 0, corrupting);
-    Universe::run_with_faults(&[1, 1], cfg, |p, ctx| {
+    let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+    Universe::run_opts(&[1, 1], opts, |p, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
             let port = RemotePort::to_rank(0);
@@ -256,7 +258,8 @@ fn death_matrix(seed: u64) {
         }
     }
     let cfg = FaultConfig::reliable(seed);
-    Universe::run_with_faults(&[3, 2], cfg, |p, ctx| {
+    let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+    Universe::run_opts(&[3, 2], opts, |p, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
             let mut ep = CollectiveEndpoint::new();
@@ -324,7 +327,8 @@ fn elastic_grow_despite(policy: ChannelPolicy, seed: u64) {
         .with_channel(2, 0, policy)
         .with_channel(1, 2, policy)
         .with_channel(2, 1, policy);
-    World::run_with_faults(3, cfg, |p| {
+    let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+    World::run_opts(3, opts, |p| {
         let world = p.world();
         // World collectives (the split below) must not cross armed faulty
         // channels; arming is scoped to the handshake.
@@ -381,7 +385,8 @@ fn elastic_death_matrix(seed: u64) {
     const DOOMED: usize = 4;
     const SPARE: usize = 5;
     let cfg = FaultConfig::reliable(seed);
-    World::run_with_faults(6, cfg, |p| {
+    let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+    World::run_opts(6, opts, |p| {
         let world = p.world();
         // The split is a world collective: the doomed spare takes part
         // (color −1) before dying, so nobody deadlocks waiting on it.
