@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mxn_bench::time_universe;
 use mxn_framework::{AnyPayload, Dispatch, RemoteService};
-use mxn_prmi::{collective_serve, CollectiveEndpoint};
+use mxn_prmi::{serve, Endpoint, Invocation, ServeOpts};
 
 const SERVICE: Duration = Duration::from_millis(2);
 const COMPUTE: Duration = Duration::from_millis(2);
@@ -37,27 +37,27 @@ fn run(oneway: bool, iters: u64) -> Duration {
     time_universe(&[1, 1], |ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let mut ep = CollectiveEndpoint::new();
+            let mut ep = Endpoint::default();
             let start = Instant::now();
             for _ in 0..iters {
                 for _ in 0..STAGES {
                     if oneway {
-                        ep.call_oneway(ic, 1, 1.0f64).unwrap();
+                        ep.call::<_, ()>(ic, Invocation::collective(1, 1.0f64).oneway()).unwrap();
                     } else {
-                        let _: f64 = ep.call(ic, 1, 1.0f64).unwrap();
+                        let _: f64 = ep.call(ic, Invocation::collective(1, 1.0f64)).unwrap();
                     }
                     // The caller's own computation for this stage.
                     std::thread::sleep(COMPUTE);
                 }
                 // Flush: method 9 has no service time; its response proves
                 // all earlier one-way work completed.
-                let _: f64 = ep.call(ic, 9, 0.0f64).unwrap();
+                let _: f64 = ep.call(ic, Invocation::collective(9, 0.0f64)).unwrap();
             }
             let d = start.elapsed();
-            ep.shutdown(ic).unwrap();
+            ep.shutdown(ic, ServeOpts::collective()).unwrap();
             d
         } else {
-            collective_serve(ctx.intercomm(0), &SlowService).unwrap();
+            serve(ctx.intercomm(0), &SlowService, ServeOpts::collective()).unwrap();
             Duration::ZERO
         }
     })

@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mxn_bench::{criterion_config, time_universe};
 use mxn_dca::DcaPort;
 use mxn_framework::{AnyPayload, Dispatch, RemoteService};
-use mxn_prmi::subset_serve;
+use mxn_prmi::{serve, ServeOpts};
 
 struct Echo;
 impl RemoteService for Echo {
@@ -43,7 +43,7 @@ fn run_full(callers: usize, uniform: bool, iters: u64) -> Duration {
             }
             d
         } else {
-            subset_serve(ctx.intercomm(0), &Echo, Duration::from_secs(60)).unwrap();
+            serve(ctx.intercomm(0), &Echo, ServeOpts::subset(Duration::from_secs(60))).unwrap();
             Duration::ZERO
         }
     })
@@ -73,7 +73,7 @@ fn run_intersecting(callers: usize, iters: u64) -> Duration {
             }
             d
         } else {
-            subset_serve(ctx.intercomm(0), &Echo, Duration::from_secs(60)).unwrap();
+            serve(ctx.intercomm(0), &Echo, ServeOpts::subset(Duration::from_secs(60))).unwrap();
             Duration::ZERO
         }
     })

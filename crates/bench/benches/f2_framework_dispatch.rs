@@ -16,9 +16,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use mxn_bench::{criterion_config, time_universe};
 use mxn_framework::{
-    serve, AnyPayload, Component, Dispatch, Framework, RemotePort, RemoteService,
-    Result as FwResult, Services,
+    AnyPayload, Component, Dispatch, Framework, RemoteService, Result as FwResult, Services,
 };
+use mxn_prmi::{serve, Endpoint, Invocation, ServeOpts};
 
 trait Compute: Send + Sync {
     fn compute(&self, x: f64) -> f64;
@@ -92,16 +92,16 @@ fn bench(c: &mut Criterion) {
             time_universe(&[1, 1], |ctx| {
                 if ctx.program == 0 {
                     let ic = ctx.intercomm(1);
-                    let port = RemotePort::to_rank(0);
+                    let mut port = Endpoint::default();
                     let start = Instant::now();
                     for _ in 0..iters {
-                        let _: f64 = port.call(ic, 0, 21.0f64).unwrap();
+                        let _: f64 = port.call(ic, Invocation::independent(0, 0, 21.0f64)).unwrap();
                     }
                     let d = start.elapsed();
-                    port.shutdown(ic).unwrap();
+                    port.shutdown(ic, ServeOpts::independent()).unwrap();
                     d
                 } else {
-                    serve(ctx.intercomm(0), &Echo).unwrap();
+                    serve(ctx.intercomm(0), &Echo, ServeOpts::independent()).unwrap();
                     Duration::ZERO
                 }
             })
@@ -115,16 +115,17 @@ fn bench(c: &mut Criterion) {
             time_universe(&[1, 1], |ctx| {
                 if ctx.program == 0 {
                     let ic = ctx.intercomm(1);
-                    let port = RemotePort::to_rank(0);
+                    let mut port = Endpoint::default();
                     let start = Instant::now();
                     for _ in 0..iters {
-                        port.call_oneway(ic, 0, 21.0f64).unwrap();
+                        let oneway = Invocation::independent(0, 0, 21.0f64).oneway();
+                        port.call::<_, ()>(ic, oneway).unwrap();
                     }
                     let d = start.elapsed();
-                    port.shutdown(ic).unwrap();
+                    port.shutdown(ic, ServeOpts::independent()).unwrap();
                     d
                 } else {
-                    serve(ctx.intercomm(0), &Echo).unwrap();
+                    serve(ctx.intercomm(0), &Echo, ServeOpts::independent()).unwrap();
                     Duration::ZERO
                 }
             })

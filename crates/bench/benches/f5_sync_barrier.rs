@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mxn_bench::{criterion_config, time_universe};
 use mxn_framework::{AnyPayload, Dispatch, RemoteService};
-use mxn_prmi::{subset_call, subset_serve, subset_shutdown, DeliveryPolicy};
+use mxn_prmi::{serve, DeliveryPolicy, Endpoint, Invocation, ServeOpts};
 
 struct Echo;
 impl RemoteService for Echo {
@@ -28,15 +28,20 @@ fn run(callers: usize, policy: DeliveryPolicy, iters: u64) -> Duration {
             let ranks: Vec<usize> = (0..callers).collect();
             let start = Instant::now();
             for _ in 0..iters {
-                let _: f64 = subset_call(&ctx.comm, ic, &ranks, 0, 1, 1.0f64, policy).unwrap();
+                let _: f64 = Endpoint::default()
+                    .call(
+                        ic,
+                        Invocation::subset(&ctx.comm, &ranks[..], 0, 1, 1.0f64).delivery(policy),
+                    )
+                    .unwrap();
             }
             let d = start.elapsed();
             if ctx.comm.rank() == 0 {
-                subset_shutdown(ic, 0).unwrap();
+                Endpoint::default().shutdown(ic, ServeOpts::subset(Duration::ZERO)).unwrap();
             }
             d
         } else {
-            subset_serve(ctx.intercomm(0), &Echo, Duration::from_secs(30)).unwrap();
+            serve(ctx.intercomm(0), &Echo, ServeOpts::subset(Duration::from_secs(30))).unwrap();
             Duration::ZERO
         }
     })

@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mxn_bench::criterion_config;
-use mxn_framework::{AnyPayload, BatchService, Dispatch, RemoteService};
-use mxn_prmi::collective_serve_batched;
+use mxn_framework::{AnyPayload, Dispatch, RemoteService};
+use mxn_prmi::{serve, ServeOpts};
 use mxn_runtime::{InterComm, World};
 use mxn_serve::{
     PlaneClient, PrmiBackend, ServeOutcome, ServePolicy, ServiceBackend, ServingPlane,
@@ -49,7 +49,6 @@ impl RemoteService for Echo {
         }
     }
 }
-impl BatchService for Echo {}
 
 /// Echo with a per-item spin, modelling a method with real work — the
 /// overload cell needs service time to exceed arrival time.
@@ -69,10 +68,9 @@ impl RemoteService for SpinEcho {
         }
     }
 }
-impl BatchService for SpinEcho {}
 
 fn echo_plane(policy: ServePolicy) -> ServingPlane {
-    let svc: Arc<dyn BatchService> = Arc::new(Echo);
+    let svc: Arc<dyn RemoteService> = Arc::new(Echo);
     ServingPlane::new(policy, move |_| Box::new(ServiceBackend::new(Arc::clone(&svc))))
 }
 
@@ -310,7 +308,7 @@ fn bench(c: &mut Criterion) {
                 plane.shutdown(); // releases the provider's serve loop
                 Some(res)
             } else {
-                collective_serve_batched(&ic, &Echo).unwrap();
+                serve(&ic, &Echo, ServeOpts::collective()).unwrap();
                 None
             }
         });
@@ -333,7 +331,8 @@ fn bench(c: &mut Criterion) {
         .with_inflight_budget(16)
         .with_client_queue(64);
     let spin_plane = |policy: ServePolicy| {
-        let svc: Arc<dyn BatchService> = Arc::new(SpinEcho { per_item: Duration::from_micros(20) });
+        let svc: Arc<dyn RemoteService> =
+            Arc::new(SpinEcho { per_item: Duration::from_micros(20) });
         ServingPlane::new(policy, move |_| Box::new(ServiceBackend::new(Arc::clone(&svc))))
     };
     let plane = spin_plane(overload_shape);
@@ -355,7 +354,7 @@ fn bench(c: &mut Criterion) {
     // --- traced run for the CI artifact -------------------------------
     let collector = TraceCollector::new(2);
     let handles = vec![collector.handle(0), collector.handle(1)];
-    let svc: Arc<dyn BatchService> = Arc::new(Echo);
+    let svc: Arc<dyn RemoteService> = Arc::new(Echo);
     let plane = ServingPlane::new_traced(
         ServePolicy::default().with_shards(2).with_max_batch(16),
         handles,

@@ -124,8 +124,8 @@ fn measure_uds(nodes: &[WireNode], bytes: usize, iters: u64) -> Duration {
 /// sends one message and waits for the watermark stall to quarantine and
 /// the grace expiry to evict. Returns (quarantine, evict) from the send.
 fn measure_zombie(fence_ms: u64, stall: u32, grace_ms: u64) -> (Duration, Duration) {
-    let dir = std::env::temp_dir()
-        .join(format!("mxn-bench-zombie-{}-{fence_ms}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("mxn-bench-zombie-{}-{fence_ms}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let _zombie = UnixListener::bind(dir.join("rank_0.sock")).unwrap();

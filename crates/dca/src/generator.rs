@@ -7,18 +7,19 @@
 //!
 //! [`GeneratedStub`] is the product of that generator for one interface:
 //! methods are dispatched **by name** against the parsed
-//! [`InterfaceSpec`], and each call is checked against the declared
-//! invocation mode before anything is sent — collective methods demand
-//! full participation, independent methods a single participant, one-way
-//! methods use the fire-and-forget path. The declared method ids become
-//! the wire-level selectors automatically.
+//! [`InterfaceSpec`], and each call is checked against the declaration
+//! before anything is sent — collective methods demand full
+//! participation, independent methods a single participant, and the
+//! caller's result type must match the declared return (`()` exactly for
+//! `void`, which includes every one-way method, invoked fire-and-forget).
+//! The declared method ids become the wire-level selectors automatically.
 
-use std::time::Duration;
+use std::any::TypeId;
 
 use mxn_framework::sidl::{InterfaceSpec, InvocationMode, MethodSpec, SidlType};
 use mxn_runtime::{Comm, InterComm, MsgSize};
 
-use mxn_prmi::{PrmiError, Result};
+use mxn_prmi::{Endpoint, PrmiError, Result};
 
 use crate::stub::DcaPort;
 
@@ -48,42 +49,26 @@ impl GeneratedStub {
     }
 
     fn check_mode(&self, m: &MethodSpec, participants: &Comm) -> Result<()> {
-        match m.mode {
-            InvocationMode::Collective => {
-                if participants.size() != self.program_size {
-                    return Err(PrmiError::Protocol {
-                        detail: format!(
-                            "collective method `{}` requires all {} processes \
-                             (got {} participants)",
-                            m.name,
-                            self.program_size,
-                            participants.size()
-                        ),
-                    });
-                }
-            }
-            InvocationMode::Independent => {
-                if participants.size() != 1 {
-                    return Err(PrmiError::Protocol {
-                        detail: format!(
-                            "independent method `{}` is one-to-one (got {} participants)",
-                            m.name,
-                            participants.size()
-                        ),
-                    });
-                }
-            }
-            InvocationMode::Oneway => {
-                return Err(PrmiError::Protocol {
-                    detail: format!("one-way method `{}` must use invoke_oneway", m.name),
-                });
-            }
+        let needed = match m.mode {
+            InvocationMode::Collective => self.program_size,
+            InvocationMode::Independent => 1,
+            InvocationMode::Oneway => return Ok(()),
+        };
+        let got = participants.size();
+        match needed == got {
+            true => Ok(()),
+            false => Err(PrmiError::Protocol {
+                detail: format!(
+                    "{:?} method `{}` takes {needed} participant(s), got {got}",
+                    m.mode, m.name
+                ),
+            }),
         }
-        Ok(())
     }
 
-    /// Invokes a two-way method by name; the participation communicator is
-    /// the "extra argument" the generator adds.
+    /// Invokes a method by name; the participation communicator is the
+    /// "extra argument" the generator adds. One-way methods are sent
+    /// fire-and-forget and return `()`.
     pub fn invoke<A, R>(
         &self,
         name: &str,
@@ -93,52 +78,19 @@ impl GeneratedStub {
         arg: A,
     ) -> Result<R>
     where
-        A: Send + Sync + MsgSize + 'static,
+        A: Send + Sync + MsgSize + Clone + 'static,
         R: 'static,
     {
         let m = self.method(name)?;
         self.check_mode(m, participants)?;
-        self.port.invoke(ic, program, participants, m.id, arg)
-    }
-
-    /// Bounded-wait variant of [`GeneratedStub::invoke`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn invoke_timeout<A, R>(
-        &self,
-        name: &str,
-        ic: &InterComm,
-        program: &Comm,
-        participants: &Comm,
-        arg: A,
-        timeout: Duration,
-    ) -> Result<R>
-    where
-        A: Send + Sync + MsgSize + 'static,
-        R: 'static,
-    {
-        let m = self.method(name)?;
-        self.check_mode(m, participants)?;
-        self.port.invoke_timeout(ic, program, participants, m.id, arg, timeout)
-    }
-
-    /// Invokes a one-way method by name.
-    pub fn invoke_oneway<A>(
-        &self,
-        name: &str,
-        ic: &InterComm,
-        program: &Comm,
-        participants: &Comm,
-        arg: A,
-    ) -> Result<()>
-    where
-        A: Send + Sync + MsgSize + 'static,
-    {
-        let m = self.method(name)?;
-        if m.mode != InvocationMode::Oneway {
-            return Err(PrmiError::Protocol { detail: format!("method `{name}` is not one-way") });
+        if (m.ret == SidlType::Void) != (TypeId::of::<R>() == TypeId::of::<()>()) {
+            return Err(PrmiError::Protocol {
+                detail: format!("method `{name}` returns {:?}, not the requested type", m.ret),
+            });
         }
-        debug_assert_eq!(m.ret, SidlType::Void, "parser enforced the one-way rule");
-        self.port.invoke_oneway(ic, program, participants, m.id, arg)
+        let inv = self.port.invocation(program, participants, m.id, arg);
+        let inv = if m.mode == InvocationMode::Oneway { inv.oneway() } else { inv };
+        Endpoint::default().call(ic, inv)
     }
 
     /// Ends the provider's serve loop.
@@ -152,8 +104,9 @@ mod tests {
     use super::*;
     use mxn_framework::sidl::parse_interface;
     use mxn_framework::{AnyPayload, Dispatch, RemoteService};
-    use mxn_prmi::{subset_serve, SubsetServeOutcome};
+    use mxn_prmi::{serve, ServeOpts};
     use mxn_runtime::Universe;
+    use std::time::Duration;
 
     const IDL: &str = r#"
         interface Thermo {
@@ -185,14 +138,16 @@ mod tests {
                 let r: f64 = stub.invoke("probe", ic, &ctx.comm, &me, 1.0f64).unwrap();
                 assert_eq!(r, 101.0);
                 // One-way: id 2 (executed, no reply).
-                stub.invoke_oneway("log_step", ic, &ctx.comm, &ctx.comm, 0.5f64).unwrap();
+                stub.invoke::<_, ()>("log_step", ic, &ctx.comm, &ctx.comm, 0.5f64).unwrap();
                 if ctx.comm.rank() == 0 {
                     stub.shutdown(ic).unwrap();
                 }
             } else {
-                let out = subset_serve(ctx.intercomm(0), &Thermo, Duration::from_secs(5)).unwrap();
+                let out =
+                    serve(ctx.intercomm(0), &Thermo, ServeOpts::subset(Duration::from_secs(5)))
+                        .unwrap();
                 // 1 collective + 2 independent + 1 one-way = 4 calls.
-                assert_eq!(out, SubsetServeOutcome::Completed { calls: 4 });
+                assert_eq!((out.calls, out.deadlock), (4, None));
             }
         });
     }
@@ -214,7 +169,7 @@ mod tests {
                 let r: Result<f64> = stub.invoke("log_step", ic, &ctx.comm, &ctx.comm, 1.0f64);
                 assert!(matches!(r, Err(PrmiError::Protocol { .. })));
                 // One-way call of a two-way method: rejected.
-                let r = stub.invoke_oneway("probe", ic, &ctx.comm, &me, 1.0f64);
+                let r: Result<()> = stub.invoke("probe", ic, &ctx.comm, &me, 1.0f64);
                 assert!(matches!(r, Err(PrmiError::Protocol { .. })));
                 // Unknown method: rejected.
                 let r: Result<f64> = stub.invoke("nope", ic, &ctx.comm, &ctx.comm, 1.0f64);
@@ -224,8 +179,10 @@ mod tests {
                     stub.shutdown(ic).unwrap();
                 }
             } else {
-                let out = subset_serve(ctx.intercomm(0), &Thermo, Duration::from_secs(5)).unwrap();
-                assert_eq!(out, SubsetServeOutcome::Completed { calls: 0 });
+                let out =
+                    serve(ctx.intercomm(0), &Thermo, ServeOpts::subset(Duration::from_secs(5)))
+                        .unwrap();
+                assert_eq!((out.calls, out.deadlock), (0, None));
             }
         });
     }

@@ -18,23 +18,14 @@ use std::time::Duration;
 
 use mxn_runtime::{Comm, InterComm, MsgSize};
 
-use mxn_prmi::subset::{subset_call, subset_call_timeout, subset_shutdown, DeliveryPolicy};
-use mxn_prmi::{PrmiError, Result};
+use mxn_prmi::{DeliveryPolicy, Endpoint, Invocation, Result, ServeOpts};
 
 /// Maps a participation communicator's members to program-local ranks,
 /// given the program communicator (both share global world ranks).
 pub fn program_local_ranks(program: &Comm, participants: &Comm) -> Vec<usize> {
-    participants
-        .group()
-        .iter()
-        .map(|g| {
-            program
-                .group()
-                .iter()
-                .position(|pg| pg == g)
-                .expect("participant is a member of the program")
-        })
-        .collect()
+    let local = |g: &usize| program.group().iter().position(|pg| pg == g);
+    let member = |g| local(g).expect("participant is a member of the program");
+    participants.group().iter().map(member).collect()
 }
 
 /// A generated-stub-style port handle: one remote serial provider rank,
@@ -86,8 +77,24 @@ impl DcaPort {
         }
     }
 
-    /// Invokes `method` with the participation communicator as the
-    /// (conceptually trailing) extra argument — the DCA calling convention.
+    /// The invocation the stub generator emits for `method` called by
+    /// `participants` — the DCA calling convention, with the participation
+    /// communicator as the (conceptually trailing) extra argument: a subset
+    /// call to this port's provider under the port's barrier rule. Add
+    /// `.oneway()` or `.policy(..)` and run it with [`Endpoint::call`].
+    pub fn invocation<'a, A>(
+        &self,
+        program: &Comm,
+        participants: &'a Comm,
+        method: u32,
+        arg: A,
+    ) -> Invocation<'a, A> {
+        let ranks = program_local_ranks(program, participants);
+        Invocation::subset(participants, ranks, self.provider, method, arg)
+            .delivery(self.policy_for(participants))
+    }
+
+    /// Invokes two-way `method` through [`DcaPort::invocation`].
     pub fn invoke<A, R>(
         &self,
         ic: &InterComm,
@@ -97,96 +104,15 @@ impl DcaPort {
         arg: A,
     ) -> Result<R>
     where
-        A: Send + Sync + MsgSize + 'static,
+        A: Send + Sync + MsgSize + Clone + 'static,
         R: 'static,
     {
-        let ranks = program_local_ranks(program, participants);
-        subset_call(
-            participants,
-            ic,
-            &ranks,
-            self.provider,
-            method,
-            arg,
-            self.policy_for(participants),
-        )
-    }
-
-    /// Like [`DcaPort::invoke`] with a bounded wait (deadlock detection).
-    #[allow(clippy::too_many_arguments)]
-    pub fn invoke_timeout<A, R>(
-        &self,
-        ic: &InterComm,
-        program: &Comm,
-        participants: &Comm,
-        method: u32,
-        arg: A,
-        timeout: Duration,
-    ) -> Result<R>
-    where
-        A: Send + Sync + MsgSize + 'static,
-        R: 'static,
-    {
-        let ranks = program_local_ranks(program, participants);
-        subset_call_timeout(
-            participants,
-            ic,
-            &ranks,
-            self.provider,
-            method,
-            arg,
-            self.policy_for(participants),
-            timeout,
-        )
-    }
-
-    /// One-way invocation: shares are delivered (with the same barrier
-    /// rule) but no response is awaited. The provider must treat the method
-    /// as one-way too (see [`mxn_prmi::subset_serve`]'s contract — one-way
-    /// methods must not produce a reply the callers never collect).
-    pub fn invoke_oneway<A>(
-        &self,
-        ic: &InterComm,
-        program: &Comm,
-        participants: &Comm,
-        method: u32,
-        arg: A,
-    ) -> Result<()>
-    where
-        A: Send + Sync + MsgSize + 'static,
-    {
-        // DCA one-way calls still synchronize delivery; they just skip the
-        // response. Reuse the share protocol with a fire-and-forget recv
-        // elision: we send shares and return.
-        let ranks = program_local_ranks(program, participants);
-        if self.policy_for(participants).barrier_before_delivery {
-            participants.barrier().map_err(PrmiError::Runtime)?;
-            mxn_trace::emit_instant(
-                mxn_trace::EventId::DcaBarrier,
-                [participants.size() as u64, program.size() as u64, 0, 0],
-            );
-        }
-        // Sending the share is exactly what subset_call does before its
-        // blocking receive; replicate the send half.
-        use mxn_framework::AnyPayload;
-        use mxn_prmi::SubsetShare;
-        ic.send(
-            self.provider,
-            0x6000 + method as i32,
-            SubsetShare {
-                caller: ic.local_rank(),
-                participants: ranks,
-                oneway: true,
-                arg: AnyPayload::new(arg),
-            },
-        )
-        .map_err(PrmiError::Runtime)?;
-        Ok(())
+        Endpoint::default().call(ic, self.invocation(program, participants, method, arg))
     }
 
     /// Ends the provider's serve loop (one caller rank sends this).
     pub fn shutdown(&self, ic: &InterComm) -> Result<()> {
-        subset_shutdown(ic, self.provider)
+        Endpoint::default().shutdown(ic, ServeOpts::subset(Duration::ZERO))
     }
 }
 
@@ -194,7 +120,7 @@ impl DcaPort {
 mod tests {
     use super::*;
     use mxn_framework::{AnyPayload, Dispatch, RemoteService};
-    use mxn_prmi::{subset_serve, SubsetServeOutcome};
+    use mxn_prmi::{serve, PrmiError};
     use mxn_runtime::Universe;
 
     struct AddTen;
@@ -218,8 +144,10 @@ mod tests {
                     port.shutdown(ic).unwrap();
                 }
             } else {
-                let out = subset_serve(ctx.intercomm(0), &AddTen, Duration::from_secs(5)).unwrap();
-                assert_eq!(out, SubsetServeOutcome::Completed { calls: 1 });
+                let out =
+                    serve(ctx.intercomm(0), &AddTen, ServeOpts::subset(Duration::from_secs(5)))
+                        .unwrap();
+                assert_eq!((out.calls, out.deadlock), (1, None));
             }
         });
     }
@@ -241,8 +169,10 @@ mod tests {
                     }
                 }
             } else {
-                let out = subset_serve(ctx.intercomm(0), &AddTen, Duration::from_secs(5)).unwrap();
-                assert_eq!(out, SubsetServeOutcome::Completed { calls: 1 });
+                let out =
+                    serve(ctx.intercomm(0), &AddTen, ServeOpts::subset(Duration::from_secs(5)))
+                        .unwrap();
+                assert_eq!((out.calls, out.deadlock), (1, None));
             }
         });
     }
@@ -270,8 +200,10 @@ mod tests {
                     let _ra: f64 = port.invoke(ic, &ctx.comm, &all, 0, 1.0f64).unwrap();
                 }
             } else {
-                let out = subset_serve(ctx.intercomm(0), &AddTen, Duration::from_secs(5)).unwrap();
-                assert_eq!(out, SubsetServeOutcome::Completed { calls: 2 });
+                let out =
+                    serve(ctx.intercomm(0), &AddTen, ServeOpts::subset(Duration::from_secs(5)))
+                        .unwrap();
+                assert_eq!((out.calls, out.deadlock), (2, None));
             }
         });
     }
@@ -282,7 +214,8 @@ mod tests {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
                 let port = DcaPort::new(0, 2);
-                port.invoke_oneway(ic, &ctx.comm, &ctx.comm, 2, 4.0f64).unwrap();
+                let oneway = port.invocation(&ctx.comm, &ctx.comm, 2, 4.0f64).oneway();
+                Endpoint::default().call::<_, ()>(ic, oneway).unwrap();
                 // A later two-way call is serviced after the one-way.
                 let r: f64 = port.invoke(ic, &ctx.comm, &ctx.comm, 0, 0.0f64).unwrap();
                 assert_eq!(r, 10.0);
@@ -290,10 +223,14 @@ mod tests {
                     port.shutdown(ic).unwrap();
                 }
             } else {
-                let out =
-                    subset_serve(ctx.intercomm(0), &OneWayAware, Duration::from_secs(5)).unwrap();
+                let out = serve(
+                    ctx.intercomm(0),
+                    &OneWayAware,
+                    ServeOpts::subset(Duration::from_secs(5)),
+                )
+                .unwrap();
                 // Both the one-way and the two-way call were serviced.
-                assert_eq!(out, SubsetServeOutcome::Completed { calls: 2 });
+                assert_eq!((out.calls, out.deadlock), (2, None));
             }
         });
 
@@ -304,5 +241,36 @@ mod tests {
                 AnyPayload::replicable(v + 10.0 + if method == 2 { 100.0 } else { 0.0 }).into()
             }
         }
+    }
+
+    /// Method ids the subset protocol reserves (the shutdown id 0x7ff) or
+    /// cannot carry (0x800 and up land in the response band) are rejected
+    /// before anything is sent, one-way or not, and the provider keeps
+    /// serving.
+    #[test]
+    fn reserved_and_out_of_range_methods_are_rejected() {
+        Universe::run(&[2, 1], |_, ctx| {
+            if ctx.program == 0 {
+                let ic = ctx.intercomm(1);
+                let port = DcaPort::new(0, 2);
+                for method in [0x7ff, 0x800, 0x1234] {
+                    let oneway = port.invocation(&ctx.comm, &ctx.comm, method, 1.0f64).oneway();
+                    let r = Endpoint::default().call::<_, ()>(ic, oneway);
+                    assert!(matches!(r, Err(PrmiError::Protocol { .. })), "one-way {method:#x}");
+                    let r: Result<f64> = port.invoke(ic, &ctx.comm, &ctx.comm, method, 1.0f64);
+                    assert!(matches!(r, Err(PrmiError::Protocol { .. })), "two-way {method:#x}");
+                }
+                let r: f64 = port.invoke(ic, &ctx.comm, &ctx.comm, 0, 1.0f64).unwrap();
+                assert_eq!(r, 11.0, "the provider is still serving");
+                if ctx.comm.rank() == 0 {
+                    port.shutdown(ic).unwrap();
+                }
+            } else {
+                let out =
+                    serve(ctx.intercomm(0), &AddTen, ServeOpts::subset(Duration::from_secs(5)))
+                        .unwrap();
+                assert_eq!((out.calls, out.deadlock), (1, None));
+            }
+        });
     }
 }

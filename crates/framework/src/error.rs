@@ -48,31 +48,6 @@ pub enum FrameworkError {
         /// The requested Rust type.
         requested: &'static str,
     },
-    /// The provider answered with a typed NACK: it does not implement the
-    /// requested method id. Authoritative — retrying cannot help.
-    MethodNotFound {
-        /// The unknown method id.
-        method: u32,
-    },
-    /// The server answered with a typed `Overloaded` NACK: admission
-    /// control shed the request instead of queueing it unboundedly. The
-    /// carried queue depth lets retry backoff scale with observed load.
-    Overloaded {
-        /// The method id of the shed call.
-        method: u32,
-        /// The shard's queue depth observed when the request was shed.
-        queue_depth: u32,
-    },
-    /// A policy-governed RMI call used up all its attempts without seeing a
-    /// response (the provider may still have executed the call).
-    RetriesExhausted {
-        /// The method id of the failing call.
-        method: u32,
-        /// Total attempts made (first try + retries).
-        attempts: u32,
-        /// The error from the final attempt.
-        last: RuntimeError,
-    },
     /// An underlying messaging failure.
     Runtime(RuntimeError),
 }
@@ -100,16 +75,6 @@ impl fmt::Display for FrameworkError {
             FrameworkError::PortDowncast { port, requested } => {
                 write!(f, "port `{port}` does not hold a `{requested}`")
             }
-            FrameworkError::MethodNotFound { method } => {
-                write!(f, "remote service does not implement method {method}")
-            }
-            FrameworkError::Overloaded { method, queue_depth } => {
-                write!(f, "server shed RMI method {method} under load (queue depth {queue_depth})")
-            }
-            FrameworkError::RetriesExhausted { method, attempts, last } => write!(
-                f,
-                "RMI method {method} failed after {attempts} attempt(s); last error: {last}"
-            ),
             FrameworkError::Runtime(e) => write!(f, "runtime error: {e}"),
         }
     }

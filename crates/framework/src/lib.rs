@@ -9,10 +9,12 @@
 //!   becomes a *cohort* — a parallel component whose internal communication
 //!   is out-of-band (MPI-style, via `mxn-runtime`).
 //! * **Distributed** ([`remote`]): components live in disjoint process
-//!   sets; ports become RMI over an inter-communicator, with request/
-//!   response envelopes, a blocking server loop, one-way methods, and a
-//!   minimal port-name directory. Parallel (collective) invocation
-//!   semantics are layered on by the `mxn-prmi` crate.
+//!   sets; ports become RMI over an inter-communicator. This crate holds
+//!   the values every invocation carries (marshalled payloads, the
+//!   [`RemoteService`] a provider implements, typed NACKs, the retry
+//!   [`CallPolicy`]) and a minimal port-name directory; the `mxn-prmi`
+//!   crate runs them — serial, collective and subset invocations through
+//!   one caller and one serve loop.
 //!
 //! Components declare uses/provides ports through [`Services`]; a builder
 //! wires them with [`Framework::connect`], checking SIDL-style port types.
@@ -27,10 +29,11 @@ pub mod sidl;
 pub use direct::{Component, Framework, Services};
 pub use error::{FrameworkError, Result};
 pub use port::{GoPort, ProvidedPort, UsesPort, GO_PORT_TYPE};
+#[doc(hidden)]
+pub use remote::BatchService;
 pub use remote::{
-    publish_port_names, receive_port_names, serve, shutdown_all, AnyPayload, BatchService,
-    CallPolicy, Dispatch, MethodNotFound, Overloaded, RemotePort, RemoteService, RmiRequest,
-    RmiResponse, ServeStats, ShedReason, METHOD_SHUTDOWN, NACK_CALL_ID, RMI_REQ_TAG, RMI_RESP_TAG,
+    publish_port_names, receive_port_names, AnyPayload, CallPolicy, Dispatch, MethodNotFound,
+    Overloaded, RemoteService, Replicator, ShedReason,
 };
 pub use sidl::{
     parse_interface, ArgSpec, Intent, InterfaceSpec, InvocationMode, MethodSpec, SidlError,

@@ -1,41 +1,30 @@
-//! Distributed-framework ports: RMI over an inter-communicator.
+//! Distributed-framework ports: the values RMI carries over an
+//! inter-communicator.
 //!
 //! "In contrast, components in a distributed framework each run in
 //! different sets of processes … port invocations become a refined form of
-//! Remote Method Invocation" (paper §2.1, Figure 2 right). This module is
-//! the *serial* RMI substrate — request/response envelopes, a server loop,
-//! a client handle, and one-way methods. The parallel (collective)
-//! semantics of PRMI are layered on top by the `mxn-prmi` crate.
+//! Remote Method Invocation" (paper §2.1, Figure 2 right). This module
+//! holds what every invocation protocol shares — marshalled payloads, the
+//! service trait a provider implements, typed NACK payloads and the
+//! retry [`CallPolicy`] — plus a minimal port-name directory. The wire
+//! protocols themselves (serial RMI, collective and subset PRMI) and their
+//! one caller and one serve loop live in the `mxn-prmi` crate.
 
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mxn_runtime::{
-    splitmix64, unit, Comm, InterComm, MsgSize, Result as RtResult, RuntimeError, Src,
-};
+use mxn_runtime::{splitmix64, unit, Comm, InterComm, MsgSize, Result as RtResult};
 
 use crate::error::{FrameworkError, Result};
 
-/// Tag carrying RMI requests.
-pub const RMI_REQ_TAG: i32 = 0x524d; // "RM"
-/// Tag carrying RMI responses.
-pub const RMI_RESP_TAG: i32 = 0x5252; // "RR"
-/// Reserved method id requesting server shutdown.
-pub const METHOD_SHUTDOWN: u32 = u32::MAX;
-/// `call_id` of a NACK response: the server received a request it could not
-/// decode (corrupt or mistyped) and is asking the sender to retry.
-pub const NACK_CALL_ID: u64 = u64::MAX;
+/// Tag the port-name directory travels under (the RMI response tag: user
+/// ranks receive the names where they later receive RMI replies).
+const PORT_NAMES_TAG: i32 = 0x5252;
 
-/// How often a blocked server re-checks client liveness, so a client that
-/// dies without sending its shutdown does not wedge the serve loop.
-const SERVE_LIVENESS_POLL: Duration = Duration::from_millis(25);
-
-/// Process-wide idempotency-token source. Token 0 means "no token": the
-/// server only deduplicates requests that carry a non-zero token, so plain
-/// (unretried) calls never pay for or collide in the dedup table.
-static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
+/// Re-creates a marshalled value: how a payload built with
+/// [`AnyPayload::replicable`] is copied for fan-out and replayed from
+/// dedup caches.
+pub type Replicator = std::sync::Arc<dyn Fn() -> AnyPayload + Send + Sync>;
 
 /// A type-erased argument or result with explicit wire-size accounting.
 ///
@@ -48,7 +37,7 @@ pub struct AnyPayload {
     /// Present on payloads built with [`AnyPayload::replicable`]: lets the
     /// PRMI layer duplicate the marshalled value for ghost invocations and
     /// ghost return values.
-    replicator: Option<std::sync::Arc<dyn Fn() -> AnyPayload + Send + Sync>>,
+    replicator: Option<Replicator>,
 }
 
 impl AnyPayload {
@@ -73,7 +62,7 @@ impl AnyPayload {
 
     /// Returns the payload's replicator, if it was built with
     /// [`AnyPayload::replicable`].
-    pub fn take_replicator(&self) -> Option<std::sync::Arc<dyn Fn() -> AnyPayload + Send + Sync>> {
+    pub fn take_replicator(&self) -> Option<Replicator> {
         self.replicator.clone()
     }
 
@@ -110,47 +99,10 @@ impl MsgSize for AnyPayload {
     }
 }
 
-/// An RMI request envelope.
-pub struct RmiRequest {
-    /// Method selector on the remote port.
-    pub method: u32,
-    /// Client-side correlation id.
-    pub call_id: u64,
-    /// Idempotency token: non-zero on policy-governed (retryable) calls.
-    /// Requests with the same `(sender, token)` pair are executed at most
-    /// once by the server; 0 disables deduplication.
-    pub token: u64,
-    /// One-way methods expect no response (paper §2.4).
-    pub oneway: bool,
-    /// The marshalled argument.
-    pub arg: AnyPayload,
-}
-
-impl MsgSize for RmiRequest {
-    fn msg_size(&self) -> usize {
-        4 + 8 + 8 + 1 + self.arg.msg_size()
-    }
-}
-
-/// An RMI response envelope.
-pub struct RmiResponse {
-    /// Correlates with [`RmiRequest::call_id`].
-    pub call_id: u64,
-    /// The marshalled return value.
-    pub result: AnyPayload,
-}
-
-impl MsgSize for RmiResponse {
-    fn msg_size(&self) -> usize {
-        8 + self.result.msg_size()
-    }
-}
-
 /// Typed NACK payload a server returns when a request names a method id the
 /// service does not implement. Callers recognize it with
-/// [`AnyPayload::is`] and surface [`FrameworkError::MethodNotFound`]
-/// instead of a downcast error — and the provider keeps serving instead of
-/// unwinding.
+/// [`AnyPayload::is`] and surface a typed `MethodNotFound` error instead of
+/// a downcast error — and the provider keeps serving instead of unwinding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MethodNotFound {
     /// The unknown method id the client asked for.
@@ -175,14 +127,15 @@ pub enum ShedReason {
 }
 
 /// Typed NACK payload a server returns when admission control sheds a
-/// request instead of queueing it unboundedly. Carries the shard's queue
-/// depth at shed time so the client's [`CallPolicy`] can scale its retry
-/// backoff with *observed* load rather than guessing — a depth-1 blip and
-/// a thousand-deep pileup warrant very different pauses.
+/// request instead of queueing it unboundedly. Carries the shard's load at
+/// shed time so the client's [`CallPolicy`] can scale its retry backoff
+/// with *observed* load rather than guessing — a depth-1 blip and a
+/// thousand-deep pileup warrant very different pauses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Overloaded {
-    /// Shard queue depth (admitted, not-yet-dispatched requests) observed
-    /// at the moment the request was shed.
+    /// The shard's in-flight requests (queued plus executing) at the
+    /// moment the request was shed — the count admission control compares
+    /// with its budget, never less than the queue length.
     pub queue_depth: u32,
     /// Whether the request was refused at admission or expired in queue.
     pub reason: ShedReason,
@@ -220,152 +173,28 @@ pub trait RemoteService: Send + Sync {
     /// is dropped by the server. Return [`Dispatch::MethodNotFound`] for
     /// method ids the service does not implement — never panic.
     fn dispatch(&self, method: u32, arg: AnyPayload) -> Dispatch;
-}
 
-/// Batch-aware extension of [`RemoteService`]: the serving plane hands a
-/// whole per-method request batch to the service in one call, letting
-/// implementations amortize per-invocation overhead (shared lock
-/// acquisition, vectorized math, one allocation for N results).
-///
-/// The default implementation falls back to item-by-item
-/// [`RemoteService::dispatch`], so opting in is one empty `impl` block;
-/// overriding it must preserve the contract that **result `i` answers
-/// argument `i`** — the plane demultiplexes replies by position.
-pub trait BatchService: RemoteService {
-    /// Dispatches a batch of same-method invocations. Must return exactly
-    /// `args.len()` outcomes, position-aligned with the arguments.
+    /// Dispatches a batch of same-method invocations in one call — how the
+    /// serving plane and batched collective calls let a service amortize
+    /// per-invocation overhead (shared lock acquisition, vectorized math,
+    /// one allocation for N results). Must return exactly `args.len()`
+    /// outcomes, position-aligned: **result `i` answers argument `i`**.
+    /// The default dispatches item by item.
     fn dispatch_batch(&self, method: u32, args: Vec<AnyPayload>) -> Vec<Dispatch> {
         args.into_iter().map(|arg| self.dispatch(method, arg)).collect()
     }
 }
 
-/// Statistics from one [`serve`] run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
-    /// Requests handled (excluding shutdowns).
-    pub calls: usize,
-    /// Of which one-way.
-    pub oneway_calls: usize,
-    /// Retransmitted requests suppressed by idempotency-token dedup.
-    pub duplicate_requests: usize,
-    /// Undecodable (corrupt or mistyped) requests answered with a NACK.
-    pub nacks: usize,
-    /// Requests naming an unimplemented method id, answered with a typed
-    /// [`MethodNotFound`] payload.
-    pub method_not_found: usize,
-    /// Remote ranks that died before sending their shutdown.
-    pub dead_clients: usize,
-}
+// Pinned by the out-of-tree benchmark: `benchmark/src/prmi.rs` is the sole
+// user of this marker (it writes `impl BatchService for Xor {}`); batching
+// is `RemoteService::dispatch_batch`.
+#[doc(hidden)]
+pub trait BatchService: RemoteService {}
 
-/// Runs a provider rank's server loop: handle requests from any remote
-/// rank until every remote rank has sent a shutdown. This is the
-/// "component blocked waiting for remote port invocations" state of §2.4.
-///
-/// The loop is robust to a lossy or failing client side:
-///
-/// * Requests carrying a non-zero idempotency token are executed **at most
-///   once** per `(client, token)`; a retransmission re-sends the cached
-///   response (when the first response's payload was built with
-///   [`AnyPayload::replicable`]) instead of re-dispatching.
-/// * A request that cannot be decoded (corrupted in flight, or not an
-///   [`RmiRequest`]) is answered with a NACK response ([`NACK_CALL_ID`])
-///   rather than unwinding the server.
-/// * A client rank that dies without sending its shutdown is detected via
-///   the liveness registry and counted as shut down, so the loop still
-///   terminates.
-pub fn serve(ic: &InterComm, service: &dyn RemoteService) -> Result<ServeStats> {
-    // A response aimed at a client that just died is dropped silently (the
-    // death is folded into `shut` at the next idle poll); a PeerDead caused
-    // by the *server's own* scheduled death still propagates.
-    let send_response = |dst: usize, resp: RmiResponse| -> Result<()> {
-        match ic.send(dst, RMI_RESP_TAG, resp) {
-            Err(RuntimeError::PeerDead { .. }) if ic.is_remote_dead(dst) => Ok(()),
-            other => other.map_err(Into::into),
-        }
-    };
-    let mut stats = ServeStats::default();
-    let mut shut: HashSet<usize> = HashSet::new();
-    // (client remote-rank, token) -> replicator of the cached response, for
-    // two-way results built with `AnyPayload::replicable`. Entries live for
-    // the duration of the serve loop (one coupling episode).
-    type Replicator = std::sync::Arc<dyn Fn() -> AnyPayload + Send + Sync>;
-    let mut seen: HashMap<(usize, u64), Option<Replicator>> = HashMap::new();
-    while shut.len() < ic.remote_size() {
-        let (req, info) = match ic.recv_timeout_with_info::<RmiRequest>(
-            Src::Any,
-            RMI_REQ_TAG,
-            SERVE_LIVENESS_POLL,
-        ) {
-            Ok(v) => v,
-            Err(RuntimeError::Timeout { .. }) | Err(RuntimeError::PeerDead { .. }) => {
-                // Idle: fold ranks that died shutdown-less into `shut`.
-                for r in 0..ic.remote_size() {
-                    if ic.is_remote_dead(r) && shut.insert(r) {
-                        stats.dead_clients += 1;
-                    }
-                }
-                continue;
-            }
-            Err(RuntimeError::Corrupt { src, .. })
-            | Err(RuntimeError::TypeMismatch { src, .. }) => {
-                stats.nacks += 1;
-                send_response(
-                    src,
-                    RmiResponse { call_id: NACK_CALL_ID, result: AnyPayload::new(()) },
-                )?;
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
-        if req.method == METHOD_SHUTDOWN {
-            shut.insert(info.src);
-            continue;
-        }
-        if req.token != 0 {
-            if let Some(cached) = seen.get(&(info.src, req.token)) {
-                stats.duplicate_requests += 1;
-                if !req.oneway {
-                    if let Some(replicate) = cached {
-                        send_response(
-                            info.src,
-                            RmiResponse { call_id: req.call_id, result: replicate() },
-                        )?;
-                    }
-                }
-                continue;
-            }
-        }
-        let (result, found) = match service.dispatch(req.method, req.arg) {
-            Dispatch::Reply(p) => (p, true),
-            Dispatch::MethodNotFound => {
-                stats.method_not_found += 1;
-                // Replicable so a retransmission re-fetches the same NACK
-                // from the dedup cache.
-                (AnyPayload::replicable(MethodNotFound { method: req.method }), false)
-            }
-        };
-        mxn_trace::emit_instant(
-            mxn_trace::EventId::RmiServe,
-            [req.method as u64, req.call_id, info.src as u64, u64::from(req.oneway)],
-        );
-        if req.token != 0 {
-            seen.insert((info.src, req.token), result.take_replicator());
-        }
-        if found {
-            stats.calls += 1;
-            if req.oneway {
-                stats.oneway_calls += 1;
-            }
-        }
-        if !req.oneway {
-            send_response(info.src, RmiResponse { call_id: req.call_id, result })?;
-        }
-    }
-    Ok(stats)
-}
-
-/// Retry/deadline policy for a synchronous RMI call over a lossy or
-/// failing transport.
+/// Failure policy of one invocation over a lossy or failing transport:
+/// `deadline` bounds every wait for a reply, a serial call retransmits
+/// under one idempotency token up to `max_retries` times with doubling
+/// `backoff`, and a collective call with `recover` heals and retries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CallPolicy {
     /// How long one attempt waits for the response before retrying.
@@ -382,8 +211,8 @@ pub struct CallPolicy {
     pub jitter: Option<u64>,
     /// Whether collective PRMI calls made under this policy may heal the
     /// intercommunicator (revoke, shrink to survivors) and retry the same
-    /// call sequence after a failed commit vote. Plain point-to-point RMI
-    /// ignores this flag.
+    /// call sequence after a failed commit vote. Only the collective
+    /// protocol can heal: other invocations reject a recovering policy.
     pub recover: bool,
 }
 
@@ -448,225 +277,13 @@ impl CallPolicy {
     }
 }
 
-/// Client handle to one remote provider rank's port.
-pub struct RemotePort {
-    provider: usize,
-    next_call: AtomicU64,
-}
-
-impl RemotePort {
-    /// Handle addressing remote-local rank `provider`.
-    pub fn to_rank(provider: usize) -> Self {
-        RemotePort { provider, next_call: AtomicU64::new(0) }
-    }
-
-    /// The one-to-one PRMI pairing of Damevski's model (paper §2.4): caller
-    /// rank `k` talks to provider rank `k % remote_size`.
-    pub fn one_to_one(ic: &InterComm) -> Self {
-        Self::to_rank(ic.local_rank() % ic.remote_size())
-    }
-
-    /// The provider rank this handle addresses.
-    pub fn provider(&self) -> usize {
-        self.provider
-    }
-
-    /// Synchronous RMI: marshal `arg`, block for the result.
-    pub fn call<A, R>(&self, ic: &InterComm, method: u32, arg: A) -> Result<R>
-    where
-        A: Any + Send + Sync + MsgSize,
-        R: 'static,
-    {
-        assert_ne!(method, METHOD_SHUTDOWN, "shutdown is sent via RemotePort::shutdown");
-        let call_id = self.next_call.fetch_add(1, Ordering::Relaxed);
-        let _span = mxn_trace::span(
-            mxn_trace::EventId::RmiCall,
-            [method as u64, call_id, self.provider as u64, 0],
-        );
-        ic.send(
-            self.provider,
-            RMI_REQ_TAG,
-            RmiRequest { method, call_id, token: 0, oneway: false, arg: AnyPayload::new(arg) },
-        )?;
-        loop {
-            let resp: RmiResponse = ic.recv(self.provider, RMI_RESP_TAG)?;
-            // Skip leftovers of earlier retried calls (duplicate responses)
-            // and NACKs; FIFO guarantees ours eventually arrives.
-            if resp.call_id == call_id {
-                if resp.result.is::<MethodNotFound>() {
-                    return Err(FrameworkError::MethodNotFound { method });
-                }
-                if resp.result.is::<Overloaded>() {
-                    let shed: Overloaded = resp.result.downcast()?;
-                    return Err(FrameworkError::Overloaded {
-                        method,
-                        queue_depth: shed.queue_depth,
-                    });
-                }
-                return resp.result.downcast::<R>();
-            }
-        }
-    }
-
-    /// Synchronous RMI under a [`CallPolicy`]: retransmits the request with
-    /// the same idempotency token until a response arrives, the provider
-    /// dies, or the attempt budget runs out.
-    ///
-    /// The token makes retries safe: a provider that already executed the
-    /// call (but whose response was lost) re-sends the cached result instead
-    /// of dispatching again — exactly-once execution, at-least-once
-    /// delivery. For the cached re-send to carry the real value, the
-    /// service must build its results with [`AnyPayload::replicable`].
-    ///
-    /// `arg` must be `Clone` so every attempt can re-marshal it.
-    pub fn call_with_policy<A, R>(
-        &self,
-        ic: &InterComm,
-        method: u32,
-        arg: A,
-        policy: CallPolicy,
-    ) -> Result<R>
-    where
-        A: Any + Send + Sync + MsgSize + Clone,
-        R: 'static,
-    {
-        assert_ne!(method, METHOD_SHUTDOWN, "shutdown is sent via RemotePort::shutdown");
-        let call_id = self.next_call.fetch_add(1, Ordering::Relaxed);
-        let _span = mxn_trace::span(
-            mxn_trace::EventId::RmiCall,
-            [method as u64, call_id, self.provider as u64, 0],
-        );
-        let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
-        let mut backoff = policy.backoff;
-        let mut last = RuntimeError::timeout(
-            format!("RMI response (method {method})"),
-            Duration::ZERO,
-            Src::Rank(self.provider),
-            RMI_RESP_TAG.into(),
-        );
-        // Queue depth carried by the most recent `Overloaded` shed, if the
-        // last failure was a shed rather than a timeout: scales the next
-        // pause and selects the terminal error.
-        let mut shed_depth: Option<u32> = None;
-        for attempt in 0..=policy.max_retries {
-            ic.send(
-                self.provider,
-                RMI_REQ_TAG,
-                RmiRequest {
-                    method,
-                    call_id,
-                    token,
-                    oneway: false,
-                    arg: AnyPayload::new(arg.clone()),
-                },
-            )
-            .map_err(FrameworkError::Runtime)?; // PeerDead fails fast
-            let deadline = Instant::now() + policy.deadline;
-            shed_depth = None;
-            loop {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match ic.recv_timeout::<RmiResponse>(self.provider, RMI_RESP_TAG, remaining) {
-                    // A MethodNotFound NACK is authoritative: no retry can
-                    // make the provider grow the method, so fail fast.
-                    Ok(resp) if resp.call_id == call_id => {
-                        if resp.result.is::<MethodNotFound>() {
-                            return Err(FrameworkError::MethodNotFound { method });
-                        }
-                        // An Overloaded shed is retryable — the server did
-                        // not execute (or cache) the call — but the pause
-                        // must scale with the depth the NACK reported.
-                        if resp.result.is::<Overloaded>() {
-                            let shed: Overloaded = resp.result.downcast()?;
-                            shed_depth = Some(shed.queue_depth);
-                            break;
-                        }
-                        return resp.result.downcast::<R>();
-                    }
-                    // Stale duplicate of an earlier call, or a NACK asking
-                    // us to retransmit: either way keep draining until our
-                    // deadline, then retry.
-                    Ok(_) => continue,
-                    Err(e @ RuntimeError::Timeout { .. }) => {
-                        last = e;
-                        break;
-                    }
-                    // A response corrupted in flight: the retransmission
-                    // will fetch the provider's cached copy.
-                    Err(RuntimeError::Corrupt { .. }) => continue,
-                    Err(e) => return Err(e.into()), // PeerDead etc. fail fast
-                }
-            }
-            std::thread::sleep(match shed_depth {
-                Some(depth) => policy.retry_pause_loaded(backoff, attempt, depth),
-                None => policy.retry_pause(backoff, attempt),
-            });
-            backoff = backoff.saturating_mul(2);
-        }
-        match shed_depth {
-            Some(queue_depth) => Err(FrameworkError::Overloaded { method, queue_depth }),
-            None => Err(FrameworkError::RetriesExhausted {
-                method,
-                attempts: policy.max_retries + 1,
-                last,
-            }),
-        }
-    }
-
-    /// One-way RMI: "the calling component continues execution immediately,
-    /// without waiting for the remote invocation to complete" (§2.4).
-    /// One-way methods must not return values.
-    pub fn call_oneway<A>(&self, ic: &InterComm, method: u32, arg: A) -> Result<()>
-    where
-        A: Any + Send + Sync + MsgSize,
-    {
-        assert_ne!(method, METHOD_SHUTDOWN, "shutdown is sent via RemotePort::shutdown");
-        let call_id = self.next_call.fetch_add(1, Ordering::Relaxed);
-        let _span = mxn_trace::span(
-            mxn_trace::EventId::RmiCall,
-            [method as u64, call_id, self.provider as u64, 1],
-        );
-        ic.send(
-            self.provider,
-            RMI_REQ_TAG,
-            RmiRequest { method, call_id, token: 0, oneway: true, arg: AnyPayload::new(arg) },
-        )?;
-        Ok(())
-    }
-
-    /// Tells the provider this client rank is done (the server exits once
-    /// every remote rank has done so).
-    pub fn shutdown(&self, ic: &InterComm) -> Result<()> {
-        ic.send(
-            self.provider,
-            RMI_REQ_TAG,
-            RmiRequest {
-                method: METHOD_SHUTDOWN,
-                call_id: u64::MAX,
-                token: 0,
-                oneway: true,
-                arg: AnyPayload::new(()),
-            },
-        )?;
-        Ok(())
-    }
-}
-
-/// Tells *every* provider rank this client rank is done — required when
-/// clients fan out over several providers.
-pub fn shutdown_all(ic: &InterComm) -> Result<()> {
-    for p in 0..ic.remote_size() {
-        RemotePort::to_rank(p).shutdown(ic)?;
-    }
-    Ok(())
-}
-
 /// Provider side: rank 0 publishes the provider program's port names to
 /// every user rank (a minimal distributed-framework directory).
 pub fn publish_port_names(ic: &InterComm, local: &Comm, names: &[&str]) -> RtResult<()> {
     if local.rank() == 0 {
         let list: Vec<String> = names.iter().map(|s| s.to_string()).collect();
         for r in 0..ic.remote_size() {
-            ic.send(r, RMI_RESP_TAG, list.clone())?;
+            ic.send(r, PORT_NAMES_TAG, list.clone())?;
         }
     }
     Ok(())
@@ -674,7 +291,7 @@ pub fn publish_port_names(ic: &InterComm, local: &Comm, names: &[&str]) -> RtRes
 
 /// User side: every rank receives the provider's published port names.
 pub fn receive_port_names(ic: &InterComm) -> RtResult<Vec<String>> {
-    ic.recv(0, RMI_RESP_TAG)
+    ic.recv(0, PORT_NAMES_TAG)
 }
 
 #[cfg(test)]
@@ -683,7 +300,7 @@ mod tests {
     use mxn_runtime::Universe;
 
     /// A counter service: method 0 = add(delta) -> new total,
-    /// method 1 (one-way) = reset.
+    /// method 1 = reset.
     struct Counter(parking_lot::Mutex<i64>);
     impl RemoteService for Counter {
         fn dispatch(&self, method: u32, arg: AnyPayload) -> Dispatch {
@@ -704,79 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn call_response_roundtrip() {
-        Universe::run(&[1, 1], |_, ctx| {
-            if ctx.program == 0 {
-                let ic = ctx.intercomm(1);
-                let port = RemotePort::to_rank(0);
-                assert_eq!(port.call::<i64, i64>(ic, 0, 5).unwrap(), 5);
-                assert_eq!(port.call::<i64, i64>(ic, 0, 7).unwrap(), 12);
-                port.shutdown(ic).unwrap();
-            } else {
-                let svc = Counter(parking_lot::Mutex::new(0));
-                let stats = serve(ctx.intercomm(0), &svc).unwrap();
-                assert_eq!(stats.calls, 2);
-                assert_eq!(stats.oneway_calls, 0);
-            }
-        });
-    }
-
-    #[test]
-    fn oneway_does_not_block() {
-        Universe::run(&[1, 1], |_, ctx| {
-            if ctx.program == 0 {
-                let ic = ctx.intercomm(1);
-                let port = RemotePort::to_rank(0);
-                port.call::<i64, i64>(ic, 0, 100).unwrap();
-                port.call_oneway::<i64>(ic, 1, 0).unwrap(); // reset, fire-and-forget
-                                                            // A later two-way call observes the reset (FIFO ordering).
-                assert_eq!(port.call::<i64, i64>(ic, 0, 1).unwrap(), 1);
-                port.shutdown(ic).unwrap();
-            } else {
-                let svc = Counter(parking_lot::Mutex::new(0));
-                let stats = serve(ctx.intercomm(0), &svc).unwrap();
-                assert_eq!(stats.oneway_calls, 1);
-            }
-        });
-    }
-
-    #[test]
-    fn many_clients_one_server() {
-        Universe::run(&[3, 1], |_, ctx| {
-            if ctx.program == 0 {
-                let ic = ctx.intercomm(1);
-                let port = RemotePort::to_rank(0);
-                for _ in 0..4 {
-                    port.call::<i64, i64>(ic, 0, 1).unwrap();
-                }
-                port.shutdown(ic).unwrap();
-            } else {
-                let svc = Counter(parking_lot::Mutex::new(0));
-                let stats = serve(ctx.intercomm(0), &svc).unwrap();
-                assert_eq!(stats.calls, 12);
-                assert_eq!(*svc.0.lock(), 12);
-            }
-        });
-    }
-
-    #[test]
-    fn one_to_one_pairing_spreads_clients() {
-        Universe::run(&[4, 2], |_, ctx| {
-            if ctx.program == 0 {
-                let ic = ctx.intercomm(1);
-                let port = RemotePort::one_to_one(ic);
-                assert_eq!(port.provider(), ctx.comm.rank() % 2);
-                port.call::<i64, i64>(ic, 0, 1).unwrap();
-                shutdown_all(ic).unwrap();
-            } else {
-                let svc = Counter(parking_lot::Mutex::new(0));
-                let stats = serve(ctx.intercomm(0), &svc).unwrap();
-                assert_eq!(stats.calls, 2, "each provider gets its paired callers");
-            }
-        });
-    }
-
-    #[test]
     fn port_name_directory() {
         Universe::run(&[2, 2], |_, ctx| {
             if ctx.program == 1 {
@@ -784,30 +328,6 @@ mod tests {
             } else {
                 let names = receive_port_names(ctx.intercomm(1)).unwrap();
                 assert_eq!(names, vec!["field".to_string(), "control".to_string()]);
-            }
-        });
-    }
-
-    #[test]
-    fn unknown_method_is_nacked_not_fatal() {
-        Universe::run(&[1, 1], |_, ctx| {
-            if ctx.program == 0 {
-                let ic = ctx.intercomm(1);
-                let port = RemotePort::to_rank(0);
-                // Unknown method: a typed error, and the server survives.
-                let e = port.call::<i64, i64>(ic, 99, 5).unwrap_err();
-                assert!(matches!(e, FrameworkError::MethodNotFound { method: 99 }), "{e}");
-                // Policy-governed calls fail fast instead of burning retries.
-                let e = port.call_with_policy::<i64, i64>(ic, 7, 1, CallPolicy::default());
-                assert!(matches!(e, Err(FrameworkError::MethodNotFound { method: 7 })));
-                // The port still works afterwards.
-                assert_eq!(port.call::<i64, i64>(ic, 0, 5).unwrap(), 5);
-                port.shutdown(ic).unwrap();
-            } else {
-                let svc = Counter(parking_lot::Mutex::new(0));
-                let stats = serve(ctx.intercomm(0), &svc).unwrap();
-                assert_eq!(stats.method_not_found, 2);
-                assert_eq!(stats.calls, 1, "unknown methods are not counted as calls");
             }
         });
     }
@@ -880,8 +400,6 @@ mod tests {
             assert!(deep >= scaled / 2 && deep < scaled);
         }
     }
-
-    impl BatchService for Counter {}
 
     #[test]
     fn batch_service_default_matches_item_dispatch() {

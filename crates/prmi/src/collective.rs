@@ -22,22 +22,24 @@
 //! Every provider executes exactly once per collective call, and every
 //! caller gets exactly one return value, for any M and N.
 
+use std::any::Any;
 use std::time::{Duration, Instant};
 
-use mxn_framework::{
-    AnyPayload, BatchService, CallPolicy, Dispatch, MethodNotFound, RemoteService,
-};
-use mxn_runtime::{Comm, InterComm, MsgSize, RuntimeError};
+use mxn_framework::{AnyPayload, Dispatch, MethodNotFound, RemoteService, Replicator};
+use mxn_runtime::{InterComm, MsgSize, RuntimeError};
+use mxn_schedule::Redist;
 
 use crate::error::{PrmiError, Result};
+use crate::invocation::{
+    await_reply, no_reply, reply, serve, Endpoint, Invocation, ServeOpts, ServeStats,
+    METHOD_SHUTDOWN,
+};
+use crate::parallel_args::{array_tag, ArrayStage};
 
 /// Tag carrying collective requests.
 pub const COLL_REQ_TAG: i32 = 0x434d; // "CM"
 /// Tag carrying collective responses.
 pub const COLL_RESP_TAG: i32 = 0x4352; // "CR"
-/// Reserved method id: collective shutdown.
-pub const METHOD_SHUTDOWN: u32 = u32::MAX;
-
 /// How often a recovering serve loop re-checks participant liveness while
 /// blocked waiting for its owner caller's request.
 const COLL_LIVENESS_POLL: Duration = Duration::from_millis(25);
@@ -58,7 +60,7 @@ pub struct CollReq {
     /// One-way calls produce no responses.
     pub oneway: bool,
     /// The simple argument (must be equal across callers; see
-    /// [`CollectiveEndpoint::call_checked`]).
+    /// [`Invocation::checked`]).
     pub arg: AnyPayload,
 }
 
@@ -71,8 +73,9 @@ impl MsgSize for CollReq {
 impl Clone for CollReq {
     /// Ghost-invocation fan-out clones a request when a shared multicast
     /// envelope must be unwrapped while other receivers still hold it.
-    /// Collective requests always carry replicable args (see
-    /// [`CollectiveEndpoint`]), so this cannot fail in practice.
+    /// Collective requests always carry replicable args (the caller wraps
+    /// them with [`AnyPayload::replicable`]), so this cannot fail in
+    /// practice.
     fn clone(&self) -> Self {
         CollReq {
             method: self.method,
@@ -101,7 +104,7 @@ impl MsgSize for CollResp {
 
 impl Clone for CollResp {
     /// See [`CollReq::clone`]; ghost returns are multicast and must carry a
-    /// replicable result (enforced by [`collective_serve`]).
+    /// replicable result (enforced by the serve loop).
     fn clone(&self) -> Self {
         CollResp {
             call_seq: self.call_seq,
@@ -126,7 +129,7 @@ pub struct CollBatch {
 
 impl MsgSize for CollBatch {
     fn msg_size(&self) -> usize {
-        8 + self.items.iter().map(|(_, a)| 8 + a.msg_size()).sum::<usize>()
+        items_size(&self.items)
     }
 }
 
@@ -135,13 +138,7 @@ impl Clone for CollBatch {
     /// whole batch; requires every item built with
     /// [`AnyPayload::replicable`], like any collective argument.
     fn clone(&self) -> Self {
-        CollBatch {
-            items: self
-                .items
-                .iter()
-                .map(|(id, a)| (*id, a.replicate().expect("batched args are replicable")))
-                .collect(),
-        }
+        CollBatch { items: replicate_items(&self.items) }
     }
 }
 
@@ -156,7 +153,7 @@ pub struct CollBatchResult {
 
 impl MsgSize for CollBatchResult {
     fn msg_size(&self) -> usize {
-        8 + self.items.iter().map(|(_, a)| 8 + a.msg_size()).sum::<usize>()
+        items_size(&self.items)
     }
 }
 
@@ -164,16 +161,17 @@ impl Clone for CollBatchResult {
     /// Ghost-return fan-out (M callers > N providers) replicates the batch
     /// results; requires the service to build them replicable.
     fn clone(&self) -> Self {
-        CollBatchResult {
-            items: self
-                .items
-                .iter()
-                .map(|(id, a)| {
-                    (*id, a.replicate().expect("ghost-returned batch results are replicable"))
-                })
-                .collect(),
-        }
+        CollBatchResult { items: replicate_items(&self.items) }
     }
+}
+
+fn items_size(items: &[(u64, AnyPayload)]) -> usize {
+    8 + items.iter().map(|(_, a)| 8 + a.msg_size()).sum::<usize>()
+}
+
+fn replicate_items(items: &[(u64, AnyPayload)]) -> Vec<(u64, AnyPayload)> {
+    let copy = |a: &AnyPayload| a.replicate().expect("fanned-out batch items are replicable");
+    items.iter().map(|(id, a)| (*id, copy(a))).collect()
 }
 
 /// Providers that caller `k` must send the request to.
@@ -186,471 +184,299 @@ pub fn respondents_of(j: usize, m: usize, n: usize) -> Vec<usize> {
     (0..m).filter(|k| k % n == j).collect()
 }
 
-/// Caller-side endpoint for collective calls on one remote parallel port.
+/// Caller body of every collective invocation: plain, one-way, checked,
+/// batched, parallel-argument and recovering calls differ only in the
+/// fields of `inv`.
 ///
-/// The endpoint tracks the connection's *recovery epoch*: after a failed
-/// commit vote, [`CollectiveEndpoint::call_recovering`] revokes the
-/// intercommunicator, shrinks it to the survivors, and retries the same
-/// call sequence on the healed connection. The healed intercommunicator is
-/// held inside the endpoint, so later plain calls (and the shutdown)
-/// transparently route over it.
-pub struct CollectiveEndpoint {
-    call_seq: u64,
-    epoch: u64,
-    healed: Option<InterComm>,
-}
-
-impl Default for CollectiveEndpoint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CollectiveEndpoint {
-    /// Creates an endpoint; every caller rank must create one and make the
-    /// same sequence of calls on it.
-    pub fn new() -> Self {
-        CollectiveEndpoint { call_seq: 0, epoch: 0, healed: None }
-    }
-
-    /// The intercommunicator calls currently travel over: `ic` until the
-    /// first heal, the latest survivor intercommunicator afterwards.
-    pub fn current<'a>(&'a self, ic: &'a InterComm) -> &'a InterComm {
-        self.healed.as_ref().unwrap_or(ic)
-    }
-
-    /// The recovery epoch (number of heals performed on this endpoint).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn send_requests<A: Send + Sync + MsgSize + 'static + Clone>(
-        &mut self,
-        ic: &InterComm,
-        method: u32,
-        arg: A,
-        oneway: bool,
-    ) -> Result<u64> {
-        let seq = self.call_seq;
-        self.call_seq += 1;
-        let epoch = self.epoch;
-        let cur = self.current(ic);
-        Self::multicast_request(cur, method, seq, epoch, oneway, arg)?;
-        Ok(seq)
-    }
-
-    fn multicast_request<A: Send + Sync + MsgSize + 'static + Clone>(
-        ic: &InterComm,
-        method: u32,
-        seq: u64,
-        epoch: u64,
-        oneway: bool,
-        arg: A,
-    ) -> Result<()> {
-        let (m, n) = (ic.local_size(), ic.remote_size());
-        let k = ic.local_rank();
-        // Ghost invocations (N > M) fan one request out to several
-        // providers: a single shared multicast envelope, so the argument is
-        // marshalled once however many providers this caller owns.
-        let providers = providers_of(k, m, n);
-        ic.multicast(
-            &providers,
-            COLL_REQ_TAG,
-            CollReq {
-                method,
-                call_seq: seq,
-                epoch,
-                num_callers: m,
-                oneway,
-                arg: AnyPayload::replicable(arg),
-            },
-        )?;
-        Ok(())
-    }
-
-    /// Collective call: every caller rank invokes this with (by convention)
-    /// the same `arg`; every rank receives the same return value.
-    pub fn call<A, R>(&mut self, ic: &InterComm, method: u32, arg: A) -> Result<R>
-    where
-        A: Send + Sync + MsgSize + 'static + Clone,
-        R: 'static,
-    {
-        assert_ne!(method, METHOD_SHUTDOWN, "use CollectiveEndpoint::shutdown");
+/// Under a recovering policy each attempt ends in a collective commit vote
+/// over the intercommunicator: a caller votes yes only if it holds its
+/// return value and observed no participant death. The outcome is the
+/// same agreed value on every survivor, so either *all* callers accept
+/// their results (and the sequence number advances) or *all* roll the
+/// attempt back, heal the connection — revoke, shrink to the survivor set,
+/// bump the epoch — and retry the *same* sequence number after a
+/// `CallPolicy` backoff pause. Providers deduplicate by sequence number, so
+/// a retried call is never executed twice.
+pub(crate) fn call<A, R>(ep: &mut Endpoint, ic: &InterComm, inv: Invocation<'_, A>) -> Result<R>
+where
+    A: Send + Sync + MsgSize + Clone + 'static,
+    R: 'static,
+{
+    let Invocation { method, arg, oneway, policy, array, ret, .. } = inv;
+    let Endpoint { call_seq, epoch, healed, .. } = ep;
+    let recover = policy.filter(|p| p.recover && !oneway);
+    // The span's last argument: the one-way flag, or a batch's length.
+    let shape = match oneway {
+        true => 1,
+        false => (&arg as &dyn Any).downcast_ref::<CollBatch>().map_or(0, |b| b.items.len() as u64),
+    };
+    let seq = *call_seq;
+    let retries = recover.map_or(0, |p| p.max_retries);
+    let mut backoff = recover.map_or(Duration::ZERO, |p| p.backoff);
+    let mut arg = Some(arg);
+    for attempt in 0..=retries {
         let _span = mxn_trace::span(
             mxn_trace::EventId::PrmiCall,
-            [method as u64, self.call_seq, ic.remote_size() as u64, 0],
+            match recover {
+                None => [method as u64, seq, ic.remote_size() as u64, shape],
+                Some(_) => [method as u64, seq, *epoch, u64::from(attempt)],
+            },
         );
-        let seq = self.send_requests(ic, method, arg, false)?;
-        let cur = self.current(ic);
+        let this_arg = if attempt < retries { arg.clone() } else { arg.take() };
+        let this_arg = this_arg.expect("one argument per attempt");
+        let cur = healed.as_ref().unwrap_or(ic);
+        let sent = multicast_request(cur, method, seq, *epoch, oneway, this_arg);
         let responder = cur.local_rank() % cur.remote_size();
-        let resp: CollResp = cur.recv(responder, COLL_RESP_TAG)?;
-        if resp.call_seq != seq {
-            return Err(PrmiError::Protocol {
-                detail: format!("response seq {} for call {}", resp.call_seq, seq),
-            });
-        }
-        if resp.result.is::<MethodNotFound>() {
-            return Err(PrmiError::MethodNotFound { method });
-        }
-        resp.result.downcast::<R>().map_err(PrmiError::from)
-    }
-
-    /// Like [`CollectiveEndpoint::call`], but first verifies the CCA
-    /// convention that "a simple argument must have the same actual value
-    /// in all the processes" (paper §2.4) by comparing across `local`.
-    pub fn call_checked<A, R>(
-        &mut self,
-        local: &Comm,
-        ic: &InterComm,
-        method: u32,
-        arg: A,
-    ) -> Result<R>
-    where
-        A: Send + Sync + MsgSize + 'static + Clone + PartialEq,
-        R: 'static,
-    {
-        let all = local.allgather(arg.clone())?;
-        if all.iter().any(|a| *a != arg) {
-            return Err(PrmiError::SimpleArgMismatch { method });
-        }
-        self.call(ic, method, arg)
-    }
-
-    /// Collective call with self-healing failover, paired with
-    /// [`collective_serve_recovering`] on the provider side.
-    ///
-    /// Each attempt ends in a collective commit vote over the
-    /// intercommunicator: a caller votes yes only if it holds its return
-    /// value and observed no participant death. The vote's outcome is the
-    /// same agreed value on every survivor, so either *all* callers accept
-    /// their results (and the sequence number advances) or *all* roll the
-    /// attempt back, heal the connection — revoke, shrink to the survivor
-    /// set, bump the epoch — and retry the *same* sequence number after a
-    /// [`CallPolicy`] backoff pause. Providers deduplicate by sequence
-    /// number, so a retried call is never executed twice: a provider that
-    /// already dispatched it replays the cached result.
-    ///
-    /// Requires `policy.recover`; without it this degrades to a plain
-    /// [`CollectiveEndpoint::call`]. Results must be built with
-    /// [`AnyPayload::replicable`] so the provider can cache replays.
-    pub fn call_recovering<A, R>(
-        &mut self,
-        ic: &InterComm,
-        method: u32,
-        arg: A,
-        policy: CallPolicy,
-    ) -> Result<R>
-    where
-        A: Send + Sync + MsgSize + 'static + Clone,
-        R: 'static,
-    {
-        assert_ne!(method, METHOD_SHUTDOWN, "use CollectiveEndpoint::shutdown");
-        if !policy.recover {
-            return self.call(ic, method, arg);
-        }
-        let seq = self.call_seq;
-        let mut backoff = policy.backoff;
-        for attempt in 0..=policy.max_retries {
-            let _span = mxn_trace::span(
-                mxn_trace::EventId::PrmiCall,
-                [method as u64, seq, self.epoch, u64::from(attempt)],
-            );
-            let next = {
-                let cur = self.current(ic);
-                let mut got: Option<AnyPayload> = None;
-                // A send failure (the provider died mid-multicast) is not
-                // fatal: it becomes this caller's 'no' vote below.
-                let sent =
-                    Self::multicast_request(cur, method, seq, self.epoch, false, arg.clone())
-                        .is_ok();
-                if sent {
-                    let responder = cur.local_rank() % cur.remote_size();
-                    let deadline = Instant::now() + policy.deadline;
-                    loop {
-                        let remaining = deadline.saturating_duration_since(Instant::now());
-                        match cur.recv_timeout::<CollResp>(responder, COLL_RESP_TAG, remaining) {
-                            Ok(resp) if resp.call_seq == seq => {
-                                got = Some(resp.result);
-                                break;
-                            }
-                            // A duplicate replay for an earlier sequence:
-                            // keep draining until the deadline.
-                            Ok(_) => continue,
-                            Err(RuntimeError::Timeout { .. } | RuntimeError::PeerDead { .. }) => {
-                                break
-                            }
-                            Err(RuntimeError::Corrupt { .. }) => continue,
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                }
-                let ok = got.is_some() && cur.any_dead().is_none();
-                if cur.agree_all(ok)? {
-                    self.call_seq = seq + 1;
-                    let result =
-                        got.expect("a unanimous commit vote implies every caller holds its result");
-                    // A committed NACK: every caller got the same typed
-                    // MethodNotFound, the sequence advanced, no heal needed.
-                    if result.is::<MethodNotFound>() {
-                        return Err(PrmiError::MethodNotFound { method });
-                    }
-                    return result.downcast::<R>().map_err(PrmiError::from);
-                }
-                heal_intercomm(cur, self.epoch)?
-            };
-            self.healed = Some(next);
-            self.epoch += 1;
-            if attempt < policy.max_retries {
-                std::thread::sleep(policy.retry_pause(backoff, attempt));
-                backoff = backoff.saturating_mul(2);
+        let Some(recover) = recover else {
+            *call_seq += 1;
+            sent?;
+            if oneway {
+                return no_reply();
             }
-        }
-        Err(PrmiError::RecoveryExhausted { method, attempts: policy.max_retries + 1 })
-    }
-
-    /// Collective **batch** call: ships `items` — `(request id, argument)`
-    /// pairs, every argument built with [`AnyPayload::replicable`] — as one
-    /// [`CollReq`] carrying a [`CollBatch`], and returns the per-item
-    /// results in batch order, each tagged with the id the caller assigned.
-    /// Pair with [`collective_serve_batched`] on the provider side.
-    ///
-    /// This is the serving plane's amortization lever: a shard that has
-    /// drained `k` same-method client requests pays one collective
-    /// invocation (one envelope each way, one serve-loop wakeup) instead
-    /// of `k`. Per-item failures come back as typed payloads
-    /// ([`MethodNotFound`]) inside the result items; the call itself only
-    /// errors on transport or protocol failures.
-    pub fn call_batch(
-        &mut self,
-        ic: &InterComm,
-        method: u32,
-        items: Vec<(u64, AnyPayload)>,
-    ) -> Result<Vec<(u64, AnyPayload)>> {
-        assert_ne!(method, METHOD_SHUTDOWN, "use CollectiveEndpoint::shutdown");
-        let batch_len = items.len() as u64;
-        let _span = mxn_trace::span(
-            mxn_trace::EventId::PrmiCall,
-            [method as u64, self.call_seq, ic.remote_size() as u64, batch_len],
-        );
-        let seq = self.call_seq;
-        self.call_seq += 1;
-        let epoch = self.epoch;
-        let cur = self.current(ic);
-        let (m, n) = (cur.local_size(), cur.remote_size());
-        let k = cur.local_rank();
-        cur.multicast(
-            &providers_of(k, m, n),
-            COLL_REQ_TAG,
-            CollReq {
-                method,
-                call_seq: seq,
-                epoch,
-                num_callers: m,
-                oneway: false,
-                arg: AnyPayload::replicable(CollBatch { items }),
-            },
-        )?;
-        let responder = cur.local_rank() % cur.remote_size();
-        let resp: CollResp = cur.recv(responder, COLL_RESP_TAG)?;
-        if resp.call_seq != seq {
-            return Err(PrmiError::Protocol {
-                detail: format!("response seq {} for batch call {}", resp.call_seq, seq),
-            });
-        }
-        if resp.result.is::<MethodNotFound>() {
-            return Err(PrmiError::MethodNotFound { method });
-        }
-        let result: CollBatchResult = resp.result.downcast().map_err(PrmiError::from)?;
-        Ok(result.items)
-    }
-
-    /// One-way collective call: returns immediately, no response (§2.4).
-    pub fn call_oneway<A>(&mut self, ic: &InterComm, method: u32, arg: A) -> Result<()>
-    where
-        A: Send + Sync + MsgSize + 'static + Clone,
-    {
-        assert_ne!(method, METHOD_SHUTDOWN, "use CollectiveEndpoint::shutdown");
-        let _span = mxn_trace::span(
-            mxn_trace::EventId::PrmiCall,
-            [method as u64, self.call_seq, ic.remote_size() as u64, 1],
-        );
-        self.send_requests(ic, method, arg, true)?;
-        Ok(())
-    }
-
-    /// Collective shutdown: each provider stops after the request from its
-    /// owner caller.
-    pub fn shutdown(&mut self, ic: &InterComm) -> Result<()> {
-        self.send_requests(ic, METHOD_SHUTDOWN, (), true)?;
-        Ok(())
-    }
-
-    /// Number of collective calls made so far.
-    pub fn calls(&self) -> u64 {
-        self.call_seq
-    }
-}
-
-/// Statistics from a provider rank's serve loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CollectiveStats {
-    /// Collective invocations executed by this provider rank.
-    pub calls: u64,
-    /// Of which one-way.
-    pub oneway_calls: u64,
-    /// Ghost return values sent (beyond the one-per-call minimum).
-    pub ghost_returns: u64,
-    /// Requests naming an unimplemented method id, answered with a typed
-    /// [`MethodNotFound`] NACK instead of crashing the provider.
-    pub method_not_found: u64,
-}
-
-/// Provider-side serve loop for one rank of the parallel component:
-/// executes each collective call once and routes (ghost) return values.
-/// Runs until the shutdown call.
-pub fn collective_serve(ic: &InterComm, service: &dyn RemoteService) -> Result<CollectiveStats> {
-    let (n, j) = (ic.local_size(), ic.local_rank());
-    let mut stats = CollectiveStats::default();
-    loop {
-        // Provider j's requests always come from its owner caller.
-        let m_probe: CollReq = ic.recv(ic_owner(ic), COLL_REQ_TAG)?;
-        if m_probe.method == METHOD_SHUTDOWN {
-            return Ok(stats);
-        }
-        let m = m_probe.num_callers;
-        debug_assert_eq!(ic_owner(ic), j % m, "owner mapping is stable");
-        let (result, found) = match service.dispatch(m_probe.method, m_probe.arg) {
-            Dispatch::Reply(p) => (p, true),
-            Dispatch::MethodNotFound => {
-                stats.method_not_found += 1;
-                // Replicable so the NACK fans out as ghost returns too.
-                (AnyPayload::replicable(MethodNotFound { method: m_probe.method }), false)
+            if let Some((caller, callee, local)) = array {
+                Redist::between(caller, callee).send(cur, local, array_tag(seq))?;
+            }
+            // The reply comes first: a provider that NACKs an unknown method
+            // sends no parallel return, so waiting on the array plane first
+            // would hang. Messages buffer eagerly, so draining the parallel
+            // return afterwards loses nothing.
+            let resp: CollResp = await_reply(cur, responder, COLL_RESP_TAG, policy, method)?;
+            if resp.call_seq != seq {
+                return Err(PrmiError::Protocol {
+                    detail: format!("response seq {} for call {seq}", resp.call_seq),
+                });
+            }
+            let result = reply(method, resp.result)?;
+            if let Some((callee, caller, local)) = ret {
+                *local = Redist::between(callee, caller).recv(cur, array_tag(seq) + 1)?;
+            }
+            return Ok(result);
+        };
+        // A send failure (the provider died mid-multicast) is not fatal: it
+        // becomes this caller's 'no' vote.
+        let got = match sent {
+            Err(_) => None,
+            Ok(()) => {
+                let deadline = Instant::now() + recover.deadline;
+                loop {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    match cur.recv_timeout::<CollResp>(responder, COLL_RESP_TAG, remaining) {
+                        Ok(resp) if resp.call_seq == seq => break Some(resp.result),
+                        // A replay for an earlier sequence, or a corrupted
+                        // reply: keep draining until the deadline.
+                        Ok(_) | Err(RuntimeError::Corrupt { .. }) => continue,
+                        Err(RuntimeError::Timeout { .. } | RuntimeError::PeerDead { .. }) => {
+                            break None
+                        }
+                        Err(e) => return Err(e.into()),
+                    }
+                }
             }
         };
-        mxn_trace::emit_instant(
-            mxn_trace::EventId::PrmiServe,
-            [m_probe.method as u64, m_probe.call_seq, m as u64, u64::from(m_probe.oneway)],
-        );
-        if m_probe.oneway {
-            if found {
-                stats.calls += 1;
-                stats.oneway_calls += 1;
+        let ok = got.is_some() && cur.any_dead().is_none();
+        if cur.agree_all(ok)? {
+            *call_seq = seq + 1;
+            // A committed NACK is a successful round: every caller got the
+            // same typed MethodNotFound, and no heal is needed.
+            return reply(method, got.expect("a unanimous commit means every result is in"));
+        }
+        let next = heal_intercomm(cur, *epoch)?;
+        *healed = Some(next);
+        *epoch += 1;
+        if attempt < retries {
+            std::thread::sleep(recover.retry_pause(backoff, attempt));
+            backoff = backoff.saturating_mul(2);
+        }
+    }
+    Err(PrmiError::RetriesExhausted { method, attempts: retries + 1 })
+}
+
+/// Sends this caller's request to the providers it owns. Ghost invocations
+/// (N > M) fan one request out to several providers as a single shared
+/// multicast envelope, so the argument is marshalled once.
+fn multicast_request<A: Send + Sync + MsgSize + 'static + Clone>(
+    ic: &InterComm,
+    method: u32,
+    seq: u64,
+    epoch: u64,
+    oneway: bool,
+    arg: A,
+) -> Result<()> {
+    let (m, n) = (ic.local_size(), ic.remote_size());
+    let providers = providers_of(ic.local_rank(), m, n);
+    let arg = AnyPayload::replicable(arg);
+    let req = CollReq { method, call_seq: seq, epoch, num_callers: m, oneway, arg };
+    Ok(ic.multicast(&providers, COLL_REQ_TAG, req)?)
+}
+
+/// Collective shutdown: each provider stops after the request from its
+/// owner caller.
+pub(crate) fn shutdown(ep: &mut Endpoint, ic: &InterComm) -> Result<()> {
+    let seq = ep.call_seq;
+    ep.call_seq += 1;
+    multicast_request(ep.current(ic), METHOD_SHUTDOWN, seq, ep.epoch, true, ())
+}
+
+/// What a collective loop executes requests with.
+pub(crate) enum Exec<'a> {
+    /// A service: plain requests through `dispatch`, [`CollBatch`]
+    /// arguments through one `dispatch_batch` per batch.
+    Service(&'a dyn RemoteService),
+    /// A parallel service behind the array stage (parallel arguments).
+    Array(ArrayStage<'a>),
+}
+
+/// The loop body of every collective provider rank: receive from the owner
+/// caller → execute once → send the (ghost) return values, until the
+/// shutdown.
+///
+/// With `recovering`, every two-way call ends in a commit vote. On an
+/// aborted attempt (a participant died, or a delivery failed) the loop
+/// heals the intercommunicator — revoke, shrink to the survivors, bump the
+/// epoch — and keeps serving on the healed connection. The last result is
+/// cached by sequence number, so the callers' retry of an aborted sequence
+/// replays it instead of executing the method again (exactly-once), which
+/// is why recovering results must be built with [`AnyPayload::replicable`].
+/// One-way calls never vote.
+pub(crate) fn serve_loop(ic: &InterComm, exec: Exec<'_>, recovering: bool) -> Result<ServeStats> {
+    let mut healed: Option<InterComm> = None;
+    let mut epoch = 0u64;
+    let mut cached: Option<(u64, Replicator)> = None;
+    let mut stats = ServeStats::default();
+    loop {
+        let cur = healed.as_ref().unwrap_or(ic);
+        let (n, j) = (cur.local_size(), cur.local_rank());
+        // Provider j's requests always come from its owner caller j % M.
+        let owner = j % cur.remote_size();
+        let req = match recovering {
+            false => Some(cur.recv::<CollReq>(owner, COLL_REQ_TAG)?),
+            true => recv_fenced(cur, owner, epoch)?,
+        };
+        if req.as_ref().is_some_and(|r| r.method == METHOD_SHUTDOWN) {
+            return Ok(stats);
+        }
+        let ok = match req {
+            None => false,
+            Some(r) => {
+                let (seq, oneway) = (r.call_seq, r.oneway);
+                let respondents = respondents_of(j, r.num_callers, n);
+                let result = match &cached {
+                    Some((cached_seq, replay)) if *cached_seq == seq => replay(),
+                    _ => {
+                        let fanout = recovering || respondents.len() > 1;
+                        let result = execute(cur, &exec, r, fanout, &mut stats)?;
+                        if oneway {
+                            continue;
+                        }
+                        if recovering {
+                            let replay = result.take_replicator().ok_or(PrmiError::Protocol {
+                                detail: "recovering results must be AnyPayload::replicable".into(),
+                            })?;
+                            cached = Some((seq, replay));
+                        }
+                        result
+                    }
+                };
+                stats.ghost_returns += respondents.len().saturating_sub(1) as u64;
+                let sent = send_replicated(cur, &respondents, seq, result);
+                if !recovering {
+                    sent?;
+                    continue;
+                }
+                sent.is_ok() && cur.any_dead().is_none()
             }
-            continue;
+        };
+        if !cur.agree_all(ok)? {
+            let next = heal_intercomm(cur, epoch)?;
+            healed = Some(next);
+            epoch += 1;
         }
-        if found {
-            stats.calls += 1;
-        }
-        let respondents = respondents_of(j, m, n);
-        stats.ghost_returns += respondents.len().saturating_sub(1) as u64;
-        // Payload values cannot be cloned generically; respondents receive
-        // bitwise-identical marshalled results via repeated dispatch of a
-        // replication-aware send below.
-        send_replicated(ic, &respondents, m_probe.call_seq, result)?;
     }
 }
 
-/// The caller rank that owns this provider rank's invocations. Requests
-/// carry `num_callers`, but the owner is also just `local_rank % M`; since
-/// M is fixed per intercomm we read it from the intercomm itself.
-fn ic_owner(ic: &InterComm) -> usize {
-    ic.local_rank() % ic.remote_size()
+/// A recovering loop's receive. It polls liveness while it waits, so a
+/// death anywhere lets this rank join the abort vote (`None`) even when its
+/// own request never arrives (e.g. its owner is the one that died), and it
+/// fences on the epoch: a straggler from an aborted pre-heal attempt is
+/// dropped, never dispatched.
+fn recv_fenced(cur: &InterComm, owner: usize, epoch: u64) -> Result<Option<CollReq>> {
+    loop {
+        match cur.recv_timeout::<CollReq>(owner, COLL_REQ_TAG, COLL_LIVENESS_POLL) {
+            Ok(r) if r.method == METHOD_SHUTDOWN || r.epoch == epoch => return Ok(Some(r)),
+            Ok(_) => {}
+            Err(RuntimeError::Timeout { .. }) if cur.any_dead().is_none() => {}
+            Err(
+                RuntimeError::Timeout { .. }
+                | RuntimeError::PeerDead { .. }
+                | RuntimeError::Corrupt { .. },
+            ) => return Ok(None),
+            Err(e) => return Err(e.into()),
+        }
+    }
 }
 
-/// Batch-aware provider-side serve loop, paired with
-/// [`CollectiveEndpoint::call_batch`].
-///
-/// Like [`collective_serve`], but a request whose argument is a
-/// [`CollBatch`] is dispatched **once** through
-/// [`BatchService::dispatch_batch`] — the whole per-method batch in one
-/// call — and answered with a single [`CollResp`] carrying a
-/// position-aligned [`CollBatchResult`]. Per-item unknown methods become
-/// typed [`MethodNotFound`] payloads *inside* the batch result, so one bad
-/// request never poisons its batch-mates. Plain (non-batch) requests are
-/// served exactly as in [`collective_serve`], so a provider can field
-/// traffic from both the serving plane and direct collective callers.
-pub fn collective_serve_batched(
-    ic: &InterComm,
-    service: &dyn BatchService,
-) -> Result<CollectiveStats> {
-    let (n, j) = (ic.local_size(), ic.local_rank());
-    let mut stats = CollectiveStats::default();
-    loop {
-        let req: CollReq = ic.recv(ic_owner(ic), COLL_REQ_TAG)?;
-        if req.method == METHOD_SHUTDOWN {
-            return Ok(stats);
-        }
-        let m = req.num_callers;
-        if req.arg.is::<CollBatch>() {
-            let batch: CollBatch = req.arg.downcast().map_err(|e| PrmiError::Protocol {
-                detail: format!("batch downcast failed: {e}"),
-            })?;
+/// Executes one request once — a whole [`CollBatch`] through one
+/// `dispatch_batch`, or one method — then emits its `PrmiServe` instant and
+/// counts it. Unknown methods come back as typed [`MethodNotFound`]
+/// payloads (per item inside a batch, so one bad request never poisons its
+/// batch-mates). The result is replicable when `fanout` needs copies.
+fn execute(
+    cur: &InterComm,
+    exec: &Exec<'_>,
+    req: CollReq,
+    fanout: bool,
+    stats: &mut ServeStats,
+) -> Result<AnyPayload> {
+    let CollReq { method, call_seq, num_callers, oneway, arg, .. } = req;
+    // Replicable so the NACK fans out as ghost returns too.
+    let nack = || AnyPayload::replicable(MethodNotFound { method });
+    let (result, items, found, shape) = match exec {
+        Exec::Service(service) if arg.is::<CollBatch>() => {
+            let batch: CollBatch = arg.downcast()?;
             let (ids, args): (Vec<u64>, Vec<AnyPayload>) = batch.items.into_iter().unzip();
-            mxn_trace::emit_instant(
-                mxn_trace::EventId::PrmiServe,
-                [req.method as u64, req.call_seq, m as u64, ids.len() as u64],
-            );
-            let outs = service.dispatch_batch(req.method, args);
-            assert_eq!(
-                outs.len(),
-                ids.len(),
-                "BatchService must return one outcome per batch item"
-            );
+            let outs = service.dispatch_batch(method, args);
+            assert_eq!(outs.len(), ids.len(), "dispatch_batch must answer every batch item");
+            let mut found = 0;
             let items: Vec<(u64, AnyPayload)> = ids
                 .into_iter()
                 .zip(outs)
                 .map(|(id, d)| match d {
                     Dispatch::Reply(p) => {
-                        stats.calls += 1;
+                        found += 1;
                         (id, p)
                     }
-                    Dispatch::MethodNotFound => {
-                        stats.method_not_found += 1;
-                        (id, AnyPayload::replicable(MethodNotFound { method: req.method }))
-                    }
+                    Dispatch::MethodNotFound => (id, nack()),
                 })
                 .collect();
-            if req.oneway {
-                continue;
-            }
-            let respondents = respondents_of(j, m, n);
-            stats.ghost_returns += respondents.len().saturating_sub(1) as u64;
-            // Only the ghost-return fan-out needs a replicable wrapper (and
-            // pays its one up-front deep copy); the common single-respondent
-            // plane topology sends the results without copying anything.
-            let result = if respondents.len() > 1 {
-                AnyPayload::replicable(CollBatchResult { items })
-            } else {
-                AnyPayload::new(CollBatchResult { items })
+            let n = items.len() as u64;
+            // Only a fan-out needs the replicable wrapper (and pays its one
+            // up-front deep copy); a single respondent gets the results as is.
+            let result = CollBatchResult { items };
+            let result =
+                if fanout { AnyPayload::replicable(result) } else { AnyPayload::new(result) };
+            (result, n, found, n)
+        }
+        _ => {
+            let dispatched = match exec {
+                Exec::Service(service) => service.dispatch(method, arg),
+                Exec::Array(stage) => stage.run(cur, call_seq, method, arg)?,
             };
-            send_replicated(ic, &respondents, req.call_seq, result)?;
-            continue;
-        }
-        // Plain request: identical to collective_serve's body.
-        let (result, found) = match service.dispatch(req.method, req.arg) {
-            Dispatch::Reply(p) => (p, true),
-            Dispatch::MethodNotFound => {
-                stats.method_not_found += 1;
-                (AnyPayload::replicable(MethodNotFound { method: req.method }), false)
-            }
-        };
-        mxn_trace::emit_instant(
-            mxn_trace::EventId::PrmiServe,
-            [req.method as u64, req.call_seq, m as u64, u64::from(req.oneway)],
-        );
-        if found {
-            stats.calls += 1;
-            if req.oneway {
-                stats.oneway_calls += 1;
+            match dispatched {
+                Dispatch::Reply(p) => (p, 1, 1, u64::from(oneway)),
+                Dispatch::MethodNotFound => (nack(), 1, 0, u64::from(oneway)),
             }
         }
-        if req.oneway {
-            continue;
-        }
-        let respondents = respondents_of(j, m, n);
-        stats.ghost_returns += respondents.len().saturating_sub(1) as u64;
-        send_replicated(ic, &respondents, req.call_seq, result)?;
+    };
+    mxn_trace::emit_instant(
+        mxn_trace::EventId::PrmiServe,
+        [method as u64, call_seq, num_callers as u64, shape],
+    );
+    stats.calls += found;
+    stats.method_not_found += items - found;
+    if oneway {
+        stats.oneway_calls += found;
     }
+    Ok(result)
 }
 
 /// Revokes `ic` and shrinks it to the survivor set. Both sides of a
@@ -671,150 +497,39 @@ fn heal_intercomm(ic: &InterComm, epoch: u64) -> Result<InterComm> {
     Ok(healed)
 }
 
-/// Self-healing provider-side serve loop, paired with
-/// [`CollectiveEndpoint::call_recovering`].
-///
-/// Like [`collective_serve`], but every two-way call ends in a collective
-/// commit vote. On an aborted attempt (a participant died, or a delivery
-/// failed) the loop heals the intercommunicator — revoke, shrink to the
-/// survivors, bump the epoch — and keeps serving on the healed connection.
-/// The last dispatched result is cached by sequence number, so when the
-/// callers retry the aborted sequence the provider *replays* the cached
-/// result instead of executing the method again (exactly-once execution),
-/// which is why every result must be built with [`AnyPayload::replicable`].
-/// Requests still carrying a stale epoch are fenced off and dropped
-/// without dispatch.
-///
-/// One-way calls stay fire-and-forget: they are dispatched without a vote,
-/// exactly as in the plain loop.
-pub fn collective_serve_recovering(
-    ic: &InterComm,
-    service: &dyn RemoteService,
-) -> Result<CollectiveStats> {
-    let mut healed: Option<InterComm> = None;
-    let mut epoch = 0u64;
-    let mut cached: Option<(u64, std::sync::Arc<dyn Fn() -> AnyPayload + Send + Sync>)> = None;
-    let mut stats = CollectiveStats::default();
-    'serve: loop {
-        let next = {
-            let cur = healed.as_ref().unwrap_or(ic);
-            let (n, j) = (cur.local_size(), cur.local_rank());
-            let m = cur.remote_size();
-            // Wait for the owner caller's request, polling liveness so a
-            // death anywhere lets this rank join the abort vote even when
-            // its own request never arrives (e.g. its owner is the one
-            // that died).
-            let req: Option<CollReq> = loop {
-                match cur.recv_timeout::<CollReq>(j % m, COLL_REQ_TAG, COLL_LIVENESS_POLL) {
-                    Ok(r) if r.method == METHOD_SHUTDOWN => return Ok(stats),
-                    // Epoch fence: a straggler from an aborted pre-heal
-                    // attempt must not be dispatched.
-                    Ok(r) if r.epoch != epoch => continue,
-                    Ok(r) => break Some(r),
-                    Err(RuntimeError::Timeout { .. }) => {
-                        if cur.any_dead().is_some() {
-                            break None;
-                        }
-                    }
-                    Err(RuntimeError::PeerDead { .. } | RuntimeError::Corrupt { .. }) => {
-                        break None
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            };
-            let ok = match req {
-                None => false,
-                Some(r) => {
-                    let replay = matches!(&cached, Some((seq, _)) if *seq == r.call_seq);
-                    let replicator = if replay {
-                        cached.as_ref().expect("matched above").1.clone()
-                    } else {
-                        let (result, found) = match service.dispatch(r.method, r.arg) {
-                            Dispatch::Reply(p) => (p, true),
-                            Dispatch::MethodNotFound => {
-                                stats.method_not_found += 1;
-                                (AnyPayload::replicable(MethodNotFound { method: r.method }), false)
-                            }
-                        };
-                        mxn_trace::emit_instant(
-                            mxn_trace::EventId::PrmiServe,
-                            [r.method as u64, r.call_seq, m as u64, u64::from(r.oneway)],
-                        );
-                        if r.oneway {
-                            if found {
-                                stats.calls += 1;
-                                stats.oneway_calls += 1;
-                            }
-                            continue 'serve;
-                        }
-                        if found {
-                            stats.calls += 1;
-                        }
-                        let rep = result.take_replicator().ok_or_else(|| PrmiError::Protocol {
-                            detail: "recovering collective results must be replayable; wrap \
-                                     them with AnyPayload::replicable"
-                                .into(),
-                        })?;
-                        cached = Some((r.call_seq, rep.clone()));
-                        rep
-                    };
-                    let respondents = respondents_of(j, m, n);
-                    stats.ghost_returns += respondents.len().saturating_sub(1) as u64;
-                    let sent = send_replicated(cur, &respondents, r.call_seq, replicator()).is_ok();
-                    sent && cur.any_dead().is_none()
-                }
-            };
-            if cur.agree_all(ok)? {
-                continue 'serve;
-            }
-            heal_intercomm(cur, epoch)?
-        };
-        healed = Some(next);
-        epoch += 1;
-    }
-}
-
 /// Sends `result` to every respondent. A single respondent receives the
 /// value directly; ghost returns (fewer providers than callers) go out as
 /// one shared multicast envelope — the result is marshalled once, and each
 /// caller unwraps it copy-on-write. `AnyPayload` is not clonable in
 /// general, so the fan-out path requires results wrapped with
 /// [`AnyPayload::replicable`].
-fn send_replicated(
-    ic: &InterComm,
-    respondents: &[usize],
-    call_seq: u64,
-    result: AnyPayload,
-) -> Result<()> {
-    match respondents.len() {
-        0 => Ok(()),
-        1 => {
-            ic.send(respondents[0], COLL_RESP_TAG, CollResp { call_seq, result })?;
-            Ok(())
+fn send_replicated(ic: &InterComm, to: &[usize], call_seq: u64, result: AnyPayload) -> Result<()> {
+    let resp = CollResp { call_seq, result };
+    match to {
+        [] => {}
+        [one] => ic.send(*one, COLL_RESP_TAG, resp)?,
+        _ if resp.result.take_replicator().is_none() => {
+            let detail = "ghost returns need an AnyPayload::replicable result".into();
+            return Err(PrmiError::Protocol { detail });
         }
-        _ => {
-            if result.take_replicator().is_none() {
-                return Err(PrmiError::Protocol {
-                    detail: "ghost returns need a replicable result; wrap it with \
-                             AnyPayload::replicable"
-                        .into(),
-                });
-            }
-            ic.multicast(respondents, COLL_RESP_TAG, CollResp { call_seq, result })?;
-            Ok(())
-        }
+        _ => ic.multicast(to, COLL_RESP_TAG, resp)?,
     }
+    Ok(())
 }
 
-impl From<RuntimeError> for PrmiError {
-    fn from(e: RuntimeError) -> Self {
-        PrmiError::Runtime(e)
-    }
+// Pinned by the out-of-tree benchmark: `benchmark/src/prmi.rs` is the sole
+// caller of this shim. The collective loop always recognises batches.
+#[doc(hidden)]
+pub fn collective_serve_batched(ic: &InterComm, service: &dyn RemoteService) -> Result<ServeStats> {
+    serve(ic, service, ServeOpts::collective())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::invocation::{Endpoint, Invocation};
+    use crate::PrmiError;
+    use mxn_framework::CallPolicy;
     use mxn_runtime::Universe;
 
     /// Service: method 0 = sum += arg, return new sum (replicable);
@@ -843,17 +558,17 @@ mod tests {
         Universe::run(&[m, n], move |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
+                let mut ep = Endpoint::default();
                 // Every caller gets a reply; each provider executed once.
-                let r: f64 = ep.call(ic, 0, 2.5f64).unwrap();
+                let r: f64 = ep.call(ic, Invocation::collective(0, 2.5f64)).unwrap();
                 assert_eq!(r, 2.5);
-                let r2: f64 = ep.call(ic, 0, 1.5f64).unwrap();
+                let r2: f64 = ep.call(ic, Invocation::collective(0, 1.5f64)).unwrap();
                 assert_eq!(r2, 4.0);
                 assert_eq!(ep.calls(), 2);
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve(ctx.intercomm(0), &svc).unwrap();
+                let stats = serve(ctx.intercomm(0), &svc, ServeOpts::collective()).unwrap();
                 assert_eq!(stats.calls, 2, "each provider executes each call once");
                 assert_eq!(*svc.0.lock(), 4.0);
             }
@@ -916,18 +631,18 @@ mod tests {
         Universe::run(&[3, 2], |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
-                let r: f64 = ep.call(ic, 0, 10.0f64).unwrap();
+                let mut ep = Endpoint::default();
+                let r: f64 = ep.call(ic, Invocation::collective(0, 10.0f64)).unwrap();
                 assert_eq!(r, 10.0);
-                ep.call_oneway(ic, 1, 3.0f64).unwrap();
+                ep.call::<_, ()>(ic, Invocation::collective(1, 3.0f64).oneway()).unwrap();
                 // FIFO per provider: the next two-way call observes the
                 // one-way's effect.
-                let r2: f64 = ep.call(ic, 0, 0.0f64).unwrap();
+                let r2: f64 = ep.call(ic, Invocation::collective(0, 0.0f64)).unwrap();
                 assert_eq!(r2, 30.0);
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve(ctx.intercomm(0), &svc).unwrap();
+                let stats = serve(ctx.intercomm(0), &svc, ServeOpts::collective()).unwrap();
                 assert_eq!(stats.oneway_calls, 1);
             }
         });
@@ -938,19 +653,20 @@ mod tests {
         Universe::run(&[3, 1], |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
+                let mut ep = Endpoint::default();
                 // Each rank passes a different value: the check must fail on
                 // every rank, before anything is sent.
                 let bad = ctx.comm.rank() as f64;
-                let r: Result<f64> = ep.call_checked(&ctx.comm, ic, 0, bad);
+                let r: Result<f64> = ep.call(ic, Invocation::collective(0, bad).checked(&ctx.comm));
                 assert!(matches!(r, Err(PrmiError::SimpleArgMismatch { method: 0 })));
                 // A consistent value passes.
-                let ok: f64 = ep.call_checked(&ctx.comm, ic, 0, 7.0f64).unwrap();
+                let ok: f64 =
+                    ep.call(ic, Invocation::collective(0, 7.0f64).checked(&ctx.comm)).unwrap();
                 assert_eq!(ok, 7.0);
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve(ctx.intercomm(0), &svc).unwrap();
+                let stats = serve(ctx.intercomm(0), &svc, ServeOpts::collective()).unwrap();
                 assert_eq!(stats.calls, 1, "the failed check never reached the provider");
             }
         });
@@ -961,18 +677,20 @@ mod tests {
         Universe::run(&[2, 3], |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
+                let mut ep = Endpoint::default();
                 let policy = CallPolicy::default().recovering();
-                let r: f64 = ep.call_recovering(ic, 0, 2.0f64, policy).unwrap();
+                let r: f64 = ep.call(ic, Invocation::collective(0, 2.0f64).policy(policy)).unwrap();
                 assert_eq!(r, 2.0);
-                let r2: f64 = ep.call_recovering(ic, 0, 3.0f64, policy).unwrap();
+                let r2: f64 =
+                    ep.call(ic, Invocation::collective(0, 3.0f64).policy(policy)).unwrap();
                 assert_eq!(r2, 5.0);
                 assert_eq!(ep.epoch(), 0, "no failure, no heal");
                 assert_eq!(ep.calls(), 2);
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve_recovering(ctx.intercomm(0), &svc).unwrap();
+                let stats =
+                    serve(ctx.intercomm(0), &svc, ServeOpts::collective().recovering()).unwrap();
                 assert_eq!(stats.calls, 2);
                 assert_eq!(*svc.0.lock(), 5.0);
             }
@@ -989,7 +707,7 @@ mod tests {
         Universe::run(&[3, 2], |p, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
+                let mut ep = Endpoint::default();
                 let policy = CallPolicy {
                     deadline: Duration::from_millis(100),
                     max_retries: 4,
@@ -997,7 +715,7 @@ mod tests {
                     jitter: Some(7),
                     recover: true,
                 };
-                let r: f64 = ep.call_recovering(ic, 0, 2.5f64, policy).unwrap();
+                let r: f64 = ep.call(ic, Invocation::collective(0, 2.5f64).policy(policy)).unwrap();
                 assert_eq!(r, 2.5);
                 if ctx.comm.rank() == 2 {
                     p.kill_rank(p.rank());
@@ -1006,15 +724,17 @@ mod tests {
                 while !p.is_dead(2) {
                     std::thread::yield_now();
                 }
-                let r2: f64 = ep.call_recovering(ic, 0, 1.5f64, policy).unwrap();
+                let r2: f64 =
+                    ep.call(ic, Invocation::collective(0, 1.5f64).policy(policy)).unwrap();
                 assert_eq!(r2, 4.0);
                 assert!(ep.epoch() >= 1, "the failure forced at least one heal");
                 assert_eq!(ep.calls(), 2);
                 assert_eq!(ep.current(ic).local_size(), 2, "healed to the survivor set");
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve_recovering(ctx.intercomm(0), &svc).unwrap();
+                let stats =
+                    serve(ctx.intercomm(0), &svc, ServeOpts::collective().recovering()).unwrap();
                 assert_eq!(stats.calls, 2, "aborted attempts replay the cached result");
                 assert_eq!(*svc.0.lock(), 4.0, "each call executed exactly once per provider");
             }
@@ -1028,15 +748,15 @@ mod tests {
         Universe::run(&[4, 1], |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
-                let e = ep.call::<f64, f64>(ic, 42, 1.0).unwrap_err();
+                let mut ep = Endpoint::default();
+                let e = ep.call::<f64, f64>(ic, Invocation::collective(42, 1.0)).unwrap_err();
                 assert!(matches!(e, PrmiError::MethodNotFound { method: 42 }), "{e}");
-                let r: f64 = ep.call(ic, 0, 2.0f64).unwrap();
+                let r: f64 = ep.call(ic, Invocation::collective(0, 2.0f64)).unwrap();
                 assert_eq!(r, 2.0);
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve(ctx.intercomm(0), &svc).unwrap();
+                let stats = serve(ctx.intercomm(0), &svc, ServeOpts::collective()).unwrap();
                 assert_eq!(stats.method_not_found, 1);
                 assert_eq!(stats.calls, 1);
             }
@@ -1050,31 +770,32 @@ mod tests {
         Universe::run(&[2, 2], |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
+                let mut ep = Endpoint::default();
                 let policy = CallPolicy::default().recovering();
-                let e = ep.call_recovering::<f64, f64>(ic, 9, 1.0, policy).unwrap_err();
+                let e = ep
+                    .call::<f64, f64>(ic, Invocation::collective(9, 1.0).policy(policy))
+                    .unwrap_err();
                 assert!(matches!(e, PrmiError::MethodNotFound { method: 9 }), "{e}");
                 assert_eq!(ep.epoch(), 0, "a NACK is not a failure: no heal");
-                let r: f64 = ep.call_recovering(ic, 0, 3.0f64, policy).unwrap();
+                let r: f64 = ep.call(ic, Invocation::collective(0, 3.0f64).policy(policy)).unwrap();
                 assert_eq!(r, 3.0);
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve_recovering(ctx.intercomm(0), &svc).unwrap();
+                let stats =
+                    serve(ctx.intercomm(0), &svc, ServeOpts::collective().recovering()).unwrap();
                 assert_eq!(stats.method_not_found, 1);
                 assert_eq!(stats.calls, 1);
             }
         });
     }
 
-    impl BatchService for Accum {}
-
     #[test]
     fn batched_call_roundtrips_and_demuxes_by_id() {
         Universe::run(&[1, 2], |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
+                let mut ep = Endpoint::default();
                 // Ids are arbitrary and non-contiguous: replies must carry
                 // them back verbatim, in batch order.
                 let items = vec![
@@ -1082,16 +803,19 @@ mod tests {
                     (13u64, AnyPayload::replicable(2.0f64)),
                     (9_999u64, AnyPayload::replicable(0.5f64)),
                 ];
-                let results = ep.call_batch(ic, 0, items).unwrap();
+                let results = ep
+                    .call::<_, CollBatchResult>(ic, Invocation::collective(0, CollBatch { items }))
+                    .map(|r| r.items)
+                    .unwrap();
                 let got: Vec<(u64, f64)> =
                     results.into_iter().map(|(id, p)| (id, p.downcast().unwrap())).collect();
                 // Running sums, dispatched in admission order.
                 assert_eq!(got, vec![(700, 1.0), (13, 3.0), (9_999, 3.5)]);
                 assert_eq!(ep.calls(), 1, "a whole batch is one collective call");
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve_batched(ctx.intercomm(0), &svc).unwrap();
+                let stats = serve(ctx.intercomm(0), &svc, ServeOpts::collective()).unwrap();
                 assert_eq!(stats.calls, 3, "every batch item dispatched");
                 assert_eq!(*svc.0.lock(), 3.5);
             }
@@ -1103,22 +827,33 @@ mod tests {
         Universe::run(&[1, 1], |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
+                let mut ep = Endpoint::default();
                 let items = vec![
                     (1u64, AnyPayload::replicable(2.0f64)),
                     (2u64, AnyPayload::replicable(3.0f64)),
                 ];
                 // Unknown method: each item carries a typed NACK, and the
                 // provider keeps serving.
-                let results = ep.call_batch(ic, 42, items).unwrap();
+                let results = ep
+                    .call::<_, CollBatchResult>(ic, Invocation::collective(42, CollBatch { items }))
+                    .map(|r| r.items)
+                    .unwrap();
                 assert!(results.iter().all(|(_, p)| p.is::<MethodNotFound>()));
-                let ok =
-                    ep.call_batch(ic, 0, vec![(5u64, AnyPayload::replicable(4.0f64))]).unwrap();
+                let ok = ep
+                    .call::<_, CollBatchResult>(
+                        ic,
+                        Invocation::collective(
+                            0,
+                            CollBatch { items: vec![(5u64, AnyPayload::replicable(4.0f64))] },
+                        ),
+                    )
+                    .map(|r| r.items)
+                    .unwrap();
                 assert!(!ok[0].1.is::<MethodNotFound>());
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve_batched(ctx.intercomm(0), &svc).unwrap();
+                let stats = serve(ctx.intercomm(0), &svc, ServeOpts::collective()).unwrap();
                 assert_eq!(stats.method_not_found, 2);
                 assert_eq!(stats.calls, 1);
             }
@@ -1130,13 +865,13 @@ mod tests {
         Universe::run(&[2, 2], |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
-                let r: f64 = ep.call(ic, 0, 2.5f64).unwrap();
+                let mut ep = Endpoint::default();
+                let r: f64 = ep.call(ic, Invocation::collective(0, 2.5f64)).unwrap();
                 assert_eq!(r, 2.5);
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve_batched(ctx.intercomm(0), &svc).unwrap();
+                let stats = serve(ctx.intercomm(0), &svc, ServeOpts::collective()).unwrap();
                 assert_eq!(stats.calls, 1);
             }
         });
@@ -1147,12 +882,12 @@ mod tests {
         Universe::run(&[4, 1], |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
-                let _: f64 = ep.call(ic, 0, 1.0f64).unwrap();
-                ep.shutdown(ic).unwrap();
+                let mut ep = Endpoint::default();
+                let _: f64 = ep.call(ic, Invocation::collective(0, 1.0f64)).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Accum(parking_lot::Mutex::new(0.0));
-                let stats = collective_serve(ctx.intercomm(0), &svc).unwrap();
+                let stats = serve(ctx.intercomm(0), &svc, ServeOpts::collective()).unwrap();
                 // One provider, four callers: three ghost returns.
                 assert_eq!(stats.ghost_returns, 3);
             }

@@ -15,7 +15,8 @@ pub enum PrmiError {
         method: u32,
     },
     /// Protocol-level inconsistency (sequence mismatch, unreplicable ghost
-    /// return, malformed participation).
+    /// return, malformed participation) or an invocation rejected before
+    /// anything was sent (reserved method id, invalid policy combination).
     Protocol {
         /// What went wrong.
         detail: String,
@@ -33,10 +34,19 @@ pub enum PrmiError {
         /// The unknown method id.
         method: u32,
     },
-    /// A recovering collective call ran out of retry attempts without ever
-    /// winning a commit vote (the connection kept failing faster than it
-    /// could be healed).
-    RecoveryExhausted {
+    /// The server answered with a typed `Overloaded` NACK: admission
+    /// control shed the request instead of queueing it unboundedly.
+    Overloaded {
+        /// The method id of the shed call.
+        method: u32,
+        /// The load the NACK reported (see `mxn_framework::Overloaded`).
+        queue_depth: u32,
+    },
+    /// A policy-governed call used up its attempts: a serial call never saw
+    /// a response within its deadlines (the provider may still have
+    /// executed it), or a recovering collective call never won a commit
+    /// vote (the connection kept failing faster than it could be healed).
+    RetriesExhausted {
         /// The method being invoked.
         method: u32,
         /// Attempts made (initial call plus retries).
@@ -61,10 +71,12 @@ impl fmt::Display for PrmiError {
             PrmiError::MethodNotFound { method } => {
                 write!(f, "parallel service does not implement method {method}")
             }
-            PrmiError::RecoveryExhausted { method, attempts } => write!(
-                f,
-                "collective call of method {method} failed after {attempts} attempts with healing"
-            ),
+            PrmiError::Overloaded { method, queue_depth } => {
+                write!(f, "server shed method {method} under load (queue depth {queue_depth})")
+            }
+            PrmiError::RetriesExhausted { method, attempts } => {
+                write!(f, "call of method {method} failed after {attempts} attempt(s)")
+            }
             PrmiError::Framework(e) => write!(f, "framework error: {e}"),
             PrmiError::Runtime(e) => write!(f, "runtime error: {e}"),
         }
@@ -76,6 +88,12 @@ impl std::error::Error for PrmiError {}
 impl From<FrameworkError> for PrmiError {
     fn from(e: FrameworkError) -> Self {
         PrmiError::Framework(e)
+    }
+}
+
+impl From<RuntimeError> for PrmiError {
+    fn from(e: RuntimeError) -> Self {
+        PrmiError::Runtime(e)
     }
 }
 

@@ -1,38 +1,41 @@
 //! # mxn-prmi — parallel remote method invocation semantics
 //!
-//! The PRMI model of the paper's §2.4 and §4.2 (SciRun2), over the
-//! distributed-framework RMI substrate of `mxn-framework`:
+//! The PRMI model of the paper's §2.4 and §4.2 (SciRun2) and §4.3 (DCA),
+//! over the values of `mxn-framework`. Every invocation is one
+//! [`Invocation`] value — who participates, delivery timing, reply or
+//! none, failure policy — run by [`Endpoint::call`]; every provider rank
+//! runs [`serve`] configured by [`ServeOpts`] (see [`invocation`]). The
+//! participation kinds are three wire protocols:
 //!
 //! * [`independent`] — one-to-one invocations with serial semantics
-//!   (Damevski's non-collective mode).
+//!   (Damevski's non-collective mode), retried under idempotency tokens.
 //! * [`collective`] — all-to-all invocations for any M×N pairing, with
 //!   *ghost invocations* (M < N) and *ghost return values* (M > N), simple
-//!   arguments with optional cross-caller consistency checks, and one-way
-//!   methods.
-//! * [`parallel_args`] — parallel (distributed-array) arguments and return
-//!   values, redistributed by communication schedule as part of the call;
-//!   the callee declares its expected layouts *before* calls arrive,
-//!   resolving §2.4's callee-side layout problem.
+//!   arguments with optional cross-caller consistency checks, one-way
+//!   methods, request batches, and self-healing retries.
 //! * [`subset`] — subset process participation, invocation-order
 //!   guarantees, and the Figure 5 synchronization problem: eager delivery
 //!   reproduces the deadlock (detected by timeout); barrier-delayed
 //!   delivery (the DCA rule) prevents it.
+//!
+//! [`parallel_args`] adds parallel (distributed-array) arguments and
+//! return values to collective calls, redistributed by communication
+//! schedule as part of the call; the callee declares its expected layouts
+//! *before* calls arrive, resolving §2.4's callee-side layout problem.
 
 pub mod collective;
 pub mod error;
 pub mod independent;
+pub mod invocation;
 pub mod parallel_args;
 pub mod subset;
 
-pub use collective::{
-    collective_serve, collective_serve_batched, collective_serve_recovering, providers_of,
-    respondents_of, CollBatch, CollBatchResult, CollReq, CollResp, CollectiveEndpoint,
-    CollectiveStats,
-};
+#[doc(hidden)]
+pub use collective::collective_serve_batched;
+pub use collective::{providers_of, respondents_of, CollBatch, CollBatchResult, CollReq, CollResp};
 pub use error::{PrmiError, Result};
-pub use independent::{serve_independent, IndependentPort};
-pub use parallel_args::{parallel_serve, ParallelEndpoint, ParallelPortSpec, ParallelService};
-pub use subset::{
-    subset_call, subset_call_timeout, subset_serve, subset_shutdown, DeliveryPolicy,
-    SubsetServeOutcome, SubsetShare,
+pub use invocation::{
+    serve, Deadlock, Endpoint, Invocation, ServeOpts, ServeStats, METHOD_SHUTDOWN,
 };
+pub use parallel_args::{parallel_serve, ParallelPortSpec, ParallelService};
+pub use subset::{DeliveryPolicy, SubsetShare};

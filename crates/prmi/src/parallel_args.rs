@@ -5,27 +5,27 @@
 //! argument values must be gathered and transferred, and possibly
 //! redistributed according to the corresponding M×N layout" (paper §2.4).
 //!
-//! A call with a parallel argument is a collective call (see
-//! [`crate::collective`]) whose envelope is followed by a schedule-driven
-//! redistribution of the array on a per-call tag. The callee-side layout
-//! problem ("the application does not have the opportunity to set the
-//! layout prior to the call") is solved the first of the two ways the paper
-//! describes: the provider specifies the expected layout **before** the
-//! call, via [`ParallelPortSpec`] registered with the serve loop.
+//! A call with a parallel argument is a collective call
+//! ([`crate::Invocation::array`]) whose envelope is followed by a
+//! schedule-driven redistribution of the array on a per-call tag. The
+//! callee-side layout problem ("the application does not have the
+//! opportunity to set the layout prior to the call") is solved the first of
+//! the two ways the paper describes: the provider specifies the expected
+//! layout **before** the call, via [`ParallelPortSpec`] registered with the
+//! serve loop.
 
 use mxn_dad::{Dad, LocalArray};
-use mxn_framework::{AnyPayload, MethodNotFound};
-use mxn_runtime::{InterComm, MsgSize};
-use mxn_schedule::{Redist, RegionSchedule, TransferBuffers};
+use mxn_framework::{AnyPayload, Dispatch};
+use mxn_runtime::InterComm;
+use mxn_schedule::Redist;
 
-use crate::collective::{
-    providers_of, respondents_of, CollReq, CollResp, COLL_REQ_TAG, COLL_RESP_TAG, METHOD_SHUTDOWN,
-};
-use crate::error::{PrmiError, Result};
+use crate::collective::{serve_loop, Exec};
+use crate::error::Result;
+use crate::invocation::ServeStats;
 
 const ARRAY_TAG_BASE: i32 = 0x5000;
 
-fn array_tag(call_seq: u64) -> i32 {
+pub(crate) fn array_tag(call_seq: u64) -> i32 {
     ARRAY_TAG_BASE + (call_seq % 0x4000) as i32
 }
 
@@ -44,8 +44,9 @@ pub struct ParallelPortSpec {
 pub trait ParallelService: Send + Sync {
     /// The layouts this provider expects, per method id. `None` means the
     /// method id is not implemented: the serve loop NACKs the callers with
-    /// a typed [`MethodNotFound`] (without touching the array plane) and
-    /// never calls [`ParallelService::execute`] for it.
+    /// a typed [`MethodNotFound`](mxn_framework::MethodNotFound) (without
+    /// touching the array plane) and never calls
+    /// [`ParallelService::execute`] for it.
     fn spec(&self, method: u32) -> Option<ParallelPortSpec>;
 
     /// Executes the method on this rank's portion. `input` is this rank's
@@ -59,227 +60,59 @@ pub trait ParallelService: Send + Sync {
     ) -> (AnyPayload, Option<LocalArray<f64>>);
 }
 
-/// Caller-side endpoint for collective calls carrying a parallel argument.
-pub struct ParallelEndpoint {
-    call_seq: u64,
+/// The array stage of a collective loop serving a [`ParallelService`].
+pub(crate) struct ArrayStage<'a> {
+    caller: &'a Dad,
+    result: Option<&'a Dad>,
+    service: &'a dyn ParallelService,
 }
 
-impl Default for ParallelEndpoint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ParallelEndpoint {
-    /// Creates an endpoint; all caller ranks must make identical call
-    /// sequences.
-    pub fn new() -> Self {
-        ParallelEndpoint { call_seq: 0 }
-    }
-
-    /// Collective call with a parallel input argument; returns the simple
-    /// result. `caller_dad` describes the callers' decomposition of the
-    /// array, `callee_dad` the layout the provider declared for this
-    /// method (both sides must agree on it out of band or via the port
-    /// specification).
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_with_array<A, R>(
-        &mut self,
+impl ArrayStage<'_> {
+    /// Executes call `seq`: receives this rank's portion of the
+    /// redistributed input, executes, and sends back the parallel return if
+    /// one is declared. An unknown method never touches the array plane:
+    /// the callers' already-sent patches stay unmatched in the mailbox, and
+    /// per-call tags keep them from colliding with later calls.
+    pub(crate) fn run(
+        &self,
         ic: &InterComm,
+        seq: u64,
         method: u32,
-        simple_arg: A,
-        caller_dad: &Dad,
-        callee_dad: &Dad,
-        local: &LocalArray<f64>,
-    ) -> Result<R>
-    where
-        A: Send + Sync + MsgSize + 'static + Clone,
-        R: 'static,
-    {
-        let seq = self.begin_call(ic, method, simple_arg)?;
-        // Redistribute the parallel argument (all caller ranks take part,
-        // independent of the invocation-envelope mapping).
-        Redist::between(caller_dad, callee_dad)
-            .send(ic, local, array_tag(seq))
-            .map_err(PrmiError::Runtime)?;
-        // Await the simple return value.
-        let responder = ic.local_rank() % ic.remote_size();
-        let resp: CollResp = ic.recv(responder, COLL_RESP_TAG).map_err(PrmiError::Runtime)?;
-        if resp.result.is::<MethodNotFound>() {
-            return Err(PrmiError::MethodNotFound { method });
+        arg: AnyPayload,
+    ) -> Result<Dispatch> {
+        let Some(spec) = self.service.spec(method) else { return Ok(Dispatch::MethodNotFound) };
+        let input = Redist::between(self.caller, &spec.input).recv(ic, array_tag(seq))?;
+        let (simple, parallel) = self.service.execute(method, arg, input);
+        if let (Some(out_dad), Some(out), Some(res_dad)) =
+            (spec.output.as_ref(), parallel.as_ref(), self.result)
+        {
+            Redist::between(out_dad, res_dad).send(ic, out, array_tag(seq) + 1)?;
         }
-        resp.result.downcast::<R>().map_err(PrmiError::from)
-    }
-
-    /// Collective call with parallel input **and** parallel output: the
-    /// provider's parallel return value is redistributed back into
-    /// `result_dad`/`result_local` (pre-allocated by the caller).
-    #[allow(clippy::too_many_arguments)]
-    pub fn call_with_array_ret<A, R>(
-        &mut self,
-        ic: &InterComm,
-        method: u32,
-        simple_arg: A,
-        caller_dad: &Dad,
-        callee_dad: &Dad,
-        local: &LocalArray<f64>,
-        callee_out_dad: &Dad,
-        result_dad: &Dad,
-        result_local: &mut LocalArray<f64>,
-    ) -> Result<R>
-    where
-        A: Send + Sync + MsgSize + 'static + Clone,
-        R: 'static,
-    {
-        let seq = self.begin_call(ic, method, simple_arg)?;
-        Redist::between(caller_dad, callee_dad)
-            .send(ic, local, array_tag(seq))
-            .map_err(PrmiError::Runtime)?;
-        // Await the simple return *first*: a provider that NACKs an unknown
-        // method sends no parallel return, so blocking on the array plane
-        // before seeing the response would hang forever. Messages buffer
-        // eagerly in the mailbox, so taking the response before draining
-        // the (earlier-sent) array patches loses nothing.
-        let responder = ic.local_rank() % ic.remote_size();
-        let resp: CollResp = ic.recv(responder, COLL_RESP_TAG).map_err(PrmiError::Runtime)?;
-        if resp.result.is::<MethodNotFound>() {
-            return Err(PrmiError::MethodNotFound { method });
-        }
-        // Receive the redistributed parallel return.
-        let rsched = RegionSchedule::for_receiver(callee_out_dad, result_dad, ic.local_rank());
-        rsched
-            .execute_recv(ic, result_local, array_tag(seq) + 1, &mut TransferBuffers::new())
-            .map_err(PrmiError::Runtime)?;
-        resp.result.downcast::<R>().map_err(PrmiError::from)
-    }
-
-    fn begin_call<A>(&mut self, ic: &InterComm, method: u32, simple_arg: A) -> Result<u64>
-    where
-        A: Send + Sync + MsgSize + 'static + Clone,
-    {
-        assert_ne!(method, METHOD_SHUTDOWN);
-        let (m, n) = (ic.local_size(), ic.remote_size());
-        let k = ic.local_rank();
-        let seq = self.call_seq;
-        self.call_seq += 1;
-        // One shared multicast envelope covers every ghost invocation.
-        ic.multicast(
-            &providers_of(k, m, n),
-            COLL_REQ_TAG,
-            CollReq {
-                method,
-                call_seq: seq,
-                epoch: 0,
-                num_callers: m,
-                oneway: false,
-                arg: AnyPayload::replicable(simple_arg),
-            },
-        )
-        .map_err(PrmiError::Runtime)?;
-        Ok(seq)
-    }
-
-    /// Collective shutdown of a parallel-service loop.
-    pub fn shutdown(&mut self, ic: &InterComm) -> Result<()> {
-        let (m, n) = (ic.local_size(), ic.remote_size());
-        let k = ic.local_rank();
-        ic.multicast(
-            &providers_of(k, m, n),
-            COLL_REQ_TAG,
-            CollReq {
-                method: METHOD_SHUTDOWN,
-                call_seq: self.call_seq,
-                epoch: 0,
-                num_callers: m,
-                oneway: true,
-                arg: AnyPayload::replicable(()),
-            },
-        )
-        .map_err(PrmiError::Runtime)?;
-        Ok(())
+        Ok(Dispatch::Reply(simple))
     }
 }
 
-/// Provider-side serve loop for parallel-argument methods. The provider
-/// declares layouts *before* calls arrive (via [`ParallelService::spec`]),
-/// resolving the callee-side layout problem of §2.4. `caller_dad` is the
-/// callers' input decomposition (agreed in the port contract).
+/// Provider-side serve loop for parallel-argument methods: the collective
+/// loop with an array stage. The provider declares layouts *before* calls
+/// arrive (via [`ParallelService::spec`]), resolving the callee-side layout
+/// problem of §2.4. `caller_dad` is the callers' input decomposition and
+/// `caller_result_dad` their parallel-return layout (agreed in the port
+/// contract).
 pub fn parallel_serve(
     ic: &InterComm,
     caller_dad: &Dad,
     caller_result_dad: Option<&Dad>,
     service: &dyn ParallelService,
-) -> Result<u64> {
-    let (n, j) = (ic.local_size(), ic.local_rank());
-    let owner = j % ic.remote_size();
-    let mut calls = 0u64;
-    loop {
-        let req: CollReq = ic.recv(owner, COLL_REQ_TAG).map_err(PrmiError::Runtime)?;
-        if req.method == METHOD_SHUTDOWN {
-            return Ok(calls);
-        }
-        let m = req.num_callers;
-        let Some(spec) = service.spec(req.method) else {
-            // Unknown method: NACK every respondent with a typed payload
-            // and keep serving. The callers' already-sent array patches
-            // stay unmatched in the mailbox — they are never dispatched,
-            // and per-call tags keep them from colliding with later calls.
-            let respondents = respondents_of(j, m, n);
-            for &k in &respondents {
-                ic.send(
-                    k,
-                    COLL_RESP_TAG,
-                    CollResp {
-                        call_seq: req.call_seq,
-                        result: AnyPayload::replicable(MethodNotFound { method: req.method }),
-                    },
-                )
-                .map_err(PrmiError::Runtime)?;
-            }
-            continue;
-        };
-        // Receive this rank's portion of the redistributed input.
-        let input = Redist::between(caller_dad, &spec.input)
-            .recv(ic, array_tag(req.call_seq))
-            .map_err(PrmiError::Runtime)?;
-        let (simple, parallel) = service.execute(req.method, req.arg, input);
-        calls += 1;
-        // Send back the parallel return, if declared.
-        if let (Some(out_dad), Some(out_local), Some(res_dad)) =
-            (spec.output.as_ref(), parallel.as_ref(), caller_result_dad)
-        {
-            Redist::between(out_dad, res_dad)
-                .send(ic, out_local, array_tag(req.call_seq) + 1)
-                .map_err(PrmiError::Runtime)?;
-        }
-        // Simple return with ghost replication.
-        let respondents = respondents_of(j, m, n);
-        match respondents.len() {
-            0 => {}
-            1 => {
-                ic.send(
-                    respondents[0],
-                    COLL_RESP_TAG,
-                    CollResp { call_seq: req.call_seq, result: simple },
-                )
-                .map_err(PrmiError::Runtime)?;
-            }
-            _ => {
-                let rep = simple.take_replicator().ok_or_else(|| PrmiError::Protocol {
-                    detail: "ghost returns need AnyPayload::replicable".into(),
-                })?;
-                for &k in &respondents {
-                    ic.send(k, COLL_RESP_TAG, CollResp { call_seq: req.call_seq, result: rep() })
-                        .map_err(PrmiError::Runtime)?;
-                }
-            }
-        }
-    }
+) -> Result<ServeStats> {
+    let stage = ArrayStage { caller: caller_dad, result: caller_result_dad, service };
+    serve_loop(ic, Exec::Array(stage), false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::{CollReq, CollResp, COLL_REQ_TAG, COLL_RESP_TAG};
+    use crate::{Endpoint, Invocation, PrmiError, ServeOpts};
     use mxn_dad::Extents;
     use mxn_runtime::Universe;
 
@@ -335,14 +168,18 @@ mod tests {
             let callee_dad = Dad::block(e, &[1, 2]).unwrap();
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = ParallelEndpoint::new();
+                let mut ep = Endpoint::default();
                 let local = LocalArray::from_fn(&caller_dad, ctx.comm.rank(), |idx| {
                     (idx[0] * 6 + idx[1]) as f64
                 });
                 // Provider's reply is its LOCAL partial sum; with ghost
                 // returns, caller k hears from provider k % 2.
-                let r: f64 =
-                    ep.call_with_array(ic, 0, 1.0f64, &caller_dad, &callee_dad, &local).unwrap();
+                let r: f64 = ep
+                    .call(
+                        ic,
+                        Invocation::collective(0, 1.0f64).array(&caller_dad, &callee_dad, &local),
+                    )
+                    .unwrap();
                 // Column block sums of 0..35 grid: left cols {0,1,2} sum,
                 // right cols {3,4,5} sum.
                 let left: f64 =
@@ -351,14 +188,15 @@ mod tests {
                     (0..6).flat_map(|i| (3..6).map(move |j| i * 6 + j)).sum::<usize>() as f64;
                 let expect = if ctx.comm.rank() % 2 == 0 { left } else { right };
                 assert_eq!(r, expect);
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = NormService {
                     input_dad: callee_dad.clone(),
                     output_dad: callee_dad.clone(),
                     partial_sums: Default::default(),
                 };
-                let calls = parallel_serve(ctx.intercomm(0), &caller_dad, None, &svc).unwrap();
+                let calls =
+                    parallel_serve(ctx.intercomm(0), &caller_dad, None, &svc).unwrap().calls;
                 assert_eq!(calls, 1);
             }
         });
@@ -372,31 +210,22 @@ mod tests {
             let callee_dad = Dad::block(e, &[1, 2]).unwrap();
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = ParallelEndpoint::new();
+                let mut ep = Endpoint::default();
                 let local = LocalArray::from_fn(&caller_dad, ctx.comm.rank(), |idx| {
                     (idx[0] * 4 + idx[1]) as f64
                 });
                 let mut result: LocalArray<f64> =
                     LocalArray::allocate(&caller_dad, ctx.comm.rank());
-                let _sum: f64 = ep
-                    .call_with_array_ret(
-                        ic,
-                        1,
-                        10.0f64,
-                        &caller_dad,
-                        &callee_dad,
-                        &local,
-                        &callee_dad,
-                        &caller_dad,
-                        &mut result,
-                    )
-                    .unwrap();
+                let inv = Invocation::collective(1, 10.0f64)
+                    .array(&caller_dad, &callee_dad, &local)
+                    .array_ret(&callee_dad, &caller_dad, &mut result);
+                let _sum: f64 = ep.call(ic, inv).unwrap();
                 // The provider scaled by 10 and the result came back in the
                 // caller's row-block layout.
                 for (idx, &v) in result.iter() {
                     assert_eq!(v, (idx[0] * 4 + idx[1]) as f64 * 10.0, "at {idx:?}");
                 }
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = NormService {
                     input_dad: callee_dad.clone(),
@@ -416,7 +245,7 @@ mod tests {
             let callee_dad = Dad::block(e, &[1, 2]).unwrap();
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = ParallelEndpoint::new();
+                let mut ep = Endpoint::default();
                 let local = LocalArray::from_fn(&caller_dad, ctx.comm.rank(), |idx| {
                     (idx[0] * 4 + idx[1]) as f64
                 });
@@ -424,37 +253,32 @@ mod tests {
                 // must fail with a typed error, not hang on the array plane.
                 let mut result: LocalArray<f64> =
                     LocalArray::allocate(&caller_dad, ctx.comm.rank());
-                let err = ep
-                    .call_with_array_ret::<f64, f64>(
-                        ic,
-                        77,
-                        1.0,
-                        &caller_dad,
-                        &callee_dad,
-                        &local,
-                        &callee_dad,
-                        &caller_dad,
-                        &mut result,
-                    )
-                    .unwrap_err();
+                let inv = Invocation::collective(77, 1.0)
+                    .array(&caller_dad, &callee_dad, &local)
+                    .array_ret(&callee_dad, &caller_dad, &mut result);
+                let err = ep.call::<f64, f64>(ic, inv).unwrap_err();
                 assert!(matches!(err, PrmiError::MethodNotFound { method: 77 }), "{err}");
                 // Input-only variant NACKs too, and the service survives.
-                let err = ep
-                    .call_with_array::<f64, f64>(ic, 8, 1.0, &caller_dad, &callee_dad, &local)
-                    .unwrap_err();
+                let inv = Invocation::collective(8, 1.0).array(&caller_dad, &callee_dad, &local);
+                let err = ep.call::<f64, f64>(ic, inv).unwrap_err();
                 assert!(matches!(err, PrmiError::MethodNotFound { method: 8 }), "{err}");
-                let sum: f64 =
-                    ep.call_with_array(ic, 0, 1.0f64, &caller_dad, &callee_dad, &local).unwrap();
+                let sum: f64 = ep
+                    .call(
+                        ic,
+                        Invocation::collective(0, 1.0f64).array(&caller_dad, &callee_dad, &local),
+                    )
+                    .unwrap();
                 assert!(sum.is_finite());
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = NormService {
                     input_dad: callee_dad.clone(),
                     output_dad: callee_dad.clone(),
                     partial_sums: Default::default(),
                 };
-                let calls =
-                    parallel_serve(ctx.intercomm(0), &caller_dad, Some(&caller_dad), &svc).unwrap();
+                let calls = parallel_serve(ctx.intercomm(0), &caller_dad, Some(&caller_dad), &svc)
+                    .unwrap()
+                    .calls;
                 assert_eq!(calls, 1, "NACKed requests are not dispatched");
             }
         });
@@ -468,26 +292,55 @@ mod tests {
             let callee_dad = Dad::block(e, &[1]).unwrap();
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = ParallelEndpoint::new();
+                let mut ep = Endpoint::default();
                 for step in 0..5 {
                     let local = LocalArray::from_fn(&caller_dad, ctx.comm.rank(), |idx| {
                         (idx[0] + step) as f64
                     });
-                    let sum: f64 = ep
-                        .call_with_array(ic, 0, 1.0f64, &caller_dad, &callee_dad, &local)
-                        .unwrap();
+                    let inv =
+                        Invocation::collective(0, 1.0f64).array(&caller_dad, &callee_dad, &local);
+                    let sum: f64 = ep.call(ic, inv).unwrap();
                     let expect: f64 = (0..4).map(|i| (i + step) as f64).sum();
                     assert_eq!(sum, expect, "step {step}");
                 }
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = NormService {
                     input_dad: callee_dad.clone(),
                     output_dad: callee_dad.clone(),
                     partial_sums: Default::default(),
                 };
-                let calls = parallel_serve(ctx.intercomm(0), &caller_dad, None, &svc).unwrap();
+                let calls =
+                    parallel_serve(ctx.intercomm(0), &caller_dad, None, &svc).unwrap().calls;
                 assert_eq!(calls, 5);
+            }
+        });
+    }
+
+    /// A reply is accepted only for the call it answers: a provider that
+    /// answers with a stale sequence number is a protocol error, not a
+    /// result.
+    #[test]
+    fn array_call_rejects_a_reply_for_another_call() {
+        Universe::run(&[1, 1], |_, ctx| {
+            let e = Extents::new([4]);
+            let dad = Dad::block(e, &[1]).unwrap();
+            if ctx.program == 0 {
+                let ic = ctx.intercomm(1);
+                let local = LocalArray::from_fn(&dad, 0, |idx| idx[0] as f64);
+                let inv = Invocation::collective(0, 1.0f64).array(&dad, &dad, &local);
+                let err = Endpoint::default().call::<f64, f64>(ic, inv).unwrap_err();
+                assert!(matches!(err, PrmiError::Protocol { .. }), "{err}");
+            } else {
+                // A hand-rolled provider: takes the call and its array, then
+                // answers as if for a different call.
+                let ic = ctx.intercomm(0);
+                let req: CollReq = ic.recv(0, COLL_REQ_TAG).unwrap();
+                let _: LocalArray<f64> =
+                    Redist::between(&dad, &dad).recv(ic, array_tag(req.call_seq)).unwrap();
+                let stale =
+                    CollResp { call_seq: req.call_seq + 7, result: AnyPayload::new(0.0f64) };
+                ic.send(0, COLL_RESP_TAG, stale).unwrap();
             }
         });
     }

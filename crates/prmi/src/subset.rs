@@ -9,25 +9,27 @@
 //!
 //! "The solution is to delay PRMI delivery until all processes are ready"
 //! — a barrier over the participant set before any share is sent
-//! ([`DeliveryPolicy::barrier_before_delivery`], the DCA approach of §4.3).
+//! ([`DeliveryPolicy::barrier_before_delivery`], the DCA approach of §4.3,
+//! and the default of [`crate::Invocation::subset`]).
 //! Both behaviours are implemented so experiment F5 can demonstrate the
 //! deadlock (detected by timeout) and measure the barrier's cost.
 
 use std::time::Duration;
 
 use mxn_framework::{AnyPayload, Dispatch, MethodNotFound, RemoteService};
-use mxn_runtime::{Comm, InterComm, MsgSize, RuntimeError, Src};
+use mxn_runtime::{InterComm, MsgSize, RuntimeError, Src, Tag};
 
 use crate::error::{PrmiError, Result};
+use crate::invocation::{await_reply, no_reply, reply, Deadlock, Invocation, ServeStats, Target};
 
 const SUBSET_REQ_BASE: i32 = 0x6000;
 const SUBSET_RESP_BASE: i32 = 0x6800;
-/// Reserved method id ending a subset serve loop.
-pub const METHOD_SHUTDOWN: u32 = 0x7ff;
-const MAX_METHOD: u32 = 0x800;
+/// Reserved method id ending a subset serve loop. Invocations of it, or of
+/// any id above it (which would land in the response band), are rejected
+/// before anything is sent.
+pub(crate) const METHOD_SHUTDOWN: u32 = 0x7ff;
 
 fn req_tag(method: u32) -> i32 {
-    assert!(method < MAX_METHOD, "subset method id out of range");
     SUBSET_REQ_BASE + method as i32
 }
 
@@ -73,166 +75,88 @@ impl MsgSize for SubsetShare {
     }
 }
 
-/// Caller side of a subset collective call. Every rank whose program-local
-/// rank appears in `participant_ranks` must call this with the same
-/// arguments; `participants` is a communicator over exactly those ranks.
-pub fn subset_call<A, R>(
-    participants: &Comm,
-    ic: &InterComm,
-    participant_ranks: &[usize],
-    provider: usize,
-    method: u32,
-    arg: A,
-    policy: DeliveryPolicy,
-) -> Result<R>
+/// Caller body of a subset call: the delivery barrier, this rank's share,
+/// and — unless one-way — the provider's reply, bounded by the policy's
+/// deadline so the Figure 5 deadlock is detected rather than hung.
+pub(crate) fn call<A, R>(ic: &InterComm, inv: Invocation<'_, A>) -> Result<R>
 where
     A: Send + Sync + MsgSize + 'static,
     R: 'static,
 {
-    subset_call_inner(participants, ic, participant_ranks, provider, method, arg, policy, None)
-}
-
-/// Like [`subset_call`] but bounds the wait for the provider's response —
-/// the caller-side escape hatch that turns the Figure 5 deadlock into a
-/// detectable [`PrmiError::DeliveryDeadlock`].
-#[allow(clippy::too_many_arguments)]
-pub fn subset_call_timeout<A, R>(
-    participants: &Comm,
-    ic: &InterComm,
-    participant_ranks: &[usize],
-    provider: usize,
-    method: u32,
-    arg: A,
-    policy: DeliveryPolicy,
-    timeout: Duration,
-) -> Result<R>
-where
-    A: Send + Sync + MsgSize + 'static,
-    R: 'static,
-{
-    subset_call_inner(
-        participants,
-        ic,
-        participant_ranks,
-        provider,
+    let Invocation {
+        target: Target::Subset { participants, ranks, provider },
         method,
         arg,
+        oneway,
         policy,
-        Some(timeout),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn subset_call_inner<A, R>(
-    participants: &Comm,
-    ic: &InterComm,
-    participant_ranks: &[usize],
-    provider: usize,
-    method: u32,
-    arg: A,
-    policy: DeliveryPolicy,
-    timeout: Option<Duration>,
-) -> Result<R>
-where
-    A: Send + Sync + MsgSize + 'static,
-    R: 'static,
-{
-    assert_ne!(method, METHOD_SHUTDOWN, "use subset_shutdown");
+        delivery,
+        ..
+    } = inv
+    else {
+        unreachable!("Endpoint::call dispatches on the target")
+    };
     let _span = mxn_trace::span(
         mxn_trace::EventId::PrmiCall,
-        [method as u64, provider as u64, participant_ranks.len() as u64, 0],
+        [method as u64, provider as u64, ranks.len() as u64, u64::from(oneway)],
     );
-    if policy.barrier_before_delivery {
-        participants.barrier().map_err(PrmiError::Runtime)?;
+    if delivery.unwrap_or(DeliveryPolicy::safe()).barrier_before_delivery {
+        participants.barrier()?;
         mxn_trace::emit_instant(
             mxn_trace::EventId::DcaBarrier,
             [participants.size() as u64, method as u64, 0, 0],
         );
     }
-    ic.send(
-        provider,
-        req_tag(method),
-        SubsetShare {
-            caller: ic.local_rank(),
-            participants: participant_ranks.to_vec(),
-            oneway: false,
-            arg: AnyPayload::new(arg),
-        },
-    )
-    .map_err(PrmiError::Runtime)?;
-    let resp: AnyPayload = match timeout {
-        None => ic.recv(provider, resp_tag(method)).map_err(PrmiError::Runtime)?,
-        Some(t) => match ic.recv_timeout(provider, resp_tag(method), t) {
-            Ok(r) => r,
-            Err(RuntimeError::Timeout { .. }) => {
-                return Err(PrmiError::DeliveryDeadlock {
-                    waiting_for: format!("response to method {method} from provider {provider}"),
-                })
-            }
-            Err(e) => return Err(PrmiError::Runtime(e)),
-        },
-    };
-    if resp.is::<MethodNotFound>() {
-        return Err(PrmiError::MethodNotFound { method });
+    let caller = ic.local_rank();
+    let share = SubsetShare { caller, participants: ranks, oneway, arg: AnyPayload::new(arg) };
+    ic.send(provider, req_tag(method), share)?;
+    if oneway {
+        return no_reply();
     }
-    resp.downcast::<R>().map_err(PrmiError::from)
+    let resp: AnyPayload = await_reply(ic, provider, resp_tag(method), policy, method)?;
+    reply(method, resp)
 }
 
-/// Ends a provider's subset serve loop (send from a single caller rank).
-pub fn subset_shutdown(ic: &InterComm, provider: usize) -> Result<()> {
-    ic.send(
-        provider,
-        req_tag(METHOD_SHUTDOWN),
-        SubsetShare {
+/// Ends every subset serve loop on the far side of `ic` (sent by one
+/// caller rank).
+pub(crate) fn shutdown(ic: &InterComm) -> Result<()> {
+    for provider in 0..ic.remote_size() {
+        let share = SubsetShare {
             caller: ic.local_rank(),
             participants: vec![],
             oneway: true,
             arg: AnyPayload::new(()),
-        },
-    )
-    .map_err(PrmiError::Runtime)?;
+        };
+        ic.send(provider, req_tag(METHOD_SHUTDOWN), share)?;
+    }
     Ok(())
 }
 
-/// Outcome of a subset serve loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubsetServeOutcome {
-    /// Clean shutdown after servicing `calls` collective invocations.
-    Completed {
-        /// Invocations serviced.
-        calls: u64,
-    },
-    /// The Figure 5 deadlock: while collecting the shares of one call, a
-    /// participant's share never arrived within the timeout.
-    Deadlocked {
-        /// Invocations serviced before the deadlock.
-        calls: u64,
-        /// The participant whose share never arrived.
-        missing_rank: usize,
-        /// The method being collected.
-        method: u32,
-    },
-}
-
-/// Serial provider rank's serve loop for subset collective calls.
+/// A serial provider rank's loop body for subset calls.
 ///
 /// Delivery is on *first arrival*: the provider starts servicing whichever
 /// call's share reaches it first, then blocks for the remaining
 /// participants' shares — exactly the semantics that make Figure 5
 /// deadlock when callers use [`DeliveryPolicy::eager`]. `share_timeout`
-/// bounds that blocking so the deadlock is detected rather than hung.
-pub fn subset_serve(
+/// bounds that blocking so the deadlock is detected (and reported in
+/// [`ServeStats::deadlock`]) rather than hung.
+pub(crate) fn serve_loop(
     ic: &InterComm,
     service: &dyn RemoteService,
     share_timeout: Duration,
-) -> Result<SubsetServeOutcome> {
-    let mut calls = 0u64;
+) -> Result<ServeStats> {
+    let mut stats = ServeStats::default();
     loop {
-        // Wait for the first share of the next call, any method, any caller.
-        let (first, info) = recv_any_share(ic)?;
+        // The first share of the next call, any method, any caller: shares
+        // use a contiguous tag band, so Tag::Any plus the band keeps
+        // matching simple while preserving per-method selectivity later.
+        let (first, info) = ic.recv_with_info::<SubsetShare>(Src::Any, Tag::Any)?;
+        debug_assert!(
+            (SUBSET_REQ_BASE..SUBSET_RESP_BASE).contains(&info.tag),
+            "share tag within the subset request band"
+        );
         let method = (info.tag - SUBSET_REQ_BASE) as u32;
         if method == METHOD_SHUTDOWN {
-            return Ok(SubsetServeOutcome::Completed { calls });
+            return Ok(stats);
         }
         // Collect the remaining participants' shares of this same call.
         for &p in &first.participants {
@@ -242,65 +166,52 @@ pub fn subset_serve(
             match ic.recv_timeout::<SubsetShare>(p, req_tag(method), share_timeout) {
                 Ok(_) => {}
                 Err(RuntimeError::Timeout { .. }) => {
-                    return Ok(SubsetServeOutcome::Deadlocked { calls, missing_rank: p, method });
+                    stats.deadlock = Some(Deadlock { missing_rank: p, method });
+                    return Ok(stats);
                 }
-                Err(e) => return Err(PrmiError::Runtime(e)),
+                Err(e) => return Err(e.into()),
             }
         }
         // All shares in: execute once, respond to every participant
         // (one-way calls skip the response phase).
-        let oneway = first.oneway;
-        let (result, found) = match service.dispatch(method, first.arg) {
-            Dispatch::Reply(p) => (p, true),
-            Dispatch::MethodNotFound => (AnyPayload::replicable(MethodNotFound { method }), false),
+        let SubsetShare { caller, participants, oneway, arg } = first;
+        let result = match service.dispatch(method, arg) {
+            Dispatch::Reply(p) => {
+                stats.calls += 1;
+                stats.oneway_calls += u64::from(oneway);
+                p
+            }
+            Dispatch::MethodNotFound => {
+                stats.method_not_found += 1;
+                AnyPayload::replicable(MethodNotFound { method })
+            }
         };
         mxn_trace::emit_instant(
             mxn_trace::EventId::PrmiServe,
-            [
-                method as u64,
-                first.caller as u64,
-                first.participants.len() as u64,
-                u64::from(oneway),
-            ],
+            [method as u64, caller as u64, participants.len() as u64, u64::from(oneway)],
         );
-        if found {
-            calls += 1;
-        }
         if oneway {
             continue;
         }
-        match first.participants.len() {
-            1 => {
-                ic.send(first.caller, resp_tag(method), result).map_err(PrmiError::Runtime)?;
-            }
+        match participants.len() {
+            1 => ic.send(caller, resp_tag(method), result)?,
             _ => {
                 let rep = result.take_replicator().ok_or_else(|| PrmiError::Protocol {
                     detail: "subset results need AnyPayload::replicable".into(),
                 })?;
-                for &p in &first.participants {
-                    ic.send(p, resp_tag(method), rep()).map_err(PrmiError::Runtime)?;
+                for &p in &participants {
+                    ic.send(p, resp_tag(method), rep())?;
                 }
             }
         }
     }
 }
 
-fn recv_any_share(ic: &InterComm) -> Result<(SubsetShare, mxn_runtime::MessageInfo)> {
-    // Shares use a contiguous tag band; Tag::Any plus a band check keeps
-    // matching simple while preserving per-method selectivity later.
-    let (share, info) = ic
-        .recv_with_info::<SubsetShare>(Src::Any, mxn_runtime::Tag::Any)
-        .map_err(PrmiError::Runtime)?;
-    debug_assert!(
-        info.tag >= SUBSET_REQ_BASE && info.tag < SUBSET_REQ_BASE + MAX_METHOD as i32,
-        "share tag within the subset request band"
-    );
-    Ok((share, info))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{serve, Endpoint, Invocation, ServeOpts};
+    use mxn_framework::CallPolicy;
     use mxn_runtime::Universe;
 
     /// Echo service doubling an f64.
@@ -319,15 +230,26 @@ mod tests {
                 if ctx.program == 0 {
                     let ic = ctx.intercomm(1);
                     let all = [0, 1, 2];
-                    let r: f64 = subset_call(&ctx.comm, ic, &all, 0, 1, 10.0f64, policy).unwrap();
+                    let r: f64 = Endpoint::default()
+                        .call(
+                            ic,
+                            Invocation::subset(&ctx.comm, all, 0, 1, 10.0f64).delivery(policy),
+                        )
+                        .unwrap();
                     assert_eq!(r, 21.0);
                     if ctx.comm.rank() == 0 {
-                        subset_shutdown(ic, 0).unwrap();
+                        Endpoint::default()
+                            .shutdown(ic, ServeOpts::subset(Duration::ZERO))
+                            .unwrap();
                     }
                 } else {
-                    let out =
-                        subset_serve(ctx.intercomm(0), &Doubler, Duration::from_secs(5)).unwrap();
-                    assert_eq!(out, SubsetServeOutcome::Completed { calls: 1 });
+                    let out = serve(
+                        ctx.intercomm(0),
+                        &Doubler,
+                        ServeOpts::subset(Duration::from_secs(5)),
+                    )
+                    .unwrap();
+                    assert_eq!((out.calls, out.deadlock), (1, None));
                 }
             });
         }
@@ -336,7 +258,7 @@ mod tests {
     /// The Figure 5 scenario. Caller ranks: 0 calls method A with
     /// participants {0,1,2}; ranks 1,2 first call method B with
     /// participants {1,2}, then join method A.
-    fn figure5(policy: DeliveryPolicy) -> SubsetServeOutcome {
+    fn figure5(policy: DeliveryPolicy) -> ServeStats {
         let outcomes = Universe::run(&[3, 1], move |_, ctx| {
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
@@ -346,11 +268,17 @@ mod tests {
                 let t = Duration::from_secs(2);
                 if rank == 0 {
                     // Reaches call A first (t1 in the figure).
-                    let r: Result<f64> =
-                        subset_call_timeout(&all, ic, &[0, 1, 2], 0, 0, 1.0f64, policy, t);
+                    let r: Result<f64> = Endpoint::default().call(
+                        ic,
+                        Invocation::subset(&all, [0, 1, 2], 0, 0, 1.0f64)
+                            .delivery(policy)
+                            .policy(CallPolicy { deadline: t, ..CallPolicy::default() }),
+                    );
                     if policy.barrier_before_delivery {
                         assert_eq!(r.unwrap(), 2.0);
-                        subset_shutdown(ic, 0).unwrap();
+                        Endpoint::default()
+                            .shutdown(ic, ServeOpts::subset(Duration::ZERO))
+                            .unwrap();
                     } else {
                         assert!(matches!(r, Err(PrmiError::DeliveryDeadlock { .. })));
                     }
@@ -358,13 +286,22 @@ mod tests {
                     // Delay so rank 0's share arrives first (deterministic).
                     std::thread::sleep(Duration::from_millis(50));
                     let pair = pair.unwrap();
-                    let rb: Result<f64> =
-                        subset_call_timeout(&pair, ic, &[1, 2], 0, 1, 5.0f64, policy, t);
+                    let rb: Result<f64> = Endpoint::default().call(
+                        ic,
+                        Invocation::subset(&pair, [1, 2], 0, 1, 5.0f64)
+                            .delivery(policy)
+                            .policy(CallPolicy { deadline: t, ..CallPolicy::default() }),
+                    );
                     if policy.barrier_before_delivery {
                         assert_eq!(rb.unwrap(), 11.0);
-                        let _ra: f64 =
-                            subset_call_timeout(&all, ic, &[0, 1, 2], 0, 0, 1.0f64, policy, t)
-                                .unwrap();
+                        let _ra: f64 = Endpoint::default()
+                            .call(
+                                ic,
+                                Invocation::subset(&all, [0, 1, 2], 0, 0, 1.0f64)
+                                    .delivery(policy)
+                                    .policy(CallPolicy { deadline: t, ..CallPolicy::default() }),
+                            )
+                            .unwrap();
                     } else {
                         // Call B's response never comes: the server is stuck
                         // collecting call A's shares (the figure's deadlock).
@@ -373,7 +310,14 @@ mod tests {
                 }
                 None
             } else {
-                Some(subset_serve(ctx.intercomm(0), &Doubler, Duration::from_millis(300)).unwrap())
+                Some(
+                    serve(
+                        ctx.intercomm(0),
+                        &Doubler,
+                        ServeOpts::subset(Duration::from_millis(300)),
+                    )
+                    .unwrap(),
+                )
             }
         });
         outcomes.into_iter().flatten().next().unwrap()
@@ -382,18 +326,18 @@ mod tests {
     #[test]
     fn figure5_eager_policy_deadlocks() {
         let out = figure5(DeliveryPolicy::eager());
-        match out {
-            SubsetServeOutcome::Deadlocked { calls, method, .. } => {
-                assert_eq!(calls, 0, "first call never completes");
+        match out.deadlock {
+            Some(Deadlock { method, .. }) => {
+                assert_eq!(out.calls, 0, "first call never completes");
                 assert_eq!(method, 0, "stuck collecting call A's shares");
             }
-            other => panic!("expected deadlock, got {other:?}"),
+            None => panic!("expected deadlock, got {out:?}"),
         }
     }
 
     #[test]
     fn figure5_barrier_policy_completes() {
         let out = figure5(DeliveryPolicy::safe());
-        assert_eq!(out, SubsetServeOutcome::Completed { calls: 2 });
+        assert_eq!((out.calls, out.deadlock), (2, None));
     }
 }

@@ -4,17 +4,17 @@
 //! shard owns one [`PlaneBackend`]:
 //!
 //! * [`ServiceBackend`] — the method lives in-process behind a
-//!   [`BatchService`]. This is the 1M-calls/s path: a batch costs one
-//!   dynamic dispatch, not one per request.
+//!   [`RemoteService`]. This is the 1M-calls/s path: a batch costs one
+//!   dynamic `dispatch_batch`, not one dispatch per request.
 //! * [`PrmiBackend`] — the method lives on a *parallel component* behind
 //!   the PRMI collective layer: the whole batch ships as one
 //!   [`mxn_prmi::CollBatch`] inside one `CollReq`, is executed by the
-//!   provider's [`mxn_prmi::collective_serve_batched`] loop, and comes
-//!   back position-tagged in one `CollResp` (§2.4's collective invocation,
-//!   amortized). One serve-loop wakeup per *batch*, not per call.
+//!   provider's collective serve loop, and comes back position-tagged in
+//!   one `CollResp` (§2.4's collective invocation, amortized). One
+//!   serve-loop wakeup per *batch*, not per call.
 
-use mxn_framework::{AnyPayload, BatchService, Dispatch, MethodNotFound};
-use mxn_prmi::CollectiveEndpoint;
+use mxn_framework::{AnyPayload, Dispatch, MethodNotFound, RemoteService};
+use mxn_prmi::{CollBatch, CollBatchResult, Endpoint, Invocation, PrmiError, ServeOpts};
 use mxn_runtime::InterComm;
 use std::sync::Arc;
 
@@ -23,49 +23,38 @@ use std::sync::Arc;
 // — exactly one shard executor thread drives it, matching the collective
 // layer's one-caller-per-rank discipline.
 
-/// Outcome of one request inside a dispatched batch, position-aligned
-/// with the argument it answers.
-pub enum BatchReply {
-    /// The method executed; here is its result.
-    Reply(AnyPayload),
-    /// The backend does not implement the method.
-    MethodNotFound,
-}
+// Pinned by the out-of-tree benchmark: `benchmark/src/prmi.rs` is the sole
+// user of this name; a batch outcome is a `Dispatch`.
+#[doc(hidden)]
+pub type BatchReply = Dispatch;
 
 /// One shard's dispatch target. `dispatch_batch` runs on the shard's
 /// executor thread; it may block (the shard is the unit of concurrency),
 /// but must return exactly one outcome per argument, in order.
 pub trait PlaneBackend: Send {
     /// Executes a batch of same-method requests.
-    fn dispatch_batch(&mut self, method: u32, args: Vec<AnyPayload>) -> Vec<BatchReply>;
+    fn dispatch_batch(&mut self, method: u32, args: Vec<AnyPayload>) -> Vec<Dispatch>;
 
     /// Called once on the executor thread when the plane shuts down.
     fn shutdown(&mut self) {}
 }
 
 /// In-process backend: requests dispatch straight into a shared
-/// [`BatchService`].
+/// [`RemoteService`].
 pub struct ServiceBackend {
-    service: Arc<dyn BatchService>,
+    service: Arc<dyn RemoteService>,
 }
 
 impl ServiceBackend {
     /// Wraps `service`; clones of the `Arc` may back several shards.
-    pub fn new(service: Arc<dyn BatchService>) -> Self {
+    pub fn new(service: Arc<dyn RemoteService>) -> Self {
         ServiceBackend { service }
     }
 }
 
 impl PlaneBackend for ServiceBackend {
-    fn dispatch_batch(&mut self, method: u32, args: Vec<AnyPayload>) -> Vec<BatchReply> {
-        self.service
-            .dispatch_batch(method, args)
-            .into_iter()
-            .map(|d| match d {
-                Dispatch::Reply(p) => BatchReply::Reply(p),
-                Dispatch::MethodNotFound => BatchReply::MethodNotFound,
-            })
-            .collect()
+    fn dispatch_batch(&mut self, method: u32, args: Vec<AnyPayload>) -> Vec<Dispatch> {
+        self.service.dispatch_batch(method, args)
     }
 }
 
@@ -78,48 +67,48 @@ impl PlaneBackend for ServiceBackend {
 /// backend sends the collective shutdown so provider serve loops exit.
 pub struct PrmiBackend {
     ic: InterComm,
-    endpoint: CollectiveEndpoint,
+    endpoint: Endpoint,
 }
 
 impl PrmiBackend {
     /// Bridges to the providers on the far side of `ic` (taking ownership:
     /// one shard thread drives this intercomm rank).
     pub fn new(ic: InterComm) -> Self {
-        PrmiBackend { ic, endpoint: CollectiveEndpoint::new() }
+        PrmiBackend { ic, endpoint: Endpoint::default() }
     }
 }
 
 impl PlaneBackend for PrmiBackend {
-    fn dispatch_batch(&mut self, method: u32, args: Vec<AnyPayload>) -> Vec<BatchReply> {
+    fn dispatch_batch(&mut self, method: u32, args: Vec<AnyPayload>) -> Vec<Dispatch> {
         // Position index as the batch-item id: the collective layer hands
         // ids back verbatim, so order is reconstructible even if a future
         // provider reorders items.
         let items: Vec<(u64, AnyPayload)> =
             args.into_iter().enumerate().map(|(i, a)| (i as u64, a)).collect();
         let n = items.len();
-        match self.endpoint.call_batch(&self.ic, method, items) {
-            Ok(results) => {
-                let mut out: Vec<Option<BatchReply>> = (0..n).map(|_| None).collect();
-                for (id, payload) in results {
+        let batch = Invocation::collective(method, CollBatch { items });
+        match self.endpoint.call::<_, CollBatchResult>(&self.ic, batch) {
+            Ok(result) => {
+                let mut out: Vec<Option<Dispatch>> = (0..n).map(|_| None).collect();
+                for (id, payload) in result.items {
                     let slot = out.get_mut(id as usize).expect("provider echoed a foreign id");
-                    *slot = Some(if payload.is::<MethodNotFound>() {
-                        BatchReply::MethodNotFound
-                    } else {
-                        BatchReply::Reply(payload)
+                    *slot = Some(match payload.is::<MethodNotFound>() {
+                        true => Dispatch::MethodNotFound,
+                        false => Dispatch::Reply(payload),
                     });
                 }
                 out.into_iter().map(|s| s.expect("provider answered every batch item")).collect()
             }
             // A whole-batch MethodNotFound (providers that predate batch
             // support NACK the batch itself).
-            Err(mxn_prmi::PrmiError::MethodNotFound { .. }) => {
-                (0..n).map(|_| BatchReply::MethodNotFound).collect()
+            Err(PrmiError::MethodNotFound { .. }) => {
+                (0..n).map(|_| Dispatch::MethodNotFound).collect()
             }
             Err(e) => panic!("PRMI bridge dispatch failed: {e}"),
         }
     }
 
     fn shutdown(&mut self) {
-        let _ = self.endpoint.shutdown(&self.ic);
+        let _ = self.endpoint.shutdown(&self.ic, ServeOpts::collective());
     }
 }

@@ -10,8 +10,8 @@
 //! * Connections are channel-decoupled and hashed onto `shards` executor
 //!   queues; each shard drains its queue into per-method request batches
 //!   and dispatches a whole batch in one backend call — one
-//!   [`BatchService`](mxn_framework::BatchService) invocation in process,
-//!   or one `CollReq` through the PRMI collective serve loops
+//!   [`RemoteService::dispatch_batch`](mxn_framework::RemoteService::dispatch_batch)
+//!   in process, or one `CollReq` through the PRMI collective serve loop
 //!   ([`backend::PrmiBackend`]). Replies are demultiplexed back to their
 //!   connections by sequence id, in per-connection request order.
 //! * [`ServePolicy`] is the server-side contract: bounded shard queues and
@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use mxn_framework::{AnyPayload, BatchService, Dispatch, RemoteService};
+//! use mxn_framework::{AnyPayload, Dispatch, RemoteService};
 //! use mxn_serve::{ServePolicy, ServiceBackend, ServingPlane};
 //!
 //! struct Square;
@@ -41,9 +41,8 @@
 //!         }
 //!     }
 //! }
-//! impl BatchService for Square {}
 //!
-//! let service: Arc<dyn BatchService> = Arc::new(Square);
+//! let service: Arc<dyn RemoteService> = Arc::new(Square);
 //! let plane = ServingPlane::new(ServePolicy::default(), |_shard| {
 //!     Box::new(ServiceBackend::new(Arc::clone(&service)))
 //! });
@@ -59,7 +58,9 @@ pub mod backend;
 pub mod plane;
 pub mod wire_front;
 
-pub use backend::{BatchReply, PlaneBackend, PrmiBackend, ServiceBackend};
+#[doc(hidden)]
+pub use backend::BatchReply;
+pub use backend::{PlaneBackend, PrmiBackend, ServiceBackend};
 pub use plane::{
     PlaneClient, PlaneHandle, PlaneReceiver, PlaneReply, PlaneSender, PlaneStats, ServeError,
     ServeOutcome, ServePolicy, ServingPlane, ShardStats,

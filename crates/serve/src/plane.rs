@@ -23,8 +23,8 @@
 //!    (for the wire front that is the connection's own reader thread);
 //!    the shard executors never block on a slow client.
 //! 3. **Every admitted request is answered exactly once** — with a result,
-//!    a typed [`MethodNotFound`] NACK, or a typed `Overloaded` NACK
-//!    carrying the shard queue depth observed at shed time.
+//!    a typed `MethodNotFound` NACK, or a typed `Overloaded` NACK carrying
+//!    the shard's in-flight count (queued plus executing) at shed time.
 //!
 //! Reply delivery reuses the runtime's [`Mailbox`]: each dispatch run
 //! posts one envelope per connection via [`Mailbox::post_many`] (one lock
@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mxn_framework::{AnyPayload, ShedReason};
+use mxn_framework::{AnyPayload, Dispatch, ShedReason};
 use mxn_runtime::envelope::{Envelope, Payload, Src, Tag};
 use mxn_runtime::fault::Liveness;
 use mxn_runtime::mailbox::Mailbox;
@@ -47,7 +47,7 @@ use mxn_runtime::RuntimeError;
 use mxn_trace::{EventId, TraceHandle};
 use parking_lot::{Condvar, Mutex};
 
-use crate::backend::{BatchReply, PlaneBackend};
+use crate::backend::PlaneBackend;
 
 /// Tag replies travel under in the plane's reply mailbox (one bucket per
 /// connection: the envelope context is the connection id).
@@ -136,7 +136,8 @@ pub enum ServeOutcome {
     },
     /// Admission control or the queue deadline shed the request.
     Overloaded {
-        /// Shard queue depth observed at shed time.
+        /// The shard's in-flight requests (queued plus executing) at shed
+        /// time.
         queue_depth: u32,
         /// Refused at admission, or expired in queue.
         reason: ShedReason,
@@ -185,7 +186,8 @@ pub enum ServeError {
     },
     /// Typed NACK: the request was shed under load.
     Overloaded {
-        /// Shard queue depth observed at shed time.
+        /// The shard's in-flight requests (queued plus executing) at shed
+        /// time.
         queue_depth: u32,
         /// Why the request was shed.
         reason: ShedReason,
@@ -402,11 +404,15 @@ impl PlaneShared {
             }
             *inflight += 1;
         }
-        // Admission control: bounded queue, bounded in-flight budget.
+        // Admission control: bounded queue, bounded in-flight budget. A
+        // shed reports the in-flight count (queued plus executing), which
+        // is what trips the budget and never less than the queue length —
+        // the queue alone reads 0 or 1 once the executor has drained it
+        // into a running batch.
         let mut q = shard.queue.lock();
         let depth = q.len() as u64;
-        if depth >= self.policy.shard_queue as u64
-            || shard.inflight.load(Ordering::Acquire) >= self.policy.inflight_budget as u64
+        let inflight = shard.inflight.load(Ordering::Acquire);
+        if depth >= self.policy.shard_queue as u64 || inflight >= self.policy.inflight_budget as u64
         {
             drop(q);
             {
@@ -416,9 +422,9 @@ impl PlaneShared {
             }
             shard.stats.shed_admission.fetch_add(1, Ordering::Relaxed);
             shard.stats.replies.fetch_add(1, Ordering::Relaxed);
-            mxn_trace::emit_instant(EventId::ServeOverload, [ctl.shard as u64, conn, depth, 0]);
+            mxn_trace::emit_instant(EventId::ServeOverload, [ctl.shard as u64, conn, inflight, 0]);
             let outcome = ServeOutcome::Overloaded {
-                queue_depth: depth as u32,
+                queue_depth: inflight as u32,
                 reason: ShedReason::AdmissionFull,
             };
             self.mailbox.push(self.reply_envelope(
@@ -476,12 +482,13 @@ impl PlaneShared {
                 if expired {
                     shard.stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
                     shard.stats.replies.fetch_add(1, Ordering::Relaxed);
+                    let inflight = shard.inflight.load(Ordering::Acquire);
                     mxn_trace::emit_instant(
                         EventId::ServeOverload,
-                        [idx as u64, req.conn, depth_left, 1],
+                        [idx as u64, req.conn, inflight, 1],
                     );
                     let outcome = ServeOutcome::Overloaded {
-                        queue_depth: depth_left as u32,
+                        queue_depth: inflight as u32,
                         reason: ShedReason::QueueDeadline,
                     };
                     let env = self.reply_envelope(
@@ -545,8 +552,8 @@ impl PlaneShared {
         let mut per_conn: Vec<(u64, Vec<PlaneReply>)> = Vec::new();
         for ((conn, seq), out) in conns.iter().zip(&seqs).zip(outs) {
             let outcome = match out {
-                BatchReply::Reply(p) => ServeOutcome::Reply(p),
-                BatchReply::MethodNotFound => ServeOutcome::MethodNotFound { method },
+                Dispatch::Reply(p) => ServeOutcome::Reply(p),
+                Dispatch::MethodNotFound => ServeOutcome::MethodNotFound { method },
             };
             let reply = PlaneReply { seq: *seq, outcome };
             match per_conn.iter_mut().find(|(c, _)| c == conn) {

@@ -88,7 +88,7 @@ fn overload_nacks_drive_load_scaled_backoff_until_success() {
 
     let mut client = MuxClient::connect(&path).unwrap();
     let start = Instant::now();
-    let resp = client.call_with_policy(0, 12, vec![9, 9, 9], &policy).unwrap();
+    let resp = client.call_retrying(0, 12, vec![9, 9, 9], &policy).unwrap();
     let elapsed = start.elapsed();
 
     assert_eq!(resp.status, MuxStatus::Ok, "third attempt gets through");
@@ -118,7 +118,7 @@ fn exhausted_retries_surface_the_final_nack() {
         recover: false,
     };
     let mut client = MuxClient::connect(&path).unwrap();
-    let resp = client.call_with_policy(0, 12, vec![1], &policy).unwrap();
+    let resp = client.call_retrying(0, 12, vec![1], &policy).unwrap();
     assert_eq!(resp.status, MuxStatus::Overloaded);
     assert_eq!(resp.overload_detail().unwrap(), (1234, 0));
     assert_eq!(handler.attempts.load(Ordering::SeqCst), 3, "1 + max_retries attempts");
@@ -133,7 +133,7 @@ fn non_overload_statuses_do_not_retry() {
 
     let mut client = MuxClient::connect(&path).unwrap();
     let policy = CallPolicy::default().seeded(Some(7));
-    let resp = client.call_with_policy(0, 12, vec![4, 2], &policy).unwrap();
+    let resp = client.call_retrying(0, 12, vec![4, 2], &policy).unwrap();
     assert_eq!(resp.status, MuxStatus::Ok);
     assert_eq!(handler.attempts.load(Ordering::SeqCst), 1, "a clean reply is never re-sent");
 

@@ -5,8 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mxn_framework::{AnyPayload, BatchService, Dispatch, RemoteService, ShedReason};
-use mxn_prmi::collective_serve_batched;
+use mxn_framework::{AnyPayload, Dispatch, RemoteService, ShedReason};
+use mxn_prmi::{serve, ServeOpts};
 use mxn_runtime::{InterComm, World};
 use mxn_serve::{
     PlaneBackend, PrmiBackend, ServeError, ServeOutcome, ServePolicy, ServiceBackend, ServingPlane,
@@ -35,9 +35,7 @@ impl RemoteService for Arith {
             _ => Dispatch::MethodNotFound,
         }
     }
-}
 
-impl BatchService for Arith {
     fn dispatch_batch(&self, method: u32, args: Vec<AnyPayload>) -> Vec<Dispatch> {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.items.fetch_add(args.len() as u64, Ordering::Relaxed);
@@ -52,7 +50,7 @@ struct SlowBackend {
 }
 
 impl PlaneBackend for SlowBackend {
-    fn dispatch_batch(&mut self, method: u32, args: Vec<AnyPayload>) -> Vec<mxn_serve::BatchReply> {
+    fn dispatch_batch(&mut self, method: u32, args: Vec<AnyPayload>) -> Vec<Dispatch> {
         std::thread::sleep(self.delay);
         self.service.dispatch_batch(method, args)
     }
@@ -61,7 +59,7 @@ impl PlaneBackend for SlowBackend {
 fn arith_plane(policy: ServePolicy, svc: &Arc<Arith>) -> ServingPlane {
     let svc = Arc::clone(svc);
     ServingPlane::new(policy, move |_| {
-        Box::new(ServiceBackend::new(Arc::clone(&svc) as Arc<dyn BatchService>))
+        Box::new(ServiceBackend::new(Arc::clone(&svc) as Arc<dyn RemoteService>))
     })
 }
 
@@ -146,7 +144,7 @@ fn admission_control_sheds_with_queue_depth() {
     let svc2 = Arc::clone(&svc);
     let plane = ServingPlane::new(policy, move |_| {
         Box::new(SlowBackend {
-            service: ServiceBackend::new(Arc::clone(&svc2) as Arc<dyn BatchService>),
+            service: ServiceBackend::new(Arc::clone(&svc2) as Arc<dyn RemoteService>),
             delay: Duration::from_millis(30),
         })
     });
@@ -214,7 +212,7 @@ fn queue_deadline_sheds_stale_requests() {
     let svc2 = Arc::clone(&svc);
     let plane = ServingPlane::new(policy, move |_| {
         Box::new(SlowBackend {
-            service: ServiceBackend::new(Arc::clone(&svc2) as Arc<dyn BatchService>),
+            service: ServiceBackend::new(Arc::clone(&svc2) as Arc<dyn RemoteService>),
             delay: Duration::from_millis(25),
         })
     });
@@ -236,7 +234,7 @@ fn queue_deadline_sheds_stale_requests() {
 }
 
 #[test]
-fn plane_bridges_batches_through_prmi_collective_serve() {
+fn plane_bridges_batches_through_the_prmi_collective_loop() {
     // 2 ranks: rank 0 runs the plane with a PrmiBackend over a 1×1
     // intercomm; rank 1 is the provider running the batched serve loop.
     let results = World::run(2, |p| {
@@ -275,11 +273,8 @@ fn plane_bridges_batches_through_prmi_collective_serve() {
             plane.shutdown(); // sends the collective shutdown to providers
             sum
         } else {
-            let stats = collective_serve_batched(
-                &ic,
-                &Arith { batches: AtomicU64::new(0), items: AtomicU64::new(0) },
-            )
-            .unwrap();
+            let svc = Arith { batches: AtomicU64::new(0), items: AtomicU64::new(0) };
+            let stats = serve(&ic, &svc, ServeOpts::collective()).unwrap();
             stats.calls
         }
     });

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mxn_framework::{AnyPayload, BatchService, Dispatch, RemoteService};
+use mxn_framework::{AnyPayload, Dispatch, RemoteService};
 use mxn_serve::{PlaneBackend, ServePolicy, ServiceBackend, ServingPlane, WireFront};
 use mxn_wire::{decode_value, encode_value, MuxClient, MuxStatus};
 
@@ -23,7 +23,6 @@ impl RemoteService for Doubler {
         }
     }
 }
-impl BatchService for Doubler {}
 
 fn sock_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -46,7 +45,7 @@ fn u64_front(plane: &ServingPlane, path: &PathBuf) -> WireFront {
 }
 
 fn doubler_plane(policy: ServePolicy) -> ServingPlane {
-    let svc: Arc<dyn BatchService> = Arc::new(Doubler);
+    let svc: Arc<dyn RemoteService> = Arc::new(Doubler);
     ServingPlane::new(policy, move |_| Box::new(ServiceBackend::new(Arc::clone(&svc))))
 }
 
@@ -127,11 +126,7 @@ fn many_connections_multiplex_onto_one_listener() {
 fn overload_nack_carries_queue_depth_across_the_wire() {
     struct Slow(ServiceBackend);
     impl PlaneBackend for Slow {
-        fn dispatch_batch(
-            &mut self,
-            method: u32,
-            args: Vec<AnyPayload>,
-        ) -> Vec<mxn_serve::BatchReply> {
+        fn dispatch_batch(&mut self, method: u32, args: Vec<AnyPayload>) -> Vec<Dispatch> {
             std::thread::sleep(Duration::from_millis(20));
             self.0.dispatch_batch(method, args)
         }
@@ -144,7 +139,7 @@ fn overload_nack_carries_queue_depth_across_the_wire() {
         .with_client_queue(64)
         .with_max_batch(2);
     let plane = ServingPlane::new(policy, |_| {
-        Box::new(Slow(ServiceBackend::new(Arc::new(Doubler) as Arc<dyn BatchService>)))
+        Box::new(Slow(ServiceBackend::new(Arc::new(Doubler) as Arc<dyn RemoteService>)))
     });
     let front = u64_front(&plane, &path);
     let mut client = MuxClient::connect(&path).unwrap();

@@ -64,6 +64,4 @@ pub use node::{
     UdsTransport, WireConfig, WireNode, WireStats, JOIN_OFFER_TAG, JOIN_REQ_TAG, JOIN_STATE_TAG,
     WIRE_CTRL_CONTEXT,
 };
-pub use process::{
-    spawn_spare, spawn_worker, spawn_worker_max, wire_role, WireRole, WorkerGuard,
-};
+pub use process::{spawn_spare, spawn_worker, spawn_worker_max, wire_role, WireRole, WorkerGuard};

@@ -491,9 +491,9 @@ impl MuxClient {
     /// jittered when the policy is seeded. Any other status returns
     /// immediately; when retries are exhausted the final NACK is returned
     /// so the caller can see the depth it lost to. This gives a wire
-    /// client the same shed-and-retry loop PRMI's `call_with_policy` runs
-    /// in-process.
-    pub fn call_with_policy(
+    /// client the same shed-and-retry loop a PRMI serial call under a
+    /// policy runs in-process.
+    pub fn call_retrying(
         &mut self,
         method: u32,
         codec: u32,

@@ -19,12 +19,11 @@
 
 use std::time::Duration;
 
-use mxn::framework::{AnyPayload, Dispatch, RemoteService};
+use mxn::framework::{AnyPayload, CallPolicy, Dispatch, RemoteService};
 use mxn::prmi::{
-    subset_call_timeout, subset_serve, subset_shutdown, DeliveryPolicy, PrmiError,
-    SubsetServeOutcome,
+    serve, Deadlock, DeliveryPolicy, Endpoint, Invocation, PrmiError, ServeOpts, ServeStats,
 };
-use mxn::runtime::Universe;
+use mxn::runtime::{Comm, Universe};
 
 struct Doubler;
 impl RemoteService for Doubler {
@@ -34,38 +33,40 @@ impl RemoteService for Doubler {
     }
 }
 
-fn run(policy: DeliveryPolicy) -> SubsetServeOutcome {
+fn run(policy: DeliveryPolicy) -> ServeStats {
     let outcome = Universe::run(&[3, 1], move |_, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
             let rank = ctx.comm.rank();
             let all = ctx.comm.subgroup(&[0, 1, 2]).unwrap().unwrap();
             let pair = ctx.comm.subgroup(&[1, 2]).unwrap();
-            let timeout = Duration::from_secs(2);
+            // A bounded wait turns a deadlocked delivery into an error.
+            let bounded = CallPolicy { deadline: Duration::from_secs(2), ..CallPolicy::default() };
+            let call = |comm: &Comm, ranks: &[usize], method: u32, arg: f64| {
+                let inv = Invocation::subset(comm, ranks, 0, method, arg);
+                Endpoint::default().call::<_, f64>(ic, inv.delivery(policy).policy(bounded))
+            };
             if rank == 0 {
                 // t1 in the figure: first to reach call A.
-                let r: Result<f64, PrmiError> =
-                    subset_call_timeout(&all, ic, &[0, 1, 2], 0, 0, 10.0, policy, timeout);
-                match r {
+                match call(&all, &[0, 1, 2], 0, 10.0) {
                     Ok(v) => {
                         println!("  caller 0: method A returned {v}");
-                        subset_shutdown(ic, 0).unwrap();
+                        Endpoint::default()
+                            .shutdown(ic, ServeOpts::subset(Duration::ZERO))
+                            .unwrap();
                     }
                     Err(e) => println!("  caller 0: {e}"),
                 }
             } else {
                 std::thread::sleep(Duration::from_millis(50));
                 let pair = pair.unwrap();
-                let rb: Result<f64, PrmiError> =
-                    subset_call_timeout(&pair, ic, &[1, 2], 0, 1, 20.0, policy, timeout);
+                let rb: Result<f64, PrmiError> = call(&pair, &[1, 2], 1, 20.0);
                 match rb {
                     Ok(v) => {
                         if rank == 1 {
                             println!("  caller {rank}: method B returned {v}");
                         }
-                        let _: f64 =
-                            subset_call_timeout(&all, ic, &[0, 1, 2], 0, 0, 10.0, policy, timeout)
-                                .unwrap();
+                        call(&all, &[0, 1, 2], 0, 10.0).unwrap();
                     }
                     Err(e) => {
                         if rank == 1 {
@@ -76,29 +77,42 @@ fn run(policy: DeliveryPolicy) -> SubsetServeOutcome {
             }
             None
         } else {
-            Some(subset_serve(ctx.intercomm(0), &Doubler, Duration::from_millis(500)).unwrap())
+            let opts = ServeOpts::subset(Duration::from_millis(500));
+            Some(serve(ctx.intercomm(0), &Doubler, opts).unwrap())
         }
     });
     outcome.into_iter().flatten().next().unwrap()
 }
 
+/// Prints both verdicts; exits non-zero unless eager delivery deadlocked
+/// and barrier-delayed delivery completed both calls.
 fn main() {
     println!("Figure 5: intersecting collective calls, two delivery policies\n");
 
     println!("deliver-on-first-arrival (no synchronization):");
-    match run(DeliveryPolicy::eager()) {
-        SubsetServeOutcome::Deadlocked { missing_rank, method, .. } => println!(
-            "  provider: DEADLOCK — servicing method {method}, share from rank {missing_rank} \
-             never arrived\n"
-        ),
-        other => println!("  provider: unexpected outcome {other:?}\n"),
-    }
+    let eager = run(DeliveryPolicy::eager());
+    let eager_ok = match eager.deadlock {
+        Some(Deadlock { missing_rank, method }) => {
+            println!(
+                "  provider: DEADLOCK — servicing method {method}, share from rank \
+                 {missing_rank} never arrived\n"
+            );
+            true
+        }
+        None => {
+            println!("  provider: unexpected outcome {eager:?}\n");
+            false
+        }
+    };
 
     println!("barrier-delayed delivery (the paper's fix):");
-    match run(DeliveryPolicy::safe()) {
-        SubsetServeOutcome::Completed { calls } => {
-            println!("  provider: completed all {calls} collective calls — no deadlock")
-        }
-        other => println!("  provider: unexpected outcome {other:?}"),
+    let safe = run(DeliveryPolicy::safe());
+    let safe_ok = safe.deadlock.is_none() && safe.calls == 2;
+    match safe_ok {
+        true => println!("  provider: completed all {} collective calls — no deadlock", safe.calls),
+        false => println!("  provider: unexpected outcome {safe:?}"),
+    }
+    if !(eager_ok && safe_ok) {
+        std::process::exit(1);
     }
 }

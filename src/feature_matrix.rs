@@ -13,7 +13,7 @@ use crate::dad::{AccessMode, Dad, Extents, LocalArray};
 use crate::dca::{alltoallv_within, AlltoallvSpec};
 use crate::intercomm::{ImportOutcome, Importer, MatchRule};
 use crate::mct::{AttrVect, GlobalSegMap, ModelRegistry, Router};
-use crate::prmi::{collective_serve, CollectiveEndpoint};
+use crate::prmi::{serve, Endpoint, Invocation, ServeOpts};
 use crate::runtime::{Universe, World};
 
 /// How a project describes parallel data (the "Parallel Data" column).
@@ -78,12 +78,12 @@ fn probe_prmi_collective() -> bool {
     let results = Universe::run(&[3, 2], |_, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let mut ep = CollectiveEndpoint::new();
-            let r: f64 = ep.call(ic, 0, 21.0f64).unwrap();
-            ep.shutdown(ic).unwrap();
+            let mut ep = Endpoint::default();
+            let r: f64 = ep.call(ic, Invocation::collective(0, 21.0f64)).unwrap();
+            ep.shutdown(ic, ServeOpts::collective()).unwrap();
             r == 42.0
         } else {
-            collective_serve(ctx.intercomm(0), &Echo).is_ok()
+            serve(ctx.intercomm(0), &Echo, ServeOpts::collective()).is_ok()
         }
     });
     results.into_iter().all(|b| b)
@@ -180,7 +180,7 @@ fn probe_mxn_component() -> bool {
 /// collective call.
 fn probe_scirun_prmi() -> bool {
     use crate::framework::AnyPayload;
-    use crate::prmi::{parallel_serve, ParallelEndpoint, ParallelPortSpec, ParallelService};
+    use crate::prmi::{parallel_serve, ParallelPortSpec, ParallelService};
     struct SumSvc {
         dad: Dad,
     }
@@ -204,10 +204,11 @@ fn probe_scirun_prmi() -> bool {
         let callee = Dad::block(e, &[1]).unwrap();
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let mut ep = ParallelEndpoint::new();
+            let mut ep = Endpoint::default();
             let local = LocalArray::from_fn(&caller, ctx.comm.rank(), |idx| idx[0] as f64 + 1.0);
-            let s: f64 = ep.call_with_array(ic, 0, 0.0f64, &caller, &callee, &local).unwrap();
-            ep.shutdown(ic).unwrap();
+            let inv = Invocation::collective(0, 0.0f64).array(&caller, &callee, &local);
+            let s: f64 = ep.call(ic, inv).unwrap();
+            ep.shutdown(ic, ServeOpts::collective()).unwrap();
             s == 10.0
         } else {
             let svc = SumSvc { dad: callee.clone() };

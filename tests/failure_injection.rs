@@ -3,7 +3,8 @@
 
 use mxn::core::{ConnectionKind, Direction, FieldRegistry, MxnConnection, MxnError};
 use mxn::dad::{AccessMode, Dad, Extents};
-use mxn::framework::{serve, AnyPayload, Dispatch, RemotePort, RemoteService};
+use mxn::framework::{AnyPayload, Dispatch, RemoteService};
+use mxn::prmi::{serve, Endpoint, Invocation, PrmiError, ServeOpts, ServeStats};
 use mxn::runtime::{RunOpts, RunReport, RuntimeError, Src, Tag, Universe, World};
 
 /// RMI marshalling type confusion is caught, not UB: the callee asked for
@@ -24,12 +25,12 @@ fn rmi_type_confusion_is_detected() {
     Universe::run(&[1, 1], |_, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let port = RemotePort::to_rank(0);
-            let reply: String = port.call(ic, 0, 3.75f64).unwrap();
+            let mut port = Endpoint::default();
+            let reply: String = port.call(ic, Invocation::independent(0, 0, 3.75f64)).unwrap();
             assert!(reply.contains("caught"), "type confusion surfaced as an error");
-            port.shutdown(ic).unwrap();
+            port.shutdown(ic, ServeOpts::independent()).unwrap();
         } else {
-            serve(ctx.intercomm(0), &WrongTypes).unwrap();
+            serve(ctx.intercomm(0), &WrongTypes, ServeOpts::independent()).unwrap();
         }
     });
 }
@@ -185,7 +186,7 @@ fn storage_shape_mismatch_diagnosed() {
 // Fault-plane failure injection: drops, deaths and retries.
 // ---------------------------------------------------------------------------
 
-use mxn::framework::{CallPolicy, FrameworkError, ServeStats};
+use mxn::framework::CallPolicy;
 use mxn::runtime::{ChannelPolicy, FaultConfig, FaultKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -265,19 +266,21 @@ fn retried_prmi_call_executes_exactly_once() {
     Universe::run(&[1, 1], |_, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let port = RemotePort::to_rank(0);
+            let mut port = Endpoint::default();
             let policy = CallPolicy {
                 deadline: Duration::from_millis(40),
                 max_retries: 8,
                 backoff: Duration::from_millis(2),
                 ..CallPolicy::default()
             };
-            let got: u64 = port.call_with_policy(ic, 0, 100u64, policy).unwrap();
+            let got: u64 =
+                port.call(ic, Invocation::independent(0, 0, 100u64).policy(policy)).unwrap();
             assert_eq!(got, 101, "executed once: result reflects a single increment");
-            port.shutdown(ic).unwrap();
+            port.shutdown(ic, ServeOpts::independent()).unwrap();
         } else {
             let svc = SlowCounter(AtomicUsize::new(0));
-            let stats: ServeStats = serve(ctx.intercomm(0), &svc).unwrap();
+            let stats: ServeStats =
+                serve(ctx.intercomm(0), &svc, ServeOpts::independent()).unwrap();
             assert_eq!(svc.0.load(Ordering::SeqCst), 1, "dispatched exactly once");
             assert_eq!(stats.calls, 1);
             assert!(stats.duplicate_requests >= 1, "at least one retransmission deduped");
@@ -532,16 +535,16 @@ fn prmi_call_to_dead_provider_fails_fast() {
     Universe::run(&[1, 1], |p, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let port = RemotePort::to_rank(0);
             let policy = CallPolicy {
                 deadline: Duration::from_secs(5),
                 max_retries: 10,
                 backoff: Duration::from_millis(1),
                 ..CallPolicy::default()
             };
-            let e = port.call_with_policy::<u64, u64>(ic, 0, 1, policy).unwrap_err();
+            let inv = Invocation::independent(0, 0, 1).policy(policy);
+            let e = Endpoint::default().call::<u64, u64>(ic, inv).unwrap_err();
             assert!(
-                matches!(e, FrameworkError::Runtime(RuntimeError::PeerDead { .. })),
+                matches!(e, PrmiError::Runtime(RuntimeError::PeerDead { .. })),
                 "expected PeerDead, got {e}"
             );
         } else {

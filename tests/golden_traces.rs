@@ -23,7 +23,7 @@ use mxn::core::redistribute_elastic;
 use mxn::dad::{AxisDist, Dad, Extents, LocalArray, Template};
 use mxn::dca::{alltoallv_within, AlltoallvSpec};
 use mxn::framework::{AnyPayload, Dispatch, RemoteService};
-use mxn::prmi::{collective_serve, CollectiveEndpoint};
+use mxn::prmi::{serve, Endpoint, Invocation, ServeOpts};
 use mxn::runtime::{ChannelPolicy, FaultConfig, InterComm, RunOpts, RunTrace, Universe, World};
 use mxn::schedule::Redist;
 
@@ -125,14 +125,14 @@ fn prmi_collective_call() -> RunTrace {
     let report = Universe::run_opts(&[2, 2], traced(), |_, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let mut ep = CollectiveEndpoint::new();
+            let mut ep = Endpoint::default();
             for method in 0..3u32 {
-                let r: f64 = ep.call(ic, method, 50.0f64).unwrap();
+                let r: f64 = ep.call(ic, Invocation::collective(method, 50.0f64)).unwrap();
                 assert_eq!(r, 50.0 + method as f64);
             }
-            ep.shutdown(ic).unwrap();
+            ep.shutdown(ic, ServeOpts::collective()).unwrap();
         } else {
-            collective_serve(ctx.intercomm(0), &AddMethod).unwrap();
+            serve(ctx.intercomm(0), &AddMethod, ServeOpts::collective()).unwrap();
         }
     });
     report.trace.expect("tracing was requested")

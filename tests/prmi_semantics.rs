@@ -5,9 +5,7 @@
 use std::time::Duration;
 
 use mxn::framework::{AnyPayload, Dispatch, RemoteService};
-use mxn::prmi::{
-    collective_serve, subset_serve, CollectiveEndpoint, DeliveryPolicy, SubsetServeOutcome,
-};
+use mxn::prmi::{serve, Deadlock, DeliveryPolicy, Endpoint, Invocation, ServeOpts};
 use mxn::runtime::Universe;
 
 /// A stateful counter service: every dispatch appends the method id.
@@ -30,15 +28,15 @@ fn collective_order_preserved_across_pairings() {
             const CALLS: u32 = 6;
             if ctx.program == 0 {
                 let ic = ctx.intercomm(1);
-                let mut ep = CollectiveEndpoint::new();
+                let mut ep = Endpoint::default();
                 for method in 0..CALLS {
-                    let r: f64 = ep.call(ic, method, 100.0f64).unwrap();
+                    let r: f64 = ep.call(ic, Invocation::collective(method, 100.0f64)).unwrap();
                     assert_eq!(r, 100.0 + method as f64, "m={m} n={n} call {method}");
                 }
-                ep.shutdown(ic).unwrap();
+                ep.shutdown(ic, ServeOpts::collective()).unwrap();
             } else {
                 let svc = Recorder(parking_lot::Mutex::new(Vec::new()));
-                let stats = collective_serve(ctx.intercomm(0), &svc).unwrap();
+                let stats = serve(ctx.intercomm(0), &svc, ServeOpts::collective()).unwrap();
                 assert_eq!(stats.calls as u32, CALLS);
                 // Each provider executed the calls in issue order.
                 assert_eq!(*svc.0.lock(), (0..CALLS).collect::<Vec<u32>>());
@@ -74,8 +72,9 @@ fn figure5_through_dca_stubs() {
             }
         } else {
             let svc = Recorder(parking_lot::Mutex::new(Vec::new()));
-            let out = subset_serve(ctx.intercomm(0), &svc, Duration::from_secs(5)).unwrap();
-            assert_eq!(out, SubsetServeOutcome::Completed { calls: 2 });
+            let out =
+                serve(ctx.intercomm(0), &svc, ServeOpts::subset(Duration::from_secs(5))).unwrap();
+            assert_eq!((out.calls, out.deadlock), (2, None));
             // Delivery order respected the barrier: the pair's call (1)
             // was serviced before the full-set call (0).
             assert_eq!(*svc.0.lock(), vec![1, 0]);
@@ -87,7 +86,8 @@ fn figure5_through_dca_stubs() {
 /// diagnostic names the rank whose share never arrived.
 #[test]
 fn figure5_eager_deadlock_diagnosed() {
-    use mxn::prmi::{subset_call_timeout, PrmiError};
+    use mxn::framework::CallPolicy;
+    use mxn::prmi::PrmiError;
 
     Universe::run(&[3, 1], |_, ctx| {
         if ctx.program == 0 {
@@ -98,26 +98,35 @@ fn figure5_eager_deadlock_diagnosed() {
             let t = Duration::from_secs(2);
             let eager = DeliveryPolicy::eager();
             if rank == 0 {
-                let r: Result<f64, _> =
-                    subset_call_timeout(&all, ic, &[0, 1, 2], 0, 0, 1.0f64, eager, t);
+                let r: Result<f64, _> = Endpoint::default().call(
+                    ic,
+                    Invocation::subset(&all, [0, 1, 2], 0, 0, 1.0f64)
+                        .delivery(eager)
+                        .policy(CallPolicy { deadline: t, ..CallPolicy::default() }),
+                );
                 assert!(matches!(r, Err(PrmiError::DeliveryDeadlock { .. })));
             } else {
                 std::thread::sleep(Duration::from_millis(50));
                 let pair = pair.unwrap();
-                let r: Result<f64, _> =
-                    subset_call_timeout(&pair, ic, &[1, 2], 0, 1, 1.0f64, eager, t);
+                let r: Result<f64, _> = Endpoint::default().call(
+                    ic,
+                    Invocation::subset(&pair, [1, 2], 0, 1, 1.0f64)
+                        .delivery(eager)
+                        .policy(CallPolicy { deadline: t, ..CallPolicy::default() }),
+                );
                 assert!(matches!(r, Err(PrmiError::DeliveryDeadlock { .. })));
             }
         } else {
             let svc = Recorder(parking_lot::Mutex::new(Vec::new()));
-            let out = subset_serve(ctx.intercomm(0), &svc, Duration::from_millis(300)).unwrap();
-            match out {
-                SubsetServeOutcome::Deadlocked { calls, missing_rank, method } => {
-                    assert_eq!(calls, 0);
+            let out = serve(ctx.intercomm(0), &svc, ServeOpts::subset(Duration::from_millis(300)))
+                .unwrap();
+            match out.deadlock {
+                Some(Deadlock { missing_rank, method }) => {
+                    assert_eq!(out.calls, 0);
                     assert_eq!(method, 0, "stuck on the full-set call");
                     assert!(missing_rank == 1 || missing_rank == 2);
                 }
-                other => panic!("expected deadlock, got {other:?}"),
+                None => panic!("expected deadlock, got {out:?}"),
             }
         }
     });
@@ -140,20 +149,20 @@ fn oneway_overlaps_service_time() {
     Universe::run(&[1, 1], |_, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let mut ep = CollectiveEndpoint::new();
+            let mut ep = Endpoint::default();
             let start = Instant::now();
             for _ in 0..5 {
-                ep.call_oneway(ic, 1, 0.0f64).unwrap();
+                ep.call::<_, ()>(ic, Invocation::collective(1, 0.0f64).oneway()).unwrap();
             }
             let elapsed = start.elapsed();
             assert!(
                 elapsed < Duration::from_millis(50),
                 "one-way calls must not wait for the 5 × 20ms service time (took {elapsed:?})"
             );
-            ep.shutdown(ic).unwrap();
+            ep.shutdown(ic, ServeOpts::collective()).unwrap();
         } else {
             let svc = Recorder(parking_lot::Mutex::new(Vec::new()));
-            let _ = collective_serve(ctx.intercomm(0), &Slow).unwrap();
+            let _ = serve(ctx.intercomm(0), &Slow, ServeOpts::collective()).unwrap();
             drop(svc);
         }
     });

@@ -8,10 +8,8 @@ use mxn::core::{
     ConnectionKind, Direction, FieldData, FieldRegistry, MxnConnection, MxnError, TransferOutcome,
 };
 use mxn::dad::{AccessMode, Dad, Extents, LocalArray};
-use mxn::framework::{
-    serve, AnyPayload, CallPolicy, Dispatch, RemotePort, RemoteService, ServeStats,
-};
-use mxn::prmi::{collective_serve_recovering, CollectiveEndpoint};
+use mxn::framework::{AnyPayload, CallPolicy, Dispatch, RemoteService};
+use mxn::prmi::{serve, Endpoint, Invocation, ServeOpts, ServeStats};
 use mxn::runtime::{ChannelPolicy, FaultConfig, InterComm, RunOpts, Universe, World};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -192,7 +190,7 @@ fn drop_matrix(seed: u64) {
     Universe::run_opts(&[1, 1], opts, |p, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let port = RemotePort::to_rank(0);
+            let mut port = Endpoint::default();
             let policy = CallPolicy {
                 deadline: Duration::from_millis(30),
                 max_retries: 20,
@@ -200,14 +198,16 @@ fn drop_matrix(seed: u64) {
                 ..CallPolicy::default()
             }
             .seeded(p.fault_seed());
-            let got: u64 = port.call_with_policy(ic, 0, 21u64, policy).unwrap();
+            let got: u64 =
+                port.call(ic, Invocation::independent(0, 0, 21u64).policy(policy)).unwrap();
             assert_eq!(got, 42);
             // The shutdown must not be eaten by the lossy channel.
             p.set_faults_armed(false);
-            port.shutdown(ic).unwrap();
+            port.shutdown(ic, ServeOpts::independent()).unwrap();
         } else {
             let svc = Doubler(AtomicUsize::new(0));
-            let stats: ServeStats = serve(ctx.intercomm(0), &svc).unwrap();
+            let stats: ServeStats =
+                serve(ctx.intercomm(0), &svc, ServeOpts::independent()).unwrap();
             assert_eq!(svc.0.load(Ordering::SeqCst), 1, "exactly-once despite drops");
             assert_eq!(stats.calls, 1);
         }
@@ -225,7 +225,7 @@ fn corrupt_matrix(seed: u64) {
     Universe::run_opts(&[1, 1], opts, |p, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let port = RemotePort::to_rank(0);
+            let mut port = Endpoint::default();
             let policy = CallPolicy {
                 deadline: Duration::from_millis(30),
                 max_retries: 20,
@@ -233,13 +233,14 @@ fn corrupt_matrix(seed: u64) {
                 ..CallPolicy::default()
             }
             .seeded(p.fault_seed());
-            let got: u64 = port.call_with_policy(ic, 0, 21u64, policy).unwrap();
+            let got: u64 =
+                port.call(ic, Invocation::independent(0, 0, 21u64).policy(policy)).unwrap();
             assert_eq!(got, 42);
             p.set_faults_armed(false);
-            port.shutdown(ic).unwrap();
+            port.shutdown(ic, ServeOpts::independent()).unwrap();
         } else {
             let svc = Doubler(AtomicUsize::new(0));
-            let _ = serve(ctx.intercomm(0), &svc).unwrap();
+            let _ = serve(ctx.intercomm(0), &svc, ServeOpts::independent()).unwrap();
             assert_eq!(svc.0.load(Ordering::SeqCst), 1, "exactly-once despite corruption");
         }
     });
@@ -262,7 +263,7 @@ fn death_matrix(seed: u64) {
     Universe::run_opts(&[3, 2], opts, |p, ctx| {
         if ctx.program == 0 {
             let ic = ctx.intercomm(1);
-            let mut ep = CollectiveEndpoint::new();
+            let mut ep = Endpoint::default();
             let policy = CallPolicy {
                 deadline: Duration::from_millis(100),
                 max_retries: 4,
@@ -270,7 +271,7 @@ fn death_matrix(seed: u64) {
                 jitter: p.fault_seed(),
                 recover: true,
             };
-            let r: f64 = ep.call_recovering(ic, 0, 1.0f64, policy).unwrap();
+            let r: f64 = ep.call(ic, Invocation::collective(0, 1.0f64).policy(policy)).unwrap();
             assert_eq!(r, 2.0);
             if ctx.comm.rank() == 2 {
                 p.kill_rank(p.rank());
@@ -279,12 +280,13 @@ fn death_matrix(seed: u64) {
             while !p.is_dead(2) {
                 std::thread::yield_now();
             }
-            let r2: f64 = ep.call_recovering(ic, 0, 5.0f64, policy).unwrap();
+            let r2: f64 = ep.call(ic, Invocation::collective(0, 5.0f64).policy(policy)).unwrap();
             assert_eq!(r2, 6.0);
             assert!(ep.epoch() >= 1, "the death forced at least one heal");
-            ep.shutdown(ic).unwrap();
+            ep.shutdown(ic, ServeOpts::collective()).unwrap();
         } else {
-            let stats = collective_serve_recovering(ctx.intercomm(0), &Bump).unwrap();
+            let stats =
+                serve(ctx.intercomm(0), &Bump, ServeOpts::collective().recovering()).unwrap();
             assert_eq!(stats.calls, 2, "exactly-once per provider across the heal");
         }
     });
