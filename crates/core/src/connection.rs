@@ -816,7 +816,7 @@ impl MxnConnection {
     }
 
     /// A spare rank's entry into a live coupling. Blocks in
-    /// [`InterComm::await_join`] until some connection's
+    /// [`InterComm::await_join_with_report`] until some connection's
     /// [`MxnConnection::expand`] admits this rank, receives the sponsor's
     /// connection state, takes part in the data redistribution (receiving
     /// its shard of the field), and returns a fully formed connection
@@ -827,7 +827,7 @@ impl MxnConnection {
         world: &Comm,
         timeout: Duration,
     ) -> Result<(MxnConnection, InterComm, FieldRegistry)> {
-        let ic = InterComm::await_join(world, timeout)?;
+        let (ic, _) = InterComm::await_join_with_report(world, timeout)?;
         let st: ConnState = world
             .recv_timeout(Src::Any, CONN_JOIN_TAG, timeout)
             .map_err(|e| map_dead(CONN_JOIN_TAG, e.into()))?;

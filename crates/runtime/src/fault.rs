@@ -320,9 +320,7 @@ impl FaultPlane {
     }
 
     /// Whether `rank`'s outgoing traffic currently goes through the plane.
-    /// Public so recovery code can save/restore the arming state around a
-    /// reliable control phase.
-    pub fn is_armed(&self, rank: usize) -> bool {
+    pub(crate) fn is_armed(&self, rank: usize) -> bool {
         self.armed[rank].load(Ordering::Acquire)
     }
 

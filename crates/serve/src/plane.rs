@@ -41,8 +41,8 @@ use mxn_framework::{AnyPayload, Dispatch, ShedReason};
 use mxn_runtime::envelope::{Envelope, Payload, Src, Tag};
 use mxn_runtime::fault::Liveness;
 use mxn_runtime::mailbox::Mailbox;
-use mxn_runtime::membership::Revocations;
 use mxn_runtime::splitmix64;
+use mxn_runtime::Revocations;
 use mxn_runtime::RuntimeError;
 use mxn_trace::{EventId, TraceHandle};
 use parking_lot::{Condvar, Mutex};

@@ -479,9 +479,10 @@ struct Chunk {
     slots: Box<[Slot]>,
 }
 
-// Safety: a slot is written exactly once, by the single thread that claimed
-// its sequence number via `fetch_add`; readers only dereference after
-// observing `ready` with acquire ordering.
+// SAFETY: exclusive slot ownership — a slot is written exactly once, by the
+// single thread that claimed its sequence number via `fetch_add`, and
+// readers only dereference it after observing `ready` with acquire
+// ordering, which orders the write before the read.
 unsafe impl Sync for Chunk {}
 
 impl Chunk {
@@ -547,8 +548,10 @@ impl RankRecorder {
         let chunk = self.chunk(ci);
         let slot = &chunk.slots[idx % CHUNK_CAP];
         let wall_us = self.epoch.elapsed().as_micros() as u64;
-        // Safety: this thread exclusively owns the slot for `seq` (unique
-        // fetch_add claim); the release store below publishes the write.
+        // SAFETY: exclusive slot ownership — the `fetch_add` above gave this
+        // thread the only claim on `seq`, so no other thread writes this
+        // slot, and no reader touches it before the release store below
+        // publishes the write.
         unsafe {
             *slot.ev.get() = RawEvent { id: id as u16, phase: phase as u8, seq, wall_us, args };
         }
@@ -561,14 +564,26 @@ impl RankRecorder {
         let cell = &self.chunks[ci];
         let ptr = cell.load(Ordering::Acquire);
         if !ptr.is_null() {
+            // SAFETY: chunk publication order — a non-null pointer was
+            // installed by the compare-exchange below after the chunk was
+            // fully built, and the acquire load makes that build visible.
+            // Chunks are freed only in `Drop`, which needs `&mut self`, so
+            // the chunk outlives the returned borrow of `self`.
             return unsafe { &*ptr };
         }
         let fresh = Box::into_raw(Box::new(Chunk::new()));
         match cell.compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
+            // SAFETY: `fresh` came from `Box::into_raw` and is now the
+            // published chunk of this cell; it lives until `Drop`.
             Ok(_) => unsafe { &*fresh },
             Err(existing) => {
-                // Safety: `fresh` was never published.
+                // SAFETY: freeing is sound because `fresh` lost the race: it
+                // was never published, so this thread holds the only pointer
+                // to the box `Box::into_raw` produced above.
                 unsafe { drop(Box::from_raw(fresh)) };
+                // SAFETY: chunk publication order — `existing` is the chunk
+                // the winning thread installed after building it, and the
+                // acquire ordering of the failed exchange makes it visible.
                 unsafe { &*existing }
             }
         }
@@ -600,12 +615,17 @@ impl RankRecorder {
                 unpublished += 1;
                 continue;
             }
+            // SAFETY: chunk publication order — `ptr` is non-null, so it was
+            // installed fully built and the acquire load made that visible;
+            // `&self` keeps `Drop` from freeing it meanwhile.
             let slot = unsafe { &(*ptr).slots[idx % CHUNK_CAP] };
             if !slot.ready.load(Ordering::Acquire) {
                 unpublished += 1;
                 continue;
             }
-            // Safety: `ready` observed with acquire — the write is complete.
+            // SAFETY: exclusive slot ownership ended with the writer's
+            // release store of `ready`; observing it with acquire means the
+            // write is complete and no thread writes this slot again.
             let raw = unsafe { *slot.ev.get() };
             let id = EventId::from_u16(raw.id).expect("recorder only stores known event ids");
             out.push(TraceEvent {
@@ -626,6 +646,10 @@ impl Drop for RankRecorder {
         for cell in &self.chunks {
             let ptr = cell.load(Ordering::Acquire);
             if !ptr.is_null() {
+                // SAFETY: freeing is sound here — every non-null pointer in
+                // `chunks` came from `Box::into_raw` and was installed
+                // exactly once, and `&mut self` proves no borrow handed out
+                // by `chunk` or `drain` is still alive.
                 unsafe { drop(Box::from_raw(ptr)) };
             }
         }

@@ -20,6 +20,8 @@ use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::fmt;
 
+use mxn_runtime::JoinOffer;
+
 /// Why a byte string failed to decode.
 ///
 /// Decoders must be total: any input produces `Ok` or one of these — a
@@ -217,6 +219,36 @@ impl<A: WireCodec, B: WireCodec, C: WireCodec> WireCodec for (A, B, C) {
     }
 }
 
+/// The spare-process join offer: its scalars, then each group as a `u32`
+/// count of `u64` ranks.
+impl WireCodec for JoinOffer {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.side, self.local_rank, self.context).encode(out);
+        (self.attempt, self.epoch).encode(out);
+        let groups = [&self.local_group, &self.remote_group, &self.old_local_group];
+        for group in groups.into_iter().chain([&self.old_remote_group, &self.participants]) {
+            group.encode(out);
+        }
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        let (side, local_rank, context) = WireCodec::decode(input)?;
+        let (attempt, epoch) = WireCodec::decode(input)?;
+        let mut group = || Vec::<usize>::decode(input);
+        Ok(JoinOffer {
+            side,
+            local_rank,
+            context,
+            attempt,
+            epoch,
+            local_group: group()?,
+            remote_group: group()?,
+            old_local_group: group()?,
+            old_remote_group: group()?,
+            participants: group()?,
+        })
+    }
+}
+
 /// Encodes `value` into a fresh buffer.
 pub fn encode_value<T: WireCodec>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
@@ -403,6 +435,38 @@ mod tests {
         struct Opaque;
         assert!(reg.encode_any(&Opaque).is_none());
         assert_eq!(reg.decode_any(0xdead, &[]).unwrap_err(), CodecError::BadTag { tag: 0xdead });
+    }
+
+    #[test]
+    fn join_offer_roundtrips_and_rejects_damage() {
+        let offer = JoinOffer {
+            side: 1,
+            local_rank: 2,
+            context: 0x40,
+            attempt: 3,
+            epoch: 7,
+            local_group: vec![0, 1, 5],
+            remote_group: vec![2, 3],
+            old_local_group: vec![0, 1],
+            old_remote_group: vec![2, 3],
+            participants: vec![0, 1, 2, 3, 5],
+        };
+        let bytes = encode_value(&offer);
+        let decode = |b: &[u8]| decode_value::<JoinOffer>(b).ok();
+        assert_eq!(decode(&bytes), Some(offer.clone()));
+        // Truncation at every prefix length decodes to None, never panics.
+        for cut in 0..bytes.len() {
+            assert_eq!(decode(&bytes[..cut]), None, "cut at {cut}");
+        }
+        // Trailing garbage is rejected (total decode, no silent slack).
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(decode(&long), None);
+        // A forged group length cannot drive allocation.
+        let mut forged = bytes;
+        let group_len_off = 8 + 8 + 4 + 8 + 8;
+        forged[group_len_off..group_len_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode(&forged), None);
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //!   failure heartbeats cannot — a *zombie* whose sockets stay open while
 //!   its application is frozen — quarantining it (reversible) and
 //!   evicting it (final) on frozen delivery watermarks. The membership is
-//!   elastic up to `max_size`: a spare OS process joins at runtime via an
-//!   offer/vote/commit handshake mirroring the membership plane's §4i
-//!   protocol. [`node::UdsTransport`] is the `Transport` impl.
+//!   elastic up to `max_size`: a spare OS process joins at runtime through
+//!   the same join vote the in-proc membership plane runs
+//!   ([`mxn_runtime::reconfig`]). [`node::UdsTransport`] is the `Transport` impl.
 //! * [`mux`] — connection multiplexing over *one* UDS listener: the
 //!   serving plane's wire front. Any number of client connections, each
 //!   with a reader/writer thread pair, requests handed to a pluggable
