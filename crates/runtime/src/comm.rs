@@ -10,7 +10,7 @@ use crate::error::{Result, RuntimeError};
 use crate::mailbox::PeerRef;
 use crate::msgsize::MsgSize;
 use crate::shared::{WorldShared, WORLD_CONTEXT};
-use crate::stats::TrafficClass;
+use crate::stats::{TrafficClass, WorldStats};
 use crate::tracing::{ctx_class, record_op_error, tag_arg};
 use mxn_trace::{emit_instant, EventId};
 
@@ -250,53 +250,16 @@ impl Comm {
     }
 
     pub(crate) fn downcast<T: 'static>(&self, env: Envelope) -> Result<(T, MessageInfo)> {
-        let info = MessageInfo { src: env.src_local, tag: env.tag, bytes: env.bytes };
-        if !env.verify() {
-            let err = RuntimeError::Corrupt { src: info.src, tag: info.tag };
-            record_op_error(self.shared.stats(), &err);
-            return Err(err);
-        }
-        match env.payload.into_owned::<T>() {
-            Ok((v, cloned)) => {
-                if cloned {
-                    self.shared.stats().record_payload_clone();
-                }
-                Ok((v, info))
-            }
-            Err(_) => {
-                let err = RuntimeError::TypeMismatch {
-                    expected: type_name::<T>(),
-                    src: info.src,
-                    tag: info.tag,
-                };
-                record_op_error(self.shared.stats(), &err);
-                Err(err)
-            }
-        }
+        unwrap_payload(self.shared.stats(), env, type_name::<T>(), Payload::into_owned)
     }
 
     pub(crate) fn downcast_shared<T: Send + Sync + 'static>(
         &self,
         env: Envelope,
     ) -> Result<(Arc<T>, MessageInfo)> {
-        let info = MessageInfo { src: env.src_local, tag: env.tag, bytes: env.bytes };
-        if !env.verify() {
-            let err = RuntimeError::Corrupt { src: info.src, tag: info.tag };
-            record_op_error(self.shared.stats(), &err);
-            return Err(err);
-        }
-        match env.payload.into_shared::<T>() {
-            Ok((arc, _promoted)) => Ok((arc, info)),
-            Err(_) => {
-                let err = RuntimeError::TypeMismatch {
-                    expected: type_name::<T>(),
-                    src: info.src,
-                    tag: info.tag,
-                };
-                record_op_error(self.shared.stats(), &err);
-                Err(err)
-            }
-        }
+        unwrap_payload(self.shared.stats(), env, type_name::<T>(), |p| {
+            p.into_shared().map(|(v, _promoted)| (v, false))
+        })
     }
 
     /// Every blocking receive funnels through here: counts the caller's
@@ -504,6 +467,39 @@ impl Comm {
         let key = ranks.iter().position(|&r| r == self.local_rank);
         let color = if key.is_some() { 0 } else { -1 };
         self.split(color, key.map_or(0, |k| k as i64))
+    }
+}
+
+/// Checks `env`'s integrity and unwraps its payload with `take`, which
+/// also says whether it had to copy the payload. Failures and copies are
+/// counted in `stats`, so every receive path accounts for them alike.
+pub(crate) fn unwrap_payload<V>(
+    stats: &WorldStats,
+    env: Envelope,
+    expected: &'static str,
+    take: impl FnOnce(Payload) -> std::result::Result<(V, bool), Payload>,
+) -> Result<(V, MessageInfo)> {
+    let info = MessageInfo { src: env.src_local, tag: env.tag, bytes: env.bytes };
+    let got = if env.verify() {
+        take(env.payload).map_err(|_| RuntimeError::TypeMismatch {
+            expected,
+            src: info.src,
+            tag: info.tag,
+        })
+    } else {
+        Err(RuntimeError::Corrupt { src: info.src, tag: info.tag })
+    };
+    match got {
+        Ok((v, copied)) => {
+            if copied {
+                stats.record_payload_clone();
+            }
+            Ok((v, info))
+        }
+        Err(e) => {
+            record_op_error(stats, &e);
+            Err(e)
+        }
     }
 }
 
