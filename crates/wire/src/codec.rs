@@ -149,13 +149,29 @@ impl WireCodec for String {
     }
 }
 
+/// Moves `v` into the type it already is: `U == T`, checked by the caller
+/// through `TypeId`.
+fn same_type<U: Any, T: Any>(v: U) -> T {
+    *(Box::new(v) as Box<dyn Any>).downcast::<T>().expect("caller checked U == T")
+}
+
 impl<T: WireCodec + Any> WireCodec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
-        // Bulk fast path for byte vectors: element-wise encoding costs a
-        // call per byte, which dominates large-payload wire bandwidth.
-        if let Some(bytes) = (self as &dyn Any).downcast_ref::<Vec<u8>>() {
+        // Bulk fast paths for byte and f64 vectors (the coupling field
+        // type): element-wise encoding costs a call and a capacity check
+        // per element, which dominates large-payload wire bandwidth.
+        let any = self as &dyn Any;
+        if let Some(bytes) = any.downcast_ref::<Vec<u8>>() {
             out.extend_from_slice(bytes);
+            return;
+        }
+        if let Some(values) = any.downcast_ref::<Vec<f64>>() {
+            let start = out.len();
+            out.resize(start + 8 * values.len(), 0);
+            for (dst, v) in out[start..].chunks_exact_mut(8).zip(values) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
             return;
         }
         for v in self {
@@ -165,10 +181,19 @@ impl<T: WireCodec + Any> WireCodec for Vec<T> {
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let count = u32::decode(input)? as usize;
         if TypeId::of::<T>() == TypeId::of::<u8>() {
-            let raw = take(input, count)?.to_vec();
-            return Ok(*(Box::new(raw) as Box<dyn Any>)
-                .downcast::<Vec<T>>()
-                .expect("T = u8 just checked"));
+            return Ok(same_type(take(input, count)?.to_vec()));
+        }
+        if TypeId::of::<T>() == TypeId::of::<f64>() {
+            // The whole body is taken before anything is allocated, so a
+            // corrupt count fails on `Truncated` exactly as below.
+            let len = count
+                .checked_mul(8)
+                .ok_or(CodecError::Truncated { needed: usize::MAX, have: input.len() })?;
+            let values: Vec<f64> = take(input, len)?
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+                .collect();
+            return Ok(same_type(values));
         }
         // No speculative reservation: a corrupt count must hit `Truncated`
         // while decoding elements, not allocate gigabytes up front.
@@ -407,6 +432,33 @@ mod tests {
         let mut bytes = Vec::new();
         u32::MAX.encode(&mut bytes);
         assert!(matches!(decode_value::<Vec<u64>>(&bytes), Err(CodecError::Truncated { .. })));
+    }
+
+    #[test]
+    fn f64_vectors_roundtrip_bit_exact() {
+        let nan_payload = f64::from_bits(0x7ff8_dead_beef_0001);
+        let values =
+            vec![-0.0, 0.0, f64::NAN, -f64::NAN, nan_payload, f64::MIN_POSITIVE / 2.0, 1e300];
+        for v in [values, Vec::new(), vec![2.5]] {
+            let bytes = encode_value(&v);
+            assert_eq!(bytes.len(), 4 + 8 * v.len());
+            let back = decode_value::<Vec<f64>>(&bytes).unwrap();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&v));
+        }
+    }
+
+    #[test]
+    fn huge_f64_count_is_truncated_before_allocating() {
+        // The bulk path takes `count * 8` bytes in one step, so the error
+        // names the whole claimed body: nothing was decoded or reserved.
+        let mut bytes = Vec::new();
+        u32::MAX.encode(&mut bytes);
+        bytes.extend_from_slice(&[0u8; 16]);
+        assert_eq!(
+            decode_value::<Vec<f64>>(&bytes),
+            Err(CodecError::Truncated { needed: u32::MAX as usize * 8, have: 16 })
+        );
     }
 
     #[test]

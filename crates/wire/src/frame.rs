@@ -14,10 +14,13 @@
 //! 20      8     seq    per-link data sequence number
 //! 28      4     codec  payload-type tag (see CodecRegistry)
 //! 32      4     payload_len
-//! 36      4     header CRC-32 over bytes 0..36
+//! 36      4     header CRC-32C over bytes 0..36
 //! 40      n     payload bytes
-//! 40+n    4     payload CRC-32
+//! 40+n    4     payload CRC-32C
 //! ```
+//!
+//! Both checks are [`crc32`]: CRC-32C, on the SSE4.2 instruction where
+//! the CPU has it and a slice-by-8 table elsewhere.
 //!
 //! Two CRCs, not one: the header CRC lets the reader trust `payload_len`
 //! before committing to read that many bytes (a corrupt length would

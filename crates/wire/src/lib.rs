@@ -10,7 +10,9 @@
 //!
 //! Layers, bottom to top:
 //!
-//! * [`crc`] — CRC-32 (the IEEE polynomial, table-driven, const-built).
+//! * [`crc`] — CRC-32C (the Castagnoli polynomial): the SSE4.2 `crc32`
+//!   instruction where the CPU has it, a const-built slice-by-8 table
+//!   everywhere else.
 //! * [`codec`] — [`codec::WireCodec`], byte serialization for payloads
 //!   that cross a process boundary, plus the [`codec::CodecRegistry`]
 //!   mapping `TypeId` ⇄ wire tag. `Payload::Shared` deliberately has no
@@ -41,6 +43,8 @@
 //! * [`process`] — self re-exec helpers for multi-process tests and
 //!   examples (spawn workers and spare joiners, kill-on-drop guards,
 //!   `kill -9` / SIGSTOP / SIGCONT on demand).
+
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod codec;
 pub mod crc;

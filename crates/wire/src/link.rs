@@ -13,6 +13,7 @@
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 
 use crate::codec::encode_value;
 use crate::fault::{WireFaults, WireVerdict};
@@ -34,7 +35,8 @@ pub struct LinkSender {
     /// Next data sequence number to assign (first frame gets 1).
     next_seq: u64,
     /// Recently sent data frames, encoded clean (pre-fault), seq-ordered.
-    ring: VecDeque<(u64, Vec<u8>)>,
+    /// Shared with the write that sent them: retention copies no bytes.
+    ring: VecDeque<(u64, Arc<Vec<u8>>)>,
     /// Monotone send-attempt counter keying fault draws; retransmissions
     /// advance it so a retried frame gets a fresh fate.
     attempts: u64,
@@ -107,35 +109,43 @@ impl LinkSender {
         self.next_seq += 1;
         let frame =
             Frame { kind: FrameKind::Data, src: self.src, context, tag, seq, codec, payload };
-        let bytes = frame.encode();
+        let bytes = Arc::new(frame.encode());
         if self.ring.len() == RING_FRAMES {
             self.ring.pop_front();
         }
-        self.ring.push_back((seq, bytes.clone()));
-        self.write_through_faults(bytes)?;
+        self.ring.push_back((seq, Arc::clone(&bytes)));
+        self.write_through_faults(&bytes)?;
         Ok(seq)
     }
 
     /// Replays every retained data frame with `seq > last_recv` (session
     /// resume). Replays go through the fault plane with fresh draws.
     pub fn resend_since(&mut self, last_recv: u64) -> io::Result<usize> {
-        let pending: Vec<Vec<u8>> = self
+        let pending: Vec<Arc<Vec<u8>>> = self
             .ring
             .iter()
             .filter(|(seq, _)| *seq > last_recv)
-            .map(|(_, bytes)| bytes.clone())
+            .map(|(_, bytes)| Arc::clone(bytes))
             .collect();
-        let n = pending.len();
-        for bytes in pending {
+        for bytes in &pending {
             self.write_through_faults(bytes)?;
         }
-        Ok(n)
+        Ok(pending.len())
+    }
+
+    /// Forgets every retained frame with `seq <= watermark`: the peer's
+    /// progress fence proves it delivered them, so no resume or repair
+    /// can ask for them again.
+    pub fn trim_through(&mut self, watermark: u64) {
+        while self.ring.front().is_some_and(|(seq, _)| *seq <= watermark) {
+            self.ring.pop_front();
+        }
     }
 
     /// Sends a control frame: unsequenced, unretained, never faulted.
     pub fn send_control(&mut self, kind: FrameKind) -> io::Result<()> {
         let frame = Frame::control(kind, self.src);
-        self.write_clean(frame.encode())
+        self.write_clean(&frame.encode())
     }
 
     /// Sends the handshake/resume announcement carrying our session id and
@@ -143,7 +153,7 @@ impl LinkSender {
     pub fn send_hello(&mut self, session: u64, last_recv_seq: u64) -> io::Result<()> {
         let mut frame = Frame::control(FrameKind::Hello, self.src);
         frame.payload = encode_value(&(session, last_recv_seq));
-        self.write_clean(frame.encode())
+        self.write_clean(&frame.encode())
     }
 
     /// Sends a progress fence carrying our fence counter and the highest
@@ -152,7 +162,7 @@ impl LinkSender {
     pub fn send_fence(&mut self, fence_seq: u64, watermark: u64) -> io::Result<()> {
         let mut frame = Frame::control(FrameKind::ProgressFence, self.src);
         frame.payload = encode_value(&(fence_seq, watermark));
-        self.write_clean(frame.encode())
+        self.write_clean(&frame.encode())
     }
 
     /// Drops every retained data frame while keeping the sequence counter
@@ -164,22 +174,28 @@ impl LinkSender {
         self.ring.clear();
     }
 
-    fn write_clean(&mut self, bytes: Vec<u8>) -> io::Result<()> {
+    fn write_clean(&mut self, bytes: &[u8]) -> io::Result<()> {
         let stream = self
             .stream
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "link detached"))?;
-        stream.write_all(&bytes)
+        stream.write_all(bytes)
     }
 
-    fn write_through_faults(&mut self, mut bytes: Vec<u8>) -> io::Result<()> {
+    fn write_through_faults(&mut self, bytes: &[u8]) -> io::Result<()> {
         if self.armed {
             let attempt = self.attempts;
             self.attempts += 1;
             match self.faults.judge(self.src, self.dst, attempt, bytes.len()) {
                 WireVerdict::Deliver => {}
                 WireVerdict::Drop => return Ok(()), // "lost in flight"
-                WireVerdict::FlipBit(bit) => bytes[bit / 8] ^= 1 << (bit % 8),
+                WireVerdict::FlipBit(bit) => {
+                    // Damage a copy: the ring's frame must stay clean for
+                    // the resend that repairs this one.
+                    let mut damaged = bytes.to_vec();
+                    damaged[bit / 8] ^= 1 << (bit % 8);
+                    return self.write_clean(&damaged);
+                }
                 WireVerdict::Delay(d) => std::thread::sleep(d),
             }
         }
@@ -293,6 +309,45 @@ mod tests {
             got.iter().all(|r| matches!(r, Err(FrameError::Corrupt { .. }))),
             "a flipped bit must never decode as a clean frame: {got:?}"
         );
+    }
+
+    #[test]
+    fn corrupt_verdict_never_damages_the_retained_frame() {
+        let (tx, mut rx) = pair();
+        let faults = WireFaults { seed: 5, corrupt: 1.0, ..WireFaults::none() };
+        let mut s = LinkSender::new(0, 1, faults);
+        s.attach(tx);
+        let payload: Vec<u8> = (0..64).collect();
+        s.send_data(3, 4, 1, payload.clone()).unwrap();
+        let mut fr = FrameReader::new();
+        let got = drain(&mut rx, &mut fr);
+        assert!(!got.is_empty(), "the damaged frame was written");
+        assert!(got.iter().all(|r| matches!(r, Err(FrameError::Corrupt { .. }))), "{got:?}");
+        s.set_armed(false);
+        assert_eq!(s.resend_since(0).unwrap(), 1);
+        let clean: Vec<Frame> =
+            drain(&mut rx, &mut fr).into_iter().filter_map(Result::ok).collect();
+        assert_eq!(clean.len(), 1, "the resend repairs the damaged delivery");
+        assert_eq!((clean[0].seq, &clean[0].payload), (1, &payload), "the ring kept it intact");
+    }
+
+    #[test]
+    fn fence_watermark_trims_the_ring() {
+        let (tx, mut rx) = pair();
+        let mut s = LinkSender::new(0, 1, WireFaults::none());
+        s.attach(tx);
+        for i in 0..5u8 {
+            s.send_data(1, 1, 1, vec![i]).unwrap();
+        }
+        let mut fr = FrameReader::new();
+        drain(&mut rx, &mut fr);
+        s.trim_through(3);
+        assert_eq!(s.resend_since(0).unwrap(), 2, "frames the peer delivered are gone");
+        let seqs: Vec<u64> =
+            drain(&mut rx, &mut fr).iter().map(|r| r.as_ref().unwrap().seq).collect();
+        assert_eq!(seqs, vec![4, 5]);
+        s.trim_through(2);
+        assert_eq!(s.resend_since(0).unwrap(), 2, "a stale watermark trims nothing more");
     }
 
     #[test]

@@ -468,8 +468,7 @@ impl MuxClient {
                     "server closed the connection",
                 ));
             }
-            let fed = self.buf[..n].to_vec();
-            self.frames.feed(&fed);
+            self.frames.feed(&self.buf[..n]);
         }
     }
 

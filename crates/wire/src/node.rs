@@ -565,6 +565,7 @@ impl NodeShared {
                     crate::codec::decode_value::<(u64, u64)>(&frame.payload)
                 {
                     let p = &self.peers[peer];
+                    p.sender.lock().trim_through(watermark);
                     let prev = p.peer_watermark.fetch_max(watermark, Ordering::AcqRel);
                     let advanced = watermark > prev;
                     if advanced {

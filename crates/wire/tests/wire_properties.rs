@@ -5,7 +5,21 @@
 use proptest::prelude::*;
 
 use mxn_wire::codec::{decode_value, encode_value};
+use mxn_wire::crc32;
 use mxn_wire::frame::{Frame, FrameError, FrameKind, FrameReader};
+
+/// CRC-32C one bit at a time, straight from the polynomial: shares no
+/// table or instruction with the library's paths.
+fn crc32c_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0x82f6_3b78 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
 
 /// Strategy: an arbitrary data frame with a small payload.
 fn data_frame() -> impl Strategy<Value = Frame> {
@@ -143,6 +157,17 @@ proptest! {
         prop_assert!(clean.len() >= 2, "real frames lost around garbage: {got:?}");
         prop_assert_eq!(clean[0], &frame);
         prop_assert_eq!(*clean.last().unwrap(), &follower);
+    }
+
+    /// The frame checksum is CRC-32C whichever path computes it, at any
+    /// length and any start alignment.
+    #[test]
+    fn crc32_matches_the_bitwise_oracle(
+        sb in (proptest::collection::vec(0u8..=255, 0..600), 0usize..8)
+    ) {
+        let (bytes, start) = sb;
+        let s = &bytes[start.min(bytes.len())..];
+        prop_assert_eq!(crc32(s), crc32c_bitwise(s));
     }
 
     /// Codec round-trip for the workhorse payload types.
