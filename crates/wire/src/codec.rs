@@ -167,10 +167,16 @@ impl<T: WireCodec + Any> WireCodec for Vec<T> {
             return;
         }
         if let Some(values) = any.downcast_ref::<Vec<f64>>() {
-            let start = out.len();
-            out.resize(start + 8 * values.len(), 0);
-            for (dst, v) in out[start..].chunks_exact_mut(8).zip(values) {
-                dst.copy_from_slice(&v.to_le_bytes());
+            // Converted through a small stack block, so `out` is written
+            // once — no zero fill first, no per-element capacity check.
+            out.reserve(8 * values.len());
+            let mut block = [0u8; 1024];
+            for chunk in values.chunks(block.len() / 8) {
+                let bytes = &mut block[..8 * chunk.len()];
+                for (dst, v) in bytes.chunks_exact_mut(8).zip(chunk) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+                out.extend_from_slice(bytes);
             }
             return;
         }
@@ -359,14 +365,14 @@ impl CodecRegistry {
         assert!(self.by_tag.insert(tag, dec).is_none(), "payload tag {tag} registered twice");
     }
 
-    /// Encodes a type-erased payload, returning its tag and bytes, or
-    /// `None` if the concrete type was never registered.
-    pub fn encode_any(&self, value: &dyn Any) -> Option<(u32, Vec<u8>)> {
+    /// Appends the encoding of a type-erased payload to `out` and returns
+    /// its tag, or returns `None` having written nothing if the concrete
+    /// type was never registered.
+    pub fn encode_any_into(&self, value: &dyn Any, out: &mut Vec<u8>) -> Option<u32> {
         let (tag, enc) = self.by_type.get(&value.type_id())?;
-        let mut out = Vec::new();
-        let matched = enc(value, &mut out);
+        let matched = enc(value, out);
         debug_assert!(matched, "TypeId lookup and downcast must agree");
-        matched.then_some((*tag, out))
+        matched.then_some(*tag)
     }
 
     /// Decodes payload bytes under `tag` back into a type-erased box.
@@ -476,7 +482,8 @@ mod tests {
     fn registry_roundtrips_type_erased() {
         let reg = CodecRegistry::with_defaults();
         let value: Box<dyn Any + Send> = Box::new(vec![1.5f64, 2.5]);
-        let (tag, bytes) = reg.encode_any(value.as_ref()).unwrap();
+        let mut bytes = Vec::new();
+        let tag = reg.encode_any_into(value.as_ref(), &mut bytes).unwrap();
         let back = reg.decode_any(tag, &bytes).unwrap();
         assert_eq!(*back.downcast::<Vec<f64>>().unwrap(), vec![1.5, 2.5]);
     }
@@ -485,8 +492,29 @@ mod tests {
     fn registry_rejects_unknown_type_and_tag() {
         let reg = CodecRegistry::with_defaults();
         struct Opaque;
-        assert!(reg.encode_any(&Opaque).is_none());
+        assert!(reg.encode_any_into(&Opaque, &mut Vec::new()).is_none());
         assert_eq!(reg.decode_any(0xdead, &[]).unwrap_err(), CodecError::BadTag { tag: 0xdead });
+    }
+
+    #[test]
+    fn encode_any_into_appends_after_existing_bytes() {
+        let reg = CodecRegistry::with_defaults();
+        let values: Vec<f64> = (0..1500).map(|i| f64::from(i) * 0.5 - 7.0).collect();
+        let mut out = b"header".to_vec();
+        let tag = reg.encode_any_into(&values, &mut out).unwrap();
+        assert_eq!(&out[..6], b"header", "bytes already there are kept");
+        assert_eq!(&out[6..], &encode_value(&values)[..]);
+        let back = reg.decode_any(tag, &out[6..]).unwrap();
+        assert_eq!(*back.downcast::<Vec<f64>>().unwrap(), values);
+    }
+
+    #[test]
+    fn encode_any_into_writes_nothing_for_an_unregistered_type() {
+        let reg = CodecRegistry::with_defaults();
+        struct Opaque;
+        let mut out = b"header".to_vec();
+        assert_eq!(reg.encode_any_into(&Opaque, &mut out), None);
+        assert_eq!(out, b"header");
     }
 
     #[test]

@@ -29,6 +29,19 @@
 //! fails the [`FrameReader`] *resynchronizes* by scanning for the next
 //! `MAGIC`, so one damaged frame costs one frame — never the rest of the
 //! stream, and never a panic.
+//!
+//! Bulk frames are written and read without a staging copy. A sender
+//! encodes the payload straight after the header it has already written
+//! and patches `payload_len` and both CRCs afterwards (`write_frame`).
+//! A reader that pulls from a socket with [`FrameReader::read_from`]
+//! reads the rest of any frame whose intact header announces at least
+//! [`BODY_IN_PLACE`] payload bytes straight into a body buffer, which
+//! becomes the decoded frame's `payload`; handing that `Vec` back with
+//! [`FrameReader::recycle`] reuses it for the next large body. The checks
+//! and their outcomes are those of [`FrameReader::feed`] and
+//! [`FrameReader::next`] on the same bytes.
+
+use std::io::{self, Read};
 
 use crate::crc::crc32;
 
@@ -41,6 +54,11 @@ pub const HEADER_LEN: usize = 40;
 /// Upper bound on a single frame's payload; a "length" beyond this is
 /// treated as header corruption rather than honored.
 pub const MAX_PAYLOAD: usize = 1 << 26; // 64 MiB
+
+/// Payload length from which [`FrameReader::read_from`] reads a frame's
+/// body straight from the stream into its own buffer instead of through
+/// the caller's scratch buffer and the reader's byte queue.
+pub const BODY_IN_PLACE: usize = 64 * 1024;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +81,9 @@ pub enum FrameKind {
     /// outbound stream has actually progressed. Heartbeats only prove the
     /// socket is alive; fences prove the application on the far side is
     /// still consuming (a SIGSTOP'd peer keeps accepting connections but
-    /// its watermark freezes).
+    /// its watermark freezes). A fence with `fence_seq = 0` is an *ack*:
+    /// periodic fences number from 1, and an ack only reports delivery —
+    /// it is never read as a NACK or as grounds to readmit a peer.
     ProgressFence = 5,
 }
 
@@ -108,20 +128,109 @@ impl Frame {
     /// Serializes the frame, stamping both CRCs.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + 4);
-        out.extend_from_slice(&MAGIC);
-        out.push(self.kind as u8);
-        out.extend_from_slice(&[0; 3]);
-        out.extend_from_slice(&self.src.to_le_bytes());
-        out.extend_from_slice(&self.context.to_le_bytes());
-        out.extend_from_slice(&self.tag.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.codec.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        let hcrc = crc32(&out);
-        out.extend_from_slice(&hcrc.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out.extend_from_slice(&crc32(&self.payload).to_le_bytes());
+        let (kind, src, context, tag, seq) =
+            (self.kind, self.src, self.context, self.tag, self.seq);
+        write_frame(&mut out, kind, src, context, tag, seq, |out| {
+            out.extend_from_slice(&self.payload);
+            Some(self.codec)
+        });
         out
+    }
+}
+
+/// Appends one frame to `out` whose payload is written in place: after
+/// the header, `payload` appends the payload bytes and returns their codec
+/// tag; the codec, `payload_len` and both CRCs are patched in afterwards.
+/// When `payload` returns `None`, `out` is cut back to its old length and
+/// `None` is returned.
+pub(crate) fn write_frame(
+    out: &mut Vec<u8>,
+    kind: FrameKind,
+    src: u32,
+    context: u32,
+    tag: i32,
+    seq: u64,
+    payload: impl FnOnce(&mut Vec<u8>) -> Option<u32>,
+) -> Option<()> {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(kind as u8);
+    out.extend_from_slice(&[0; 3]);
+    out.extend_from_slice(&src.to_le_bytes());
+    out.extend_from_slice(&context.to_le_bytes());
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&[0; 12]); // codec, payload_len, header CRC: patched below
+    let Some(codec) = payload(out) else {
+        out.truncate(start);
+        return None;
+    };
+    let body = start + HEADER_LEN;
+    let payload_len = (out.len() - body) as u32;
+    out[start + 28..start + 32].copy_from_slice(&codec.to_le_bytes());
+    out[start + 32..start + 36].copy_from_slice(&payload_len.to_le_bytes());
+    let hcrc = crc32(&out[start..start + 36]);
+    out[start + 36..body].copy_from_slice(&hcrc.to_le_bytes());
+    let pcrc = crc32(&out[body..]);
+    out.extend_from_slice(&pcrc.to_le_bytes());
+    Some(())
+}
+
+/// A header that passed its CRC: what a frame claims before its payload
+/// is read.
+#[derive(Clone, Copy)]
+struct Header {
+    kind: FrameKind,
+    route: CorruptHeader,
+    codec: u32,
+    payload_len: usize,
+}
+
+impl Header {
+    /// Parses the first [`HEADER_LEN`] bytes of `b` (which start with
+    /// `MAGIC`), or `None` if the header CRC, the kind or the length is bad.
+    fn parse(b: &[u8]) -> Option<Header> {
+        let payload_len = read_u32(&b[32..36]) as usize;
+        if crc32(&b[..36]) != read_u32(&b[36..40]) || payload_len > MAX_PAYLOAD {
+            return None;
+        }
+        Some(Header {
+            kind: FrameKind::from_u8(b[4])?,
+            route: CorruptHeader {
+                src: read_u32(&b[8..12]),
+                context: read_u32(&b[12..16]),
+                tag: read_u32(&b[16..20]) as i32,
+                seq: read_u64(&b[20..28]),
+            },
+            codec: read_u32(&b[28..32]),
+            payload_len,
+        })
+    }
+
+    /// Length of the whole frame on the wire.
+    fn total(&self) -> usize {
+        HEADER_LEN + self.payload_len + 4
+    }
+
+    /// Checks `body` (payload then payload CRC): `Ok` when the payload
+    /// CRC matches, else the routable corruption report.
+    fn finish(self, body: &[u8]) -> Result<(), FrameError> {
+        let (payload, stored) = body.split_at(self.payload_len);
+        if crc32(payload) == read_u32(stored) {
+            return Ok(());
+        }
+        // Header was sound, so the whole (length-delimited) frame can be
+        // discarded in one step: the stream stays in sync.
+        Err(FrameError::Corrupt {
+            skipped: self.total(),
+            header: Some(self.route),
+            reason: "damaged frame payload",
+        })
+    }
+
+    fn frame(self, payload: Vec<u8>) -> Frame {
+        let CorruptHeader { src, context, tag, seq } = self.route;
+        Frame { kind: self.kind, src, context, tag, seq, codec: self.codec, payload }
     }
 }
 
@@ -166,6 +275,20 @@ pub enum FrameError {
 #[derive(Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// A large frame whose header has left `buf`: its payload and payload
+    /// CRC are read straight into the body buffer.
+    body: Option<Body>,
+    /// A delivered large payload handed back for the next body.
+    spare: Vec<u8>,
+}
+
+/// The frame [`FrameReader::read_from`] is reading in place.
+struct Body {
+    header: Header,
+    /// Payload then payload CRC, `payload_len + 4` bytes long.
+    bytes: Vec<u8>,
+    /// How many of `bytes` have arrived.
+    filled: usize,
 }
 
 impl FrameReader {
@@ -181,7 +304,74 @@ impl FrameReader {
 
     /// Bytes currently buffered (complete or partial frames).
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() + self.body.as_ref().map_or(0, |b| HEADER_LEN + b.filled)
+    }
+
+    /// Makes one `read` call on `src` and takes in what it returned: into
+    /// the body buffer while a large frame's body is pending, else through
+    /// `scratch` into the byte queue, as [`FrameReader::feed`] would.
+    /// Returns the byte count `read` returned; 0 means end of stream.
+    pub fn read_from(&mut self, src: &mut impl Read, scratch: &mut [u8]) -> io::Result<usize> {
+        if self.body.is_none() {
+            self.start_body();
+        }
+        if let Some(body) = self.body.as_mut().filter(|b| b.filled < b.bytes.len()) {
+            let n = src.read(&mut body.bytes[body.filled..])?;
+            body.filled += n;
+            return Ok(n);
+        }
+        let n = src.read(scratch)?;
+        self.feed(&scratch[..n]);
+        Ok(n)
+    }
+
+    /// Hands back a delivered frame's payload so the next large body can
+    /// be read into its allocation. Buffers too small to hold a large body
+    /// are dropped.
+    pub fn recycle(&mut self, payload: Vec<u8>) {
+        if payload.capacity() >= BODY_IN_PLACE {
+            self.spare = payload;
+        }
+    }
+
+    /// Moves a large frame whose intact header starts the byte queue, and
+    /// whose body has not fully arrived, into a body buffer.
+    fn start_body(&mut self) {
+        let b = &self.buf;
+        if b.len() < HEADER_LEN
+            || b[..4] != MAGIC
+            || (read_u32(&b[32..36]) as usize) < BODY_IN_PLACE
+        {
+            return;
+        }
+        let Some(header) = Header::parse(b) else { return };
+        if b.len() >= header.total() {
+            return;
+        }
+        // A recycled buffer keeps its length, so only bytes it never held
+        // are zeroed; every byte is overwritten, by the copy below or by a
+        // read, before the body counts as complete.
+        let mut bytes = std::mem::take(&mut self.spare);
+        bytes.resize(header.payload_len + 4, 0);
+        let filled = b.len() - HEADER_LEN;
+        bytes[..filled].copy_from_slice(&b[HEADER_LEN..]);
+        self.buf.clear();
+        self.body = Some(Body { header, bytes, filled });
+    }
+
+    /// Yields the pending body once it is complete.
+    fn finish_body(&mut self) -> Option<Result<Frame, FrameError>> {
+        let Body { header, mut bytes, .. } = self.body.take()?;
+        Some(match header.finish(&bytes) {
+            Ok(()) => {
+                bytes.truncate(header.payload_len);
+                Ok(header.frame(bytes))
+            }
+            Err(e) => {
+                self.spare = bytes;
+                Err(e)
+            }
+        })
     }
 
     /// Scans to the next `MAGIC`, returning how many bytes were dropped.
@@ -205,6 +395,9 @@ impl FrameReader {
     /// more bytes are needed.
     #[allow(clippy::should_implement_trait)] // pull-style API, deliberately not an Iterator
     pub fn next(&mut self) -> Option<Result<Frame, FrameError>> {
+        if let Some(body) = &self.body {
+            return if body.filled < body.bytes.len() { None } else { self.finish_body() };
+        }
         if self.buf.len() < 4 {
             // A partial magic prefix stays buffered; junk is dropped.
             if !MAGIC.starts_with(&self.buf) {
@@ -230,10 +423,7 @@ impl FrameReader {
         if self.buf.len() < HEADER_LEN {
             return None;
         }
-        let stored_hcrc = read_u32(&self.buf[36..40]);
-        let kind = FrameKind::from_u8(self.buf[4]);
-        let payload_len = read_u32(&self.buf[32..36]) as usize;
-        if crc32(&self.buf[..36]) != stored_hcrc || kind.is_none() || payload_len > MAX_PAYLOAD {
+        let Some(header) = Header::parse(&self.buf) else {
             // The "magic" was a lie (or the header was hit): drop one
             // byte and rescan so a real frame hiding behind it is found.
             self.buf.drain(..1);
@@ -243,40 +433,16 @@ impl FrameReader {
                 header: None,
                 reason: "damaged frame header",
             }));
-        }
-        let total = HEADER_LEN + payload_len + 4;
+        };
+        let total = header.total();
         if self.buf.len() < total {
             return None;
         }
-        let header = CorruptHeader {
-            src: read_u32(&self.buf[8..12]),
-            context: read_u32(&self.buf[12..16]),
-            tag: read_u32(&self.buf[16..20]) as i32,
-            seq: read_u64(&self.buf[20..28]),
-        };
-        let payload = &self.buf[HEADER_LEN..HEADER_LEN + payload_len];
-        let stored_pcrc = read_u32(&self.buf[HEADER_LEN + payload_len..total]);
-        if crc32(payload) != stored_pcrc {
-            // Header was sound, so the whole (length-delimited) frame
-            // can be discarded in one step: stream stays in sync.
-            self.buf.drain(..total);
-            return Some(Err(FrameError::Corrupt {
-                skipped: total,
-                header: Some(header),
-                reason: "damaged frame payload",
-            }));
-        }
-        let frame = Frame {
-            kind: kind.expect("checked above"),
-            src: header.src,
-            context: header.context,
-            tag: header.tag,
-            seq: header.seq,
-            codec: read_u32(&self.buf[28..32]),
-            payload: payload.to_vec(),
-        };
+        let result = header
+            .finish(&self.buf[HEADER_LEN..total])
+            .map(|()| header.frame(self.buf[HEADER_LEN..HEADER_LEN + header.payload_len].to_vec()));
         self.buf.drain(..total);
-        Some(Ok(frame))
+        Some(result)
     }
 }
 

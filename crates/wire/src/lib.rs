@@ -19,12 +19,15 @@
 //!   encoding: zero-clone sharing is an address-space concept.
 //! * [`frame`] — `MxN1` framing: 40-byte header (own CRC) + payload
 //!   (own CRC), resync-on-damage, never trusts a length the header CRC
-//!   has not vouched for.
+//!   has not vouched for. Payloads are encoded in place after the header,
+//!   and large bodies are read from the socket straight into a reused
+//!   buffer.
 //! * [`fault`] — seeded frame-level fault injection (drop / bit-flip /
 //!   delay) driven by the same `MXN_FAULT_SEED` × `MXN_FAULT_KIND`
 //!   environment as the in-proc fault matrix.
 //! * [`link`] — per-peer sequencing and the resend ring behind session
-//!   resume; control frames ride outside the sequence space.
+//!   resume, trimmed to the peer's acks and fences and capped in frames
+//!   and bytes; control frames ride outside the sequence space.
 //! * [`node`] — [`node::WireNode`]: the mesh endpoint. Acceptor, reader
 //!   and monitor threads; heartbeats feeding a [`mxn_runtime::Liveness`]
 //!   registry; reconnect with seeded exponential backoff bounded at
@@ -58,8 +61,10 @@ pub mod process;
 pub use codec::{decode_value, encode_value, CodecError, CodecRegistry, WireCodec};
 pub use crc::crc32;
 pub use fault::{WireFaults, WireVerdict};
-pub use frame::{Frame, FrameError, FrameKind, FrameReader, HEADER_LEN, MAX_PAYLOAD};
-pub use link::{LinkSender, RING_FRAMES};
+pub use frame::{
+    Frame, FrameError, FrameKind, FrameReader, BODY_IN_PLACE, HEADER_LEN, MAX_PAYLOAD,
+};
+pub use link::{LinkSender, RING_BYTES, RING_FRAMES};
 pub use mux::{
     ConnId, MuxClient, MuxHandler, MuxReplier, MuxRequest, MuxResponse, MuxServer, MuxStatus,
     MUX_REQ_CODEC, MUX_RESP_CODEC,

@@ -5,10 +5,19 @@
 //! is what makes session resume work: after a reconnect the peer's
 //! `Hello(session, last_recv_seq)` tells us the highest data frame it saw,
 //! and [`LinkSender::resend_since`] replays everything newer from the
-//! ring. Control frames (heartbeat, hello, bye) are never sequenced, never
-//! retained, and never faulted — they are the reliability plane itself,
-//! exactly as the in-proc runtime disarms the fault plane around its
-//! bootstrap and shutdown control traffic.
+//! ring. Control frames (heartbeat, hello, bye, fences and acks) are never
+//! sequenced, never retained, and never faulted — they are the reliability
+//! plane itself, exactly as the in-proc runtime disarms the fault plane
+//! around its bootstrap and shutdown control traffic.
+//!
+//! The ring holds the undelivered tail. Whoever owns the link trims it to
+//! the watermark the peer reports — in its acks and progress fences —
+//! with [`LinkSender::trim_through`]; the ring is also capped at
+//! [`RING_FRAMES`] frames and [`RING_BYTES`] bytes, so a stalled,
+//! disconnected or one-way peer cannot grow it without bound. A trimmed or
+//! evicted frame's buffer goes on a short free list, and the next data
+//! frame is encoded into it: a bulk stream keeps writing into memory it
+//! has already touched.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -17,12 +26,20 @@ use std::sync::Arc;
 
 use crate::codec::encode_value;
 use crate::fault::{WireFaults, WireVerdict};
-use crate::frame::{Frame, FrameKind};
+use crate::frame::{write_frame, Frame, FrameKind};
 
 /// Data frames retained for session-resume redelivery. A peer that falls
 /// further behind than this cannot be resumed and will surface message
 /// loss to the application's retry layer instead.
 pub const RING_FRAMES: usize = 1024;
+
+/// Encoded bytes retained per link, beside [`RING_FRAMES`]: the oldest
+/// frames are evicted while either bound is exceeded (the newest frame is
+/// always kept).
+pub const RING_BYTES: usize = 64 << 20;
+
+/// Trimmed frame buffers kept for reuse per link.
+const FREE_BUFFERS: usize = 4;
 
 /// Outbound half of one peer link.
 pub struct LinkSender {
@@ -37,6 +54,10 @@ pub struct LinkSender {
     /// Recently sent data frames, encoded clean (pre-fault), seq-ordered.
     /// Shared with the write that sent them: retention copies no bytes.
     ring: VecDeque<(u64, Arc<Vec<u8>>)>,
+    /// Encoded bytes held by `ring`.
+    ring_bytes: usize,
+    /// Buffers of frames that left the ring, reused by the next encode.
+    free: Vec<Vec<u8>>,
     /// Monotone send-attempt counter keying fault draws; retransmissions
     /// advance it so a retried frame gets a fresh fate.
     attempts: u64,
@@ -55,6 +76,8 @@ impl LinkSender {
             dst,
             next_seq: 1,
             ring: VecDeque::new(),
+            ring_bytes: 0,
+            free: Vec::new(),
             attempts: 0,
             faults,
             armed: true,
@@ -95,27 +118,48 @@ impl LinkSender {
         self.next_seq - 1
     }
 
+    /// Frames currently retained for resume.
+    #[cfg(test)]
+    pub(crate) fn retained(&self) -> usize {
+        self.ring.len()
+    }
+
     /// Sends one application message: assigns the next sequence number,
-    /// retains the clean encoding in the ring, then writes it through the
-    /// fault plane. Returns the assigned sequence number.
+    /// encodes the frame into a reused buffer — `encode` appends the
+    /// payload after the header and returns its codec tag — retains the
+    /// clean encoding in the ring, then writes it through the fault plane.
+    /// Returns `None`, assigning and sending nothing, when `encode`
+    /// declines; else the write's outcome with the assigned sequence
+    /// number. A failed write leaves the frame in the ring.
     pub fn send_data(
         &mut self,
         context: u32,
         tag: i32,
-        codec: u32,
-        payload: Vec<u8>,
-    ) -> io::Result<u64> {
+        encode: impl FnOnce(&mut Vec<u8>) -> Option<u32>,
+    ) -> Option<io::Result<u64>> {
         let seq = self.next_seq;
-        self.next_seq += 1;
-        let frame =
-            Frame { kind: FrameKind::Data, src: self.src, context, tag, seq, codec, payload };
-        let bytes = Arc::new(frame.encode());
-        if self.ring.len() == RING_FRAMES {
-            self.ring.pop_front();
+        let mut bytes = match self.free.pop() {
+            Some(mut buf) => {
+                buf.clear();
+                buf
+            }
+            // Frames on one link tend to repeat their size: a fresh buffer
+            // starts at the last frame's, so encoding it grows nothing.
+            None => Vec::with_capacity(self.ring.back().map_or(0, |(_, b)| b.len())),
+        };
+        if write_frame(&mut bytes, FrameKind::Data, self.src, context, tag, seq, encode).is_none() {
+            self.free.push(bytes);
+            return None;
         }
+        self.next_seq += 1;
+        let bytes = Arc::new(bytes);
+        self.ring_bytes += bytes.len();
         self.ring.push_back((seq, Arc::clone(&bytes)));
-        self.write_through_faults(&bytes)?;
-        Ok(seq)
+        while self.ring.len() > 1 && (self.ring.len() > RING_FRAMES || self.ring_bytes > RING_BYTES)
+        {
+            self.pop_oldest();
+        }
+        Some(self.write_through_faults(&bytes).map(|()| seq))
     }
 
     /// Replays every retained data frame with `seq > last_recv` (session
@@ -134,11 +178,23 @@ impl LinkSender {
     }
 
     /// Forgets every retained frame with `seq <= watermark`: the peer's
-    /// progress fence proves it delivered them, so no resume or repair
-    /// can ask for them again.
+    /// ack or progress fence proves it delivered them, so no resume or
+    /// repair can ask for them again.
     pub fn trim_through(&mut self, watermark: u64) {
         while self.ring.front().is_some_and(|(seq, _)| *seq <= watermark) {
-            self.ring.pop_front();
+            self.pop_oldest();
+        }
+    }
+
+    /// Drops the oldest retained frame, keeping its buffer for reuse when
+    /// no write still shares it.
+    fn pop_oldest(&mut self) {
+        let Some((_, bytes)) = self.ring.pop_front() else { return };
+        self.ring_bytes -= bytes.len();
+        if self.free.len() < FREE_BUFFERS {
+            if let Ok(buf) = Arc::try_unwrap(bytes) {
+                self.free.push(buf);
+            }
         }
     }
 
@@ -157,8 +213,9 @@ impl LinkSender {
     }
 
     /// Sends a progress fence carrying our fence counter and the highest
-    /// data seq we have delivered from the peer. Like all control frames:
-    /// unsequenced, unretained, never faulted.
+    /// data seq we have delivered from the peer; `fence_seq = 0` makes it
+    /// an ack. Like all control frames: unsequenced, unretained, never
+    /// faulted.
     pub fn send_fence(&mut self, fence_seq: u64, watermark: u64) -> io::Result<()> {
         let mut frame = Frame::control(FrameKind::ProgressFence, self.src);
         frame.payload = encode_value(&(fence_seq, watermark));
@@ -172,6 +229,7 @@ impl LinkSender {
     /// would deliver another rank's traffic.
     pub fn clear_ring(&mut self) {
         self.ring.clear();
+        self.ring_bytes = 0;
     }
 
     fn write_clean(&mut self, bytes: &[u8]) -> io::Result<()> {
@@ -206,11 +264,20 @@ impl LinkSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{FrameError, FrameReader};
+    use crate::frame::{FrameError, FrameReader, HEADER_LEN};
     use std::io::Read;
 
     fn pair() -> (UnixStream, UnixStream) {
         UnixStream::pair().expect("socketpair")
+    }
+
+    /// Sends `payload` as-is under codec tag `codec`.
+    fn send(s: &mut LinkSender, ctx: u32, tag: i32, codec: u32, payload: &[u8]) -> io::Result<u64> {
+        let encode = |out: &mut Vec<u8>| {
+            out.extend_from_slice(payload);
+            Some(codec)
+        };
+        s.send_data(ctx, tag, encode).expect("the encoder never declines")
     }
 
     fn drain(rx: &mut UnixStream, reader: &mut FrameReader) -> Vec<Result<Frame, FrameError>> {
@@ -236,8 +303,8 @@ mod tests {
         let (tx, mut rx) = pair();
         let mut s = LinkSender::new(0, 1, WireFaults::none());
         s.attach(tx);
-        assert_eq!(s.send_data(5, 9, 1, vec![]).unwrap(), 1);
-        assert_eq!(s.send_data(5, 9, 1, vec![0xab]).unwrap(), 2);
+        assert_eq!(send(&mut s, 5, 9, 1, &[]).unwrap(), 1);
+        assert_eq!(send(&mut s, 5, 9, 1, &[0xab]).unwrap(), 2);
         let mut fr = FrameReader::new();
         let got = drain(&mut rx, &mut fr);
         let seqs: Vec<u64> = got.iter().map(|r| r.as_ref().unwrap().seq).collect();
@@ -250,7 +317,7 @@ mod tests {
         let mut s = LinkSender::new(2, 3, WireFaults::none());
         s.attach(tx);
         for i in 0..5u8 {
-            s.send_data(1, 1, 1, vec![i]).unwrap();
+            send(&mut s, 1, 1, 1, &[i]).unwrap();
         }
         let mut fr = FrameReader::new();
         drain(&mut rx, &mut fr); // receiver saw 1..=5, pretend it saw 3
@@ -266,13 +333,13 @@ mod tests {
         let (tx1, rx1) = pair();
         let mut s = LinkSender::new(0, 1, WireFaults::none());
         s.attach(tx1);
-        s.send_data(1, 1, 1, vec![1]).unwrap();
+        send(&mut s, 1, 1, 1, &[1]).unwrap();
         drop(rx1);
         s.detach();
         assert!(!s.is_connected());
         let (tx2, mut rx2) = pair();
         s.attach(tx2);
-        assert_eq!(s.send_data(1, 1, 1, vec![2]).unwrap(), 2, "sequence continues");
+        assert_eq!(send(&mut s, 1, 1, 1, &[2]).unwrap(), 2, "sequence continues");
         assert_eq!(s.resend_since(0).unwrap(), 2, "ring retained both frames");
         let mut fr = FrameReader::new();
         let got = drain(&mut rx2, &mut fr);
@@ -286,7 +353,7 @@ mod tests {
         let faults = WireFaults { seed: 1, drop: 1.0, ..WireFaults::none() };
         let mut s = LinkSender::new(0, 1, faults);
         s.attach(tx);
-        s.send_data(1, 1, 1, vec![7]).unwrap();
+        send(&mut s, 1, 1, 1, &[7]).unwrap();
         let mut fr = FrameReader::new();
         assert!(drain(&mut rx, &mut fr).is_empty(), "frame was 'lost in flight'");
         s.set_armed(false);
@@ -302,7 +369,7 @@ mod tests {
         let faults = WireFaults { seed: 5, corrupt: 1.0, ..WireFaults::none() };
         let mut s = LinkSender::new(0, 1, faults);
         s.attach(tx);
-        s.send_data(1, 1, 1, vec![1, 2, 3, 4]).unwrap();
+        send(&mut s, 1, 1, 1, &[1, 2, 3, 4]).unwrap();
         let mut fr = FrameReader::new();
         let got = drain(&mut rx, &mut fr);
         assert!(
@@ -318,7 +385,7 @@ mod tests {
         let mut s = LinkSender::new(0, 1, faults);
         s.attach(tx);
         let payload: Vec<u8> = (0..64).collect();
-        s.send_data(3, 4, 1, payload.clone()).unwrap();
+        send(&mut s, 3, 4, 1, &payload).unwrap();
         let mut fr = FrameReader::new();
         let got = drain(&mut rx, &mut fr);
         assert!(!got.is_empty(), "the damaged frame was written");
@@ -337,7 +404,7 @@ mod tests {
         let mut s = LinkSender::new(0, 1, WireFaults::none());
         s.attach(tx);
         for i in 0..5u8 {
-            s.send_data(1, 1, 1, vec![i]).unwrap();
+            send(&mut s, 1, 1, 1, &[i]).unwrap();
         }
         let mut fr = FrameReader::new();
         drain(&mut rx, &mut fr);
@@ -390,11 +457,11 @@ mod tests {
         let mut s = LinkSender::new(0, 1, faults);
         s.attach(tx);
         for i in 0..3u8 {
-            s.send_data(1, 1, 1, vec![i]).unwrap();
+            send(&mut s, 1, 1, 1, &[i]).unwrap();
         }
         s.clear_ring();
         assert_eq!(s.resend_since(0).unwrap(), 0, "nothing left to replay");
-        assert_eq!(s.send_data(1, 1, 1, vec![9]).unwrap(), 4, "seq continues past cleared frames");
+        assert_eq!(send(&mut s, 1, 1, 1, &[9]).unwrap(), 4, "seq continues past cleared frames");
     }
 
     #[test]
@@ -406,8 +473,56 @@ mod tests {
         let mut s = LinkSender::new(0, 1, faults);
         s.attach(tx);
         for i in 0..(RING_FRAMES as u64 + 10) {
-            s.send_data(1, 1, 1, vec![(i & 0xff) as u8]).unwrap();
+            send(&mut s, 1, 1, 1, &[(i & 0xff) as u8]).unwrap();
         }
         assert_eq!(s.resend_since(0).unwrap(), RING_FRAMES, "old frames were evicted");
+    }
+
+    #[test]
+    fn ring_is_bounded_in_bytes() {
+        let (tx, _rx) = pair();
+        let faults = WireFaults { seed: 1, drop: 1.0, ..WireFaults::none() };
+        let mut s = LinkSender::new(0, 1, faults);
+        s.attach(tx);
+        let payload = vec![0x5a; 4 << 20];
+        let frame_len = HEADER_LEN + payload.len() + 4;
+        for _ in 0..20 {
+            send(&mut s, 1, 1, 1, &payload).unwrap();
+            assert!(s.ring_bytes <= RING_BYTES, "{} bytes retained", s.ring_bytes);
+        }
+        let kept = RING_BYTES / frame_len;
+        assert_eq!(s.ring_bytes, kept * frame_len);
+        assert_eq!(s.resend_since(0).unwrap(), kept, "the oldest frames were evicted");
+        assert_eq!(s.ring.front().map(|(seq, _)| *seq), Some(21 - kept as u64));
+    }
+
+    #[test]
+    fn trimmed_frames_lend_their_buffer_to_the_next_send() {
+        let (tx, mut rx) = pair();
+        let mut s = LinkSender::new(0, 1, WireFaults::none());
+        s.attach(tx);
+        send(&mut s, 1, 1, 1, &[1; 512]).unwrap();
+        let first_buf = s.ring[0].1.as_ptr();
+        s.trim_through(1);
+        send(&mut s, 1, 1, 1, &[2; 512]).unwrap();
+        assert_eq!(s.ring[0].1.as_ptr(), first_buf, "seq 2 was encoded into seq 1's allocation");
+        let mut fr = FrameReader::new();
+        let got: Vec<Frame> = drain(&mut rx, &mut fr).into_iter().map(Result::unwrap).collect();
+        assert_eq!(got.iter().map(|f| (f.seq, f.payload[0])).collect::<Vec<_>>(), [(1, 1), (2, 2)]);
+    }
+
+    #[test]
+    fn a_frame_shared_with_a_write_is_not_reused() {
+        let (tx, _rx) = pair();
+        let mut s = LinkSender::new(0, 1, WireFaults::none());
+        s.attach(tx);
+        send(&mut s, 1, 1, 1, &[1; 512]).unwrap();
+        // A write still holding the frame (as `resend_since` does while it
+        // replays) keeps its buffer out of the free list.
+        let in_flight = Arc::clone(&s.ring[0].1);
+        s.trim_through(1);
+        send(&mut s, 1, 1, 1, &[2; 512]).unwrap();
+        assert_ne!(s.ring[0].1.as_ptr(), in_flight.as_ptr(), "a shared frame was overwritten");
+        assert_eq!(in_flight[HEADER_LEN], 1, "the in-flight frame is intact");
     }
 }

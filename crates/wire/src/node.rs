@@ -70,6 +70,13 @@ pub const JOIN_OFFER_TAG: i32 = -2;
 /// Join handshake: sponsor → newcomer after a commit, the state blob.
 pub const JOIN_STATE_TAG: i32 = -6;
 
+/// Payload bytes a node delivers from a peer before its next data send to
+/// that peer carries an ack (a `ProgressFence` with `fence_seq = 0`), so
+/// the peer's resend ring holds only the undelivered tail. Links that
+/// carry traffic both ways get their acks on the reverse sends; one-way
+/// links are trimmed by periodic fences and bounded by the ring caps.
+const ACK_BYTES: u64 = 256 * 1024;
+
 /// The wire's [`ControlPlane`]: `u64` messages between mesh `ranks` on
 /// [`WIRE_CTRL_CONTEXT`], round `r` at `tags[r]`. Every instance has tags
 /// of its own (per survivor epoch or join attempt), so a late message can
@@ -212,6 +219,8 @@ pub struct WireStats {
     pub heartbeat_misses: u64,
     /// Progress fences sent.
     pub fences_sent: u64,
+    /// Acks sent (control frames: not counted in `frames_sent`).
+    pub acks_sent: u64,
     /// Peers quarantined as zombies (watermark stall or reconnect churn).
     pub zombies_quarantined: u64,
     /// Quarantined peers re-admitted after their watermark resumed.
@@ -233,6 +242,7 @@ struct StatsInner {
     reconnect_dials: AtomicU64,
     heartbeat_misses: AtomicU64,
     fences_sent: AtomicU64,
+    acks_sent: AtomicU64,
     zombies_quarantined: AtomicU64,
     zombies_readmitted: AtomicU64,
     zombies_evicted: AtomicU64,
@@ -267,8 +277,16 @@ struct Peer {
     /// Our fence counter toward this peer.
     fence_seq: AtomicU64,
     /// Highest delivered-sequence watermark the peer has reported for
-    /// *our* outbound stream (via its ProgressFence frames).
+    /// *our* outbound stream (via its acks and periodic fences); the ring
+    /// is trimmed to it.
     peer_watermark: AtomicU64,
+    /// The watermark of the peer's last *periodic* fence. The NACK and
+    /// readmit rules compare each periodic fence with this, never with an
+    /// ack: a fence repeating what an ack already reported is progress,
+    /// not a stall.
+    fence_watermark: AtomicU64,
+    /// Payload bytes delivered from the peer since our last ack to it.
+    unacked_bytes: AtomicU64,
     /// Consecutive fence ticks the watermark stalled with data
     /// outstanding.
     stall_fences: AtomicU64,
@@ -300,6 +318,8 @@ impl Peer {
             last_fence: Mutex::new(now),
             fence_seq: AtomicU64::new(0),
             peer_watermark: AtomicU64::new(0),
+            fence_watermark: AtomicU64::new(0),
+            unacked_bytes: AtomicU64::new(0),
             stall_fences: AtomicU64::new(0),
             churn: AtomicU64::new(0),
             quarantined: AtomicBool::new(false),
@@ -373,7 +393,9 @@ impl NodeShared {
                 return;
             }
             self.stats.fences_sent.fetch_add(1, Ordering::Relaxed);
-            sender.last_seq() > p.peer_watermark.load(Ordering::Acquire)
+            let delivered = p.peer_watermark.load(Ordering::Acquire);
+            sender.trim_through(delivered);
+            sender.last_seq() > delivered
         };
         if outstanding {
             let stalled = p.stall_fences.fetch_add(1, Ordering::AcqRel) + 1;
@@ -463,6 +485,7 @@ impl NodeShared {
             // watermark baseline starts at today's sequence counter, so
             // only data sent *after* admission can count as outstanding.
             p.peer_watermark.store(sender.last_seq(), Ordering::Release);
+            p.fence_watermark.store(sender.last_seq(), Ordering::Release);
             if !sender.is_connected() {
                 // No live connection from the joiner yet: forget the
                 // previous occupant entirely. The ring is cleared (its
@@ -473,6 +496,7 @@ impl NodeShared {
                 p.ever_connected.store(false, Ordering::Release);
                 p.session.store(0, Ordering::Release);
                 p.last_recv_seq.store(0, Ordering::Release);
+                p.unacked_bytes.store(0, Ordering::Release);
             }
         }
         self.liveness.revive(new_rank);
@@ -490,10 +514,12 @@ impl NodeShared {
             sender.shutdown();
             sender.clear_ring();
             p.peer_watermark.store(sender.last_seq(), Ordering::Release);
+            p.fence_watermark.store(sender.last_seq(), Ordering::Release);
         }
         p.ever_connected.store(false, Ordering::Release);
         p.session.store(0, Ordering::Release);
         p.last_recv_seq.store(0, Ordering::Release);
+        p.unacked_bytes.store(0, Ordering::Release);
         *p.disconnected_at.lock() = None;
         self.liveness.revive(new_rank);
         let _ = self.cur_size.compare_exchange(
@@ -504,8 +530,9 @@ impl NodeShared {
         );
     }
 
-    /// Routes one decoded frame from `peer`.
-    fn handle_frame(self: &Arc<Self>, peer: usize, frame: Frame) {
+    /// Routes one decoded frame from `peer` and hands its payload buffer
+    /// back for reuse.
+    fn handle_frame(self: &Arc<Self>, peer: usize, frame: Frame) -> Vec<u8> {
         match frame.kind {
             FrameKind::Data => {
                 let p = &self.peers[peer];
@@ -514,16 +541,17 @@ impl NodeShared {
                 // we send announces the pre-quarantine watermark and its
                 // ring replays everything we refused here.
                 if p.quarantined.load(Ordering::Acquire) || p.evicted.load(Ordering::Acquire) {
-                    return;
+                    return frame.payload;
                 }
                 // Duplicate guard: session resume may replay frames the
                 // original delivery already landed.
                 if frame.seq <= p.last_recv_seq.load(Ordering::Acquire) {
                     self.stats.duplicates_dropped.fetch_add(1, Ordering::Relaxed);
-                    return;
+                    return frame.payload;
                 }
                 p.last_recv_seq.store(frame.seq, Ordering::Release);
                 let bytes = frame.payload.len();
+                p.unacked_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
                 match self.registry.decode_any(frame.codec, &frame.payload) {
                     Ok(boxed) => {
                         self.stats.frames_received.fetch_add(1, Ordering::Relaxed);
@@ -561,38 +589,51 @@ impl NodeShared {
                 self.declare_dead(peer);
             }
             FrameKind::ProgressFence => {
-                if let Ok((_fence_seq, watermark)) =
+                if let Ok((fence_seq, watermark)) =
                     crate::codec::decode_value::<(u64, u64)>(&frame.payload)
                 {
-                    let p = &self.peers[peer];
-                    p.sender.lock().trim_through(watermark);
-                    let prev = p.peer_watermark.fetch_max(watermark, Ordering::AcqRel);
-                    let advanced = watermark > prev;
-                    if advanced {
-                        p.stall_fences.store(0, Ordering::Release);
-                    }
-                    // A fence *arriving at all* proves the peer's monitor
-                    // thread is scheduled again — a stopped process sends
-                    // nothing. Re-admit once it has either advanced or
-                    // fully caught up with our stream.
-                    if p.quarantined.load(Ordering::Acquire) {
-                        let caught_up = watermark >= p.sender.lock().last_seq();
-                        if advanced || caught_up {
-                            self.readmit(peer);
-                        }
-                    } else if !advanced && !p.evicted.load(Ordering::Acquire) {
-                        // A fence *repeating* a lagging watermark is a
-                        // NACK, not a freeze: the peer is running but
-                        // frames beyond the watermark were lost to bit
-                        // damage or a torn connection. Repair from the
-                        // resend ring — the duplicate guard on the far
-                        // side keeps redelivery exact-once.
-                        let mut sender = p.sender.lock();
-                        if sender.is_connected() && sender.last_seq() > watermark {
-                            let _ = sender.resend_since(watermark);
-                        }
-                    }
+                    self.on_fence(peer, fence_seq, watermark);
                 }
+            }
+        }
+        frame.payload
+    }
+
+    /// A progress fence or ack from `peer` reporting `watermark`. Both
+    /// raise the watermark the ring is trimmed to — on the send path and
+    /// the fence tick, not here: the reader takes no sender lock to trim.
+    /// Only a periodic fence judges the peer.
+    fn on_fence(&self, peer: usize, fence_seq: u64, watermark: u64) {
+        let p = &self.peers[peer];
+        p.peer_watermark.fetch_max(watermark, Ordering::AcqRel);
+        if fence_seq == 0 {
+            // An ack proves delivery, nothing more: never a NACK, never a
+            // readmit.
+            p.stall_fences.store(0, Ordering::Release);
+            return;
+        }
+        let prev = p.fence_watermark.fetch_max(watermark, Ordering::AcqRel);
+        let advanced = watermark > prev;
+        if advanced {
+            p.stall_fences.store(0, Ordering::Release);
+        }
+        // A fence *arriving at all* proves the peer's monitor thread is
+        // scheduled again — a stopped process sends nothing. Re-admit once
+        // it has either advanced or fully caught up with our stream.
+        if p.quarantined.load(Ordering::Acquire) {
+            let caught_up = watermark >= p.sender.lock().last_seq();
+            if advanced || caught_up {
+                self.readmit(peer);
+            }
+        } else if !advanced && !p.evicted.load(Ordering::Acquire) {
+            // A fence *repeating* a lagging watermark is a NACK, not a
+            // freeze: the peer is running but frames beyond the watermark
+            // were lost to bit damage or a torn connection. Repair from the
+            // resend ring — the duplicate guard on the far side keeps
+            // redelivery exact-once.
+            let mut sender = p.sender.lock();
+            if sender.is_connected() && sender.last_seq() > watermark {
+                let _ = sender.resend_since(watermark);
             }
         }
     }
@@ -687,7 +728,7 @@ impl NodeShared {
                         // can never convict it.
                         self.peers[peer].churn.store(0, Ordering::Release);
                         self.peers[peer].stall_fences.store(0, Ordering::Release);
-                        self.handle_frame(peer, frame);
+                        frames.recycle(self.handle_frame(peer, frame));
                     }
                     Err(FrameError::Corrupt { skipped, header, .. }) => {
                         self.stats.corrupt_frames.fetch_add(1, Ordering::Relaxed);
@@ -704,9 +745,10 @@ impl NodeShared {
             if self.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            match stream.read(&mut buf) {
+            // Large frame bodies are read straight into their own buffer.
+            match frames.read_from(&mut stream, &mut buf) {
                 Ok(0) | Err(_) => break, // EOF or failure: the link is down
-                Ok(n) => frames.feed(&buf[..n]),
+                Ok(_) => {}
             }
         }
         // Only the *current* stream's reader tears the link down; a stale
@@ -945,17 +987,18 @@ impl NodeShared {
         self.peers[peer].reconnecting.store(false, Ordering::Release);
     }
 
-    /// Encodes and sends one type-erased payload to `dst`. A send while
-    /// the link is down still succeeds: the frame enters the resend ring
-    /// and session resume redelivers it (or the peer is declared dead and
-    /// later operations fail with `PeerDead`).
-    fn send_encoded(
+    /// Encodes one type-erased payload straight into a frame for `dst` and
+    /// sends it; `unregistered` is the error when `value`'s type has no
+    /// codec. A send while the link is down still succeeds: the frame
+    /// enters the resend ring and session resume redelivers it (or the
+    /// peer is declared dead and later operations fail with `PeerDead`).
+    fn send_any(
         &self,
         dst: usize,
         context: u32,
         tag: i32,
-        codec: u32,
-        bytes: Vec<u8>,
+        value: &dyn Any,
+        unregistered: impl FnOnce() -> RuntimeError,
     ) -> Result<()> {
         let size = self.cur_size();
         if dst >= size {
@@ -969,8 +1012,25 @@ impl NodeShared {
         }
         let p = &self.peers[dst];
         let mut sender = p.sender.lock();
+        let owed = p.unacked_bytes.load(Ordering::Relaxed);
+        if owed >= ACK_BYTES {
+            p.unacked_bytes.fetch_sub(owed, Ordering::Relaxed);
+            if sender.send_fence(0, p.last_recv_seq.load(Ordering::Acquire)).is_ok() {
+                self.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
+            } else {
+                // Detached now, the data frame below goes to the ring only.
+                sender.detach();
+                self.mark_disconnected(dst);
+            }
+        }
+        // Trimmed frames free their buffers for this encode.
+        sender.trim_through(p.peer_watermark.load(Ordering::Acquire));
+        let encode = |out: &mut Vec<u8>| self.registry.encode_any_into(value, out);
+        let Some(sent) = sender.send_data(context, tag, encode) else {
+            return Err(unregistered());
+        };
         self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-        if sender.send_data(context, tag, codec, bytes).is_err() {
+        if sent.is_err() {
             // The write failed but the frame is ring-retained; the
             // reconnect/resume machinery owns redelivery from here.
             sender.detach();
@@ -1157,13 +1217,11 @@ impl WireNode {
     /// Sends `value` to `dst`'s mailbox bucket `(context, tag)`. The type
     /// must be registered in both processes' codec registries.
     pub fn send<T: Any + Send>(&self, dst: usize, context: u32, tag: i32, value: T) -> Result<()> {
-        let (codec, bytes) =
-            self.shared.registry.encode_any(&value).ok_or(RuntimeError::TypeMismatch {
-                expected: std::any::type_name::<T>(),
-                src: self.shared.cfg.rank,
-                tag,
-            })?;
-        self.shared.send_encoded(dst, context, tag, codec, bytes)
+        self.shared.send_any(dst, context, tag, &value, || RuntimeError::TypeMismatch {
+            expected: std::any::type_name::<T>(),
+            src: self.shared.cfg.rank,
+            tag,
+        })
     }
 
     /// Receives a `T` from `src` on `(context, tag)`, blocking until it
@@ -1371,6 +1429,7 @@ impl WireNode {
             reconnect_dials: s.reconnect_dials.load(Ordering::Relaxed),
             heartbeat_misses: s.heartbeat_misses.load(Ordering::Relaxed),
             fences_sent: s.fences_sent.load(Ordering::Relaxed),
+            acks_sent: s.acks_sent.load(Ordering::Relaxed),
             zombies_quarantined: s.zombies_quarantined.load(Ordering::Relaxed),
             zombies_readmitted: s.zombies_readmitted.load(Ordering::Relaxed),
             zombies_evicted: s.zombies_evicted.load(Ordering::Relaxed),
@@ -1451,14 +1510,14 @@ impl Transport for UdsTransport {
                 tag: env.tag,
             }),
             Payload::Owned(boxed) => {
-                let (codec, bytes) = self.shared.registry.encode_any(boxed.as_ref()).ok_or(
+                let (src, tag) = (env.src_global, env.tag);
+                self.shared.send_any(dst, env.context, tag, boxed.as_ref(), || {
                     RuntimeError::TypeMismatch {
                         expected: "a type registered in the CodecRegistry",
-                        src: env.src_global,
-                        tag: env.tag,
-                    },
-                )?;
-                self.shared.send_encoded(dst, env.context, env.tag, codec, bytes)
+                        src,
+                        tag,
+                    }
+                })
             }
         }
     }
@@ -1485,9 +1544,16 @@ mod tests {
     }
 
     fn mesh(dir: &Path, n: usize) -> Vec<WireNode> {
+        mesh_with(dir, n, |_| {})
+    }
+
+    /// An `n`-node mesh whose configurations `tune` adjusts.
+    fn mesh_with(dir: &Path, n: usize, tune: impl Fn(&mut WireConfig)) -> Vec<WireNode> {
         let nodes: Vec<WireNode> = (0..n)
             .map(|r| {
-                WireNode::start(WireConfig::new(dir, r, n), CodecRegistry::with_defaults()).unwrap()
+                let mut cfg = WireConfig::new(dir, r, n);
+                tune(&mut cfg);
+                WireNode::start(cfg, CodecRegistry::with_defaults()).unwrap()
             })
             .collect();
         // Connect concurrently: dialing blocks until the peer binds, and
@@ -1498,6 +1564,13 @@ mod tests {
             }
         });
         nodes
+    }
+
+    /// The bulk benchmark's setting: no periodic fences, a deadline long
+    /// enough for 1 MiB frames on a loaded host.
+    fn fences_off(cfg: &mut WireConfig) {
+        cfg.fence_interval = Duration::from_secs(3600);
+        cfg.liveness_deadline = Duration::from_secs(5);
     }
 
     #[test]
@@ -1626,19 +1699,82 @@ mod tests {
     }
 
     fn mesh_max(dir: &Path, n: usize, max: usize) -> Vec<WireNode> {
-        let nodes: Vec<WireNode> = (0..n)
-            .map(|r| {
-                let mut cfg = WireConfig::new(dir, r, n);
-                cfg.max_size = max;
-                WireNode::start(cfg, CodecRegistry::with_defaults()).unwrap()
-            })
-            .collect();
+        mesh_with(dir, n, |cfg| cfg.max_size = max)
+    }
+
+    #[test]
+    fn acks_keep_bulk_rings_at_the_undelivered_tail() {
+        let dir = test_dir("bulk-acks");
+        let nodes = mesh_with(&dir, 2, fences_off);
+        // 1 MiB of f64s, distinct per sender and exchange.
+        let field = |from: usize, i: usize| -> Vec<f64> {
+            (0..1 << 17).map(|k| (from * 1000 + i) as f64 * 1e6 + k as f64).collect()
+        };
         std::thread::scope(|s| {
-            for node in &nodes {
-                s.spawn(move || node.connect().unwrap());
+            for (me, node) in nodes.iter().enumerate() {
+                s.spawn(move || {
+                    let peer = 1 - me;
+                    for i in 0..64 {
+                        node.send(peer, 4, 1, field(me, i)).unwrap();
+                        let got: Vec<f64> =
+                            node.recv_timeout(peer, 4, 1, Duration::from_secs(20)).unwrap();
+                        assert!(got == field(peer, i), "exchange {i} from rank {peer} differs");
+                    }
+                });
             }
         });
-        nodes
+        for (me, node) in nodes.iter().enumerate() {
+            let retained = node.shared.peers[1 - me].sender.lock().retained();
+            assert!(retained <= 2, "rank {me} still retains {retained} frames");
+            let stats = node.stats();
+            assert_eq!((stats.frames_sent, stats.frames_received), (64, 64));
+            // One ack rides on a send when a 1 MiB frame or two arrived
+            // since the last: at most one per send, never on the first.
+            assert!((32..64).contains(&stats.acks_sent), "{} acks", stats.acks_sent);
+            assert_eq!(stats.duplicates_dropped, 0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn acks_never_nack_or_readmit() {
+        let dir = test_dir("ack-rules");
+        let nodes = mesh_with(&dir, 2, fences_off);
+        let t = Duration::from_secs(10);
+        // Rank 0 → 1: seqs 1..=4, all delivered; the last one is a marker
+        // behind which every earlier frame on the stream has been handled.
+        let sync = |marker: u64| {
+            nodes[0].send(1, 5, 5, marker).unwrap();
+            assert_eq!(nodes[1].recv_timeout::<u64>(0, 5, 5, t).unwrap(), marker);
+        };
+        for i in 0..4 {
+            sync(i);
+        }
+        // Fences from rank 1 as rank 0's reader would hand them over.
+        let from_1 = |fence_seq: u64, watermark: u64| {
+            let mut fence = Frame::control(FrameKind::ProgressFence, 1);
+            fence.payload = encode_value(&(fence_seq, watermark));
+            nodes[0].shared.handle_frame(1, fence);
+        };
+        // An ack for seq 2, then the first periodic fence repeating it:
+        // progress since the last periodic fence, not a NACK.
+        from_1(0, 2);
+        from_1(1, 2);
+        // A second periodic fence at seq 2 is a NACK: seqs 3 and 4 are
+        // replayed and the duplicate guard drops them.
+        from_1(2, 2);
+        sync(4);
+        assert_eq!(nodes[1].stats().duplicates_dropped, 2, "exactly one replay, for the NACK");
+
+        // Quarantined, rank 1 is readmitted by a caught-up periodic fence
+        // but never by an ack, caught up or not.
+        nodes[0].shared.quarantine(1, 0);
+        from_1(0, 5);
+        assert!(nodes[0].is_quarantined(1), "an ack readmitted a quarantined peer");
+        from_1(3, 5);
+        assert!(!nodes[0].is_quarantined(1) && !nodes[0].is_dead(1));
+        assert_eq!(nodes[0].stats().zombies_readmitted, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! never panics, never yields a damaged frame as clean, and never loses
 //! sync with the stream that follows.
 
+use std::io::{self, Read};
+use std::ops::Range;
+
 use proptest::prelude::*;
 
 use mxn_wire::codec::{decode_value, encode_value};
 use mxn_wire::crc32;
-use mxn_wire::frame::{Frame, FrameError, FrameKind, FrameReader};
+use mxn_wire::frame::{Frame, FrameError, FrameKind, FrameReader, BODY_IN_PLACE, HEADER_LEN};
 
 /// CRC-32C one bit at a time, straight from the polynomial: shares no
 /// table or instruction with the library's paths.
@@ -197,5 +200,128 @@ proptest! {
         let _ = decode_value::<(u64, u64)>(&bytes);
         let _ = decode_value::<Vec<(usize, f64)>>(&bytes);
         let _ = decode_value::<Option<u32>>(&bytes);
+    }
+}
+
+/// A stream that returns `bytes` in pieces never crossing a cut point,
+/// and records every piece it returned.
+struct CutStream<'a> {
+    bytes: &'a [u8],
+    cuts: Vec<usize>,
+    pos: usize,
+    pieces: Vec<Range<usize>>,
+}
+
+impl Read for CutStream<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let end = self.cuts.iter().copied().find(|&c| c > self.pos).unwrap_or(self.bytes.len());
+        let n = out.len().min(end - self.pos);
+        out[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+        self.pieces.push(self.pos..self.pos + n);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// Data frame `i` of a test stream: a small or a [`BODY_IN_PLACE`]-sized
+/// payload of `len` extra bytes, filled from `fill`.
+fn mixed_frame(i: usize, large: bool, len: usize, fill: u64) -> Frame {
+    let len = if large { BODY_IN_PLACE + len } else { len % 96 };
+    let mut x = fill;
+    let payload = (0..len)
+        .map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 56) as u8
+        })
+        .collect();
+    let seq = i as u64 + 1;
+    Frame { kind: FrameKind::Data, src: 3, context: 11, tag: i as i32, seq, codec: 15, payload }
+}
+
+/// Reads `stream` to its end the way a node's reader does: drain every
+/// frame, then one `read_from`, handing each delivered payload back.
+fn read_like_a_node(
+    stream: &mut CutStream<'_>,
+    scratch_len: usize,
+) -> Vec<Result<Frame, FrameError>> {
+    let mut reader = FrameReader::new();
+    let mut scratch = vec![0u8; scratch_len];
+    let mut out = Vec::new();
+    loop {
+        while let Some(r) = reader.next() {
+            if let Ok(frame) = &r {
+                reader.recycle(frame.payload.clone());
+            }
+            out.push(r);
+        }
+        if reader.read_from(stream, &mut scratch).expect("reads from memory") == 0 {
+            return out;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Frames whose bodies are read in place come out exactly as `feed`
+    /// and `next` yield them from the same pieces of the same stream —
+    /// intact frames in order, a payload flip as `Corrupt` with the
+    /// routable header, and the stream resynced on the next frame.
+    #[test]
+    fn in_place_bodies_match_feed_and_next(
+        shape in proptest::collection::vec((0u8..2, 0usize..2000, 0u64..u64::MAX), 1..6),
+        cut_draws in proptest::collection::vec(0u64..u64::MAX, 0..12),
+        flip_draw in (0u8..2, 0u64..u64::MAX),
+        scratch_len in prop_oneof![Just(64 * 1024), 1usize..5000],
+    ) {
+        let frames: Vec<Frame> = shape
+            .iter()
+            .enumerate()
+            .map(|(i, &(large, len, fill))| mixed_frame(i, large == 1, len, fill))
+            .collect();
+        let encoded: Vec<Vec<u8>> = frames.iter().map(Frame::encode).collect();
+        let mut bytes = encoded.concat();
+        // Which frame the flip hit, and whether it spared the header.
+        let mut damaged = None;
+        if let (1, draw) = flip_draw {
+            let bit = (draw as usize) % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let mut start = 0;
+            for (i, e) in encoded.iter().enumerate() {
+                if bit / 8 < start + e.len() {
+                    damaged = Some((i, bit / 8 - start >= HEADER_LEN));
+                    break;
+                }
+                start += e.len();
+            }
+        }
+        let mut cuts: Vec<usize> = cut_draws.iter().map(|&c| c as usize % bytes.len()).collect();
+        cuts.sort_unstable();
+
+        let mut stream = CutStream { bytes: &bytes, cuts, pos: 0, pieces: Vec::new() };
+        let got = read_like_a_node(&mut stream, scratch_len);
+        let mut reader = FrameReader::new();
+        let mut want = Vec::new();
+        for piece in &stream.pieces {
+            reader.feed(&bytes[piece.clone()]);
+            while let Some(r) = reader.next() {
+                want.push(r);
+            }
+        }
+        // Compared whole, but not printed: payloads run to 64 KiB.
+        prop_assert!(got == want, "the body path and feed/next disagree");
+
+        let clean: Vec<&Frame> = got.iter().filter_map(|r| r.as_ref().ok()).collect();
+        let spared: Vec<&Frame> =
+            frames.iter().enumerate().filter(|(i, _)| damaged.map(|d| d.0) != Some(*i)).map(|(_, f)| f).collect();
+        prop_assert!(clean == spared, "intact frames lost or reordered");
+        if let Some((i, true)) = damaged {
+            let reported = got.iter().any(|r| matches!(
+                r,
+                Err(FrameError::Corrupt { header: Some(h), skipped, .. })
+                    if h.seq == frames[i].seq && *skipped == encoded[i].len()
+            ));
+            prop_assert!(reported, "payload damage to frame {} went unreported", i);
+        }
     }
 }
