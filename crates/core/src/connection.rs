@@ -26,7 +26,10 @@ use parking_lot::RwLock;
 
 use mxn_dad::{AccessMode, Dad};
 use mxn_runtime::{Comm, InterComm, MsgSize, ReconfigReport, RuntimeError, ShrinkReport, Src};
-use mxn_schedule::{Redist, RegionSchedule, ScheduleCache, TransferBuffers};
+use mxn_schedule::{
+    execute_recv_routed, execute_send_routed, RegionSchedule, RoutePlanner, ScheduleCache,
+    TransferBuffers,
+};
 use mxn_trace::EventId;
 
 use crate::elastic::redistribute_elastic;
@@ -44,6 +47,13 @@ fn map_dead(tag: i32, e: MxnError) -> MxnError {
         }
         other => other,
     }
+}
+
+/// Parks what a direct transfer leaves in the rank pool: at most the bytes
+/// it moved, so a rank that only imports keeps one receive set warm, not
+/// every buffer it ever drained.
+fn park_direct(pool: &mut TransferBuffers<f64>, moved: &mxn_runtime::Result<usize>) {
+    pool.trim_to(moved.as_ref().map_or(0, |&n| n * size_of::<f64>()));
 }
 
 /// Base of the tag space used by M×N data transfers.
@@ -465,8 +475,9 @@ impl MxnConnection {
     }
 
     /// The body both `data_ready` forms share: cadence bookkeeping, the
-    /// transfer itself (over the held schedule, or over a planned route
-    /// when `budgeted` carries a cache and byte budget), and the
+    /// transfer itself over the held schedule (directly, or along a
+    /// planned route when `budgeted` carries a cache and byte budget), in
+    /// place in the field and with buffers from the rank pool, and the
     /// collective-failure check.
     fn due_transfer(
         &mut self,
@@ -485,40 +496,47 @@ impl MxnConnection {
         if !due {
             return Ok(TransferOutcome::Skipped);
         }
-        if self.transactional && budgeted.is_none() {
+        if self.transactional {
             return self.transactional_transfer(ic, registry);
         }
         let entry = registry.get(&self.field)?;
-        let moved = match (self.direction, budgeted) {
-            (Direction::Export, None) => {
-                let data = entry.data().read();
-                self.schedule.execute_send(ic, &data, self.tag, &mut TransferBuffers::new())
+        let route = budgeted.map(|(cache, budget)| {
+            let (src, dst) = match self.direction {
+                Direction::Export => (&self.my_dad, &self.peer_dad),
+                Direction::Import => (&self.peer_dad, &self.my_dad),
+            };
+            let planner = RoutePlanner::default();
+            cache.route_for_epoch(src, dst, size_of::<f64>(), budget, false, &planner, self.epoch)
+        });
+        // A routed transfer keeps the pool within its route's idle
+        // allowance on both sides of the transfer, so pooled buffers never
+        // break the declared peak.
+        let allowance = route.as_ref().map(|r| r.idle_allowance() as usize);
+        let (sched, tag) = (&self.schedule, self.tag);
+        let moved = registry.with_pool(|pool| {
+            if let Some(bytes) = allowance {
+                pool.trim_to(bytes);
             }
-            (Direction::Import, None) => {
-                let mut data = entry.data().write();
-                self.schedule.execute_recv(ic, &mut data, self.tag, &mut TransferBuffers::new())
+            let moved = match (self.direction, route.as_deref()) {
+                (Direction::Export, None) => {
+                    sched.execute_send(ic, &entry.data().read(), tag, pool)
+                }
+                (Direction::Import, None) => {
+                    sched.execute_recv(ic, &mut entry.data().write(), tag, pool)
+                }
+                (Direction::Export, Some(r)) => {
+                    execute_send_routed(r, sched, ic, &entry.data().read(), tag, pool)
+                }
+                (Direction::Import, Some(r)) => {
+                    execute_recv_routed(r, sched, ic, &mut entry.data().write(), tag, pool)
+                }
+            };
+            match allowance {
+                Some(bytes) => pool.trim_to(bytes),
+                None => park_direct(pool, &moved),
             }
-            (Direction::Export, Some((cache, budget))) => {
-                let data = entry.data().read();
-                Redist::between(&self.my_dad, &self.peer_dad)
-                    .cache(cache)
-                    .budget(budget)
-                    .epoch(self.epoch)
-                    .send(ic, &data, self.tag)
-            }
-            (Direction::Import, Some((cache, budget))) => {
-                Redist::between(&self.peer_dad, &self.my_dad)
-                    .cache(cache)
-                    .budget(budget)
-                    .epoch(self.epoch)
-                    .recv::<f64>(ic, self.tag)
-                    .map(|arr| {
-                        let n = arr.len();
-                        *entry.data().write() = arr;
-                        n
-                    })
-            }
-        };
+            moved
+        });
         let elements = match moved {
             Ok(n) => n,
             Err(e) => return Err(map_dead(self.tag, e.into())),
@@ -557,8 +575,13 @@ impl MxnConnection {
         let mut failure: Option<MxnError> = None;
         match self.direction {
             Direction::Export => {
-                let data = entry.data().read();
-                match self.schedule.execute_send(ic, &data, self.tag, &mut TransferBuffers::new()) {
+                let moved = registry.with_pool(|pool| {
+                    let moved =
+                        self.schedule.execute_send(ic, &entry.data().read(), self.tag, pool);
+                    park_direct(pool, &moved);
+                    moved
+                });
+                match moved {
                     Ok(n) => elements = n,
                     Err(e) => failure = Some(map_dead(self.tag, e.into())),
                 }
@@ -583,9 +606,13 @@ impl MxnConnection {
         if commit {
             if self.direction == Direction::Import {
                 let mut data = entry.data().write();
-                for (i, buf) in staged.iter().enumerate() {
-                    self.schedule.unpack_pair_from(i, &mut data, buf);
-                }
+                registry.with_pool(|pool| {
+                    for (i, buf) in staged.into_iter().enumerate() {
+                        self.schedule.unpack_pair_from(i, &mut data, &buf);
+                        pool.recycle(buf);
+                    }
+                    park_direct(pool, &Ok(elements));
+                });
             }
             self.transfers += 1;
             mxn_trace::emit_instant(EventId::Commit, [self.epoch, seq, 0, 0]);
@@ -664,12 +691,25 @@ impl MxnConnection {
     /// planned route from `cache` that respects the staging-buffer budget
     /// negotiated at plan time. Both sides of the coupling must use this
     /// path for the same rounds (the routed protocol has its own wire
-    /// format). Routes and schedules are keyed on the descriptor
-    /// fingerprints *and* the connection epoch: a heal or elastic
-    /// reconfiguration bumps the epoch, which forces a fresh profile and
-    /// plan even when a grow→shrink cycle returns to byte-identical
-    /// descriptors — without the salt, a post-reconfiguration transfer
-    /// silently reuses a route profiled for the old membership.
+    /// format). Routes are keyed on the descriptor fingerprints *and* the
+    /// connection epoch: a heal or elastic reconfiguration bumps the
+    /// epoch, which forces a fresh profile and plan even when a
+    /// grow→shrink cycle returns to byte-identical descriptors — without
+    /// the salt, a post-reconfiguration transfer silently reuses a route
+    /// profiled for the old membership. The route runs over the schedule
+    /// the connection holds (rebuilt by every heal and reconfiguration).
+    ///
+    /// The import lands in place in the registered field, as
+    /// [`MxnConnection::data_ready`] does, so no second shard is resident;
+    /// a failed budgeted import therefore leaves partial data in the
+    /// field, exactly as `data_ready` does. Transactional connections keep
+    /// staging: they run the same staged, voted transfer as `data_ready`
+    /// (staging holds the whole receive set, so the budget does not apply
+    /// to them). Pack and unpack buffers come from the registry's rank
+    /// pool, trimmed to [`RedistRoute::idle_allowance`] before and after
+    /// the transfer.
+    ///
+    /// [`RedistRoute::idle_allowance`]: mxn_schedule::RedistRoute::idle_allowance
     pub fn data_ready_budgeted(
         &mut self,
         ic: &InterComm,
@@ -900,11 +940,14 @@ impl MxnConnection {
             if !ready || self.schedule.num_messages() == 0 {
                 return Ok(rounds);
             }
-            let mut data = entry.data().write();
-            self.schedule
-                .execute_recv(ic, &mut data, self.tag, &mut TransferBuffers::new())
+            registry
+                .with_pool(|pool| {
+                    let moved =
+                        self.schedule.execute_recv(ic, &mut entry.data().write(), self.tag, pool);
+                    park_direct(pool, &moved);
+                    moved
+                })
                 .map_err(|e| map_dead(self.tag, e.into()))?;
-            drop(data);
             self.transfers += 1;
             rounds += 1;
         }
@@ -1646,6 +1689,94 @@ mod budgeted_epoch_tests {
                     assert_eq!(v, coded(&idx, 3.0), "post-cycle budgeted transfer fits");
                 }
             }
+        });
+    }
+}
+
+#[cfg(test)]
+mod budgeted_steady_state_tests {
+    use super::*;
+    use crate::field::FieldRegistry;
+    use mxn_dad::{AccessMode, Extents};
+    use mxn_runtime::{schedule_stats, Universe};
+    use mxn_schedule::RouteKind;
+
+    const ROWS: usize = 64;
+    const COLS: usize = 32;
+
+    fn coded(idx: &[usize], step: u64) -> f64 {
+        (idx[0] * COLS + idx[1]) as f64 + step as f64 * 10_000.0
+    }
+
+    /// The benchmark's budgeted coupling at test size: a 2→2 persistent
+    /// connection pair over row bands ⇄ column bands, both directions
+    /// under a 1.25×-shard budget (8 chunked rounds). Once warm, a step
+    /// allocates no transfer buffer, the import lands in the registered
+    /// storage (no second shard), the rank pool stays within the route's
+    /// idle allowance, and every value arrives exact.
+    #[test]
+    fn budgeted_data_ready_is_allocation_free_in_steady_state() {
+        Universe::run(&[2, 2], |_, ctx| {
+            let extents = Extents::new([ROWS, COLS]);
+            let m = Dad::block(extents.clone(), &[2, 1]).unwrap();
+            let n = Dad::block(extents, &[1, 2]).unwrap();
+            let shard = (ROWS * COLS * size_of::<f64>() / 2) as u64;
+            let budget = shard + shard / 4;
+            let route = RoutePlanner::default().plan_for(&m, &n, size_of::<f64>(), budget, false);
+            assert_eq!((route.kind, route.rounds()), (RouteKind::Chunked, 8));
+            let is_m = ctx.program == 0;
+            let ic = ctx.intercomm(if is_m { 1 } else { 0 });
+            let rank = ctx.comm.rank();
+            let mut reg = FieldRegistry::new(rank);
+            let dad = if is_m { m } else { n };
+            let data = reg.register_allocated("field", dad, AccessMode::ReadWrite).unwrap();
+            let kind = ConnectionKind::Persistent { period: 1 };
+            let export = |reg: &FieldRegistry, id| {
+                MxnConnection::initiate(ic, reg, id, "field", "field", Direction::Export, kind)
+            };
+            let (mut out, mut inc) = if is_m {
+                let out = export(&reg, 0).unwrap();
+                (out, MxnConnection::accept(ic, &reg, 1).unwrap())
+            } else {
+                let inc = MxnConnection::accept(ic, &reg, 0).unwrap();
+                (export(&reg, 1).unwrap(), inc)
+            };
+            let cache = ScheduleCache::new();
+            let storage = data.read().patch(0).1.as_ptr();
+            let mut allocs = 0;
+            for step in 0..10u64 {
+                if step == 2 {
+                    allocs = schedule_stats().buffer_allocs;
+                }
+                // M publishes the step; N hands it back one higher.
+                let fill = |offset: f64| {
+                    let mut d = data.write();
+                    let idxs: Vec<Vec<usize>> = d.iter().map(|(i, _)| i).collect();
+                    for idx in idxs {
+                        *d.get_mut(&idx).unwrap() = coded(&idx, step) + offset;
+                    }
+                };
+                let check = |offset: f64| {
+                    for (idx, &v) in data.read().iter() {
+                        assert_eq!(v, coded(&idx, step) + offset, "step {step} at {idx:?}");
+                    }
+                };
+                if is_m {
+                    fill(0.0);
+                    out.data_ready_budgeted(ic, &reg, &cache, budget).unwrap();
+                    inc.data_ready_budgeted(ic, &reg, &cache, budget).unwrap();
+                    check(1.0);
+                } else {
+                    inc.data_ready_budgeted(ic, &reg, &cache, budget).unwrap();
+                    check(0.0);
+                    fill(1.0);
+                    out.data_ready_budgeted(ic, &reg, &cache, budget).unwrap();
+                }
+                assert_eq!(data.read().patch(0).1.as_ptr(), storage, "import landed in place");
+                let idle = reg.with_pool(|pool| pool.idle_bytes()) as u64;
+                assert!(idle <= route.idle_allowance(), "pool parks {idle} B at step {step}");
+            }
+            assert_eq!(schedule_stats().buffer_allocs, allocs, "fresh buffers after warm-up");
         });
     }
 }

@@ -10,9 +10,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use mxn_dad::{AccessMode, Dad, LocalArray};
+use mxn_schedule::TransferBuffers;
 
 use crate::error::{MxnError, Result};
 
@@ -44,22 +45,38 @@ impl FieldEntry {
     }
 }
 
-/// One rank's registry of M×N-visible fields.
+/// One rank's registry of M×N-visible fields, and the rank's transfer
+/// buffers.
 #[derive(Default)]
 pub struct FieldRegistry {
     rank: usize,
     fields: HashMap<String, FieldEntry>,
+    /// One pool for every `data_ready` on this rank, so its import and
+    /// export connections feed each other: what one transfer drained
+    /// serves the next one's sends.
+    pool: Mutex<TransferBuffers<f64>>,
 }
 
 impl FieldRegistry {
     /// Creates an empty registry for this rank.
     pub fn new(rank: usize) -> Self {
-        FieldRegistry { rank, fields: HashMap::new() }
+        FieldRegistry { rank, fields: HashMap::new(), pool: Mutex::default() }
     }
 
     /// The rank this registry belongs to.
     pub fn rank(&self) -> usize {
         self.rank
+    }
+
+    /// Lends the rank's transfer-buffer pool to `f`. The pool is moved out
+    /// for the call, so no lock is held while a transfer blocks; a transfer
+    /// running meanwhile on another thread gets an empty pool, and the
+    /// pool put back last is kept.
+    pub fn with_pool<R>(&self, f: impl FnOnce(&mut TransferBuffers<f64>) -> R) -> R {
+        let mut pool = std::mem::take(&mut *self.pool.lock());
+        let out = f(&mut pool);
+        *self.pool.lock() = pool;
+        out
     }
 
     /// Registers `data` (this rank's storage of a field distributed as

@@ -21,16 +21,6 @@ use crate::route::{
     execute_recv_routed, execute_send_routed, execute_within_routed, RedistRoute, RoutePlanner,
 };
 
-/// A buffer pool sized for a route: the idle pool may keep at most the
-/// budget headroom above the resident shards, so pooling itself can never
-/// break the declared peak.
-fn budget_pool<T>(route: &RedistRoute) -> TransferBuffers<T> {
-    let headroom = route.budget_bytes.saturating_sub(route.peak_bytes.min(route.budget_bytes));
-    // Always leave room for at least one in-flight buffer's worth.
-    let floor = (route.peak_bytes / 4).max(4096);
-    TransferBuffers::with_byte_cap(16, headroom.max(floor) as usize)
-}
-
 /// One redistribution from the decomposition `src` to `dst`, plus its
 /// transmission policy. Both sides of a transfer must configure the same
 /// policy: a budgeted transfer runs the routed protocol (its own wire
@@ -113,7 +103,10 @@ impl<'a> Redist<'a> {
         let route = self.route(size_of::<T>(), false);
         let sched = self.schedule(ic.local_rank(), Role::Sender);
         match route {
-            Some(r) => execute_send_routed(&r, &sched, ic, local, tag, &mut budget_pool(&r)),
+            Some(r) => {
+                let mut pool = TransferBuffers::with_byte_cap(16, r.idle_allowance() as usize);
+                execute_send_routed(&r, &sched, ic, local, tag, &mut pool)
+            }
             None => sched.execute_send(ic, local, tag, &mut TransferBuffers::new()),
         }
     }
@@ -128,7 +121,10 @@ impl<'a> Redist<'a> {
         let sched = self.schedule(ic.local_rank(), Role::Receiver);
         let mut local = LocalArray::allocate(self.dst, ic.local_rank());
         match route {
-            Some(r) => execute_recv_routed(&r, &sched, ic, &mut local, tag, &mut budget_pool(&r))?,
+            Some(r) => {
+                let mut pool = TransferBuffers::with_byte_cap(16, r.idle_allowance() as usize);
+                execute_recv_routed(&r, &sched, ic, &mut local, tag, &mut pool)?
+            }
             None => sched.execute_recv(ic, &mut local, tag, &mut TransferBuffers::new())?,
         };
         Ok(local)
@@ -155,17 +151,20 @@ impl<'a> Redist<'a> {
         let recv = self.schedule(comm.rank(), Role::Receiver);
         let mut dst_local = LocalArray::allocate(self.dst, comm.rank());
         match route {
-            Some(r) => execute_within_routed(
-                &r,
-                &send,
-                &recv,
-                comm,
-                self.src,
-                src_local,
-                &mut dst_local,
-                tag,
-                &mut budget_pool(&r),
-            )?,
+            Some(r) => {
+                let mut pool = TransferBuffers::with_byte_cap(16, r.idle_allowance() as usize);
+                execute_within_routed(
+                    &r,
+                    &send,
+                    &recv,
+                    comm,
+                    self.src,
+                    src_local,
+                    &mut dst_local,
+                    tag,
+                    &mut pool,
+                )?
+            }
             None => RegionSchedule::execute_local(
                 &send,
                 &recv,

@@ -17,10 +17,12 @@
 //! * [`RouteKind::Direct`] — the existing one-message-per-peer exchange.
 //!   Peak ≈ shard + full receive set + one pack buffer. Fastest.
 //! * [`RouteKind::Chunked`] — the same pairwise schedule, executed in
-//!   fenced rounds of at most `chunk_elems` elements per pair. After
-//!   posting round *k* each side receives/unpacks everything of round *k*
-//!   before acking; a sender never posts round *k+1* to a pair before that
-//!   pair's round-*k* ack. Peak ≈ shard + one round of chunks + one chunk,
+//!   fenced rounds of at most `chunk_elems` elements per pair. The fence
+//!   is per pair: a sender packs its round-*k* chunk for a pair, then
+//!   waits for that pair's ack of round *k−1* before sending it, and a
+//!   receiver acks each pair as soon as it has unpacked that pair's chunk.
+//!   The ack carries the drained buffer back for the sender's next chunk.
+//!   Peak ≈ shard + one chunk per pair + one pack and one unpack chunk,
 //!   tunable down to a single element per pair.
 //! * [`RouteKind::AllgatherSlice`] — intra-communicator only: move whole
 //!   shards with a collective allgather and slice the needed regions out
@@ -198,6 +200,15 @@ impl RedistRoute {
                 _ => None,
             })
             .unwrap_or(0)
+    }
+
+    /// Bytes a buffer pool may keep idle across transfers on this route:
+    /// the budget's headroom above the declared peak, but never less than
+    /// a quarter of the peak (nor 4 KiB), so a route planned right at its
+    /// budget still keeps a round's buffers warm.
+    pub fn idle_allowance(&self) -> u64 {
+        let headroom = self.budget_bytes.saturating_sub(self.peak_bytes);
+        headroom.max((self.peak_bytes / 4).max(4096))
     }
 
     /// Round count for [`RouteKind::Chunked`] routes, 0 otherwise.
@@ -461,69 +472,60 @@ where
     Ok(moved)
 }
 
-/// One chunked round, sender half: packs and posts the round-`k` chunk of
-/// every still-active pair. Returns `(elements, bytes)` posted.
-fn post_round<T>(
+/// Leases a buffer from `pool` and packs pair `i`'s round-`k` chunk into
+/// it, counted as live transfer memory until the caller sends it.
+fn pack_chunk<T>(
     sched: &RegionSchedule,
-    rounds: &[usize],
+    i: usize,
     chunk: usize,
     k: usize,
-    send: impl Fn(usize, Vec<T>) -> Result<()>,
     local: &LocalArray<T>,
     pool: &mut TransferBuffers<T>,
-) -> Result<(usize, u64)>
+) -> (Vec<T>, u64)
 where
     T: Copy,
 {
-    let mut moved = 0usize;
-    let mut posted = 0u64;
-    for (i, pair) in sched.pairs().iter().enumerate() {
-        if k >= rounds[i] {
-            continue;
-        }
-        let plan = sched.plan(i);
-        let lo = k * chunk;
-        let hi = (lo + chunk).min(plan.total());
-        let mut buf = pool.lease(hi - lo);
-        plan.pack_range_into(local, &mut buf, lo, hi);
-        let bytes = (buf.len() * size_of::<T>()) as u64;
-        record_transfer_acquired(bytes);
-        moved += buf.len();
-        send(pair.peer, buf)?;
-        // The transport owns the buffer now; the receiver's mailbox
-        // accounting carries it from here.
-        record_transfer_released(bytes);
-        posted += bytes;
-    }
-    Ok((moved, posted))
+    let plan = sched.plan(i);
+    let lo = k * chunk;
+    let hi = (lo + chunk).min(plan.total());
+    let mut buf = pool.lease(hi - lo);
+    plan.pack_range_into(local, &mut buf, lo, hi);
+    let bytes = (buf.len() * size_of::<T>()) as u64;
+    record_transfer_acquired(bytes);
+    (buf, bytes)
 }
 
-/// One chunked round, receiver half: drains and unpacks the round-`k`
-/// chunk of every still-active pair. Returns elements received.
-fn drain_round<T>(
+/// Unpacks pair `i`'s round-`k` chunk, then hands the drained buffer on —
+/// the one ack rule of this module. While the pair has a later round the
+/// emptied buffer *is* the ack: it goes back to the sender through `ack`
+/// (0 payload bytes, capacity kept) and serves the sender's next lease.
+/// After the pair's last round nobody waits for an ack, so the buffer is
+/// recycled into `pool`. Returns elements received.
+#[allow(clippy::too_many_arguments)]
+fn land_chunk<T>(
     sched: &RegionSchedule,
     rounds: &[usize],
+    i: usize,
     chunk: usize,
     k: usize,
-    recv: impl Fn(usize) -> Result<Vec<T>>,
+    mut data: Vec<T>,
     local: &mut LocalArray<T>,
     pool: &mut TransferBuffers<T>,
+    ack: impl FnOnce(Vec<T>) -> Result<()>,
 ) -> Result<usize>
 where
     T: Copy,
 {
-    let mut moved = 0usize;
-    for (i, pair) in sched.pairs().iter().enumerate() {
-        if k >= rounds[i] {
-            continue;
-        }
-        let data = recv(pair.peer)?;
-        let bytes = (data.len() * size_of::<T>()) as u64;
-        record_transfer_acquired(bytes);
-        let lo = k * chunk;
-        sched.plan(i).unpack_range_from(local, &data, lo, lo + data.len());
-        record_transfer_released(bytes);
-        moved += data.len();
+    let bytes = (data.len() * size_of::<T>()) as u64;
+    record_transfer_acquired(bytes);
+    let lo = k * chunk;
+    sched.plan(i).unpack_range_from(local, &data, lo, lo + data.len());
+    record_transfer_released(bytes);
+    let moved = data.len();
+    if k + 1 < rounds[i] {
+        data.clear();
+        ack(data)?;
+    } else {
         pool.recycle(data);
     }
     Ok(moved)
@@ -547,16 +549,30 @@ where
     let mut moved = 0;
     for k in 0..max_rounds {
         let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), k as u64, 0, 0]);
-        let (m, posted) =
-            post_round(sched, &rounds, chunk, k, |peer, buf| ic.send(peer, tag, buf), local, pool)?;
-        moved += m;
-        // Fence: round k+1 is not posted to a pair until its receiver has
-        // drained round k — this is what bounds the receiver's mailbox to
-        // one round of chunks.
+        let mut posted = 0u64;
         for (i, pair) in sched.pairs().iter().enumerate() {
-            if k + 1 < rounds[i] {
-                let _ack: u8 = ic.recv(pair.peer, tag | ROUTE_ACK_BIT)?;
+            if k >= rounds[i] {
+                continue;
             }
+            // Pack first, then fence on this pair alone: chunk k goes out
+            // only after this pair's receiver has drained chunk k−1, which
+            // bounds its mailbox to one chunk per pair. Packing ahead lets
+            // the receiver's unpack and ack run while this rank packs; the
+            // chunk held during the wait is the pack half of the declared
+            // peak's `2·C` term.
+            let (buf, bytes) = pack_chunk(sched, i, chunk, k, local, pool);
+            if k > 0 {
+                let drained = ic
+                    .recv::<Vec<T>>(pair.peer, tag | ROUTE_ACK_BIT)
+                    .inspect_err(|_| record_transfer_released(bytes))?;
+                pool.recycle(drained);
+            }
+            moved += buf.len();
+            ic.send(pair.peer, tag, buf)?;
+            // The transport owns the buffer now; the receiver's mailbox
+            // accounting carries it from here.
+            record_transfer_released(bytes);
+            posted += bytes;
         }
         step.set_end([route.kind.code(), k as u64, posted, 0]);
     }
@@ -581,15 +597,18 @@ where
     let mut moved = 0;
     for k in 0..max_rounds {
         let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), k as u64, 0, 0]);
-        let m = drain_round(sched, &rounds, chunk, k, |peer| ic.recv(peer, tag), local, pool)?;
-        moved += m;
-        // Ack only after the *whole* round is unpacked, and only to pairs
-        // that still have data coming.
+        let mut m = 0;
+        // Each pair is acked as soon as its chunk is unpacked, so a sender
+        // waits on this receiver only, never on the rest of the round.
         for (i, pair) in sched.pairs().iter().enumerate() {
-            if k + 1 < rounds[i] {
-                ic.send(pair.peer, tag | ROUTE_ACK_BIT, 1u8)?;
+            if k >= rounds[i] {
+                continue;
             }
+            let data = ic.recv(pair.peer, tag)?;
+            let ack = |buf| ic.send(pair.peer, tag | ROUTE_ACK_BIT, buf);
+            m += land_chunk(sched, &rounds, i, chunk, k, data, local, pool, ack)?;
         }
+        moved += m;
         step.set_end([route.kind.code(), k as u64, m as u64 * size_of::<T>() as u64, 0]);
     }
     Ok(moved)
@@ -616,30 +635,30 @@ where
     let rrounds = pair_rounds(recv, chunk);
     let max_rounds = srounds.iter().chain(rrounds.iter()).copied().max().unwrap_or(0);
     let mut moved = 0;
-    // Per round, every rank: posts its sends, drains its receives, posts
-    // its acks, then waits for acks. All sends precede every blocking
+    // Per round, every rank: posts its sends, drains its receives (acking
+    // each), then waits for acks. All sends precede every blocking
     // receive on every rank, so no round can deadlock.
     for k in 0..max_rounds {
         let mut step = mxn_trace::span(EventId::RouteStep, [route.kind.code(), k as u64, 0, 0]);
-        let (_, posted) = post_round(
-            send,
-            &srounds,
-            chunk,
-            k,
-            |peer, buf| comm.send(peer, tag, buf),
-            src_local,
-            pool,
-        )?;
-        moved +=
-            drain_round(recv, &rrounds, chunk, k, |peer| comm.recv(peer, tag), dst_local, pool)?;
+        let mut posted = 0u64;
+        for (i, pair) in send.pairs().iter().enumerate() {
+            if k < srounds[i] {
+                let (buf, bytes) = pack_chunk(send, i, chunk, k, src_local, pool);
+                comm.send(pair.peer, tag, buf)?;
+                record_transfer_released(bytes);
+                posted += bytes;
+            }
+        }
         for (i, pair) in recv.pairs().iter().enumerate() {
-            if k + 1 < rrounds[i] {
-                comm.send(pair.peer, tag | ROUTE_ACK_BIT, 1u8)?;
+            if k < rrounds[i] {
+                let data = comm.recv(pair.peer, tag)?;
+                let ack = |buf| comm.send(pair.peer, tag | ROUTE_ACK_BIT, buf);
+                moved += land_chunk(recv, &rrounds, i, chunk, k, data, dst_local, pool, ack)?;
             }
         }
         for (i, pair) in send.pairs().iter().enumerate() {
             if k + 1 < srounds[i] {
-                let _ack: u8 = comm.recv(pair.peer, tag | ROUTE_ACK_BIT)?;
+                pool.recycle(comm.recv::<Vec<T>>(pair.peer, tag | ROUTE_ACK_BIT)?);
             }
         }
         step.set_end([route.kind.code(), k as u64, posted, 0]);

@@ -390,3 +390,90 @@ fn allgather_slice_handles_multi_patch_sources() {
         assert_eq!(got, want);
     });
 }
+
+/// The chunked memory bound under per-pair fences with pack-ahead, on
+/// 2→3 and 3→2 row bands whose pairs run different round counts (8 and
+/// 4 rounds of 4 elements). Contents match the `from_fn` oracle; a
+/// receiver's mailbox never holds more than one chunk per pair; a thread
+/// never holds more than its pack and unpack chunks; and because every
+/// ack hands the drained buffer back, an 8-round sender allocates at most
+/// two buffers per pair however many rounds it runs.
+#[test]
+fn per_pair_fences_keep_the_memory_bound() {
+    use mxn_runtime::{reset_schedule_stats, schedule_stats};
+    const CHUNK: usize = 4;
+    let chunk_bytes = (CHUNK * size_of::<i64>()) as u64;
+    for (m, n) in [(2usize, 3usize), (3, 2)] {
+        let (rows, cols) = (12, 8);
+        let src = Dad::block(Extents::new([rows, cols]), &[m, 1]).unwrap();
+        let dst = Dad::block(Extents::new([rows, cols]), &[n, 1]).unwrap();
+        Universe::run(&[m, n], move |_, ctx| {
+            reset_schedule_stats();
+            let rank = ctx.comm.rank();
+            let route = forced(RouteKind::Chunked, CHUNK);
+            let mut pool = TransferBuffers::new();
+            if ctx.program == 0 {
+                let ic = ctx.intercomm(1);
+                let sched = RegionSchedule::for_sender(&src, &dst, rank);
+                let rounds: Vec<usize> = (0..sched.pairs().len())
+                    .map(|i| sched.plan(i).total().div_ceil(CHUNK))
+                    .collect();
+                let local = LocalArray::from_fn(&src, rank, |idx| value(idx, cols));
+                execute_send_routed(&route, &sched, ic, &local, 0, &mut pool).unwrap();
+                if rounds.iter().max() == Some(&8) {
+                    let (_, fresh) = pool.stats();
+                    let pairs = sched.pairs().len() as u64;
+                    assert!(fresh <= 2 * pairs, "{m}->{n} sender {rank}: {fresh} fresh buffers");
+                }
+            } else {
+                let ic = ctx.intercomm(0);
+                ic.reset_mailbox_peak();
+                let sched = RegionSchedule::for_receiver(&src, &dst, rank);
+                let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);
+                execute_recv_routed(&route, &sched, ic, &mut got, 0, &mut pool).unwrap();
+                assert_eq!(got, LocalArray::from_fn(&dst, rank, |idx| value(idx, cols)));
+                let peak = ic.mailbox_bytes().1;
+                let pairs = sched.pairs().len() as u64;
+                assert!(peak <= pairs * chunk_bytes, "{m}->{n} receiver {rank}: mailbox {peak} B");
+            }
+            let held = schedule_stats().transfer_peak_bytes;
+            assert!(held <= 2 * chunk_bytes, "{m}->{n} rank {rank} held {held} B");
+        });
+    }
+}
+
+/// `within` keeps all sends of a round before its receives, and its acks
+/// hand buffers back like the inter-communicator executors' do: with
+/// single-element chunks (many rounds) a rank allocates one buffer per
+/// send pair, in the first round, and every later lease is a returned one.
+#[test]
+fn within_acks_hand_buffers_back_at_single_element_chunks() {
+    let e = Extents::new([6, 6]);
+    let src = Dad::block(e.clone(), &[3, 1]).unwrap();
+    let dst = Dad::block(e, &[1, 3]).unwrap();
+    World::run(3, move |proc| {
+        let comm = proc.world();
+        let rank = comm.rank();
+        let send = RegionSchedule::for_sender(&src, &dst, rank);
+        let recv = RegionSchedule::for_receiver(&src, &dst, rank);
+        let src_local = LocalArray::from_fn(&src, rank, |idx| value(idx, 6));
+        let mut got: LocalArray<i64> = LocalArray::allocate(&dst, rank);
+        let mut pool = TransferBuffers::new();
+        execute_within_routed(
+            &forced(RouteKind::Chunked, 1),
+            &send,
+            &recv,
+            comm,
+            &src,
+            &src_local,
+            &mut got,
+            0,
+            &mut pool,
+        )
+        .unwrap();
+        assert_eq!(got, LocalArray::from_fn(&dst, rank, |idx| value(idx, 6)));
+        let (leases, fresh) = pool.stats();
+        assert_eq!(leases, 12, "one lease per element sent");
+        assert!(fresh <= send.num_messages() as u64, "rank {rank}: {fresh} fresh buffers");
+    });
+}
