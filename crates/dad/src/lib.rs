@@ -49,6 +49,6 @@ pub use converters::{ConvertStrategy, ConverterRegistry, SyntheticPackage};
 pub use descriptor::{AccessMode, Dad, Distribution};
 pub use explicit::ExplicitDist;
 pub use local::{region_runs, CopyRun, LocalArray};
-pub use overlap::{OverlapHits, OverlapIndex};
+pub use overlap::{OverlapHits, OverlapIndex, PatchHits};
 pub use shape::{Extents, Region};
 pub use template::Template;

@@ -6,9 +6,14 @@
 //! from [`crate::axis::AxisDist::overlaps`] — closed-form for the block
 //! family, interval scans bounded by the query for the irregular kinds —
 //! and the overlapping peers are the cross-product of the per-axis
-//! candidates. For explicit distributions a one-time axis-0 slab index
-//! (sorted cut points, per-slab patch lists) narrows the candidate patches
-//! to those sharing an axis-0 interval with the query.
+//! candidates. A regular *local* layout is itself a per-axis product of
+//! segments, so [`OverlapIndex::query_patches`] resolves every local patch
+//! at once: one `overlaps` call per axis per local segment, then one
+//! odometer over the per-axis candidates that emits peers in ascending rank
+//! and their regions in lower-corner order, with no per-patch query, map or
+//! sort. For explicit distributions a one-time axis-0 slab index (sorted
+//! cut points, per-slab patch lists) narrows the candidate patches to those
+//! sharing an axis-0 interval with the query.
 //!
 //! In both cases the work is proportional to the number of *actually
 //! overlapping* peers (plus, for explicit, axis-0 false positives), never
@@ -23,9 +28,22 @@ use crate::explicit::ExplicitDist;
 use crate::shape::Region;
 use crate::template::Template;
 
-/// One axis's overlap candidates: `(grid position, clipped segments)` as
-/// returned by [`crate::axis::AxisDist::overlaps`].
-type AxisCandidates = Vec<(usize, Vec<(usize, usize)>)>;
+/// One clipped overlap piece on one axis: `len` elements from `start`,
+/// owned by peer grid position `pos`, inside local segment `seg`.
+#[derive(Clone, Copy)]
+struct Piece {
+    pos: usize,
+    start: usize,
+    len: usize,
+    seg: usize,
+}
+
+/// One axis's overlap pieces, sorted by `(pos, start)`, with the
+/// `[first, end)` piece range of each distinct grid position.
+struct AxisPieces {
+    pieces: Vec<Piece>,
+    groups: Vec<(usize, usize)>,
+}
 
 /// Result of an overlap query: the peers found and the candidate count
 /// examined to find them (the observable pruning metric).
@@ -37,6 +55,19 @@ pub struct OverlapHits {
     pub hits: Vec<(usize, Vec<Region>)>,
     /// How many candidate peers (regular) or patches (explicit) the index
     /// examined. Sublinearity means this tracks the overlap, not `nranks`.
+    pub probes: usize,
+}
+
+/// Overlaps of a rank's local patches with a peer descriptor, grouped by
+/// peer — what schedule construction consumes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PatchHits {
+    /// `(peer rank, [(local patch index, overlap region)])`, ascending by
+    /// rank; every entry holds at least one region, and within a rank the
+    /// regions are sorted by lower corner.
+    pub hits: Vec<(usize, Vec<(usize, Region)>)>,
+    /// `(local patch, candidate)` pairs examined: the sum of
+    /// [`OverlapHits::probes`] over per-patch queries.
     pub probes: usize,
 }
 
@@ -100,63 +131,138 @@ impl<'a> OverlapIndex<'a> {
             return OverlapHits { hits: Vec::new(), probes: 0 };
         }
         match self {
-            OverlapIndex::Regular(t) => Self::query_regular(t, region),
+            OverlapIndex::Regular(t) => {
+                // The one-segment-per-axis case of the product query.
+                let segs: Vec<Vec<(usize, usize)>> =
+                    region.lo().iter().zip(region.hi()).map(|(&l, &h)| vec![(l, h - l)]).collect();
+                let found = Self::query_product(t, &segs);
+                let hits = found
+                    .hits
+                    .into_iter()
+                    .map(|(peer, parts)| (peer, parts.into_iter().map(|(_, r)| r).collect()))
+                    .collect();
+                OverlapHits { hits, probes: found.probes }
+            }
             OverlapIndex::Explicit { dist, cuts, slabs } => {
                 Self::query_explicit(dist, cuts, slabs, region)
             }
         }
     }
 
-    fn query_regular(t: &Template, region: &Region) -> OverlapHits {
-        let nd = region.ndim();
-        // Candidate grid positions per axis, each with its clipped segments.
-        let per_axis: Vec<AxisCandidates> = t
-            .axes()
-            .iter()
-            .enumerate()
-            .map(|(d, ax)| ax.overlaps(region.lo()[d], region.hi()[d], t.extents().dim(d)))
-            .collect();
-        if per_axis.iter().any(|v| v.is_empty()) && nd > 0 {
-            return OverlapHits { hits: Vec::new(), probes: 0 };
+    /// The overlaps of every patch `rank` owns in `mine` with this index's
+    /// peers, each piece tagged with the index of its local patch in
+    /// `mine.patches(rank)`. Equals per-patch [`Self::query`] calls merged
+    /// by peer and sorted by lower corner, probe count included; when both
+    /// sides are regular it is computed per axis, once for all patches.
+    pub fn query_patches(&self, mine: &Dad, rank: usize) -> PatchHits {
+        if let (OverlapIndex::Regular(t), Distribution::Regular(m)) = (self, mine.distribution()) {
+            let segs = m.axis_segments(rank);
+            if segs.iter().any(Vec::is_empty) {
+                return PatchHits { hits: Vec::new(), probes: 0 };
+            }
+            return Self::query_product(t, &segs);
+        }
+        let mut per_peer: BTreeMap<usize, Vec<(usize, Region)>> = BTreeMap::new();
+        let mut probes = 0;
+        for (pi, patch) in mine.patches(rank).iter().enumerate() {
+            let found = self.query(patch);
+            probes += found.probes;
+            for (peer, regions) in found.hits {
+                per_peer.entry(peer).or_default().extend(regions.into_iter().map(|r| (pi, r)));
+            }
+        }
+        let mut hits: Vec<_> = per_peer.into_iter().collect();
+        for (_, parts) in &mut hits {
+            parts.sort_by(|a, b| a.1.lo().cmp(b.1.lo()));
+        }
+        PatchHits { hits, probes }
+    }
+
+    /// Overlaps of the patches `Π_d segs[d]` (row-major patch numbering,
+    /// as [`Template::patches`]) with a regular template. Each axis is
+    /// resolved once per local segment; a probe is one (local patch,
+    /// candidate peer) pair, so the count is `Π_d Σ_k |candidates_d(k)|`,
+    /// the same as querying every patch on its own.
+    fn query_product(t: &Template, segs: &[Vec<(usize, usize)>]) -> PatchHits {
+        let nd = segs.len();
+        let mut probes = 1;
+        let mut axes = Vec::with_capacity(nd);
+        for (d, (ax, local)) in t.axes().iter().zip(segs).enumerate() {
+            let mut pieces = Vec::new();
+            let mut candidates = 0;
+            for (seg, &(start, len)) in local.iter().enumerate() {
+                let found = ax.overlaps(start, start + len, t.extents().dim(d));
+                candidates += found.len();
+                for (pos, parts) in found {
+                    pieces.extend(parts.into_iter().map(|(start, len)| Piece {
+                        pos,
+                        start,
+                        len,
+                        seg,
+                    }));
+                }
+            }
+            if candidates == 0 {
+                return PatchHits { hits: Vec::new(), probes: 0 };
+            }
+            probes *= candidates;
+            // Local segments are disjoint and ascending, so within one grid
+            // position start order is also segment order.
+            pieces.sort_unstable_by_key(|p| (p.pos, p.start));
+            let mut groups = Vec::new();
+            let mut first = 0;
+            for i in 1..=pieces.len() {
+                if i == pieces.len() || pieces[i].pos != pieces[first].pos {
+                    groups.push((first, i));
+                    first = i;
+                }
+            }
+            axes.push(AxisPieces { pieces, groups });
         }
 
         let mut hits = Vec::new();
-        let mut probes = 0;
-        // Odometer over per-axis candidates, last axis fastest: with the
+        // Odometer over per-axis grid positions, last axis fastest: with the
         // row-major grid→rank fold this emits peers in ascending order.
         let mut pick = vec![0usize; nd];
-        let mut coord = vec![0usize; nd];
+        let mut at = vec![0usize; nd];
         'peers: loop {
-            for d in 0..nd {
-                coord[d] = per_axis[d][pick[d]].0;
+            let mut peer = 0;
+            for (d, ax) in axes.iter().enumerate() {
+                let (first, _) = ax.groups[pick[d]];
+                peer = peer * t.axes()[d].nprocs() + ax.pieces[first].pos;
+                at[d] = first;
             }
-            let peer = t.grid_to_rank(&coord);
-            probes += 1;
-
-            // Overlap pieces: cross-product of the clipped segment lists.
-            let seglists: Vec<&[(usize, usize)]> =
-                (0..nd).map(|d| per_axis[d][pick[d]].1.as_slice()).collect();
-            let mut regions = Vec::new();
-            let mut spick = vec![0usize; nd];
+            // Regions: the cross-product of this peer's per-axis pieces,
+            // last axis fastest, so lower corners ascend.
+            let mut parts = Vec::new();
             'pieces: loop {
-                let lo: Vec<usize> = (0..nd).map(|d| seglists[d][spick[d]].0).collect();
-                let hi: Vec<usize> =
-                    (0..nd).map(|d| seglists[d][spick[d]].0 + seglists[d][spick[d]].1).collect();
-                regions.push(Region::new(lo, hi));
+                let mut patch = 0;
+                for (d, ax) in axes.iter().enumerate() {
+                    patch = patch * segs[d].len() + ax.pieces[at[d]].seg;
+                }
+                let lo: Vec<usize> = (0..nd).map(|d| axes[d].pieces[at[d]].start).collect();
+                let hi: Vec<usize> = (0..nd)
+                    .map(|d| {
+                        let p = &axes[d].pieces[at[d]];
+                        p.start + p.len
+                    })
+                    .collect();
+                parts.push((patch, Region::new(lo, hi)));
                 let mut d = nd;
                 loop {
                     if d == 0 {
                         break 'pieces;
                     }
                     d -= 1;
-                    spick[d] += 1;
-                    if spick[d] < seglists[d].len() {
+                    let (first, end) = axes[d].groups[pick[d]];
+                    at[d] += 1;
+                    if at[d] < end {
                         break;
                     }
-                    spick[d] = 0;
+                    at[d] = first;
                 }
             }
-            hits.push((peer, regions));
+            hits.push((peer, parts));
 
             let mut d = nd;
             loop {
@@ -165,13 +271,13 @@ impl<'a> OverlapIndex<'a> {
                 }
                 d -= 1;
                 pick[d] += 1;
-                if pick[d] < per_axis[d].len() {
+                if pick[d] < axes[d].groups.len() {
                     break;
                 }
                 pick[d] = 0;
             }
         }
-        OverlapHits { hits, probes }
+        PatchHits { hits, probes }
     }
 
     fn query_explicit(

@@ -108,14 +108,7 @@ impl Template {
     /// row-major order of their lower corners. For block-family axes this is
     /// the cartesian product of per-axis segments.
     pub fn patches(&self, rank: usize) -> Vec<Region> {
-        let coord = self.rank_to_grid(rank);
-        // Per-axis segment lists for this rank's grid position.
-        let seglists: Vec<Vec<(usize, usize)>> = self
-            .axes
-            .iter()
-            .enumerate()
-            .map(|(d, ax)| ax.segments(coord[d], self.extents.dim(d)))
-            .collect();
+        let seglists = self.axis_segments(rank);
         if seglists.iter().any(|s| s.is_empty()) {
             return vec![];
         }
@@ -141,6 +134,18 @@ impl Template {
                 pick[d] = 0;
             }
         }
+    }
+
+    /// The segments `(start, len)` `rank`'s grid position owns on each axis:
+    /// [`Template::patches`] is their cartesian product, so patch number
+    /// `Σ_d k_d · Π_{e>d} n_e` is built from segment `k_d` of axis `d`.
+    pub(crate) fn axis_segments(&self, rank: usize) -> Vec<Vec<(usize, usize)>> {
+        let coord = self.rank_to_grid(rank);
+        self.axes
+            .iter()
+            .enumerate()
+            .map(|(d, ax)| ax.segments(coord[d], self.extents.dim(d)))
+            .collect()
     }
 
     /// Number of elements owned by `rank`.

@@ -118,8 +118,10 @@ impl HaloSchedule {
                 }
             }
         }
-        sends.sort_by_key(|a| (a.0, a.1.lo().to_vec()));
-        recvs.sort_by_key(|a| (a.0, a.1.lo().to_vec()));
+        let by_peer_then_lo =
+            |a: &(usize, Region), b: &(usize, Region)| (a.0, a.1.lo()).cmp(&(b.0, b.1.lo()));
+        sends.sort_by(by_peer_then_lo);
+        recvs.sort_by(by_peer_then_lo);
         record_schedule_build(hits.probes as u64, sends.len() as u64);
         // Precompile each message's copy runs against the expanded buffer,
         // so exchanges move whole rows instead of single elements.

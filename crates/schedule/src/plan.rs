@@ -2,26 +2,51 @@
 //!
 //! The second layer of the schedule pipeline: at build time every
 //! [`crate::PairRegions`] is resolved against the local patch layout into a
-//! [`CopyPlan`] — a flat list of `(patch, patch_offset, buffer_offset,
-//! length)` runs — so steady-state transfer execution is nothing but
-//! `copy_from_slice` loops. Combined with a [`TransferBuffers`] pool the
-//! per-step work allocates no per-region `Vec`s at all: one leased buffer
-//! per peer, refilled in place (the memory-efficient-redistribution model
-//! of the compiled-collective literature).
+//! [`CopyPlan`] — a list of strided blocks, each `count` contiguous runs of
+//! `len` elements `stride` apart in one patch — so steady-state transfer
+//! execution is nothing but `copy_from_slice` loops, and a plan's size
+//! follows the number of regions, not the number of rows they copy.
+//! Combined with a [`TransferBuffers`] pool the per-step work allocates no
+//! per-region `Vec`s at all: one leased buffer per peer, refilled in place
+//! (the memory-efficient-redistribution model of the compiled-collective
+//! literature).
 
-use mxn_dad::{region_runs, CopyRun, LocalArray, Region};
+use mxn_dad::{region_runs, LocalArray, Region};
 use mxn_runtime::{record_buffer_lease, record_pool_bytes, record_schedule_copy};
 
-/// A precompiled pack/unpack program for one peer: contiguous runs that
+/// `count` contiguous runs of `len` elements: run `i` starts at
+/// `patch_off + i * stride` in patch `patch` and lands at
+/// `sub_off + i * len` in the packed buffer (runs are back to back there).
+/// A single run has `stride == len`; so does a block whose runs are also
+/// back to back in the patch, which then copies as one slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Block {
+    patch: usize,
+    patch_off: usize,
+    stride: usize,
+    sub_off: usize,
+    len: usize,
+    count: usize,
+}
+
+impl Block {
+    /// One past the block's last packed-buffer offset.
+    fn end(&self) -> usize {
+        self.sub_off + self.len * self.count
+    }
+}
+
+/// A precompiled pack/unpack program for one peer: strided blocks that
 /// tile the peer's packed buffer `[0, total)`, each resolved to a patch
 /// index and offset in the local storage layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CopyPlan {
-    /// Runs in ascending buffer-offset order (`sub_off` here is the offset
-    /// into the packed per-peer buffer).
-    runs: Vec<CopyRun>,
+    /// Blocks in ascending buffer-offset order.
+    blocks: Vec<Block>,
     /// Total elements moved per execution.
     total: usize,
+    /// Contiguous runs across all blocks (`Σ count`).
+    runs: usize,
 }
 
 impl CopyPlan {
@@ -30,35 +55,91 @@ impl CopyPlan {
     /// (they are, by construction: every pair region is an intersection
     /// with one of this rank's patches).
     pub fn compile(patches: &[Region], regions: &[Region]) -> CopyPlan {
-        let mut runs = Vec::new();
-        let mut base = 0;
+        let mut plan = CopyPlan::default();
         for region in regions {
-            for mut run in region_runs(patches.iter(), region) {
-                run.sub_off += base;
-                runs.push(run);
+            for run in region_runs(patches.iter(), region) {
+                plan.push(run.patch, run.patch_off, run.len, 1, run.len);
             }
-            base += region.len();
         }
-        CopyPlan { runs, total: base }
+        plan
     }
 
     /// Like [`Self::compile`], but with known provenance: `parts` pairs
     /// each region with the index of the single patch that covers it, so
-    /// compilation is linear in the region count instead of scanning every
-    /// patch per region (schedule builders know the source patch because
-    /// each pair region *is* an intersection with one local patch).
+    /// every region becomes one block per leading-axis index, in closed
+    /// form from the patch's row-major layout (schedule builders know the
+    /// source patch because each pair region *is* an intersection with one
+    /// local patch).
+    ///
+    /// # Panics
+    /// If a region does not lie inside its source patch.
     pub fn from_sources(patches: &[Region], parts: &[(usize, Region)]) -> CopyPlan {
-        let mut runs = Vec::new();
-        let mut base = 0;
+        let mut plan = CopyPlan::default();
         for (pi, region) in parts {
-            for mut run in region_runs([&patches[*pi]], region) {
-                run.patch = *pi;
-                run.sub_off += base;
-                runs.push(run);
+            let patch = &patches[*pi];
+            let (lo, hi, plo, phi) = (region.lo(), region.hi(), patch.lo(), patch.hi());
+            assert!(
+                lo.len() == plo.len() && (0..lo.len()).all(|d| plo[d] <= lo[d] && hi[d] <= phi[d]),
+                "region {region:?} not inside its source patch {patch:?}"
+            );
+            let nd = lo.len();
+            let ext = |d: usize| hi[d] - lo[d];
+            let pext = |d: usize| phi[d] - plo[d];
+            // Last axis: one run per row; second-to-last: rows `stride` apart.
+            let len = if nd >= 1 { ext(nd - 1) } else { 1 };
+            let (count, stride) = if nd >= 2 { (ext(nd - 2), pext(nd - 1)) } else { (1, len) };
+            let base = (0..nd).fold(0, |off, d| off * pext(d) + (lo[d] - plo[d]));
+            let lead = nd.saturating_sub(2);
+            // One block per index of the leading axes, in row-major order.
+            let blocks: usize = (0..lead).map(ext).product();
+            for j in 0..blocks {
+                // Row-major: axis d steps by Π_{e>d} pext(e) in the patch.
+                let (mut off, mut rem, mut step) = (base, j, stride);
+                for d in (0..lead).rev() {
+                    step *= pext(d + 1);
+                    off += (rem % ext(d)) * step;
+                    rem /= ext(d);
+                }
+                plan.push(*pi, off, len, count, stride);
             }
-            base += region.len();
         }
-        CopyPlan { runs, total: base }
+        plan
+    }
+
+    /// Appends `count` runs of `len` elements, `stride` apart from
+    /// `patch_off` in `patch`, at the end of the packed buffer — extending
+    /// the last block when the runs continue its stride. Empty regions
+    /// add nothing.
+    fn push(&mut self, patch: usize, patch_off: usize, len: usize, count: usize, stride: usize) {
+        if len == 0 || count == 0 {
+            return;
+        }
+        let sub_off = self.total;
+        self.total += len * count;
+        self.runs += count;
+        let stride = if count == 1 { len } else { stride };
+        if let Some(last) = self.blocks.last_mut() {
+            if last.patch == patch && last.len == len && patch_off > last.patch_off {
+                // The stride that would continue `last`: its own if it has
+                // one, else the new runs', else the gap between the two.
+                let step = if last.count > 1 {
+                    last.stride
+                } else if count > 1 {
+                    stride
+                } else {
+                    patch_off - last.patch_off
+                };
+                if step >= len
+                    && (count == 1 || stride == step)
+                    && patch_off == last.patch_off + last.count * step
+                {
+                    last.stride = step;
+                    last.count += count;
+                    return;
+                }
+            }
+        }
+        self.blocks.push(Block { patch, patch_off, stride, sub_off, len, count });
     }
 
     /// Elements moved per execution.
@@ -66,27 +147,51 @@ impl CopyPlan {
         self.total
     }
 
-    /// Number of contiguous copy runs.
+    /// Number of contiguous copy runs (strided blocks count every run).
     pub fn num_runs(&self) -> usize {
-        self.runs.len()
+        self.runs
+    }
+
+    /// Calls `copy(patch, patch_off, lo, hi)` for every contiguous span
+    /// of the packed range `[start, end)`: elements `[lo, hi)` of the
+    /// packed buffer live at `patch_off..` in `patch`. Returns the number
+    /// of runs touched, partial ones included.
+    fn walk(
+        &self,
+        start: usize,
+        end: usize,
+        mut copy: impl FnMut(usize, usize, usize, usize),
+    ) -> u64 {
+        debug_assert!(start <= end && end <= self.total, "range out of plan bounds");
+        let mut nruns = 0;
+        // First block that ends after `start`: blocks tile [0, total) in
+        // ascending sub_off order, so partition on block end.
+        let first = self.blocks.partition_point(|b| b.end() <= start);
+        for b in &self.blocks[first..] {
+            if b.sub_off >= end {
+                break;
+            }
+            let (lo, hi) = (start.max(b.sub_off), end.min(b.end()));
+            let (r_lo, r_hi) = ((lo - b.sub_off) / b.len, (hi - b.sub_off).div_ceil(b.len));
+            nruns += (r_hi - r_lo) as u64;
+            if b.stride == b.len {
+                copy(b.patch, b.patch_off + (lo - b.sub_off), lo, hi);
+                continue;
+            }
+            for i in r_lo..r_hi {
+                let run = b.sub_off + i * b.len;
+                let (lo, hi) = (lo.max(run), hi.min(run + b.len));
+                copy(b.patch, b.patch_off + i * b.stride + (lo - run), lo, hi);
+            }
+        }
+        nruns
     }
 
     /// Packs the planned elements into `out` (cleared first) with straight
     /// `extend_from_slice` runs — no per-region allocation, no index
     /// arithmetic beyond the precompiled offsets.
     pub fn pack_into<T: Copy>(&self, local: &LocalArray<T>, out: &mut Vec<T>) {
-        out.clear();
-        out.reserve(self.total);
-        for run in &self.runs {
-            let (_, data) = local.patch(run.patch);
-            out.extend_from_slice(&data[run.patch_off..run.patch_off + run.len]);
-        }
-        debug_assert_eq!(out.len(), self.total);
-        record_schedule_copy(self.total as u64, self.runs.len() as u64);
-        mxn_trace::emit_instant(
-            mxn_trace::EventId::CopyPack,
-            [self.total as u64, self.runs.len() as u64, 0, 0],
-        );
+        self.pack_range_into(local, out, 0, self.total);
     }
 
     /// Packs elements `[start, end)` of the canonical packed buffer into
@@ -100,24 +205,12 @@ impl CopyPlan {
         start: usize,
         end: usize,
     ) {
-        debug_assert!(start <= end && end <= self.total, "range out of plan bounds");
         out.clear();
         out.reserve(end - start);
-        let mut nruns = 0u64;
-        // First run that ends after `start`: runs tile [0, total) in
-        // ascending sub_off order, so partition on run end.
-        let first = self.runs.partition_point(|r| r.sub_off + r.len <= start);
-        for run in &self.runs[first..] {
-            if run.sub_off >= end {
-                break;
-            }
-            let lo = start.max(run.sub_off);
-            let hi = end.min(run.sub_off + run.len);
-            let off = run.patch_off + (lo - run.sub_off);
-            let (_, data) = local.patch(run.patch);
+        let nruns = self.walk(start, end, |patch, off, lo, hi| {
+            let (_, data) = local.patch(patch);
             out.extend_from_slice(&data[off..off + (hi - lo)]);
-            nruns += 1;
-        }
+        });
         debug_assert_eq!(out.len(), end - start);
         record_schedule_copy((end - start) as u64, nruns);
         mxn_trace::emit_instant(mxn_trace::EventId::CopyPack, [(end - start) as u64, nruns, 0, 0]);
@@ -133,21 +226,11 @@ impl CopyPlan {
         start: usize,
         end: usize,
     ) {
-        debug_assert!(start <= end && end <= self.total, "range out of plan bounds");
         assert_eq!(data.len(), end - start, "chunk length mismatch");
-        let mut nruns = 0u64;
-        let first = self.runs.partition_point(|r| r.sub_off + r.len <= start);
-        for run in &self.runs[first..] {
-            if run.sub_off >= end {
-                break;
-            }
-            let lo = start.max(run.sub_off);
-            let hi = end.min(run.sub_off + run.len);
-            let off = run.patch_off + (lo - run.sub_off);
-            let (_, buf) = local.patch_mut(run.patch);
+        let nruns = self.walk(start, end, |patch, off, lo, hi| {
+            let (_, buf) = local.patch_mut(patch);
             buf[off..off + (hi - lo)].copy_from_slice(&data[lo - start..hi - start]);
-            nruns += 1;
-        }
+        });
         record_schedule_copy((end - start) as u64, nruns);
         mxn_trace::emit_instant(
             mxn_trace::EventId::CopyUnpack,
@@ -159,16 +242,7 @@ impl CopyPlan {
     /// `copy_from_slice` runs.
     pub fn unpack_from<T: Copy>(&self, local: &mut LocalArray<T>, data: &[T]) {
         assert_eq!(data.len(), self.total, "packed buffer length mismatch");
-        for run in &self.runs {
-            let (_, buf) = local.patch_mut(run.patch);
-            buf[run.patch_off..run.patch_off + run.len]
-                .copy_from_slice(&data[run.sub_off..run.sub_off + run.len]);
-        }
-        record_schedule_copy(self.total as u64, self.runs.len() as u64);
-        mxn_trace::emit_instant(
-            mxn_trace::EventId::CopyUnpack,
-            [self.total as u64, self.runs.len() as u64, 0, 0],
-        );
+        self.unpack_range_from(local, data, 0, self.total);
     }
 }
 

@@ -10,25 +10,25 @@
 //! Construction is a two-layer pipeline:
 //!
 //! 1. **Pruned peer discovery.** Instead of probing every peer rank, the
-//!    peer descriptor's [`mxn_dad::OverlapIndex`] resolves each local patch
-//!    to the peers that can overlap it per axis (binary search / closed
-//!    form on the axis distributions), so build cost scales with the
+//!    peer descriptor's [`mxn_dad::OverlapIndex`] resolves this rank's
+//!    patches to the peers that can overlap them per axis (binary search /
+//!    closed form on the axis distributions; when both layouts are regular,
+//!    once per axis for all local patches), so build cost scales with the
 //!    *overlapping* peer count, not the communicator size. The historical
 //!    all-pairs construction survives as [`RegionSchedule::for_sender_naive`]
 //!    / [`RegionSchedule::for_receiver_naive`] — a test oracle and bench
 //!    baseline that produces byte-identical schedules.
 //! 2. **Plan compilation.** Every per-peer region list is compiled into a
-//!    [`CopyPlan`] against this rank's patch layout, so steady-state
-//!    execution is `copy_from_slice` runs into pooled buffers
-//!    ([`TransferBuffers`]) with no per-region allocation.
+//!    [`CopyPlan`] against this rank's patch layout — strided blocks, one
+//!    per region and leading-axis index — so steady-state execution is
+//!    `copy_from_slice` runs into pooled buffers ([`TransferBuffers`]) with
+//!    no per-region allocation.
 //!
 //! Because sender and receiver compute the same pairwise intersections and
 //! canonicalize their order, a transfer message carries *only data*: one
 //! packed buffer per peer, no per-element metadata. That is the payoff that
 //! makes precomputed schedules cheaper than the receiver-request protocol
 //! after a few reuses (experiment E7).
-
-use std::collections::BTreeMap;
 
 use crate::plan::{CopyPlan, TransferBuffers};
 use mxn_dad::{Dad, LocalArray, Region};
@@ -75,8 +75,9 @@ pub struct RegionSchedule {
 /// Sorts `(source patch, region)` parts into the canonical by-lower-corner
 /// order and splits them into a [`PairRegions`] plus its compiled plan.
 /// Pieces are pairwise disjoint (distinct local patches or distinct peer
-/// patches), so lower corners are distinct and the order is deterministic
-/// and identical between the pruned and naive constructions.
+/// patches), so lower corners are distinct and the order is deterministic:
+/// the one [`mxn_dad::OverlapIndex::query_patches`] emits for the pruned
+/// construction.
 fn finish_pair(
     peer: usize,
     mine: &[Region],
@@ -90,8 +91,8 @@ fn finish_pair(
 
 impl RegionSchedule {
     /// Pruned construction: per-axis overlap queries give the candidate
-    /// peers for each local patch, so only peers that can actually overlap
-    /// are probed.
+    /// peers for this rank's patches, already grouped by peer in canonical
+    /// order, so only peers that can actually overlap are probed.
     fn build(me_dad: &Dad, peer_dad: &Dad, my_rank: usize, role: Role) -> RegionSchedule {
         assert!(
             me_dad.conforms(peer_dad),
@@ -102,22 +103,13 @@ impl RegionSchedule {
             [role as u64, me_dad.nranks() as u64, peer_dad.nranks() as u64, 0],
         );
         let mine = me_dad.patches(my_rank);
-        let index = peer_dad.overlap_index();
-        let mut probes = 0u64;
-        let mut per_peer: BTreeMap<usize, Vec<(usize, Region)>> = BTreeMap::new();
-        for (pi, patch) in mine.iter().enumerate() {
-            let hits = index.query(patch);
-            probes += hits.probes as u64;
-            for (peer, regions) in hits.hits {
-                per_peer.entry(peer).or_default().extend(regions.into_iter().map(|r| (pi, r)));
-            }
-        }
-        let mut pairs = Vec::with_capacity(per_peer.len());
+        let found = peer_dad.overlap_index().query_patches(me_dad, my_rank);
+        let probes = found.probes as u64;
+        let mut pairs = Vec::with_capacity(found.hits.len());
         let mut plans = Vec::with_capacity(pairs.capacity());
-        for (peer, parts) in per_peer {
-            let (pair, plan) = finish_pair(peer, &mine, parts);
-            pairs.push(pair);
-            plans.push(plan);
+        for (peer, parts) in found.hits {
+            plans.push(CopyPlan::from_sources(&mine, &parts));
+            pairs.push(PairRegions { peer, regions: parts.into_iter().map(|(_, r)| r).collect() });
         }
         record_schedule_build(probes, pairs.len() as u64);
         build_span.set_end([role as u64, probes, pairs.len() as u64, 0]);
