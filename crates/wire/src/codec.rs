@@ -381,6 +381,11 @@ impl CodecRegistry {
         dec(bytes)
     }
 
+    /// The wire tag `T` is registered under, if any.
+    pub fn tag_of<T: Any>(&self) -> Option<u32> {
+        self.by_type.get(&TypeId::of::<T>()).map(|(tag, _)| *tag)
+    }
+
     /// Whether `T` has an encoder registered.
     pub fn knows<T: Any>(&self) -> bool {
         self.by_type.contains_key(&TypeId::of::<T>())

@@ -40,10 +40,27 @@
 //! [`FrameReader::recycle`] reuses it for the next large body. The checks
 //! and their outcomes are those of [`FrameReader::feed`] and
 //! [`FrameReader::next`] on the same bytes.
+//!
+//! `Vec<f64>` bodies skip the codec altogether. Its encoding is
+//! `[u32 count][f64 LE …]`, so on a little-endian host the values part of
+//! the payload *is* the vector's memory: a sender writes
+//! `[header + count, values, CRC]` from the vector itself
+//! (`values_head` builds the first and last part), and a reader told the
+//! codec tag by [`FrameReader::land_values`] reads such a body from the
+//! socket into a vector taken from a [`SpareValues`] list, checks the
+//! payload CRC over count and values as one CRC
+//! ([`crate::crc::crc32_continue`]), and yields the vector itself as an
+//! [`Arrival::Values`]. A vector whose frame fails its check goes back to
+//! the list. The bytes on the wire are the codec's either way; big-endian
+//! hosts always take the codec path.
 
-use std::io::{self, Read};
+use std::io::{self, IoSliceMut, Read};
+use std::sync::Arc;
 
-use crate::crc::crc32;
+use parking_lot::Mutex;
+
+use crate::codec::encode_value;
+use crate::crc::{crc32, crc32_continue};
 
 /// Frame delimiter; also the resync scan target after corruption.
 pub const MAGIC: [u8; 4] = *b"MxN1";
@@ -59,6 +76,16 @@ pub const MAX_PAYLOAD: usize = 1 << 26; // 64 MiB
 /// body straight from the stream into its own buffer instead of through
 /// the caller's scratch buffer and the reader's byte queue.
 pub const BODY_IN_PLACE: usize = 64 * 1024;
+
+/// Whether `Vec<f64>` bodies move between vectors and the socket as they
+/// are: their wire encoding is little-endian.
+pub(crate) const VALUES_IN_PLACE: bool = cfg!(target_endian = "little");
+
+/// Vectors a [`SpareValues`] list keeps at most.
+pub const SPARE_VALUES: usize = 8;
+
+/// Bytes of vector capacity a [`SpareValues`] list keeps at most.
+pub const SPARE_BYTES: usize = 16 << 20;
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,9 +167,9 @@ impl Frame {
 
 /// Appends one frame to `out` whose payload is written in place: after
 /// the header, `payload` appends the payload bytes and returns their codec
-/// tag; the codec, `payload_len` and both CRCs are patched in afterwards.
-/// When `payload` returns `None`, `out` is cut back to its old length and
-/// `None` is returned.
+/// tag; the header, with `payload_len` and both CRCs, is filled in
+/// afterwards. When `payload` returns `None`, `out` is cut back to its old
+/// length and `None` is returned.
 pub(crate) fn write_frame(
     out: &mut Vec<u8>,
     kind: FrameKind,
@@ -153,27 +180,128 @@ pub(crate) fn write_frame(
     payload: impl FnOnce(&mut Vec<u8>) -> Option<u32>,
 ) -> Option<()> {
     let start = out.len();
-    out.extend_from_slice(&MAGIC);
-    out.push(kind as u8);
-    out.extend_from_slice(&[0; 3]);
-    out.extend_from_slice(&src.to_le_bytes());
-    out.extend_from_slice(&context.to_le_bytes());
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&[0; 12]); // codec, payload_len, header CRC: patched below
+    let body = start + HEADER_LEN;
+    out.resize(body, 0);
     let Some(codec) = payload(out) else {
         out.truncate(start);
         return None;
     };
-    let body = start + HEADER_LEN;
-    let payload_len = (out.len() - body) as u32;
-    out[start + 28..start + 32].copy_from_slice(&codec.to_le_bytes());
-    out[start + 32..start + 36].copy_from_slice(&payload_len.to_le_bytes());
-    let hcrc = crc32(&out[start..start + 36]);
-    out[start + 36..body].copy_from_slice(&hcrc.to_le_bytes());
+    let route = CorruptHeader { src, context, tag, seq };
+    let head = header_bytes(kind, route, codec, out.len() - body);
+    out[start..body].copy_from_slice(&head);
     let pcrc = crc32(&out[body..]);
     out.extend_from_slice(&pcrc.to_le_bytes());
     Some(())
+}
+
+/// A frame header, its CRC included.
+fn header_bytes(kind: FrameKind, route: CorruptHeader, codec: u32, len: usize) -> [u8; HEADER_LEN] {
+    let mut h = [0u8; HEADER_LEN];
+    h[..4].copy_from_slice(&MAGIC);
+    h[4] = kind as u8;
+    h[8..12].copy_from_slice(&route.src.to_le_bytes());
+    h[12..16].copy_from_slice(&route.context.to_le_bytes());
+    h[16..20].copy_from_slice(&route.tag.to_le_bytes());
+    h[20..28].copy_from_slice(&route.seq.to_le_bytes());
+    h[28..32].copy_from_slice(&codec.to_le_bytes());
+    h[32..36].copy_from_slice(&(len as u32).to_le_bytes());
+    let hcrc = crc32(&h[..36]);
+    h[36..].copy_from_slice(&hcrc.to_le_bytes());
+    h
+}
+
+/// The parts of a Data frame carrying `values` under codec tag `codec`
+/// that are not the values themselves: the header with the `u32` count
+/// after it, and the payload CRC. Written as `[head, values as bytes,
+/// crc]` they are the bytes `write_frame` produces for the codec's
+/// encoding of `values` on a little-endian host.
+pub(crate) fn values_head(
+    route: CorruptHeader,
+    codec: u32,
+    values: &[f64],
+) -> ([u8; HEADER_LEN + 4], [u8; 4]) {
+    let count = (values.len() as u32).to_le_bytes();
+    let mut head = [0u8; HEADER_LEN + 4];
+    head[..HEADER_LEN].copy_from_slice(&header_bytes(
+        FrameKind::Data,
+        route,
+        codec,
+        4 + 8 * values.len(),
+    ));
+    head[HEADER_LEN..].copy_from_slice(&count);
+    let reg = crc32_continue(crc32_continue(!0, &count), values_bytes(values));
+    (head, (!reg).to_le_bytes())
+}
+
+/// The memory of `values` as bytes: their wire encoding on a
+/// little-endian host.
+pub(crate) fn values_bytes(values: &[f64]) -> &[u8] {
+    // SAFETY: `f64` has no padding and `u8` no alignment or validity
+    // requirement; the view covers exactly the slice's bytes and borrows it.
+    unsafe { std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), 8 * values.len()) }
+}
+
+/// [`values_bytes`], writable: every byte pattern is a valid `f64`.
+fn values_bytes_mut(values: &mut [f64]) -> &mut [u8] {
+    // SAFETY: as for `values_bytes`; any bytes written form valid `f64`s,
+    // and the view borrows the slice mutably for its whole life.
+    unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast::<u8>(), 8 * values.len()) }
+}
+
+/// Spare `Vec<f64>` allocations for bodies to land in, shared by every
+/// reader and link of one node: a link hands back a vector the peer has
+/// acknowledged, a reader takes one for the next body and returns it when
+/// the frame fails its check. Holds at most [`SPARE_VALUES`] vectors and
+/// [`SPARE_BYTES`] bytes of capacity; a vector beyond either bound, or too
+/// small to hold a landed body, is dropped.
+#[derive(Default)]
+pub struct SpareValues {
+    list: Mutex<Vec<Vec<f64>>>,
+}
+
+impl SpareValues {
+    /// An empty list.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Keeps `values` for a later body, within the bounds.
+    pub fn give(&self, values: Vec<f64>) {
+        let bytes = 8 * values.capacity();
+        if bytes < BODY_IN_PLACE {
+            return;
+        }
+        let mut list = self.list.lock();
+        if list.len() < SPARE_VALUES && Self::bytes_of(&list) + bytes <= SPARE_BYTES {
+            list.push(values);
+        }
+    }
+
+    /// A kept vector that holds `len` values without growing, if any.
+    pub fn take(&self, len: usize) -> Option<Vec<f64>> {
+        let mut list = self.list.lock();
+        let i = list.iter().position(|v| v.capacity() >= len)?;
+        Some(list.swap_remove(i))
+    }
+
+    /// Vectors kept now.
+    pub fn len(&self) -> usize {
+        self.list.lock().len()
+    }
+
+    /// Whether no vector is kept.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes of capacity kept now.
+    pub fn bytes(&self) -> usize {
+        Self::bytes_of(&self.list.lock())
+    }
+
+    fn bytes_of(list: &[Vec<f64>]) -> usize {
+        list.iter().map(|v| 8 * v.capacity()).sum()
+    }
 }
 
 /// A header that passed its CRC: what a frame claims before its payload
@@ -216,16 +344,22 @@ impl Header {
     /// CRC matches, else the routable corruption report.
     fn finish(self, body: &[u8]) -> Result<(), FrameError> {
         let (payload, stored) = body.split_at(self.payload_len);
-        if crc32(payload) == read_u32(stored) {
+        self.check(crc32(payload), stored)
+    }
+
+    /// `Ok` when `crc`, the payload's CRC, matches the `stored` one, else
+    /// the routable corruption report.
+    fn check(self, crc: u32, stored: &[u8]) -> Result<(), FrameError> {
+        if crc == read_u32(stored) {
             return Ok(());
         }
         // Header was sound, so the whole (length-delimited) frame can be
         // discarded in one step: the stream stays in sync.
-        Err(FrameError::Corrupt {
-            skipped: self.total(),
-            header: Some(self.route),
-            reason: "damaged frame payload",
-        })
+        Err(self.corrupt("damaged frame payload"))
+    }
+
+    fn corrupt(self, reason: &'static str) -> FrameError {
+        FrameError::Corrupt { skipped: self.total(), header: Some(self.route), reason }
     }
 
     fn frame(self, payload: Vec<u8>) -> Frame {
@@ -266,6 +400,16 @@ pub enum FrameError {
     },
 }
 
+/// What [`FrameReader::next_arrival`] yields for an intact frame.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Arrival {
+    /// A frame with its payload bytes.
+    Frame(Frame),
+    /// A Data frame whose `Vec<f64>` body landed in a vector: the frame
+    /// (its `payload` empty) and the decoded values.
+    Values(Frame, Vec<f64>),
+}
+
 /// Incremental frame decoder over an arbitrary byte-chunk stream.
 ///
 /// Feed it whatever `read` returned; it buffers partial frames and yields
@@ -280,21 +424,95 @@ pub struct FrameReader {
     body: Option<Body>,
     /// A delivered large payload handed back for the next body.
     spare: Vec<u8>,
+    /// The `Vec<f64>` codec tag and where landed bodies take their vectors
+    /// from, once [`FrameReader::land_values`] enabled landing.
+    landing: Option<(u32, Arc<SpareValues>)>,
 }
 
 /// The frame [`FrameReader::read_from`] is reading in place.
 struct Body {
     header: Header,
-    /// Payload then payload CRC, `payload_len + 4` bytes long.
-    bytes: Vec<u8>,
-    /// How many of `bytes` have arrived.
+    /// Where the payload and payload CRC go, `payload_len + 4` bytes.
+    store: Store,
+    /// How many of those bytes have arrived.
     filled: usize,
+}
+
+enum Store {
+    /// Payload then payload CRC.
+    Bytes(Vec<u8>),
+    /// A `Vec<f64>` body: the count, the values, the payload CRC.
+    Values { count: [u8; 4], values: Vec<f64>, crc: [u8; 4] },
+}
+
+impl Store {
+    /// The body's bytes in order, as up to three slices.
+    fn parts(&mut self) -> [&mut [u8]; 3] {
+        match self {
+            Store::Bytes(bytes) => [bytes, &mut [], &mut []],
+            Store::Values { count, values, crc } => [count, values_bytes_mut(values), crc],
+        }
+    }
+
+    /// The body's bytes from offset `from` on, empty parts left out.
+    fn tail(&mut self, mut from: usize) -> impl Iterator<Item = &mut [u8]> {
+        self.parts().into_iter().filter_map(move |part| {
+            if from >= part.len() {
+                from -= part.len();
+                return None;
+            }
+            Some(&mut part[std::mem::take(&mut from)..])
+        })
+    }
+}
+
+impl Body {
+    /// Copies `bytes` into the body after what has arrived.
+    fn fill_from(&mut self, mut bytes: &[u8]) {
+        let filled = self.filled;
+        for part in self.store.tail(filled) {
+            let n = part.len().min(bytes.len());
+            part[..n].copy_from_slice(&bytes[..n]);
+            self.filled += n;
+            bytes = &bytes[n..];
+        }
+    }
+
+    /// One read from `src` into the rest of the body.
+    fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        let filled = self.filled;
+        let mut iov = [&mut [][..], &mut [], &mut []].map(IoSliceMut::new);
+        let mut k = 0;
+        for part in self.store.tail(filled) {
+            iov[k] = IoSliceMut::new(part);
+            k += 1;
+        }
+        let n = src.read_vectored(&mut iov[..k])?;
+        self.filled += n;
+        Ok(n)
+    }
+
+    fn complete(&self) -> bool {
+        self.filled == self.header.payload_len + 4
+    }
 }
 
 impl FrameReader {
     /// An empty reader.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Lands large `Vec<f64>` bodies in vectors: from now on, a Data frame
+    /// whose intact header names codec tag `codec` and announces at least
+    /// [`BODY_IN_PLACE`] bytes is read by [`FrameReader::read_from`] into
+    /// a vector taken from `spares` (or a fresh one) and yielded by
+    /// [`FrameReader::next_arrival`] as [`Arrival::Values`]. A no-op on a
+    /// big-endian host, where the codec decodes every body.
+    pub fn land_values(&mut self, codec: u32, spares: Arc<SpareValues>) {
+        if VALUES_IN_PLACE {
+            self.landing = Some((codec, spares));
+        }
     }
 
     /// Appends raw bytes from the stream.
@@ -315,10 +533,8 @@ impl FrameReader {
         if self.body.is_none() {
             self.start_body();
         }
-        if let Some(body) = self.body.as_mut().filter(|b| b.filled < b.bytes.len()) {
-            let n = src.read(&mut body.bytes[body.filled..])?;
-            body.filled += n;
-            return Ok(n);
+        if let Some(body) = self.body.as_mut().filter(|b| !b.complete()) {
+            return body.read_from(src);
         }
         let n = src.read(scratch)?;
         self.feed(&scratch[..n]);
@@ -335,7 +551,8 @@ impl FrameReader {
     }
 
     /// Moves a large frame whose intact header starts the byte queue, and
-    /// whose body has not fully arrived, into a body buffer.
+    /// whose body has not fully arrived, into a body buffer: a vector when
+    /// it is a `Vec<f64>` body to land, else bytes.
     fn start_body(&mut self) {
         let b = &self.buf;
         if b.len() < HEADER_LEN
@@ -348,28 +565,65 @@ impl FrameReader {
         if b.len() >= header.total() {
             return;
         }
-        // A recycled buffer keeps its length, so only bytes it never held
-        // are zeroed; every byte is overwritten, by the copy below or by a
-        // read, before the body counts as complete.
-        let mut bytes = std::mem::take(&mut self.spare);
-        bytes.resize(header.payload_len + 4, 0);
-        let filled = b.len() - HEADER_LEN;
-        bytes[..filled].copy_from_slice(&b[HEADER_LEN..]);
+        let values = self.landing.as_ref().filter(|(codec, _)| {
+            header.kind == FrameKind::Data
+                && header.codec == *codec
+                && (header.payload_len - 4) % 8 == 0
+        });
+        let store = match values {
+            Some((_, spares)) => {
+                // A spare keeps its length, so only values it never held
+                // are zeroed; every byte is overwritten, by the copy below
+                // or by a read, before the body counts as complete.
+                let len = (header.payload_len - 4) / 8;
+                let mut values = spares.take(len).unwrap_or_else(|| Vec::with_capacity(len));
+                values.resize(len, 0.0);
+                Store::Values { count: [0; 4], values, crc: [0; 4] }
+            }
+            None => {
+                let mut bytes = std::mem::take(&mut self.spare);
+                bytes.resize(header.payload_len + 4, 0);
+                Store::Bytes(bytes)
+            }
+        };
+        let mut body = Body { header, store, filled: 0 };
+        body.fill_from(&self.buf[HEADER_LEN..]);
         self.buf.clear();
-        self.body = Some(Body { header, bytes, filled });
+        self.body = Some(body);
     }
 
     /// Yields the pending body once it is complete.
-    fn finish_body(&mut self) -> Option<Result<Frame, FrameError>> {
-        let Body { header, mut bytes, .. } = self.body.take()?;
-        Some(match header.finish(&bytes) {
-            Ok(()) => {
-                bytes.truncate(header.payload_len);
-                Ok(header.frame(bytes))
-            }
-            Err(e) => {
-                self.spare = bytes;
-                Err(e)
+    fn finish_body(&mut self) -> Option<Result<Arrival, FrameError>> {
+        let Body { header, store, .. } = self.body.take()?;
+        Some(match store {
+            Store::Bytes(mut bytes) => match header.finish(&bytes) {
+                Ok(()) => {
+                    bytes.truncate(header.payload_len);
+                    Ok(Arrival::Frame(header.frame(bytes)))
+                }
+                Err(e) => {
+                    self.spare = bytes;
+                    Err(e)
+                }
+            },
+            Store::Values { count, values, crc } => {
+                let reg = crc32_continue(crc32_continue(!0, &count), values_bytes(&values));
+                let checked = header.check(!reg, &crc).and_then(|()| {
+                    // Intact bytes, but not a `Vec<f64>` encoding: the
+                    // count disagrees with the length the header vouched
+                    // for, which the codec would reject too.
+                    let agrees = read_u32(&count) as usize == values.len();
+                    agrees.then_some(()).ok_or(header.corrupt("value count disagrees with length"))
+                });
+                match checked {
+                    Ok(()) => Ok(Arrival::Values(header.frame(Vec::new()), values)),
+                    Err(e) => {
+                        if let Some((_, spares)) = &self.landing {
+                            spares.give(values);
+                        }
+                        Err(e)
+                    }
+                }
             }
         })
     }
@@ -392,11 +646,29 @@ impl FrameReader {
     }
 
     /// Pulls the next complete frame, a corruption report, or `None` when
-    /// more bytes are needed.
+    /// more bytes are needed. A landed `Vec<f64>` body comes out encoded,
+    /// as the codec would have written it, and its vector goes back to the
+    /// spare list; a reader that lands bodies is drained with
+    /// [`FrameReader::next_arrival`] instead.
     #[allow(clippy::should_implement_trait)] // pull-style API, deliberately not an Iterator
     pub fn next(&mut self) -> Option<Result<Frame, FrameError>> {
+        Some(self.next_arrival()?.map(|arrival| match arrival {
+            Arrival::Frame(frame) => frame,
+            Arrival::Values(mut frame, values) => {
+                frame.payload = encode_value(&values);
+                if let Some((_, spares)) = &self.landing {
+                    spares.give(values);
+                }
+                frame
+            }
+        }))
+    }
+
+    /// Pulls the next complete frame — or landed `Vec<f64>` body — a
+    /// corruption report, or `None` when more bytes are needed.
+    pub fn next_arrival(&mut self) -> Option<Result<Arrival, FrameError>> {
         if let Some(body) = &self.body {
-            return if body.filled < body.bytes.len() { None } else { self.finish_body() };
+            return if body.complete() { self.finish_body() } else { None };
         }
         if self.buf.len() < 4 {
             // A partial magic prefix stays buffered; junk is dropped.
@@ -438,9 +710,11 @@ impl FrameReader {
         if self.buf.len() < total {
             return None;
         }
-        let result = header
-            .finish(&self.buf[HEADER_LEN..total])
-            .map(|()| header.frame(self.buf[HEADER_LEN..HEADER_LEN + header.payload_len].to_vec()));
+        let result = header.finish(&self.buf[HEADER_LEN..total]).map(|()| {
+            Arrival::Frame(
+                header.frame(self.buf[HEADER_LEN..HEADER_LEN + header.payload_len].to_vec()),
+            )
+        });
         self.buf.drain(..total);
         Some(result)
     }

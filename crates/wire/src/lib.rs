@@ -11,8 +11,8 @@
 //! Layers, bottom to top:
 //!
 //! * [`crc`] — CRC-32C (the Castagnoli polynomial): the SSE4.2 `crc32`
-//!   instruction where the CPU has it, a const-built slice-by-8 table
-//!   everywhere else.
+//!   instruction where the CPU has it — three interleaved chains on long
+//!   inputs — and a const-built slice-by-8 table everywhere else.
 //! * [`codec`] — [`codec::WireCodec`], byte serialization for payloads
 //!   that cross a process boundary, plus the [`codec::CodecRegistry`]
 //!   mapping `TypeId` ⇄ wire tag. `Payload::Shared` deliberately has no
@@ -21,13 +21,14 @@
 //!   (own CRC), resync-on-damage, never trusts a length the header CRC
 //!   has not vouched for. Payloads are encoded in place after the header,
 //!   and large bodies are read from the socket straight into a reused
-//!   buffer.
+//!   buffer — a large `Vec<f64>` body straight into a reused vector.
 //! * [`fault`] — seeded frame-level fault injection (drop / bit-flip /
 //!   delay) driven by the same `MXN_FAULT_SEED` × `MXN_FAULT_KIND`
 //!   environment as the in-proc fault matrix.
 //! * [`link`] — per-peer sequencing and the resend ring behind session
 //!   resume, trimmed to the peer's acks and fences and capped in frames
-//!   and bytes; control frames ride outside the sequence space.
+//!   and bytes; control frames ride outside the sequence space. A large
+//!   `Vec<f64>` is retained and written as itself, never encoded.
 //! * [`node`] — [`node::WireNode`]: the mesh endpoint. Acceptor, reader
 //!   and monitor threads; heartbeats feeding a [`mxn_runtime::Liveness`]
 //!   registry; reconnect with seeded exponential backoff bounded at
@@ -59,10 +60,11 @@ pub mod node;
 pub mod process;
 
 pub use codec::{decode_value, encode_value, CodecError, CodecRegistry, WireCodec};
-pub use crc::crc32;
+pub use crc::{crc32, crc32_continue};
 pub use fault::{WireFaults, WireVerdict};
 pub use frame::{
-    Frame, FrameError, FrameKind, FrameReader, BODY_IN_PLACE, HEADER_LEN, MAX_PAYLOAD,
+    Arrival, Frame, FrameError, FrameKind, FrameReader, SpareValues, BODY_IN_PLACE, HEADER_LEN,
+    MAX_PAYLOAD, SPARE_BYTES, SPARE_VALUES,
 };
 pub use link::{LinkSender, RING_BYTES, RING_FRAMES};
 pub use mux::{

@@ -18,15 +18,27 @@
 //! evicted frame's buffer goes on a short free list, and the next data
 //! frame is encoded into it: a bulk stream keeps writing into memory it
 //! has already touched.
+//!
+//! A large `Vec<f64>` sent with [`LinkSender::send_values`] is never
+//! encoded: the ring retains the vector itself between the frame's header
+//! (with the value count) and its payload CRC, and every write of the
+//! frame goes from the vector's memory to the socket. Once trimmed, the
+//! vector goes to the node's [`SpareValues`] list, where its readers take
+//! vectors for incoming bodies to land in. Every retained frame — bytes or
+//! vector — is written by one `write_vectored` loop; a bit-flip fault
+//! verdict damages a contiguous copy.
 
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
-use crate::codec::encode_value;
+use crate::codec::{encode_value, WireCodec};
 use crate::fault::{WireFaults, WireVerdict};
-use crate::frame::{write_frame, Frame, FrameKind};
+use crate::frame::{
+    values_bytes, values_head, write_frame, CorruptHeader, Frame, FrameKind, SpareValues,
+    BODY_IN_PLACE, HEADER_LEN, VALUES_IN_PLACE,
+};
 
 /// Data frames retained for session-resume redelivery. A peer that falls
 /// further behind than this cannot be resumed and will surface message
@@ -41,6 +53,39 @@ pub const RING_BYTES: usize = 64 << 20;
 /// Trimmed frame buffers kept for reuse per link.
 const FREE_BUFFERS: usize = 4;
 
+/// One data frame the ring retains, clean.
+enum Retained {
+    /// The encoded frame.
+    Encoded(Vec<u8>),
+    /// A `Vec<f64>` frame: the header and value count, the values in their
+    /// own vector, the payload CRC.
+    Values { head: [u8; HEADER_LEN + 4], values: Vec<f64>, crc: [u8; 4] },
+}
+
+impl Retained {
+    /// The frame's bytes in order.
+    fn parts(&self) -> [&[u8]; 3] {
+        match self {
+            Retained::Encoded(bytes) => [bytes, &[], &[]],
+            Retained::Values { head, values, crc } => [head, values_bytes(values), crc],
+        }
+    }
+
+    /// The frame's length on the wire.
+    fn len(&self) -> usize {
+        self.parts().iter().map(|p| p.len()).sum()
+    }
+
+    /// The encoded frame (tests inspect its buffer).
+    #[cfg(test)]
+    fn encoded(&self) -> &Vec<u8> {
+        match self {
+            Retained::Encoded(bytes) => bytes,
+            Retained::Values { .. } => panic!("a vector frame has no encoded buffer"),
+        }
+    }
+}
+
 /// Outbound half of one peer link.
 pub struct LinkSender {
     /// Current socket; `None` while disconnected.
@@ -51,13 +96,15 @@ pub struct LinkSender {
     dst: u32,
     /// Next data sequence number to assign (first frame gets 1).
     next_seq: u64,
-    /// Recently sent data frames, encoded clean (pre-fault), seq-ordered.
-    /// Shared with the write that sent them: retention copies no bytes.
-    ring: VecDeque<(u64, Arc<Vec<u8>>)>,
-    /// Encoded bytes held by `ring`.
+    /// Recently sent data frames, clean (pre-fault), seq-ordered. Shared
+    /// with the write that sent them: retention copies no bytes.
+    ring: VecDeque<(u64, Arc<Retained>)>,
+    /// Frame bytes held by `ring`.
     ring_bytes: usize,
     /// Buffers of frames that left the ring, reused by the next encode.
     free: Vec<Vec<u8>>,
+    /// Where vectors of frames that left the ring go.
+    spares: Arc<SpareValues>,
     /// Monotone send-attempt counter keying fault draws; retransmissions
     /// advance it so a retried frame gets a fresh fate.
     attempts: u64,
@@ -78,10 +125,18 @@ impl LinkSender {
             ring: VecDeque::new(),
             ring_bytes: 0,
             free: Vec::new(),
+            spares: Arc::default(),
             attempts: 0,
             faults,
             armed: true,
         }
+    }
+
+    /// Hands the vectors of trimmed `Vec<f64>` frames to `spares` — a list
+    /// shared with the node's readers — instead of a list of its own.
+    pub fn with_spares(mut self, spares: Arc<SpareValues>) -> Self {
+        self.spares = spares;
+        self
     }
 
     /// Attaches a fresh socket (connect or accept). Send state survives.
@@ -144,35 +199,71 @@ impl LinkSender {
                 buf
             }
             // Frames on one link tend to repeat their size: a fresh buffer
-            // starts at the last frame's, so encoding it grows nothing.
-            None => Vec::with_capacity(self.ring.back().map_or(0, |(_, b)| b.len())),
+            // starts at the last encoded frame's, so encoding it grows
+            // nothing.
+            None => Vec::with_capacity(match self.ring.back().map(|(_, f)| &**f) {
+                Some(Retained::Encoded(last)) => last.len(),
+                _ => 0,
+            }),
         };
         if write_frame(&mut bytes, FrameKind::Data, self.src, context, tag, seq, encode).is_none() {
             self.free.push(bytes);
             return None;
         }
+        Some(self.retain_and_write(Retained::Encoded(bytes)))
+    }
+
+    /// Sends `values` as one application message under codec tag `codec`
+    /// — the tag of `Vec<f64>` — and returns the write's outcome with the
+    /// assigned sequence number, as [`LinkSender::send_data`] does. A body
+    /// of at least [`BODY_IN_PLACE`] bytes is not encoded: the ring keeps
+    /// the vector, and the frame is written from its memory. The bytes on
+    /// the wire are the codec's either way.
+    pub fn send_values(
+        &mut self,
+        context: u32,
+        tag: i32,
+        codec: u32,
+        values: Vec<f64>,
+    ) -> io::Result<u64> {
+        if !VALUES_IN_PLACE || 4 + 8 * values.len() < BODY_IN_PLACE {
+            let encode = |out: &mut Vec<u8>| {
+                values.encode(out);
+                Some(codec)
+            };
+            return self.send_data(context, tag, encode).expect("the encoder never declines");
+        }
+        let route = CorruptHeader { src: self.src, context, tag, seq: self.next_seq };
+        let (head, crc) = values_head(route, codec, &values);
+        self.retain_and_write(Retained::Values { head, values, crc })
+    }
+
+    /// Assigns the next sequence number to `frame` (built for it), retains
+    /// it in the ring, and writes it through the fault plane.
+    fn retain_and_write(&mut self, frame: Retained) -> io::Result<u64> {
+        let seq = self.next_seq;
         self.next_seq += 1;
-        let bytes = Arc::new(bytes);
-        self.ring_bytes += bytes.len();
-        self.ring.push_back((seq, Arc::clone(&bytes)));
+        let frame = Arc::new(frame);
+        self.ring_bytes += frame.len();
+        self.ring.push_back((seq, Arc::clone(&frame)));
         while self.ring.len() > 1 && (self.ring.len() > RING_FRAMES || self.ring_bytes > RING_BYTES)
         {
             self.pop_oldest();
         }
-        Some(self.write_through_faults(&bytes).map(|()| seq))
+        self.write_through_faults(&frame).map(|()| seq)
     }
 
     /// Replays every retained data frame with `seq > last_recv` (session
     /// resume). Replays go through the fault plane with fresh draws.
     pub fn resend_since(&mut self, last_recv: u64) -> io::Result<usize> {
-        let pending: Vec<Arc<Vec<u8>>> = self
+        let pending: Vec<Arc<Retained>> = self
             .ring
             .iter()
             .filter(|(seq, _)| *seq > last_recv)
-            .map(|(_, bytes)| Arc::clone(bytes))
+            .map(|(_, frame)| Arc::clone(frame))
             .collect();
-        for bytes in &pending {
-            self.write_through_faults(bytes)?;
+        for frame in &pending {
+            self.write_through_faults(frame)?;
         }
         Ok(pending.len())
     }
@@ -186,15 +277,15 @@ impl LinkSender {
         }
     }
 
-    /// Drops the oldest retained frame, keeping its buffer for reuse when
-    /// no write still shares it.
+    /// Drops the oldest retained frame, keeping its buffer — or its vector,
+    /// on the spare list — for reuse when no write still shares it.
     fn pop_oldest(&mut self) {
-        let Some((_, bytes)) = self.ring.pop_front() else { return };
-        self.ring_bytes -= bytes.len();
-        if self.free.len() < FREE_BUFFERS {
-            if let Ok(buf) = Arc::try_unwrap(bytes) {
-                self.free.push(buf);
-            }
+        let Some((_, frame)) = self.ring.pop_front() else { return };
+        self.ring_bytes -= frame.len();
+        match Arc::try_unwrap(frame) {
+            Ok(Retained::Encoded(buf)) if self.free.len() < FREE_BUFFERS => self.free.push(buf),
+            Ok(Retained::Values { values, .. }) => self.spares.give(values),
+            _ => {}
         }
     }
 
@@ -228,43 +319,61 @@ impl LinkSender {
     /// `last_recv_seq == 0`, and replaying the old occupant's frames at it
     /// would deliver another rank's traffic.
     pub fn clear_ring(&mut self) {
-        self.ring.clear();
-        self.ring_bytes = 0;
+        while !self.ring.is_empty() {
+            self.pop_oldest();
+        }
     }
 
     fn write_clean(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.write_parts([bytes, &[], &[]])
+    }
+
+    /// Writes the concatenation of `parts` with as many `writev` calls as
+    /// the socket needs.
+    fn write_parts(&mut self, parts: [&[u8]; 3]) -> io::Result<()> {
         let stream = self
             .stream
             .as_mut()
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "link detached"))?;
-        stream.write_all(bytes)
+        let mut slices = parts.map(IoSlice::new);
+        let mut left = &mut slices[..];
+        IoSlice::advance_slices(&mut left, 0);
+        while !left.is_empty() {
+            match stream.write_vectored(left) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
-    fn write_through_faults(&mut self, bytes: &[u8]) -> io::Result<()> {
+    fn write_through_faults(&mut self, frame: &Retained) -> io::Result<()> {
         if self.armed {
             let attempt = self.attempts;
             self.attempts += 1;
-            match self.faults.judge(self.src, self.dst, attempt, bytes.len()) {
+            match self.faults.judge(self.src, self.dst, attempt, frame.len()) {
                 WireVerdict::Deliver => {}
                 WireVerdict::Drop => return Ok(()), // "lost in flight"
                 WireVerdict::FlipBit(bit) => {
                     // Damage a copy: the ring's frame must stay clean for
                     // the resend that repairs this one.
-                    let mut damaged = bytes.to_vec();
+                    let mut damaged = frame.parts().concat();
                     damaged[bit / 8] ^= 1 << (bit % 8);
                     return self.write_clean(&damaged);
                 }
                 WireVerdict::Delay(d) => std::thread::sleep(d),
             }
         }
-        self.write_clean(bytes)
+        self.write_parts(frame.parts())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{FrameError, FrameReader, HEADER_LEN};
+    use crate::frame::{FrameError, FrameReader};
     use std::io::Read;
 
     fn pair() -> (UnixStream, UnixStream) {
@@ -502,10 +611,14 @@ mod tests {
         let mut s = LinkSender::new(0, 1, WireFaults::none());
         s.attach(tx);
         send(&mut s, 1, 1, 1, &[1; 512]).unwrap();
-        let first_buf = s.ring[0].1.as_ptr();
+        let first_buf = s.ring[0].1.encoded().as_ptr();
         s.trim_through(1);
         send(&mut s, 1, 1, 1, &[2; 512]).unwrap();
-        assert_eq!(s.ring[0].1.as_ptr(), first_buf, "seq 2 was encoded into seq 1's allocation");
+        assert_eq!(
+            s.ring[0].1.encoded().as_ptr(),
+            first_buf,
+            "seq 2 was encoded into seq 1's allocation"
+        );
         let mut fr = FrameReader::new();
         let got: Vec<Frame> = drain(&mut rx, &mut fr).into_iter().map(Result::unwrap).collect();
         assert_eq!(got.iter().map(|f| (f.seq, f.payload[0])).collect::<Vec<_>>(), [(1, 1), (2, 2)]);
@@ -522,7 +635,40 @@ mod tests {
         let in_flight = Arc::clone(&s.ring[0].1);
         s.trim_through(1);
         send(&mut s, 1, 1, 1, &[2; 512]).unwrap();
-        assert_ne!(s.ring[0].1.as_ptr(), in_flight.as_ptr(), "a shared frame was overwritten");
-        assert_eq!(in_flight[HEADER_LEN], 1, "the in-flight frame is intact");
+        assert_ne!(
+            s.ring[0].1.encoded().as_ptr(),
+            in_flight.encoded().as_ptr(),
+            "a shared frame was overwritten"
+        );
+        assert_eq!(in_flight.encoded()[HEADER_LEN], 1, "the in-flight frame is intact");
+    }
+
+    #[test]
+    fn vector_frames_resend_clean_and_trim_into_the_spares() {
+        let (tx, mut rx) = pair();
+        let faults = WireFaults { seed: 5, corrupt: 1.0, ..WireFaults::none() };
+        let spares = Arc::new(SpareValues::new());
+        let mut s = LinkSender::new(0, 1, faults).with_spares(Arc::clone(&spares));
+        s.attach(tx);
+        let values: Vec<f64> = (0..BODY_IN_PLACE / 8).map(|k| k as f64 * 0.5 - 3.0).collect();
+        let (want, at) = (values.clone(), values.as_ptr());
+        assert_eq!(s.send_values(3, 4, 15, values).unwrap(), 1);
+        let mut fr = FrameReader::new();
+        let got = drain(&mut rx, &mut fr);
+        assert!(!got.is_empty(), "the damaged frame was written");
+        assert!(got.iter().all(|r| matches!(r, Err(FrameError::Corrupt { .. }))), "{got:?}");
+        s.set_armed(false);
+        assert_eq!(s.resend_since(0).unwrap(), 1);
+        let clean: Vec<Frame> =
+            drain(&mut rx, &mut fr).into_iter().filter_map(Result::ok).collect();
+        assert_eq!(clean.len(), 1, "the resend repairs the damaged delivery");
+        let back: Vec<f64> = crate::codec::decode_value(&clean[0].payload).unwrap();
+        assert!(back == want, "the ring kept the vector intact");
+        s.trim_through(1);
+        assert_eq!(
+            spares.take(want.len()).map(|v| v.as_ptr()),
+            Some(at),
+            "trimmed into the spares"
+        );
     }
 }

@@ -27,16 +27,30 @@
 //!
 //! The mailbox behind `recv` *is* `mxn_runtime::mailbox::Mailbox` — the
 //! wire transport changes how envelopes arrive, not how they match.
+//!
+//! A `Vec<f64>` sent with [`WireNode::send`] or [`UdsTransport::deliver`]
+//! moves into the link: a large one is written to the socket from its own
+//! memory and retained as itself for resends ([`LinkSender::send_values`]).
+//! The node's readers land large `Vec<f64>` bodies in vectors from one
+//! node-wide [`SpareValues`] list, which acknowledged sends refill, and
+//! deliver those vectors as the payload: no codec pass either way.
+//!
+//! A reader thread never waits on a sender lock: an application thread
+//! may hold it while blocked writing to a peer whose reader is stuck the
+//! same way. A resend or `Hello` the reader owes the peer is done at once
+//! if the lock is free and recorded otherwise; the next holder of the lock
+//! — the send path, the fence tick or the monitor — does it.
 
 use std::any::Any;
 use std::io::{self, Read};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use mxn_framework::CallPolicy;
 use mxn_runtime::envelope::{Envelope, Payload, Src, Tag};
@@ -48,7 +62,7 @@ use mxn_trace::{emit, emit_instant, EventId, Phase, TraceHandle};
 
 use crate::codec::{decode_value, encode_value, CodecRegistry};
 use crate::fault::WireFaults;
-use crate::frame::{Frame, FrameError, FrameKind, FrameReader};
+use crate::frame::{Arrival, Frame, FrameError, FrameKind, FrameReader, SpareValues};
 use crate::link::LinkSender;
 
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -101,18 +115,43 @@ impl ControlPlane for MeshPlane<'_> {
     }
 }
 
-/// Polls `done` every 2 ms until it holds (`true`) or `timeout` passes
-/// (`false`).
-fn wait_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while !done() {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    true
+/// What the node's waits sleep on: notified whenever a peer attaches,
+/// dies, is readmitted or evicted, and when the node shuts down.
+#[derive(Default)]
+struct Signal {
+    /// Bumped by every notification.
+    epoch: Mutex<u64>,
+    changed: Condvar,
 }
+
+impl Signal {
+    fn notify(&self) {
+        *self.epoch.lock() += 1;
+        self.changed.notify_all();
+    }
+
+    /// Waits until `done` holds (`true`) or `timeout` passes (`false`).
+    /// `done` runs without the signal's lock held, so it may take any
+    /// other lock.
+    fn wait_until(&self, timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let seen = *self.epoch.lock();
+            if done() {
+                return true;
+            }
+            let mut epoch = self.epoch.lock();
+            // A notification since `seen` may have made `done` true.
+            if *epoch == seen && self.changed.wait_until(&mut epoch, deadline).timed_out() {
+                drop(epoch);
+                return done();
+            }
+        }
+    }
+}
+
+/// No replay owed (see `Peer::replay_from`).
+const NO_REPLAY: u64 = u64::MAX;
 
 /// Configuration of one wire node.
 #[derive(Debug, Clone)]
@@ -254,6 +293,15 @@ struct StatsInner {
 /// across socket generations; everything else is per-connection.
 struct Peer {
     sender: Mutex<LinkSender>,
+    /// Highest data seq assigned on this link (`LinkSender::last_seq`),
+    /// readable without the sender lock.
+    last_seq: AtomicU64,
+    /// The reader thread owes the peer a replay of every retained frame
+    /// after this seq ([`NO_REPLAY`]: none); done by the next holder of
+    /// the sender lock.
+    replay_from: AtomicU64,
+    /// The reader thread owes the peer a `Hello` (readmission).
+    hello_owed: AtomicBool,
     /// Last time any intact frame arrived from this peer.
     last_heard: Mutex<Instant>,
     /// Last time we beaconed this peer.
@@ -303,10 +351,13 @@ struct Peer {
 }
 
 impl Peer {
-    fn new(src: u32, dst: u32, faults: WireFaults) -> Self {
+    fn new(src: u32, dst: u32, faults: WireFaults, spares: &Arc<SpareValues>) -> Self {
         let now = Instant::now();
         Peer {
-            sender: Mutex::new(LinkSender::new(src, dst, faults)),
+            sender: Mutex::new(LinkSender::new(src, dst, faults).with_spares(Arc::clone(spares))),
+            last_seq: AtomicU64::new(0),
+            replay_from: AtomicU64::new(NO_REPLAY),
+            hello_owed: AtomicBool::new(false),
             last_heard: Mutex::new(now),
             last_beat: Mutex::new(now),
             disconnected_at: Mutex::new(None),
@@ -336,6 +387,13 @@ struct NodeShared {
     mailbox: Mailbox,
     liveness: Arc<Liveness>,
     registry: CodecRegistry,
+    /// The registry's tag for `Vec<f64>`, whose large bodies move without
+    /// the codec.
+    values_codec: Option<u32>,
+    /// Vectors for landed bodies, refilled by acknowledged sends.
+    spares: Arc<SpareValues>,
+    /// Wakes the node's waits (`connect`, `await_*`, reconnect backoff).
+    signal: Signal,
     /// Preallocated to `cfg.max_size`; ranks in `cur_size..max_size` are
     /// parked spare slots.
     peers: Vec<Peer>,
@@ -360,6 +418,37 @@ impl NodeShared {
         if self.liveness.kill(peer) {
             self.mailbox.wake_all();
         }
+        self.signal.notify();
+    }
+
+    /// Does what the reader thread owed `peer` while another thread held
+    /// its sender lock: the `Hello` of a readmission, then one replay from
+    /// the lowest seq any NACK or `Hello` asked for. The caller holds the
+    /// lock as `sender`.
+    fn settle(&self, peer: usize, sender: &mut LinkSender) {
+        let p = &self.peers[peer];
+        if p.hello_owed.swap(false, Ordering::AcqRel) {
+            let _ = sender.send_hello(self.session, p.last_recv_seq.load(Ordering::Acquire));
+        }
+        let from = p.replay_from.swap(NO_REPLAY, Ordering::AcqRel);
+        if from != NO_REPLAY && sender.is_connected() {
+            let _ = sender.resend_since(from);
+        }
+    }
+
+    /// From the reader thread: settles what `peer` is owed now unless
+    /// another thread holds the sender lock, which then settles it.
+    fn try_settle(&self, peer: usize) {
+        if let Some(mut sender) = self.peers[peer].sender.try_lock() {
+            self.settle(peer, &mut sender);
+        }
+    }
+
+    /// From the reader thread: owes `peer` a replay of everything retained
+    /// after `from`.
+    fn owe_replay(&self, peer: usize, from: u64) {
+        self.peers[peer].replay_from.fetch_min(from, Ordering::AcqRel);
+        self.try_settle(peer);
     }
 
     fn cur_size(&self) -> usize {
@@ -393,6 +482,7 @@ impl NodeShared {
                 return;
             }
             self.stats.fences_sent.fetch_add(1, Ordering::Relaxed);
+            self.settle(peer, &mut sender);
             let delivered = p.peer_watermark.load(Ordering::Acquire);
             sender.trim_through(delivered);
             sender.last_seq() > delivered
@@ -422,7 +512,7 @@ impl NodeShared {
     }
 
     /// Re-admits a quarantined peer whose application proved it is
-    /// consuming again. Sends a fresh `Hello` so the peer replays the data
+    /// consuming again. Owes it a fresh `Hello` so the peer replays the data
     /// we dropped during quarantine (our `last_recv_seq` never advanced
     /// past them).
     fn readmit(&self, peer: usize) {
@@ -440,8 +530,9 @@ impl NodeShared {
         self.liveness.revive(peer);
         self.stats.zombies_readmitted.fetch_add(1, Ordering::Relaxed);
         emit_instant(EventId::WireZombie, [peer as u64, 2, 0, held]);
-        let mut sender = p.sender.lock();
-        let _ = sender.send_hello(self.session, p.last_recv_seq.load(Ordering::Acquire));
+        self.signal.notify();
+        p.hello_owed.store(true, Ordering::Release);
+        self.try_settle(peer);
     }
 
     /// Makes the quarantine verdict final: the peer stays dead, its link
@@ -535,41 +626,16 @@ impl NodeShared {
     fn handle_frame(self: &Arc<Self>, peer: usize, frame: Frame) -> Vec<u8> {
         match frame.kind {
             FrameKind::Data => {
-                let p = &self.peers[peer];
-                // A quarantined peer's data is dropped *without* advancing
-                // `last_recv_seq`: if the peer is re-admitted, the `Hello`
-                // we send announces the pre-quarantine watermark and its
-                // ring replays everything we refused here.
-                if p.quarantined.load(Ordering::Acquire) || p.evicted.load(Ordering::Acquire) {
-                    return frame.payload;
-                }
-                // Duplicate guard: session resume may replay frames the
-                // original delivery already landed.
-                if frame.seq <= p.last_recv_seq.load(Ordering::Acquire) {
-                    self.stats.duplicates_dropped.fetch_add(1, Ordering::Relaxed);
-                    return frame.payload;
-                }
-                p.last_recv_seq.store(frame.seq, Ordering::Release);
                 let bytes = frame.payload.len();
-                p.unacked_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                match self.registry.decode_any(frame.codec, &frame.payload) {
-                    Ok(boxed) => {
-                        self.stats.frames_received.fetch_add(1, Ordering::Relaxed);
-                        self.mailbox.push(Envelope::new(
-                            peer,
-                            peer,
-                            frame.context,
-                            frame.tag,
-                            bytes,
-                            None,
-                            Payload::Owned(boxed),
-                        ));
+                if self.admit_data(peer, frame.seq, bytes) {
+                    match self.registry.decode_any(frame.codec, &frame.payload) {
+                        Ok(boxed) => self.push_data(peer, &frame, bytes, boxed),
+                        // Bytes passed CRC but no/odd codec: a registry
+                        // mismatch between the two processes. Surface it
+                        // as a detectable Corrupt — never a panic — so the
+                        // receiver's retry/NACK machinery engages.
+                        Err(_) => self.push_corrupt(peer, frame.context, frame.tag, bytes),
                     }
-                    // Bytes passed CRC but no/odd codec: a registry
-                    // mismatch between the two processes. Surface it as a
-                    // detectable Corrupt — never a panic — so the
-                    // receiver's retry/NACK machinery engages.
-                    Err(_) => self.push_corrupt(peer, frame.context, frame.tag, bytes),
                 }
             }
             FrameKind::Heartbeat => {} // `last_heard` already refreshed
@@ -578,8 +644,7 @@ impl NodeShared {
                     crate::codec::decode_value::<(u64, u64)>(&frame.payload)
                 {
                     self.note_peer_session(peer, session);
-                    let mut sender = self.peers[peer].sender.lock();
-                    let _ = sender.resend_since(last_recv);
+                    self.owe_replay(peer, last_recv);
                 }
             }
             FrameKind::Bye => {
@@ -597,6 +662,48 @@ impl NodeShared {
             }
         }
         frame.payload
+    }
+
+    /// Routes a Data frame from `peer` whose `Vec<f64>` body landed in
+    /// `values`; a frame the guards drop gives its vector to the spares.
+    fn handle_values(&self, peer: usize, frame: &Frame, values: Vec<f64>) {
+        let bytes = 4 + 8 * values.len();
+        if self.admit_data(peer, frame.seq, bytes) {
+            self.push_data(peer, frame, bytes, Box::new(values));
+        } else {
+            self.spares.give(values);
+        }
+    }
+
+    /// Whether a Data frame from `peer` with sequence number `seq` and
+    /// `bytes` of payload is delivered, advancing the duplicate guard and
+    /// the ack count if so.
+    fn admit_data(&self, peer: usize, seq: u64, bytes: usize) -> bool {
+        let p = &self.peers[peer];
+        // A quarantined peer's data is dropped *without* advancing
+        // `last_recv_seq`: if the peer is re-admitted, the `Hello` we send
+        // announces the pre-quarantine watermark and its ring replays
+        // everything we refused here.
+        if p.quarantined.load(Ordering::Acquire) || p.evicted.load(Ordering::Acquire) {
+            return false;
+        }
+        // Duplicate guard: session resume may replay frames the original
+        // delivery already landed.
+        if seq <= p.last_recv_seq.load(Ordering::Acquire) {
+            self.stats.duplicates_dropped.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        p.last_recv_seq.store(seq, Ordering::Release);
+        p.unacked_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        true
+    }
+
+    /// Delivers a decoded Data frame's value to the mailbox.
+    fn push_data(&self, peer: usize, frame: &Frame, bytes: usize, value: Box<dyn Any + Send>) {
+        self.stats.frames_received.fetch_add(1, Ordering::Relaxed);
+        let payload = Payload::Owned(value);
+        let env = Envelope::new(peer, peer, frame.context, frame.tag, bytes, None, payload);
+        self.mailbox.push(env);
     }
 
     /// A progress fence or ack from `peer` reporting `watermark`. Both
@@ -621,20 +728,20 @@ impl NodeShared {
         // scheduled again — a stopped process sends nothing. Re-admit once
         // it has either advanced or fully caught up with our stream.
         if p.quarantined.load(Ordering::Acquire) {
-            let caught_up = watermark >= p.sender.lock().last_seq();
+            let caught_up = watermark >= p.last_seq.load(Ordering::Acquire);
             if advanced || caught_up {
                 self.readmit(peer);
             }
-        } else if !advanced && !p.evicted.load(Ordering::Acquire) {
+        } else if !advanced
+            && !p.evicted.load(Ordering::Acquire)
+            && p.last_seq.load(Ordering::Acquire) > watermark
+        {
             // A fence *repeating* a lagging watermark is a NACK, not a
             // freeze: the peer is running but frames beyond the watermark
             // were lost to bit damage or a torn connection. Repair from the
             // resend ring — the duplicate guard on the far side keeps
             // redelivery exact-once.
-            let mut sender = p.sender.lock();
-            if sender.is_connected() && sender.last_seq() > watermark {
-                let _ = sender.resend_since(watermark);
-            }
+            self.owe_replay(peer, watermark);
         }
     }
 
@@ -659,12 +766,15 @@ impl NodeShared {
 
     /// Attaches a fresh stream for `peer` and spawns its reader thread.
     /// `reader` carries any bytes already consumed during the handshake.
+    /// `resume` is set on an accepted stream, whose `Hello` was read
+    /// already: the highest seq the peer saw, after which the ring is
+    /// replayed before anyone waiting on the connection wakes.
     fn attach(
         self: &Arc<Self>,
         peer: usize,
         stream: UnixStream,
         reader: FrameReader,
-        via_listener: bool,
+        resume: Option<u64>,
         attempt: u64,
     ) -> io::Result<()> {
         let p = &self.peers[peer];
@@ -674,6 +784,10 @@ impl NodeShared {
         // full pipe surfaces as a link failure instead.
         stream.set_write_timeout(Some(self.cfg.liveness_deadline))?;
         let read_half = stream.try_clone()?;
+        let mut reader = reader;
+        if let Some(codec) = self.values_codec {
+            reader.land_values(codec, Arc::clone(&self.spares));
+        }
         let generation = {
             let mut sender = p.sender.lock();
             sender.attach(stream);
@@ -684,15 +798,19 @@ impl NodeShared {
             // Announce our session and what we have seen, triggering the
             // peer's resume replay toward us.
             sender.send_hello(self.session, p.last_recv_seq.load(Ordering::Acquire))?;
+            if let Some(last_recv) = resume {
+                let _ = sender.resend_since(last_recv);
+            }
             generation
         };
+        self.signal.notify();
         emit_instant(
             EventId::WireConnect,
             [
                 peer as u64,
                 attempt,
                 self.peers[peer].last_recv_seq.load(Ordering::Relaxed),
-                u64::from(via_listener),
+                u64::from(resume.is_some()),
             ],
         );
         let shared = Arc::clone(self);
@@ -716,10 +834,10 @@ impl NodeShared {
         let mut buf = [0u8; 64 * 1024];
         loop {
             // Drain frames already buffered (handshake leftovers first).
-            while let Some(res) = frames.next() {
+            while let Some(res) = frames.next_arrival() {
                 *self.peers[peer].last_heard.lock() = Instant::now();
                 match res {
-                    Ok(frame) => {
+                    Ok(arrival) => {
                         // Any intact frame resets the reconnect-churn and
                         // fence-stall counters: the peer's application
                         // demonstrably ran. A zombie sends *nothing* — a
@@ -728,7 +846,12 @@ impl NodeShared {
                         // can never convict it.
                         self.peers[peer].churn.store(0, Ordering::Release);
                         self.peers[peer].stall_fences.store(0, Ordering::Release);
-                        frames.recycle(self.handle_frame(peer, frame));
+                        match arrival {
+                            Arrival::Frame(frame) => frames.recycle(self.handle_frame(peer, frame)),
+                            Arrival::Values(frame, values) => {
+                                self.handle_values(peer, &frame, values)
+                            }
+                        }
                     }
                     Err(FrameError::Corrupt { skipped, header, .. }) => {
                         self.stats.corrupt_frames.fetch_add(1, Ordering::Relaxed);
@@ -793,11 +916,15 @@ impl NodeShared {
         }
     }
 
-    /// Accept loop: polls the nonblocking listener, handshakes inbound
-    /// connections, attaches them.
+    /// Accept loop: blocks in `accept`, handshakes inbound connections,
+    /// attaches them. Shutdown wakes it with a connection of its own.
     fn acceptor_loop(self: Arc<Self>, listener: UnixListener) {
-        while !self.shutdown.load(Ordering::Acquire) {
-            match listener.accept() {
+        loop {
+            let accepted = listener.accept();
+            if self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     let shared = Arc::clone(&self);
                     // Handshake off-thread so one slow dialer cannot stall
@@ -816,17 +943,15 @@ impl NodeShared {
                                         crate::codec::decode_value::<(u64, u64)>(&hello.payload)
                                     {
                                         shared.note_peer_session(peer, session);
-                                        let _ = shared.attach(peer, stream, frames, true, 0);
-                                        let mut sender = shared.peers[peer].sender.lock();
-                                        let _ = sender.resend_since(last_recv);
+                                        let resume = Some(last_recv);
+                                        let _ = shared.attach(peer, stream, frames, resume, 0);
                                     }
                                 }
                             }
                         });
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                // A failing `accept` (descriptor exhaustion) backs off
+                // instead of spinning.
                 Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
         }
@@ -869,7 +994,11 @@ impl NodeShared {
                 if !p.ever_connected.load(Ordering::Acquire) {
                     continue; // still in startup; `connect` owns this phase
                 }
-                let connected = p.sender.lock().is_connected();
+                let connected = {
+                    let mut sender = p.sender.lock();
+                    self.settle(peer, &mut sender);
+                    sender.is_connected()
+                };
                 if connected {
                     if now.duration_since(*p.last_beat.lock()) >= self.cfg.heartbeat {
                         *p.last_beat.lock() = now;
@@ -957,8 +1086,7 @@ impl NodeShared {
             }
             self.stats.reconnect_dials.fetch_add(1, Ordering::Relaxed);
             if let Ok(stream) = UnixStream::connect(self.cfg.sock_path(peer)) {
-                if self.attach(peer, stream, FrameReader::new(), false, u64::from(attempt)).is_ok()
-                {
+                if self.attach(peer, stream, FrameReader::new(), None, u64::from(attempt)).is_ok() {
                     emit(
                         EventId::WireReconnect,
                         Phase::End,
@@ -973,7 +1101,7 @@ impl NodeShared {
             // not after the full schedule drains — otherwise the redial
             // races the goodbye and can resurrect a link to a peer that
             // already left on purpose.
-            wait_until(policy.retry_pause(base, attempt), || {
+            self.signal.wait_until(policy.retry_pause(base, attempt), || {
                 self.shutdown.load(Ordering::Acquire) || self.liveness.is_dead(peer)
             });
             base = base.saturating_mul(2);
@@ -987,8 +1115,9 @@ impl NodeShared {
         self.peers[peer].reconnecting.store(false, Ordering::Release);
     }
 
-    /// Encodes one type-erased payload straight into a frame for `dst` and
-    /// sends it; `unregistered` is the error when `value`'s type has no
+    /// Sends one payload to `dst`: a `Vec<f64>` through
+    /// [`LinkSender::send_values`], anything else encoded straight into a
+    /// frame; `unregistered` is the error when the payload's type has no
     /// codec. A send while the link is down still succeeds: the frame
     /// enters the resend ring and session resume redelivers it (or the
     /// peer is declared dead and later operations fail with `PeerDead`).
@@ -997,7 +1126,7 @@ impl NodeShared {
         dst: usize,
         context: u32,
         tag: i32,
-        value: &dyn Any,
+        value: Outgoing<'_>,
         unregistered: impl FnOnce() -> RuntimeError,
     ) -> Result<()> {
         let size = self.cur_size();
@@ -1012,6 +1141,8 @@ impl NodeShared {
         }
         let p = &self.peers[dst];
         let mut sender = p.sender.lock();
+        // A replay the reader owes goes out before newer data.
+        self.settle(dst, &mut sender);
         let owed = p.unacked_bytes.load(Ordering::Relaxed);
         if owed >= ACK_BYTES {
             p.unacked_bytes.fetch_sub(owed, Ordering::Relaxed);
@@ -1025,11 +1156,24 @@ impl NodeShared {
         }
         // Trimmed frames free their buffers for this encode.
         sender.trim_through(p.peer_watermark.load(Ordering::Acquire));
-        let encode = |out: &mut Vec<u8>| self.registry.encode_any_into(value, out);
-        let Some(sent) = sender.send_data(context, tag, encode) else {
+        let sent = match (value, self.values_codec) {
+            (Outgoing::Values(values), Some(codec)) => {
+                Some(sender.send_values(context, tag, codec, values))
+            }
+            (Outgoing::Values(values), None) => {
+                sender.send_data(context, tag, |out| self.registry.encode_any_into(&values, out))
+            }
+            (Outgoing::Any(value), _) => {
+                sender.send_data(context, tag, |out| self.registry.encode_any_into(value, out))
+            }
+        };
+        let Some(sent) = sent else {
             return Err(unregistered());
         };
+        p.last_seq.store(sender.last_seq(), Ordering::Release);
         self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+        // And what the reader recorded during the write.
+        self.settle(dst, &mut sender);
         if sent.is_err() {
             // The write failed but the frame is ring-retained; the
             // reconnect/resume machinery owns redelivery from here.
@@ -1041,10 +1185,21 @@ impl NodeShared {
     }
 }
 
+/// A payload on its way to [`NodeShared::send_any`].
+enum Outgoing<'a> {
+    /// A `Vec<f64>`, moved: a large one is written from its own memory.
+    Values(Vec<f64>),
+    /// Anything else, encoded by the registry.
+    Any(&'a dyn Any),
+}
+
 /// A running wire-transport endpoint. See the module docs for the design.
 pub struct WireNode {
     shared: Arc<NodeShared>,
     acceptor: Option<JoinHandle<()>>,
+    /// The acceptor's listening socket, shut down to wake it should
+    /// dialing the socket file fail.
+    listener_fd: i32,
     monitor: Option<JoinHandle<()>>,
 }
 
@@ -1067,21 +1222,25 @@ impl WireNode {
         let path = cfg.sock_path(cfg.rank);
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
-        listener.set_nonblocking(true)?;
+        let listener_fd = listener.as_raw_fd();
         let abort = Arc::new(AtomicBool::new(false));
         // Rank-indexed state is sized to the ceiling once; spare slots in
         // `size..max_size` sit parked until a join admits them.
         let liveness = Arc::new(Liveness::new(cfg.max_size));
         let revocations = Arc::new(Revocations::default());
         let session = splitmix64((u64::from(std::process::id()) << 20) ^ cfg.rank as u64 | 1);
+        let spares = Arc::new(SpareValues::new());
         let peers = (0..cfg.max_size)
-            .map(|peer| Peer::new(cfg.rank as u32, peer as u32, cfg.faults))
+            .map(|peer| Peer::new(cfg.rank as u32, peer as u32, cfg.faults, &spares))
             .collect();
         let shared = Arc::new(NodeShared {
             mailbox: Mailbox::new(abort.clone(), liveness.clone(), revocations),
             session,
             liveness,
+            values_codec: registry.tag_of::<Vec<f64>>(),
             registry,
+            spares,
+            signal: Signal::default(),
             peers,
             cur_size: AtomicUsize::new(cfg.size),
             abort,
@@ -1109,7 +1268,7 @@ impl WireNode {
                 },
             )?
         };
-        Ok(WireNode { shared, acceptor: Some(acceptor), monitor: Some(monitor) })
+        Ok(WireNode { shared, acceptor: Some(acceptor), listener_fd, monitor: Some(monitor) })
     }
 
     /// Completes the mesh: dials every lower rank (retrying while peers
@@ -1121,7 +1280,7 @@ impl WireNode {
             loop {
                 match UnixStream::connect(cfg.sock_path(peer)) {
                     Ok(stream) => {
-                        self.shared.attach(peer, stream, FrameReader::new(), false, 0)?;
+                        self.shared.attach(peer, stream, FrameReader::new(), None, 0)?;
                         break;
                     }
                     Err(e) => {
@@ -1136,11 +1295,11 @@ impl WireNode {
                 }
             }
         }
-        // Higher ranks dial us; wait for all of them.
+        // Higher ranks dial us; `attach` signals each arrival.
         for peer in cfg.rank + 1..cfg.size {
             let left = deadline.saturating_duration_since(Instant::now());
-            if !wait_until(left, || self.shared.peers[peer].ever_connected.load(Ordering::Acquire))
-            {
+            let dialed = || self.shared.peers[peer].ever_connected.load(Ordering::Acquire);
+            if !self.shared.signal.wait_until(left, dialed) {
                 let e = format!("rank {peer} never dialed us");
                 return Err(io::Error::new(io::ErrorKind::TimedOut, e));
             }
@@ -1177,7 +1336,7 @@ impl WireNode {
     /// Blocks until `rank` is declared dead or `timeout` passes; returns
     /// whether it died in time.
     pub fn await_death(&self, rank: usize, timeout: Duration) -> bool {
-        wait_until(timeout, || self.is_dead(rank))
+        self.shared.signal.wait_until(timeout, || self.is_dead(rank))
     }
 
     /// Whether `rank` is currently quarantined (provisionally dead: frames
@@ -1194,14 +1353,16 @@ impl WireNode {
     /// Blocks until `rank` enters quarantine (or is evicted outright) or
     /// `timeout` passes; returns whether it happened in time.
     pub fn await_quarantine(&self, rank: usize, timeout: Duration) -> bool {
-        wait_until(timeout, || self.is_quarantined(rank) || self.is_evicted(rank))
+        self.shared
+            .signal
+            .wait_until(timeout, || self.is_quarantined(rank) || self.is_evicted(rank))
     }
 
     /// Blocks until `rank` is back in good standing — neither quarantined
     /// nor dead — or `timeout` passes; returns whether it was re-admitted.
     pub fn await_readmit(&self, rank: usize, timeout: Duration) -> bool {
         let standing = || !self.is_quarantined(rank) && !self.is_dead(rank);
-        wait_until(timeout, || standing() || self.is_evicted(rank)) && standing()
+        self.shared.signal.wait_until(timeout, || standing() || self.is_evicted(rank)) && standing()
     }
 
     /// Arms or disarms frame-layer fault injection on every link (the
@@ -1215,13 +1376,21 @@ impl WireNode {
     }
 
     /// Sends `value` to `dst`'s mailbox bucket `(context, tag)`. The type
-    /// must be registered in both processes' codec registries.
+    /// must be registered in both processes' codec registries. A
+    /// `Vec<f64>` moves into the link without being encoded.
     pub fn send<T: Any + Send>(&self, dst: usize, context: u32, tag: i32, value: T) -> Result<()> {
-        self.shared.send_any(dst, context, tag, &value, || RuntimeError::TypeMismatch {
+        let unregistered = || RuntimeError::TypeMismatch {
             expected: std::any::type_name::<T>(),
             src: self.shared.cfg.rank,
             tag,
-        })
+        };
+        let mut slot = Some(value);
+        let as_values = (&mut slot as &mut dyn Any).downcast_mut::<Option<Vec<f64>>>();
+        if let Some(values) = as_values.and_then(Option::take) {
+            return self.shared.send_any(dst, context, tag, Outgoing::Values(values), unregistered);
+        }
+        let value = slot.expect("only a Vec<f64> is taken out");
+        self.shared.send_any(dst, context, tag, Outgoing::Any(&value), unregistered)
     }
 
     /// Receives a `T` from `src` on `(context, tag)`, blocking until it
@@ -1380,7 +1549,9 @@ impl WireNode {
         // the sponsor, so its connection is usually already here; a dead
         // newcomer (killed mid-join) shows up as EOF → never connected.
         let wired = admitted
-            && wait_until(timeout / 2, || self.shared.peers[new_rank].sender.lock().is_connected());
+            && self.shared.signal.wait_until(timeout / 2, || {
+                self.shared.peers[new_rank].sender.lock().is_connected()
+            });
         let committed = self.join_decide(&offer, wired, timeout);
         emit_instant(
             EventId::WireJoin,
@@ -1464,10 +1635,19 @@ impl WireNode {
         }
         self.shared.abort.store(true, Ordering::Release);
         self.shared.mailbox.wake_all();
+        self.shared.signal.notify();
         if let Some(h) = self.monitor.take() {
             let _ = h.join();
         }
         if let Some(h) = self.acceptor.take() {
+            // The acceptor blocks in `accept`: a connection wakes it. With
+            // the socket file gone, shutting the listener down does (on
+            // Linux, `accept` then fails).
+            if UnixStream::connect(self.shared.cfg.sock_path(self.shared.cfg.rank)).is_err() {
+                // SAFETY: `shutdown(2)` on a descriptor the acceptor thread
+                // still owns (it is joined below); no memory is passed.
+                unsafe { shutdown(self.listener_fd, SHUT_RDWR) };
+            }
             let _ = h.join();
         }
         let _ = std::fs::remove_file(self.shared.cfg.sock_path(self.shared.cfg.rank));
@@ -1478,6 +1658,13 @@ impl Drop for WireNode {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
+}
+
+/// `shutdown(2)`'s "both directions".
+const SHUT_RDWR: i32 = 2;
+
+extern "C" {
+    fn shutdown(fd: i32, how: i32) -> i32;
 }
 
 /// The Unix-domain-socket [`Transport`]: envelopes crossing this seam are
@@ -1511,13 +1698,27 @@ impl Transport for UdsTransport {
             }),
             Payload::Owned(boxed) => {
                 let (src, tag) = (env.src_global, env.tag);
-                self.shared.send_any(dst, env.context, tag, boxed.as_ref(), || {
-                    RuntimeError::TypeMismatch {
-                        expected: "a type registered in the CodecRegistry",
-                        src,
+                let unregistered = || RuntimeError::TypeMismatch {
+                    expected: "a type registered in the CodecRegistry",
+                    src,
+                    tag,
+                };
+                match boxed.downcast::<Vec<f64>>() {
+                    Ok(values) => self.shared.send_any(
+                        dst,
+                        env.context,
                         tag,
-                    }
-                })
+                        Outgoing::Values(*values),
+                        unregistered,
+                    ),
+                    Err(other) => self.shared.send_any(
+                        dst,
+                        env.context,
+                        tag,
+                        Outgoing::Any(other.as_ref()),
+                        unregistered,
+                    ),
+                }
             }
         }
     }
@@ -1774,6 +1975,105 @@ mod tests {
         from_1(3, 5);
         assert!(!nodes[0].is_quarantined(1) && !nodes[0].is_dead(1));
         assert_eq!(nodes[0].stats().zombies_readmitted, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn vectors_ping_pong_in_recycled_allocations() {
+        use crate::frame::{SPARE_BYTES, SPARE_VALUES};
+        use std::collections::HashSet;
+        let dir = test_dir("vec-pingpong");
+        let nodes = mesh_with(&dir, 2, fences_off);
+        let t = Duration::from_secs(20);
+        // 1 MiB of f64s, distinct per sender and exchange.
+        let fill = |v: &mut Vec<f64>, from: usize, i: usize| {
+            v.clear();
+            v.extend((0..1 << 17).map(|k| (from * 1000 + i) as f64 * 1e6 + k as f64));
+        };
+        let field = |from: usize, i: usize| {
+            let mut v = Vec::new();
+            fill(&mut v, from, i);
+            v
+        };
+        std::thread::scope(|s| {
+            for (me, node) in nodes.iter().enumerate() {
+                s.spawn(move || {
+                    let peer = 1 - me;
+                    // Every allocation this node sent or received: after
+                    // two exchanges, each body lands in one of them.
+                    let mut seen = HashSet::new();
+                    let mut buf = field(me, 0);
+                    for i in 0..32 {
+                        if me == 0 {
+                            fill(&mut buf, me, i);
+                            seen.insert(buf.as_ptr() as usize);
+                            node.send(peer, 4, 1, buf).unwrap();
+                        }
+                        let got: Vec<f64> = node.recv_timeout(peer, 4, 1, t).unwrap();
+                        assert!(got == field(peer, i), "exchange {i} from rank {peer} differs");
+                        if i >= 2 {
+                            let reused = seen.contains(&(got.as_ptr() as usize));
+                            assert!(reused, "rank {me}: exchange {i} landed in a fresh allocation");
+                        }
+                        seen.insert(got.as_ptr() as usize);
+                        buf = got;
+                        if me == 1 {
+                            fill(&mut buf, me, i);
+                            node.send(peer, 4, 1, buf).unwrap();
+                            buf = Vec::new();
+                        }
+                        let spares = &node.shared.spares;
+                        assert!(spares.len() <= SPARE_VALUES && spares.bytes() <= SPARE_BYTES);
+                    }
+                });
+            }
+        });
+        for node in &nodes {
+            let stats = node.stats();
+            assert_eq!((stats.frames_sent, stats.frames_received), (32, 32));
+            assert_eq!(stats.duplicates_dropped, 0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reader_never_waits_on_a_sender_lock() {
+        let dir = test_dir("reader-no-lock");
+        let nodes = mesh_with(&dir, 2, fences_off);
+        let t = Duration::from_secs(10);
+        let sync = |marker: u64| {
+            nodes[0].send(1, 5, 5, marker).unwrap();
+            assert_eq!(nodes[1].recv_timeout::<u64>(0, 5, 5, t).unwrap(), marker);
+        };
+        for i in 0..4 {
+            sync(i);
+        }
+        let fence = |fence_seq: u64, watermark: u64| {
+            let mut fence = Frame::control(FrameKind::ProgressFence, 1);
+            fence.payload = encode_value(&(fence_seq, watermark));
+            fence
+        };
+        nodes[0].shared.handle_frame(1, fence(1, 2));
+        // An application thread holds the lock, as one blocked writing to
+        // rank 1 would: a NACK and a Hello from rank 1 must not wait on it.
+        let held = nodes[0].shared.peers[1].sender.lock();
+        let start = Instant::now();
+        nodes[0].shared.handle_frame(1, fence(2, 2));
+        let mut hello = Frame::control(FrameKind::Hello, 1);
+        hello.payload = encode_value(&(nodes[1].shared.session, 3u64));
+        nodes[0].shared.handle_frame(1, hello);
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(100), "the reader waited {took:?} on the lock");
+        drop(held);
+        // The next holder replays seqs 3 and 4 once, for both requests.
+        let owed = || nodes[0].shared.peers[1].replay_from.load(Ordering::Acquire) != NO_REPLAY;
+        let deadline = Instant::now() + t;
+        while owed() {
+            assert!(Instant::now() < deadline, "the recorded replay never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        sync(4);
+        assert_eq!(nodes[1].stats().duplicates_dropped, 2, "exactly one replay");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

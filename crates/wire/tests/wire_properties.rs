@@ -4,12 +4,16 @@
 
 use std::io::{self, Read};
 use std::ops::Range;
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use mxn_wire::codec::{decode_value, encode_value};
-use mxn_wire::crc32;
-use mxn_wire::frame::{Frame, FrameError, FrameKind, FrameReader, BODY_IN_PLACE, HEADER_LEN};
+use mxn_wire::frame::{
+    Arrival, Frame, FrameError, FrameKind, FrameReader, SpareValues, BODY_IN_PLACE, HEADER_LEN,
+};
+use mxn_wire::{crc32, LinkSender, WireFaults};
 
 /// CRC-32C one bit at a time, straight from the polynomial: shares no
 /// table or instruction with the library's paths.
@@ -322,6 +326,159 @@ proptest! {
                     if h.seq == frames[i].seq && *skipped == encoded[i].len()
             ));
             prop_assert!(reported, "payload damage to frame {} went unreported", i);
+        }
+    }
+}
+
+/// `len` values from `seed`, with NaNs carrying payloads, `-0.0` and
+/// infinities at positions drawn from `specials`.
+fn values(len: usize, seed: u64, specials: &[u64]) -> Vec<f64> {
+    let mut x = seed | 1;
+    let mut v: Vec<f64> = (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            f64::from_bits(x)
+        })
+        .collect();
+    let odd = [
+        -0.0,
+        f64::from_bits(0x7ff8_dead_beef_0001),
+        f64::from_bits(0xfff0_0000_0000_0001),
+        f64::INFINITY,
+    ];
+    for (k, &at) in specials.iter().enumerate() {
+        if len > 0 {
+            v[at as usize % len] = odd[k % odd.len()];
+        }
+    }
+    v
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Everything a reader that lands values yields from `stream`, read the
+/// way a node reads.
+fn land_like_a_node(
+    stream: &mut CutStream<'_>,
+    spares: &Arc<SpareValues>,
+) -> Vec<Result<Arrival, FrameError>> {
+    let mut reader = FrameReader::new();
+    reader.land_values(VALUES_CODEC, Arc::clone(spares));
+    let mut scratch = vec![0u8; 64 * 1024];
+    let mut out = Vec::new();
+    loop {
+        while let Some(r) = reader.next_arrival() {
+            out.push(r);
+        }
+        if reader.read_from(stream, &mut scratch).expect("reads from memory") == 0 {
+            return out;
+        }
+    }
+}
+
+/// The `Vec<f64>` tag in `CodecRegistry::with_defaults`.
+const VALUES_CODEC: u32 = 15;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A `Vec<f64>` sent from its own memory puts the codec path's bytes
+    /// on the wire; a reader that lands it yields the same values, bit for
+    /// bit, and the same route as `feed`/`next` and `decode_value` under
+    /// any read cuts; a payload flip is `Corrupt` with the header and the
+    /// vector goes back to the spares; a count that disagrees with the
+    /// length is `Corrupt` too.
+    #[test]
+    fn vector_frames_match_the_codec_path(
+        len in prop_oneof![8180usize..8200, 0usize..40, 8192usize..20_000],
+        seed in 0u64..u64::MAX,
+        specials in proptest::collection::vec(0u64..u64::MAX, 0..6),
+        route in (0u32..1 << 20, -1000i32..=1000),
+        cut_draws in proptest::collection::vec(0u64..u64::MAX, 0..10),
+        flip_draw in 0u64..u64::MAX,
+        count_skew in 1u32..u32::MAX,
+    ) {
+        let (ctx, tag) = route;
+        let vals = values(len, seed, &specials);
+        let codec_frame = Frame {
+            kind: FrameKind::Data,
+            src: 4,
+            context: ctx,
+            tag,
+            seq: 1,
+            codec: VALUES_CODEC,
+            payload: encode_value(&vals),
+        };
+        let want_bytes = codec_frame.encode();
+
+        // The vector path's bytes, as the socket carried them.
+        let (tx, mut rx) = UnixStream::pair().expect("socketpair");
+        let mut link = LinkSender::new(4, 5, WireFaults::none());
+        link.attach(tx);
+        let writer = std::thread::spawn(move || {
+            let seq = link.send_values(ctx, tag, VALUES_CODEC, vals).expect("write");
+            drop(link);
+            seq
+        });
+        let mut wrote = Vec::new();
+        rx.read_to_end(&mut wrote).expect("read the frame");
+        prop_assert_eq!(writer.join().expect("writer"), 1);
+        prop_assert!(wrote == want_bytes, "the vector path wrote other bytes than the codec");
+        let vals = decode_value::<Vec<f64>>(&codec_frame.payload).expect("the codec's own bytes");
+
+        // Landing under random cuts versus feed/next + decode_value.
+        let mut cuts: Vec<usize> = cut_draws.iter().map(|&c| c as usize % wrote.len()).collect();
+        cuts.sort_unstable();
+        let spares = Arc::new(SpareValues::new());
+        let mut stream = CutStream { bytes: &wrote, cuts: cuts.clone(), pos: 0, pieces: Vec::new() };
+        let got = land_like_a_node(&mut stream, &spares);
+        let mut reader = FrameReader::new();
+        for piece in &stream.pieces {
+            reader.feed(&wrote[piece.clone()]);
+        }
+        let fed = reader.next().expect("a whole frame").expect("an intact frame");
+        prop_assert_eq!(got.len(), 1);
+        let landed = 4 + 8 * len >= BODY_IN_PLACE;
+        match &got[0] {
+            Ok(Arrival::Values(frame, v)) if landed => {
+                prop_assert_eq!((frame.src, frame.context, frame.tag, frame.seq), (fed.src, fed.context, fed.tag, fed.seq));
+                prop_assert!(frame.payload.is_empty());
+                prop_assert!(bits(v) == bits(&vals), "landed values differ");
+            }
+            Ok(Arrival::Frame(frame)) if !landed => prop_assert!(*frame == fed, "small frames decode as before"),
+            other => return Err(TestCaseError::fail(format!("landed {landed}: {:?}", other.as_ref().map(|_| ())))),
+        }
+
+        if landed {
+            // A flipped payload bit (count, values or CRC).
+            let mut damaged = wrote.clone();
+            let bit = HEADER_LEN * 8 + (flip_draw as usize) % ((wrote.len() - HEADER_LEN) * 8);
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            let spares = Arc::new(SpareValues::new());
+            let mut stream = CutStream { bytes: &damaged, cuts: cuts.clone(), pos: 0, pieces: Vec::new() };
+            let got = land_like_a_node(&mut stream, &spares);
+            let corrupt = matches!(
+                &got[..],
+                [Err(FrameError::Corrupt { header: Some(h), skipped, .. })] if h.seq == 1 && *skipped == wrote.len()
+            );
+            prop_assert!(corrupt, "a flipped payload bit was not reported with its header");
+            prop_assert_eq!(spares.len(), 1, "the damaged frame's vector went back to the spares");
+
+            // A count that disagrees with the length, under a valid CRC.
+            let mut payload = codec_frame.payload.clone();
+            let count = (len as u32).wrapping_add(count_skew);
+            payload[..4].copy_from_slice(&count.to_le_bytes());
+            let forged = Frame { payload, ..codec_frame.clone() };
+            let bytes = forged.encode();
+            let mut stream = CutStream { bytes: &bytes, cuts, pos: 0, pieces: Vec::new() };
+            let got = land_like_a_node(&mut stream, &spares);
+            let corrupt = matches!(&got[..], [Err(FrameError::Corrupt { header: Some(h), .. })] if h.seq == 1);
+            prop_assert!(corrupt, "a bad count prefix was delivered");
+            prop_assert!(decode_value::<Vec<f64>>(&forged.payload).is_err(), "the codec rejects it too");
         }
     }
 }
