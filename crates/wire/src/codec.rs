@@ -386,6 +386,11 @@ impl CodecRegistry {
         self.by_type.get(&TypeId::of::<T>()).map(|(tag, _)| *tag)
     }
 
+    /// The wire tag `value`'s type is registered under, if any.
+    pub fn tag_of_value(&self, value: &dyn Any) -> Option<u32> {
+        self.by_type.get(&value.type_id()).map(|(tag, _)| *tag)
+    }
+
     /// Whether `T` has an encoder registered.
     pub fn knows<T: Any>(&self) -> bool {
         self.by_type.contains_key(&TypeId::of::<T>())

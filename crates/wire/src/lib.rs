@@ -29,6 +29,10 @@
 //!   resume, trimmed to the peer's acks and fences and capped in frames
 //!   and bytes; control frames ride outside the sequence space. A large
 //!   `Vec<f64>` is retained and written as itself, never encoded.
+//! * [`peer`] — [`peer::Link`]: one peer link's protocol (seqs, acks and
+//!   fences, NACKs, resume, liveness, quarantine) as an I/O-free machine,
+//!   and [`peer::Peer`], the machine beside its `LinkSender` under the rule
+//!   that no service thread ever waits on a peer's `io` lock.
 //! * [`node`] — [`node::WireNode`]: the mesh endpoint. Acceptor, reader
 //!   and monitor threads; heartbeats feeding a [`mxn_runtime::Liveness`]
 //!   registry; reconnect with seeded exponential backoff bounded at
@@ -57,6 +61,7 @@ pub mod frame;
 pub mod link;
 pub mod mux;
 pub mod node;
+pub mod peer;
 pub mod process;
 
 pub use codec::{decode_value, encode_value, CodecError, CodecRegistry, WireCodec};

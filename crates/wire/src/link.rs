@@ -10,8 +10,12 @@
 //! plane itself, exactly as the in-proc runtime disarms the fault plane
 //! around its bootstrap and shutdown control traffic.
 //!
-//! The ring holds the undelivered tail. Whoever owns the link trims it to
-//! the watermark the peer reports — in its acks and progress fences —
+//! A `LinkSender` makes no protocol decisions: it writes, replays, trims
+//! and tears down as the link's machine ([`crate::peer::Link`]) says, to
+//! any [`Conn`] — a Unix socket or a test's in-memory pipe.
+//!
+//! The ring holds the undelivered tail. The machine trims it to the
+//! watermark the peer reports — in its acks and progress fences —
 //! with [`LinkSender::trim_through`]; the ring is also capped at
 //! [`RING_FRAMES`] frames and [`RING_BYTES`] bytes, so a stalled,
 //! disconnected or one-way peer cannot grow it without bound. A trimmed or
@@ -30,6 +34,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
@@ -39,6 +44,19 @@ use crate::frame::{
     values_bytes, values_head, write_frame, CorruptHeader, Frame, FrameKind, SpareValues,
     BODY_IN_PLACE, HEADER_LEN, VALUES_IN_PLACE,
 };
+
+/// The byte stream a [`LinkSender`] writes to: a Unix socket, or any other
+/// writer — a test's in-memory pipe.
+pub trait Conn: Write + Send {
+    /// Closes both directions, ending the peer's reads.
+    fn close(&mut self);
+}
+
+impl Conn for UnixStream {
+    fn close(&mut self) {
+        let _ = self.shutdown(Shutdown::Both);
+    }
+}
 
 /// Data frames retained for session-resume redelivery. A peer that falls
 /// further behind than this cannot be resumed and will surface message
@@ -75,21 +93,12 @@ impl Retained {
     fn len(&self) -> usize {
         self.parts().iter().map(|p| p.len()).sum()
     }
-
-    /// The encoded frame (tests inspect its buffer).
-    #[cfg(test)]
-    fn encoded(&self) -> &Vec<u8> {
-        match self {
-            Retained::Encoded(bytes) => bytes,
-            Retained::Values { .. } => panic!("a vector frame has no encoded buffer"),
-        }
-    }
 }
 
 /// Outbound half of one peer link.
 pub struct LinkSender {
-    /// Current socket; `None` while disconnected.
-    stream: Option<UnixStream>,
+    /// Current stream; `None` while disconnected.
+    stream: Option<Box<dyn Conn>>,
     /// Our global rank (stamped as frame `src`).
     src: u32,
     /// Peer's global rank (fault-plane channel key).
@@ -139,9 +148,9 @@ impl LinkSender {
         self
     }
 
-    /// Attaches a fresh socket (connect or accept). Send state survives.
-    pub fn attach(&mut self, stream: UnixStream) {
-        self.stream = Some(stream);
+    /// Attaches a fresh stream (connect or accept). Send state survives.
+    pub fn attach(&mut self, stream: impl Conn + 'static) {
+        self.stream = Some(Box::new(stream));
     }
 
     /// Detaches the socket after an I/O failure; the ring keeps the
@@ -155,11 +164,11 @@ impl LinkSender {
         self.stream.is_some()
     }
 
-    /// Shuts down the attached socket (both directions), unblocking the
+    /// Shuts down the attached stream (both directions), unblocking the
     /// peer's reader, and detaches.
     pub fn shutdown(&mut self) {
-        if let Some(s) = self.stream.take() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
+        if let Some(mut s) = self.stream.take() {
+            s.close();
         }
     }
 
@@ -173,10 +182,9 @@ impl LinkSender {
         self.next_seq - 1
     }
 
-    /// Frames currently retained for resume.
-    #[cfg(test)]
-    pub(crate) fn retained(&self) -> usize {
-        self.ring.len()
+    /// Frames and bytes currently retained for resume.
+    pub fn retained(&self) -> (usize, usize) {
+        (self.ring.len(), self.ring_bytes)
     }
 
     /// Sends one application message: assigns the next sequence number,
@@ -295,21 +303,12 @@ impl LinkSender {
         self.write_clean(&frame.encode())
     }
 
-    /// Sends the handshake/resume announcement carrying our session id and
-    /// the highest data seq we have received from the peer.
-    pub fn send_hello(&mut self, session: u64, last_recv_seq: u64) -> io::Result<()> {
-        let mut frame = Frame::control(FrameKind::Hello, self.src);
-        frame.payload = encode_value(&(session, last_recv_seq));
-        self.write_clean(&frame.encode())
-    }
-
-    /// Sends a progress fence carrying our fence counter and the highest
-    /// data seq we have delivered from the peer; `fence_seq = 0` makes it
-    /// an ack. Like all control frames: unsequenced, unretained, never
-    /// faulted.
-    pub fn send_fence(&mut self, fence_seq: u64, watermark: u64) -> io::Result<()> {
-        let mut frame = Frame::control(FrameKind::ProgressFence, self.src);
-        frame.payload = encode_value(&(fence_seq, watermark));
+    /// Sends a control frame whose payload is the pair `(a, b)`: a `Hello`
+    /// (session, highest data seq received) or a progress fence (fence
+    /// seq, delivered watermark; fence seq 0 makes it an ack).
+    pub fn send_pair(&mut self, kind: FrameKind, a: u64, b: u64) -> io::Result<()> {
+        let mut frame = Frame::control(kind, self.src);
+        frame.payload = encode_value(&(a, b));
         self.write_clean(&frame.encode())
     }
 
@@ -375,6 +374,14 @@ mod tests {
     use super::*;
     use crate::frame::{FrameError, FrameReader};
     use std::io::Read;
+
+    /// The encoded frame `frame` retains.
+    fn encoded(frame: &Retained) -> &Vec<u8> {
+        match frame {
+            Retained::Encoded(bytes) => bytes,
+            Retained::Values { .. } => panic!("a vector frame has no encoded buffer"),
+        }
+    }
 
     fn pair() -> (UnixStream, UnixStream) {
         UnixStream::pair().expect("socketpair")
@@ -533,7 +540,7 @@ mod tests {
         let mut s = LinkSender::new(4, 1, faults);
         s.attach(tx);
         s.send_control(FrameKind::Heartbeat).unwrap();
-        s.send_hello(0xfeed, 12).unwrap();
+        s.send_pair(FrameKind::Hello, 0xfeed, 12).unwrap();
         let mut fr = FrameReader::new();
         let got = drain(&mut rx, &mut fr);
         assert_eq!(got.len(), 2, "control plane is exempt from injected loss");
@@ -549,7 +556,7 @@ mod tests {
         let faults = WireFaults { seed: 1, drop: 1.0, ..WireFaults::none() };
         let mut s = LinkSender::new(2, 1, faults);
         s.attach(tx);
-        s.send_fence(7, 41).unwrap();
+        s.send_pair(FrameKind::ProgressFence, 7, 41).unwrap();
         let mut fr = FrameReader::new();
         let got = drain(&mut rx, &mut fr);
         assert_eq!(got.len(), 1, "fences are control plane: exempt from injected loss");
@@ -611,11 +618,11 @@ mod tests {
         let mut s = LinkSender::new(0, 1, WireFaults::none());
         s.attach(tx);
         send(&mut s, 1, 1, 1, &[1; 512]).unwrap();
-        let first_buf = s.ring[0].1.encoded().as_ptr();
+        let first_buf = encoded(&s.ring[0].1).as_ptr();
         s.trim_through(1);
         send(&mut s, 1, 1, 1, &[2; 512]).unwrap();
         assert_eq!(
-            s.ring[0].1.encoded().as_ptr(),
+            encoded(&s.ring[0].1).as_ptr(),
             first_buf,
             "seq 2 was encoded into seq 1's allocation"
         );
@@ -636,11 +643,11 @@ mod tests {
         s.trim_through(1);
         send(&mut s, 1, 1, 1, &[2; 512]).unwrap();
         assert_ne!(
-            s.ring[0].1.encoded().as_ptr(),
-            in_flight.encoded().as_ptr(),
+            encoded(&s.ring[0].1).as_ptr(),
+            encoded(&in_flight).as_ptr(),
             "a shared frame was overwritten"
         );
-        assert_eq!(in_flight.encoded()[HEADER_LEN], 1, "the in-flight frame is intact");
+        assert_eq!(encoded(&in_flight)[HEADER_LEN], 1, "the in-flight frame is intact");
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //!   [`RuntimeError::PeerDead`], and recovery proceeds exactly as for an
 //!   in-proc rank death: agree on survivors, shrink, go on.
 //!
+//! The protocol decisions behind all of this — sequencing, acks and
+//! fences, NACKs, resume, liveness, quarantine — are one I/O-free machine
+//! per peer ([`crate::peer::Link`]). This module only runs it: the send
+//! path, a reader thread per stream, the acceptor and the monitor step
+//! the machine and do what it says, under the rule of [`crate::peer`]:
+//! service threads never wait on a peer's `io` lock.
+//!
 //! The mailbox behind `recv` *is* `mxn_runtime::mailbox::Mailbox` — the
 //! wire transport changes how envelopes arrive, not how they match.
 //!
@@ -34,15 +41,9 @@
 //! The node's readers land large `Vec<f64>` bodies in vectors from one
 //! node-wide [`SpareValues`] list, which acknowledged sends refill, and
 //! deliver those vectors as the payload: no codec pass either way.
-//!
-//! A reader thread never waits on a sender lock: an application thread
-//! may hold it while blocked writing to a peer whose reader is stuck the
-//! same way. A resend or `Hello` the reader owes the peer is done at once
-//! if the lock is free and recorded otherwise; the next holder of the lock
-//! — the send path, the fence tick or the monitor — does it.
 
 use std::any::Any;
-use std::io::{self, Read};
+use std::io;
 use std::os::fd::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -64,6 +65,7 @@ use crate::codec::{decode_value, encode_value, CodecRegistry};
 use crate::fault::WireFaults;
 use crate::frame::{Arrival, Frame, FrameError, FrameKind, FrameReader, SpareValues};
 use crate::link::LinkSender;
+use crate::peer::{Action, Event, Link, Peer, Standing};
 
 use std::os::unix::net::{UnixListener, UnixStream};
 
@@ -83,13 +85,6 @@ pub const JOIN_REQ_TAG: i32 = -1;
 pub const JOIN_OFFER_TAG: i32 = -2;
 /// Join handshake: sponsor → newcomer after a commit, the state blob.
 pub const JOIN_STATE_TAG: i32 = -6;
-
-/// Payload bytes a node delivers from a peer before its next data send to
-/// that peer carries an ack (a `ProgressFence` with `fence_seq = 0`), so
-/// the peer's resend ring holds only the undelivered tail. Links that
-/// carry traffic both ways get their acks on the reverse sends; one-way
-/// links are trimmed by periodic fences and bounded by the ring caps.
-const ACK_BYTES: u64 = 256 * 1024;
 
 /// The wire's [`ControlPlane`]: `u64` messages between mesh `ranks` on
 /// [`WIRE_CTRL_CONTEXT`], round `r` at `tags[r]`. Every instance has tags
@@ -149,9 +144,6 @@ impl Signal {
         }
     }
 }
-
-/// No replay owed (see `Peer::replay_from`).
-const NO_REPLAY: u64 = u64::MAX;
 
 /// Configuration of one wire node.
 #[derive(Debug, Clone)]
@@ -272,118 +264,16 @@ pub struct WireStats {
     pub joins_aborted: u64,
 }
 
+/// Node-wide counters; the per-link ones live in each [`Link`].
 #[derive(Default)]
-struct StatsInner {
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    corrupt_frames: AtomicU64,
-    duplicates_dropped: AtomicU64,
+struct NodeCounters {
     reconnect_dials: AtomicU64,
-    heartbeat_misses: AtomicU64,
-    fences_sent: AtomicU64,
-    acks_sent: AtomicU64,
-    zombies_quarantined: AtomicU64,
-    zombies_readmitted: AtomicU64,
-    zombies_evicted: AtomicU64,
     joins_committed: AtomicU64,
     joins_aborted: AtomicU64,
 }
 
-/// Per-peer connection state. The `LinkSender` (sequencing, ring) persists
-/// across socket generations; everything else is per-connection.
-struct Peer {
-    sender: Mutex<LinkSender>,
-    /// Highest data seq assigned on this link (`LinkSender::last_seq`),
-    /// readable without the sender lock.
-    last_seq: AtomicU64,
-    /// The reader thread owes the peer a replay of every retained frame
-    /// after this seq ([`NO_REPLAY`]: none); done by the next holder of
-    /// the sender lock.
-    replay_from: AtomicU64,
-    /// The reader thread owes the peer a `Hello` (readmission).
-    hello_owed: AtomicBool,
-    /// Last time any intact frame arrived from this peer.
-    last_heard: Mutex<Instant>,
-    /// Last time we beaconed this peer.
-    last_beat: Mutex<Instant>,
-    /// When the link dropped; `None` while connected or never-connected.
-    disconnected_at: Mutex<Option<Instant>>,
-    /// Whether the link has ever been established (gates the monitor).
-    ever_connected: AtomicBool,
-    /// Bumped on every (re)attach; readers use it to tell whether the
-    /// stream that failed is still the current one.
-    generation: AtomicU64,
-    /// Highest data seq received from this peer (duplicate guard + the
-    /// value announced in our `Hello`s).
-    last_recv_seq: AtomicU64,
-    /// The peer's session id, to detect a restarted peer process.
-    session: AtomicU64,
-    /// A reconnect thread is in flight.
-    reconnecting: AtomicBool,
-    /// Last time we fenced this peer.
-    last_fence: Mutex<Instant>,
-    /// Our fence counter toward this peer.
-    fence_seq: AtomicU64,
-    /// Highest delivered-sequence watermark the peer has reported for
-    /// *our* outbound stream (via its acks and periodic fences); the ring
-    /// is trimmed to it.
-    peer_watermark: AtomicU64,
-    /// The watermark of the peer's last *periodic* fence. The NACK and
-    /// readmit rules compare each periodic fence with this, never with an
-    /// ack: a fence repeating what an ack already reported is progress,
-    /// not a stall.
-    fence_watermark: AtomicU64,
-    /// Payload bytes delivered from the peer since our last ack to it.
-    unacked_bytes: AtomicU64,
-    /// Consecutive fence ticks the watermark stalled with data
-    /// outstanding.
-    stall_fences: AtomicU64,
-    /// Heartbeat-miss teardowns since the last intact frame.
-    churn: AtomicU64,
-    /// The peer is quarantined: provisionally dead, frames dropped,
-    /// awaiting either resumed progress (readmit) or the grace expiring
-    /// (evict).
-    quarantined: AtomicBool,
-    /// The verdict is final: no readmission, no reconnect, ever.
-    evicted: AtomicBool,
-    /// When quarantine began (drives the eviction grace timer).
-    quarantined_at: Mutex<Option<Instant>>,
-}
-
-impl Peer {
-    fn new(src: u32, dst: u32, faults: WireFaults, spares: &Arc<SpareValues>) -> Self {
-        let now = Instant::now();
-        Peer {
-            sender: Mutex::new(LinkSender::new(src, dst, faults).with_spares(Arc::clone(spares))),
-            last_seq: AtomicU64::new(0),
-            replay_from: AtomicU64::new(NO_REPLAY),
-            hello_owed: AtomicBool::new(false),
-            last_heard: Mutex::new(now),
-            last_beat: Mutex::new(now),
-            disconnected_at: Mutex::new(None),
-            ever_connected: AtomicBool::new(false),
-            generation: AtomicU64::new(0),
-            last_recv_seq: AtomicU64::new(0),
-            session: AtomicU64::new(0),
-            reconnecting: AtomicBool::new(false),
-            last_fence: Mutex::new(now),
-            fence_seq: AtomicU64::new(0),
-            peer_watermark: AtomicU64::new(0),
-            fence_watermark: AtomicU64::new(0),
-            unacked_bytes: AtomicU64::new(0),
-            stall_fences: AtomicU64::new(0),
-            churn: AtomicU64::new(0),
-            quarantined: AtomicBool::new(false),
-            evicted: AtomicBool::new(false),
-            quarantined_at: Mutex::new(None),
-        }
-    }
-}
-
 struct NodeShared {
     cfg: WireConfig,
-    /// This process incarnation's session id (announced in `Hello`).
-    session: u64,
     mailbox: Mailbox,
     liveness: Arc<Liveness>,
     registry: CodecRegistry,
@@ -392,7 +282,8 @@ struct NodeShared {
     values_codec: Option<u32>,
     /// Vectors for landed bodies, refilled by acknowledged sends.
     spares: Arc<SpareValues>,
-    /// Wakes the node's waits (`connect`, `await_*`, reconnect backoff).
+    /// Wakes the node's waits (`connect`, `await_*`, reconnect backoff,
+    /// the monitor's tick).
     signal: Signal,
     /// Preallocated to `cfg.max_size`; ranks in `cur_size..max_size` are
     /// parked spare slots.
@@ -402,18 +293,27 @@ struct NodeShared {
     cur_size: AtomicUsize,
     abort: Arc<AtomicBool>,
     shutdown: AtomicBool,
-    stats: StatsInner,
+    counters: NodeCounters,
     /// Recorder the node's internal threads install, so wire spans
     /// (connect/reconnect/corrupt/heartbeat-miss) land in Chrome traces.
     trace: Option<TraceHandle>,
 }
 
 impl NodeShared {
-    /// Installs this node's trace recorder on the calling thread (no-op
-    /// without one). Every internal thread calls this at entry.
-    fn install_trace(&self) -> Option<mxn_trace::InstallGuard> {
-        self.trace.as_ref().map(TraceHandle::install)
+    /// Spawns a node thread named `name` running `body`, with the node's
+    /// trace recorder (if any) installed so its wire events are recorded.
+    fn spawn(
+        self: &Arc<Self>,
+        name: String,
+        body: impl FnOnce(Arc<Self>) + Send + 'static,
+    ) -> io::Result<JoinHandle<()>> {
+        let shared = Arc::clone(self);
+        std::thread::Builder::new().name(name).spawn(move || {
+            let _trace = shared.trace.as_ref().map(TraceHandle::install);
+            body(shared)
+        })
     }
+
     fn declare_dead(&self, peer: usize) {
         if self.liveness.kill(peer) {
             self.mailbox.wake_all();
@@ -421,137 +321,45 @@ impl NodeShared {
         self.signal.notify();
     }
 
-    /// Does what the reader thread owed `peer` while another thread held
-    /// its sender lock: the `Hello` of a readmission, then one replay from
-    /// the lowest seq any NACK or `Hello` asked for. The caller holds the
-    /// lock as `sender`.
-    fn settle(&self, peer: usize, sender: &mut LinkSender) {
-        let p = &self.peers[peer];
-        if p.hello_owed.swap(false, Ordering::AcqRel) {
-            let _ = sender.send_hello(self.session, p.last_recv_seq.load(Ordering::Acquire));
-        }
-        let from = p.replay_from.swap(NO_REPLAY, Ordering::AcqRel);
-        if from != NO_REPLAY && sender.is_connected() {
-            let _ = sender.resend_since(from);
-        }
-    }
-
-    /// From the reader thread: settles what `peer` is owed now unless
-    /// another thread holds the sender lock, which then settles it.
-    fn try_settle(&self, peer: usize) {
-        if let Some(mut sender) = self.peers[peer].sender.try_lock() {
-            self.settle(peer, &mut sender);
-        }
-    }
-
-    /// From the reader thread: owes `peer` a replay of everything retained
-    /// after `from`.
-    fn owe_replay(&self, peer: usize, from: u64) {
-        self.peers[peer].replay_from.fetch_min(from, Ordering::AcqRel);
-        self.try_settle(peer);
-    }
-
     fn cur_size(&self) -> usize {
         self.cur_size.load(Ordering::Acquire)
     }
 
-    fn mark_disconnected(&self, peer: usize) {
-        let mut at = self.peers[peer].disconnected_at.lock();
-        if at.is_none() {
-            *at = Some(Instant::now());
-        }
-    }
-
-    /// One fence tick toward `peer`: sends our fence (carrying the
-    /// delivered watermark of the peer's stream) and judges the peer's
-    /// delivery of *our* stream. A watermark frozen across
-    /// `fence_stall_fences` consecutive ticks while we hold undelivered
-    /// data quarantines the peer — the socket being open proves nothing
-    /// (a SIGSTOP'd process's listener backlog still accepts), only
-    /// delivered sequence numbers prove the far application runs.
-    fn fence_tick(&self, peer: usize) {
-        let p = &self.peers[peer];
-        let fence_seq = p.fence_seq.fetch_add(1, Ordering::AcqRel) + 1;
-        let outstanding = {
-            let mut sender = p.sender.lock();
-            let watermark = p.last_recv_seq.load(Ordering::Acquire);
-            if sender.send_fence(fence_seq, watermark).is_err() {
-                sender.detach();
-                drop(sender);
-                self.mark_disconnected(peer);
-                return;
+    /// From a service thread: steps `peer`'s link (never waiting on its
+    /// `io`) and carries out what reaches past the link.
+    fn service(self: &Arc<Self>, peer: usize, event: Event) -> Vec<Action> {
+        let actions = self.peers[peer].service(event, &Instant::now);
+        for &action in &actions {
+            match action {
+                Action::Quarantine { stalled } => {
+                    emit_instant(EventId::WireZombie, [peer as u64, 1, stalled, 0]);
+                    self.declare_dead(peer);
+                }
+                Action::Readmit { held } => {
+                    self.liveness.revive(peer);
+                    emit_instant(EventId::WireZombie, [peer as u64, 2, 0, micros(held)]);
+                    self.signal.notify();
+                }
+                Action::Evict { held } => {
+                    emit_instant(EventId::WireZombie, [peer as u64, 3, 0, micros(held)]);
+                    self.declare_dead(peer);
+                }
+                Action::Missed { silence } => {
+                    let deadline = micros(self.cfg.liveness_deadline);
+                    emit_instant(
+                        EventId::HeartbeatMiss,
+                        [peer as u64, micros(silence), deadline, 0],
+                    );
+                }
+                Action::DeclareDead => self.declare_dead(peer),
+                Action::Redial if !self.peers[peer].redialing.swap(true, Ordering::AcqRel) => {
+                    let name = format!("wire-redial-{}-{peer}", self.cfg.rank);
+                    let _ = self.spawn(name, move |shared| shared.reconnect_loop(peer));
+                }
+                _ => {}
             }
-            self.stats.fences_sent.fetch_add(1, Ordering::Relaxed);
-            self.settle(peer, &mut sender);
-            let delivered = p.peer_watermark.load(Ordering::Acquire);
-            sender.trim_through(delivered);
-            sender.last_seq() > delivered
-        };
-        if outstanding {
-            let stalled = p.stall_fences.fetch_add(1, Ordering::AcqRel) + 1;
-            if stalled >= u64::from(self.cfg.fence_stall_fences) {
-                self.quarantine(peer, stalled);
-            }
-        } else {
-            p.stall_fences.store(0, Ordering::Release);
         }
-    }
-
-    /// Quarantines `peer`: provisionally dead (blocked operations fail
-    /// fast with `PeerDead`), inbound data dropped, but reversible — a
-    /// resumed watermark before the grace expires re-admits it.
-    fn quarantine(&self, peer: usize, stalled_fences: u64) {
-        let p = &self.peers[peer];
-        if p.evicted.load(Ordering::Acquire) || p.quarantined.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        *p.quarantined_at.lock() = Some(Instant::now());
-        self.stats.zombies_quarantined.fetch_add(1, Ordering::Relaxed);
-        emit_instant(EventId::WireZombie, [peer as u64, 1, stalled_fences, 0]);
-        self.declare_dead(peer);
-    }
-
-    /// Re-admits a quarantined peer whose application proved it is
-    /// consuming again. Owes it a fresh `Hello` so the peer replays the data
-    /// we dropped during quarantine (our `last_recv_seq` never advanced
-    /// past them).
-    fn readmit(&self, peer: usize) {
-        let p = &self.peers[peer];
-        if p.evicted.load(Ordering::Acquire) || !p.quarantined.swap(false, Ordering::AcqRel) {
-            return;
-        }
-        let held = p
-            .quarantined_at
-            .lock()
-            .take()
-            .map_or(0, |at| Instant::now().duration_since(at).as_micros() as u64);
-        p.stall_fences.store(0, Ordering::Release);
-        p.churn.store(0, Ordering::Release);
-        self.liveness.revive(peer);
-        self.stats.zombies_readmitted.fetch_add(1, Ordering::Relaxed);
-        emit_instant(EventId::WireZombie, [peer as u64, 2, 0, held]);
-        self.signal.notify();
-        p.hello_owed.store(true, Ordering::Release);
-        self.try_settle(peer);
-    }
-
-    /// Makes the quarantine verdict final: the peer stays dead, its link
-    /// is closed, and no readmission or reconnect will ever touch it.
-    fn evict(&self, peer: usize) {
-        let p = &self.peers[peer];
-        if p.evicted.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let held = p
-            .quarantined_at
-            .lock()
-            .take()
-            .map_or(0, |at| Instant::now().duration_since(at).as_micros() as u64);
-        p.quarantined.store(false, Ordering::Release);
-        self.stats.zombies_evicted.fetch_add(1, Ordering::Relaxed);
-        emit_instant(EventId::WireZombie, [peer as u64, 3, 0, held]);
-        self.declare_dead(peer);
-        p.sender.lock().shutdown();
+        actions
     }
 
     /// Opens an admission window for `new_rank` (must be the next free
@@ -565,30 +373,15 @@ impl NodeShared {
             return Err(RuntimeError::InvalidRank { rank: new_rank, size: self.cfg.max_size });
         }
         let p = &self.peers[new_rank];
-        p.evicted.store(false, Ordering::Release);
-        p.quarantined.store(false, Ordering::Release);
-        *p.quarantined_at.lock() = None;
-        p.stall_fences.store(0, Ordering::Release);
-        p.churn.store(0, Ordering::Release);
         {
-            let mut sender = p.sender.lock();
-            // The joiner owes us nothing sent to a previous occupant: the
-            // watermark baseline starts at today's sequence counter, so
-            // only data sent *after* admission can count as outstanding.
-            p.peer_watermark.store(sender.last_seq(), Ordering::Release);
-            p.fence_watermark.store(sender.last_seq(), Ordering::Release);
-            if !sender.is_connected() {
-                // No live connection from the joiner yet: forget the
-                // previous occupant entirely. The ring is cleared (its
-                // frames belong to a dead incarnation — replaying them at
-                // a fresh process would cross sessions) but the sequence
-                // counter stays monotone.
-                sender.clear_ring();
-                p.ever_connected.store(false, Ordering::Release);
-                p.session.store(0, Ordering::Release);
-                p.last_recv_seq.store(0, Ordering::Release);
-                p.unacked_bytes.store(0, Ordering::Release);
+            let mut io = p.io.lock();
+            let connected = io.is_connected();
+            if !connected {
+                // The ring's frames belong to a dead incarnation: replaying
+                // them at a fresh process would cross sessions.
+                io.clear_ring();
             }
+            p.link.lock().step(Event::Admit { connected }, Instant::now());
         }
         self.liveness.revive(new_rank);
         self.cur_size.store(cur + 1, Ordering::Release);
@@ -601,148 +394,46 @@ impl NodeShared {
     fn rescind_admit(&self, new_rank: usize) {
         let p = &self.peers[new_rank];
         {
-            let mut sender = p.sender.lock();
-            sender.shutdown();
-            sender.clear_ring();
-            p.peer_watermark.store(sender.last_seq(), Ordering::Release);
-            p.fence_watermark.store(sender.last_seq(), Ordering::Release);
+            let mut io = p.io.lock();
+            io.shutdown();
+            io.clear_ring();
+            p.link.lock().step(Event::Rescind, Instant::now());
         }
-        p.ever_connected.store(false, Ordering::Release);
-        p.session.store(0, Ordering::Release);
-        p.last_recv_seq.store(0, Ordering::Release);
-        p.unacked_bytes.store(0, Ordering::Release);
-        *p.disconnected_at.lock() = None;
         self.liveness.revive(new_rank);
-        let _ = self.cur_size.compare_exchange(
-            new_rank + 1,
-            new_rank,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        let (from, to) = (new_rank + 1, new_rank);
+        let _ = self.cur_size.compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire);
+    }
+
+    /// Whether `peer`'s link lets an arriving data frame through.
+    fn admits(self: &Arc<Self>, peer: usize, seq: u64, bytes: usize) -> bool {
+        let data = Event::Data { seq, bytes: bytes as u64 };
+        self.service(peer, data).contains(&Action::Deliver)
     }
 
     /// Routes one decoded frame from `peer` and hands its payload buffer
     /// back for reuse.
     fn handle_frame(self: &Arc<Self>, peer: usize, frame: Frame) -> Vec<u8> {
-        match frame.kind {
-            FrameKind::Data => {
-                let bytes = frame.payload.len();
-                if self.admit_data(peer, frame.seq, bytes) {
-                    match self.registry.decode_any(frame.codec, &frame.payload) {
-                        Ok(boxed) => self.push_data(peer, &frame, bytes, boxed),
-                        // Bytes passed CRC but no/odd codec: a registry
-                        // mismatch between the two processes. Surface it
-                        // as a detectable Corrupt — never a panic — so the
-                        // receiver's retry/NACK machinery engages.
-                        Err(_) => self.push_corrupt(peer, frame.context, frame.tag, bytes),
-                    }
-                }
-            }
-            FrameKind::Heartbeat => {} // `last_heard` already refreshed
-            FrameKind::Hello => {
-                if let Ok((session, last_recv)) =
-                    crate::codec::decode_value::<(u64, u64)>(&frame.payload)
-                {
-                    self.note_peer_session(peer, session);
-                    self.owe_replay(peer, last_recv);
-                }
-            }
-            FrameKind::Bye => {
-                // An orderly goodbye still marks the peer dead: blocked
-                // receives must fail fast, exactly as for a crash; the
-                // difference is no reconnect is attempted.
-                self.declare_dead(peer);
-            }
-            FrameKind::ProgressFence => {
-                if let Ok((fence_seq, watermark)) =
-                    crate::codec::decode_value::<(u64, u64)>(&frame.payload)
-                {
-                    self.on_fence(peer, fence_seq, watermark);
-                }
+        let bytes = frame.payload.len();
+        if frame.kind != FrameKind::Data {
+            self.service(peer, Event::arrived(&frame));
+        } else if self.admits(peer, frame.seq, bytes) {
+            match self.registry.decode_any(frame.codec, &frame.payload) {
+                Ok(boxed) => self.push_data(peer, &frame, bytes, boxed),
+                // Bytes passed CRC but no/odd codec: a registry mismatch
+                // between the two processes. Surface it as a detectable
+                // Corrupt — never a panic — so the receiver's retry/NACK
+                // machinery engages.
+                Err(_) => self.push_corrupt(peer, frame.context, frame.tag, bytes),
             }
         }
         frame.payload
     }
 
-    /// Routes a Data frame from `peer` whose `Vec<f64>` body landed in
-    /// `values`; a frame the guards drop gives its vector to the spares.
-    fn handle_values(&self, peer: usize, frame: &Frame, values: Vec<f64>) {
-        let bytes = 4 + 8 * values.len();
-        if self.admit_data(peer, frame.seq, bytes) {
-            self.push_data(peer, frame, bytes, Box::new(values));
-        } else {
-            self.spares.give(values);
-        }
-    }
-
-    /// Whether a Data frame from `peer` with sequence number `seq` and
-    /// `bytes` of payload is delivered, advancing the duplicate guard and
-    /// the ack count if so.
-    fn admit_data(&self, peer: usize, seq: u64, bytes: usize) -> bool {
-        let p = &self.peers[peer];
-        // A quarantined peer's data is dropped *without* advancing
-        // `last_recv_seq`: if the peer is re-admitted, the `Hello` we send
-        // announces the pre-quarantine watermark and its ring replays
-        // everything we refused here.
-        if p.quarantined.load(Ordering::Acquire) || p.evicted.load(Ordering::Acquire) {
-            return false;
-        }
-        // Duplicate guard: session resume may replay frames the original
-        // delivery already landed.
-        if seq <= p.last_recv_seq.load(Ordering::Acquire) {
-            self.stats.duplicates_dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        p.last_recv_seq.store(seq, Ordering::Release);
-        p.unacked_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        true
-    }
-
     /// Delivers a decoded Data frame's value to the mailbox.
     fn push_data(&self, peer: usize, frame: &Frame, bytes: usize, value: Box<dyn Any + Send>) {
-        self.stats.frames_received.fetch_add(1, Ordering::Relaxed);
         let payload = Payload::Owned(value);
         let env = Envelope::new(peer, peer, frame.context, frame.tag, bytes, None, payload);
         self.mailbox.push(env);
-    }
-
-    /// A progress fence or ack from `peer` reporting `watermark`. Both
-    /// raise the watermark the ring is trimmed to — on the send path and
-    /// the fence tick, not here: the reader takes no sender lock to trim.
-    /// Only a periodic fence judges the peer.
-    fn on_fence(&self, peer: usize, fence_seq: u64, watermark: u64) {
-        let p = &self.peers[peer];
-        p.peer_watermark.fetch_max(watermark, Ordering::AcqRel);
-        if fence_seq == 0 {
-            // An ack proves delivery, nothing more: never a NACK, never a
-            // readmit.
-            p.stall_fences.store(0, Ordering::Release);
-            return;
-        }
-        let prev = p.fence_watermark.fetch_max(watermark, Ordering::AcqRel);
-        let advanced = watermark > prev;
-        if advanced {
-            p.stall_fences.store(0, Ordering::Release);
-        }
-        // A fence *arriving at all* proves the peer's monitor thread is
-        // scheduled again — a stopped process sends nothing. Re-admit once
-        // it has either advanced or fully caught up with our stream.
-        if p.quarantined.load(Ordering::Acquire) {
-            let caught_up = watermark >= p.last_seq.load(Ordering::Acquire);
-            if advanced || caught_up {
-                self.readmit(peer);
-            }
-        } else if !advanced
-            && !p.evicted.load(Ordering::Acquire)
-            && p.last_seq.load(Ordering::Acquire) > watermark
-        {
-            // A fence *repeating* a lagging watermark is a NACK, not a
-            // freeze: the peer is running but frames beyond the watermark
-            // were lost to bit damage or a torn connection. Repair from the
-            // resend ring — the duplicate guard on the far side keeps
-            // redelivery exact-once.
-            self.owe_replay(peer, watermark);
-        }
     }
 
     /// Delivers a checksum-damaged envelope so a receiver blocked on this
@@ -754,76 +445,43 @@ impl NodeShared {
         self.mailbox.push(env);
     }
 
-    /// Records the peer's session id; a changed id means the peer process
-    /// restarted, so its data sequence numbers start over.
-    fn note_peer_session(&self, peer: usize, session: u64) {
-        let p = &self.peers[peer];
-        let prev = p.session.swap(session, Ordering::AcqRel);
-        if prev != 0 && prev != session {
-            p.last_recv_seq.store(0, Ordering::Release);
-        }
-    }
-
     /// Attaches a fresh stream for `peer` and spawns its reader thread.
     /// `reader` carries any bytes already consumed during the handshake.
-    /// `resume` is set on an accepted stream, whose `Hello` was read
-    /// already: the highest seq the peer saw, after which the ring is
-    /// replayed before anyone waiting on the connection wakes.
+    /// `hello` is the peer's `(session, last_recv)` on an accepted stream,
+    /// whose `Hello` was read already: the ring is replayed past
+    /// `last_recv` before anyone waiting on the connection wakes.
     fn attach(
         self: &Arc<Self>,
         peer: usize,
         stream: UnixStream,
         reader: FrameReader,
-        resume: Option<u64>,
+        hello: Option<(u64, u64)>,
         attempt: u64,
     ) -> io::Result<()> {
         let p = &self.peers[peer];
         // A zombie peer stops draining its socket; once the kernel buffer
-        // fills, a blocking `write_all` would wedge whichever thread holds
-        // the sender lock (the monitor included). Bound every write so a
-        // full pipe surfaces as a link failure instead.
+        // fills, a blocking write would wedge whichever thread holds `io`.
+        // Bound every write so a full pipe surfaces as a link failure.
         stream.set_write_timeout(Some(self.cfg.liveness_deadline))?;
         let read_half = stream.try_clone()?;
         let mut reader = reader;
         if let Some(codec) = self.values_codec {
             reader.land_values(codec, Arc::clone(&self.spares));
         }
-        let generation = {
-            let mut sender = p.sender.lock();
-            sender.attach(stream);
-            let generation = p.generation.fetch_add(1, Ordering::AcqRel) + 1;
-            *p.last_heard.lock() = Instant::now();
-            *p.disconnected_at.lock() = None;
-            p.ever_connected.store(true, Ordering::Release);
-            // Announce our session and what we have seen, triggering the
-            // peer's resume replay toward us.
-            sender.send_hello(self.session, p.last_recv_seq.load(Ordering::Acquire))?;
-            if let Some(last_recv) = resume {
-                let _ = sender.resend_since(last_recv);
-            }
-            generation
-        };
+        let (said_hello, generation) = p.attach(stream, hello, &Instant::now);
+        let recv = p.link.lock().recv();
+        if !said_hello {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "Hello not written"));
+        }
         self.signal.notify();
-        emit_instant(
-            EventId::WireConnect,
-            [
-                peer as u64,
-                attempt,
-                self.peers[peer].last_recv_seq.load(Ordering::Relaxed),
-                u64::from(resume.is_some()),
-            ],
-        );
-        let shared = Arc::clone(self);
-        std::thread::Builder::new().name(format!("wire-read-{}-{peer}", self.cfg.rank)).spawn(
-            move || {
-                let _trace = shared.install_trace();
-                shared.reader_loop(peer, read_half, reader, generation)
-            },
-        )?;
+        let resumed = u64::from(hello.is_some());
+        emit_instant(EventId::WireConnect, [peer as u64, attempt, recv, resumed]);
+        let name = format!("wire-read-{}-{peer}", self.cfg.rank);
+        self.spawn(name, move |shared| shared.reader_loop(peer, read_half, reader, generation))?;
         Ok(())
     }
 
-    /// Blocking per-connection read loop: bytes → frames → mailbox.
+    /// Blocking per-connection read loop: bytes → frames → link → mailbox.
     fn reader_loop(
         self: Arc<Self>,
         peer: usize,
@@ -835,26 +493,18 @@ impl NodeShared {
         loop {
             // Drain frames already buffered (handshake leftovers first).
             while let Some(res) = frames.next_arrival() {
-                *self.peers[peer].last_heard.lock() = Instant::now();
                 match res {
-                    Ok(arrival) => {
-                        // Any intact frame resets the reconnect-churn and
-                        // fence-stall counters: the peer's application
-                        // demonstrably ran. A zombie sends *nothing* — a
-                        // peer on a lossy wire keeps proving itself with
-                        // every frame that survives, so bit damage alone
-                        // can never convict it.
-                        self.peers[peer].churn.store(0, Ordering::Release);
-                        self.peers[peer].stall_fences.store(0, Ordering::Release);
-                        match arrival {
-                            Arrival::Frame(frame) => frames.recycle(self.handle_frame(peer, frame)),
-                            Arrival::Values(frame, values) => {
-                                self.handle_values(peer, &frame, values)
-                            }
+                    Ok(Arrival::Frame(frame)) => frames.recycle(self.handle_frame(peer, frame)),
+                    Ok(Arrival::Values(frame, values)) => {
+                        let bytes = 4 + 8 * values.len();
+                        if self.admits(peer, frame.seq, bytes) {
+                            self.push_data(peer, &frame, bytes, Box::new(values));
+                        } else {
+                            self.spares.give(values);
                         }
                     }
                     Err(FrameError::Corrupt { skipped, header, .. }) => {
-                        self.stats.corrupt_frames.fetch_add(1, Ordering::Relaxed);
+                        self.service(peer, Event::Corrupt);
                         emit_instant(
                             EventId::WireFrameCorrupt,
                             [peer as u64, u64::from(header.is_some()), skipped as u64, 0],
@@ -874,14 +524,9 @@ impl NodeShared {
                 Ok(_) => {}
             }
         }
-        // Only the *current* stream's reader tears the link down; a stale
-        // generation means a reconnect already replaced us.
-        let p = &self.peers[peer];
-        if p.generation.load(Ordering::Acquire) == generation
-            && !self.shutdown.load(Ordering::Acquire)
-        {
-            p.sender.lock().detach();
-            self.mark_disconnected(peer);
+        // The link ignores this if a reconnect already replaced the stream.
+        if !self.shutdown.load(Ordering::Acquire) {
+            self.service(peer, Event::Detached { generation });
         }
     }
 
@@ -889,30 +534,21 @@ impl NodeShared {
     fn read_hello(stream: &UnixStream) -> io::Result<(Frame, FrameReader)> {
         let mut s = stream.try_clone()?;
         s.set_read_timeout(Some(Duration::from_secs(5)))?;
-        let mut frames = FrameReader::new();
-        let mut buf = [0u8; 4096];
+        let (mut frames, mut buf) = (FrameReader::new(), [0u8; 4096]);
         loop {
-            if let Some(res) = frames.next() {
-                match res {
-                    Ok(f) if f.kind == FrameKind::Hello => {
-                        stream.set_read_timeout(None)?;
-                        return Ok((f, frames));
-                    }
-                    // Anything else before Hello is a protocol violation
-                    // from an unknown peer: drop the connection.
-                    Ok(_) | Err(_) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "expected Hello as first frame",
-                        ));
-                    }
+            match frames.next() {
+                Some(Ok(f)) if f.kind == FrameKind::Hello => {
+                    stream.set_read_timeout(None)?;
+                    return Ok((f, frames));
                 }
+                // Anything else before Hello is a protocol violation from an
+                // unknown peer: drop the connection.
+                Some(_) => return Err(io::Error::other("expected Hello as first frame")),
+                None if frames.read_from(&mut s, &mut buf)? == 0 => {
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
+                None => {}
             }
-            let n = s.read(&mut buf)?;
-            if n == 0 {
-                return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "EOF before Hello"));
-            }
-            frames.feed(&buf[..n]);
         }
     }
 
@@ -925,30 +561,11 @@ impl NodeShared {
                 return;
             }
             match accepted {
+                // Handshake off-thread so one slow dialer cannot stall the
+                // accept queue.
                 Ok((stream, _)) => {
-                    let shared = Arc::clone(&self);
-                    // Handshake off-thread so one slow dialer cannot stall
-                    // the accept queue.
-                    let _ = std::thread::Builder::new()
-                        .name(format!("wire-hello-{}", self.cfg.rank))
-                        .spawn(move || {
-                            let _trace = shared.install_trace();
-                            if let Ok((hello, frames)) = NodeShared::read_hello(&stream) {
-                                let peer = hello.src as usize;
-                                // Accept up to `max_size`: a joining spare
-                                // dials the mesh before every incumbent has
-                                // raised its membership.
-                                if peer < shared.cfg.max_size && peer != shared.cfg.rank {
-                                    if let Ok((session, last_recv)) =
-                                        crate::codec::decode_value::<(u64, u64)>(&hello.payload)
-                                    {
-                                        shared.note_peer_session(peer, session);
-                                        let resume = Some(last_recv);
-                                        let _ = shared.attach(peer, stream, frames, resume, 0);
-                                    }
-                                }
-                            }
-                        });
+                    let name = format!("wire-hello-{}", self.cfg.rank);
+                    let _ = self.spawn(name, move |shared| shared.handshake(stream));
                 }
                 // A failing `accept` (descriptor exhaustion) backs off
                 // instead of spinning.
@@ -957,112 +574,29 @@ impl NodeShared {
         }
     }
 
-    /// Heartbeat/liveness monitor: beacons live links, fences them for
-    /// end-to-end progress, detects silence, launches reconnects, expires
-    /// the passive reconnect window, and walks peers through the
-    /// quarantine → readmit/evict state machine.
+    /// Attaches an accepted stream once its `Hello` names the dialer.
+    fn handshake(self: Arc<Self>, stream: UnixStream) {
+        let Ok((hello, frames)) = NodeShared::read_hello(&stream) else { return };
+        let peer = hello.src as usize;
+        // Accept up to `max_size`: a joining spare dials the mesh before
+        // every incumbent has raised its membership.
+        if let (true, Ok(hello)) =
+            (peer < self.cfg.max_size && peer != self.cfg.rank, decode_value(&hello.payload))
+        {
+            let _ = self.attach(peer, stream, frames, Some(hello), 0);
+        }
+    }
+
+    /// Heartbeat/liveness monitor: ticks every link, whose machine
+    /// beacons and fences it, detects silence, asks for redials, expires
+    /// the passive reconnect window, and walks the peer through
+    /// quarantine → readmit/evict. It waits on the node's signal, so
+    /// shutdown wakes it at once.
     fn monitor_loop(self: Arc<Self>) {
         let tick = self.cfg.heartbeat / 2;
-        while !self.shutdown.load(Ordering::Acquire) {
-            std::thread::sleep(tick);
-            let now = Instant::now();
-            for peer in 0..self.cur_size() {
-                if peer == self.cfg.rank {
-                    continue;
-                }
-                let p = &self.peers[peer];
-                if p.evicted.load(Ordering::Acquire) {
-                    continue; // verdict is final
-                }
-                if p.quarantined.load(Ordering::Acquire) {
-                    // Quarantine: liveness says dead, but the link (if
-                    // any) stays up so a resumed peer's fences can reach
-                    // us and trigger readmission. No beacons, no silence
-                    // checks, no reconnects — just the grace timer.
-                    let expired = p
-                        .quarantined_at
-                        .lock()
-                        .is_some_and(|at| now.duration_since(at) > self.cfg.quarantine_grace);
-                    if expired {
-                        self.evict(peer);
-                    }
-                    continue;
-                }
-                if self.liveness.is_dead(peer) {
-                    continue; // dead by crash/agreement, not quarantine
-                }
-                if !p.ever_connected.load(Ordering::Acquire) {
-                    continue; // still in startup; `connect` owns this phase
-                }
-                let connected = {
-                    let mut sender = p.sender.lock();
-                    self.settle(peer, &mut sender);
-                    sender.is_connected()
-                };
-                if connected {
-                    if now.duration_since(*p.last_beat.lock()) >= self.cfg.heartbeat {
-                        *p.last_beat.lock() = now;
-                        let mut sender = p.sender.lock();
-                        if sender.send_control(FrameKind::Heartbeat).is_err() {
-                            sender.detach();
-                            drop(sender);
-                            self.mark_disconnected(peer);
-                            continue;
-                        }
-                    }
-                    if now.duration_since(*p.last_fence.lock()) >= self.cfg.fence_interval {
-                        *p.last_fence.lock() = now;
-                        self.fence_tick(peer);
-                        if p.quarantined.load(Ordering::Acquire) {
-                            continue;
-                        }
-                    }
-                    let silence = now.duration_since(*p.last_heard.lock());
-                    if silence > self.cfg.liveness_deadline {
-                        self.stats.heartbeat_misses.fetch_add(1, Ordering::Relaxed);
-                        emit_instant(
-                            EventId::HeartbeatMiss,
-                            [
-                                peer as u64,
-                                silence.as_micros() as u64,
-                                self.cfg.liveness_deadline.as_micros() as u64,
-                                0,
-                            ],
-                        );
-                        // Tear the link down; reconnect (or the passive
-                        // window) decides whether the peer is dead. Count
-                        // the churn: a zombie's listener backlog lets the
-                        // redial "succeed", so miss → reconnect → miss
-                        // cycles are themselves a detection signal.
-                        let churn = p.churn.fetch_add(1, Ordering::AcqRel) + 1;
-                        let mut sender = p.sender.lock();
-                        sender.shutdown();
-                        drop(sender);
-                        self.mark_disconnected(peer);
-                        if churn >= u64::from(self.cfg.zombie_churn) {
-                            self.quarantine(peer, 0);
-                        }
-                    }
-                } else {
-                    let since = p.disconnected_at.lock().map(|at| now.duration_since(at));
-                    let Some(since) = since else { continue };
-                    if peer < self.cfg.rank {
-                        // We are the dialer: bounded reconnect attempts.
-                        if !p.reconnecting.swap(true, Ordering::AcqRel) {
-                            let shared = Arc::clone(&self);
-                            let _ = std::thread::Builder::new()
-                                .name(format!("wire-redial-{}-{peer}", self.cfg.rank))
-                                .spawn(move || {
-                                    let _trace = shared.install_trace();
-                                    shared.reconnect_loop(peer)
-                                });
-                        }
-                    } else if since > self.cfg.reconnect_window() {
-                        // Passive side: the dialer's whole backoff schedule
-                        // has passed without a new Hello. It is gone.
-                        self.declare_dead(peer);
-                    }
-                }
+        while !self.signal.wait_until(tick, || self.shutdown.load(Ordering::Acquire)) {
+            for peer in (0..self.cur_size()).filter(|&peer| peer != self.cfg.rank) {
+                self.service(peer, Event::Tick { dead: self.liveness.is_dead(peer) });
             }
         }
     }
@@ -1084,7 +618,7 @@ impl NodeShared {
             if self.shutdown.load(Ordering::Acquire) || self.liveness.is_dead(peer) {
                 break;
             }
-            self.stats.reconnect_dials.fetch_add(1, Ordering::Relaxed);
+            self.counters.reconnect_dials.fetch_add(1, Ordering::Relaxed);
             if let Ok(stream) = UnixStream::connect(self.cfg.sock_path(peer)) {
                 if self.attach(peer, stream, FrameReader::new(), None, u64::from(attempt)).is_ok() {
                     emit(
@@ -1092,7 +626,7 @@ impl NodeShared {
                         Phase::End,
                         [peer as u64, u64::from(attempt), 1, 0],
                     );
-                    self.peers[peer].reconnecting.store(false, Ordering::Release);
+                    self.peers[peer].redialing.store(false, Ordering::Release);
                     return;
                 }
             }
@@ -1112,7 +646,7 @@ impl NodeShared {
             [peer as u64, u64::from(self.cfg.reconnect_attempts) + 1, 0, 0],
         );
         self.declare_dead(peer);
-        self.peers[peer].reconnecting.store(false, Ordering::Release);
+        self.peers[peer].redialing.store(false, Ordering::Release);
     }
 
     /// Sends one payload to `dst`: a `Vec<f64>` through
@@ -1139,50 +673,28 @@ impl NodeShared {
         if self.shutdown.load(Ordering::Acquire) {
             return Err(RuntimeError::Aborted);
         }
-        let p = &self.peers[dst];
-        let mut sender = p.sender.lock();
-        // A replay the reader owes goes out before newer data.
-        self.settle(dst, &mut sender);
-        let owed = p.unacked_bytes.load(Ordering::Relaxed);
-        if owed >= ACK_BYTES {
-            p.unacked_bytes.fetch_sub(owed, Ordering::Relaxed);
-            if sender.send_fence(0, p.last_recv_seq.load(Ordering::Acquire)).is_ok() {
-                self.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
-            } else {
-                // Detached now, the data frame below goes to the ring only.
-                sender.detach();
-                self.mark_disconnected(dst);
-            }
-        }
-        // Trimmed frames free their buffers for this encode.
-        sender.trim_through(p.peer_watermark.load(Ordering::Acquire));
-        let sent = match (value, self.values_codec) {
-            (Outgoing::Values(values), Some(codec)) => {
-                Some(sender.send_values(context, tag, codec, values))
-            }
-            (Outgoing::Values(values), None) => {
-                sender.send_data(context, tag, |out| self.registry.encode_any_into(&values, out))
-            }
-            (Outgoing::Any(value), _) => {
-                sender.send_data(context, tag, |out| self.registry.encode_any_into(value, out))
-            }
+        let codec = match &value {
+            Outgoing::Values(_) => self.values_codec,
+            Outgoing::Any(value) => self.registry.tag_of_value(*value),
         };
-        let Some(sent) = sent else {
+        let Some(codec) = codec else {
             return Err(unregistered());
         };
-        p.last_seq.store(sender.last_seq(), Ordering::Release);
-        self.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-        // And what the reader recorded during the write.
-        self.settle(dst, &mut sender);
-        if sent.is_err() {
-            // The write failed but the frame is ring-retained; the
-            // reconnect/resume machinery owns redelivery from here.
-            sender.detach();
-            drop(sender);
-            self.mark_disconnected(dst);
-        }
+        // A failed write leaves the frame in the ring; the reconnect and
+        // resume machinery owns redelivery from there.
+        self.peers[dst].send(&Instant::now, |io| match value {
+            Outgoing::Values(values) => io.send_values(context, tag, codec, values),
+            Outgoing::Any(value) => io
+                .send_data(context, tag, |out| self.registry.encode_any_into(value, out))
+                .expect("a registered type encodes"),
+        });
         Ok(())
     }
+}
+
+/// Whole microseconds of `d`, for trace arguments.
+fn micros(d: Duration) -> u64 {
+    d.as_micros() as u64
 }
 
 /// A payload on its way to [`NodeShared::send_any`].
@@ -1230,12 +742,15 @@ impl WireNode {
         let revocations = Arc::new(Revocations::default());
         let session = splitmix64((u64::from(std::process::id()) << 20) ^ cfg.rank as u64 | 1);
         let spares = Arc::new(SpareValues::new());
+        let now = Instant::now();
         let peers = (0..cfg.max_size)
-            .map(|peer| Peer::new(cfg.rank as u32, peer as u32, cfg.faults, &spares))
+            .map(|peer| {
+                let io = LinkSender::new(cfg.rank as u32, peer as u32, cfg.faults);
+                Peer::new(Link::new(&cfg, session, peer, now), io.with_spares(Arc::clone(&spares)))
+            })
             .collect();
         let shared = Arc::new(NodeShared {
             mailbox: Mailbox::new(abort.clone(), liveness.clone(), revocations),
-            session,
             liveness,
             values_codec: registry.tag_of::<Vec<f64>>(),
             registry,
@@ -1245,29 +760,14 @@ impl WireNode {
             cur_size: AtomicUsize::new(cfg.size),
             abort,
             shutdown: AtomicBool::new(false),
-            stats: StatsInner::default(),
+            counters: NodeCounters::default(),
             trace,
             cfg,
         });
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new().name(format!("wire-accept-{}", shared.cfg.rank)).spawn(
-                move || {
-                    let _trace = shared.install_trace();
-                    let s = Arc::clone(&shared);
-                    s.acceptor_loop(listener)
-                },
-            )?
-        };
-        let monitor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new().name(format!("wire-monitor-{}", shared.cfg.rank)).spawn(
-                move || {
-                    let _trace = shared.install_trace();
-                    shared.monitor_loop()
-                },
-            )?
-        };
+        let rank = shared.cfg.rank;
+        let acceptor =
+            shared.spawn(format!("wire-accept-{rank}"), |s| s.acceptor_loop(listener))?;
+        let monitor = shared.spawn(format!("wire-monitor-{rank}"), NodeShared::monitor_loop)?;
         Ok(WireNode { shared, acceptor: Some(acceptor), listener_fd, monitor: Some(monitor) })
     }
 
@@ -1277,28 +777,23 @@ impl WireNode {
         let cfg = &self.shared.cfg;
         let deadline = Instant::now() + cfg.connect_timeout;
         for peer in 0..cfg.rank {
-            loop {
+            // Retry while the peer is still binding its socket.
+            let stream = loop {
                 match UnixStream::connect(cfg.sock_path(peer)) {
-                    Ok(stream) => {
-                        self.shared.attach(peer, stream, FrameReader::new(), None, 0)?;
-                        break;
+                    Ok(stream) => break stream,
+                    Err(e) if Instant::now() >= deadline => {
+                        let e = format!("rank {peer} never bound its socket: {e}");
+                        return Err(io::Error::new(io::ErrorKind::TimedOut, e));
                     }
-                    Err(e) => {
-                        if Instant::now() >= deadline {
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!("rank {peer} never bound its socket: {e}"),
-                            ));
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
                 }
-            }
+            };
+            self.shared.attach(peer, stream, FrameReader::new(), None, 0)?;
         }
         // Higher ranks dial us; `attach` signals each arrival.
         for peer in cfg.rank + 1..cfg.size {
             let left = deadline.saturating_duration_since(Instant::now());
-            let dialed = || self.shared.peers[peer].ever_connected.load(Ordering::Acquire);
+            let dialed = || self.shared.peers[peer].link.lock().standing() != Standing::Connecting;
             if !self.shared.signal.wait_until(left, dialed) {
                 let e = format!("rank {peer} never dialed us");
                 return Err(io::Error::new(io::ErrorKind::TimedOut, e));
@@ -1342,12 +837,12 @@ impl WireNode {
     /// Whether `rank` is currently quarantined (provisionally dead: frames
     /// dropped, operations fail fast, but readmission is still possible).
     pub fn is_quarantined(&self, rank: usize) -> bool {
-        self.shared.peers[rank].quarantined.load(Ordering::Acquire)
+        matches!(self.shared.peers[rank].link.lock().standing(), Standing::Quarantined(_))
     }
 
     /// Whether the quarantine verdict on `rank` became final.
     pub fn is_evicted(&self, rank: usize) -> bool {
-        self.shared.peers[rank].evicted.load(Ordering::Acquire)
+        self.shared.peers[rank].link.lock().standing() == Standing::Evicted
     }
 
     /// Blocks until `rank` enters quarantine (or is evicted outright) or
@@ -1370,7 +865,7 @@ impl WireNode {
     pub fn set_faults_armed(&self, armed: bool) {
         for peer in 0..self.shared.cur_size() {
             if peer != self.shared.cfg.rank {
-                self.shared.peers[peer].sender.lock().set_armed(armed);
+                self.shared.peers[peer].io.lock().set_armed(armed);
             }
         }
     }
@@ -1454,10 +949,7 @@ impl WireNode {
         // point must not resurrect (the agreement is the point of no
         // return, exactly like the membership plane's epoch commit).
         for r in (0..size).filter(|&r| r != me && agreed & 1 << r == 0) {
-            let p = &self.shared.peers[r];
-            p.quarantined.store(false, Ordering::Release);
-            p.evicted.store(true, Ordering::Release);
-            self.shared.declare_dead(r);
+            self.shared.service(r, Event::AgreedDead);
         }
         Ok((0..size).filter(|r| agreed & 1 << r != 0).collect())
     }
@@ -1527,12 +1019,12 @@ impl WireNode {
         };
         if !committed {
             self.shared.rescind_admit(new_rank);
-            self.shared.stats.joins_aborted.fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.joins_aborted.fetch_add(1, Ordering::Relaxed);
             emit(EventId::WireJoin, Phase::End, [new_rank as u64, attempt, 0, new_rank as u64]);
             return Err(RuntimeError::ReconfigAborted { context: WIRE_CTRL_CONTEXT, attempt });
         }
         self.send(new_rank, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, state.to_vec())?;
-        self.shared.stats.joins_committed.fetch_add(1, Ordering::Relaxed);
+        self.shared.counters.joins_committed.fetch_add(1, Ordering::Relaxed);
         emit(EventId::WireJoin, Phase::End, [new_rank as u64, attempt, 1, (new_rank + 1) as u64]);
         Ok(new_rank + 1)
     }
@@ -1549,22 +1041,23 @@ impl WireNode {
         // the sponsor, so its connection is usually already here; a dead
         // newcomer (killed mid-join) shows up as EOF → never connected.
         let wired = admitted
-            && self.shared.signal.wait_until(timeout / 2, || {
-                self.shared.peers[new_rank].sender.lock().is_connected()
-            });
+            && self
+                .shared
+                .signal
+                .wait_until(timeout / 2, || self.shared.peers[new_rank].io.lock().is_connected());
         let committed = self.join_decide(&offer, wired, timeout);
         emit_instant(
             EventId::WireJoin,
             [new_rank as u64, attempt, committed.into(), self.size() as u64],
         );
         if committed {
-            self.shared.stats.joins_committed.fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.joins_committed.fetch_add(1, Ordering::Relaxed);
             return Ok(new_rank);
         }
         if admitted {
             self.shared.rescind_admit(new_rank);
         }
-        self.shared.stats.joins_aborted.fetch_add(1, Ordering::Relaxed);
+        self.shared.counters.joins_aborted.fetch_add(1, Ordering::Relaxed);
         Err(RuntimeError::ReconfigAborted { context: WIRE_CTRL_CONTEXT, attempt })
     }
 
@@ -1589,24 +1082,29 @@ impl WireNode {
         self.recv_timeout(sponsor, WIRE_CTRL_CONTEXT, JOIN_STATE_TAG, t)
     }
 
-    /// Snapshot of the wire counters.
+    /// Snapshot of the wire counters: the node's own plus every link's.
     pub fn stats(&self) -> WireStats {
-        let s = &self.shared.stats;
-        WireStats {
-            frames_sent: s.frames_sent.load(Ordering::Relaxed),
-            frames_received: s.frames_received.load(Ordering::Relaxed),
-            corrupt_frames: s.corrupt_frames.load(Ordering::Relaxed),
-            duplicates_dropped: s.duplicates_dropped.load(Ordering::Relaxed),
-            reconnect_dials: s.reconnect_dials.load(Ordering::Relaxed),
-            heartbeat_misses: s.heartbeat_misses.load(Ordering::Relaxed),
-            fences_sent: s.fences_sent.load(Ordering::Relaxed),
-            acks_sent: s.acks_sent.load(Ordering::Relaxed),
-            zombies_quarantined: s.zombies_quarantined.load(Ordering::Relaxed),
-            zombies_readmitted: s.zombies_readmitted.load(Ordering::Relaxed),
-            zombies_evicted: s.zombies_evicted.load(Ordering::Relaxed),
-            joins_committed: s.joins_committed.load(Ordering::Relaxed),
-            joins_aborted: s.joins_aborted.load(Ordering::Relaxed),
+        let c = &self.shared.counters;
+        let mut s = WireStats {
+            reconnect_dials: c.reconnect_dials.load(Ordering::Relaxed),
+            joins_committed: c.joins_committed.load(Ordering::Relaxed),
+            joins_aborted: c.joins_aborted.load(Ordering::Relaxed),
+            ..WireStats::default()
+        };
+        for peer in &self.shared.peers {
+            let l = peer.link.lock().stats;
+            s.frames_sent += l.frames_sent;
+            s.frames_received += l.frames_received;
+            s.corrupt_frames += l.corrupt_frames;
+            s.duplicates_dropped += l.duplicates_dropped;
+            s.heartbeat_misses += l.heartbeat_misses;
+            s.fences_sent += l.fences_sent;
+            s.acks_sent += l.acks_sent;
+            s.zombies_quarantined += l.zombies_quarantined;
+            s.zombies_readmitted += l.zombies_readmitted;
+            s.zombies_evicted += l.zombies_evicted;
         }
+        s
     }
 
     /// A [`Transport`] handle over this node, for code written against
@@ -1629,9 +1127,9 @@ impl WireNode {
             if peer == self.shared.cfg.rank || self.shared.liveness.is_dead(peer) {
                 continue;
             }
-            let mut sender = self.shared.peers[peer].sender.lock();
-            let _ = sender.send_control(FrameKind::Bye);
-            sender.shutdown();
+            let mut io = self.shared.peers[peer].io.lock();
+            let _ = io.send_control(FrameKind::Bye);
+            io.shutdown();
         }
         self.shared.abort.store(true, Ordering::Release);
         self.shared.mailbox.wake_all();
@@ -1690,37 +1188,22 @@ impl Transport for UdsTransport {
     }
 
     fn deliver(&self, dst: usize, env: Envelope) -> Result<()> {
-        match env.payload {
-            Payload::Shared { .. } => Err(RuntimeError::TypeMismatch {
-                expected: "wire-encodable payload (Payload::Shared is in-proc-only)",
-                src: env.src_global,
-                tag: env.tag,
-            }),
-            Payload::Owned(boxed) => {
-                let (src, tag) = (env.src_global, env.tag);
-                let unregistered = || RuntimeError::TypeMismatch {
-                    expected: "a type registered in the CodecRegistry",
-                    src,
-                    tag,
-                };
-                match boxed.downcast::<Vec<f64>>() {
-                    Ok(values) => self.shared.send_any(
-                        dst,
-                        env.context,
-                        tag,
-                        Outgoing::Values(*values),
-                        unregistered,
-                    ),
-                    Err(other) => self.shared.send_any(
-                        dst,
-                        env.context,
-                        tag,
-                        Outgoing::Any(other.as_ref()),
-                        unregistered,
-                    ),
-                }
+        let (src, tag) = (env.src_global, env.tag);
+        let Payload::Owned(boxed) = env.payload else {
+            let expected = "wire-encodable payload (Payload::Shared is in-proc-only)";
+            return Err(RuntimeError::TypeMismatch { expected, src, tag });
+        };
+        let expected = "a type registered in the CodecRegistry";
+        let unregistered = || RuntimeError::TypeMismatch { expected, src, tag };
+        let other;
+        let value = match boxed.downcast::<Vec<f64>>() {
+            Ok(values) => Outgoing::Values(*values),
+            Err(any) => {
+                other = any;
+                Outgoing::Any(other.as_ref())
             }
-        }
+        };
+        self.shared.send_any(dst, env.context, tag, value, unregistered)
     }
 
     fn deliver_pair(&self, dst: usize, first: Envelope, second: Envelope) -> Result<()> {
@@ -1876,7 +1359,7 @@ mod tests {
             // peers see raw EOF, exactly like a kill -9.
             crashed.shared.shutdown.store(true, Ordering::Release);
             for peer in 0..2 {
-                crashed.shared.peers[peer].sender.lock().shutdown();
+                crashed.shared.peers[peer].io.lock().shutdown();
             }
         }
         for node in &nodes {
@@ -1925,7 +1408,7 @@ mod tests {
             }
         });
         for (me, node) in nodes.iter().enumerate() {
-            let retained = node.shared.peers[1 - me].sender.lock().retained();
+            let retained = node.shared.peers[1 - me].io.lock().retained().0;
             assert!(retained <= 2, "rank {me} still retains {retained} frames");
             let stats = node.stats();
             assert_eq!((stats.frames_sent, stats.frames_received), (64, 64));
@@ -1969,7 +1452,9 @@ mod tests {
 
         // Quarantined, rank 1 is readmitted by a caught-up periodic fence
         // but never by an ack, caught up or not.
-        nodes[0].shared.quarantine(1, 0);
+        let quarantined = nodes[0].shared.peers[1].link.lock().quarantine(0, Instant::now());
+        assert_eq!(quarantined, Some(Action::Quarantine { stalled: 0 }));
+        nodes[0].shared.declare_dead(1);
         from_1(0, 5);
         assert!(nodes[0].is_quarantined(1), "an ack readmitted a quarantined peer");
         from_1(3, 5);
@@ -2056,17 +1541,17 @@ mod tests {
         nodes[0].shared.handle_frame(1, fence(1, 2));
         // An application thread holds the lock, as one blocked writing to
         // rank 1 would: a NACK and a Hello from rank 1 must not wait on it.
-        let held = nodes[0].shared.peers[1].sender.lock();
+        let held = nodes[0].shared.peers[1].io.lock();
         let start = Instant::now();
         nodes[0].shared.handle_frame(1, fence(2, 2));
         let mut hello = Frame::control(FrameKind::Hello, 1);
-        hello.payload = encode_value(&(nodes[1].shared.session, 3u64));
+        hello.payload = encode_value(&(nodes[1].shared.peers[0].link.lock().session(), 3u64));
         nodes[0].shared.handle_frame(1, hello);
         let took = start.elapsed();
         assert!(took < Duration::from_millis(100), "the reader waited {took:?} on the lock");
         drop(held);
         // The next holder replays seqs 3 and 4 once, for both requests.
-        let owed = || nodes[0].shared.peers[1].replay_from.load(Ordering::Acquire) != NO_REPLAY;
+        let owed = || nodes[0].shared.peers[1].link.lock().owes_replay();
         let deadline = Instant::now() + t;
         while owed() {
             assert!(Instant::now() < deadline, "the recorded replay never ran");
@@ -2074,6 +1559,20 @@ mod tests {
         }
         sync(4);
         assert_eq!(nodes[1].stats().duplicates_dropped, 2, "exactly one replay");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn monitor_never_waits_on_a_sender_lock() {
+        let dir = test_dir("monitor-no-lock");
+        let nodes = mesh(&dir, 3);
+        // An application thread holds rank 0's lock toward rank 1 past the
+        // liveness deadline, as one blocked writing to a zombie would:
+        // rank 0's monitor must go on beaconing rank 2 meanwhile.
+        let held = nodes[0].shared.peers[1].io.lock();
+        std::thread::sleep(Duration::from_millis(400));
+        drop(held);
+        assert_eq!(nodes[2].stats().heartbeat_misses, 0, "rank 0 went silent toward rank 2");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2218,9 +1717,9 @@ mod tests {
         let dir = test_dir("resume");
         let nodes = mesh(&dir, 2);
         // Tear down the link from under node 1 (the dialer side).
-        nodes[1].shared.peers[0].sender.lock().shutdown();
-        nodes[1].shared.peers[0].sender.lock().detach();
-        nodes[1].shared.mark_disconnected(0);
+        nodes[1].shared.peers[0].io.lock().shutdown();
+        nodes[1].shared.peers[0].io.lock().detach();
+        nodes[1].shared.service(0, Event::WriteFailed);
         // Send while down: frames land in the ring.
         for i in 0..5u64 {
             nodes[1].send(0, 3, 3, i * 10).unwrap();
