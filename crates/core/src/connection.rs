@@ -27,8 +27,8 @@ use parking_lot::RwLock;
 use mxn_dad::{AccessMode, Dad};
 use mxn_runtime::{Comm, InterComm, MsgSize, ReconfigReport, RuntimeError, ShrinkReport, Src};
 use mxn_schedule::{
-    execute_recv_routed, execute_send_routed, RegionSchedule, RoutePlanner, ScheduleCache,
-    TransferBuffers,
+    execute_recv_routed, execute_send_routed, pooled_transfer, RegionSchedule, RoutePlanner,
+    ScheduleCache,
 };
 use mxn_trace::EventId;
 
@@ -47,13 +47,6 @@ fn map_dead(tag: i32, e: MxnError) -> MxnError {
         }
         other => other,
     }
-}
-
-/// Parks what a direct transfer leaves in the rank pool: at most the bytes
-/// it moved, so a rank that only imports keeps one receive set warm, not
-/// every buffer it ever drained.
-fn park_direct(pool: &mut TransferBuffers<f64>, moved: &mxn_runtime::Result<usize>) {
-    pool.trim_to(moved.as_ref().map_or(0, |&n| n * size_of::<f64>()));
 }
 
 /// Base of the tag space used by M×N data transfers.
@@ -508,34 +501,24 @@ impl MxnConnection {
             let planner = RoutePlanner::default();
             cache.route_for_epoch(src, dst, size_of::<f64>(), budget, false, &planner, self.epoch)
         });
-        // A routed transfer keeps the pool within its route's idle
-        // allowance on both sides of the transfer, so pooled buffers never
-        // break the declared peak.
-        let allowance = route.as_ref().map(|r| r.idle_allowance() as usize);
         let (sched, tag) = (&self.schedule, self.tag);
         let moved = registry.with_pool(|pool| {
-            if let Some(bytes) = allowance {
-                pool.trim_to(bytes);
-            }
-            let moved = match (self.direction, route.as_deref()) {
-                (Direction::Export, None) => {
-                    sched.execute_send(ic, &entry.data().read(), tag, pool)
+            pooled_transfer(pool, route.as_deref(), |pool| {
+                match (self.direction, route.as_deref()) {
+                    (Direction::Export, None) => {
+                        sched.execute_send(ic, &entry.data().read(), tag, pool)
+                    }
+                    (Direction::Import, None) => {
+                        sched.execute_recv(ic, &mut entry.data().write(), tag, pool)
+                    }
+                    (Direction::Export, Some(r)) => {
+                        execute_send_routed(r, sched, ic, &entry.data().read(), tag, pool)
+                    }
+                    (Direction::Import, Some(r)) => {
+                        execute_recv_routed(r, sched, ic, &mut entry.data().write(), tag, pool)
+                    }
                 }
-                (Direction::Import, None) => {
-                    sched.execute_recv(ic, &mut entry.data().write(), tag, pool)
-                }
-                (Direction::Export, Some(r)) => {
-                    execute_send_routed(r, sched, ic, &entry.data().read(), tag, pool)
-                }
-                (Direction::Import, Some(r)) => {
-                    execute_recv_routed(r, sched, ic, &mut entry.data().write(), tag, pool)
-                }
-            };
-            match allowance {
-                Some(bytes) => pool.trim_to(bytes),
-                None => park_direct(pool, &moved),
-            }
-            moved
+            })
         });
         let elements = match moved {
             Ok(n) => n,
@@ -576,10 +559,9 @@ impl MxnConnection {
         match self.direction {
             Direction::Export => {
                 let moved = registry.with_pool(|pool| {
-                    let moved =
-                        self.schedule.execute_send(ic, &entry.data().read(), self.tag, pool);
-                    park_direct(pool, &moved);
-                    moved
+                    pooled_transfer(pool, None, |pool| {
+                        self.schedule.execute_send(ic, &entry.data().read(), self.tag, pool)
+                    })
                 });
                 match moved {
                     Ok(n) => elements = n,
@@ -606,13 +588,17 @@ impl MxnConnection {
         if commit {
             if self.direction == Direction::Import {
                 let mut data = entry.data().write();
-                registry.with_pool(|pool| {
-                    for (i, buf) in staged.into_iter().enumerate() {
-                        self.schedule.unpack_pair_from(i, &mut data, &buf);
-                        pool.recycle(buf);
-                    }
-                    park_direct(pool, &Ok(elements));
-                });
+                registry
+                    .with_pool(|pool| {
+                        pooled_transfer(pool, None, |pool| {
+                            for (i, buf) in staged.into_iter().enumerate() {
+                                self.schedule.unpack_pair_from(i, &mut data, &buf);
+                                pool.recycle(buf);
+                            }
+                            Ok(elements)
+                        })
+                    })
+                    .expect("landing staged buffers cannot fail");
             }
             self.transfers += 1;
             mxn_trace::emit_instant(EventId::Commit, [self.epoch, seq, 0, 0]);
@@ -942,10 +928,9 @@ impl MxnConnection {
             }
             registry
                 .with_pool(|pool| {
-                    let moved =
-                        self.schedule.execute_recv(ic, &mut entry.data().write(), self.tag, pool);
-                    park_direct(pool, &moved);
-                    moved
+                    pooled_transfer(pool, None, |pool| {
+                        self.schedule.execute_recv(ic, &mut entry.data().write(), self.tag, pool)
+                    })
                 })
                 .map_err(|e| map_dead(self.tag, e.into()))?;
             self.transfers += 1;

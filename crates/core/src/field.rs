@@ -53,7 +53,9 @@ pub struct FieldRegistry {
     fields: HashMap<String, FieldEntry>,
     /// One pool for every `data_ready` on this rank, so its import and
     /// export connections feed each other: what one transfer drained
-    /// serves the next one's sends.
+    /// serves the next one's sends. What it keeps between transfers
+    /// follows [`mxn_schedule::pooled_transfer`], the rule a
+    /// [`mxn_schedule::ScheduleCache`] pool follows too.
     pool: Mutex<TransferBuffers<f64>>,
 }
 

@@ -13,7 +13,13 @@
 //! Distinct descriptors colliding on both halves of a seeded 128-bit
 //! fingerprint is vanishingly unlikely (~2⁻¹²⁸) and would only yield a
 //! schedule for the colliding layout, caught by the conformance assert.
+//!
+//! The cache also holds the transfer buffers of the transfers it serves:
+//! one [`TransferBuffers`] pool per element type, lent to every cached
+//! [`crate::Redist`] terminal, so a persistent coupling runs on memory it
+//! already holds instead of allocating its pair buffers every step.
 
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -21,6 +27,7 @@ use parking_lot::Mutex;
 
 use mxn_dad::Dad;
 
+use crate::plan::TransferBuffers;
 use crate::region_schedule::{RegionSchedule, Role};
 use crate::route::{RedistRoute, RoutePlanner};
 
@@ -51,11 +58,15 @@ struct RouteKey {
     epoch: u64,
 }
 
-/// A thread-safe cache of built [`RegionSchedule`]s with hit/miss counters.
+/// A thread-safe cache of built [`RegionSchedule`]s and planned routes
+/// with hit/miss counters, plus the idle transfer buffers of the cached
+/// [`crate::Redist`] transfers that use it (one pool per element type).
 #[derive(Default)]
 pub struct ScheduleCache {
     map: Mutex<HashMap<Key, Arc<RegionSchedule>>>,
     routes: Mutex<HashMap<RouteKey, Arc<RedistRoute>>>,
+    /// `TransferBuffers<T>` keyed by `TypeId::of::<T>()`.
+    pools: Mutex<HashMap<TypeId, Box<dyn Any + Send>>>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
 }
@@ -175,10 +186,37 @@ impl ScheduleCache {
         self.routes.lock().len()
     }
 
-    /// Drops every cached schedule and route (benchmark phase separation).
+    /// Drops every cached schedule and route and every idle transfer
+    /// buffer (benchmark phase separation). Hit/miss counters are kept.
     pub fn clear(&self) {
         self.map.lock().clear();
         self.routes.lock().clear();
+        self.pools.lock().clear();
+    }
+
+    /// Lends the cache's pool for element type `T` to `f`. The pool is
+    /// moved out for the call, so no lock is held while a transfer blocks;
+    /// a transfer running meanwhile on another thread gets an empty pool,
+    /// and the pool put back last is kept.
+    pub(crate) fn with_pool<T: Send + 'static, R>(
+        &self,
+        f: impl FnOnce(&mut TransferBuffers<T>) -> R,
+    ) -> R {
+        let key = TypeId::of::<T>();
+        let mut pool = self
+            .pools
+            .lock()
+            .get_mut(&key)
+            .map_or_else(TransferBuffers::new, |p| std::mem::take(Self::typed(p)));
+        let out = f(&mut pool);
+        let mut pools = self.pools.lock();
+        let slot = pools.entry(key).or_insert_with(|| Box::new(TransferBuffers::<T>::new()));
+        *Self::typed(slot) = pool;
+        out
+    }
+
+    fn typed<T: 'static>(pool: &mut Box<dyn Any + Send>) -> &mut TransferBuffers<T> {
+        pool.downcast_mut().expect("pools are keyed by element type")
     }
 }
 
@@ -284,5 +322,33 @@ mod tests {
         let totals: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert!(totals.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_concurrent_borrower_gets_an_empty_pool() {
+        use std::sync::Barrier;
+        let cache = ScheduleCache::new();
+        cache.with_pool(|p: &mut TransferBuffers<f64>| p.recycle(Vec::with_capacity(8)));
+        let (lent, returned) = (Barrier::new(2), Barrier::new(2));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                cache.with_pool(|p: &mut TransferBuffers<f64>| {
+                    assert_eq!(p.idle(), 1, "the first borrower gets the pool");
+                    lent.wait();
+                    returned.wait();
+                    p.recycle(Vec::with_capacity(16));
+                })
+            });
+            lent.wait();
+            cache.with_pool(|p: &mut TransferBuffers<f64>| {
+                assert_eq!(p.idle(), 0, "the pool is out on loan");
+                p.recycle(Vec::with_capacity(4));
+            });
+            returned.wait();
+        });
+        let idle = cache.with_pool(|p: &mut TransferBuffers<f64>| p.idle());
+        assert_eq!(idle, 2, "the pool put back last is kept");
+        let other = cache.with_pool(|p: &mut TransferBuffers<u8>| p.idle());
+        assert_eq!(other, 0, "each element type has a pool of its own");
     }
 }

@@ -35,7 +35,7 @@ pub mod route;
 pub use cache::ScheduleCache;
 pub use halo::{GhostedPatch, HaloSchedule};
 pub use linear_schedule::LinearSchedule;
-pub use plan::{CopyPlan, TransferBuffers};
+pub use plan::{pooled_transfer, CopyPlan, TransferBuffers};
 pub use redistribute::Redist;
 #[doc(hidden)]
 pub use redistribute::{recv_redistributed_cached, send_redistributed_cached};

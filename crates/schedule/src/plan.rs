@@ -12,7 +12,9 @@
 //! literature).
 
 use mxn_dad::{region_runs, LocalArray, Region};
-use mxn_runtime::{record_buffer_lease, record_pool_bytes, record_schedule_copy};
+use mxn_runtime::{record_buffer_lease, record_pool_bytes, record_schedule_copy, Result};
+
+use crate::route::RedistRoute;
 
 /// `count` contiguous runs of `len` elements: run `i` starts at
 /// `patch_off + i * stride` in patch `patch` and lands at
@@ -251,8 +253,10 @@ impl CopyPlan {
 /// The runtime's transport moves payloads by ownership, so a sent buffer
 /// leaves the sender — but every *received* buffer can be recycled, and in
 /// symmetric exchanges (transposes, halo steps, persistent couplings that
-/// send and receive) buffers circulate: after the first step, leases are
-/// satisfied from the free list and fresh allocation stops.
+/// send and receive) buffers circulate: once a pool kept across steps
+/// holds a buffer for every pair, leases are satisfied from the free list
+/// and fresh allocation stops. [`pooled_transfer`] is the rule for what
+/// such a pool keeps between transfers.
 #[derive(Debug)]
 pub struct TransferBuffers<T> {
     free: Vec<Vec<T>>,
@@ -263,6 +267,8 @@ pub struct TransferBuffers<T> {
     byte_cap: usize,
     /// Bytes currently parked idle (sum of free-list capacities).
     idle_bytes: usize,
+    /// Bytes parked by [`Self::recycle`] so far (a running total).
+    parked_bytes: usize,
     leases: u64,
     fresh_allocs: u64,
 }
@@ -294,6 +300,7 @@ impl<T> TransferBuffers<T> {
             max_free,
             byte_cap,
             idle_bytes: 0,
+            parked_bytes: 0,
             leases: 0,
             fresh_allocs: 0,
         }
@@ -303,32 +310,41 @@ impl<T> TransferBuffers<T> {
         buf.capacity() * std::mem::size_of::<T>()
     }
 
-    /// Takes a cleared buffer with at least `capacity` reserved, reusing a
-    /// pooled one when available.
+    /// Takes a cleared buffer with at least `capacity` reserved: the
+    /// smallest idle buffer that fits, else the largest idle one grown to
+    /// fit, else a new one. A grow reallocates, so it counts as a fresh
+    /// allocation like a new buffer does. Among equal candidates the one
+    /// parked last wins, as the likeliest to be in cache.
     pub fn lease(&mut self, capacity: usize) -> Vec<T> {
         self.leases += 1;
-        match self.free.pop() {
-            Some(mut buf) => {
+        let fits = self
+            .free
+            .iter()
+            .enumerate()
+            .rev()
+            .filter(|(_, b)| b.capacity() >= capacity)
+            .min_by_key(|(_, b)| b.capacity());
+        let pick = fits.or_else(|| self.free.iter().enumerate().max_by_key(|(_, b)| b.capacity()));
+        let (mut buf, fresh) = match pick.map(|(i, _)| i) {
+            Some(i) => {
+                let buf = self.free.remove(i);
                 self.idle_bytes -= Self::buf_bytes(&buf);
-                record_buffer_lease(false);
-                mxn_trace::emit_instant(
-                    mxn_trace::EventId::BufferLease,
-                    [0, capacity as u64, 0, 0],
-                );
-                buf.clear();
-                buf.reserve(capacity);
-                buf
+                let grown = buf.capacity() < capacity;
+                (buf, grown)
             }
-            None => {
-                self.fresh_allocs += 1;
-                record_buffer_lease(true);
-                mxn_trace::emit_instant(
-                    mxn_trace::EventId::BufferLease,
-                    [1, capacity as u64, 0, 0],
-                );
-                Vec::with_capacity(capacity)
-            }
+            None => (Vec::new(), true),
+        };
+        if fresh {
+            self.fresh_allocs += 1;
         }
+        record_buffer_lease(fresh);
+        mxn_trace::emit_instant(
+            mxn_trace::EventId::BufferLease,
+            [u64::from(fresh), capacity as u64, 0, 0],
+        );
+        buf.clear();
+        buf.reserve_exact(capacity);
+        buf
     }
 
     /// Returns a buffer to the pool (dropped if the pool is full by count
@@ -340,6 +356,7 @@ impl<T> TransferBuffers<T> {
         {
             buf.clear();
             self.idle_bytes += bytes;
+            self.parked_bytes = self.parked_bytes.wrapping_add(bytes);
             self.free.push(buf);
             record_pool_bytes(self.idle_bytes as u64);
         }
@@ -376,6 +393,39 @@ impl<T> TransferBuffers<T> {
     pub fn stats(&self) -> (u64, u64) {
         (self.leases, self.fresh_allocs)
     }
+}
+
+/// Runs `transfer` on a pool that outlives it, under the one rule for what
+/// such a pool keeps between transfers — the rank pool of a
+/// `FieldRegistry` and the pools of a [`crate::ScheduleCache`] both lend
+/// through here:
+///
+/// * a routed transfer (`route` given) trims the pool to
+///   [`RedistRoute::idle_allowance`] before and after it runs, so pooled
+///   buffers never break the route's declared peak;
+/// * a direct transfer parks at most the bytes it moved, so a rank that
+///   only receives keeps one receive set warm, not every buffer it ever
+///   drained. A drained buffer counts with its capacity: when pair sizes
+///   change between transfers a buffer may hold more than its payload,
+///   and dropping it for that slack would cost the next send a fresh
+///   allocation.
+pub fn pooled_transfer<T>(
+    pool: &mut TransferBuffers<T>,
+    route: Option<&RedistRoute>,
+    transfer: impl FnOnce(&mut TransferBuffers<T>) -> Result<usize>,
+) -> Result<usize> {
+    let allowance = route.map(|r| r.idle_allowance() as usize);
+    if let Some(bytes) = allowance {
+        pool.trim_to(bytes);
+    }
+    let parked_before = pool.parked_bytes;
+    let moved = transfer(pool);
+    let drained = pool.parked_bytes.wrapping_sub(parked_before);
+    pool.trim_to(allowance.unwrap_or_else(|| {
+        let payload = moved.as_ref().map_or(0, |&n| n * std::mem::size_of::<T>());
+        payload.max(drained)
+    }));
+    moved
 }
 
 #[cfg(test)]
@@ -514,5 +564,68 @@ mod tests {
         let s = mxn_runtime::schedule_stats();
         assert_eq!(s.pool_peak_bytes, 192, "high-water survives the trim");
         mxn_runtime::reset_schedule_stats();
+    }
+
+    #[test]
+    fn lease_takes_the_smallest_fit_and_counts_a_grow_as_fresh() {
+        mxn_runtime::reset_schedule_stats();
+        let mut pool: TransferBuffers<u8> = TransferBuffers::new();
+        for cap in [64, 16, 256, 32] {
+            pool.recycle(Vec::with_capacity(cap));
+        }
+        let a = pool.lease(20);
+        assert_eq!(a.capacity(), 32, "the smallest idle buffer that fits");
+        let b = pool.lease(64);
+        assert_eq!(b.capacity(), 64, "an exact fit beats a larger one");
+        assert_eq!(pool.stats(), (2, 0));
+        // Nothing idle holds 1000 bytes: the largest buffer is grown, and
+        // the realloc counts as a fresh allocation.
+        let c = pool.lease(1000);
+        assert!(c.capacity() >= 1000);
+        assert_eq!(pool.stats(), (3, 1));
+        assert_eq!((pool.idle(), pool.idle_bytes()), (1, 16), "only the 16-byte buffer is left");
+        let s = mxn_runtime::schedule_stats();
+        assert_eq!((s.buffer_leases, s.buffer_allocs), (3, 1));
+        mxn_runtime::reset_schedule_stats();
+    }
+
+    #[test]
+    fn direct_transfers_park_what_they_drained_and_routes_their_allowance() {
+        use crate::route::{RedistProfile, RoutePlanner};
+        let mut pool: TransferBuffers<u64> = TransferBuffers::new();
+        pool.recycle(Vec::with_capacity(100));
+        // A send that moved 10 elements keeps at most 80 bytes idle.
+        pooled_transfer(&mut pool, None, |_| Ok(10)).unwrap();
+        assert_eq!(pool.idle_bytes(), 0);
+        // A receive whose buffers carry slack beyond the 30 elements they
+        // delivered keeps them whole.
+        let moved = pooled_transfer(&mut pool, None, |p| {
+            p.recycle(Vec::with_capacity(20));
+            p.recycle(Vec::with_capacity(25));
+            Ok(30)
+        });
+        assert_eq!((moved.unwrap(), pool.idle(), pool.idle_bytes()), (30, 2, 360));
+        // The next receive keeps its own set only.
+        pooled_transfer(&mut pool, None, |p| {
+            p.recycle(Vec::with_capacity(10));
+            Ok(10)
+        })
+        .unwrap();
+        assert_eq!(pool.idle_bytes(), 80);
+        // A routed transfer trims to its idle allowance on both sides.
+        let dad = mxn_dad::Dad::block(mxn_dad::Extents::new([64, 64]), &[2, 1]).unwrap();
+        let profile = RedistProfile::compute(&dad, &dad, size_of::<u64>());
+        let route = RoutePlanner::default().plan(&profile, 1 << 20, false);
+        let allowance = route.idle_allowance() as usize;
+        let at_allowance = || Vec::with_capacity(allowance / size_of::<u64>());
+        pool.recycle(at_allowance());
+        pool.recycle(at_allowance());
+        pooled_transfer(&mut pool, Some(&route), |p| {
+            assert!(p.idle_bytes() <= allowance, "trimmed before the transfer");
+            p.recycle(at_allowance());
+            Ok(0)
+        })
+        .unwrap();
+        assert!(pool.idle_bytes() <= allowance, "trimmed after the transfer");
     }
 }

@@ -15,7 +15,7 @@ use mxn_dad::{Dad, LocalArray};
 use mxn_runtime::{Comm, InterComm, MsgSize, Result};
 
 use crate::cache::ScheduleCache;
-use crate::plan::TransferBuffers;
+use crate::plan::{pooled_transfer, TransferBuffers};
 use crate::region_schedule::{RegionSchedule, Role};
 use crate::route::{
     execute_recv_routed, execute_send_routed, execute_within_routed, RedistRoute, RoutePlanner,
@@ -45,7 +45,12 @@ impl<'a> Redist<'a> {
 
     /// Takes schedules (and, when budgeted, planned routes) from `cache` —
     /// for persistent couplings that transfer many times between the same
-    /// pair of templates.
+    /// pair of templates. The cache also holds idle transfer buffers, one
+    /// pool per element type: every cached transfer leases its message
+    /// buffers from it and recycles what it drains into it, so a
+    /// steady-state loop runs on memory it already holds. What the pool
+    /// keeps between transfers follows [`crate::pooled_transfer`];
+    /// [`ScheduleCache::clear`] drops it with the schedules and routes.
     pub fn cache(mut self, cache: &'a ScheduleCache) -> Self {
         self.cache = Some(cache);
         self
@@ -94,6 +99,23 @@ impl<'a> Redist<'a> {
         }
     }
 
+    /// Runs `transfer` on this redistribution's buffer pool: the cache's,
+    /// under the pool retention rule, when cached; a per-call pool
+    /// otherwise (bounded by the route's idle allowance when routed).
+    fn pooled<T: Send + 'static>(
+        &self,
+        route: Option<&RedistRoute>,
+        transfer: impl FnOnce(&mut TransferBuffers<T>) -> Result<usize>,
+    ) -> Result<usize> {
+        match (self.cache, route) {
+            (Some(c), _) => c.with_pool(|pool| pooled_transfer(pool, route, transfer)),
+            (None, Some(r)) => {
+                transfer(&mut TransferBuffers::with_byte_cap(16, r.idle_allowance() as usize))
+            }
+            (None, None) => transfer(&mut TransferBuffers::new()),
+        }
+    }
+
     /// Sender side of a cross-program redistribution. Returns elements
     /// sent.
     pub fn send<T>(&self, ic: &InterComm, local: &LocalArray<T>, tag: i32) -> Result<usize>
@@ -102,13 +124,10 @@ impl<'a> Redist<'a> {
     {
         let route = self.route(size_of::<T>(), false);
         let sched = self.schedule(ic.local_rank(), Role::Sender);
-        match route {
-            Some(r) => {
-                let mut pool = TransferBuffers::with_byte_cap(16, r.idle_allowance() as usize);
-                execute_send_routed(&r, &sched, ic, local, tag, &mut pool)
-            }
-            None => sched.execute_send(ic, local, tag, &mut TransferBuffers::new()),
-        }
+        self.pooled(route.as_deref(), |pool| match route.as_deref() {
+            Some(r) => execute_send_routed(r, &sched, ic, local, tag, pool),
+            None => sched.execute_send(ic, local, tag, pool),
+        })
     }
 
     /// Receiver side of a cross-program redistribution; allocates the
@@ -120,13 +139,10 @@ impl<'a> Redist<'a> {
         let route = self.route(size_of::<T>(), false);
         let sched = self.schedule(ic.local_rank(), Role::Receiver);
         let mut local = LocalArray::allocate(self.dst, ic.local_rank());
-        match route {
-            Some(r) => {
-                let mut pool = TransferBuffers::with_byte_cap(16, r.idle_allowance() as usize);
-                execute_recv_routed(&r, &sched, ic, &mut local, tag, &mut pool)?
-            }
-            None => sched.execute_recv(ic, &mut local, tag, &mut TransferBuffers::new())?,
-        };
+        self.pooled(route.as_deref(), |pool| match route.as_deref() {
+            Some(r) => execute_recv_routed(r, &sched, ic, &mut local, tag, pool),
+            None => sched.execute_recv(ic, &mut local, tag, pool),
+        })?;
         Ok(local)
     }
 
@@ -150,21 +166,18 @@ impl<'a> Redist<'a> {
         let send = self.schedule(comm.rank(), Role::Sender);
         let recv = self.schedule(comm.rank(), Role::Receiver);
         let mut dst_local = LocalArray::allocate(self.dst, comm.rank());
-        match route {
-            Some(r) => {
-                let mut pool = TransferBuffers::with_byte_cap(16, r.idle_allowance() as usize);
-                execute_within_routed(
-                    &r,
-                    &send,
-                    &recv,
-                    comm,
-                    self.src,
-                    src_local,
-                    &mut dst_local,
-                    tag,
-                    &mut pool,
-                )?
-            }
+        self.pooled(route.as_deref(), |pool| match route.as_deref() {
+            Some(r) => execute_within_routed(
+                r,
+                &send,
+                &recv,
+                comm,
+                self.src,
+                src_local,
+                &mut dst_local,
+                tag,
+                pool,
+            ),
             None => RegionSchedule::execute_local(
                 &send,
                 &recv,
@@ -172,9 +185,9 @@ impl<'a> Redist<'a> {
                 src_local,
                 &mut dst_local,
                 tag,
-                &mut TransferBuffers::new(),
-            )?,
-        };
+                pool,
+            ),
+        })?;
         Ok(dst_local)
     }
 }
@@ -436,5 +449,172 @@ mod tests {
             let (_, fresh) = pool.stats();
             assert_eq!(fresh, send.num_messages() as u64, "pool warmed after step 1");
         });
+    }
+
+    /// 24 × 22 with block-cyclic columns (block 3) over 3 ranks: the three
+    /// receivers own 9, 7 and 6 columns, so one rank's pair buffers come in
+    /// three sizes.
+    fn cyclic_cols(e: &Extents) -> Dad {
+        use mxn_dad::{AxisDist, Template};
+        let axes = vec![AxisDist::Collapsed, AxisDist::BlockCyclic { block: 3, nprocs: 3 }];
+        Dad::regular(Template::new(e.clone(), axes).unwrap())
+    }
+
+    /// Block → block-cyclic and back over one cache per rank, six steps;
+    /// every step is checked, and after the first one no rank allocates a
+    /// transfer buffer.
+    fn cached_round_trips(budget: Option<u64>) {
+        Universe::run(&[2, 3], move |_, ctx| {
+            let e = Extents::new([24, 22]);
+            let (src, dst) = (Dad::block(e.clone(), &[2, 1]).unwrap(), cyclic_cols(&e));
+            let cache = ScheduleCache::new();
+            let mut fwd = Redist::between(&src, &dst).cache(&cache);
+            let mut rev = Redist::between(&dst, &src).cache(&cache);
+            if let Some(b) = budget {
+                (fwd, rev) = (fwd.budget(b), rev.budget(b));
+            }
+            let rank = ctx.comm.rank();
+            let value = |idx: &[usize], step: usize| (idx[0] * 22 + idx[1] + 1000 * step) as f64;
+            for step in 0..6 {
+                let before = mxn_runtime::schedule_stats().buffer_allocs;
+                let tag = 2 * step as i32;
+                if ctx.program == 0 {
+                    let local = LocalArray::from_fn(&src, rank, |idx| value(idx, step));
+                    fwd.send(ctx.intercomm(1), &local, tag).unwrap();
+                    let back: LocalArray<f64> = rev.recv(ctx.intercomm(1), tag + 1).unwrap();
+                    let expect = LocalArray::from_fn(&src, rank, |idx| value(idx, step) + 0.5);
+                    assert_eq!(back, expect, "reverse, step {step}");
+                } else {
+                    let got: LocalArray<f64> = fwd.recv(ctx.intercomm(0), tag).unwrap();
+                    assert_eq!(got, LocalArray::from_fn(&dst, rank, |idx| value(idx, step)));
+                    let back = LocalArray::from_fn(&dst, rank, |idx| value(idx, step) + 0.5);
+                    rev.send(ctx.intercomm(0), &back, tag + 1).unwrap();
+                }
+                let stats = mxn_runtime::schedule_stats();
+                if step > 0 {
+                    let fresh = stats.buffer_allocs - before;
+                    assert_eq!(fresh, 0, "program {} rank {rank} step {step}", ctx.program);
+                }
+                if let Some(b) = budget {
+                    assert!(stats.transfer_peak_bytes <= b, "peak {stats:?} at step {step}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn cached_redist_is_allocation_free_in_steady_state() {
+        cached_round_trips(None);
+    }
+
+    #[test]
+    fn cached_chunked_redist_is_allocation_free_within_its_budget() {
+        use crate::route::{RedistProfile, RouteKind};
+        let budget = 3000u64;
+        let e = Extents::new([24, 22]);
+        let (src, dst) = (Dad::block(e.clone(), &[2, 1]).unwrap(), cyclic_cols(&e));
+        for (a, b) in [(&src, &dst), (&dst, &src)] {
+            let p = RedistProfile::compute(a, b, size_of::<f64>());
+            let route = RoutePlanner::default().plan(&p, budget, false);
+            assert_eq!(route.kind, RouteKind::Chunked);
+            assert!(route.fits && route.rounds() > 1, "{route:?}");
+        }
+        cached_round_trips(Some(budget));
+    }
+
+    #[test]
+    fn cached_transpose_loop_is_allocation_free() {
+        World::run(3, |p| {
+            let comm = p.world();
+            let e = Extents::new([12, 11]);
+            let src = Dad::block(e.clone(), &[3, 1]).unwrap();
+            let dst = Dad::block(e, &[1, 3]).unwrap();
+            let cache = ScheduleCache::new();
+            let transpose = Redist::between(&src, &dst).cache(&cache);
+            for step in 0..6usize {
+                let before = mxn_runtime::schedule_stats().buffer_allocs;
+                let value = |idx: &[usize]| (idx[0] * 11 + idx[1] + 100 * step) as i64;
+                let src_local = LocalArray::from_fn(&src, comm.rank(), value);
+                let got = transpose.within(comm, &src_local, step as i32).unwrap();
+                assert_eq!(got, LocalArray::from_fn(&dst, comm.rank(), value), "step {step}");
+                let fresh = mxn_runtime::schedule_stats().buffer_allocs - before;
+                // Rank 2 owns 3 of the 11 columns, so it drains 12-element
+                // buffers but sends 16-element ones: its second step grows
+                // two of them, which then circulate.
+                if step > 1 {
+                    assert_eq!(fresh, 0, "rank {} step {step}", comm.rank());
+                }
+            }
+            assert_eq!(cache.stats(), (10, 2), "one build per role, then hits");
+        });
+    }
+
+    #[test]
+    fn a_receive_only_rank_parks_one_transfer() {
+        Universe::run(&[2, 1], |_, ctx| {
+            let e = Extents::new([16, 8]);
+            let src = Dad::block(e.clone(), &[2, 1]).unwrap();
+            let dst = Dad::block(e, &[1, 1]).unwrap();
+            let cache = ScheduleCache::new();
+            let redist = Redist::between(&src, &dst).cache(&cache);
+            for step in 0..20 {
+                if ctx.program == 0 {
+                    let local = LocalArray::from_fn(&src, ctx.comm.rank(), |idx| idx[0] + step);
+                    redist.send(ctx.intercomm(1), &local, step as i32).unwrap();
+                } else {
+                    let got: LocalArray<usize> =
+                        redist.recv(ctx.intercomm(0), step as i32).unwrap();
+                    assert_eq!(got, LocalArray::from_fn(&dst, 0, |idx| idx[0] + step));
+                }
+            }
+            let (idle, bytes) =
+                cache.with_pool(|p: &mut TransferBuffers<usize>| (p.idle(), p.idle_bytes()));
+            if ctx.program == 1 {
+                // 40 buffers drained, one receive set (two pair buffers) kept.
+                assert_eq!((idle, bytes), (2, 128 * size_of::<usize>()));
+            } else {
+                assert_eq!(idle, 0, "nothing comes back to a send-only rank");
+            }
+        });
+    }
+
+    #[test]
+    fn clear_drops_idle_transfer_buffers() {
+        World::run(2, |p| {
+            let comm = p.world();
+            let e = Extents::new([8, 8]);
+            let (src, dst) =
+                (Dad::block(e.clone(), &[2, 1]).unwrap(), Dad::block(e, &[1, 2]).unwrap());
+            let cache = ScheduleCache::new();
+            let local = LocalArray::from_fn(&src, comm.rank(), |idx| idx[1] as u32);
+            Redist::between(&src, &dst).cache(&cache).within(comm, &local, 0).unwrap();
+            let idle = |c: &ScheduleCache| c.with_pool(|p: &mut TransferBuffers<u32>| p.idle());
+            assert_eq!(idle(&cache), 2, "the received pair buffers stay warm");
+            cache.clear();
+            assert_eq!(idle(&cache), 0);
+            assert!(cache.is_empty());
+        });
+    }
+
+    #[test]
+    fn ranks_sharing_one_cache_contend_for_its_pool() {
+        let cache = ScheduleCache::new();
+        World::run(2, |p| {
+            let comm = p.world();
+            let e = Extents::new([10, 6]);
+            let (src, dst) =
+                (Dad::block(e.clone(), &[2, 1]).unwrap(), Dad::block(e, &[1, 2]).unwrap());
+            let transpose = Redist::between(&src, &dst).cache(&cache);
+            for step in 0..50usize {
+                let value = |idx: &[usize]| (idx[0] * 6 + idx[1] + step) as f64;
+                let local = LocalArray::from_fn(&src, comm.rank(), value);
+                let got = transpose.within(comm, &local, step as i32).unwrap();
+                assert_eq!(got, LocalArray::from_fn(&dst, comm.rank(), value), "step {step}");
+            }
+        });
+        // Each pool put back holds at most one rank's receive set.
+        let parked = cache.with_pool(|p: &mut TransferBuffers<f64>| p.idle_bytes());
+        assert!(parked <= 30 * size_of::<f64>(), "{parked} B parked");
+        assert_eq!(cache.len(), 4, "two ranks × two roles");
     }
 }
