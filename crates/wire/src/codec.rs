@@ -22,6 +22,8 @@ use std::fmt;
 
 use mxn_runtime::JoinOffer;
 
+use crate::frame::DESCRIPTOR_CODEC;
+
 /// Why a byte string failed to decode.
 ///
 /// Decoders must be total: any input produces `Ok` or one of these — a
@@ -348,8 +350,10 @@ impl CodecRegistry {
 
     /// Registers `T` under `tag`. Panics if either the tag or the type is
     /// already taken — tag collisions are configuration bugs, and failing
-    /// at registration is the only place they are locally detectable.
+    /// at registration is the only place they are locally detectable — or
+    /// if `tag` is [`DESCRIPTOR_CODEC`], which names lent bodies.
     pub fn register<T: WireCodec + Any + Send>(&mut self, tag: u32) {
+        assert_ne!(tag, DESCRIPTOR_CODEC, "payload tag {tag} is reserved for descriptors");
         let enc: EncodeFn = |any, out| match any.downcast_ref::<T>() {
             Some(v) => {
                 v.encode(out);
@@ -404,6 +408,12 @@ mod tests {
     fn roundtrip<T: WireCodec + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = encode_value(&v);
         assert_eq!(decode_value::<T>(&bytes).unwrap(), v);
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved for descriptors")]
+    fn the_descriptor_tag_is_never_handed_out() {
+        CodecRegistry::new().register::<u64>(DESCRIPTOR_CODEC);
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! stream at least as well as the IEEE polynomial, and x86_64 computes it
 //! in one instruction per eight bytes.
 //!
-//! Two paths compute the same function. On x86_64 with SSE4.2 (detected
+//! Three paths compute the same function. On x86_64 with SSE4.2 (detected
 //! at run time) [`crc32`] folds eight bytes per `crc32` instruction;
-//! everywhere else it runs a const-built slice-by-8 table. Both ends of a
-//! link run the same build, so the path taken never changes a check value.
+//! everywhere else it runs a const-built slice-by-8 table; long inputs on
+//! CPUs with 512-bit carry-less multiplies take the fold described below.
+//! The path taken never changes a check value, so the two ends of a link
+//! need not take the same one.
 //!
 //! The instruction has a latency of three cycles and a throughput of one,
 //! so one dependency chain runs at a third of the core's speed. Inputs of
@@ -23,6 +25,19 @@
 //! Adler's `crc32c.c`: [`LONG`] blocks while they fit, then [`SHORT`]
 //! blocks, then the one-chain loop). Shorter inputs take the one-chain loop
 //! only.
+//!
+//! Inputs of at least [`FOLD_MIN`] bytes take a third path on x86_64 CPUs
+//! with AVX-512F and VPCLMULQDQ (detected at run time): four 512-bit
+//! accumulators hold the first 256 bytes, and each later 256-byte block is
+//! folded in with carry-less multiplies. A 128-bit lane `[lo, hi]` moved
+//! 2048 bits further down the message is congruent, modulo the polynomial,
+//! to `lo·x^(2048+31)·x^33 ⊕ hi·x^(2048−33)·x^33`; the multiply by `x^33`
+//! is what a carry-less product of two reflected operands adds, so the two
+//! constants are `x^(2048+31)` and `x^(2048−33)` mod P, reflected
+//! (`FOLD_K_LO`, `FOLD_K_HI`, built at compile time like the shift
+//! tables). The 256 folded bytes, congruent to everything folded so far,
+//! and the tail then go through the `crc32` path above. Shorter inputs —
+//! every frame header and every small frame — never reach the fold.
 //!
 //! [`crc32_continue`] exposes the raw register, so a body that arrives in
 //! several buffers is checked as one CRC without joining them first.
@@ -155,6 +170,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// `crc32(a ++ b) == !crc32_continue(crc32_continue(!0, a), b)`.
 pub fn crc32_continue(reg: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= FOLD_MIN && fold_supported() {
+        // SAFETY: `fold_continue` requires AVX-512F, VPCLMULQDQ and SSE4.2,
+        // which `fold_supported` just checked the CPU has.
+        return unsafe { fold_continue(reg, bytes) };
+    }
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: `sse42_continue` requires only SSE4.2, which the CPU was
         // just checked to support.
@@ -215,6 +236,89 @@ fn sse42_one(reg: u32, bytes: &[u8]) -> u32 {
         crc = _mm_crc32_u8(crc, b);
     }
     crc
+}
+
+/// Shortest input [`crc32_continue`] folds: below it the three chains are
+/// as fast, and the fold's setup and 256-byte flush are not paid.
+pub const FOLD_MIN: usize = 1024;
+
+/// Bytes the fold's four 512-bit accumulators cover: one block.
+const FOLD_BLOCK: usize = 256;
+
+/// `x^e mod P` as a raw (reflected) register: `x^0` is the top bit, and
+/// each zero bit fed to the register multiplies by `x`.
+const fn x_pow_mod(e: u32) -> u32 {
+    let mut reg = 1 << 31;
+    let mut k = 0;
+    while k < e {
+        reg = if reg & 1 != 0 { (reg >> 1) ^ POLY } else { reg >> 1 };
+        k += 1;
+    }
+    reg
+}
+
+/// Fold constant for a lane's first (higher-degree) 64 bits: moving them
+/// `8 * FOLD_BLOCK` bits on multiplies by `x^(8 * FOLD_BLOCK + 64)`, of
+/// which the carry-less product supplies `x^33`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const FOLD_K_LO: u32 = x_pow_mod(8 * FOLD_BLOCK as u32 + 64 - 33);
+
+/// Fold constant for a lane's last 64 bits: `x^(8 * FOLD_BLOCK)` less the
+/// product's `x^33`.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+const FOLD_K_HI: u32 = x_pow_mod(8 * FOLD_BLOCK as u32 - 33);
+
+/// Whether this CPU runs [`fold_continue`].
+#[cfg(target_arch = "x86_64")]
+fn fold_supported() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("vpclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.2")
+}
+
+/// Fold path: `reg` enters the first four bytes, four 512-bit accumulators
+/// take the first [`FOLD_BLOCK`] bytes and fold every later whole block in,
+/// and the three-chain path finishes over the folded block and the tail.
+/// Inputs shorter than one block go to that path directly. Safe to call
+/// only on a CPU with AVX-512F, VPCLMULQDQ and SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,vpclmulqdq,sse4.2")]
+fn fold_continue(reg: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{
+        __m512i, _mm512_clmulepi64_epi128, _mm512_loadu_si512, _mm512_maskz_set1_epi32,
+        _mm512_set_epi64, _mm512_storeu_si512, _mm512_ternarylogic_epi64, _mm512_xor_si512,
+    };
+    if bytes.len() < FOLD_BLOCK {
+        return sse42_continue(reg, bytes);
+    }
+    let (k_lo, k_hi) = (i64::from(FOLD_K_LO), i64::from(FOLD_K_HI));
+    let k = _mm512_set_epi64(k_hi, k_lo, k_hi, k_lo, k_hi, k_lo, k_hi, k_lo);
+    let load = |block: &[u8], i: usize| {
+        let at = &block[64 * i..64 * (i + 1)];
+        // SAFETY: `at` is 64 readable bytes, and the load is unaligned.
+        unsafe { _mm512_loadu_si512(at.as_ptr().cast::<__m512i>()) }
+    };
+    let mut blocks = bytes.chunks_exact(FOLD_BLOCK);
+    let first = blocks.next().expect("at least one block");
+    // The register enters the message as its first 32 bits.
+    let reg_in = _mm512_maskz_set1_epi32(1, reg as i32);
+    let mut acc =
+        [_mm512_xor_si512(load(first, 0), reg_in), load(first, 1), load(first, 2), load(first, 3)];
+    for block in &mut blocks {
+        for (i, a) in acc.iter_mut().enumerate() {
+            let lo = _mm512_clmulepi64_epi128::<0x00>(*a, k);
+            let hi = _mm512_clmulepi64_epi128::<0x11>(*a, k);
+            // Three-way XOR.
+            *a = _mm512_ternarylogic_epi64::<0x96>(lo, hi, load(block, i));
+        }
+    }
+    let mut folded = [0u8; FOLD_BLOCK];
+    for (i, a) in acc.iter().enumerate() {
+        // SAFETY: the store writes 64 bytes at offset `64 * i` of a
+        // 256-byte array, `i < 4`; the store is unaligned.
+        unsafe { _mm512_storeu_si512(folded.as_mut_ptr().add(64 * i).cast::<__m512i>(), *a) };
+    }
+    sse42_continue(sse42_continue(0, &folded), blocks.remainder())
 }
 
 /// Table path (slice-by-8), `crc32` with the standard parameters.
@@ -350,6 +454,117 @@ mod tests {
                 assert_eq!(!reg, whole, "table path cut at {a}");
             }
         }
+    }
+
+    /// The byte-at-a-time loop on a raw register.
+    fn bytewise_continue(mut reg: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            reg = (reg >> 8) ^ TABLES[0][((reg ^ b as u32) & 0xff) as usize];
+        }
+        reg
+    }
+
+    /// `n` bytes of a fixed pseudo-random stream.
+    fn noise(n: usize) -> Vec<u8> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    /// Lengths on both sides of the fold's block and threshold boundaries,
+    /// and one long input with a ragged tail.
+    fn fold_lengths() -> Vec<usize> {
+        let mut lens = Vec::new();
+        for base in [FOLD_BLOCK, 2 * FOLD_BLOCK, 3 * FOLD_BLOCK, FOLD_MIN, 5 * FOLD_BLOCK, 8192] {
+            lens.extend(base - 9..=base + 9);
+        }
+        lens.extend([FOLD_MIN + FOLD_BLOCK - 1, 3 * LONG + 3 * SHORT + 5, (1 << 20) + 13]);
+        lens
+    }
+
+    const REGISTERS: [u32; 5] = [!0, 0, 1, 0x8000_0000, 0x1234_5678];
+
+    #[test]
+    fn fold_matches_the_bytewise_oracle() {
+        #[cfg(target_arch = "x86_64")]
+        if fold_supported() {
+            let buf = noise((1 << 20) + 13 + 8);
+            for start in [0, 1, 3, 7] {
+                for len in fold_lengths() {
+                    let s = &buf[start..start + len];
+                    for reg in REGISTERS {
+                        // SAFETY: `fold_supported` checked the CPU features.
+                        let got = unsafe { fold_continue(reg, s) };
+                        let want = bytewise_continue(reg, s);
+                        assert_eq!(got, want, "start {start} len {len} reg {reg:#x}");
+                    }
+                }
+            }
+            return;
+        }
+        println!("skipped: this CPU lacks AVX-512F or VPCLMULQDQ");
+    }
+
+    #[test]
+    fn three_chains_match_the_bytewise_oracle_at_fold_lengths() {
+        // The dispatcher folds these lengths where it can, so the chain path
+        // is called directly to keep it checked on such hosts too.
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            let buf = noise((1 << 20) + 13 + 8);
+            for start in [0, 5] {
+                for len in fold_lengths() {
+                    let s = &buf[start..start + len];
+                    for reg in REGISTERS {
+                        // SAFETY: the CPU was just checked to have SSE4.2.
+                        let got = unsafe { sse42_continue(reg, s) };
+                        assert_eq!(got, bytewise_continue(reg, s), "len {len} reg {reg:#x}");
+                    }
+                }
+            }
+            return;
+        }
+        println!("skipped: this CPU lacks SSE4.2");
+    }
+
+    #[test]
+    fn continue_is_split_invariant_across_the_fold() {
+        // Pieces that fold beside pieces that do not: every cut pair around
+        // the threshold and the block size, plus cuts drawn at random.
+        let buf = noise(6 * FOLD_MIN + 77);
+        let whole = crc32_bytewise(&buf);
+        let mut cuts = vec![0, 1, FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_MIN - 1, FOLD_MIN, FOLD_MIN + 1];
+        cuts.extend([2 * FOLD_MIN + 3, buf.len() - FOLD_MIN, buf.len() - 1, buf.len()]);
+        let mut x = 7u64;
+        cuts.extend((0..12).map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize % buf.len()
+        }));
+        for &a in &cuts {
+            for &b in cuts.iter().filter(|&&b| b >= a) {
+                let reg = crc32_continue(!0, &buf[..a]);
+                let reg = crc32_continue(reg, &buf[a..b]);
+                assert_eq!(!crc32_continue(reg, &buf[b..]), whole, "cuts at {a} and {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_constants_are_powers_of_x() {
+        // Feeding zeros multiplies the register by x: eight per byte.
+        for e in [0u32, 1, 31, 32, 33, 100] {
+            assert_eq!(x_pow_mod(e + 8), bytewise_continue(x_pow_mod(e), &[0]), "x^{e}");
+        }
+        let start = x_pow_mod(0);
+        assert_eq!(FOLD_K_LO, bytewise_continue(x_pow_mod(7), &[0; 259]), "x^(2048+31)");
+        assert_eq!(FOLD_K_HI, bytewise_continue(x_pow_mod(7), &[0; 251]), "x^(2048-33)");
+        assert_eq!(x_pow_mod(8 * 4), bytewise_continue(start, &[0; 4]));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! ```text
 //! offset  size  field
 //! 0       4     MAGIC  b"MxN1"
-//! 4       1     kind   (Data | Heartbeat | Hello | Bye)
+//! 4       1     kind   (Data | Heartbeat | Hello | Bye | ProgressFence |
+//!                      PullOffer | PullAccept)
 //! 5       3     reserved (zero)
 //! 8       4     src    sender's global rank
 //! 12      4     context
@@ -20,7 +21,8 @@
 //! ```
 //!
 //! Both checks are [`crc32`]: CRC-32C, on the SSE4.2 instruction where
-//! the CPU has it and a slice-by-8 table elsewhere.
+//! the CPU has it and a slice-by-8 table elsewhere, and long bodies folded
+//! with 512-bit carry-less multiplies where the CPU has those.
 //!
 //! Two CRCs, not one: the header CRC lets the reader trust `payload_len`
 //! before committing to read that many bytes (a corrupt length would
@@ -53,6 +55,16 @@
 //! [`Arrival::Values`]. A vector whose frame fails its check goes back to
 //! the list. The bytes on the wire are the codec's either way; big-endian
 //! hosts always take the codec path.
+//!
+//! A `Vec<f64>` body may also stay in the sender's memory: a *descriptor*
+//! is a Data frame under [`DESCRIPTOR_CODEC`] whose payload names the
+//! values' count and address and the body's CRC (`descriptor_frame`).
+//! [`Descriptor::parse`] bounds the count by [`MAX_PAYLOAD`] before any
+//! allocation, and [`Descriptor::pull`] copies the body out of the sender
+//! process with `process_vm_readv` into a vector of exactly that count and
+//! checks it as a landed body is checked. Which streams carry descriptors
+//! is decided by a probe, [`FrameKind::PullOffer`] answered by
+//! [`FrameKind::PullAccept`] (see [`crate::link`] and [`crate::node`]).
 
 use std::io::{self, IoSliceMut, Read};
 use std::sync::Arc;
@@ -80,6 +92,19 @@ pub const BODY_IN_PLACE: usize = 64 * 1024;
 /// Whether `Vec<f64>` bodies move between vectors and the socket as they
 /// are: their wire encoding is little-endian.
 pub(crate) const VALUES_IN_PLACE: bool = cfg!(target_endian = "little");
+
+/// Codec tag of a descriptor: a Data frame whose `Vec<f64>` body stays in
+/// the sender's memory for the receiver to pull. Its payload is the value
+/// count (`u32`), the address of the values (`u64`) and the CRC-32C of the
+/// body as the codec encodes it (`u32`), all little-endian. The
+/// [`crate::codec::CodecRegistry`] refuses to register it.
+pub const DESCRIPTOR_CODEC: u32 = u32::MAX;
+
+/// Payload bytes of a descriptor.
+const DESCRIPTOR_PAYLOAD: usize = 16;
+
+/// A descriptor frame's length on the wire.
+pub(crate) const DESCRIPTOR_LEN: usize = HEADER_LEN + DESCRIPTOR_PAYLOAD + 4;
 
 /// Vectors a [`SpareValues`] list keeps at most.
 pub const SPARE_VALUES: usize = 8;
@@ -112,6 +137,15 @@ pub enum FrameKind {
     /// periodic fences number from 1, and an ack only reports delivery —
     /// it is never read as a NACK or as grounds to readmit a peer.
     ProgressFence = 5,
+    /// Lent-body probe. Payload is `(address, cookie)`: where this process
+    /// keeps its per-session cookie, and the cookie. A receiver that reads
+    /// the cookie at that address in the memory of the process the kernel
+    /// names as the socket's peer answers with [`FrameKind::PullAccept`].
+    PullOffer = 6,
+    /// Answer to a [`FrameKind::PullOffer`] on the same stream: the
+    /// receiver pulls `Vec<f64>` bodies, so the sender may write them on
+    /// this stream as descriptors ([`DESCRIPTOR_CODEC`]). Payload-free.
+    PullAccept = 7,
 }
 
 impl FrameKind {
@@ -122,6 +156,8 @@ impl FrameKind {
             3 => Some(FrameKind::Hello),
             4 => Some(FrameKind::Bye),
             5 => Some(FrameKind::ProgressFence),
+            6 => Some(FrameKind::PullOffer),
+            7 => Some(FrameKind::PullAccept),
             _ => None,
         }
     }
@@ -233,6 +269,197 @@ pub(crate) fn values_head(
     (head, (!reg).to_le_bytes())
 }
 
+/// The routing fields of the frame header `h` starts with.
+fn route_of(h: &[u8]) -> CorruptHeader {
+    CorruptHeader {
+        src: read_u32(&h[8..12]),
+        context: read_u32(&h[12..16]),
+        tag: read_u32(&h[16..20]) as i32,
+        seq: read_u64(&h[20..28]),
+    }
+}
+
+/// The descriptor frame standing for the `Vec<f64>` frame whose parts
+/// `values_head` built (`head`, `crc`) around `values`: same route, codec
+/// [`DESCRIPTOR_CODEC`], and the count, the address of `values` and the
+/// body CRC as payload.
+pub(crate) fn descriptor_frame(
+    head: &[u8; HEADER_LEN + 4],
+    values: &[f64],
+    crc: [u8; 4],
+) -> [u8; DESCRIPTOR_LEN] {
+    let mut out = [0u8; DESCRIPTOR_LEN];
+    let route = route_of(head);
+    out[..HEADER_LEN].copy_from_slice(&header_bytes(
+        FrameKind::Data,
+        route,
+        DESCRIPTOR_CODEC,
+        DESCRIPTOR_PAYLOAD,
+    ));
+    let payload = &mut out[HEADER_LEN..HEADER_LEN + DESCRIPTOR_PAYLOAD];
+    payload[..4].copy_from_slice(&head[HEADER_LEN..]);
+    payload[4..12].copy_from_slice(&(values.as_ptr() as u64).to_le_bytes());
+    payload[12..].copy_from_slice(&crc);
+    let pcrc = crc32(payload);
+    out[HEADER_LEN + DESCRIPTOR_PAYLOAD..].copy_from_slice(&pcrc.to_le_bytes());
+    out
+}
+
+/// An intact descriptor: where the sender keeps a `Vec<f64>` body, how
+/// many values it holds, and the CRC the body must have. Every field is
+/// hostile until the pulled body matches that CRC.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Descriptor {
+    route: CorruptHeader,
+    count: usize,
+    addr: u64,
+    crc: u32,
+    /// The descriptor frame's length on the wire.
+    frame_len: usize,
+}
+
+/// Why a descriptor's body did not arrive.
+#[derive(Debug)]
+pub enum PullError {
+    /// The body was read but fails its CRC: reported like a damaged
+    /// streamed body.
+    Corrupt(FrameError),
+    /// The sender's memory could not be read (`EFAULT`, `ESRCH`, `EPERM`):
+    /// nothing is delivered, and the stream must be dropped so that the
+    /// reconnect probes again and the resume replays the frame.
+    Failed(io::Error),
+}
+
+impl Descriptor {
+    /// Reads the descriptor an intact Data frame under [`DESCRIPTOR_CODEC`]
+    /// carries. A payload of the wrong length, or a count whose body would
+    /// pass [`MAX_PAYLOAD`], is `Corrupt` with the frame's route; nothing
+    /// is allocated.
+    pub fn parse(frame: &Frame) -> Result<Descriptor, FrameError> {
+        let route = CorruptHeader {
+            src: frame.src,
+            context: frame.context,
+            tag: frame.tag,
+            seq: frame.seq,
+        };
+        let frame_len = HEADER_LEN + frame.payload.len() + 4;
+        let corrupt =
+            |reason| FrameError::Corrupt { skipped: frame_len, header: Some(route), reason };
+        let p = &frame.payload;
+        if frame.kind != FrameKind::Data || frame.codec != DESCRIPTOR_CODEC {
+            return Err(corrupt("not a descriptor"));
+        }
+        if p.len() != DESCRIPTOR_PAYLOAD {
+            return Err(corrupt("descriptor of the wrong length"));
+        }
+        let count = read_u32(&p[..4]) as usize;
+        if count > (MAX_PAYLOAD - 4) / 8 {
+            return Err(corrupt("descriptor count past MAX_PAYLOAD"));
+        }
+        Ok(Descriptor {
+            route,
+            count,
+            addr: read_u64(&p[4..12]),
+            crc: read_u32(&p[12..]),
+            frame_len,
+        })
+    }
+
+    /// Values the body holds.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// The body's length as the codec encodes it: what a streamed frame
+    /// would carry as payload.
+    pub fn body_len(&self) -> usize {
+        4 + 8 * self.count
+    }
+
+    /// Reads the body out of process `pid` into a vector from `spares` (or
+    /// a fresh one) of exactly [`Descriptor::count`] values, and checks it
+    /// against the descriptor's CRC over count and values. On any error
+    /// the vector goes back to `spares`.
+    pub fn pull(&self, pid: i32, spares: &SpareValues) -> Result<Vec<f64>, PullError> {
+        let mut values = spares.take(self.count).unwrap_or_else(|| Vec::with_capacity(self.count));
+        values.resize(self.count, 0.0);
+        if let Err(e) = read_remote(pid, self.addr, values_bytes_mut(&mut values)) {
+            spares.give(values);
+            return Err(PullError::Failed(e));
+        }
+        let count = (self.count as u32).to_le_bytes();
+        let reg = crc32_continue(crc32_continue(!0, &count), values_bytes(&values));
+        if !reg != self.crc {
+            spares.give(values);
+            return Err(PullError::Corrupt(self.refused("damaged pulled body")));
+        }
+        Ok(values)
+    }
+
+    /// The routable corruption report refusing this descriptor.
+    pub(crate) fn refused(&self, reason: &'static str) -> FrameError {
+        FrameError::Corrupt { skipped: self.frame_len, header: Some(self.route), reason }
+    }
+}
+
+/// `struct iovec`.
+#[cfg(target_os = "linux")]
+#[repr(C)]
+struct IoVec {
+    base: *mut u8,
+    len: usize,
+}
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    fn process_vm_readv(
+        pid: i32,
+        local: *const IoVec,
+        local_count: usize,
+        remote: *const IoVec,
+        remote_count: usize,
+        flags: usize,
+    ) -> isize;
+}
+
+/// Copies `out.len()` bytes at `addr` in process `pid`'s memory into
+/// `out`, looping on partial reads. The kernel checks that this process
+/// may read `pid`'s memory and that every remote byte is mapped; `addr` is
+/// never dereferenced here. Elsewhere than on Linux it always fails.
+pub(crate) fn read_remote(pid: i32, addr: u64, out: &mut [u8]) -> io::Result<()> {
+    #[cfg(target_os = "linux")]
+    {
+        let mut done = 0;
+        while done < out.len() {
+            let at = addr.checked_add(done as u64).and_then(|at| usize::try_from(at).ok());
+            let at = at.ok_or(io::ErrorKind::InvalidInput)?;
+            let local = IoVec { base: out[done..].as_mut_ptr(), len: out.len() - done };
+            let remote = IoVec { base: at as *mut u8, len: out.len() - done };
+            // SAFETY: the one local iovec covers the unread tail of `out`,
+            // which this call borrows mutably, so the kernel writes only
+            // memory we own. The remote iovec is only an address the kernel
+            // checks against `pid`'s mappings; it is never dereferenced here.
+            let n = unsafe { process_vm_readv(pid, &local, 1, &remote, 1, 0) };
+            match n {
+                0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                n if n > 0 => done += n as usize,
+                _ => {
+                    let e = io::Error::last_os_error();
+                    if e.kind() != io::ErrorKind::Interrupted {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (pid, addr, out);
+        Err(io::ErrorKind::Unsupported.into())
+    }
+}
+
 /// The memory of `values` as bytes: their wire encoding on a
 /// little-endian host.
 pub(crate) fn values_bytes(values: &[f64]) -> &[u8] {
@@ -277,10 +504,12 @@ impl SpareValues {
         }
     }
 
-    /// A kept vector that holds `len` values without growing, if any.
+    /// The smallest kept vector that holds `len` values without growing,
+    /// if any: a large spare stays for the next large body.
     pub fn take(&self, len: usize) -> Option<Vec<f64>> {
         let mut list = self.list.lock();
-        let i = list.iter().position(|v| v.capacity() >= len)?;
+        let fits = list.iter().enumerate().filter(|(_, v)| v.capacity() >= len);
+        let (i, _) = fits.min_by_key(|(_, v)| v.capacity())?;
         Some(list.swap_remove(i))
     }
 
@@ -324,12 +553,7 @@ impl Header {
         }
         Some(Header {
             kind: FrameKind::from_u8(b[4])?,
-            route: CorruptHeader {
-                src: read_u32(&b[8..12]),
-                context: read_u32(&b[12..16]),
-                tag: read_u32(&b[16..20]) as i32,
-                seq: read_u64(&b[20..28]),
-            },
+            route: route_of(b),
             codec: read_u32(&b[28..32]),
             payload_len,
         })
@@ -844,6 +1068,23 @@ mod tests {
         assert_eq!(r.next(), None, "incomplete frame waits for more bytes");
         r.feed(&bytes[bytes.len() - 3..]);
         assert_eq!(r.next(), Some(Ok(f)));
+    }
+
+    #[test]
+    fn spares_are_taken_best_fit() {
+        let spares = SpareValues::new();
+        let kb = |n: usize| n * 1024 / 8;
+        for len in [kb(4096), kb(64), kb(1024), kb(256)] {
+            spares.give(Vec::with_capacity(len));
+        }
+        let caps = |v: Option<Vec<f64>>| v.map(|v| v.capacity() / kb(1));
+        // Each body takes the smallest spare that holds it, so the 4 MiB
+        // one is still there for the 4 MiB body at the end.
+        assert_eq!(caps(spares.take(kb(64))), Some(64));
+        assert_eq!(caps(spares.take(kb(65))), Some(256));
+        assert_eq!(caps(spares.take(kb(200))), Some(1024));
+        assert_eq!(caps(spares.take(kb(4096))), Some(4096));
+        assert!(spares.take(1).is_none(), "every spare was taken");
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //!
 //! * [`crc`] — CRC-32C (the Castagnoli polynomial): the SSE4.2 `crc32`
 //!   instruction where the CPU has it — three interleaved chains on long
-//!   inputs — and a const-built slice-by-8 table everywhere else.
+//!   inputs, and a 512-bit carry-less-multiply fold on inputs of 1 KiB or
+//!   more where AVX-512 VPCLMULQDQ exists — and a const-built slice-by-8
+//!   table everywhere else.
 //! * [`codec`] — [`codec::WireCodec`], byte serialization for payloads
 //!   that cross a process boundary, plus the [`codec::CodecRegistry`]
 //!   mapping `TypeId` ⇄ wire tag. `Payload::Shared` deliberately has no
@@ -21,14 +23,16 @@
 //!   (own CRC), resync-on-damage, never trusts a length the header CRC
 //!   has not vouched for. Payloads are encoded in place after the header,
 //!   and large bodies are read from the socket straight into a reused
-//!   buffer — a large `Vec<f64>` body straight into a reused vector.
+//!   buffer — a large `Vec<f64>` body straight into a reused vector — or
+//!   pulled out of the sender's memory when a descriptor stands for it.
 //! * [`fault`] — seeded frame-level fault injection (drop / bit-flip /
 //!   delay) driven by the same `MXN_FAULT_SEED` × `MXN_FAULT_KIND`
 //!   environment as the in-proc fault matrix.
 //! * [`link`] — per-peer sequencing and the resend ring behind session
 //!   resume, trimmed to the peer's acks and fences and capped in frames
 //!   and bytes; control frames ride outside the sequence space. A large
-//!   `Vec<f64>` is retained and written as itself, never encoded.
+//!   `Vec<f64>` is retained and written as itself, never encoded — or lent
+//!   as a descriptor on a stream whose receiver pulls.
 //! * [`peer`] — [`peer::Link`]: one peer link's protocol (seqs, acks and
 //!   fences, NACKs, resume, liveness, quarantine) as an I/O-free machine,
 //!   and [`peer::Peer`], the machine beside its `LinkSender` under the rule
@@ -68,8 +72,8 @@ pub use codec::{decode_value, encode_value, CodecError, CodecRegistry, WireCodec
 pub use crc::{crc32, crc32_continue};
 pub use fault::{WireFaults, WireVerdict};
 pub use frame::{
-    Arrival, Frame, FrameError, FrameKind, FrameReader, SpareValues, BODY_IN_PLACE, HEADER_LEN,
-    MAX_PAYLOAD, SPARE_BYTES, SPARE_VALUES,
+    Arrival, Descriptor, Frame, FrameError, FrameKind, FrameReader, PullError, SpareValues,
+    BODY_IN_PLACE, DESCRIPTOR_CODEC, HEADER_LEN, MAX_PAYLOAD, SPARE_BYTES, SPARE_VALUES,
 };
 pub use link::{LinkSender, RING_BYTES, RING_FRAMES};
 pub use mux::{

@@ -31,6 +31,22 @@
 //! vectors for incoming bodies to land in. Every retained frame — bytes or
 //! vector — is written by one `write_vectored` loop; a bit-flip fault
 //! verdict damages a contiguous copy.
+//!
+//! On a stream whose receiver pulls ([`LinkSender::lend`], after it read
+//! the cookie [`LinkSender::send_offer`] announced), a retained vector is
+//! *lent* instead: the write is a descriptor frame naming the vector's
+//! address, and the receiver copies the body out of this process's memory.
+//! That holds for the first write and for every replay; the ring entry is
+//! the same either way. A lent vector is read after the write, so it must
+//! not be reused before the peer's watermark covers its frame, which is
+//! after the pull: trimming to the watermark frees it, but the caps may
+//! not. A lent vector the caps evict leaves the ring (it can no longer be
+//! replayed) but stays held until the watermark covers it, and lent
+//! vectors total at most [`RING_BYTES`]: past that, bodies are written
+//! whole again, and a receiver that stopped reading blocks the socket as
+//! before. So a link retains at most its ring — [`RING_FRAMES`] frames,
+//! [`RING_BYTES`] bytes, the newest frame always kept — plus at most
+//! [`RING_BYTES`] of evicted lent vectors: `2 × RING_BYTES`.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Write};
@@ -41,8 +57,8 @@ use std::sync::Arc;
 use crate::codec::{encode_value, WireCodec};
 use crate::fault::{WireFaults, WireVerdict};
 use crate::frame::{
-    values_bytes, values_head, write_frame, CorruptHeader, Frame, FrameKind, SpareValues,
-    BODY_IN_PLACE, HEADER_LEN, VALUES_IN_PLACE,
+    descriptor_frame, values_bytes, values_head, write_frame, CorruptHeader, Frame, FrameKind,
+    SpareValues, BODY_IN_PLACE, HEADER_LEN, VALUES_IN_PLACE,
 };
 
 /// The byte stream a [`LinkSender`] writes to: a Unix socket, or any other
@@ -114,6 +130,17 @@ pub struct LinkSender {
     free: Vec<Vec<u8>>,
     /// Where vectors of frames that left the ring go.
     spares: Arc<SpareValues>,
+    /// Where this process keeps its cookie, and the cookie, for
+    /// [`LinkSender::send_offer`]; `None` offers nothing.
+    offer: Option<(u64, u64)>,
+    /// The current stream's receiver pulls: retained vectors are lent.
+    lends: bool,
+    /// Seqs of frames whose vector was lent and the watermark has not yet
+    /// covered, with the vector's bytes.
+    lent: Vec<(u64, usize)>,
+    /// Lent frames the caps evicted from the ring, held until the
+    /// watermark covers them.
+    held: Vec<(u64, Arc<Retained>)>,
     /// Monotone send-attempt counter keying fault draws; retransmissions
     /// advance it so a retried frame gets a fresh fate.
     attempts: u64,
@@ -135,6 +162,10 @@ impl LinkSender {
             ring_bytes: 0,
             free: Vec::new(),
             spares: Arc::default(),
+            offer: None,
+            lends: false,
+            lent: Vec::new(),
+            held: Vec::new(),
             attempts: 0,
             faults,
             armed: true,
@@ -148,15 +179,48 @@ impl LinkSender {
         self
     }
 
-    /// Attaches a fresh stream (connect or accept). Send state survives.
+    /// Announces the cookie `cookie`, kept at address `at` in this process,
+    /// in every [`LinkSender::send_offer`].
+    pub fn offering(mut self, at: u64, cookie: u64) -> Self {
+        self.offer = Some((at, cookie));
+        self
+    }
+
+    /// Attaches a fresh stream (connect or accept). Send state survives;
+    /// bodies are written whole until the new stream's receiver pulls.
     pub fn attach(&mut self, stream: impl Conn + 'static) {
         self.stream = Some(Box::new(stream));
+        self.lends = false;
     }
 
     /// Detaches the socket after an I/O failure; the ring keeps the
     /// unacknowledged tail for the next resume.
     pub fn detach(&mut self) {
         self.stream = None;
+        self.lends = false;
+    }
+
+    /// Lends retained vectors on the current stream from now on: its
+    /// receiver accepted our offer.
+    pub fn lend(&mut self) {
+        self.lends = self.stream.is_some();
+    }
+
+    /// Whether retained vectors are lent on the current stream.
+    pub fn lends(&self) -> bool {
+        self.lends
+    }
+
+    /// Bytes of lent vectors the watermark has not covered yet, in the ring
+    /// or held past it.
+    pub fn lent_bytes(&self) -> usize {
+        self.lent.iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// Bytes of lent vectors the caps evicted and the watermark has not
+    /// covered yet.
+    pub fn held_bytes(&self) -> usize {
+        self.held.iter().map(|(_, frame)| frame.len()).sum()
     }
 
     /// Whether a socket is currently attached.
@@ -167,6 +231,7 @@ impl LinkSender {
     /// Shuts down the attached stream (both directions), unblocking the
     /// peer's reader, and detaches.
     pub fn shutdown(&mut self) {
+        self.lends = false;
         if let Some(mut s) = self.stream.take() {
             s.close();
         }
@@ -256,44 +321,74 @@ impl LinkSender {
         self.ring.push_back((seq, Arc::clone(&frame)));
         while self.ring.len() > 1 && (self.ring.len() > RING_FRAMES || self.ring_bytes > RING_BYTES)
         {
-            self.pop_oldest();
+            // A lent vector may not be read yet: it is held, not reused.
+            let Some((seq, frame)) = self.pop_oldest() else { break };
+            if self.lent.iter().any(|&(s, _)| s == seq) {
+                self.held.push((seq, frame));
+            } else {
+                self.recycle(frame);
+            }
         }
-        self.write_through_faults(&frame).map(|()| seq)
+        self.write_retained(seq, &frame).map(|()| seq)
     }
 
     /// Replays every retained data frame with `seq > last_recv` (session
     /// resume). Replays go through the fault plane with fresh draws.
     pub fn resend_since(&mut self, last_recv: u64) -> io::Result<usize> {
-        let pending: Vec<Arc<Retained>> = self
+        let pending: Vec<(u64, Arc<Retained>)> = self
             .ring
             .iter()
             .filter(|(seq, _)| *seq > last_recv)
-            .map(|(_, frame)| Arc::clone(frame))
+            .map(|(seq, frame)| (*seq, Arc::clone(frame)))
             .collect();
-        for frame in &pending {
-            self.write_through_faults(frame)?;
+        for (seq, frame) in &pending {
+            self.write_retained(*seq, frame)?;
         }
         Ok(pending.len())
     }
 
     /// Forgets every retained frame with `seq <= watermark`: the peer's
     /// ack or progress fence proves it delivered them, so no resume or
-    /// repair can ask for them again.
+    /// repair can ask for them again, and no pull can read a lent vector
+    /// of theirs any more.
     pub fn trim_through(&mut self, watermark: u64) {
+        self.lent.retain(|&(seq, _)| seq > watermark);
+        // Held frames are older than any in the ring: oldest first.
+        let (covered, held): (Vec<_>, _) =
+            std::mem::take(&mut self.held).into_iter().partition(|(seq, _)| *seq <= watermark);
+        self.held = held;
+        for (_, frame) in covered {
+            self.recycle(frame);
+        }
         while self.ring.front().is_some_and(|(seq, _)| *seq <= watermark) {
-            self.pop_oldest();
+            let Some((_, frame)) = self.pop_oldest() else { break };
+            self.recycle(frame);
         }
     }
 
-    /// Drops the oldest retained frame, keeping its buffer — or its vector,
-    /// on the spare list — for reuse when no write still shares it.
-    fn pop_oldest(&mut self) {
-        let Some((_, frame)) = self.ring.pop_front() else { return };
+    /// Takes the oldest retained frame out of the ring.
+    fn pop_oldest(&mut self) -> Option<(u64, Arc<Retained>)> {
+        let (seq, frame) = self.ring.pop_front()?;
         self.ring_bytes -= frame.len();
+        Some((seq, frame))
+    }
+
+    /// Keeps the buffer of a frame no pull can read any more — or its
+    /// vector, on the spare list — for reuse when no write still shares it.
+    fn recycle(&mut self, frame: Arc<Retained>) {
         match Arc::try_unwrap(frame) {
             Ok(Retained::Encoded(buf)) if self.free.len() < FREE_BUFFERS => self.free.push(buf),
             Ok(Retained::Values { values, .. }) => self.spares.give(values),
             _ => {}
+        }
+    }
+
+    /// Announces where the peer's reader may find this process's cookie
+    /// ([`FrameKind::PullOffer`]), if this sender has one to offer.
+    pub fn send_offer(&mut self) -> io::Result<()> {
+        match self.offer {
+            Some((at, cookie)) => self.send_pair(FrameKind::PullOffer, at, cookie),
+            None => Ok(()),
         }
     }
 
@@ -316,10 +411,15 @@ impl LinkSender {
     /// monotone. Used when the rank behind this link is replaced by a fresh
     /// process (spare-process join): the new peer starts a new session with
     /// `last_recv_seq == 0`, and replaying the old occupant's frames at it
-    /// would deliver another rank's traffic.
+    /// would deliver another rank's traffic. Nor can the old occupant pull
+    /// a lent vector any more, so those are reused too.
     pub fn clear_ring(&mut self) {
-        while !self.ring.is_empty() {
-            self.pop_oldest();
+        while let Some((_, frame)) = self.pop_oldest() {
+            self.recycle(frame);
+        }
+        self.lent.clear();
+        for (_, frame) in std::mem::take(&mut self.held) {
+            self.recycle(frame);
         }
     }
 
@@ -348,24 +448,54 @@ impl LinkSender {
         Ok(())
     }
 
-    fn write_through_faults(&mut self, frame: &Retained) -> io::Result<()> {
+    /// Writes retained frame `seq`: a descriptor lending its vector when
+    /// the stream's receiver pulls and the lent bytes stay within
+    /// [`RING_BYTES`], else the frame itself.
+    fn write_retained(&mut self, seq: u64, frame: &Retained) -> io::Result<()> {
+        if let Retained::Values { head, values, crc } = frame {
+            if self.lends_vector(seq, 8 * values.len()) {
+                let descriptor = descriptor_frame(head, values, *crc);
+                return self.write_through_faults([&descriptor, &[], &[]]);
+            }
+        }
+        self.write_through_faults(frame.parts())
+    }
+
+    /// Whether frame `seq`'s vector of `bytes` may be lent on this stream,
+    /// recording it as lent if so.
+    fn lends_vector(&mut self, seq: u64, bytes: usize) -> bool {
+        if !self.lends {
+            return false;
+        }
+        if self.lent.iter().any(|&(s, _)| s == seq) {
+            return true;
+        }
+        if self.lent_bytes() + bytes > RING_BYTES {
+            return false;
+        }
+        self.lent.push((seq, bytes));
+        true
+    }
+
+    fn write_through_faults(&mut self, parts: [&[u8]; 3]) -> io::Result<()> {
         if self.armed {
             let attempt = self.attempts;
             self.attempts += 1;
-            match self.faults.judge(self.src, self.dst, attempt, frame.len()) {
+            let len = parts.iter().map(|p| p.len()).sum();
+            match self.faults.judge(self.src, self.dst, attempt, len) {
                 WireVerdict::Deliver => {}
                 WireVerdict::Drop => return Ok(()), // "lost in flight"
                 WireVerdict::FlipBit(bit) => {
                     // Damage a copy: the ring's frame must stay clean for
                     // the resend that repairs this one.
-                    let mut damaged = frame.parts().concat();
+                    let mut damaged = parts.concat();
                     damaged[bit / 8] ^= 1 << (bit % 8);
                     return self.write_clean(&damaged);
                 }
                 WireVerdict::Delay(d) => std::thread::sleep(d),
             }
         }
-        self.write_parts(frame.parts())
+        self.write_parts(parts)
     }
 }
 
@@ -648,6 +778,78 @@ mod tests {
             "a shared frame was overwritten"
         );
         assert_eq!(encoded(&in_flight)[HEADER_LEN], 1, "the in-flight frame is intact");
+    }
+
+    #[test]
+    fn lent_vectors_stay_within_the_bound_and_out_of_the_spares_until_covered() {
+        use std::collections::HashSet;
+        let (tx, _rx) = pair();
+        // A stalled receiver: every write is dropped, so the unread socket
+        // never blocks the test, and no watermark ever arrives.
+        let faults = WireFaults { seed: 1, drop: 1.0, ..WireFaults::none() };
+        let spares = Arc::new(SpareValues::new());
+        let mut s = LinkSender::new(0, 1, faults).with_spares(Arc::clone(&spares));
+        s.attach(tx);
+        s.lend();
+        let len = 1 << 17; // 1 MiB of values, zero pages until written
+        let mut lent = HashSet::new();
+        for _ in 0..3 * RING_BYTES / (8 * len) {
+            let values = vec![0.0; len];
+            let at = values.as_ptr() as usize;
+            let before = s.lent_bytes();
+            s.send_values(1, 1, 15, values).unwrap();
+            if s.lent_bytes() > before {
+                lent.insert(at);
+            }
+            assert!(s.ring_bytes <= RING_BYTES, "{} ring bytes", s.ring_bytes);
+            assert!(s.lent_bytes() <= RING_BYTES, "{} lent bytes", s.lent_bytes());
+            assert!(s.ring_bytes + s.held_bytes() <= 2 * RING_BYTES);
+            while let Some(v) = spares.take(0) {
+                assert!(!lent.contains(&(v.as_ptr() as usize)), "a lent vector was reused");
+            }
+        }
+        assert_eq!(lent.len(), RING_BYTES / (8 * len), "lending stops at RING_BYTES");
+        assert!(s.held_bytes() > 0, "the caps evicted lent frames");
+        // Once the watermark covers them, lent vectors are reused.
+        s.trim_through(s.last_seq());
+        assert_eq!((s.lent_bytes(), s.held_bytes(), s.retained()), (0, 0, (0, 0)));
+        let mut back = 0;
+        while let Some(v) = spares.take(0) {
+            back += usize::from(lent.contains(&(v.as_ptr() as usize)));
+        }
+        assert!(back > 0, "no covered lent vector reached the spares");
+    }
+
+    #[test]
+    fn a_lending_stream_writes_descriptors_and_a_new_one_streams() {
+        use crate::frame::{Descriptor, DESCRIPTOR_CODEC, DESCRIPTOR_LEN};
+        let (tx, mut rx) = pair();
+        let mut s = LinkSender::new(0, 1, WireFaults::none());
+        s.attach(tx);
+        let values: Vec<f64> = (0..BODY_IN_PLACE / 8).map(|k| k as f64 - 0.25).collect();
+        let want = values.clone();
+        s.lend();
+        assert!(s.lends());
+        s.send_values(2, 3, 15, values).unwrap();
+        let mut fr = FrameReader::new();
+        let got = drain(&mut rx, &mut fr);
+        let frame = got[0].as_ref().unwrap();
+        assert_eq!((frame.codec, frame.seq), (DESCRIPTOR_CODEC, 1));
+        assert_eq!(HEADER_LEN + frame.payload.len() + 4, DESCRIPTOR_LEN);
+        let d = Descriptor::parse(frame).unwrap();
+        let pulled = d.pull(std::process::id() as i32, &SpareValues::new()).unwrap();
+        assert!(pulled == want, "the pull read other values");
+        // A new stream streams until its receiver accepts again, replays
+        // included.
+        let (tx2, mut rx2) = pair();
+        s.attach(tx2);
+        assert!(!s.lends());
+        assert_eq!(s.resend_since(0).unwrap(), 1);
+        let got = drain(&mut rx2, &mut FrameReader::new());
+        assert_eq!(got[0].as_ref().unwrap().codec, 15);
+        assert_eq!(s.lent_bytes(), 8 * want.len(), "still lent until covered");
+        s.trim_through(1);
+        assert_eq!(s.lent_bytes(), 0);
     }
 
     #[test]

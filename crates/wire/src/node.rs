@@ -41,6 +41,19 @@
 //! The node's readers land large `Vec<f64>` bodies in vectors from one
 //! node-wide [`SpareValues`] list, which acknowledged sends refill, and
 //! deliver those vectors as the payload: no codec pass either way.
+//!
+//! Where the receiver may read the sender's memory, such a body is not
+//! written at all. Every `Hello` is followed by a `PullOffer` naming where
+//! this process keeps its per-session cookie; the reader of that stream
+//! reads the cookie with `process_vm_readv` in the process `SO_PEERCRED`
+//! names and, on a match, has the link answer `PullAccept`. From then on
+//! the sender writes descriptors on that stream, and the reader pulls
+//! each admitted body into a spare vector ([`Descriptor::pull`]) and
+//! checks it. A failed pull delivers nothing and ends the reader, so the
+//! stream is torn down and the resume replays the frame; a failed probe
+//! leaves the stream on whole bodies. In-process meshes always pull;
+//! sibling processes pull only where the kernel lets them (YAMA
+//! `ptrace_scope` 1 forbids it).
 
 use std::any::Any;
 use std::io;
@@ -63,7 +76,10 @@ use mxn_trace::{emit, emit_instant, EventId, Phase, TraceHandle};
 
 use crate::codec::{decode_value, encode_value, CodecRegistry};
 use crate::fault::WireFaults;
-use crate::frame::{Arrival, Frame, FrameError, FrameKind, FrameReader, SpareValues};
+use crate::frame::{
+    read_remote, Arrival, Descriptor, Frame, FrameError, FrameKind, FrameReader, PullError,
+    SpareValues, DESCRIPTOR_CODEC,
+};
 use crate::link::LinkSender;
 use crate::peer::{Action, Event, Link, Peer, Standing};
 
@@ -262,6 +278,8 @@ pub struct WireStats {
     pub joins_committed: u64,
     /// Join attempts aborted and rolled back.
     pub joins_aborted: u64,
+    /// Data frames whose body the receiver pulled.
+    pub bodies_pulled: u64,
 }
 
 /// Node-wide counters; the per-link ones live in each [`Link`].
@@ -270,6 +288,7 @@ struct NodeCounters {
     reconnect_dials: AtomicU64,
     joins_committed: AtomicU64,
     joins_aborted: AtomicU64,
+    bodies_pulled: AtomicU64,
 }
 
 struct NodeShared {
@@ -280,8 +299,17 @@ struct NodeShared {
     /// The registry's tag for `Vec<f64>`, whose large bodies move without
     /// the codec.
     values_codec: Option<u32>,
-    /// Vectors for landed bodies, refilled by acknowledged sends.
+    /// Vectors for landed and pulled bodies, refilled by acknowledged
+    /// sends.
     spares: Arc<SpareValues>,
+    /// The per-session cookie every link offers: a peer that reads it at
+    /// this address in our memory pulls the bodies we lend it.
+    #[expect(dead_code, reason = "only peers read it, out of this process's memory")]
+    cookie: Box<u64>,
+    /// Test seam: readers name a process that does not exist as every
+    /// stream's peer, so probes and pulls fail.
+    #[cfg(test)]
+    foreign: AtomicBool,
     /// Wakes the node's waits (`connect`, `await_*`, reconnect backoff,
     /// the monitor's tick).
     signal: Signal,
@@ -464,6 +492,7 @@ impl NodeShared {
         // Bound every write so a full pipe surfaces as a link failure.
         stream.set_write_timeout(Some(self.cfg.liveness_deadline))?;
         let read_half = stream.try_clone()?;
+        let from = peer_pid(&stream);
         let mut reader = reader;
         if let Some(codec) = self.values_codec {
             reader.land_values(codec, Arc::clone(&self.spares));
@@ -477,24 +506,49 @@ impl NodeShared {
         let resumed = u64::from(hello.is_some());
         emit_instant(EventId::WireConnect, [peer as u64, attempt, recv, resumed]);
         let name = format!("wire-read-{}-{peer}", self.cfg.rank);
-        self.spawn(name, move |shared| shared.reader_loop(peer, read_half, reader, generation))?;
+        let read =
+            move |shared: Arc<Self>| shared.reader_loop(peer, read_half, reader, generation, from);
+        self.spawn(name, read)?;
         Ok(())
     }
 
     /// Blocking per-connection read loop: bytes → frames → link → mailbox.
+    /// `from` is the process the kernel names as the stream's peer.
     fn reader_loop(
         self: Arc<Self>,
         peer: usize,
         mut stream: UnixStream,
         mut frames: FrameReader,
         generation: u64,
+        from: Option<i32>,
     ) {
         let mut buf = [0u8; 64 * 1024];
-        loop {
+        // The process whose memory this stream's descriptors name, once its
+        // cookie was found there.
+        let mut lender = None;
+        'read: loop {
             // Drain frames already buffered (handshake leftovers first).
             while let Some(res) = frames.next_arrival() {
                 match res {
-                    Ok(Arrival::Frame(frame)) => frames.recycle(self.handle_frame(peer, frame)),
+                    Ok(Arrival::Frame(frame)) => match frame.kind {
+                        FrameKind::Data if frame.codec == DESCRIPTOR_CODEC => {
+                            if !self.pull_body(peer, &frame, lender) {
+                                break 'read; // the stream goes, the resume replays
+                            }
+                        }
+                        FrameKind::PullOffer => {
+                            self.service(peer, Event::arrived(&frame));
+                            if let Some(pid) = self.lender(from, &frame.payload) {
+                                lender = Some(pid);
+                                self.service(peer, Event::Readable { generation });
+                            }
+                        }
+                        FrameKind::PullAccept => {
+                            self.service(peer, Event::arrived(&frame));
+                            self.service(peer, Event::Pulls { generation });
+                        }
+                        _ => frames.recycle(self.handle_frame(peer, frame)),
+                    },
                     Ok(Arrival::Values(frame, values)) => {
                         let bytes = 4 + 8 * values.len();
                         if self.admits(peer, frame.seq, bytes) {
@@ -503,16 +557,7 @@ impl NodeShared {
                             self.spares.give(values);
                         }
                     }
-                    Err(FrameError::Corrupt { skipped, header, .. }) => {
-                        self.service(peer, Event::Corrupt);
-                        emit_instant(
-                            EventId::WireFrameCorrupt,
-                            [peer as u64, u64::from(header.is_some()), skipped as u64, 0],
-                        );
-                        if let Some(h) = header {
-                            self.push_corrupt(peer, h.context, h.tag, skipped);
-                        }
-                    }
+                    Err(e) => self.report_corrupt(peer, e),
                 }
             }
             if self.shutdown.load(Ordering::Acquire) {
@@ -527,6 +572,84 @@ impl NodeShared {
         // The link ignores this if a reconnect already replaced the stream.
         if !self.shutdown.load(Ordering::Acquire) {
             self.service(peer, Event::Detached { generation });
+        }
+    }
+
+    /// Reports a damaged frame from `peer`: to its link, to the trace, and
+    /// to a receiver blocked on its bucket when the header was intact.
+    fn report_corrupt(self: &Arc<Self>, peer: usize, e: FrameError) {
+        let FrameError::Corrupt { skipped, header, .. } = e;
+        self.service(peer, Event::Corrupt);
+        emit_instant(
+            EventId::WireFrameCorrupt,
+            [peer as u64, u64::from(header.is_some()), skipped as u64, 0],
+        );
+        if let Some(h) = header {
+            self.push_corrupt(peer, h.context, h.tag, skipped);
+        }
+    }
+
+    /// The process readers take as `pid`, the peer the kernel named.
+    fn lender_pid(&self, pid: i32) -> i32 {
+        #[cfg(test)]
+        if self.foreign.load(Ordering::Relaxed) {
+            return i32::MAX; // above any pid_max: ESRCH
+        }
+        pid
+    }
+
+    /// Process `from`, if it keeps the cookie a `PullOffer`'s `payload`
+    /// names at the address the offer gives.
+    fn lender(&self, from: Option<i32>, payload: &[u8]) -> Option<i32> {
+        let (at, cookie) = decode_value::<(u64, u64)>(payload).ok()?;
+        let pid = from?;
+        let mut found = [0u8; 8];
+        read_remote(self.lender_pid(pid), at, &mut found).ok()?;
+        (u64::from_le_bytes(found) == cookie).then_some(pid)
+    }
+
+    /// Handles a descriptor from `peer` on a stream whose lender is
+    /// `lender`: the duplicate guard first, then the pull, the check and
+    /// delivery. A descriptor on a stream we never accepted, or a damaged
+    /// body, is `Corrupt`. Returns `false`, having delivered nothing, when
+    /// the lender's memory cannot be read: the stream must go.
+    fn pull_body(self: &Arc<Self>, peer: usize, frame: &Frame, lender: Option<i32>) -> bool {
+        let described = Descriptor::parse(frame).and_then(|d| match lender {
+            Some(pid) => Ok((d, pid)),
+            None => Err(d.refused("descriptor on a stream that lends nothing")),
+        });
+        let (descriptor, pid) = match described {
+            Ok(d) => d,
+            Err(e) => {
+                self.report_corrupt(peer, e);
+                return true;
+            }
+        };
+        let lent = Event::Lent { seq: frame.seq };
+        if !self.service(peer, lent).contains(&Action::Pull) {
+            return true;
+        }
+        match descriptor.pull(self.lender_pid(pid), &self.spares) {
+            Ok(values) => {
+                let bytes = descriptor.body_len();
+                if self.admits(peer, frame.seq, bytes) {
+                    self.counters.bodies_pulled.fetch_add(1, Ordering::Relaxed);
+                    self.push_data(peer, frame, bytes, Box::new(values));
+                } else {
+                    self.spares.give(values);
+                }
+                true
+            }
+            // A body read after the frame was delivered through another
+            // stream may have been reused: only a frame still owed is
+            // damaged.
+            Err(PullError::Corrupt(e)) => {
+                if self.service(peer, lent).contains(&Action::Pull) {
+                    self.report_corrupt(peer, e);
+                }
+                true
+            }
+            Err(PullError::Failed(_)) => false,
         }
     }
 
@@ -742,11 +865,15 @@ impl WireNode {
         let revocations = Arc::new(Revocations::default());
         let session = splitmix64((u64::from(std::process::id()) << 20) ^ cfg.rank as u64 | 1);
         let spares = Arc::new(SpareValues::new());
+        let cookie = Box::new(splitmix64(session ^ 0x5eed_c00c_1e00_0000));
+        let at = &*cookie as *const u64 as u64;
         let now = Instant::now();
         let peers = (0..cfg.max_size)
             .map(|peer| {
-                let io = LinkSender::new(cfg.rank as u32, peer as u32, cfg.faults);
-                Peer::new(Link::new(&cfg, session, peer, now), io.with_spares(Arc::clone(&spares)))
+                let io = LinkSender::new(cfg.rank as u32, peer as u32, cfg.faults)
+                    .with_spares(Arc::clone(&spares))
+                    .offering(at, *cookie);
+                Peer::new(Link::new(&cfg, session, peer, now), io)
             })
             .collect();
         let shared = Arc::new(NodeShared {
@@ -755,6 +882,9 @@ impl WireNode {
             values_codec: registry.tag_of::<Vec<f64>>(),
             registry,
             spares,
+            cookie,
+            #[cfg(test)]
+            foreign: AtomicBool::new(false),
             signal: Signal::default(),
             peers,
             cur_size: AtomicUsize::new(cfg.size),
@@ -1089,6 +1219,7 @@ impl WireNode {
             reconnect_dials: c.reconnect_dials.load(Ordering::Relaxed),
             joins_committed: c.joins_committed.load(Ordering::Relaxed),
             joins_aborted: c.joins_aborted.load(Ordering::Relaxed),
+            bodies_pulled: c.bodies_pulled.load(Ordering::Relaxed),
             ..WireStats::default()
         };
         for peer in &self.shared.peers {
@@ -1163,6 +1294,44 @@ const SHUT_RDWR: i32 = 2;
 
 extern "C" {
     fn shutdown(fd: i32, how: i32) -> i32;
+}
+
+/// `struct ucred`, what `SO_PEERCRED` reports.
+#[repr(C)]
+#[derive(Default)]
+struct Ucred {
+    pid: i32,
+    uid: u32,
+    gid: u32,
+}
+
+/// `SOL_SOCKET` and `SO_PEERCRED` where Linux uses the generic values.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "x86", target_arch = "aarch64", target_arch = "arm")
+))]
+const PEERCRED: Option<(i32, i32)> = Some((1, 17));
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "x86", target_arch = "aarch64", target_arch = "arm")
+)))]
+const PEERCRED: Option<(i32, i32)> = None;
+
+extern "C" {
+    fn getsockopt(fd: i32, level: i32, name: i32, value: *mut Ucred, len: *mut u32) -> i32;
+}
+
+/// The process at the other end of `stream`, as the kernel recorded it
+/// when the connection was made; no frame ever names a pid.
+fn peer_pid(stream: &UnixStream) -> Option<i32> {
+    let (level, name) = PEERCRED?;
+    let mut cred = Ucred::default();
+    let mut len = std::mem::size_of::<Ucred>() as u32;
+    // SAFETY: `getsockopt(2)` writes at most `len` bytes into `cred`, a
+    // live `Ucred` of exactly that size, and its new length into `len`;
+    // the descriptor is borrowed from `stream` for the call.
+    let ok = unsafe { getsockopt(stream.as_raw_fd(), level, name, &mut cred, &mut len) } == 0;
+    (ok && len as usize == std::mem::size_of::<Ucred>() && cred.pid > 0).then_some(cred.pid)
 }
 
 /// The Unix-domain-socket [`Transport`]: envelopes crossing this seam are
@@ -1518,6 +1687,131 @@ mod tests {
             assert_eq!((stats.frames_sent, stats.frames_received), (32, 32));
             assert_eq!(stats.duplicates_dropped, 0);
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Waits until every link of `nodes` lends or `lending` is false for
+    /// all, having given the probes time to finish.
+    fn await_probes(nodes: &[WireNode], lending: bool) {
+        let lends = |n: &WireNode, p: usize| n.shared.peers[p].io.lock().lends();
+        let settled = || {
+            nodes.iter().enumerate().all(|(me, n)| {
+                (0..nodes.len()).filter(|&p| p != me).all(|p| lends(n, p) == lending)
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !settled() {
+            assert!(Instant::now() < deadline, "the probes never settled on lending {lending}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if !lending {
+            // A probe that would succeed has long answered by now.
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(settled(), "a failed probe lends");
+        }
+    }
+
+    /// A 2-node mesh, fences off, whose readers take every peer for a
+    /// process that does not exist when `foreign` is set.
+    fn pull_mesh(dir: &Path, foreign: bool) -> Vec<WireNode> {
+        let nodes: Vec<WireNode> = (0..2)
+            .map(|r| {
+                let mut cfg = WireConfig::new(dir, r, 2);
+                fences_off(&mut cfg);
+                let node = WireNode::start(cfg, CodecRegistry::with_defaults()).unwrap();
+                node.shared.foreign.store(foreign, Ordering::Relaxed);
+                node
+            })
+            .collect();
+        std::thread::scope(|s| {
+            for node in &nodes {
+                s.spawn(move || node.connect().unwrap());
+            }
+        });
+        await_probes(&nodes, !foreign);
+        nodes
+    }
+
+    /// `len` values, distinct per sender and exchange.
+    fn field_of(len: usize, from: usize, i: usize) -> Vec<f64> {
+        (0..len).map(|k| (from * 1000 + i) as f64 * 1e6 + k as f64).collect()
+    }
+
+    /// Both nodes send each other `sizes` in turn; returns how many of the
+    /// vectors each received had a body of at least `BODY_IN_PLACE`.
+    fn exchange(nodes: &[WireNode], sizes: &[usize]) -> usize {
+        use crate::frame::BODY_IN_PLACE;
+        std::thread::scope(|s| {
+            for (me, node) in nodes.iter().enumerate() {
+                s.spawn(move || {
+                    let peer = 1 - me;
+                    for (i, &len) in sizes.iter().enumerate() {
+                        node.send(peer, 4, 1, field_of(len, me, i)).unwrap();
+                        let got: Vec<f64> =
+                            node.recv_timeout(peer, 4, 1, Duration::from_secs(20)).unwrap();
+                        assert!(got == field_of(len, peer, i), "exchange {i} from {peer} differs");
+                    }
+                });
+            }
+        });
+        sizes.iter().filter(|&&len| 4 + 8 * len >= BODY_IN_PLACE).count()
+    }
+
+    #[test]
+    fn pull_takes_every_large_vector_in_an_in_process_mesh() {
+        let dir = test_dir("pull-all");
+        let nodes = pull_mesh(&dir, false);
+        let sizes = [1 << 17, 10, 8192, 8191, 1 << 16, 3, 1 << 17, 100_000];
+        let large = exchange(&nodes, &sizes);
+        assert_eq!(large, 5);
+        for node in &nodes {
+            let stats = node.stats();
+            assert_eq!(stats.bodies_pulled, large as u64, "every large body was pulled");
+            assert_eq!((stats.frames_sent, stats.frames_received), (8, 8));
+            assert_eq!((stats.corrupt_frames, stats.duplicates_dropped), (0, 0));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pull_probe_that_fails_keeps_bodies_streamed() {
+        let dir = test_dir("pull-foreign");
+        let nodes = pull_mesh(&dir, true);
+        exchange(&nodes, &[1 << 17, 10, 1 << 16, 1 << 17]);
+        for node in &nodes {
+            let stats = node.stats();
+            assert_eq!(stats.bodies_pulled, 0, "a link whose probe failed pulled");
+            assert_eq!((stats.frames_sent, stats.frames_received), (4, 4));
+            assert_eq!((stats.corrupt_frames, stats.reconnect_dials), (0, 0));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pull_that_fails_after_a_good_probe_redials_and_replays_once() {
+        let dir = test_dir("pull-fails");
+        let nodes = pull_mesh(&dir, false);
+        let t = Duration::from_secs(20);
+        // Rank 0 lends to rank 1; rank 1 dials, so rank 0 replays past what
+        // rank 1's Hello reports, and nothing it delivered comes again.
+        nodes[0].send(1, 4, 1, field_of(1 << 17, 0, 0)).unwrap();
+        assert!(nodes[1].recv_timeout::<Vec<f64>>(0, 4, 1, t).unwrap() == field_of(1 << 17, 0, 0));
+        assert_eq!(nodes[1].stats().bodies_pulled, 1);
+        // Rank 0's memory turns unreadable to rank 1: the next pull fails.
+        nodes[1].shared.foreign.store(true, Ordering::Relaxed);
+        nodes[0].send(1, 4, 1, field_of(1 << 17, 0, 1)).unwrap();
+        let got: Vec<f64> = nodes[1].recv_timeout(0, 4, 1, t).unwrap();
+        assert!(got == field_of(1 << 17, 0, 1), "the replayed frame differs");
+        let stats = nodes[1].stats();
+        assert_eq!(stats.bodies_pulled, 1, "the failed pull delivered");
+        assert_eq!(stats.frames_received, 2, "delivered other than exactly once");
+        assert!(stats.reconnect_dials >= 1, "the stream was not dropped");
+        assert_eq!((stats.duplicates_dropped, stats.corrupt_frames), (0, 0));
+        // The new stream's probe failed too, so bodies now stream.
+        await_probes(&nodes[..1], false);
+        nodes[0].send(1, 4, 1, field_of(1 << 17, 0, 2)).unwrap();
+        assert!(nodes[1].recv_timeout::<Vec<f64>>(0, 4, 1, t).unwrap() == field_of(1 << 17, 0, 2));
+        assert_eq!(nodes[1].stats().bodies_pulled, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -27,6 +27,16 @@
 //! So a replay a reader asked for goes out before the next data frame,
 //! and no service thread ever waits on an application thread blocked in a
 //! write to a stuck peer.
+//!
+//! Lending bodies rides the same rule. A reader that found the peer's
+//! cookie steps [`Event::Readable`], and the link owes an
+//! [`Action::Accept`] write on that stream; a reader that read the peer's
+//! accept steps [`Event::Pulls`], and the link owes [`Action::Lend`], which
+//! switches the sender to descriptors. Both name the stream's generation,
+//! so a late frame from an old stream never switches a new one, and an
+//! attach clears what is owed. A descriptor is judged before its pull
+//! ([`Event::Lent`] → [`Action::Pull`] or [`Action::Drop`], by the rules a
+//! data frame meets) and delivered by the [`Event::Data`] after it.
 
 use std::io;
 use std::sync::atomic::AtomicBool;
@@ -97,6 +107,16 @@ pub enum Event {
     Rescind,
     /// Survivor agreement dropped the peer.
     AgreedDead,
+    /// An intact descriptor for data frame `seq` arrived: its body is
+    /// pulled only if the step says [`Action::Pull`], and delivered by the
+    /// [`Event::Data`] that follows the pull.
+    Lent { seq: u64 },
+    /// The reader of stream `generation` found the peer's cookie in the
+    /// peer's memory: the peer may lend bodies on that stream.
+    Readable { generation: u64 },
+    /// The peer accepted our offer on stream `generation`: it pulls the
+    /// bodies lent on it.
+    Pulls { generation: u64 },
 }
 
 impl Event {
@@ -143,6 +163,12 @@ pub enum Action {
     DeclareDead,
     /// Dial the peer again.
     Redial,
+    /// Pull the described body: the duplicate guard lets it through.
+    Pull,
+    /// Write a `PullAccept`: we pull what the peer lends on this stream.
+    Accept,
+    /// Lend retained vectors on the current stream from now on.
+    Lend,
 }
 
 /// Writes a link owes until an `io` holder does them.
@@ -154,6 +180,8 @@ struct Owed {
     replay: Option<u64>,
     beat: bool,
     fence: bool,
+    accept: bool,
+    lend: bool,
 }
 
 /// The per-peer wire protocol, free of I/O. See the module docs.
@@ -289,7 +317,12 @@ impl Link {
             }
             Event::Wrote => self.drain(&mut out),
             Event::WriteFailed => self.down(now),
-            Event::Data { .. } | Event::Control(..) => self.arrived(event, now, &mut out),
+            Event::Data { .. } | Event::Lent { .. } | Event::Control(..) => {
+                self.arrived(event, now, &mut out)
+            }
+            // Either only ever concerns the stream it came from.
+            Event::Readable { generation } => self.owed.accept |= generation == self.generation,
+            Event::Pulls { generation } => self.owed.lend |= generation == self.generation,
             Event::Corrupt => {
                 self.last_heard = now;
                 self.stats.corrupt_frames += 1;
@@ -348,6 +381,12 @@ impl Link {
         }
         if owed.hello {
             out.push(self.hello());
+        }
+        if owed.accept {
+            out.push(Action::Accept);
+        }
+        if owed.lend {
+            out.push(Action::Lend);
         }
         if let Some(after) = owed.replay {
             out.push(Action::Replay(after));
@@ -425,16 +464,21 @@ impl Link {
         let held = matches!(self.standing, Standing::Quarantined(_) | Standing::Evicted);
         match event {
             // A held peer's data is dropped without advancing `recv`: if it
-            // is readmitted, its ring replays everything refused here.
-            Event::Data { seq, .. } if held => {
+            // is readmitted, its ring replays everything refused here. A
+            // descriptor is judged as its data frame will be, before the
+            // pull: a duplicate's vector may be reused already.
+            Event::Data { seq, .. } | Event::Lent { seq } if held => {
                 self.hole |= seq > self.recv;
                 out.push(Action::Drop);
             }
-            Event::Data { seq, .. } if seq <= self.recv => {
+            Event::Data { seq, .. } | Event::Lent { seq } if seq <= self.recv => {
                 self.stats.duplicates_dropped += 1;
                 out.push(Action::Drop);
             }
-            Event::Data { seq, .. } if self.hole && seq > self.recv + 1 => out.push(Action::Drop),
+            Event::Data { seq, .. } | Event::Lent { seq } if self.hole && seq > self.recv + 1 => {
+                out.push(Action::Drop)
+            }
+            Event::Lent { .. } => out.push(Action::Pull),
             Event::Data { seq, bytes } => {
                 (self.recv, self.unacked, self.hole) = (seq, self.unacked + bytes, false);
                 self.stats.frames_received += 1;
@@ -622,8 +666,14 @@ impl Peer {
         for action in actions {
             let done = match action {
                 Action::Data => data(io),
-                Action::Hello { session, last_recv } => {
-                    io.send_pair(FrameKind::Hello, session, last_recv)
+                // Every Hello offers the peer our cookie to probe.
+                Action::Hello { session, last_recv } => io
+                    .send_pair(FrameKind::Hello, session, last_recv)
+                    .and_then(|()| io.send_offer()),
+                Action::Accept => io.send_control(FrameKind::PullAccept),
+                Action::Lend => {
+                    io.lend();
+                    Ok(())
                 }
                 Action::Fence { fence_seq, watermark } => {
                     io.send_pair(FrameKind::ProgressFence, fence_seq, watermark)
@@ -646,7 +696,8 @@ impl Peer {
                 | Action::Evict { .. }
                 | Action::Missed { .. }
                 | Action::DeclareDead
-                | Action::Redial => Ok(()),
+                | Action::Redial
+                | Action::Pull => Ok(()),
             };
             if ok && done.is_err() {
                 ok = false;
@@ -871,6 +922,41 @@ mod tests {
             }
         }
         assert!(quarantined(&l));
+    }
+
+    #[test]
+    fn a_descriptor_is_judged_like_its_data_frame_before_the_pull() {
+        let t0 = Instant::now();
+        let mut l = link(t0);
+        l.step(hello(5, 0), t0);
+        assert_eq!(l.step(Event::Lent { seq: 1 }, t0), [Action::Pull]);
+        assert_eq!(l.recv(), 0, "judging a descriptor delivers nothing");
+        assert_eq!(l.step(data(1), t0), [Action::Deliver]);
+        assert_eq!(l.step(Event::Lent { seq: 1 }, t0), [Action::Drop]);
+        assert_eq!(l.stats.duplicates_dropped, 1, "a duplicate is never pulled");
+        l.standing = Standing::Quarantined(t0);
+        assert_eq!(l.step(Event::Lent { seq: 2 }, t0), [Action::Drop]);
+        l.standing = Standing::Up;
+        assert_eq!(l.step(Event::Lent { seq: 3 }, t0), [Action::Drop], "behind the hole");
+        assert_eq!(l.step(Event::Lent { seq: 2 }, t0), [Action::Pull]);
+    }
+
+    #[test]
+    fn an_accept_and_a_lend_are_owed_only_to_the_current_stream() {
+        let t0 = Instant::now();
+        let mut l = link(t0);
+        l.step(Event::Readable { generation: 1 }, t0);
+        l.step(Event::Pulls { generation: 1 }, t0);
+        assert_eq!(l.step(Event::Wrote, t0), [Action::Accept, Action::Lend]);
+        l.step(Event::Readable { generation: 1 }, t0);
+        l.step(Event::Attached { hello: None }, t0);
+        assert!(!l.owes(), "a new stream owes nothing to the old one");
+        l.step(Event::Readable { generation: 1 }, t0);
+        l.step(Event::Pulls { generation: 1 }, t0);
+        assert!(!l.owes(), "a late frame from the old stream switched the new one");
+        l.step(Event::Pulls { generation: 2 }, t0);
+        l.step(Event::Detached { generation: 2 }, t0);
+        assert_eq!(l.step(Event::Wrote, t0), [Action::Teardown], "a detach clears the lend");
     }
 
     #[test]

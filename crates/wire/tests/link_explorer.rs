@@ -24,9 +24,21 @@
 //! after `quarantine_grace`, and one that resumes inside the grace is
 //! readmitted and then receives everything.
 //!
+//! A second sweep runs the same schedules on pull-capable links: every
+//! sender offers its cookie, every reader that finds it accepts, and large
+//! sends are `Vec<f64>`s whose bodies are lent as descriptors and pulled
+//! out of the sender's ring (this process's own memory) into the
+//! receiver's spare vectors, which the sender's trims refill; one probe in
+//! five fails, as across a YAMA boundary. On top of
+//! the properties above: a descriptor arrives only on a stream that
+//! accepted, every pull the duplicate guard admits succeeds and passes its
+//! CRC — a lent vector reused before its pull would fail it — and a link's
+//! lent bytes stay within [`RING_BYTES`], its ring and held vectors within
+//! twice that.
+//!
 //! A violation names the seed that replays it, printing every step:
 //! `MXN_EXPLORER_SEED=<seed> cargo test -p mxn-wire --test link_explorer
-//! -- --nocapture`.
+//! -- --nocapture` (both sweeps replay the seed, each on its own links).
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, IoSlice, Write};
@@ -37,17 +49,26 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use mxn_runtime::splitmix64;
+use mxn_wire::codec::decode_value;
 use mxn_wire::link::Conn;
 use mxn_wire::peer::{Action, Event, Link, Peer, Standing};
 use mxn_wire::{
-    Arrival, FrameError, FrameKind, FrameReader, LinkSender, WireConfig, WireFaults, WireVerdict,
-    RING_BYTES, RING_FRAMES,
+    Arrival, Descriptor, Frame, FrameError, FrameKind, FrameReader, LinkSender, SpareValues,
+    WireConfig, WireFaults, WireVerdict, DESCRIPTOR_CODEC, RING_BYTES, RING_FRAMES,
 };
 
 /// Seeds the sweep explores.
 const SCHEDULES: u64 = 100_000;
+/// Seeds the pull-capable sweep explores: all of them in an optimized
+/// build (CI's explorer step), a quarter in a debug one, where copying and
+/// checking its bodies makes each schedule several times dearer.
+const PULL_SCHEDULES: u64 = if cfg!(debug_assertions) { SCHEDULES / 4 } else { SCHEDULES };
 /// Payload of a large data frame: three of them call for an ack.
 const LARGE: usize = 96 << 10;
+/// Codec tag of a `Vec<f64>` large send on pull-capable links.
+const VALUES: u32 = 15;
+/// Values of such a send: the fewest whose body is lent.
+const LENT: usize = 8192;
 
 struct Rng(u64);
 
@@ -171,11 +192,17 @@ struct Reader {
     wire: Arc<Mutex<Wire>>,
     frames: FrameReader,
     generation: u64,
+    /// The peer's cookie was found: its descriptors may be pulled.
+    lender: bool,
 }
 
 struct Node {
     rank: usize,
     peer: Arc<Peer>,
+    /// Where this node's reader pulls bodies into, refilled by its trims.
+    spares: Arc<SpareValues>,
+    /// The cookie this node offers, at its own address.
+    cookie: Box<u64>,
     readers: Vec<Reader>,
     /// Stopped until this virtual time.
     stalled_until: u64,
@@ -217,8 +244,28 @@ struct Sim {
     stalls: bool,
     /// Some sends are large enough that acks ride on the reverse sends.
     bulk: bool,
+    /// Links offer, accept and pull; large sends are lent vectors.
+    pull: bool,
     /// Print every step (a seed replayed alone).
     trace: bool,
+}
+
+/// The `Vec<f64>` a pull-capable link sends as large data frame `seq`.
+fn vector(seq: u64) -> Vec<f64> {
+    vec![seq as f64; LENT]
+}
+
+/// Whether `values` is [`vector`]`(seq)`, judged by its length and a
+/// sample of its values: the CRCs already vouch that the bytes are the
+/// ones written, this checks they were written for `seq`.
+fn is_vector(seq: u64, values: &[f64]) -> bool {
+    let sample = values.iter().step_by(997).chain(values.last());
+    values.len() == LENT && sample.into_iter().all(|&v| v == seq as f64)
+}
+
+/// Where `cookie` lives, as a `PullOffer` announces it.
+fn address(cookie: &u64) -> u64 {
+    cookie as *const u64 as u64
 }
 
 fn payload(seq: u64, large: bool) -> Vec<u8> {
@@ -228,7 +275,7 @@ fn payload(seq: u64, large: bool) -> Vec<u8> {
 }
 
 impl Sim {
-    fn new(seed: u64, trace: bool) -> Sim {
+    fn new(seed: u64, trace: bool, pull: bool) -> Sim {
         let mut rng = Rng(seed);
         let clock = Clock { t0: Instant::now(), us: Arc::default() };
         let cfg = WireConfig::new("/unused", 0, 2);
@@ -246,10 +293,17 @@ impl Sim {
         let node = |rank: usize| {
             let cfg = WireConfig::new("/unused", rank, 2);
             let link = Link::new(&cfg, 100 + rank as u64, 1 - rank, t0);
-            let io = LinkSender::new(rank as u32, 1 - rank as u32, WireFaults::none());
+            let spares = Arc::new(SpareValues::new());
+            let cookie = Box::new(splitmix64(seed ^ rank as u64));
+            let mut io = LinkSender::new(rank as u32, 1 - rank as u32, WireFaults::none());
+            if pull {
+                io = io.with_spares(Arc::clone(&spares)).offering(address(&cookie), *cookie);
+            }
             Node {
                 rank,
                 peer: Arc::new(Peer::new(link, io)),
+                spares,
+                cookie,
                 readers: Vec::new(),
                 stalled_until: 0,
                 dead: false,
@@ -263,7 +317,7 @@ impl Sim {
             let dir = Dir { faults, src, dst: 1 - src, attempts: 0, destroyed: BTreeSet::new() };
             Arc::new(Mutex::new(dir))
         };
-        let bulk = rng.chance(10);
+        let bulk = rng.chance(10) || pull;
         Sim {
             rng,
             clock,
@@ -276,6 +330,7 @@ impl Sim {
             watch: None,
             stalls: false,
             bulk,
+            pull,
             trace,
         }
     }
@@ -296,7 +351,8 @@ impl Sim {
         let end = self.end(1, &wires);
         let clock = self.clock.clone();
         let (_, generation) = self.nodes[1].peer.attach(end, None, &|| clock.now());
-        let reader = Reader { wire: Arc::clone(&wires[0]), frames: FrameReader::new(), generation };
+        let frames = FrameReader::new();
+        let reader = Reader { wire: Arc::clone(&wires[0]), frames, generation, lender: false };
         self.nodes[1].readers.push(reader);
         self.wires = Some(wires);
         self.accept = Some(FrameReader::new());
@@ -332,7 +388,8 @@ impl Sim {
         let end = self.end(0, &wires);
         let clock = self.clock.clone();
         let (_, generation) = self.nodes[0].peer.attach(end, Some(hello), &|| clock.now());
-        self.nodes[0].readers.push(Reader { wire: Arc::clone(&wires[1]), frames, generation });
+        let reader = Reader { wire: Arc::clone(&wires[1]), frames, generation, lender: false };
+        self.nodes[0].readers.push(reader);
         self.check()
     }
 
@@ -413,22 +470,43 @@ impl Sim {
                 let Some(arrival) = self.nodes[n].readers[i].frames.next_arrival() else { break };
                 handled += 1;
                 match arrival {
+                    Ok(Arrival::Frame(frame)) if frame.kind == FrameKind::PullOffer => {
+                        self.service(n, Event::arrived(&frame))?;
+                        let cookie = &self.nodes[1 - n].cookie;
+                        let offer = decode_value::<(u64, u64)>(&frame.payload);
+                        // Some probes fail, as across a YAMA boundary: that
+                        // stream's bodies must come whole.
+                        let readable = !self.rng.chance(20);
+                        if offer == Ok((address(cookie), **cookie)) && readable {
+                            self.nodes[n].readers[i].lender = true;
+                            let generation = self.nodes[n].readers[i].generation;
+                            self.service(n, Event::Readable { generation })?;
+                        }
+                    }
+                    Ok(Arrival::Frame(frame)) if frame.kind == FrameKind::PullAccept => {
+                        self.service(n, Event::arrived(&frame))?;
+                        let generation = self.nodes[n].readers[i].generation;
+                        self.service(n, Event::Pulls { generation })?;
+                    }
+                    Ok(Arrival::Frame(frame)) if frame.codec == DESCRIPTOR_CODEC => {
+                        let lender = self.nodes[n].readers[i].lender;
+                        self.pull(n, &frame, lender)?;
+                    }
                     Ok(Arrival::Frame(frame)) => {
                         let delivered = self.service(n, Event::arrived(&frame))?;
                         if delivered.contains(&Action::Deliver) {
-                            let node = &mut self.nodes[n];
-                            if node.delivered.last().is_some_and(|&last| last >= frame.seq) {
-                                return Err(format!(
-                                    "rank {n} delivered seq {} after {:?}",
-                                    frame.seq,
-                                    node.delivered.last()
-                                ));
-                            }
-                            let large = frame.payload.len() == LARGE;
-                            if frame.payload != payload(frame.seq, large) {
+                            let intact = match frame.codec {
+                                VALUES => decode_value::<Vec<f64>>(&frame.payload)
+                                    .is_ok_and(|v| is_vector(frame.seq, &v)),
+                                _ => {
+                                    frame.payload
+                                        == payload(frame.seq, frame.payload.len() == LARGE)
+                                }
+                            };
+                            if !intact {
                                 return Err(format!("rank {n}: seq {} has other bytes", frame.seq));
                             }
-                            node.delivered.push(frame.seq);
+                            self.deliver(n, frame.seq)?;
                         }
                     }
                     Ok(Arrival::Values(..)) => unreachable!("this reader lands no vectors"),
@@ -447,6 +525,43 @@ impl Sim {
         self.check()
     }
 
+    /// Records delivery of `seq` at node `n`: in seq order, once.
+    fn deliver(&mut self, n: usize, seq: u64) -> Result<(), String> {
+        let node = &mut self.nodes[n];
+        if node.delivered.last().is_some_and(|&last| last >= seq) {
+            return Err(format!("rank {n} delivered seq {seq} after {:?}", node.delivered.last()));
+        }
+        node.delivered.push(seq);
+        Ok(())
+    }
+
+    /// Node `n`'s reader takes a descriptor as the node does: the duplicate
+    /// guard, then the pull from this process's memory, then delivery.
+    fn pull(&mut self, n: usize, frame: &Frame, lender: bool) -> Result<(), String> {
+        let seq = frame.seq;
+        if !lender {
+            return Err(format!("rank {n}: descriptor {seq} on a stream that never accepted"));
+        }
+        let d = Descriptor::parse(frame).map_err(|e| format!("rank {n}: descriptor {e:?}"))?;
+        if !self.service(n, Event::Lent { seq })?.contains(&Action::Pull) {
+            return Ok(());
+        }
+        let spares = Arc::clone(&self.nodes[n].spares);
+        let values = d
+            .pull(std::process::id() as i32, &spares)
+            .map_err(|e| format!("rank {n}: pulling seq {seq}: {e:?}"))?;
+        let data = Event::Data { seq, bytes: d.body_len() as u64 };
+        if self.service(n, data)?.contains(&Action::Deliver) {
+            if !is_vector(seq, &values) {
+                return Err(format!("rank {n}: pulled seq {seq} has other values"));
+            }
+            self.deliver(n, seq)?;
+        }
+        // The application hands the vector on, as the benchmark's does.
+        spares.give(values);
+        Ok(())
+    }
+
     /// Application sends on node `n`. Plain, through `Peer::send`; else
     /// step by step, with service steps of `n` run while it holds `io` —
     /// between its send step and its write, or after the write, when the
@@ -460,8 +575,12 @@ impl Sim {
         let peer = Arc::clone(&self.nodes[n].peer);
         loop {
             let large = self.bulk && self.rng.chance(40);
+            let lend = large && self.pull;
             let write = move |io: &mut LinkSender| {
                 let seq = io.last_seq() + 1;
+                if lend {
+                    return io.send_values(1, 1, VALUES, vector(seq));
+                }
                 let sent = io.send_data(1, 1, |out| {
                     out.extend_from_slice(&payload(seq, large));
                     Some(9)
@@ -623,6 +742,10 @@ impl Sim {
             if frames > RING_FRAMES || bytes > RING_BYTES {
                 return Err(format!("rank {} retains {frames} frames, {bytes} bytes", node.rank));
             }
+            let (lent, held) = (io.lent_bytes(), io.held_bytes());
+            if self.pull && (lent > RING_BYTES || bytes + held > 2 * RING_BYTES) {
+                return Err(format!("rank {} lent {lent} bytes, holds {held} more", node.rank));
+            }
         }
         Ok(())
     }
@@ -698,11 +821,26 @@ impl Sim {
 }
 
 fn explore(seed: u64, trace: bool) -> Result<(), String> {
-    Sim::new(seed, trace).run()
+    Sim::new(seed, trace, false).run()
+}
+
+fn explore_pulls(seed: u64, trace: bool) -> Result<(), String> {
+    Sim::new(seed, trace, true).run()
 }
 
 #[test]
 fn seeded_schedules_keep_every_property() {
+    sweep(explore, SCHEDULES, "seeded_schedules_keep_every_property");
+}
+
+#[test]
+fn pull_capable_links_keep_every_property() {
+    sweep(explore_pulls, PULL_SCHEDULES, "pull_capable_links_keep_every_property");
+}
+
+/// Runs `explore` over seeds `0..schedules`, or replays
+/// `MXN_EXPLORER_SEED` alone.
+fn sweep(explore: fn(u64, bool) -> Result<(), String>, schedules: u64, test: &str) {
     if let Some(seed) = std::env::var("MXN_EXPLORER_SEED").ok().and_then(|v| v.parse().ok()) {
         explore(seed, true).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         return;
@@ -715,7 +853,7 @@ fn seeded_schedules_keep_every_property() {
         let sweeps: Vec<_> = (0..threads as u64)
             .map(|first| {
                 s.spawn(move || {
-                    (first..SCHEDULES)
+                    (first..schedules)
                         .step_by(threads)
                         .find_map(|seed| explore(seed, false).err().map(|e| (seed, e)))
                 })
@@ -724,7 +862,7 @@ fn seeded_schedules_keep_every_property() {
         sweeps.into_iter().filter_map(|h| h.join().unwrap()).min_by_key(|(seed, _)| *seed)
     });
     if let Some((seed, e)) = failed {
-        panic!("seed {seed}: {e}\nreplay: MXN_EXPLORER_SEED={seed} cargo test -p mxn-wire --test link_explorer -- --nocapture");
+        panic!("seed {seed}: {e}\nreplay: MXN_EXPLORER_SEED={seed} cargo test -p mxn-wire --test link_explorer -- --nocapture {test}");
     }
-    println!("{SCHEDULES} schedules explored on {threads} threads in {:?}", t0.elapsed());
+    println!("{schedules} schedules explored on {threads} threads in {:?}", t0.elapsed());
 }

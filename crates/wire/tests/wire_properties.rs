@@ -11,7 +11,8 @@ use proptest::prelude::*;
 
 use mxn_wire::codec::{decode_value, encode_value};
 use mxn_wire::frame::{
-    Arrival, Frame, FrameError, FrameKind, FrameReader, SpareValues, BODY_IN_PLACE, HEADER_LEN,
+    Arrival, Descriptor, Frame, FrameError, FrameKind, FrameReader, PullError, SpareValues,
+    BODY_IN_PLACE, DESCRIPTOR_CODEC, HEADER_LEN, MAX_PAYLOAD,
 };
 use mxn_wire::{crc32, LinkSender, WireFaults};
 
@@ -481,4 +482,190 @@ proptest! {
             prop_assert!(decode_value::<Vec<f64>>(&forged.payload).is_err(), "the codec rejects it too");
         }
     }
+}
+
+/// This process's pid: every test here lends and pulls within it.
+fn own_pid() -> i32 {
+    std::process::id() as i32
+}
+
+/// The one frame `link` wrote to `rx`, whole.
+fn next_frame(rx: &mut UnixStream) -> Frame {
+    let mut reader = FrameReader::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(r) = reader.next() {
+            return r.expect("an intact frame");
+        }
+        let n = rx.read(&mut buf).expect("read");
+        assert!(n > 0, "the stream ended before a whole frame");
+        reader.feed(&buf[..n]);
+    }
+}
+
+/// A descriptor frame with `payload` under `route` seq 1.
+fn descriptor(payload: Vec<u8>) -> Frame {
+    Frame {
+        kind: FrameKind::Data,
+        src: 4,
+        context: 7,
+        tag: 3,
+        seq: 1,
+        codec: DESCRIPTOR_CODEC,
+        payload,
+    }
+}
+
+/// A descriptor payload: count, address, body CRC.
+fn described(count: u32, addr: u64, crc: u32) -> Vec<u8> {
+    let mut p = count.to_le_bytes().to_vec();
+    p.extend_from_slice(&addr.to_le_bytes());
+    p.extend_from_slice(&crc.to_le_bytes());
+    p
+}
+
+/// What a hostile descriptor may come to: a routable `Corrupt`, or a failed
+/// read that drops the stream. Never a delivered body.
+fn refused(frame: &Frame) -> Result<&'static str, String> {
+    let d = match Descriptor::parse(frame) {
+        Err(FrameError::Corrupt { header: Some(h), .. }) if h.seq == frame.seq => {
+            return Ok("corrupt")
+        }
+        Err(e) => return Err(format!("unroutable refusal {e:?}")),
+        Ok(d) => d,
+    };
+    if 4 + 8 * d.count() > MAX_PAYLOAD {
+        return Err(format!("a count of {} passed", d.count()));
+    }
+    match d.pull(own_pid(), &SpareValues::new()) {
+        Err(PullError::Corrupt(FrameError::Corrupt { header: Some(h), .. }))
+            if h.seq == frame.seq =>
+        {
+            Ok("corrupt")
+        }
+        Err(PullError::Failed(_)) => Ok("failed"),
+        Err(PullError::Corrupt(e)) => Err(format!("unroutable refusal {e:?}")),
+        Ok(v) => Err(format!("a hostile descriptor delivered {} values", v.len())),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A `Vec<f64>` lent on a pulling stream and the same vector written
+    /// whole land bit-identical, with the same route, at every length that
+    /// lends.
+    #[test]
+    fn pulled_and_streamed_bodies_land_bit_identical(
+        len in prop_oneof![8192usize..8200, 8192usize..40_000],
+        seed in 0u64..u64::MAX,
+        specials in proptest::collection::vec(0u64..u64::MAX, 0..6),
+        route in (0u32..1 << 20, -1000i32..=1000),
+    ) {
+        let (ctx, tag) = route;
+        let vals = values(len, seed, &specials);
+        prop_assert!(4 + 8 * len >= BODY_IN_PLACE);
+
+        // Written whole, landed as a node lands it.
+        let (tx, mut rx) = UnixStream::pair().expect("socketpair");
+        let mut link = LinkSender::new(4, 5, WireFaults::none());
+        link.attach(tx);
+        let whole = vals.clone();
+        let writer = std::thread::spawn(move || {
+            link.send_values(ctx, tag, VALUES_CODEC, whole).expect("write");
+        });
+        let mut wrote = Vec::new();
+        rx.read_to_end(&mut wrote).expect("read the frame");
+        writer.join().expect("writer");
+        let mut stream = CutStream { bytes: &wrote, cuts: Vec::new(), pos: 0, pieces: Vec::new() };
+        let landed = land_like_a_node(&mut stream, &Arc::new(SpareValues::new()));
+        let Some(Ok(Arrival::Values(streamed, streamed_values))) = landed.into_iter().next() else {
+            return Err(TestCaseError::fail("the streamed body did not land".into()));
+        };
+
+        // Lent: a descriptor on the wire, the body pulled from the ring.
+        let (tx, mut rx) = UnixStream::pair().expect("socketpair");
+        let mut lender = LinkSender::new(4, 5, WireFaults::none());
+        lender.attach(tx);
+        lender.lend();
+        lender.send_values(ctx, tag, VALUES_CODEC, vals.clone()).expect("write");
+        let frame = next_frame(&mut rx);
+        prop_assert_eq!(frame.codec, DESCRIPTOR_CODEC);
+        prop_assert_eq!(frame.payload.len(), 16, "a descriptor carries no body");
+        let d = Descriptor::parse(&frame).expect("an intact descriptor");
+        prop_assert_eq!(d.body_len(), 4 + 8 * len);
+        let pulled = d.pull(own_pid(), &SpareValues::new()).expect("the pull");
+        drop(lender);
+
+        prop_assert_eq!(
+            (frame.src, frame.context, frame.tag, frame.seq),
+            (streamed.src, streamed.context, streamed.tag, streamed.seq)
+        );
+        prop_assert!(bits(&pulled) == bits(&streamed_values), "pulled and streamed bodies differ");
+        prop_assert!(bits(&pulled) == bits(&vals), "the pulled body differs from the vector sent");
+    }
+
+    /// Descriptors of arbitrary bytes — any count, address and CRC, or a
+    /// payload of the wrong length — are refused as `Corrupt` or a failed
+    /// read, never delivered, never a panic, and never allocate past
+    /// `MAX_PAYLOAD`.
+    #[test]
+    fn hostile_descriptors_are_refused(
+        count in prop_oneof![0u32..20_000, 0u32..u32::MAX],
+        addr in prop_oneof![0u64..4096, 0u64..u64::MAX, 0xffff_8000_0000_0000u64..u64::MAX],
+        crc in 0u32..u32::MAX,
+        extra in proptest::collection::vec(0u8..=255, 0..3),
+        shorten in 0usize..2,
+    ) {
+        let mut payload = described(count, addr, crc);
+        payload.extend_from_slice(&extra);
+        payload.truncate(payload.len() - shorten);
+        let wrong_length = payload.len() != 16;
+        let frame = descriptor(payload);
+        let verdict = refused(&frame).map_err(TestCaseError::fail)?;
+        if wrong_length || 4 + 8 * count as usize > MAX_PAYLOAD {
+            prop_assert_eq!(verdict, "corrupt");
+        }
+    }
+}
+
+#[test]
+fn descriptors_with_a_wrong_address_or_count_are_refused() {
+    let vals = values(9000, 5, &[1, 2]);
+    let (tx, mut rx) = UnixStream::pair().expect("socketpair");
+    let mut lender = LinkSender::new(4, 5, WireFaults::none());
+    lender.attach(tx);
+    lender.lend();
+    lender.send_values(7, 3, VALUES_CODEC, vals.clone()).expect("write");
+    let good = next_frame(&mut rx);
+    let p = &good.payload;
+    let (count, addr) = (9000u32, u64::from_le_bytes(p[4..12].try_into().unwrap()));
+    let crc = u32::from_le_bytes(p[12..].try_into().unwrap());
+    assert!(Descriptor::parse(&good).unwrap().pull(own_pid(), &SpareValues::new()).is_ok());
+
+    // An unmapped address: the read fails, nothing is delivered.
+    assert_eq!(refused(&descriptor(described(count, 8, crc))), Ok("failed"));
+    // Mapped memory holding other values: the body fails its CRC.
+    let other = values(9000, 6, &[]);
+    let elsewhere = other.as_ptr() as u64;
+    assert_eq!(refused(&descriptor(described(count, elsewhere, crc))), Ok("corrupt"));
+    // The right address off by one value: the body fails its CRC.
+    assert_eq!(refused(&descriptor(described(count, addr + 8, crc))), Ok("corrupt"));
+    // Counts that disagree with the vector's length: fewer values, or more
+    // (read past its end: other bytes or an unmapped page).
+    for wrong in [0, 1, count - 1, count + 1, count + (1 << 20)] {
+        let verdict = refused(&descriptor(described(wrong, addr, crc)));
+        assert!(matches!(verdict, Ok("corrupt" | "failed")), "count {wrong}: {verdict:?}");
+    }
+    // Counts at and past `MAX_PAYLOAD`: refused before any allocation.
+    let most = ((MAX_PAYLOAD - 4) / 8) as u32;
+    for past in [most + 1, u32::MAX] {
+        assert_eq!(refused(&descriptor(described(past, addr, crc))), Ok("corrupt"), "count {past}");
+    }
+    assert!(Descriptor::parse(&descriptor(described(most, addr, crc))).is_ok());
+    // A descriptor payload of the wrong length.
+    let mut long = described(count, addr, crc);
+    long.push(0);
+    assert_eq!(refused(&descriptor(long)), Ok("corrupt"));
+    drop(lender);
 }
