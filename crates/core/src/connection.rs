@@ -7,8 +7,10 @@
 //! * **Establishment** exchanges DADs: the initiating side's rank 0 sends a
 //!   connection request (with its descriptor) to every remote rank; the
 //!   accepting side validates field name, access mode and shape, and its
-//!   rank 0 answers with its own descriptor. Both sides then build their
-//!   communication schedules independently.
+//!   rank 0 answers with its own descriptor. From then on each rank moves
+//!   its share through a [`Redist`] between the two descriptors, with
+//!   schedules and buffers from its registry's [`ScheduleCache`]; no rank
+//!   waits on another to build them.
 //! * **Transfers** follow the paper's `dataReady()` design: "each
 //!   independent pairwise communication … is initiated when a single
 //!   instance of the parallel source cohort invokes the dataReady() method
@@ -26,10 +28,7 @@ use parking_lot::RwLock;
 
 use mxn_dad::{AccessMode, Dad};
 use mxn_runtime::{Comm, InterComm, MsgSize, ReconfigReport, RuntimeError, ShrinkReport, Src};
-use mxn_schedule::{
-    execute_recv_routed, execute_send_routed, pooled_transfer, RegionSchedule, RoutePlanner,
-    ScheduleCache,
-};
+use mxn_schedule::{Redist, RegionSchedule, Role, ScheduleCache, TransferBuffers};
 use mxn_trace::EventId;
 
 use crate::elastic::redistribute_elastic;
@@ -85,10 +84,6 @@ struct ConnState {
     my_dad: Dad,
     /// Pre-expand descriptor of the remote side.
     peer_dad: Dad,
-    /// Pre-expand world ranks of the joining side, in local-rank order.
-    old_local_group: Vec<usize>,
-    /// Pre-expand world ranks of the remote side.
-    old_remote_group: Vec<usize>,
 }
 
 impl MsgSize for ConnState {
@@ -101,7 +96,6 @@ impl MsgSize for ConnState {
             + 3 * size_of::<u64>()
             + self.my_dad.descriptor_bytes()
             + self.peer_dad.descriptor_bytes()
-            + (self.old_local_group.len() + self.old_remote_group.len()) * size_of::<usize>()
     }
 }
 
@@ -232,11 +226,11 @@ pub struct MxnConnection {
     field: String,
     direction: Direction,
     kind: ConnectionKind,
-    /// The descriptors the current schedule was built from, kept so a
-    /// heal can re-derive survivor descriptors and rebuild the schedule.
+    /// This side's and the peer side's descriptors: every transfer looks
+    /// its schedule up by them, and a heal or reconfiguration re-derives
+    /// them for the new membership.
     my_dad: Dad,
     peer_dad: Dad,
-    schedule: RegionSchedule,
     tag: i32,
     /// Recovery epoch: 0 until the first heal, +1 per heal. Transfers from
     /// different epochs never mix — a heal revokes the old intercomm
@@ -313,7 +307,6 @@ impl MxnConnection {
         };
         Self::finish(
             ic,
-            registry,
             my_field,
             direction,
             kind,
@@ -356,7 +349,6 @@ impl MxnConnection {
         }
         Self::finish(
             ic,
-            registry,
             &req.field,
             direction,
             req.kind,
@@ -370,7 +362,6 @@ impl MxnConnection {
     #[allow(clippy::too_many_arguments)]
     fn finish(
         ic: &InterComm,
-        registry: &FieldRegistry,
         field: &str,
         direction: Direction,
         kind: ConnectionKind,
@@ -388,18 +379,12 @@ impl MxnConnection {
                 ),
             });
         }
-        let rank = registry.rank();
-        let schedule = match direction {
-            Direction::Export => RegionSchedule::for_sender(&my_dad, &peer_dad, rank),
-            Direction::Import => RegionSchedule::for_receiver(&peer_dad, &my_dad, rank),
-        };
         Ok(MxnConnection {
             field: field.to_string(),
             direction,
             kind,
             my_dad,
             peer_dad,
-            schedule,
             tag: conn_tag(ic, my_id, peer_id),
             epoch: 0,
             transactional: false,
@@ -451,11 +436,6 @@ impl MxnConnection {
         self.transactional = on;
     }
 
-    /// Number of peer ranks this rank exchanges messages with.
-    pub fn num_partners(&self) -> usize {
-        self.schedule.num_messages()
-    }
-
     /// Declares this rank's local data consistent and "ready": runs this
     /// rank's independent pairwise sends or receives if a transfer is due.
     /// No global synchronization happens — pairs complete independently.
@@ -467,11 +447,28 @@ impl MxnConnection {
         self.due_transfer(ic, registry, None)
     }
 
+    /// This side's redistribution — from this side's descriptor to the
+    /// peer's on export, the other way on import — on `cache` at the
+    /// connection's epoch.
+    fn redist<'a>(&'a self, cache: &'a ScheduleCache) -> Redist<'a> {
+        let (src, dst) = match self.direction {
+            Direction::Export => (&self.my_dad, &self.peer_dad),
+            Direction::Import => (&self.peer_dad, &self.my_dad),
+        };
+        Redist::between(src, dst).cache(cache).epoch(self.epoch)
+    }
+
+    /// This rank's receive schedule, for the import paths that match
+    /// messages pair by pair.
+    fn recv_schedule(&self, ic: &InterComm, cache: &ScheduleCache) -> Arc<RegionSchedule> {
+        let (src, dst, rank) = (&self.peer_dad, &self.my_dad, ic.local_rank());
+        cache.get_or_build_for_epoch(src, dst, rank, Role::Receiver, self.epoch)
+    }
+
     /// The body both `data_ready` forms share: cadence bookkeeping, the
-    /// transfer itself over the held schedule (directly, or along a
-    /// planned route when `budgeted` carries a cache and byte budget), in
-    /// place in the field and with buffers from the rank pool, and the
-    /// collective-failure check.
+    /// transfer itself (on the registry cache, or on the one `budgeted`
+    /// names along a route planned for its byte budget), in place in the
+    /// field, and the collective-failure check.
     fn due_transfer(
         &mut self,
         ic: &InterComm,
@@ -493,37 +490,15 @@ impl MxnConnection {
             return self.transactional_transfer(ic, registry);
         }
         let entry = registry.get(&self.field)?;
-        let route = budgeted.map(|(cache, budget)| {
-            let (src, dst) = match self.direction {
-                Direction::Export => (&self.my_dad, &self.peer_dad),
-                Direction::Import => (&self.peer_dad, &self.my_dad),
-            };
-            let planner = RoutePlanner::default();
-            cache.route_for_epoch(src, dst, size_of::<f64>(), budget, false, &planner, self.epoch)
-        });
-        let (sched, tag) = (&self.schedule, self.tag);
-        let moved = registry.with_pool(|pool| {
-            pooled_transfer(pool, route.as_deref(), |pool| {
-                match (self.direction, route.as_deref()) {
-                    (Direction::Export, None) => {
-                        sched.execute_send(ic, &entry.data().read(), tag, pool)
-                    }
-                    (Direction::Import, None) => {
-                        sched.execute_recv(ic, &mut entry.data().write(), tag, pool)
-                    }
-                    (Direction::Export, Some(r)) => {
-                        execute_send_routed(r, sched, ic, &entry.data().read(), tag, pool)
-                    }
-                    (Direction::Import, Some(r)) => {
-                        execute_recv_routed(r, sched, ic, &mut entry.data().write(), tag, pool)
-                    }
-                }
-            })
-        });
-        let elements = match moved {
-            Ok(n) => n,
-            Err(e) => return Err(map_dead(self.tag, e.into())),
+        let redist = match budgeted {
+            Some((cache, budget)) => self.redist(cache).budget(budget),
+            None => self.redist(registry.cache()),
         };
+        let moved = match self.direction {
+            Direction::Export => redist.send(ic, &entry.data().read(), self.tag),
+            Direction::Import => redist.recv_into(ic, &mut entry.data().write(), self.tag),
+        };
+        let elements = moved.map_err(|e| map_dead(self.tag, e.into()))?;
         // Consistent collective failure: even when this rank's own pairwise
         // schedule completed, a death anywhere in the coupling voids the
         // transfer, so every surviving rank reports the same outcome
@@ -552,24 +527,18 @@ impl MxnConnection {
         registry: &FieldRegistry,
     ) -> Result<TransferOutcome> {
         let seq = self.transfers + 1;
-        let entry = registry.get(&self.field)?;
+        let (entry, cache) = (registry.get(&self.field)?, registry.cache());
         let mut staged: Vec<Vec<f64>> = Vec::new();
         let mut elements = 0usize;
         let mut failure: Option<MxnError> = None;
-        match self.direction {
-            Direction::Export => {
-                let moved = registry.with_pool(|pool| {
-                    pooled_transfer(pool, None, |pool| {
-                        self.schedule.execute_send(ic, &entry.data().read(), self.tag, pool)
-                    })
-                });
-                match moved {
-                    Ok(n) => elements = n,
-                    Err(e) => failure = Some(map_dead(self.tag, e.into())),
-                }
-            }
-            Direction::Import => {
-                for pair in self.schedule.pairs() {
+        let sched = (self.direction == Direction::Import).then(|| self.recv_schedule(ic, cache));
+        match &sched {
+            None => match self.redist(cache).send(ic, &entry.data().read(), self.tag) {
+                Ok(n) => elements = n,
+                Err(e) => failure = Some(map_dead(self.tag, e.into())),
+            },
+            Some(sched) => {
+                for pair in sched.pairs() {
                     match ic.recv::<Vec<f64>>(pair.peer, self.tag) {
                         Ok(buf) => {
                             elements += buf.len();
@@ -586,19 +555,18 @@ impl MxnConnection {
         let ok = failure.is_none() && ic.any_dead().is_none();
         let commit = ic.agree_all(ok).map_err(|e| map_dead(self.tag, e.into()))?;
         if commit {
-            if self.direction == Direction::Import {
+            if let Some(sched) = sched {
                 let mut data = entry.data().write();
-                registry
-                    .with_pool(|pool| {
-                        pooled_transfer(pool, None, |pool| {
-                            for (i, buf) in staged.into_iter().enumerate() {
-                                self.schedule.unpack_pair_from(i, &mut data, &buf);
-                                pool.recycle(buf);
-                            }
-                            Ok(elements)
-                        })
-                    })
-                    .expect("landing staged buffers cannot fail");
+                cache.with_pool(|pool: &mut TransferBuffers<f64>| {
+                    // Park this receive set and no more, as a direct
+                    // receive does.
+                    let landed = staged.iter().map(|b| b.capacity() * size_of::<f64>()).sum();
+                    for (i, buf) in staged.into_iter().enumerate() {
+                        sched.unpack_pair_from(i, &mut data, &buf);
+                        pool.recycle(buf);
+                    }
+                    pool.trim_to(landed);
+                });
             }
             self.transfers += 1;
             mxn_trace::emit_instant(EventId::Commit, [self.epoch, seq, 0, 0]);
@@ -621,7 +589,8 @@ impl MxnConnection {
     /// epoch), shrinks the intercomm to the survivors, re-derives both
     /// sides' descriptors over their survivor sets ([`Dad::shrink`]),
     /// rebinds this rank's field storage to the survivor decomposition and
-    /// rebuilds the communication schedule. Every surviving rank of both
+    /// bumps the epoch, so the next transfer builds its schedule afresh.
+    /// The registry's cache is cleared. Every surviving rank of both
     /// programs must call this; returns the healed intercomm (use it for
     /// all subsequent `data_ready` calls) and the shrink report.
     ///
@@ -642,7 +611,7 @@ impl MxnConnection {
         let mut span = mxn_trace::span(EventId::Heal, [self.epoch + 1, 0, 0, 0]);
         ic.revoke();
         let (healed, report) = ic.shrink_with_report().map_err(|e| map_dead(self.tag, e.into()))?;
-        let old_rank = self.schedule.rank();
+        let old_rank = ic.local_rank();
         let new_rank = report
             .local_survivors
             .iter()
@@ -657,10 +626,7 @@ impl MxnConnection {
             .shrink(&report.remote_survivors)
             .map_err(|detail| MxnError::Handshake { detail })?;
         registry.rebind(&self.field, my_dad.clone(), old_rank, new_rank)?;
-        self.schedule = match self.direction {
-            Direction::Export => RegionSchedule::for_sender(&my_dad, &peer_dad, new_rank),
-            Direction::Import => RegionSchedule::for_receiver(&peer_dad, &my_dad, new_rank),
-        };
+        registry.cache().clear();
         self.my_dad = my_dad;
         self.peer_dad = peer_dad;
         self.epoch += 1;
@@ -677,13 +643,14 @@ impl MxnConnection {
     /// planned route from `cache` that respects the staging-buffer budget
     /// negotiated at plan time. Both sides of the coupling must use this
     /// path for the same rounds (the routed protocol has its own wire
-    /// format). Routes are keyed on the descriptor fingerprints *and* the
-    /// connection epoch: a heal or elastic reconfiguration bumps the
-    /// epoch, which forces a fresh profile and plan even when a
-    /// grow→shrink cycle returns to byte-identical descriptors — without
-    /// the salt, a post-reconfiguration transfer silently reuses a route
-    /// profiled for the old membership. The route runs over the schedule
-    /// the connection holds (rebuilt by every heal and reconfiguration).
+    /// format). Schedules and routes are keyed on the descriptor
+    /// fingerprints *and* the connection epoch: a heal or elastic
+    /// reconfiguration bumps the epoch, which forces a fresh schedule,
+    /// profile and plan even when a grow→shrink cycle returns to
+    /// byte-identical descriptors — without the salt, a
+    /// post-reconfiguration transfer silently reuses a route profiled for
+    /// the old membership. Clearing `cache` is the caller's call: a heal
+    /// clears only the registry's.
     ///
     /// The import lands in place in the registered field, as
     /// [`MxnConnection::data_ready`] does, so no second shard is resident;
@@ -691,9 +658,8 @@ impl MxnConnection {
     /// field, exactly as `data_ready` does. Transactional connections keep
     /// staging: they run the same staged, voted transfer as `data_ready`
     /// (staging holds the whole receive set, so the budget does not apply
-    /// to them). Pack and unpack buffers come from the registry's rank
-    /// pool, trimmed to [`RedistRoute::idle_allowance`] before and after
-    /// the transfer.
+    /// to them). Pack and unpack buffers come from `cache`'s pool, trimmed
+    /// to [`RedistRoute::idle_allowance`] before and after the transfer.
     ///
     /// [`RedistRoute::idle_allowance`]: mxn_schedule::RedistRoute::idle_allowance
     pub fn data_ready_budgeted(
@@ -711,10 +677,10 @@ impl MxnConnection {
     /// [`InterComm::expand`] handshake), then re-decomposes both sides'
     /// descriptors over the larger groups, *spreads* this side's field
     /// onto the newcomers through a one-sided RMA window
-    /// ([`redistribute_elastic`]) and rebuilds the transfer schedule.
-    /// Every incumbent rank of both programs must call this; the admitted
-    /// ranks must be parked in [`MxnConnection::join`]. Returns the grown
-    /// intercomm — use it for all subsequent `data_ready` calls.
+    /// ([`redistribute_elastic`]) and bumps the epoch. Every incumbent
+    /// rank of both programs must call this; the admitted ranks must be
+    /// parked in [`MxnConnection::join`]. Returns the grown intercomm —
+    /// use it for all subsequent `data_ready` calls.
     ///
     /// The whole operation is transactional: if the membership vote fails
     /// (a newcomer died mid-handshake), every rank gets
@@ -752,8 +718,6 @@ impl MxnConnection {
                             transfers: self.transfers,
                             my_dad: self.my_dad.clone(),
                             peer_dad: self.peer_dad.clone(),
-                            old_local_group: report.old_local_group.clone(),
-                            old_remote_group: report.old_remote_group.clone(),
                         },
                     )
                     .map_err(|e| map_dead(CONN_JOIN_TAG, e.into()))?;
@@ -789,10 +753,11 @@ impl MxnConnection {
     }
 
     /// The data-carrying half of an elastic reconfiguration, shared by
-    /// grow and graceful shrink: resize both descriptors, move this
-    /// side's field through the window, rebind storage and rebuild the
-    /// schedule, bump the epoch. A leaver (not in the new group) serves
-    /// its shard as a pure source and comes out closed.
+    /// grow, graceful shrink and a spare's join: resize both descriptors,
+    /// move this side's field through the window, rebind storage (a
+    /// joiner registers it), bump the epoch and clear the registry's
+    /// cache. A leaver (not in the new group) serves its shard as a pure
+    /// source and comes out closed.
     fn elastic_rebind(
         &mut self,
         side: usize,
@@ -808,10 +773,11 @@ impl MxnConnection {
         let old_rank = report.old_local_group.iter().position(|&r| r == me);
         let new_rank = report.new_local_group.iter().position(|&r| r == me);
         let win_id = elastic_win_id(self.tag, self.epoch, side);
-        let entry = registry.get(&self.field)?;
-        let data = entry.data().clone();
+        // A joining rank holds no shard yet, and has no field registered.
+        let old = old_rank.map(|r| registry.get(&self.field).map(|e| (r, e.data().clone())));
+        let old = old.transpose()?;
         let fresh = {
-            let guard = data.read();
+            let guard = old.as_ref().map(|(r, data)| (*r, data.read()));
             redistribute_elastic(
                 world,
                 win_id,
@@ -819,22 +785,21 @@ impl MxnConnection {
                 &new_my_dad,
                 &report.old_local_group,
                 &report.new_local_group,
-                old_rank.map(|r| (r, &*guard)),
+                guard.as_ref().map(|(r, local)| (*r, &**local)),
                 new_rank,
             )?
         };
         match (new_rank, fresh) {
-            (Some(nr), Some(arr)) => {
+            (Some(nr), Some(arr)) if old.is_some() => {
                 registry.rebind_elastic(&self.field, new_my_dad.clone(), nr, arr)?;
-                self.schedule = match self.direction {
-                    Direction::Export => RegionSchedule::for_sender(&new_my_dad, &new_peer_dad, nr),
-                    Direction::Import => {
-                        RegionSchedule::for_receiver(&new_peer_dad, &new_my_dad, nr)
-                    }
-                };
+            }
+            (Some(_), Some(arr)) => {
+                let data = Arc::new(RwLock::new(arr));
+                registry.register(&self.field, new_my_dad.clone(), AccessMode::ReadWrite, data)?;
             }
             _ => self.closed = true,
         }
+        registry.cache().clear();
         self.my_dad = new_my_dad;
         self.peer_dad = new_peer_dad;
         self.epoch += 1;
@@ -853,52 +818,25 @@ impl MxnConnection {
         world: &Comm,
         timeout: Duration,
     ) -> Result<(MxnConnection, InterComm, FieldRegistry)> {
-        let (ic, _) = InterComm::await_join_with_report(world, timeout)?;
+        let (ic, report) = InterComm::await_join_with_report(world, timeout)?;
         let st: ConnState = world
             .recv_timeout(Src::Any, CONN_JOIN_TAG, timeout)
             .map_err(|e| map_dead(CONN_JOIN_TAG, e.into()))?;
-        let new_local_group = ic.local_group().to_vec();
-        let new_remote_group = ic.remote_group().to_vec();
-        let new_my_dad = resize_dad(&st.my_dad, &st.old_local_group, &new_local_group)?;
-        let new_peer_dad = resize_dad(&st.peer_dad, &st.old_remote_group, &new_remote_group)?;
-        let new_rank = ic.local_rank();
-        let win_id = elastic_win_id(st.tag, st.epoch, ic.side());
-        let fresh = redistribute_elastic(
-            world,
-            win_id,
-            &st.my_dad,
-            &new_my_dad,
-            &st.old_local_group,
-            &new_local_group,
-            None,
-            Some(new_rank),
-        )?
-        .expect("a joining rank always receives a shard");
-        let mut registry = FieldRegistry::new(new_rank);
-        registry.register(
-            &st.field,
-            new_my_dad.clone(),
-            AccessMode::ReadWrite,
-            Arc::new(RwLock::new(fresh)),
-        )?;
-        let schedule = match st.direction {
-            Direction::Export => RegionSchedule::for_sender(&new_my_dad, &new_peer_dad, new_rank),
-            Direction::Import => RegionSchedule::for_receiver(&new_peer_dad, &new_my_dad, new_rank),
-        };
-        let conn = MxnConnection {
+        let mut conn = MxnConnection {
             field: st.field,
             direction: st.direction,
             kind: st.kind,
-            my_dad: new_my_dad,
-            peer_dad: new_peer_dad,
-            schedule,
+            my_dad: st.my_dad,
+            peer_dad: st.peer_dad,
             tag: st.tag,
-            epoch: st.epoch + 1,
+            epoch: st.epoch,
             transactional: st.transactional,
             calls: st.calls,
             transfers: st.transfers,
             closed: false,
         };
+        let mut registry = FieldRegistry::new(ic.local_rank());
+        conn.elastic_rebind(ic.side(), world, &mut registry, &report)?;
         Ok((conn, ic, registry))
     }
 
@@ -917,21 +855,18 @@ impl MxnConnection {
         assert_eq!(self.direction, Direction::Import, "poll_latest is import-side");
         assert!(!self.closed, "connection is closed");
         let entry = registry.get(&self.field)?;
+        let sched = self.recv_schedule(ic, registry.cache());
         let mut rounds = 0;
         loop {
             // A transfer is consumable only when *every* partner's message
             // for the next round is present (messages per pair are FIFO,
             // so presence of one per partner = one complete round).
-            let ready = self.schedule.pairs().iter().all(|p| ic.iprobe(p.peer, self.tag).is_some());
-            if !ready || self.schedule.num_messages() == 0 {
+            let ready = sched.pairs().iter().all(|p| ic.iprobe(p.peer, self.tag).is_some());
+            if !ready || sched.num_messages() == 0 {
                 return Ok(rounds);
             }
-            registry
-                .with_pool(|pool| {
-                    pooled_transfer(pool, None, |pool| {
-                        self.schedule.execute_recv(ic, &mut entry.data().write(), self.tag, pool)
-                    })
-                })
+            self.redist(registry.cache())
+                .recv_into(ic, &mut entry.data().write(), self.tag)
                 .map_err(|e| map_dead(self.tag, e.into()))?;
             self.transfers += 1;
             rounds += 1;
@@ -1266,10 +1201,16 @@ mod recovery_tests {
                 let data = reg.register_allocated("f", dst, AccessMode::Write).unwrap();
                 let mut conn = MxnConnection::accept(ic, &reg, 0).unwrap();
                 conn.set_transactional(true);
+                // Landing the staged buffers parks them and drops what the
+                // pool held before, as a direct receive does.
+                let stale = Vec::with_capacity(1000);
+                reg.cache().with_pool(|p: &mut TransferBuffers<f64>| p.recycle(stale));
                 conn.data_ready(ic, &reg).unwrap();
                 for (idx, &v) in data.read().iter() {
                     assert_eq!(v, coded(&idx, 1.0));
                 }
+                let parked = reg.cache().with_pool(|p: &mut TransferBuffers<f64>| p.idle_bytes());
+                assert!(parked < 1000 * size_of::<f64>(), "{parked} B parked");
             }
         });
     }
@@ -1496,6 +1437,82 @@ mod elastic_tests {
         });
     }
 
+    /// Three grow→contract cycles and a heal take one registry per rank
+    /// through eight epochs, yet after every transfer the registry caches
+    /// one schedule — this rank's one live role — because each
+    /// reconfiguration clears what the last epoch built.
+    #[test]
+    fn reconfigurations_keep_the_registry_cache_bounded() {
+        const CYCLES: usize = 3;
+        World::run(5, |p| {
+            let world = p.world();
+            let color = if p.rank() < 4 { 0 } else { -1 };
+            let pair = world.split(color, 0).unwrap();
+            if p.rank() == 4 {
+                // The spare joins the import side once per cycle.
+                for cycle in 0..CYCLES {
+                    let (mut conn, ic, reg) =
+                        MxnConnection::join(world, Duration::from_secs(10)).unwrap();
+                    conn.data_ready(&ic, &reg).unwrap();
+                    check(reg.get("f").unwrap().data(), (2 * cycle + 1) as f64);
+                    assert_eq!(reg.cache().len(), 1);
+                    let (gone, _) =
+                        conn.contract(&ic, world, &mut { reg }, &[0, 1], &[0, 1]).unwrap();
+                    assert!(gone.is_none());
+                }
+                return;
+            }
+            let pair = pair.unwrap();
+            let side = usize::from(p.rank() >= 2);
+            let (_prog, mut ic) = InterComm::create(&pair, side).unwrap();
+            let mut reg = FieldRegistry::new(ic.local_rank());
+            let e = Extents::new([6, 6]);
+            let (data, mut conn) = if side == 0 {
+                let data =
+                    reg.register_allocated("f", Dad::block(e, &[2, 1]).unwrap(), AccessMode::Read);
+                let kind = ConnectionKind::Persistent { period: 1 };
+                let conn = MxnConnection::initiate(&ic, &reg, 0, "f", "f", Direction::Export, kind);
+                (data.unwrap(), conn.unwrap())
+            } else {
+                let data =
+                    reg.register_allocated("f", Dad::block(e, &[1, 2]).unwrap(), AccessMode::Write);
+                (data.unwrap(), MxnConnection::accept(&ic, &reg, 0).unwrap())
+            };
+            let step = |conn: &mut MxnConnection, ic: &InterComm, reg: &FieldRegistry, s: usize| {
+                if side == 0 {
+                    refill(&data, s as f64);
+                }
+                conn.data_ready(ic, reg).unwrap();
+                if side == 1 {
+                    check(&data, s as f64);
+                }
+                assert_eq!(reg.cache().len(), 1, "one live role at step {s}");
+            };
+            step(&mut conn, &ic, &reg, 0);
+            for cycle in 0..CYCLES {
+                let (add_l, add_r) =
+                    if side == 0 { (&[][..], &[4][..]) } else { (&[4][..], &[][..]) };
+                let (grown, _) = conn.expand(&ic, world, &mut reg, add_l, add_r).unwrap();
+                step(&mut conn, &grown, &reg, 2 * cycle + 1);
+                let (shrunk, _) = conn.contract(&grown, world, &mut reg, &[0, 1], &[0, 1]).unwrap();
+                ic = shrunk.unwrap();
+                step(&mut conn, &ic, &reg, 2 * cycle + 2);
+            }
+            // Import rank 1 dies; the survivors heal and carry on.
+            pair.barrier().unwrap();
+            if p.rank() == 3 {
+                p.kill_rank(3);
+                return;
+            }
+            while !p.is_dead(3) {
+                std::thread::yield_now();
+            }
+            let (healed, _) = conn.heal(&ic, &mut reg).unwrap();
+            step(&mut conn, &healed, &reg, 2 * CYCLES + 1);
+            assert_eq!(conn.epoch(), 2 * CYCLES as u64 + 1);
+        });
+    }
+
     /// A newcomer dying mid-handshake aborts the whole grow: every
     /// incumbent gets `ReconfigAborted`, the epoch does not bump, and the
     /// *old* coupling keeps transferring — the membership rollback leaves
@@ -1684,7 +1701,7 @@ mod budgeted_steady_state_tests {
     use crate::field::FieldRegistry;
     use mxn_dad::{AccessMode, Extents};
     use mxn_runtime::{schedule_stats, Universe};
-    use mxn_schedule::RouteKind;
+    use mxn_schedule::{RouteKind, RoutePlanner};
 
     const ROWS: usize = 64;
     const COLS: usize = 32;
@@ -1758,7 +1775,8 @@ mod budgeted_steady_state_tests {
                     out.data_ready_budgeted(ic, &reg, &cache, budget).unwrap();
                 }
                 assert_eq!(data.read().patch(0).1.as_ptr(), storage, "import landed in place");
-                let idle = reg.with_pool(|pool| pool.idle_bytes()) as u64;
+                let idle =
+                    cache.with_pool(|pool: &mut TransferBuffers<f64>| pool.idle_bytes()) as u64;
                 assert!(idle <= route.idle_allowance(), "pool parks {idle} B at step {step}");
             }
             assert_eq!(schedule_stats().buffer_allocs, allocs, "fresh buffers after warm-up");

@@ -10,10 +10,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use mxn_dad::{AccessMode, Dad, LocalArray};
-use mxn_schedule::TransferBuffers;
+use mxn_schedule::ScheduleCache;
 
 use crate::error::{MxnError, Result};
 
@@ -45,24 +45,23 @@ impl FieldEntry {
     }
 }
 
-/// One rank's registry of M×N-visible fields, and the rank's transfer
-/// buffers.
+/// One rank's registry of M×N-visible fields, and the schedule cache its
+/// connections transfer through.
 #[derive(Default)]
 pub struct FieldRegistry {
     rank: usize,
     fields: HashMap<String, FieldEntry>,
-    /// One pool for every `data_ready` on this rank, so its import and
-    /// export connections feed each other: what one transfer drained
-    /// serves the next one's sends. What it keeps between transfers
-    /// follows [`mxn_schedule::pooled_transfer`], the rule a
-    /// [`mxn_schedule::ScheduleCache`] pool follows too.
-    pool: Mutex<TransferBuffers<f64>>,
+    /// Schedules and transfer buffers of every `data_ready` on this rank.
+    /// One pool serves the rank's import and export connections, so they
+    /// feed each other: what one transfer drained serves the next one's
+    /// sends.
+    cache: ScheduleCache,
 }
 
 impl FieldRegistry {
     /// Creates an empty registry for this rank.
     pub fn new(rank: usize) -> Self {
-        FieldRegistry { rank, fields: HashMap::new(), pool: Mutex::default() }
+        FieldRegistry { rank, ..Self::default() }
     }
 
     /// The rank this registry belongs to.
@@ -70,15 +69,10 @@ impl FieldRegistry {
         self.rank
     }
 
-    /// Lends the rank's transfer-buffer pool to `f`. The pool is moved out
-    /// for the call, so no lock is held while a transfer blocks; a transfer
-    /// running meanwhile on another thread gets an empty pool, and the
-    /// pool put back last is kept.
-    pub fn with_pool<R>(&self, f: impl FnOnce(&mut TransferBuffers<f64>) -> R) -> R {
-        let mut pool = std::mem::take(&mut *self.pool.lock());
-        let out = f(&mut pool);
-        *self.pool.lock() = pool;
-        out
+    /// The schedule cache, with its transfer-buffer pool, that this rank's
+    /// connections transfer through.
+    pub fn cache(&self) -> &ScheduleCache {
+        &self.cache
     }
 
     /// Registers `data` (this rank's storage of a field distributed as

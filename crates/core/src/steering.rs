@@ -114,7 +114,6 @@ pub fn receive_snapshot(ic: &InterComm, rank: usize) -> Result<Vec<(String, f64)
 mod tests {
     use super::*;
     use mxn_runtime::Universe;
-    use std::time::Duration;
 
     /// A simulation steers its timestep mid-run; all ranks stay agreed.
     #[test]
@@ -130,14 +129,13 @@ mod tests {
                 let mut dts = Vec::new();
                 for step in 0..20 {
                     if step == 5 {
-                        // Tell the viewer we reached step 5 (rank 0 only).
-                        if ctx.comm.rank() == 0 {
-                            ic.send(0, 1, ()).unwrap();
-                        }
+                        // Tell the viewer this rank reached step 5.
+                        ic.send(0, 1, ()).unwrap();
                     }
-                    if step >= 5 {
-                        // Give the update a moment to arrive, then poll.
-                        std::thread::sleep(Duration::from_millis(1));
+                    if step == 19 {
+                        // The viewer's token follows its update from the
+                        // same rank, so once it is here the update is too.
+                        ic.recv::<()>(0, 2).unwrap();
                     }
                     steering.poll(ic).unwrap();
                     dts.push(steering.get("dt"));
@@ -152,8 +150,14 @@ mod tests {
             } else {
                 // The viewer.
                 let ic = ctx.intercomm(0);
-                ic.recv::<()>(0, 1).unwrap(); // wait for step 5
+                // Steer once every rank is past its early steps.
+                for r in 0..ic.remote_size() {
+                    ic.recv::<()>(r, 1).unwrap();
+                }
                 steer(ic, "dt", 0.05).unwrap();
+                for r in 0..ic.remote_size() {
+                    ic.send(r, 2, ()).unwrap();
+                }
             }
         });
     }

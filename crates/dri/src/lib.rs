@@ -7,7 +7,7 @@
 //! partitions are supported, and local memory layouts are distinguished
 //! from the data distribution … Reorganization operations in DRI are
 //! collective, and are handled at a low level. The user provides send and
-//! receive buffers and repeatedly call[s] DRI get/put operations until
+//! receive buffers and repeatedly call\[s\] DRI get/put operations until
 //! the operation is complete. … the DRI can be thought of as a
 //! specialized and low-level Distributed Array Descriptor and M×N
 //! component."

@@ -1,6 +1,6 @@
 //! Incremental, user-driven reorganization — DRI's get/put model.
 //!
-//! "The user provides send and receive buffers and repeatedly call[s] DRI
+//! "The user provides send and receive buffers and repeatedly call\[s\] DRI
 //! get/put operations until the operation is complete." A [`DriReorg`] is
 //! built collectively from the source and destination partitions; each
 //! [`DriReorg::put`] ships one destination peer's chunk out of the user's
@@ -108,10 +108,8 @@ impl DriReorg {
             // Wire format is canonical (row-major per region), independent
             // of either side's *local* layout — layouts apply only at the
             // user-buffer boundary (see DriPartition::import/export).
-            let mut chunk = Vec::with_capacity(pair.elements());
-            for region in &pair.regions {
-                chunk.extend(send_buf.pack_region(region));
-            }
+            let mut chunk = Vec::new();
+            self.send.pack_pair_into(self.send_cursor, send_buf, &mut chunk);
             comm.send(pair.peer, self.tag, chunk)?;
             self.send_cursor += 1;
         }
@@ -124,12 +122,7 @@ impl DriReorg {
     pub fn get(&mut self, comm: &Comm, recv_buf: &mut LocalArray<f64>) -> Result<ReorgPhase> {
         if let Some(pair) = self.recv.pairs().get(self.recv_cursor) {
             let chunk: Vec<f64> = comm.recv(pair.peer, self.tag)?;
-            let mut cursor = 0;
-            for region in &pair.regions {
-                let n = region.len();
-                recv_buf.unpack_region(region, &chunk[cursor..cursor + n]);
-                cursor += n;
-            }
+            self.recv.unpack_pair_from(self.recv_cursor, recv_buf, &chunk);
             self.recv_cursor += 1;
         }
         Ok(self.get_phase())

@@ -90,9 +90,8 @@ pub struct Exporter {
     capacity: usize,
     frontier: f64,
     pending: Vec<PendingRequest>,
-    schedule: Option<RegionSchedule>,
+    schedule: RegionSchedule,
     peer_dad: Dad,
-    my_rank: usize,
     stats: ExportStats,
 }
 
@@ -104,7 +103,7 @@ impl Exporter {
         assert!(capacity > 0, "version buffer needs capacity");
         assert!(dad.conforms(&peer_dad), "export/import descriptors must conform");
         Exporter {
-            schedule: Some(RegionSchedule::for_sender(&dad, &peer_dad, my_rank)),
+            schedule: RegionSchedule::for_sender(&dad, &peer_dad, my_rank),
             dad,
             peer_dad,
             rule,
@@ -112,7 +111,6 @@ impl Exporter {
             capacity,
             frontier: f64::NEG_INFINITY,
             pending: Vec::new(),
-            my_rank,
             stats: ExportStats::default(),
         }
     }
@@ -180,25 +178,20 @@ impl Exporter {
                     // Decisions are made over the *buffered* versions, so a
                     // match always has its snapshot (evicted versions were
                     // never candidates — they surface as NoMatch instead).
-                    let data = self
+                    let (_, data) = self
                         .buffer
                         .iter()
                         .find(|(t, _)| *t == version)
-                        .map(|(_, d)| d.clone())
                         .expect("matched version is buffered");
                     self.stats.transfers += 1;
                     ic.send(req.importer, IMP_RESP_TAG, ImportResp { matched: Some(version) })?;
                     // Pairwise data only to this importer, per the
                     // precomputed schedule.
-                    let sched = self.schedule.as_ref().expect("schedule built at new");
-                    for pair in sched.pairs() {
-                        if pair.peer == req.importer {
-                            let mut buf = Vec::with_capacity(pair.elements());
-                            for region in &pair.regions {
-                                buf.extend(data.pack_region(region));
-                            }
-                            ic.send(req.importer, IMP_DATA_TAG, buf)?;
-                        }
+                    let pairs = self.schedule.pairs();
+                    if let Some(i) = pairs.iter().position(|p| p.peer == req.importer) {
+                        let mut buf = Vec::new();
+                        self.schedule.pack_pair_into(i, data, &mut buf);
+                        ic.send(req.importer, IMP_DATA_TAG, buf)?;
                     }
                 }
             }
@@ -219,7 +212,7 @@ impl Exporter {
 
     /// The rank this exporter serves.
     pub fn rank(&self) -> usize {
-        self.my_rank
+        self.schedule.rank()
     }
 }
 
@@ -279,15 +272,9 @@ impl Importer {
             outcome = Some(this);
             if resp.matched.is_some() {
                 // Receive pairwise data if exporter x is a partner.
-                for pair in self.schedule.pairs() {
-                    if pair.peer == x {
-                        let data: Vec<f64> = ic.recv(x, IMP_DATA_TAG)?;
-                        let mut cursor = 0;
-                        for region in &pair.regions {
-                            dst.unpack_region(region, &data[cursor..cursor + region.len()]);
-                            cursor += region.len();
-                        }
-                    }
+                if let Some(i) = self.schedule.pairs().iter().position(|p| p.peer == x) {
+                    let data: Vec<f64> = ic.recv(x, IMP_DATA_TAG)?;
+                    self.schedule.unpack_pair_from(i, dst, &data);
                 }
             }
         }

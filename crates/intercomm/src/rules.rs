@@ -2,7 +2,7 @@
 //!
 //! "The key idea for the coordination specification is the use of
 //! timestamps to determine when a data transfer will occur, via various
-//! types of matching criteria" (paper §4.4, after Wu & Sussman [41]).
+//! types of matching criteria" (paper §4.4, after Wu & Sussman \[41\]).
 //!
 //! A rule decides, given the exporter's buffered version timestamps and an
 //! import request timestamp, *which* exported version (if any) satisfies

@@ -19,7 +19,7 @@
 //!   integrals for flux conservation across inter-grid interpolation.
 //! * [`accumulator`] — time-averaging registers for components that do not
 //!   share a time-step.
-//! * [`merge`] — blending of state/flux data from multiple sources.
+//! * [`merge`](mod@merge) — blending of state/flux data from multiple sources.
 
 pub mod accumulator;
 pub mod attrvect;

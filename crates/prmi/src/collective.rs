@@ -248,7 +248,7 @@ where
             }
             let result = reply(method, resp.result)?;
             if let Some((callee, caller, local)) = ret {
-                *local = Redist::between(callee, caller).recv(cur, array_tag(seq) + 1)?;
+                Redist::between(callee, caller).recv_into(cur, local, array_tag(seq) + 1)?;
             }
             return Ok(result);
         };

@@ -3,7 +3,7 @@
 //! The related-work system of the paper's §5: "XChangemxn is a middleware
 //! infrastructure for coupling components in distributed applications.
 //! XChangemxn uses the publish/subscribe paradigm to link interacting
-//! components, and deal[s] specifically with **dynamic behaviors**, such
+//! components, and deal\[s\] specifically with **dynamic behaviors**, such
 //! as dynamic arrivals and departures of components and the
 //! **transformation of data 'in-flight'** to match end point
 //! requirements."

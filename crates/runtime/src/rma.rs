@@ -200,7 +200,7 @@ impl<'a> RmaWindow<'a> {
     /// afterwards the window is ready for the next epoch.
     ///
     /// Deterministic drain order (ascending member rank) keeps traces
-    /// digest-stable; a peer silent for [`RMA_FENCE_TIMEOUT`] (it died
+    /// digest-stable; a peer silent past the fence timeout (it died
     /// mid-epoch) surfaces as a failure-detection error.
     pub fn fence(&mut self) -> Result<Vec<Vec<f64>>> {
         let my_puts: u64 = self.sent.iter().map(|s| s.0).sum();

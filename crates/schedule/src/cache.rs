@@ -198,7 +198,7 @@ impl ScheduleCache {
     /// moved out for the call, so no lock is held while a transfer blocks;
     /// a transfer running meanwhile on another thread gets an empty pool,
     /// and the pool put back last is kept.
-    pub(crate) fn with_pool<T: Send + 'static, R>(
+    pub fn with_pool<T: Send + 'static, R>(
         &self,
         f: impl FnOnce(&mut TransferBuffers<T>) -> R,
     ) -> R {

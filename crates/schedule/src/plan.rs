@@ -255,8 +255,8 @@ impl CopyPlan {
 /// symmetric exchanges (transposes, halo steps, persistent couplings that
 /// send and receive) buffers circulate: once a pool kept across steps
 /// holds a buffer for every pair, leases are satisfied from the free list
-/// and fresh allocation stops. [`pooled_transfer`] is the rule for what
-/// such a pool keeps between transfers.
+/// and fresh allocation stops. A [`crate::ScheduleCache`] keeps such a
+/// pool for the cached [`crate::Redist`] transfers it serves.
 #[derive(Debug)]
 pub struct TransferBuffers<T> {
     free: Vec<Vec<T>>,
@@ -396,9 +396,8 @@ impl<T> TransferBuffers<T> {
 }
 
 /// Runs `transfer` on a pool that outlives it, under the one rule for what
-/// such a pool keeps between transfers — the rank pool of a
-/// `FieldRegistry` and the pools of a [`crate::ScheduleCache`] both lend
-/// through here:
+/// such a pool keeps between transfers — every cached [`crate::Redist`]
+/// transfer lends its [`crate::ScheduleCache`] pool through here:
 ///
 /// * a routed transfer (`route` given) trims the pool to
 ///   [`RedistRoute::idle_allowance`] before and after it runs, so pooled
@@ -409,7 +408,7 @@ impl<T> TransferBuffers<T> {
 ///   change between transfers a buffer may hold more than its payload,
 ///   and dropping it for that slack would cost the next send a fresh
 ///   allocation.
-pub fn pooled_transfer<T>(
+pub(crate) fn pooled_transfer<T>(
     pool: &mut TransferBuffers<T>,
     route: Option<&RedistRoute>,
     transfer: impl FnOnce(&mut TransferBuffers<T>) -> Result<usize>,

@@ -5,9 +5,9 @@
 //! *what* moves is the descriptor pair given to [`Redist::between`]; *how*
 //! it moves — schedules from a [`ScheduleCache`], under a peak-memory
 //! budget, salted with a reconfiguration epoch — is policy set on the
-//! value, not a family of function suffixes. The three terminals
-//! ([`Redist::send`], [`Redist::recv`], [`Redist::within`]) name the role
-//! the calling rank plays.
+//! value, not a family of function suffixes. The terminals
+//! ([`Redist::send`], [`Redist::recv`] or [`Redist::recv_into`],
+//! [`Redist::within`]) name the role the calling rank plays.
 
 use std::sync::Arc;
 
@@ -48,8 +48,9 @@ impl<'a> Redist<'a> {
     /// pair of templates. The cache also holds idle transfer buffers, one
     /// pool per element type: every cached transfer leases its message
     /// buffers from it and recycles what it drains into it, so a
-    /// steady-state loop runs on memory it already holds. What the pool
-    /// keeps between transfers follows [`crate::pooled_transfer`];
+    /// steady-state loop runs on memory it already holds. Between
+    /// transfers the pool keeps at most what a direct transfer moved, or a
+    /// routed one's [`RedistRoute::idle_allowance`];
     /// [`ScheduleCache::clear`] drops it with the schedules and routes.
     pub fn cache(mut self, cache: &'a ScheduleCache) -> Self {
         self.cache = Some(cache);
@@ -136,14 +137,42 @@ impl<'a> Redist<'a> {
     where
         T: Copy + Default + Send + MsgSize + 'static,
     {
+        let mut local = None;
+        self.land(ic, tag, || local.insert(LocalArray::allocate(self.dst, ic.local_rank())))?;
+        Ok(local.expect("land asks for the storage before it receives"))
+    }
+
+    /// Receiver side of a cross-program redistribution, landing in place
+    /// in `local` — this rank's storage under `dst`, e.g. a registered
+    /// field. Elements no sender covers keep their values. Returns
+    /// elements received.
+    pub fn recv_into<T>(&self, ic: &InterComm, local: &mut LocalArray<T>, tag: i32) -> Result<usize>
+    where
+        T: Copy + Send + MsgSize + 'static,
+    {
+        self.land(ic, tag, || local)
+    }
+
+    /// The receive both terminals share. The storage is asked for only
+    /// once the route and schedule are in hand: a fresh allocation then
+    /// follows a schedule build instead of sitting under its temporaries,
+    /// which slows a loop that rebuilds its schedules every step.
+    fn land<'l, T>(
+        &self,
+        ic: &InterComm,
+        tag: i32,
+        local: impl FnOnce() -> &'l mut LocalArray<T>,
+    ) -> Result<usize>
+    where
+        T: Copy + Send + MsgSize + 'static,
+    {
         let route = self.route(size_of::<T>(), false);
         let sched = self.schedule(ic.local_rank(), Role::Receiver);
-        let mut local = LocalArray::allocate(self.dst, ic.local_rank());
+        let local = local();
         self.pooled(route.as_deref(), |pool| match route.as_deref() {
-            Some(r) => execute_recv_routed(r, &sched, ic, &mut local, tag, pool),
-            None => sched.execute_recv(ic, &mut local, tag, pool),
-        })?;
-        Ok(local)
+            Some(r) => execute_recv_routed(r, &sched, ic, local, tag, pool),
+            None => sched.execute_recv(ic, local, tag, pool),
+        })
     }
 
     /// Intra-program redistribution (self-connection, e.g. transpose): every
@@ -462,8 +491,9 @@ mod tests {
 
     /// Block → block-cyclic and back over one cache per rank, six steps;
     /// every step is checked, and after the first one no rank allocates a
-    /// transfer buffer.
-    fn cached_round_trips(budget: Option<u64>) {
+    /// transfer buffer. With `in_place` every receive lands through
+    /// [`Redist::recv_into`] in storage held across the steps.
+    fn cached_round_trips(budget: Option<u64>, in_place: bool) {
         Universe::run(&[2, 3], move |_, ctx| {
             let e = Extents::new([24, 22]);
             let (src, dst) = (Dad::block(e.clone(), &[2, 1]).unwrap(), cyclic_cols(&e));
@@ -475,18 +505,28 @@ mod tests {
             }
             let rank = ctx.comm.rank();
             let value = |idx: &[usize], step: usize| (idx[0] * 22 + idx[1] + 1000 * step) as f64;
+            let mut held = LocalArray::allocate(if ctx.program == 0 { &src } else { &dst }, rank);
+            let recv = |redist: &Redist<'_>, ic: &InterComm, tag, held: &mut LocalArray<f64>| {
+                if in_place {
+                    let storage = held.patch(0).1.as_ptr();
+                    redist.recv_into(ic, held, tag).unwrap();
+                    assert_eq!(held.patch(0).1.as_ptr(), storage, "landed in place");
+                } else {
+                    *held = redist.recv(ic, tag).unwrap();
+                }
+            };
             for step in 0..6 {
                 let before = mxn_runtime::schedule_stats().buffer_allocs;
                 let tag = 2 * step as i32;
                 if ctx.program == 0 {
                     let local = LocalArray::from_fn(&src, rank, |idx| value(idx, step));
                     fwd.send(ctx.intercomm(1), &local, tag).unwrap();
-                    let back: LocalArray<f64> = rev.recv(ctx.intercomm(1), tag + 1).unwrap();
+                    recv(&rev, ctx.intercomm(1), tag + 1, &mut held);
                     let expect = LocalArray::from_fn(&src, rank, |idx| value(idx, step) + 0.5);
-                    assert_eq!(back, expect, "reverse, step {step}");
+                    assert_eq!(held, expect, "reverse, step {step}");
                 } else {
-                    let got: LocalArray<f64> = fwd.recv(ctx.intercomm(0), tag).unwrap();
-                    assert_eq!(got, LocalArray::from_fn(&dst, rank, |idx| value(idx, step)));
+                    recv(&fwd, ctx.intercomm(0), tag, &mut held);
+                    assert_eq!(held, LocalArray::from_fn(&dst, rank, |idx| value(idx, step)));
                     let back = LocalArray::from_fn(&dst, rank, |idx| value(idx, step) + 0.5);
                     rev.send(ctx.intercomm(0), &back, tag + 1).unwrap();
                 }
@@ -504,7 +544,8 @@ mod tests {
 
     #[test]
     fn cached_redist_is_allocation_free_in_steady_state() {
-        cached_round_trips(None);
+        cached_round_trips(None, false);
+        cached_round_trips(None, true);
     }
 
     #[test]
@@ -519,7 +560,8 @@ mod tests {
             assert_eq!(route.kind, RouteKind::Chunked);
             assert!(route.fits && route.rounds() > 1, "{route:?}");
         }
-        cached_round_trips(Some(budget));
+        cached_round_trips(Some(budget), false);
+        cached_round_trips(Some(budget), true);
     }
 
     #[test]

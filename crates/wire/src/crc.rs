@@ -17,12 +17,12 @@
 //!
 //! The instruction has a latency of three cycles and a throughput of one,
 //! so one dependency chain runs at a third of the core's speed. Inputs of
-//! at least three [`SHORT`] blocks are therefore checked as three
+//! at least three `SHORT` blocks are therefore checked as three
 //! interleaved chains over adjacent blocks, each chain starting from a zero
 //! register; the three registers are joined by shifting the earlier one
 //! over a block of zeros — a linear map on the 32-bit register, applied
 //! through four 256-entry tables built at compile time (the scheme of Mark
-//! Adler's `crc32c.c`: [`LONG`] blocks while they fit, then [`SHORT`]
+//! Adler's `crc32c.c`: `LONG` blocks while they fit, then `SHORT`
 //! blocks, then the one-chain loop). Shorter inputs take the one-chain loop
 //! only.
 //!

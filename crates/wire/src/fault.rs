@@ -5,7 +5,7 @@
 //! the encoded *frame*: a dropped frame models a lost packet, a flipped
 //! bit models line noise the CRCs must catch, a delay models congestion.
 //! The decision function is the same stateless seeded-hash design as the
-//! in-proc plane (reusing its [`splitmix64`]/[`unit`] mixers), so the
+//! in-proc plane (reusing its [`splitmix64`]/[`unit`](fn@unit) mixers), so the
 //! `MXN_FAULT_SEED` × `MXN_FAULT_KIND` CI matrix drives both transports
 //! with the same environment variables — and the same seed replays the
 //! same byte-level damage.

@@ -483,10 +483,10 @@ impl MuxClient {
         }
     }
 
-    /// [`MuxClient::call`] under a [`CallPolicy`]: when the server sheds
+    /// [`MuxClient::call`] under a [`CallPolicy`](mxn_framework::CallPolicy): when the server sheds
     /// the request with an `Overloaded` NACK, the client re-sends after
     /// the policy's backoff — base doubling per attempt, stretched by
-    /// [`CallPolicy::load_factor`] of the queue depth the NACK reported,
+    /// [`CallPolicy::load_factor`](mxn_framework::CallPolicy::load_factor) of the queue depth the NACK reported,
     /// jittered when the policy is seeded. Any other status returns
     /// immediately; when retries are exhausted the final NACK is returned
     /// so the caller can see the depth it lost to. This gives a wire
