@@ -28,12 +28,18 @@
 //! The protocol decisions behind all of this — sequencing, acks and
 //! fences, NACKs, resume, liveness, quarantine — are one I/O-free machine
 //! per peer ([`crate::peer::Link`]). This module only runs it: the send
-//! path, a reader thread per stream, the acceptor and the monitor step
-//! the machine and do what it says, under the rule of [`crate::peer`]:
+//! path, the stream readers, the acceptor and the monitor step the
+//! machine and do what it says, under the rule of [`crate::peer`]:
 //! service threads never wait on a peer's `io` lock.
 //!
-//! The mailbox behind `recv` *is* `mxn_runtime::mailbox::Mailbox` — the
-//! wire transport changes how envelopes arrive, not how they match.
+//! Who reads a stream: a rank blocked in [`WireNode::recv`] with nothing
+//! in the mailbox reads it itself — its own frame comes straight back, the
+//! rest go to the mailbox — and the stream's reader thread reads only
+//! while no rank does, standing down one-shot without being woken
+//! (`node/inbound.rs`). Lock order: a read half, then `link`; nobody
+//! holds `io` across a blocking read. The mailbox behind `recv` *is*
+//! `mxn_runtime::mailbox::Mailbox`: the wire changes how envelopes
+//! arrive, not how they match.
 //!
 //! A `Vec<f64>` sent with [`WireNode::send`] or [`UdsTransport::deliver`]
 //! moves into the link: a large one is written to the socket from its own
@@ -47,10 +53,11 @@
 //! this process keeps its per-session cookie; the reader of that stream
 //! reads the cookie with `process_vm_readv` in the process `SO_PEERCRED`
 //! names and, on a match, has the link answer `PullAccept`. From then on
-//! the sender writes descriptors on that stream, and the reader pulls
-//! each admitted body into a spare vector ([`Descriptor::pull`]) and
-//! checks it. A failed pull delivers nothing and ends the reader, so the
-//! stream is torn down and the resume replays the frame; a failed probe
+//! the sender writes descriptors on that stream, and whoever reads it
+//! pulls each admitted body into a spare vector
+//! ([`crate::frame::Descriptor::pull`]) and checks it. A failed pull
+//! delivers nothing and ends the stream's read half, so the stream is
+//! torn down and the resume replays the frame; a failed probe
 //! leaves the stream on whole bodies. In-process meshes always pull;
 //! sibling processes pull only where the kernel lets them (YAMA
 //! `ptrace_scope` 1 forbids it).
@@ -74,14 +81,14 @@ use mxn_runtime::reconfig::{drive, mask, ControlPlane, Reconfig, Rule};
 use mxn_runtime::{splitmix64, JoinOffer, Result, Revocations, RuntimeError, Transport};
 use mxn_trace::{emit, emit_instant, EventId, Phase, TraceHandle};
 
+mod inbound;
+
 use crate::codec::{decode_value, encode_value, CodecRegistry};
 use crate::fault::WireFaults;
-use crate::frame::{
-    read_remote, Arrival, Descriptor, Frame, FrameError, FrameKind, FrameReader, PullError,
-    SpareValues, DESCRIPTOR_CODEC,
-};
+use crate::frame::{Frame, FrameKind, FrameReader, SpareValues};
 use crate::link::LinkSender;
-use crate::peer::{Action, Event, Link, Peer, Standing};
+use crate::peer::{Action, Actions, Event, Link, Peer, Standing};
+use inbound::Stream;
 
 use std::os::unix::net::{UnixListener, UnixStream};
 
@@ -280,6 +287,9 @@ pub struct WireStats {
     pub joins_aborted: u64,
     /// Data frames whose body the receiver pulled.
     pub bodies_pulled: u64,
+    /// Data frames an application thread waiting in `recv` read off a
+    /// stream itself, the awaited peer's or another.
+    pub frames_read_by_receiver: u64,
 }
 
 /// Node-wide counters; the per-link ones live in each [`Link`].
@@ -289,6 +299,7 @@ struct NodeCounters {
     joins_committed: AtomicU64,
     joins_aborted: AtomicU64,
     bodies_pulled: AtomicU64,
+    frames_read_by_receiver: AtomicU64,
 }
 
 struct NodeShared {
@@ -316,6 +327,8 @@ struct NodeShared {
     /// Preallocated to `cfg.max_size`; ranks in `cur_size..max_size` are
     /// parked spare slots.
     peers: Vec<Peer>,
+    /// Each peer's newest stream, read by its reader thread or a rank.
+    streams: Vec<Mutex<Option<Arc<Stream>>>>,
     /// Current mesh size. Starts at `cfg.size`, grows when a spare-process
     /// join commits, shrinks back when an attempt is rescinded.
     cur_size: AtomicUsize,
@@ -346,7 +359,20 @@ impl NodeShared {
         if self.liveness.kill(peer) {
             self.mailbox.wake_all();
         }
+        self.wake(peer);
         self.signal.notify();
+    }
+
+    /// `peer`'s newest stream.
+    fn stream(&self, peer: usize) -> Option<Arc<Stream>> {
+        self.streams.get(peer)?.lock().clone()
+    }
+
+    /// Makes whoever reads `peer`'s newest stream look again.
+    fn wake(&self, peer: usize) {
+        if let Some(stream) = self.stream(peer) {
+            stream.wake();
+        }
     }
 
     fn cur_size(&self) -> usize {
@@ -355,9 +381,9 @@ impl NodeShared {
 
     /// From a service thread: steps `peer`'s link (never waiting on its
     /// `io`) and carries out what reaches past the link.
-    fn service(self: &Arc<Self>, peer: usize, event: Event) -> Vec<Action> {
+    fn service(self: &Arc<Self>, peer: usize, event: Event) -> Actions {
         let actions = self.peers[peer].service(event, &Instant::now);
-        for &action in &actions {
+        for &action in actions.iter() {
             match action {
                 Action::Quarantine { stalled } => {
                     emit_instant(EventId::WireZombie, [peer as u64, 1, stalled, 0]);
@@ -365,6 +391,7 @@ impl NodeShared {
                 }
                 Action::Readmit { held } => {
                     self.liveness.revive(peer);
+                    self.wake(peer);
                     emit_instant(EventId::WireZombie, [peer as u64, 2, 0, micros(held)]);
                     self.signal.notify();
                 }
@@ -409,9 +436,10 @@ impl NodeShared {
                 // them at a fresh process would cross sessions.
                 io.clear_ring();
             }
-            p.link.lock().step(Event::Admit { connected }, Instant::now());
+            p.link.lock().step(Event::Admit { connected }, Instant::now(), &mut Actions::default());
         }
         self.liveness.revive(new_rank);
+        self.wake(new_rank);
         self.cur_size.store(cur + 1, Ordering::Release);
         Ok(())
     }
@@ -425,52 +453,12 @@ impl NodeShared {
             let mut io = p.io.lock();
             io.shutdown();
             io.clear_ring();
-            p.link.lock().step(Event::Rescind, Instant::now());
+            p.link.lock().step(Event::Rescind, Instant::now(), &mut Actions::default());
         }
         self.liveness.revive(new_rank);
+        self.wake(new_rank);
         let (from, to) = (new_rank + 1, new_rank);
         let _ = self.cur_size.compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire);
-    }
-
-    /// Whether `peer`'s link lets an arriving data frame through.
-    fn admits(self: &Arc<Self>, peer: usize, seq: u64, bytes: usize) -> bool {
-        let data = Event::Data { seq, bytes: bytes as u64 };
-        self.service(peer, data).contains(&Action::Deliver)
-    }
-
-    /// Routes one decoded frame from `peer` and hands its payload buffer
-    /// back for reuse.
-    fn handle_frame(self: &Arc<Self>, peer: usize, frame: Frame) -> Vec<u8> {
-        let bytes = frame.payload.len();
-        if frame.kind != FrameKind::Data {
-            self.service(peer, Event::arrived(&frame));
-        } else if self.admits(peer, frame.seq, bytes) {
-            match self.registry.decode_any(frame.codec, &frame.payload) {
-                Ok(boxed) => self.push_data(peer, &frame, bytes, boxed),
-                // Bytes passed CRC but no/odd codec: a registry mismatch
-                // between the two processes. Surface it as a detectable
-                // Corrupt — never a panic — so the receiver's retry/NACK
-                // machinery engages.
-                Err(_) => self.push_corrupt(peer, frame.context, frame.tag, bytes),
-            }
-        }
-        frame.payload
-    }
-
-    /// Delivers a decoded Data frame's value to the mailbox.
-    fn push_data(&self, peer: usize, frame: &Frame, bytes: usize, value: Box<dyn Any + Send>) {
-        let payload = Payload::Owned(value);
-        let env = Envelope::new(peer, peer, frame.context, frame.tag, bytes, None, payload);
-        self.mailbox.push(env);
-    }
-
-    /// Delivers a checksum-damaged envelope so a receiver blocked on this
-    /// `(context, tag)` observes `RuntimeError::Corrupt`, mirroring the
-    /// in-proc fault plane's corrupt verdict.
-    fn push_corrupt(&self, peer: usize, context: u32, tag: i32, bytes: usize) {
-        let mut env = Envelope::new(peer, peer, context, tag, bytes, None, Payload::owned(()));
-        env.corrupt();
-        self.mailbox.push(env);
     }
 
     /// Attaches a fresh stream for `peer` and spawns its reader thread.
@@ -502,155 +490,21 @@ impl NodeShared {
         if !said_hello {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "Hello not written"));
         }
+        let inbound = Arc::new(Stream::new(read_half, reader, generation, from)?);
+        {
+            // Of two attaches racing here, the newer stream stays; a rank
+            // reading the one it replaces looks again.
+            let mut newest = self.streams[peer].lock();
+            if newest.as_ref().is_none_or(|s| s.generation < generation) {
+                newest.replace(Arc::clone(&inbound)).inspect(|old| old.wake());
+            }
+        }
         self.signal.notify();
         let resumed = u64::from(hello.is_some());
         emit_instant(EventId::WireConnect, [peer as u64, attempt, recv, resumed]);
         let name = format!("wire-read-{}-{peer}", self.cfg.rank);
-        let read =
-            move |shared: Arc<Self>| shared.reader_loop(peer, read_half, reader, generation, from);
-        self.spawn(name, read)?;
+        self.spawn(name, move |shared| shared.reader_loop(peer, inbound))?;
         Ok(())
-    }
-
-    /// Blocking per-connection read loop: bytes → frames → link → mailbox.
-    /// `from` is the process the kernel names as the stream's peer.
-    fn reader_loop(
-        self: Arc<Self>,
-        peer: usize,
-        mut stream: UnixStream,
-        mut frames: FrameReader,
-        generation: u64,
-        from: Option<i32>,
-    ) {
-        let mut buf = [0u8; 64 * 1024];
-        // The process whose memory this stream's descriptors name, once its
-        // cookie was found there.
-        let mut lender = None;
-        'read: loop {
-            // Drain frames already buffered (handshake leftovers first).
-            while let Some(res) = frames.next_arrival() {
-                match res {
-                    Ok(Arrival::Frame(frame)) => match frame.kind {
-                        FrameKind::Data if frame.codec == DESCRIPTOR_CODEC => {
-                            if !self.pull_body(peer, &frame, lender) {
-                                break 'read; // the stream goes, the resume replays
-                            }
-                        }
-                        FrameKind::PullOffer => {
-                            self.service(peer, Event::arrived(&frame));
-                            if let Some(pid) = self.lender(from, &frame.payload) {
-                                lender = Some(pid);
-                                self.service(peer, Event::Readable { generation });
-                            }
-                        }
-                        FrameKind::PullAccept => {
-                            self.service(peer, Event::arrived(&frame));
-                            self.service(peer, Event::Pulls { generation });
-                        }
-                        _ => frames.recycle(self.handle_frame(peer, frame)),
-                    },
-                    Ok(Arrival::Values(frame, values)) => {
-                        let bytes = 4 + 8 * values.len();
-                        if self.admits(peer, frame.seq, bytes) {
-                            self.push_data(peer, &frame, bytes, Box::new(values));
-                        } else {
-                            self.spares.give(values);
-                        }
-                    }
-                    Err(e) => self.report_corrupt(peer, e),
-                }
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            // Large frame bodies are read straight into their own buffer.
-            match frames.read_from(&mut stream, &mut buf) {
-                Ok(0) | Err(_) => break, // EOF or failure: the link is down
-                Ok(_) => {}
-            }
-        }
-        // The link ignores this if a reconnect already replaced the stream.
-        if !self.shutdown.load(Ordering::Acquire) {
-            self.service(peer, Event::Detached { generation });
-        }
-    }
-
-    /// Reports a damaged frame from `peer`: to its link, to the trace, and
-    /// to a receiver blocked on its bucket when the header was intact.
-    fn report_corrupt(self: &Arc<Self>, peer: usize, e: FrameError) {
-        let FrameError::Corrupt { skipped, header, .. } = e;
-        self.service(peer, Event::Corrupt);
-        emit_instant(
-            EventId::WireFrameCorrupt,
-            [peer as u64, u64::from(header.is_some()), skipped as u64, 0],
-        );
-        if let Some(h) = header {
-            self.push_corrupt(peer, h.context, h.tag, skipped);
-        }
-    }
-
-    /// The process readers take as `pid`, the peer the kernel named.
-    fn lender_pid(&self, pid: i32) -> i32 {
-        #[cfg(test)]
-        if self.foreign.load(Ordering::Relaxed) {
-            return i32::MAX; // above any pid_max: ESRCH
-        }
-        pid
-    }
-
-    /// Process `from`, if it keeps the cookie a `PullOffer`'s `payload`
-    /// names at the address the offer gives.
-    fn lender(&self, from: Option<i32>, payload: &[u8]) -> Option<i32> {
-        let (at, cookie) = decode_value::<(u64, u64)>(payload).ok()?;
-        let pid = from?;
-        let mut found = [0u8; 8];
-        read_remote(self.lender_pid(pid), at, &mut found).ok()?;
-        (u64::from_le_bytes(found) == cookie).then_some(pid)
-    }
-
-    /// Handles a descriptor from `peer` on a stream whose lender is
-    /// `lender`: the duplicate guard first, then the pull, the check and
-    /// delivery. A descriptor on a stream we never accepted, or a damaged
-    /// body, is `Corrupt`. Returns `false`, having delivered nothing, when
-    /// the lender's memory cannot be read: the stream must go.
-    fn pull_body(self: &Arc<Self>, peer: usize, frame: &Frame, lender: Option<i32>) -> bool {
-        let described = Descriptor::parse(frame).and_then(|d| match lender {
-            Some(pid) => Ok((d, pid)),
-            None => Err(d.refused("descriptor on a stream that lends nothing")),
-        });
-        let (descriptor, pid) = match described {
-            Ok(d) => d,
-            Err(e) => {
-                self.report_corrupt(peer, e);
-                return true;
-            }
-        };
-        let lent = Event::Lent { seq: frame.seq };
-        if !self.service(peer, lent).contains(&Action::Pull) {
-            return true;
-        }
-        match descriptor.pull(self.lender_pid(pid), &self.spares) {
-            Ok(values) => {
-                let bytes = descriptor.body_len();
-                if self.admits(peer, frame.seq, bytes) {
-                    self.counters.bodies_pulled.fetch_add(1, Ordering::Relaxed);
-                    self.push_data(peer, frame, bytes, Box::new(values));
-                } else {
-                    self.spares.give(values);
-                }
-                true
-            }
-            // A body read after the frame was delivered through another
-            // stream may have been reused: only a frame still owed is
-            // damaged.
-            Err(PullError::Corrupt(e)) => {
-                if self.service(peer, lent).contains(&Action::Pull) {
-                    self.report_corrupt(peer, e);
-                }
-                true
-            }
-            Err(PullError::Failed(_)) => false,
-        }
     }
 
     /// Reads the peer's opening `Hello` off a freshly accepted stream.
@@ -772,6 +626,25 @@ impl NodeShared {
         self.peers[peer].redialing.store(false, Ordering::Release);
     }
 
+    /// Says goodbye to every live peer, closes every link, and wakes every
+    /// wait: the node stops, once.
+    fn stop(&self) {
+        if self.shutdown.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        for peer in (0..self.cur_size()).filter(|&p| p != self.cfg.rank) {
+            if !self.liveness.is_dead(peer) {
+                let mut io = self.peers[peer].io.lock();
+                let _ = io.send_control(FrameKind::Bye);
+                io.shutdown();
+            }
+        }
+        self.abort.store(true, Ordering::Release);
+        self.mailbox.wake_all();
+        (0..self.cfg.max_size).for_each(|peer| self.wake(peer));
+        self.signal.notify();
+    }
+
     /// Sends one payload to `dst`: a `Vec<f64>` through
     /// [`LinkSender::send_values`], anything else encoded straight into a
     /// frame; `unregistered` is the error when the payload's type has no
@@ -886,6 +759,7 @@ impl WireNode {
             #[cfg(test)]
             foreign: AtomicBool::new(false),
             signal: Signal::default(),
+            streams: (0..cfg.max_size).map(|_| Mutex::new(None)).collect(),
             peers,
             cur_size: AtomicUsize::new(cfg.size),
             abort,
@@ -1020,15 +894,10 @@ impl WireNode {
 
     /// Receives a `T` from `src` on `(context, tag)`, blocking until it
     /// arrives, `src` is declared dead, or a damaged frame for this bucket
-    /// surfaces as [`RuntimeError::Corrupt`].
+    /// surfaces as [`RuntimeError::Corrupt`]. With nothing in the mailbox,
+    /// the caller reads `src`'s stream itself when no other thread does.
     pub fn recv<T: Any>(&self, src: usize, context: u32, tag: i32) -> Result<T> {
-        let env = self.shared.mailbox.take(
-            context,
-            Src::Rank(src),
-            Tag::Value(tag),
-            &[PeerRef { global: src, local: src }],
-        )?;
-        Self::unpack(env, src, tag)
+        self.recv_within(src, context, tag, None)
     }
 
     /// [`WireNode::recv`] with a deadline.
@@ -1039,13 +908,31 @@ impl WireNode {
         tag: i32,
         timeout: Duration,
     ) -> Result<T> {
-        let env = self.shared.mailbox.take_timeout(
-            context,
-            Src::Rank(src),
-            Tag::Value(tag),
-            timeout,
-            &[PeerRef { global: src, local: src }],
-        )?;
+        self.recv_within(src, context, tag, Some(timeout))
+    }
+
+    fn recv_within<T: Any>(
+        &self,
+        src: usize,
+        context: u32,
+        tag: i32,
+        timeout: Option<Duration>,
+    ) -> Result<T> {
+        let (start, shared) = (Instant::now(), &self.shared);
+        let (from, on, peers) =
+            (Src::Rank(src), Tag::Value(tag), [PeerRef { global: src, local: src }]);
+        let read = match shared.mailbox.try_take(context, from, on) {
+            Some(env) => Some(Ok(env)),
+            None => shared.read_for(src, (context, tag), start, timeout.map(|t| start + t)),
+        };
+        let env = match (read, timeout) {
+            (Some(read), _) => read,
+            (None, None) => shared.mailbox.take(context, from, on, &peers),
+            (None, Some(t)) => {
+                let left = t.saturating_sub(start.elapsed());
+                shared.mailbox.take_timeout(context, from, on, left, &peers)
+            }
+        }?;
         Self::unpack(env, src, tag)
     }
 
@@ -1220,6 +1107,7 @@ impl WireNode {
             joins_committed: c.joins_committed.load(Ordering::Relaxed),
             joins_aborted: c.joins_aborted.load(Ordering::Relaxed),
             bodies_pulled: c.bodies_pulled.load(Ordering::Relaxed),
+            frames_read_by_receiver: c.frames_read_by_receiver.load(Ordering::Relaxed),
             ..WireStats::default()
         };
         for peer in &self.shared.peers {
@@ -1251,20 +1139,7 @@ impl WireNode {
     }
 
     fn shutdown_inner(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        for peer in 0..self.shared.cur_size() {
-            if peer == self.shared.cfg.rank || self.shared.liveness.is_dead(peer) {
-                continue;
-            }
-            let mut io = self.shared.peers[peer].io.lock();
-            let _ = io.send_control(FrameKind::Bye);
-            io.shutdown();
-        }
-        self.shared.abort.store(true, Ordering::Release);
-        self.shared.mailbox.wake_all();
-        self.shared.signal.notify();
+        self.shared.stop();
         if let Some(h) = self.monitor.take() {
             let _ = h.join();
         }
@@ -1387,8 +1262,10 @@ impl Transport for UdsTransport {
 
 #[cfg(test)]
 mod tests {
+    use super::inbound::Sink;
     use super::*;
     use std::path::Path;
+    use std::sync::mpsc;
 
     fn test_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mxn-wire-{}-{name}", std::process::id()));
@@ -1607,7 +1484,7 @@ mod tests {
         let from_1 = |fence_seq: u64, watermark: u64| {
             let mut fence = Frame::control(FrameKind::ProgressFence, 1);
             fence.payload = encode_value(&(fence_seq, watermark));
-            nodes[0].shared.handle_frame(1, fence);
+            nodes[0].shared.handle_frame(1, fence, &mut Sink::default());
         };
         // An ack for seq 2, then the first periodic fence repeating it:
         // progress since the last periodic fence, not a NACK.
@@ -1832,15 +1709,15 @@ mod tests {
             fence.payload = encode_value(&(fence_seq, watermark));
             fence
         };
-        nodes[0].shared.handle_frame(1, fence(1, 2));
+        nodes[0].shared.handle_frame(1, fence(1, 2), &mut Sink::default());
         // An application thread holds the lock, as one blocked writing to
         // rank 1 would: a NACK and a Hello from rank 1 must not wait on it.
         let held = nodes[0].shared.peers[1].io.lock();
         let start = Instant::now();
-        nodes[0].shared.handle_frame(1, fence(2, 2));
+        nodes[0].shared.handle_frame(1, fence(2, 2), &mut Sink::default());
         let mut hello = Frame::control(FrameKind::Hello, 1);
         hello.payload = encode_value(&(nodes[1].shared.peers[0].link.lock().session(), 3u64));
-        nodes[0].shared.handle_frame(1, hello);
+        nodes[0].shared.handle_frame(1, hello, &mut Sink::default());
         let took = start.elapsed();
         assert!(took < Duration::from_millis(100), "the reader waited {took:?} on the lock");
         drop(held);
@@ -2024,6 +1901,190 @@ mod tests {
             assert_eq!(got, i * 10);
         }
         assert!(nodes[0].stats().frames_received >= 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// How long a test waits for a receive it expects to return.
+    const LIMIT: Duration = Duration::from_secs(10);
+
+    /// Runs `f` on a thread of its own, which a hang leaves behind; the
+    /// result comes on the channel.
+    fn run<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> mpsc::Receiver<R> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx
+    }
+
+    /// No heartbeats and no fences: nothing but the test moves a frame, so
+    /// only the wake fd or the stream's end wakes a reading rank.
+    fn quiet(cfg: &mut WireConfig) {
+        (cfg.heartbeat, cfg.fence_interval) =
+            (Duration::from_secs(3600), Duration::from_secs(3600));
+    }
+
+    /// Waits until a rank of `node` reads `from`'s stream: the stream's
+    /// slot, its reader thread, the rank and this look each hold it.
+    fn await_reading(node: &WireNode, from: usize) {
+        let deadline = Instant::now() + LIMIT;
+        while node.shared.stream(from).is_none_or(|s| Arc::strong_count(&s) < 4) {
+            assert!(Instant::now() < deadline, "no rank read rank {from}'s stream");
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
+
+    #[test]
+    fn a_reading_rank_times_out_at_its_deadline_and_the_late_frame_waits() {
+        let dir = test_dir("read-timeout");
+        let nodes = Arc::new(mesh_with(&dir, 2, quiet));
+        let t = Duration::from_millis(200);
+        let n = Arc::clone(&nodes);
+        let waited = run(move || {
+            let start = Instant::now();
+            (n[1].recv_timeout::<u64>(0, 6, 1, t), start.elapsed())
+        });
+        await_reading(&nodes[1], 0);
+        let (got, took) = waited.recv_timeout(LIMIT).expect("the deadline passed unnoticed");
+        assert!(matches!(got, Err(RuntimeError::Timeout { .. })), "{got:?}");
+        assert!(took >= t && took < t + Duration::from_millis(150), "timed out after {took:?}");
+        // Sent just after, the frame goes to the next receive: no rank
+        // waits, so the reader thread takes it.
+        nodes[0].send(1, 6, 1, 41u64).unwrap();
+        let n = Arc::clone(&nodes);
+        let next = run(move || n[1].recv_timeout::<u64>(0, 6, 1, LIMIT));
+        assert_eq!(next.recv_timeout(LIMIT).expect("the late frame was lost").unwrap(), 41);
+        assert_eq!(nodes[1].stats().frames_received, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn death_and_shutdown_wake_a_reading_rank() {
+        let dir = test_dir("read-wake");
+        let nodes = Arc::new(mesh_with(&dir, 3, quiet));
+        let n = Arc::clone(&nodes);
+        let dead = run(move || n[1].recv::<u64>(0, 7, 1));
+        await_reading(&nodes[1], 0);
+        nodes[1].shared.declare_dead(0);
+        let got = dead.recv_timeout(LIMIT).expect("declare_dead left the rank reading");
+        assert!(matches!(got, Err(RuntimeError::PeerDead { rank: 0 })), "{got:?}");
+        let n = Arc::clone(&nodes);
+        let stopped = run(move || n[2].recv::<u64>(1, 7, 1));
+        await_reading(&nodes[2], 1);
+        // With the write halves gone, stopping closes no socket under the
+        // rank: only its wake fd tells it.
+        (0..2).for_each(|p| nodes[2].shared.peers[p].io.lock().detach());
+        nodes[2].shared.stop();
+        let got = stopped.recv_timeout(LIMIT).expect("shutdown left the rank reading");
+        assert!(matches!(got, Err(RuntimeError::Aborted)), "{got:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_redial_under_a_reading_rank_delivers_every_frame_once() {
+        let dir = test_dir("read-redial");
+        let nodes = Arc::new(mesh(&dir, 2));
+        let n = Arc::clone(&nodes);
+        let got = run(move || {
+            let recv = || n[1].recv_timeout::<u64>(0, 3, 3, LIMIT);
+            (0..10).map(|_| recv()).collect::<Result<Vec<u64>>>()
+        });
+        for i in 0..5u64 {
+            nodes[0].send(1, 3, 3, i).unwrap();
+        }
+        // Rank 1 loses its write side while it reads for the sixth frame
+        // and redials; its old stream stays open and silent, so only the
+        // swap tells the reading rank. Rank 0 sends the rest on the new one.
+        await_reading(&nodes[1], 0);
+        let generation = |node: &WireNode, peer| node.shared.stream(peer).unwrap().generation;
+        let old = [generation(&nodes[0], 1), generation(&nodes[1], 0)];
+        nodes[1].shared.peers[0].io.lock().detach();
+        nodes[1].shared.service(0, Event::WriteFailed);
+        let deadline = Instant::now() + LIMIT;
+        while generation(&nodes[0], 1) == old[0] || generation(&nodes[1], 0) == old[1] {
+            assert!(Instant::now() < deadline, "rank 1 never redialed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 5..10u64 {
+            nodes[0].send(1, 3, 3, i).unwrap();
+        }
+        // Well inside the reading rank's own deadline.
+        let swapped = got.recv_timeout(LIMIT / 2);
+        let got = swapped.expect("the swap stranded the reading rank").unwrap();
+        assert_eq!(got, (0..10).collect::<Vec<u64>>());
+        let stats = nodes[1].stats();
+        assert_eq!(stats.frames_received, 10, "delivered other than exactly once");
+        assert!(stats.reconnect_dials >= 1, "the stream was not replaced");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_pull_that_fails_on_a_reading_rank_redials_and_replays_once() {
+        let dir = test_dir("read-pull-fails");
+        let nodes = Arc::new(pull_mesh(&dir, false));
+        let n = Arc::clone(&nodes);
+        let got = run(move || n[1].recv_timeout::<Vec<f64>>(0, 4, 1, LIMIT));
+        await_reading(&nodes[1], 0);
+        // Rank 0's memory turns unreadable to the reading rank: its pull
+        // fails, the stream goes, and the resume replays the body whole.
+        nodes[1].shared.foreign.store(true, Ordering::Relaxed);
+        nodes[0].send(1, 4, 1, field_of(1 << 17, 0, 1)).unwrap();
+        let got = got.recv_timeout(LIMIT).expect("the failed pull stranded the rank").unwrap();
+        assert!(got == field_of(1 << 17, 0, 1), "the replayed frame differs");
+        let stats = nodes[1].stats();
+        assert_eq!(stats.bodies_pulled, 0, "the failed pull delivered");
+        assert_eq!(stats.frames_received, 1, "delivered other than exactly once");
+        assert!(stats.reconnect_dials >= 1, "the stream was not dropped");
+        assert_eq!((stats.duplicates_dropped, stats.corrupt_frames), (0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reading_rank_hands_other_tags_to_their_waiters() {
+        let dir = test_dir("read-other-tag");
+        let nodes = Arc::new(mesh_with(&dir, 2, quiet));
+        let n = Arc::clone(&nodes);
+        let first = run(move || n[1].recv_timeout::<u64>(0, 8, 1, LIMIT));
+        await_reading(&nodes[1], 0);
+        // The second waiter finds the half held: it waits on the mailbox,
+        // where the reading rank puts its frame.
+        let n = Arc::clone(&nodes);
+        let second = run(move || n[1].recv_timeout::<u64>(0, 8, 2, LIMIT));
+        nodes[0].send(1, 8, 2, 22u64).unwrap();
+        assert_eq!(second.recv_timeout(LIMIT).expect("the other tag's waiter slept").unwrap(), 22);
+        assert!(first.try_recv().is_err(), "the reading rank took another tag's frame");
+        nodes[0].send(1, 8, 1, 11u64).unwrap();
+        assert_eq!(first.recv_timeout(LIMIT).expect("the reading rank slept").unwrap(), 11);
+        assert_eq!(nodes[1].stats().frames_read_by_receiver, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_waiting_receiver_reads_its_own_frames() {
+        let dir = test_dir("read-pingpong");
+        let nodes = mesh(&dir, 2);
+        std::thread::scope(|s| {
+            for (me, node) in nodes.iter().enumerate() {
+                let peer = &nodes[1 - me];
+                s.spawn(move || {
+                    for i in 0..200u64 {
+                        if me == 1 {
+                            assert_eq!(node.recv_timeout::<u64>(0, 9, 1, LIMIT).unwrap(), i);
+                        }
+                        // The receiver always waits first.
+                        await_reading(peer, me);
+                        node.send(1 - me, 9, 1, i).unwrap();
+                        if me == 0 {
+                            assert_eq!(node.recv_timeout::<u64>(1, 9, 1, LIMIT).unwrap(), i);
+                        }
+                    }
+                });
+            }
+        });
+        for node in &nodes {
+            let stats = node.stats();
+            assert_eq!(stats.frames_received, 200);
+            let read = stats.frames_read_by_receiver;
+            assert!(read * 10 >= stats.frames_received * 9, "the receiver read {read} of 200");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,10 +6,11 @@
 //! machine learns each number from [`Event::Send`]) and the last one
 //! delivered, the peer's session, the ack and fence watermarks, the stall
 //! and churn counts, the liveness timers, where the link stands
-//! (connecting, up, down, quarantined, evicted) and the writes it owes. [`Link::step`] takes one [`Event`] and
-//! the time, and returns the [`Action`]s to take, in the order they must
-//! happen. It does no I/O and reads no clock, so a test can drive it
-//! through any schedule under a virtual clock.
+//! (connecting, up, down, quarantined, evicted) and the writes it owes.
+//! [`Link::step`] takes one [`Event`] and the time, and writes the
+//! [`Action`]s to take, in the order they must happen, into a caller-owned
+//! [`Actions`] buffer. It does no I/O, reads no clock and allocates nothing,
+//! so a test can drive it through any schedule under a virtual clock.
 //!
 //! A [`Peer`] pairs the machine with the [`LinkSender`] that does its
 //! writes, under two locks and one rule:
@@ -39,6 +40,7 @@
 //! data frame meets) and delivered by the [`Event::Data`] after it.
 
 use std::io;
+use std::ops::Deref;
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
@@ -171,6 +173,50 @@ pub enum Action {
     Lend,
 }
 
+/// The most actions one step takes: an owed hello, accept, lend, replay,
+/// heartbeat, fence and trim, then a send's ack, trim and data.
+const MAX_ACTIONS: usize = 10;
+
+/// The buffer [`Link::step`] appends its actions to, in order: a fixed
+/// array the caller owns, so stepping allocates nothing.
+#[derive(Clone, Copy)]
+pub struct Actions {
+    buf: [Action; MAX_ACTIONS],
+    len: usize,
+}
+
+impl Default for Actions {
+    fn default() -> Self {
+        Actions { buf: [Action::Drop; MAX_ACTIONS], len: 0 }
+    }
+}
+
+impl Actions {
+    fn push(&mut self, action: Action) {
+        self.buf[self.len] = action;
+        self.len += 1;
+    }
+}
+
+impl Deref for Actions {
+    type Target = [Action];
+    fn deref(&self) -> &[Action] {
+        &self.buf[..self.len]
+    }
+}
+
+impl Extend<Action> for Actions {
+    fn extend<I: IntoIterator<Item = Action>>(&mut self, actions: I) {
+        actions.into_iter().for_each(|a| self.push(a));
+    }
+}
+
+impl std::fmt::Debug for Actions {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// Writes a link owes until an `io` holder does them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Owed {
@@ -295,15 +341,14 @@ impl Link {
         self.owed.replay.is_some()
     }
 
-    /// Takes `event` at `now`: returns what to do, in order. Writes a
-    /// service thread's event calls for are owed, not returned; the `io`
-    /// holder gets them from [`Event::Send`] and [`Event::Wrote`].
-    pub fn step(&mut self, event: Event, now: Instant) -> Vec<Action> {
-        let mut out = Vec::new();
+    /// Takes `event` at `now`: appends what to do to `out`, in order.
+    /// Writes a service thread's event calls for are owed, not returned;
+    /// the `io` holder gets them from [`Event::Send`] and [`Event::Wrote`].
+    pub fn step(&mut self, event: Event, now: Instant, out: &mut Actions) {
         match event {
             Event::Send { seq } => {
                 // What is owed — a replay above all — goes before new data.
-                self.drain(&mut out);
+                self.drain(out);
                 if self.standing == Standing::Up && self.unacked >= ACK_BYTES {
                     self.unacked = 0;
                     self.stats.acks_sent += 1;
@@ -315,10 +360,10 @@ impl Link {
                 self.stats.frames_sent += 1;
                 out.push(Action::Data);
             }
-            Event::Wrote => self.drain(&mut out),
+            Event::Wrote => self.drain(out),
             Event::WriteFailed => self.down(now),
             Event::Data { .. } | Event::Lent { .. } | Event::Control(..) => {
-                self.arrived(event, now, &mut out)
+                self.arrived(event, now, out)
             }
             // Either only ever concerns the stream it came from.
             Event::Readable { generation } => self.owed.accept |= generation == self.generation,
@@ -327,7 +372,7 @@ impl Link {
                 self.last_heard = now;
                 self.stats.corrupt_frames += 1;
             }
-            Event::Tick { dead } => self.tick(dead, now, &mut out),
+            Event::Tick { dead } => self.tick(dead, now, out),
             Event::Attached { hello } => {
                 self.generation += 1;
                 if !matches!(self.standing, Standing::Quarantined(_) | Standing::Evicted) {
@@ -365,12 +410,11 @@ impl Link {
                 out.push(Action::DeclareDead);
             }
         }
-        out
     }
 
     /// Moves what is owed into `out`: a teardown alone, else the writes
     /// for a link that may have a stream.
-    fn drain(&mut self, out: &mut Vec<Action>) {
+    fn drain(&mut self, out: &mut Actions) {
         let owed = std::mem::take(&mut self.owed);
         if owed.teardown {
             out.push(Action::Teardown);
@@ -447,7 +491,7 @@ impl Link {
         Some(Action::Quarantine { stalled: stalled.into() })
     }
 
-    fn arrived(&mut self, event: Event, now: Instant, out: &mut Vec<Action>) {
+    fn arrived(&mut self, event: Event, now: Instant, out: &mut Actions) {
         self.last_heard = now;
         if let Event::Control(FrameKind::ProgressFence, Some((_, watermark))) = event {
             if watermark > self.sent {
@@ -523,7 +567,7 @@ impl Link {
         }
     }
 
-    fn tick(&mut self, dead: bool, now: Instant, out: &mut Vec<Action>) {
+    fn tick(&mut self, dead: bool, now: Instant, out: &mut Actions) {
         let since = |at: Instant| now.saturating_duration_since(at);
         match self.standing {
             Standing::Quarantined(at) if since(at) > self.cfg.quarantine_grace => {
@@ -600,9 +644,10 @@ impl Peer {
     ) {
         let mut io = self.io.lock();
         let seq = io.last_seq() + 1;
-        let actions = self.link.lock().step(Event::Send { seq }, clock());
+        let mut actions = Actions::default();
+        self.link.lock().step(Event::Send { seq }, clock(), &mut actions);
         let mut write = Some(write);
-        self.drive(&mut io, actions, clock, &mut |io| {
+        self.drive(&mut io, &actions, clock, &mut |io| {
             write.take().expect("one data frame per send")(io).map(drop)
         });
         drop(io);
@@ -620,8 +665,9 @@ impl Peer {
     ) -> (bool, u64) {
         let mut io = self.io.lock();
         io.attach(stream);
-        let actions = self.link.lock().step(Event::Attached { hello }, clock());
-        let said = self.drive(&mut io, actions, clock, &mut |_| Ok(()));
+        let mut actions = Actions::default();
+        self.link.lock().step(Event::Attached { hello }, clock(), &mut actions);
+        let said = self.drive(&mut io, &actions, clock, &mut |_| Ok(()));
         let generation = self.link.lock().generation();
         drop(io);
         self.flush(clock);
@@ -630,10 +676,12 @@ impl Peer {
 
     /// From a service thread: steps `event` and returns its actions; does
     /// what the link owes if `io` is free, never waiting for it.
-    pub fn service(&self, event: Event, clock: &dyn Fn() -> Instant) -> Vec<Action> {
-        let (actions, owes) = {
+    pub fn service(&self, event: Event, clock: &dyn Fn() -> Instant) -> Actions {
+        let mut actions = Actions::default();
+        let owes = {
             let mut link = self.link.lock();
-            (link.step(event, clock()), link.owes())
+            link.step(event, clock(), &mut actions);
+            link.owes()
         };
         if owes {
             self.flush(clock);
@@ -646,8 +694,9 @@ impl Peer {
     pub fn flush(&self, clock: &dyn Fn() -> Instant) {
         while self.link.lock().owes() {
             let Some(mut io) = self.io.try_lock() else { return };
-            let actions = self.link.lock().step(Event::Wrote, clock());
-            self.drive(&mut io, actions, clock, &mut |_| Ok(()));
+            let mut actions = Actions::default();
+            self.link.lock().step(Event::Wrote, clock(), &mut actions);
+            self.drive(&mut io, &actions, clock, &mut |_| Ok(()));
         }
     }
 
@@ -658,12 +707,12 @@ impl Peer {
     pub fn drive(
         &self,
         io: &mut LinkSender,
-        actions: Vec<Action>,
+        actions: &[Action],
         clock: &dyn Fn() -> Instant,
         data: &mut dyn FnMut(&mut LinkSender) -> io::Result<()>,
     ) -> bool {
         let mut ok = true;
-        for action in actions {
+        for &action in actions {
             let done = match action {
                 Action::Data => data(io),
                 // Every Hello offers the peer our cookie to probe.
@@ -705,7 +754,7 @@ impl Peer {
             }
         }
         if !ok {
-            self.link.lock().step(Event::WriteFailed, clock());
+            self.link.lock().step(Event::WriteFailed, clock(), &mut Actions::default());
         }
         ok
     }
@@ -721,8 +770,21 @@ mod tests {
     fn link(t0: Instant) -> Link {
         let cfg = WireConfig::new("/unused", 1, 2);
         let mut link = Link::new(&cfg, 7, 0, t0);
-        link.step(Event::Attached { hello: None }, t0);
+        link.stepped(Event::Attached { hello: None }, t0);
         link
+    }
+
+    /// [`Link::step`] into a fresh buffer.
+    trait Stepped {
+        fn stepped(&mut self, event: Event, now: Instant) -> Vec<Action>;
+    }
+
+    impl Stepped for Link {
+        fn stepped(&mut self, event: Event, now: Instant) -> Vec<Action> {
+            let mut out = Actions::default();
+            self.step(event, now, &mut out);
+            out.to_vec()
+        }
     }
 
     fn fence(fence_seq: u64, watermark: u64) -> Event {
@@ -740,14 +802,14 @@ mod tests {
     /// The next data frame's send step.
     fn send_step(link: &mut Link, now: Instant) -> Vec<Action> {
         let seq = link.sent + 1;
-        link.step(Event::Send { seq }, now)
+        link.stepped(Event::Send { seq }, now)
     }
 
     /// Sends `n` data frames.
     fn send(link: &mut Link, n: usize, now: Instant) {
         for _ in 0..n {
             send_step(link, now);
-            link.step(Event::Wrote, now);
+            link.stepped(Event::Wrote, now);
         }
     }
 
@@ -760,19 +822,19 @@ mod tests {
         let t0 = Instant::now();
         let mut l = link(t0);
         send(&mut l, 3, t0);
-        let got = l.step(Event::Attached { hello: Some((9, 1)) }, t0);
+        let got = l.stepped(Event::Attached { hello: Some((9, 1)) }, t0);
         let said = Action::Hello { session: 7, last_recv: 0 };
         assert_eq!(got, [said, Action::Replay(1)]);
         assert_eq!(l.generation(), 2);
         // A dialed stream brings no resume point: replay past the watermark,
         // and the peer's answering Hello asks for nothing more; a later one
         // (a readmission) does.
-        l.step(fence(0, 2), t0);
-        let got = l.step(Event::Attached { hello: None }, t0);
+        l.stepped(fence(0, 2), t0);
+        let got = l.stepped(Event::Attached { hello: None }, t0);
         assert_eq!(got, [said, Action::Replay(2)]);
-        l.step(hello(9, 2), t0);
+        l.stepped(hello(9, 2), t0);
         assert!(!l.owes_replay());
-        l.step(hello(9, 2), t0);
+        l.stepped(hello(9, 2), t0);
         assert!(l.owes_replay());
     }
 
@@ -781,11 +843,11 @@ mod tests {
         let t0 = Instant::now();
         let mut l = link(t0);
         send(&mut l, 4, t0);
-        assert!(l.step(fence(0, 2), t0).is_empty());
-        assert!(l.step(fence(0, 2), t0).is_empty());
+        assert!(l.stepped(fence(0, 2), t0).is_empty());
+        assert!(l.stepped(fence(0, 2), t0).is_empty());
         assert!(!l.owes(), "a repeated ack asked for a replay");
         l.standing = Standing::Quarantined(t0);
-        assert!(l.step(fence(0, 4), t0).is_empty());
+        assert!(l.stepped(fence(0, 4), t0).is_empty());
         assert!(quarantined(&l), "a caught-up ack readmitted");
         // The ack still raised the trim watermark.
         assert_eq!(send_step(&mut l, t0)[0], Action::Trim(4));
@@ -796,14 +858,14 @@ mod tests {
         let t0 = Instant::now();
         let mut l = link(t0);
         send(&mut l, 4, t0);
-        l.step(fence(1, 2), t0);
+        l.stepped(fence(1, 2), t0);
         assert!(!l.owes_replay(), "the first fence at 2 is progress");
-        l.step(fence(2, 2), t0);
-        l.step(fence(3, 2), t0);
-        assert_eq!(l.step(Event::Wrote, t0), [Action::Replay(2)], "one replay, owed once");
-        assert!(l.step(Event::Wrote, t0).is_empty());
+        l.stepped(fence(2, 2), t0);
+        l.stepped(fence(3, 2), t0);
+        assert_eq!(l.stepped(Event::Wrote, t0), [Action::Replay(2)], "one replay, owed once");
+        assert!(l.stepped(Event::Wrote, t0).is_empty());
         // The owed replay goes before new data.
-        l.step(fence(4, 2), t0);
+        l.stepped(fence(4, 2), t0);
         let got = send_step(&mut l, t0);
         assert_eq!(got, [Action::Replay(2), Action::Trim(2), Action::Data]);
     }
@@ -813,14 +875,14 @@ mod tests {
         let t0 = Instant::now();
         let mut l = link(t0);
         send(&mut l, 2, t0);
-        l.step(fence(1, 1), t0);
+        l.stepped(fence(1, 1), t0);
         l.standing = Standing::Quarantined(t0);
-        assert!(l.step(fence(2, 1), t0).is_empty(), "a stalled fence keeps it held");
-        let got = l.step(fence(3, 2), t0 + 5 * MS);
+        assert!(l.stepped(fence(2, 1), t0).is_empty(), "a stalled fence keeps it held");
+        let got = l.stepped(fence(3, 2), t0 + 5 * MS);
         assert_eq!(got, [Action::Readmit { held: 5 * MS }]);
         assert_eq!(l.standing(), Standing::Up);
         let hello = Action::Hello { session: 7, last_recv: 0 };
-        assert_eq!(l.step(Event::Wrote, t0), [hello]);
+        assert_eq!(l.stepped(Event::Wrote, t0), [hello]);
         assert_eq!(l.stats.zombies_readmitted, 1);
     }
 
@@ -828,15 +890,15 @@ mod tests {
     fn a_session_change_resets_the_receive_guard() {
         let t0 = Instant::now();
         let mut l = link(t0);
-        l.step(hello(5, 0), t0);
-        l.step(data(1), t0);
-        l.step(data(2), t0);
-        assert_eq!(l.step(data(2), t0), [Action::Drop]);
-        l.step(hello(5, 0), t0);
+        l.stepped(hello(5, 0), t0);
+        l.stepped(data(1), t0);
+        l.stepped(data(2), t0);
+        assert_eq!(l.stepped(data(2), t0), [Action::Drop]);
+        l.stepped(hello(5, 0), t0);
         assert_eq!(l.recv(), 2, "the same session keeps the guard");
-        l.step(hello(6, 0), t0);
+        l.stepped(hello(6, 0), t0);
         assert_eq!(l.recv(), 0);
-        assert_eq!(l.step(data(1), t0), [Action::Deliver]);
+        assert_eq!(l.stepped(data(1), t0), [Action::Deliver]);
     }
 
     #[test]
@@ -844,16 +906,16 @@ mod tests {
         let t0 = Instant::now();
         let mut l = link(t0);
         send(&mut l, 3, t0);
-        l.step(hello(5, 0), t0);
-        l.step(data(1), t0);
+        l.stepped(hello(5, 0), t0);
+        l.stepped(data(1), t0);
         l.standing = Standing::Evicted;
-        l.step(Event::Admit { connected: false }, t0);
+        l.stepped(Event::Admit { connected: false }, t0);
         assert_eq!((l.standing(), l.recv(), l.acked, l.fenced), (Standing::Connecting, 0, 3, 3));
-        l.step(Event::Attached { hello: None }, t0);
+        l.stepped(Event::Attached { hello: None }, t0);
         send(&mut l, 1, t0);
-        l.step(Event::Rescind, t0);
+        l.stepped(Event::Rescind, t0);
         assert_eq!((l.standing(), l.acked), (Standing::Connecting, 4));
-        l.step(Event::Admit { connected: true }, t0);
+        l.stepped(Event::Admit { connected: true }, t0);
         assert_eq!(l.standing(), Standing::Up);
         assert_eq!(l.sent, 4, "the send seq stays");
     }
@@ -864,12 +926,12 @@ mod tests {
         let mut l = link(t0);
         send(&mut l, 2, t0);
         l.standing = Standing::Quarantined(t0);
-        assert_eq!(l.step(Event::AgreedDead, t0), [Action::DeclareDead]);
+        assert_eq!(l.stepped(Event::AgreedDead, t0), [Action::DeclareDead]);
         assert_eq!(l.standing(), Standing::Evicted);
-        assert!(l.step(fence(1, 2), t0).is_empty(), "no readmission");
-        assert_eq!(l.step(data(1), t0), [Action::Drop]);
-        assert!(l.step(Event::Tick { dead: true }, t0 + 10 * l.cfg.quarantine_grace).is_empty());
-        l.step(Event::Attached { hello: None }, t0);
+        assert!(l.stepped(fence(1, 2), t0).is_empty(), "no readmission");
+        assert_eq!(l.stepped(data(1), t0), [Action::Drop]);
+        assert!(l.stepped(Event::Tick { dead: true }, t0 + 10 * l.cfg.quarantine_grace).is_empty());
+        l.stepped(Event::Attached { hello: None }, t0);
         assert_eq!(l.standing(), Standing::Evicted, "a new stream changes nothing");
     }
 
@@ -878,11 +940,11 @@ mod tests {
         let t0 = Instant::now();
         let mut l = link(t0);
         send(&mut l, 3, t0);
-        assert!(l.step(fence(1, 1000), t0).is_empty());
-        assert!(l.step(fence(0, 4), t0).is_empty());
+        assert!(l.stepped(fence(1, 1000), t0).is_empty());
+        assert!(l.stepped(fence(0, 4), t0).is_empty());
         assert_eq!(l.stats.corrupt_frames, 2);
         assert_eq!(send_step(&mut l, t0)[0], Action::Trim(0), "nothing undelivered trimmed");
-        l.step(fence(0, 4), t0);
+        l.stepped(fence(0, 4), t0);
         assert_eq!(send_step(&mut l, t0)[0], Action::Trim(4), "in range now");
     }
 
@@ -898,12 +960,12 @@ mod tests {
             now += fence_ms;
             ticks += 1;
             l.last_heard = now; // heartbeats keep arriving
-            l.step(Event::Tick { dead: false }, now);
+            l.stepped(Event::Tick { dead: false }, now);
         }
         assert_eq!(ticks, l.cfg.fence_stall_fences);
-        let got = l.step(Event::Tick { dead: true }, now + l.cfg.quarantine_grace + MS);
+        let got = l.stepped(Event::Tick { dead: true }, now + l.cfg.quarantine_grace + MS);
         assert!(matches!(got[..], [Action::Evict { .. }]), "{got:?}");
-        assert_eq!(l.step(Event::Wrote, now), [Action::Teardown]);
+        assert_eq!(l.stepped(Event::Wrote, now), [Action::Teardown]);
     }
 
     #[test]
@@ -913,12 +975,12 @@ mod tests {
         let mut now = t0;
         for miss in 1..=l.cfg.zombie_churn {
             now += l.cfg.liveness_deadline + MS;
-            let got = l.step(Event::Tick { dead: false }, now);
+            let got = l.stepped(Event::Tick { dead: false }, now);
             assert!(matches!(got[0], Action::Missed { .. }), "{got:?}");
-            assert_eq!(l.step(Event::Wrote, now), [Action::Teardown]);
+            assert_eq!(l.stepped(Event::Wrote, now), [Action::Teardown]);
             if miss < l.cfg.zombie_churn {
-                assert_eq!(l.step(Event::Tick { dead: false }, now), [Action::Redial]);
-                l.step(Event::Attached { hello: None }, now);
+                assert_eq!(l.stepped(Event::Tick { dead: false }, now), [Action::Redial]);
+                l.stepped(Event::Attached { hello: None }, now);
             }
         }
         assert!(quarantined(&l));
@@ -928,46 +990,46 @@ mod tests {
     fn a_descriptor_is_judged_like_its_data_frame_before_the_pull() {
         let t0 = Instant::now();
         let mut l = link(t0);
-        l.step(hello(5, 0), t0);
-        assert_eq!(l.step(Event::Lent { seq: 1 }, t0), [Action::Pull]);
+        l.stepped(hello(5, 0), t0);
+        assert_eq!(l.stepped(Event::Lent { seq: 1 }, t0), [Action::Pull]);
         assert_eq!(l.recv(), 0, "judging a descriptor delivers nothing");
-        assert_eq!(l.step(data(1), t0), [Action::Deliver]);
-        assert_eq!(l.step(Event::Lent { seq: 1 }, t0), [Action::Drop]);
+        assert_eq!(l.stepped(data(1), t0), [Action::Deliver]);
+        assert_eq!(l.stepped(Event::Lent { seq: 1 }, t0), [Action::Drop]);
         assert_eq!(l.stats.duplicates_dropped, 1, "a duplicate is never pulled");
         l.standing = Standing::Quarantined(t0);
-        assert_eq!(l.step(Event::Lent { seq: 2 }, t0), [Action::Drop]);
+        assert_eq!(l.stepped(Event::Lent { seq: 2 }, t0), [Action::Drop]);
         l.standing = Standing::Up;
-        assert_eq!(l.step(Event::Lent { seq: 3 }, t0), [Action::Drop], "behind the hole");
-        assert_eq!(l.step(Event::Lent { seq: 2 }, t0), [Action::Pull]);
+        assert_eq!(l.stepped(Event::Lent { seq: 3 }, t0), [Action::Drop], "behind the hole");
+        assert_eq!(l.stepped(Event::Lent { seq: 2 }, t0), [Action::Pull]);
     }
 
     #[test]
     fn an_accept_and_a_lend_are_owed_only_to_the_current_stream() {
         let t0 = Instant::now();
         let mut l = link(t0);
-        l.step(Event::Readable { generation: 1 }, t0);
-        l.step(Event::Pulls { generation: 1 }, t0);
-        assert_eq!(l.step(Event::Wrote, t0), [Action::Accept, Action::Lend]);
-        l.step(Event::Readable { generation: 1 }, t0);
-        l.step(Event::Attached { hello: None }, t0);
+        l.stepped(Event::Readable { generation: 1 }, t0);
+        l.stepped(Event::Pulls { generation: 1 }, t0);
+        assert_eq!(l.stepped(Event::Wrote, t0), [Action::Accept, Action::Lend]);
+        l.stepped(Event::Readable { generation: 1 }, t0);
+        l.stepped(Event::Attached { hello: None }, t0);
         assert!(!l.owes(), "a new stream owes nothing to the old one");
-        l.step(Event::Readable { generation: 1 }, t0);
-        l.step(Event::Pulls { generation: 1 }, t0);
+        l.stepped(Event::Readable { generation: 1 }, t0);
+        l.stepped(Event::Pulls { generation: 1 }, t0);
         assert!(!l.owes(), "a late frame from the old stream switched the new one");
-        l.step(Event::Pulls { generation: 2 }, t0);
-        l.step(Event::Detached { generation: 2 }, t0);
-        assert_eq!(l.step(Event::Wrote, t0), [Action::Teardown], "a detach clears the lend");
+        l.stepped(Event::Pulls { generation: 2 }, t0);
+        l.stepped(Event::Detached { generation: 2 }, t0);
+        assert_eq!(l.stepped(Event::Wrote, t0), [Action::Teardown], "a detach clears the lend");
     }
 
     #[test]
     fn a_stale_reader_never_tears_down_the_current_stream() {
         let t0 = Instant::now();
         let mut l = link(t0);
-        l.step(Event::Attached { hello: None }, t0);
-        l.step(Event::Detached { generation: 1 }, t0);
+        l.stepped(Event::Attached { hello: None }, t0);
+        l.stepped(Event::Detached { generation: 1 }, t0);
         assert_eq!(l.standing(), Standing::Up);
-        l.step(Event::Detached { generation: 2 }, t0);
+        l.stepped(Event::Detached { generation: 2 }, t0);
         assert_eq!(l.standing(), Standing::Down(t0));
-        assert_eq!(l.step(Event::Wrote, t0), [Action::Teardown]);
+        assert_eq!(l.stepped(Event::Wrote, t0), [Action::Teardown]);
     }
 }

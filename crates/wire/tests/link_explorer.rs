@@ -36,6 +36,18 @@
 //! lent bytes stay within [`RING_BYTES`], its ring and held vectors within
 //! twice that.
 //!
+//! In both sweeps a node's blocked application thread — a rank — takes
+//! the newest stream's read half (its `FrameReader`, the bytes already fed
+//! and the lender) from the reader thread at any point, between two
+//! partial reads of one frame included, reads through it with the same
+//! dispatch, and keeps it across later steps or hands it back. While a
+//! rank holds a half its reader thread stands down and never reads it.
+//! On top: no byte is read twice or skipped across handoffs — what the
+//! half's holders fed equals what was written, and a direction with no
+//! flip verdict never yields a damaged frame — and a pull from a lender
+//! that died is `PeerFailed` and tears the stream down, one from a lender
+//! whose memory changed (re-exec'd) fails its CRC: never other values.
+//!
 //! A violation names the seed that replays it, printing every step:
 //! `MXN_EXPLORER_SEED=<seed> cargo test -p mxn-wire --test link_explorer
 //! -- --nocapture` (both sweeps replay the seed, each on its own links).
@@ -50,11 +62,12 @@ use parking_lot::Mutex;
 
 use mxn_runtime::splitmix64;
 use mxn_wire::codec::decode_value;
+use mxn_wire::crc32_continue;
 use mxn_wire::link::Conn;
-use mxn_wire::peer::{Action, Event, Link, Peer, Standing};
+use mxn_wire::peer::{Action, Actions, Event, Link, Peer, Standing};
 use mxn_wire::{
-    Arrival, Descriptor, Frame, FrameError, FrameKind, FrameReader, LinkSender, SpareValues,
-    WireConfig, WireFaults, WireVerdict, DESCRIPTOR_CODEC, RING_BYTES, RING_FRAMES,
+    Arrival, Descriptor, Frame, FrameError, FrameKind, FrameReader, LinkSender, PullError,
+    SpareValues, WireConfig, WireFaults, WireVerdict, DESCRIPTOR_CODEC, RING_BYTES, RING_FRAMES,
 };
 
 /// Seeds the sweep explores.
@@ -105,12 +118,37 @@ impl Clock {
 }
 
 /// One direction of one connection: written chunks, each readable from
-/// its virtual time on, in order; `read` bytes of the first are gone.
+/// its virtual time on, in order, with the digest of every byte written
+/// before it; `read` bytes of the first are gone.
 #[derive(Default)]
 struct Wire {
-    chunks: VecDeque<(u64, Vec<u8>)>,
+    chunks: VecDeque<(u64, Vec<u8>, u32)>,
     read: usize,
     closed: bool,
+    /// The digest of every byte written.
+    digest: u32,
+}
+
+/// The digest of a byte stream: its CRC register, continued over `bytes`.
+fn digest(reg: u32, bytes: &[u8]) -> u32 {
+    crc32_continue(reg, bytes)
+}
+
+impl Wire {
+    /// What is in flight is lost, as if never written.
+    fn lose(&mut self) {
+        self.digest = self.read_digest();
+        self.chunks.clear();
+        self.read = 0;
+    }
+
+    /// The digest of the bytes read so far.
+    fn read_digest(&self) -> u32 {
+        match self.chunks.front() {
+            Some((_, bytes, before)) => digest(*before, &bytes[..self.read]),
+            None => self.digest,
+        }
+    }
 }
 
 /// One direction across every connection: the fault draws, and the seqs
@@ -121,6 +159,8 @@ struct Dir {
     dst: u32,
     attempts: u64,
     destroyed: BTreeSet<u64>,
+    /// A flip verdict damaged a write: a damaged frame may arrive.
+    flipped: bool,
 }
 
 /// A node's end of a connection, as its `LinkSender` sees it.
@@ -160,13 +200,16 @@ impl Write for End {
                 }
                 WireVerdict::FlipBit(bit) => {
                     dir.destroyed.insert(seq);
+                    dir.flipped = true;
                     bytes[bit / 8] ^= 1 << (bit % 8);
                 }
                 WireVerdict::Delay(d) => ready += d.as_micros() as u64,
             }
         }
         let ready = ready.max(wire.chunks.back().map_or(0, |c| c.0));
-        wire.chunks.push_back((ready, bytes));
+        let before = wire.digest;
+        wire.digest = digest(before, &bytes);
+        wire.chunks.push_back((ready, bytes, before));
         Ok(n)
     }
 
@@ -182,18 +225,29 @@ impl Conn for End {
         self.out.lock().closed = true;
         let mut back = self.back.lock();
         back.closed = true;
-        back.chunks.clear();
-        back.read = 0;
+        back.lose();
     }
 }
 
-/// An inbound stream's reader thread.
+/// An inbound stream's read half, and who holds it: its reader thread,
+/// or a rank that took it.
 struct Reader {
     wire: Arc<Mutex<Wire>>,
     frames: FrameReader,
     generation: u64,
     /// The peer's cookie was found: its descriptors may be pulled.
     lender: bool,
+    /// The digest of every byte the half's holders fed `frames`.
+    fed: u32,
+    /// A rank holds the half: the reader thread stands down.
+    rank: bool,
+}
+
+impl Reader {
+    fn new(wire: &Arc<Mutex<Wire>>, frames: FrameReader, generation: u64) -> Reader {
+        let wire = Arc::clone(wire);
+        Reader { wire, frames, generation, lender: false, fed: 0, rank: false }
+    }
 }
 
 struct Node {
@@ -314,7 +368,8 @@ impl Sim {
             }
         };
         let dir = |src: u32| {
-            let dir = Dir { faults, src, dst: 1 - src, attempts: 0, destroyed: BTreeSet::new() };
+            let destroyed = BTreeSet::new();
+            let dir = Dir { faults, src, dst: 1 - src, attempts: 0, destroyed, flipped: false };
             Arc::new(Mutex::new(dir))
         };
         let bulk = rng.chance(10) || pull;
@@ -351,9 +406,7 @@ impl Sim {
         let end = self.end(1, &wires);
         let clock = self.clock.clone();
         let (_, generation) = self.nodes[1].peer.attach(end, None, &|| clock.now());
-        let frames = FrameReader::new();
-        let reader = Reader { wire: Arc::clone(&wires[0]), frames, generation, lender: false };
-        self.nodes[1].readers.push(reader);
+        self.nodes[1].readers.push(Reader::new(&wires[0], FrameReader::new(), generation));
         self.wires = Some(wires);
         self.accept = Some(FrameReader::new());
         self.redial = false;
@@ -366,11 +419,13 @@ impl Sim {
             return Ok(());
         };
         let now = self.now();
+        let fed;
         let closed = {
             let mut wire = wires[1].lock();
             while wire.chunks.front().is_some_and(|c| c.0 <= now) {
                 frames.feed(&wire.chunks.pop_front().unwrap().1);
             }
+            fed = wire.read_digest();
             wire.closed && wire.chunks.is_empty()
         };
         let hello = match frames.next() {
@@ -388,7 +443,7 @@ impl Sim {
         let end = self.end(0, &wires);
         let clock = self.clock.clone();
         let (_, generation) = self.nodes[0].peer.attach(end, Some(hello), &|| clock.now());
-        let reader = Reader { wire: Arc::clone(&wires[1]), frames, generation, lender: false };
+        let reader = Reader { fed, ..Reader::new(&wires[1], frames, generation) };
         self.nodes[0].readers.push(reader);
         self.check()
     }
@@ -398,8 +453,7 @@ impl Sim {
         for wire in self.wires.take().into_iter().flatten() {
             let mut wire = wire.lock();
             wire.closed = true;
-            wire.chunks.clear();
-            wire.read = 0;
+            wire.lose();
         }
         self.accept = None;
     }
@@ -439,90 +493,156 @@ impl Sim {
             println!("{:>8} rank {n} {event:?} -> {actions:?} {:?}", self.now(), link.standing());
         }
         self.apply(n, &actions)?;
-        Ok(actions)
+        Ok(actions.to_vec())
     }
 
     /// Node `n`'s reader threads take in up to `budget` bytes each and
-    /// handle up to `frames` arrivals.
-    fn read(&mut self, n: usize, budget: usize, frames: usize) -> Result<(), String> {
-        let now = self.now();
+    /// handle up to `frames` arrivals; with `rank`, so does a rank through
+    /// the half it holds. A reader thread never touches a half a rank
+    /// holds.
+    fn read(&mut self, n: usize, budget: usize, frames: usize, rank: bool) -> Result<(), String> {
         let mut i = 0;
         while i < self.nodes[n].readers.len() {
-            let eof = {
-                let reader = &mut self.nodes[n].readers[i];
-                let mut wire = reader.wire.lock();
-                let mut left = budget;
-                while left > 0 && wire.chunks.front().is_some_and(|c| c.0 <= now) {
-                    let (from, len) = (wire.read, wire.chunks[0].1.len());
-                    let take = left.min(len - from);
-                    reader.frames.feed(&wire.chunks[0].1[from..from + take]);
-                    left -= take;
-                    wire.read += take;
-                    if wire.read == len {
-                        wire.chunks.pop_front();
-                        wire.read = 0;
-                    }
-                }
-                wire.closed && wire.chunks.is_empty()
-            };
-            let mut handled = 0;
-            while handled < frames {
-                let Some(arrival) = self.nodes[n].readers[i].frames.next_arrival() else { break };
-                handled += 1;
-                match arrival {
-                    Ok(Arrival::Frame(frame)) if frame.kind == FrameKind::PullOffer => {
-                        self.service(n, Event::arrived(&frame))?;
-                        let cookie = &self.nodes[1 - n].cookie;
-                        let offer = decode_value::<(u64, u64)>(&frame.payload);
-                        // Some probes fail, as across a YAMA boundary: that
-                        // stream's bodies must come whole.
-                        let readable = !self.rng.chance(20);
-                        if offer == Ok((address(cookie), **cookie)) && readable {
-                            self.nodes[n].readers[i].lender = true;
-                            let generation = self.nodes[n].readers[i].generation;
-                            self.service(n, Event::Readable { generation })?;
-                        }
-                    }
-                    Ok(Arrival::Frame(frame)) if frame.kind == FrameKind::PullAccept => {
-                        self.service(n, Event::arrived(&frame))?;
-                        let generation = self.nodes[n].readers[i].generation;
-                        self.service(n, Event::Pulls { generation })?;
-                    }
-                    Ok(Arrival::Frame(frame)) if frame.codec == DESCRIPTOR_CODEC => {
-                        let lender = self.nodes[n].readers[i].lender;
-                        self.pull(n, &frame, lender)?;
-                    }
-                    Ok(Arrival::Frame(frame)) => {
-                        let delivered = self.service(n, Event::arrived(&frame))?;
-                        if delivered.contains(&Action::Deliver) {
-                            let intact = match frame.codec {
-                                VALUES => decode_value::<Vec<f64>>(&frame.payload)
-                                    .is_ok_and(|v| is_vector(frame.seq, &v)),
-                                _ => {
-                                    frame.payload
-                                        == payload(frame.seq, frame.payload.len() == LARGE)
-                                }
-                            };
-                            if !intact {
-                                return Err(format!("rank {n}: seq {} has other bytes", frame.seq));
-                            }
-                            self.deliver(n, frame.seq)?;
-                        }
-                    }
-                    Ok(Arrival::Values(..)) => unreachable!("this reader lands no vectors"),
-                    Err(FrameError::Corrupt { .. }) => {
-                        self.service(n, Event::Corrupt)?;
-                    }
-                }
-            }
-            if eof && handled < frames {
-                let generation = self.nodes[n].readers.remove(i).generation;
-                self.service(n, Event::Detached { generation })?;
-            } else {
+            let held = self.nodes[n].readers[i].rank;
+            if held && !rank {
+                i += 1; // the reader thread stands down
+            } else if self.read_half(n, i, budget, frames, held)? {
                 i += 1;
             }
         }
         self.check()
+    }
+
+    /// Node `n`'s read half `i` takes in up to `budget` bytes and handles up
+    /// to `frames` arrivals, with the one dispatch both reader and rank run,
+    /// for a rank (`as_rank`) or the reader thread. Returns `false` when the
+    /// stream ended and the half is gone.
+    fn read_half(
+        &mut self,
+        n: usize,
+        i: usize,
+        budget: usize,
+        frames: usize,
+        as_rank: bool,
+    ) -> Result<bool, String> {
+        if self.nodes[n].readers[i].rank != as_rank {
+            return Err(format!("rank {n}: the reader thread read a half a rank holds"));
+        }
+        let now = self.now();
+        let eof = {
+            let reader = &mut self.nodes[n].readers[i];
+            let mut wire = reader.wire.lock();
+            let mut left = budget;
+            while left > 0 && wire.chunks.front().is_some_and(|c| c.0 <= now) {
+                let (from, len) = (wire.read, wire.chunks[0].1.len());
+                let take = left.min(len - from);
+                let bytes = &wire.chunks[0].1[from..from + take];
+                reader.frames.feed(bytes);
+                reader.fed = digest(reader.fed, bytes);
+                left -= take;
+                wire.read += take;
+                if wire.read == len {
+                    wire.chunks.pop_front();
+                    wire.read = 0;
+                }
+            }
+            wire.closed && wire.chunks.is_empty()
+        };
+        let mut handled = 0;
+        while handled < frames {
+            let Some(arrival) = self.nodes[n].readers[i].frames.next_arrival() else { break };
+            handled += 1;
+            match arrival {
+                Ok(Arrival::Frame(frame)) if frame.kind == FrameKind::PullOffer => {
+                    self.service(n, Event::arrived(&frame))?;
+                    let cookie = &self.nodes[1 - n].cookie;
+                    let offer = decode_value::<(u64, u64)>(&frame.payload);
+                    // Some probes fail, as across a YAMA boundary: that
+                    // stream's bodies must come whole.
+                    let readable = !self.rng.chance(20);
+                    if offer == Ok((address(cookie), **cookie)) && readable {
+                        self.nodes[n].readers[i].lender = true;
+                        let generation = self.nodes[n].readers[i].generation;
+                        self.service(n, Event::Readable { generation })?;
+                    }
+                }
+                Ok(Arrival::Frame(frame)) if frame.kind == FrameKind::PullAccept => {
+                    self.service(n, Event::arrived(&frame))?;
+                    let generation = self.nodes[n].readers[i].generation;
+                    self.service(n, Event::Pulls { generation })?;
+                }
+                Ok(Arrival::Frame(frame)) if frame.codec == DESCRIPTOR_CODEC => {
+                    let lender = self.nodes[n].readers[i].lender;
+                    if !self.pull(n, &frame, lender)? {
+                        // The lender died: the stream goes, the resume replays.
+                        let generation = self.nodes[n].readers.remove(i).generation;
+                        self.service(n, Event::Detached { generation })?;
+                        return Ok(false);
+                    }
+                }
+                Ok(Arrival::Frame(frame)) => {
+                    let delivered = self.service(n, Event::arrived(&frame))?;
+                    if delivered.contains(&Action::Deliver) {
+                        let intact = match frame.codec {
+                            VALUES => decode_value::<Vec<f64>>(&frame.payload)
+                                .is_ok_and(|v| is_vector(frame.seq, &v)),
+                            _ => frame.payload == payload(frame.seq, frame.payload.len() == LARGE),
+                        };
+                        if !intact {
+                            return Err(format!("rank {n}: seq {} has other bytes", frame.seq));
+                        }
+                        self.deliver(n, frame.seq)?;
+                    }
+                }
+                Ok(Arrival::Values(..)) => unreachable!("this reader lands no vectors"),
+                Err(e @ FrameError::Corrupt { .. }) => {
+                    // Without a flip verdict, only a byte read twice or
+                    // skipped damages a frame.
+                    if !self.dirs[1 - n].lock().flipped {
+                        return Err(format!("rank {n}: a clean stream yielded {e:?}"));
+                    }
+                    self.service(n, Event::Corrupt)?;
+                }
+            }
+        }
+        if eof && handled < frames {
+            let generation = self.nodes[n].readers.remove(i).generation;
+            self.service(n, Event::Detached { generation })?;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// A rank blocked receiving on node `n` takes the newest stream's read
+    /// half from its reader — wherever the reader left off, mid-frame
+    /// included — reads some of it, and keeps it or hands it back. What the
+    /// half's holders fed must be exactly what was written, at every
+    /// handoff.
+    fn rank_reads(&mut self, n: usize) -> Result<(), String> {
+        if !self.nodes[n].running(self.now()) {
+            return Ok(());
+        }
+        let Some(i) = self.nodes[n].readers.len().checked_sub(1) else { return Ok(()) };
+        self.handoff(n, i, true)?;
+        let budget = 1 + self.rng.below(4096) as usize;
+        let frames = 1 + self.rng.below(3) as usize;
+        if self.read_half(n, i, budget, frames, true)? && self.rng.chance(50) {
+            self.handoff(n, i, false)?;
+        }
+        self.check()
+    }
+
+    /// Node `n`'s half `i` goes to a rank (`rank`) or back to its reader.
+    fn handoff(&mut self, n: usize, i: usize, rank: bool) -> Result<(), String> {
+        let reader = &mut self.nodes[n].readers[i];
+        reader.rank = rank;
+        let written = reader.wire.lock().read_digest();
+        if reader.fed != written {
+            return Err(format!(
+                "rank {n}: a handoff of half {i} read bytes twice or skipped some"
+            ));
+        }
+        Ok(())
     }
 
     /// Records delivery of `seq` at node `n`: in seq order, once.
@@ -535,18 +655,45 @@ impl Sim {
         Ok(())
     }
 
-    /// Node `n`'s reader takes a descriptor as the node does: the duplicate
-    /// guard, then the pull from this process's memory, then delivery.
-    fn pull(&mut self, n: usize, frame: &Frame, lender: bool) -> Result<(), String> {
+    /// Node `n`'s half holder takes a descriptor as the node does: the
+    /// duplicate guard, then the pull from this process's memory, then
+    /// delivery. Some lenders died (the pull fails: `false`, the stream
+    /// must go) and some were re-exec'd (their memory holds other values:
+    /// the pull fails its CRC and the frame is damaged, as by a flip).
+    fn pull(&mut self, n: usize, frame: &Frame, lender: bool) -> Result<bool, String> {
         let seq = frame.seq;
         if !lender {
             return Err(format!("rank {n}: descriptor {seq} on a stream that never accepted"));
         }
         let d = Descriptor::parse(frame).map_err(|e| format!("rank {n}: descriptor {e:?}"))?;
         if !self.service(n, Event::Lent { seq })?.contains(&Action::Pull) {
-            return Ok(());
+            return Ok(true);
         }
         let spares = Arc::clone(&self.nodes[n].spares);
+        match self.rng.below(50) {
+            0 => {
+                return match d.pull(i32::MAX, &spares) {
+                    Err(PullError::Failed(_)) => Ok(false),
+                    other => Err(format!("rank {n}: a dead lender's seq {seq} pulled {other:?}")),
+                };
+            }
+            1 => {
+                let decoy = vector(seq + 1);
+                let mut moved = frame.clone();
+                moved.payload[4..12].copy_from_slice(&(decoy.as_ptr() as u64).to_le_bytes());
+                let d = Descriptor::parse(&moved).map_err(|e| format!("rank {n}: {e:?}"))?;
+                if let Ok(values) = d.pull(std::process::id() as i32, &spares) {
+                    return Err(format!(
+                        "rank {n}: a re-exec'd lender's seq {seq} pulled {}",
+                        values[0]
+                    ));
+                }
+                self.dirs[1 - n].lock().destroyed.insert(seq);
+                self.service(n, Event::Corrupt)?;
+                return Ok(true);
+            }
+            _ => {}
+        }
         let values = d
             .pull(std::process::id() as i32, &spares)
             .map_err(|e| format!("rank {n}: pulling seq {seq}: {e:?}"))?;
@@ -559,7 +706,7 @@ impl Sim {
         }
         // The application hands the vector on, as the benchmark's does.
         spares.give(values);
-        Ok(())
+        Ok(true)
     }
 
     /// Application sends on node `n`. Plain, through `Peer::send`; else
@@ -600,7 +747,8 @@ impl Sim {
                 live && link.owes_replay()
             };
             let seq = io.last_seq() + 1;
-            let actions = peer.link.lock().step(Event::Send { seq }, clock());
+            let mut actions = Actions::default();
+            peer.link.lock().step(Event::Send { seq }, clock(), &mut actions);
             let at = |a: fn(&Action) -> bool| actions.iter().position(a);
             let replay = at(|a| matches!(a, Action::Replay(_)));
             if owed && replay.is_none_or(|r| Some(r) >= at(|a| *a == Action::Data)) {
@@ -613,7 +761,7 @@ impl Sim {
                 }
             }
             let mut write = Some(write);
-            peer.drive(&mut io, actions, &clock, &mut |io| write.take().unwrap()(io).map(drop));
+            peer.drive(&mut io, &actions, &clock, &mut |io| write.take().unwrap()(io).map(drop));
             for _ in 0..self.rng.below(4) {
                 if !early {
                     self.service_step(n)?;
@@ -628,19 +776,21 @@ impl Sim {
     }
 
     /// One service-thread step of node `n`: a partial read, or a tick that
-    /// does not move the clock, or an out-of-range watermark.
+    /// does not move the clock, or an out-of-range watermark, or a rank
+    /// reading.
     fn service_step(&mut self, n: usize) -> Result<(), String> {
-        match self.rng.below(6) {
+        match self.rng.below(7) {
             0..=3 => {
                 let budget = 1 + self.rng.below(4096) as usize;
                 let frames = 1 + self.rng.below(3) as usize;
-                self.read(n, budget, frames)
+                self.read(n, budget, frames, false)
             }
             4 => {
                 let dead = self.nodes[n].dead;
                 self.service(n, Event::Tick { dead }).map(drop)
             }
-            _ => self.bogus(n),
+            5 => self.bogus(n),
+            _ => self.rank_reads(n),
         }
     }
 
@@ -666,7 +816,7 @@ impl Sim {
         let now = self.now();
         for n in 0..2 {
             if self.nodes[n].running(now) {
-                self.read(n, usize::MAX, usize::MAX)?;
+                self.read(n, usize::MAX, usize::MAX, true)?;
             }
         }
         for n in 0..2 {
