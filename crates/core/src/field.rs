@@ -133,17 +133,18 @@ impl FieldRegistry {
             .fields
             .get_mut(name)
             .ok_or_else(|| MxnError::FieldNotFound { field: name.to_string() })?;
-        let fresh = {
+        // The old local patches are exactly what `old_rank` owned: carry
+        // each one's overlap with a new patch over row by row.
+        let mut fresh = LocalArray::allocate(&new_dad, new_rank);
+        {
             let old = entry.data.read();
-            let old_dad = &entry.dad;
-            LocalArray::from_fn(&new_dad, new_rank, |idx| {
-                if old_dad.owner(idx) == old_rank {
-                    old.get(idx).copied().unwrap_or_default()
-                } else {
-                    0.0
+            debug_assert_eq!(old.rank(), old_rank, "storage of another rank");
+            for patch in new_dad.patches(new_rank) {
+                for part in old.regions().filter_map(|owned| owned.intersect(&patch)) {
+                    fresh.unpack_region(&part, &old.pack_region(&part));
                 }
-            })
-        };
+            }
+        }
         *entry.data.write() = fresh;
         entry.dad = new_dad;
         Ok(())
@@ -225,7 +226,7 @@ impl FieldRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mxn_dad::Extents;
+    use mxn_dad::{AxisDist, ExplicitDist, Extents, Template};
 
     fn dad() -> Dad {
         Dad::block(Extents::new([4, 4]), &[2, 1]).unwrap()
@@ -307,6 +308,50 @@ mod tests {
         assert_eq!(*local.get(&[0, 0]).unwrap(), 1.0, "owned-before data carried over");
         assert_eq!(*local.get(&[1, 3]).unwrap(), 8.0);
         assert_eq!(*local.get(&[3, 3]).unwrap(), 0.0, "dead rank's data is zeroed");
+    }
+
+    /// A descriptor over 4 ranks: a 3×5 block on a 2×2 grid, 12×6 rows in
+    /// blocks of `block` dealt cyclically, or those row blocks dealt out
+    /// explicitly to ranks drawn from `owners`.
+    fn dad_of(kind: usize, block: usize, owners: &[usize]) -> Dad {
+        let dist = vec![AxisDist::BlockCyclic { block, nprocs: 4 }, AxisDist::Collapsed];
+        let cyclic = Dad::regular(Template::new(Extents::new([12, 6]), dist).unwrap());
+        match kind {
+            0 => Dad::block(Extents::new([3, 5]), &[2, 2]).unwrap(),
+            1 => cyclic,
+            _ => {
+                let patches = (0..4).flat_map(|r| cyclic.patches(r)).zip(owners.iter().copied());
+                let explicit = ExplicitDist::new(cyclic.extents().clone(), patches.collect(), 4);
+                Dad::explicit(explicit.unwrap())
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rebind_matches_the_per_element_formula(
+            kind in 0usize..3,
+            block in 1usize..5,
+            owners in proptest::collection::vec(0usize..4, 12),
+            dead in 0usize..4,
+            survivor in 0usize..3,
+        ) {
+            let old = dad_of(kind, block, &owners);
+            let survivors: Vec<usize> = (0..4).filter(|&r| r != dead).collect();
+            let new = old.shrink(&survivors).unwrap();
+            let (old_rank, new_rank) = (survivors[survivor], survivor);
+            let mut reg = FieldRegistry::new(old_rank);
+            let value = |idx: &[usize]| (idx[0] * 100 + idx[1]) as f64 + 1.0;
+            let data = Arc::new(RwLock::new(LocalArray::from_fn(&old, old_rank, value)));
+            reg.register("t", old.clone(), AccessMode::ReadWrite, data.clone()).unwrap();
+            // The formula `rebind` replaced: per element, the old value
+            // where `old_rank` owned it, zero elsewhere.
+            let want = LocalArray::from_fn(&new, new_rank, |idx| {
+                if old.owner(idx) == old_rank { value(idx) } else { 0.0 }
+            });
+            reg.rebind("t", new, old_rank, new_rank).unwrap();
+            proptest::prop_assert_eq!(&*data.read(), &want);
+        }
     }
 
     #[test]

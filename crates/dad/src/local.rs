@@ -6,7 +6,7 @@
 //! whole rows with `copy_from_slice` rather than element-by-element.
 
 use crate::descriptor::Dad;
-use crate::shape::Region;
+use crate::shape::{for_each_index, for_each_row, Region};
 
 /// One contiguous copy run of a region decomposition: `len` elements at
 /// offset `patch_off` inside patch number `patch`, landing at offset
@@ -37,35 +37,10 @@ pub fn region_runs<'a>(
     let mut runs = Vec::new();
     for (pi, region) in patches.into_iter().enumerate() {
         let Some(part) = region.intersect(sub) else { continue };
-        let nd = part.ndim();
-        if nd == 0 {
-            runs.push(CopyRun { patch: pi, patch_off: 0, sub_off: 0, len: 1 });
-            continue;
-        }
-        let run_len = part.hi()[nd - 1] - part.lo()[nd - 1];
-        // Odometer over the leading nd-1 axes of the intersection; each
-        // position starts one last-axis run.
-        let mut idx: Vec<usize> = part.lo().to_vec();
-        'runs: loop {
-            runs.push(CopyRun {
-                patch: pi,
-                patch_off: region.local_offset(&idx),
-                sub_off: sub.local_offset(&idx),
-                len: run_len,
-            });
-            let mut d = nd - 1;
-            loop {
-                if d == 0 {
-                    break 'runs;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < part.hi()[d] {
-                    break;
-                }
-                idx[d] = part.lo()[d];
-            }
-        }
+        for_each_row(part.lo(), part.hi(), |idx, len| {
+            let (patch_off, sub_off) = (region.local_offset(idx), sub.local_offset(idx));
+            runs.push(CopyRun { patch: pi, patch_off, sub_off, len });
+        });
     }
     runs.sort_unstable_by_key(|r| r.sub_off);
     let mut cursor = 0;
@@ -106,7 +81,8 @@ impl<T: Clone> LocalArray<T> {
             .patches(rank)
             .into_iter()
             .map(|r| {
-                let data = r.iter().map(|idx| f(&idx)).collect();
+                let mut data = Vec::with_capacity(r.len());
+                for_each_index(r.lo(), r.hi(), |idx| data.push(f(idx)));
                 (r, data)
             })
             .collect();
@@ -175,39 +151,6 @@ impl<T> LocalArray<T> {
     pub fn iter(&self) -> impl Iterator<Item = (Vec<usize>, &T)> {
         self.patches.iter().flat_map(|(r, d)| r.iter().zip(d.iter()))
     }
-
-    /// Calls `f(patch_buffer_range, run_length)` for every contiguous
-    /// last-axis run of `sub` inside patch storage. `sub` must be contained
-    /// in a single stored patch.
-    fn for_each_run(region: &Region, sub: &Region, mut f: impl FnMut(usize, usize)) {
-        if sub.is_empty() {
-            return;
-        }
-        let nd = sub.ndim();
-        if nd == 0 {
-            f(region.local_offset(&[]), 1);
-            return;
-        }
-        let run_len = sub.hi()[nd - 1] - sub.lo()[nd - 1];
-        // Odometer over the leading nd-1 axes of `sub`.
-        let mut idx: Vec<usize> = sub.lo().to_vec();
-        loop {
-            f(region.local_offset(&idx), run_len);
-            // Advance leading axes.
-            let mut d = nd - 1;
-            loop {
-                if d == 0 {
-                    return;
-                }
-                d -= 1;
-                idx[d] += 1;
-                if idx[d] < sub.hi()[d] {
-                    break;
-                }
-                idx[d] = sub.lo()[d];
-            }
-        }
-    }
 }
 
 impl<T> LocalArray<T> {
@@ -265,7 +208,8 @@ impl<T: Copy> LocalArray<T> {
             if let Some(part) = region.intersect(sub) {
                 // Fast path: `sub` fully inside this patch keeps row order.
                 if part == *sub {
-                    Self::for_each_run(region, sub, |off, len| {
+                    for_each_row(sub.lo(), sub.hi(), |idx, len| {
+                        let off = region.local_offset(idx);
                         out.extend_from_slice(&data[off..off + len]);
                     });
                     return;
@@ -292,7 +236,8 @@ impl<T: Copy> LocalArray<T> {
         if let Some(p) = single {
             let (region, buf) = &mut self.patches[p];
             let mut cursor = 0;
-            Self::for_each_run(region, sub, |off, len| {
+            for_each_row(sub.lo(), sub.hi(), |idx, len| {
+                let off = region.local_offset(idx);
                 buf[off..off + len].copy_from_slice(&data[cursor..cursor + len]);
                 cursor += len;
             });
@@ -311,8 +256,65 @@ impl<T: Copy> LocalArray<T> {
 mod tests {
     use super::*;
     use crate::axis::AxisDist;
+    use crate::explicit::ExplicitDist;
+    use crate::shape::tests::region_indices;
     use crate::shape::Extents;
     use crate::template::Template;
+    use proptest::prelude::*;
+
+    /// A 0–3-axis descriptor: per axis an extent (0 allowed) and a
+    /// collapsed, block or block-cyclic distribution. An explicit one deals
+    /// those patches out again to 4 ranks drawn from `owners`.
+    fn any_dad() -> impl Strategy<Value = Dad> {
+        let axis = (0usize..7, 0usize..3, 1usize..4, 1usize..4);
+        let owners = proptest::collection::vec(0usize..4, 16);
+        (proptest::collection::vec(axis, 0..=3), 0usize..2, owners).prop_map(
+            |(axes, explicit, owners)| {
+                let extents = Extents::new(axes.iter().map(|a| a.0).collect::<Vec<_>>());
+                let dists = axes.iter().map(|&(_, kind, nprocs, block)| match kind {
+                    0 => AxisDist::Collapsed,
+                    1 => AxisDist::Block { nprocs },
+                    _ => AxisDist::BlockCyclic { block, nprocs },
+                });
+                let regular =
+                    Dad::regular(Template::new(extents.clone(), dists.collect()).unwrap());
+                if explicit == 0 {
+                    return regular;
+                }
+                let patches = (0..regular.nranks())
+                    .flat_map(|r| regular.patches(r))
+                    .zip(owners.iter().cycle())
+                    .map(|(patch, &owner)| (patch, owner))
+                    .collect();
+                Dad::explicit(ExplicitDist::new(extents, patches, 4).unwrap())
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn from_fn_and_iter_match_the_per_element_oracle(dad in any_dad()) {
+            let value = |idx: &[usize]| idx.iter().fold(7u64, |h, &i| h * 31 + i as u64);
+            for rank in 0..dad.nranks() {
+                let a = LocalArray::from_fn(&dad, rank, value);
+                let want: Vec<(Region, Vec<u64>)> = dad
+                    .patches(rank)
+                    .into_iter()
+                    .map(|r| {
+                        let data = region_indices(&r).iter().map(|idx| value(idx)).collect();
+                        (r, data)
+                    })
+                    .collect();
+                prop_assert_eq!(&a.patches, &want);
+                let iterated: Vec<(Vec<usize>, u64)> = a.iter().map(|(i, &v)| (i, v)).collect();
+                let oracle: Vec<(Vec<usize>, u64)> = want
+                    .iter()
+                    .flat_map(|(r, d)| region_indices(r).into_iter().zip(d.iter().copied()))
+                    .collect();
+                prop_assert_eq!(iterated, oracle);
+            }
+        }
+    }
 
     fn dad_2x2() -> Dad {
         Dad::block(Extents::new([4, 6]), &[2, 2]).unwrap()

@@ -65,7 +65,7 @@ impl Extents {
 
     /// Iterates all indices in row-major order.
     pub fn iter(&self) -> IndexIter {
-        IndexIter::new(self.0.clone())
+        IndexIter::new(vec![0; self.ndim()], self.0.clone())
     }
 
     /// The region covering the whole array.
@@ -74,16 +74,68 @@ impl Extents {
     }
 }
 
-/// Row-major iterator over all indices of a box shape.
+/// Steps `idx` to the next position of a row-major odometer over its first
+/// `axes` axes inside `[lo, hi)`; `false` once every position was visited.
+fn step(idx: &mut [usize], lo: &[usize], hi: &[usize], axes: usize) -> bool {
+    for d in (0..axes).rev() {
+        idx[d] += 1;
+        if idx[d] < hi[d] {
+            return true;
+        }
+        idx[d] = lo[d];
+    }
+    false
+}
+
+/// The row walk behind every row-wise copy and `from_fn`: calls
+/// `f(first, len)` for each last-axis row of the box `[lo, hi)`, in
+/// row-major order, with `first` the row's first index and `len` its
+/// length. One index buffer is allocated, nothing per row or element. A
+/// 0-d box is one row of length 1; an empty box has none. `f` may move
+/// `first`'s last axis: the walk resets it.
+pub(crate) fn for_each_row(lo: &[usize], hi: &[usize], mut f: impl FnMut(&mut [usize], usize)) {
+    let nd = lo.len();
+    if (0..nd).any(|d| lo[d] >= hi[d]) {
+        return;
+    }
+    let rows = nd.saturating_sub(1);
+    let len = if nd == 0 { 1 } else { hi[rows] - lo[rows] };
+    let mut idx = lo.to_vec();
+    loop {
+        f(&mut idx, len);
+        idx[rows..].copy_from_slice(&lo[rows..]);
+        if !step(&mut idx, lo, hi, rows) {
+            return;
+        }
+    }
+}
+
+/// [`for_each_row`] element by element: `f(idx)` for every index of the
+/// box `[lo, hi)` in row-major order, through one index buffer.
+pub(crate) fn for_each_index(lo: &[usize], hi: &[usize], mut f: impl FnMut(&[usize])) {
+    for_each_row(lo, hi, |idx, len| match idx.len().checked_sub(1) {
+        None => f(idx),
+        Some(last) => {
+            for _ in 0..len {
+                f(idx);
+                idx[last] += 1;
+            }
+        }
+    });
+}
+
+/// Row-major iterator over all indices of a box `[lo, hi)`: one allocation
+/// per yielded index.
 pub struct IndexIter {
-    dims: Vec<usize>,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
     next: Option<Vec<usize>>,
 }
 
 impl IndexIter {
-    fn new(dims: Vec<usize>) -> Self {
-        let next = if dims.iter().all(|&d| d > 0) { Some(vec![0; dims.len()]) } else { None };
-        IndexIter { dims, next }
+    fn new(lo: Vec<usize>, hi: Vec<usize>) -> Self {
+        let next = (0..lo.len()).all(|d| lo[d] < hi[d]).then(|| lo.clone());
+        IndexIter { lo, hi, next }
     }
 }
 
@@ -91,24 +143,12 @@ impl Iterator for IndexIter {
     type Item = Vec<usize>;
 
     fn next(&mut self) -> Option<Vec<usize>> {
-        let current = self.next.clone()?;
-        // Advance like an odometer, last axis fastest.
-        let mut idx = current.clone();
-        let mut d = self.dims.len();
-        loop {
-            if d == 0 {
-                self.next = None;
-                break;
-            }
-            d -= 1;
-            idx[d] += 1;
-            if idx[d] < self.dims[d] {
-                self.next = Some(idx);
-                break;
-            }
-            idx[d] = 0;
+        let current = self.next.as_mut()?;
+        let yielded = current.clone();
+        if !step(current, &self.lo, &self.hi, self.lo.len()) {
+            self.next = None;
         }
-        Some(current)
+        Some(yielded)
     }
 }
 
@@ -193,7 +233,7 @@ impl Region {
 
     /// Iterates global indices inside the region, row-major.
     pub fn iter(&self) -> RegionIter {
-        RegionIter { base: self.lo.clone(), inner: IndexIter::new(self.shape()) }
+        IndexIter::new(self.lo.clone(), self.hi.clone())
     }
 
     /// Row-major offset of `idx` *within* this region (for local storage).
@@ -223,22 +263,65 @@ impl Region {
 }
 
 /// Row-major iterator over a region's global indices.
-pub struct RegionIter {
-    base: Vec<usize>,
-    inner: IndexIter,
-}
-
-impl Iterator for RegionIter {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        self.inner.next().map(|rel| rel.iter().zip(&self.base).map(|(r, b)| r + b).collect())
-    }
-}
+pub type RegionIter = IndexIter;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The per-element walk the row walk replaced, kept as its oracle: a
+    /// fresh index vector per step of an odometer over `[0, dims)`.
+    fn per_element(dims: Vec<usize>) -> impl Iterator<Item = Vec<usize>> {
+        let mut next = dims.iter().all(|&d| d > 0).then(|| vec![0; dims.len()]);
+        std::iter::from_fn(move || {
+            let current = next.clone()?;
+            let mut idx = current.clone();
+            next = None;
+            for d in (0..dims.len()).rev() {
+                idx[d] += 1;
+                if idx[d] < dims[d] {
+                    next = Some(idx);
+                    break;
+                }
+                idx[d] = 0;
+            }
+            Some(current)
+        })
+    }
+
+    /// The oracle of [`Region::iter`]: the per-element walk of the region's
+    /// shape, shifted to its corner.
+    pub(crate) fn region_indices(r: &Region) -> Vec<Vec<usize>> {
+        per_element(r.shape())
+            .map(|rel| rel.iter().zip(r.lo()).map(|(i, lo)| i + lo).collect())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn index_walks_match_the_per_element_oracle(
+            lo in proptest::collection::vec(0usize..4, 0..=3),
+            size in proptest::collection::vec(0usize..5, 3),
+        ) {
+            let hi: Vec<usize> = lo.iter().zip(&size).map(|(l, s)| l + s).collect();
+            let r = Region::new(lo.clone(), hi.clone());
+            let want = region_indices(&r);
+            proptest::prop_assert_eq!(r.iter().collect::<Vec<_>>(), want.clone());
+            let e = Extents::new(hi.clone());
+            proptest::prop_assert_eq!(e.iter().collect::<Vec<_>>(), per_element(hi.clone()).collect::<Vec<_>>());
+            let mut walked = Vec::new();
+            for_each_index(&lo, &hi, |idx| walked.push(idx.to_vec()));
+            proptest::prop_assert_eq!(walked, want);
+            let mut rows = Vec::new();
+            for_each_row(&lo, &hi, |idx, len| rows.push((r.local_offset(idx), len)));
+            let mut cursor = 0;
+            for (off, len) in rows {
+                proptest::prop_assert_eq!(off, cursor);
+                cursor += len;
+            }
+            proptest::prop_assert_eq!(cursor, r.len());
+        }
+    }
 
     #[test]
     fn linear_roundtrip_3d() {

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use mxn_dad::{Extents, Region};
+use mxn_dad::{region_runs, Extents, Region};
 use mxn_runtime::{InterComm, Result, Src};
 
 use crate::{ToBroker, UpdateMsg, PUB_TAG, SUB_TAG, UPD_TAG};
@@ -38,17 +38,37 @@ pub struct BrokerStats {
     pub unsubscribes: u64,
 }
 
+/// `region` of the field `values` shaped `extents`, row-major, each value
+/// mapped through `map`: copied row by row.
+fn read_region(
+    extents: &Extents,
+    values: &[f64],
+    region: &Region,
+    map: impl Fn(f64) -> f64,
+) -> Vec<f64> {
+    let mut out = Vec::with_capacity(region.len());
+    for run in region_runs([&extents.full_region()], region) {
+        out.extend(values[run.patch_off..run.patch_off + run.len].iter().map(|&v| map(v)));
+    }
+    out
+}
+
+/// Writes `values`, row-major over `region`, into the field `buf` shaped
+/// `extents`, one row per `copy_from_slice`.
+fn write_region(extents: &Extents, buf: &mut [f64], region: &Region, values: &[f64]) {
+    for run in region_runs([&extents.full_region()], region) {
+        let row = &values[run.sub_off..run.sub_off + run.len];
+        buf[run.patch_off..run.patch_off + run.len].copy_from_slice(row);
+    }
+}
+
 fn push_update(ic: &InterComm, name: &str, topic: &Topic, sub: &Subscription) -> Result<bool> {
     let Some((extents, values)) = &topic.data else {
         return Ok(false);
     };
     // Extract + transform the subscriber's region in one pass (the
     // in-flight transformation: the publisher never sees it).
-    let out: Vec<f64> = sub
-        .region
-        .iter()
-        .map(|idx| sub.scale * values[extents.linear(&idx)] + sub.offset)
-        .collect();
+    let out = read_region(extents, values, &sub.region, |v| sub.scale * v + sub.offset);
     ic.send(
         sub.rank,
         UPD_TAG,
@@ -116,9 +136,7 @@ pub fn run_broker(ic: &InterComm) -> Result<BrokerStats> {
                 let (e, buf) = entry.data.as_mut().expect("just ensured");
                 let region = Region::new(lo, hi);
                 debug_assert_eq!(region.len(), values.len());
-                for (k, idx) in region.iter().enumerate() {
-                    buf[e.linear(&idx)] = values[k];
-                }
+                write_region(e, buf, &region, &values);
                 if commit {
                     entry.version += 1;
                     stats.commits += 1;
@@ -131,5 +149,31 @@ pub fn run_broker(ic: &InterComm) -> Result<BrokerStats> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_3d_publish_writes_rows_like_the_per_element_walk() {
+        let extents = Extents::new([4, 5, 6]);
+        let region = Region::new([1, 0, 2], [3, 4, 5]);
+        let values: Vec<f64> = (0..region.len()).map(|k| k as f64 * 0.5 - 3.0).collect();
+        let base: Vec<f64> = (0..extents.total()).map(|k| -(k as f64)).collect();
+        // The per-element write the row copies replaced.
+        let mut want = base.clone();
+        for (k, idx) in region.iter().enumerate() {
+            want[extents.linear(&idx)] = values[k];
+        }
+        let mut got = base.clone();
+        write_region(&extents, &mut got, &region, &values);
+        let bytes = |v: &[f64]| v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        assert_eq!(bytes(&got), bytes(&want));
+        // And the subscriber's transformed extract reads the same rows back.
+        let read: Vec<f64> =
+            region.iter().map(|idx| 2.0 * want[extents.linear(&idx)] + 1.0).collect();
+        assert_eq!(read_region(&extents, &want, &region, |v| 2.0 * v + 1.0), read);
     }
 }

@@ -492,12 +492,15 @@ impl NodeShared {
         }
         let inbound = Arc::new(Stream::new(read_half, reader, generation, from)?);
         {
-            // Of two attaches racing here, the newer stream stays; a rank
-            // reading the one it replaces looks again.
+            // Of two attaches racing here, the newer stream stays; the one
+            // it replaces is retired.
             let mut newest = self.streams[peer].lock();
-            if newest.as_ref().is_none_or(|s| s.generation < generation) {
-                newest.replace(Arc::clone(&inbound)).inspect(|old| old.wake());
-            }
+            let stale = if newest.as_ref().is_none_or(|s| s.generation < generation) {
+                newest.replace(Arc::clone(&inbound))
+            } else {
+                Some(Arc::clone(&inbound))
+            };
+            stale.inspect(|old| old.retire());
         }
         self.signal.notify();
         let resumed = u64::from(hello.is_some());
@@ -1996,6 +1999,8 @@ mod tests {
         await_reading(&nodes[1], 0);
         let generation = |node: &WireNode, peer| node.shared.stream(peer).unwrap().generation;
         let old = [generation(&nodes[0], 1), generation(&nodes[1], 0)];
+        let old_stream = Arc::downgrade(&nodes[1].shared.stream(0).unwrap());
+        let old_readers = tasks_named("wire-read-1-0");
         nodes[1].shared.peers[0].io.lock().detach();
         nodes[1].shared.service(0, Event::WriteFailed);
         let deadline = Instant::now() + LIMIT;
@@ -2013,7 +2018,27 @@ mod tests {
         let stats = nodes[1].stats();
         assert_eq!(stats.frames_received, 10, "delivered other than exactly once");
         assert!(stats.reconnect_dials >= 1, "the stream was not replaced");
+        // The replaced stream's read side ended: its reader read the end
+        // and exited, dropping the stream and its descriptors.
+        let gone = || {
+            let now = tasks_named("wire-read-1-0");
+            old_stream.strong_count() == 0 && old_readers.iter().any(|t| !now.contains(t))
+        };
+        let deadline = Instant::now() + LIMIT;
+        while !gone() {
+            assert!(Instant::now() < deadline, "the replaced stream's reader never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The ids of this process's threads named `name`.
+    fn tasks_named(name: &str) -> Vec<String> {
+        let tasks = std::fs::read_dir("/proc/self/task").unwrap().flatten();
+        let named = |t: &std::fs::DirEntry| {
+            std::fs::read_to_string(t.path().join("comm")).is_ok_and(|c| c.trim_end() == name)
+        };
+        tasks.filter(named).map(|t| t.file_name().to_string_lossy().into_owned()).collect()
     }
 
     #[test]

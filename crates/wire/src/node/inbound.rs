@@ -47,6 +47,7 @@ const EPOLLONESHOT: u32 = 1 << 30;
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_MOD: i32 = 3;
 const EPOLL_CLOEXEC: i32 = 0o2_000_000;
+const SHUT_RD: i32 = 0;
 /// `POLLIN`; `poll` reports `POLLHUP` and `POLLERR` unasked.
 const POLLIN: i16 = 0x001;
 
@@ -71,6 +72,7 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, max: i32, timeout: i32) -> i32;
     fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
+    fn shutdown(fd: i32, how: i32) -> i32;
 }
 
 /// Polls `fds` for input until `deadline` (`None`: no deadline; in the
@@ -245,6 +247,16 @@ impl Stream {
                 return false;
             }
         }
+    }
+
+    /// Ends the read side of a stream a newer one replaced: its holder
+    /// reads what is buffered, then the end, and lets the stream go — its
+    /// reader thread exits and drops the descriptors. A rank reading it
+    /// looks again.
+    pub fn retire(&self) {
+        // SAFETY: `shutdown(2)` takes no pointers; `self` owns `socket`.
+        unsafe { shutdown(self.socket, SHUT_RD) };
+        self.wake();
     }
 
     /// Tells the half's holder to look again.
