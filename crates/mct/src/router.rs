@@ -12,6 +12,7 @@
 //! communicator, addressing peers through the [`ModelRegistry`] — MCT's
 //! "no inter-communicators needed" design.
 
+use mxn_linearize::SegmentList;
 use mxn_runtime::{Comm, Result, RuntimeError};
 
 use crate::attrvect::AttrVect;
@@ -54,27 +55,13 @@ impl Router {
             });
         }
         let mine = my_map.as_segment_list(my_comp_rank);
-        let mut pairs = Vec::new();
-        for peer in 0..peer_map.nranks() {
-            let theirs = peer_map.as_segment_list(peer);
-            let shared = mine.intersect(&theirs);
-            if shared.is_empty() {
-                continue;
-            }
-            let local_points: Vec<usize> = shared
-                .positions()
-                .map(|g| {
-                    my_map
-                        .local_index(my_comp_rank, g)
-                        .expect("intersection points are locally owned")
-                })
-                .collect();
-            pairs.push(RouterPair {
-                peer_comp_rank: peer,
-                world_rank: registry.world_rank(peer_component, peer)?,
-                local_points,
-            });
-        }
+        let pairs = shared_points(&mine, peer_map)
+            .into_iter()
+            .map(|(peer, local_points)| {
+                let world_rank = registry.world_rank(peer_component, peer)?;
+                Ok(RouterPair { peer_comp_rank: peer, world_rank, local_points })
+            })
+            .collect::<Result<_>>()?;
         Ok(Router { pairs, my_lsize: my_map.lsize(my_comp_rank) })
     }
 
@@ -131,30 +118,8 @@ impl Rearranger {
                 detail: "rearranger grids differ".into(),
             });
         }
-        let my_src = src.as_segment_list(my_rank);
-        let my_dst = dst.as_segment_list(my_rank);
-        let mut send = Vec::new();
-        for peer in 0..dst.nranks() {
-            let shared = my_src.intersect(&dst.as_segment_list(peer));
-            if !shared.is_empty() {
-                let pts = shared
-                    .positions()
-                    .map(|g| src.local_index(my_rank, g).expect("owned"))
-                    .collect();
-                send.push((peer, pts));
-            }
-        }
-        let mut recv = Vec::new();
-        for peer in 0..src.nranks() {
-            let shared = my_dst.intersect(&src.as_segment_list(peer));
-            if !shared.is_empty() {
-                let pts = shared
-                    .positions()
-                    .map(|g| dst.local_index(my_rank, g).expect("owned"))
-                    .collect();
-                recv.push((peer, pts));
-            }
-        }
+        let send = shared_points(&src.as_segment_list(my_rank), dst);
+        let recv = shared_points(&dst.as_segment_list(my_rank), src);
         Ok(Rearranger { send, recv, src_lsize: src.lsize(my_rank), dst_lsize: dst.lsize(my_rank) })
     }
 
@@ -179,9 +144,40 @@ impl Rearranger {
     }
 }
 
+/// Every rank of `peers` that shares points with `mine`, paired with the
+/// positions of those points in the local storage `mine` describes (its
+/// runs concatenated in ascending order, as [`GlobalSegMap::local_index`]
+/// numbers them). One merged walk of each intersection against `mine`'s
+/// sorted runs, instead of a `local_index` search per point.
+fn shared_points(mine: &SegmentList, peers: &GlobalSegMap) -> Vec<(usize, Vec<usize>)> {
+    let runs = mine.runs();
+    let mut out = Vec::new();
+    for peer in 0..peers.nranks() {
+        let shared = mine.intersect(&peers.as_segment_list(peer));
+        if shared.is_empty() {
+            continue;
+        }
+        let mut points = Vec::with_capacity(shared.total_len());
+        // `shared` is a subset of `mine`, so each of its runs lies in one
+        // run of `mine`, found by advancing in step.
+        let (mut i, mut offset) = (0, 0);
+        for &(start, len) in shared.runs() {
+            while runs[i].0 + runs[i].1 <= start {
+                offset += runs[i].1;
+                i += 1;
+            }
+            let first = offset + start - runs[i].0;
+            points.extend(first..first + len);
+        }
+        out.push((peer, points));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gsmap::Segment;
     use mxn_runtime::World;
 
     /// Two components over one world: ranks 0..2 = atmosphere (block map),
@@ -267,5 +263,51 @@ mod tests {
                 assert_eq!(r.total_points(), 8);
             }
         });
+    }
+
+    /// `shared_points` against the per-point `local_index` search it
+    /// replaces, on block, `cyclic(1)`, `cyclic(3)` and a map whose
+    /// segments are given out of order, for every pair of maps and ranks;
+    /// and both `Rearranger` halves against the same oracle.
+    #[test]
+    fn shared_points_match_the_local_index_oracle() {
+        let shuffled = GlobalSegMap::new(
+            20,
+            3,
+            [(12, 5, 0), (0, 3, 2), (17, 3, 1), (3, 4, 0), (9, 3, 1), (7, 2, 1)]
+                .map(|(start, length, rank)| Segment { start, length, rank })
+                .to_vec(),
+        )
+        .unwrap();
+        let maps = [
+            GlobalSegMap::block(20, 3),
+            GlobalSegMap::cyclic(20, 4, 1),
+            GlobalSegMap::cyclic(20, 2, 3),
+            shuffled,
+        ];
+        let oracle = |mine: &GlobalSegMap, rank: usize, peers: &GlobalSegMap| {
+            let me = mine.as_segment_list(rank);
+            (0..peers.nranks())
+                .map(|peer| (peer, me.intersect(&peers.as_segment_list(peer))))
+                .filter(|(_, shared)| !shared.is_empty())
+                .map(|(peer, shared)| {
+                    let local = shared.positions().map(|g| mine.local_index(rank, g).unwrap());
+                    (peer, local.collect())
+                })
+                .collect::<Vec<(usize, Vec<usize>)>>()
+        };
+        for a in &maps {
+            for b in &maps {
+                for rank in 0..a.nranks() {
+                    let want = oracle(a, rank, b);
+                    assert_eq!(shared_points(&a.as_segment_list(rank), b), want);
+                    if rank < b.nranks() {
+                        let re = Rearranger::new(a, b, rank).unwrap();
+                        assert_eq!(re.send, want);
+                        assert_eq!(re.recv, oracle(b, rank, a));
+                    }
+                }
+            }
+        }
     }
 }

@@ -18,6 +18,12 @@
 //! another handle, so a p-rank broadcast performs O(1) payload allocations.
 //! The `*_shared` variants hand that `Arc` straight to the caller; the owned
 //! variants unwrap it copy-on-write.
+//!
+//! Every collective receive (`coll_take`, `gather`'s root loop, the one
+//! `barrier` loop with its optional deadline) goes through the endpoint's
+//! receive choke point (see [`crate::comm`]): a match emits `MailboxMatch`
+//! and an error return is accounted in both planes, but no fault-plane op
+//! is counted — a collective counts its ops once, on the send side.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,11 +31,10 @@ use std::time::{Duration, Instant};
 use crate::comm::Comm;
 use crate::envelope::{Envelope, Payload, Src, Tag};
 use crate::error::{Result, RuntimeError};
-use crate::mailbox::PeerRef;
 use crate::msgsize::MsgSize;
 use crate::stats::{CollOp, TrafficClass};
-use crate::tracing::{coll_algo, ctx_class, record_op_error, tag_arg};
-use mxn_trace::{emit_instant, span, EventId, SpanGuard};
+use crate::tracing::coll_algo;
+use mxn_trace::{span, EventId, SpanGuard};
 
 /// Payload-size threshold (bytes) at or below which latency-optimal
 /// algorithms (e.g. Bruck for the DCA alltoallv) are preferred over
@@ -51,8 +56,8 @@ impl Comm {
 
     /// Reserves a tag block for the next collective; `round` indexes within.
     fn next_coll_tag(&self) -> i32 {
-        let seq = self.coll_seq.get();
-        self.coll_seq.set(seq + 1);
+        let seq = self.kind.coll_seq.get();
+        self.kind.coll_seq.set(seq + 1);
         // 2^12 rounds per op, 2^18 ops before wrap: plenty for both the
         // widest ring collectives and long-running benchmark loops.
         ((seq % (1 << 18)) as i32) << 12
@@ -66,16 +71,9 @@ impl Comm {
         op: CollOp,
     ) -> Result<()> {
         let bytes = value.msg_size();
-        self.shared().stats().record_coll(op, bytes);
-        self.push_envelope(
-            dst,
-            self.coll_context(),
-            tag,
-            bytes,
-            Payload::owned(value),
-            None,
-            TrafficClass::Collective,
-        )
+        self.shared.stats().record_coll(op, bytes);
+        let payload = Payload::owned(value);
+        self.post(dst, self.coll_context(), tag, bytes, payload, TrafficClass::Collective)
     }
 
     /// Forwards a shared handle: no payload copy, whatever the fan-out.
@@ -87,20 +85,9 @@ impl Comm {
         bytes: usize,
         op: CollOp,
     ) -> Result<()> {
-        self.shared().stats().record_coll(op, bytes);
-        self.push_envelope(
-            dst,
-            self.coll_context(),
-            tag,
-            bytes,
-            Payload::shared(value),
-            None,
-            TrafficClass::Collective,
-        )
-    }
-
-    fn coll_peer(&self, src: usize) -> [PeerRef; 1] {
-        [PeerRef { global: self.group()[src], local: src }]
+        self.shared.stats().record_coll(op, bytes);
+        let payload = Payload::shared(value);
+        self.post(dst, self.coll_context(), tag, bytes, payload, TrafficClass::Collective)
     }
 
     /// One span per collective invocation, opened at entry so the guard
@@ -111,40 +98,11 @@ impl Comm {
         span(EventId::Collective, [op.index() as u64, algo, bytes as u64, rounds])
     }
 
-    /// The collective receive choke point: like `Comm::recv_envelope` it
-    /// keeps the two accounting planes consistent (`MailboxMatch` on a
-    /// match, [`record_op_error`] on an error return), but deliberately
-    /// skips `note_op` — collective ops are counted once on the send side.
-    fn coll_take(&self, src: usize, tag: i32, deadline: Option<Instant>) -> Result<Envelope> {
-        let mailbox = self.shared().mailbox(self.global_rank());
-        let res = match deadline {
-            None => mailbox.take(
-                self.coll_context(),
-                Src::Rank(src),
-                Tag::Value(tag),
-                &self.coll_peer(src),
-            ),
-            Some(d) => mailbox.take_timeout(
-                self.coll_context(),
-                Src::Rank(src),
-                Tag::Value(tag),
-                d.saturating_duration_since(Instant::now()),
-                &self.coll_peer(src),
-            ),
-        };
-        match &res {
-            Ok(env) => emit_instant(
-                EventId::MailboxMatch,
-                [
-                    ctx_class(self.coll_context()),
-                    tag_arg(env.tag),
-                    env.src_local as u64,
-                    env.bytes as u64,
-                ],
-            ),
-            Err(e) => record_op_error(self.shared().stats(), e),
-        }
-        res
+    /// A collective receive from `src` on the collective context: the
+    /// endpoint's choke point without counting an op (collective ops are
+    /// counted once, on the send side).
+    fn coll_take(&self, src: usize, tag: i32, timeout: Option<Duration>) -> Result<Envelope> {
+        self.take(self.coll_context(), Src::Rank(src), Tag::Value(tag), timeout, false)
     }
 
     fn coll_recv<T: 'static>(&self, src: usize, tag: i32) -> Result<T> {
@@ -157,20 +115,13 @@ impl Comm {
         self.downcast_shared::<T>(env).map(|(v, _)| v)
     }
 
-    /// Like `coll_recv` but gives up after the remaining share of a
-    /// deadline, mapping the mailbox timeout to the collective's name.
-    fn coll_recv_deadline<T: 'static>(&self, src: usize, tag: i32, deadline: Instant) -> Result<T> {
-        let env = self.coll_take(src, tag, Some(deadline))?;
-        self.downcast::<T>(env).map(|(v, _)| v)
-    }
-
     /// Copy-on-write unwrap of a collective result, attributing any forced
     /// deep clone to `op`.
     fn unwrap_cow<T: Clone>(&self, arc: Arc<T>, op: CollOp) -> T {
         match Arc::try_unwrap(arc) {
             Ok(v) => v,
             Err(arc) => {
-                self.shared().stats().record_coll_clones(op, 1);
+                self.shared.stats().record_coll_clones(op, 1);
                 (*arc).clone()
             }
         }
@@ -180,21 +131,7 @@ impl Comm {
     ///
     /// Dissemination algorithm: ⌈log₂ p⌉ rounds of pairwise notifications.
     pub fn barrier(&self) -> Result<()> {
-        let p = self.size();
-        let _span = self.coll_span(CollOp::Barrier, coll_algo::DISSEMINATION, 0, ceil_log2(p));
-        let r = self.rank();
-        let base = self.next_coll_tag();
-        let mut round = 0i32;
-        let mut dist = 1usize;
-        while dist < p {
-            let dst = (r + dist) % p;
-            let src = (r + p - dist) % p;
-            self.coll_send(dst, base + round, (), CollOp::Barrier)?;
-            self.coll_recv::<()>(src, base + round)?;
-            dist <<= 1;
-            round += 1;
-        }
-        Ok(())
+        self.barrier_until(None)
     }
 
     /// [`Comm::barrier`] with a deadline over the *whole* operation: if any
@@ -204,7 +141,10 @@ impl Comm {
     /// hanging. The primitive for robust phase synchronization between
     /// coupled components.
     pub fn barrier_timeout(&self, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
+        self.barrier_until(Some(Instant::now() + timeout))
+    }
+
+    fn barrier_until(&self, deadline: Option<Instant>) -> Result<()> {
         let p = self.size();
         let _span = self.coll_span(CollOp::Barrier, coll_algo::DISSEMINATION, 0, ceil_log2(p));
         let r = self.rank();
@@ -215,7 +155,9 @@ impl Comm {
             let dst = (r + dist) % p;
             let src = (r + p - dist) % p;
             self.coll_send(dst, base + round, (), CollOp::Barrier)?;
-            self.coll_recv_deadline::<()>(src, base + round, deadline)?;
+            // Each round waits for what is left of the deadline.
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            self.downcast::<()>(self.coll_take(src, base + round, left)?)?;
             dist <<= 1;
             round += 1;
         }
@@ -281,7 +223,7 @@ impl Comm {
                 detail: "bcast root passed None".into(),
             })?;
             // The broadcast's single payload allocation.
-            self.shared().stats().record_coll_allocs(op, 1);
+            self.shared.stats().record_coll_allocs(op, 1);
             Some(Arc::new(v))
         } else {
             None
@@ -352,7 +294,7 @@ impl Comm {
         while mask > 0 {
             if rel & mask == 0 && rel + mask < p {
                 let child = (rel + mask + root) % p;
-                self.shared().stats().record_coll_clones(CollOp::Bcast, 1);
+                self.shared.stats().record_coll_clones(CollOp::Bcast, 1);
                 self.coll_send(child, base, v.clone(), CollOp::Bcast)?;
             }
             mask >>= 1;
@@ -377,32 +319,9 @@ impl Comm {
         if self.rank() == root {
             let mut out: Vec<Option<T>> = (0..p).map(|_| None).collect();
             out[root] = Some(value);
-            let peers = self.peers_of(Src::Any);
             for _ in 0..p - 1 {
-                let res = self.shared().mailbox(self.global_rank()).take(
-                    self.coll_context(),
-                    Src::Any,
-                    Tag::Value(base),
-                    &peers,
-                );
-                let env = match res {
-                    Ok(env) => {
-                        emit_instant(
-                            EventId::MailboxMatch,
-                            [
-                                ctx_class(self.coll_context()),
-                                tag_arg(env.tag),
-                                env.src_local as u64,
-                                env.bytes as u64,
-                            ],
-                        );
-                        env
-                    }
-                    Err(e) => {
-                        record_op_error(self.shared().stats(), &e);
-                        return Err(e);
-                    }
-                };
+                let env =
+                    self.take(self.coll_context(), Src::Any, Tag::Value(base), None, false)?;
                 let (v, info) = self.downcast::<T>(env)?;
                 out[info.src] = Some(v);
             }
@@ -457,7 +376,7 @@ impl Comm {
         let base = self.next_coll_tag();
         let mut out: Vec<Option<Arc<T>>> = (0..p).map(|_| None).collect();
         // My contribution: the one allocation this rank makes.
-        self.shared().stats().record_coll_allocs(CollOp::Allgather, 1);
+        self.shared.stats().record_coll_allocs(CollOp::Allgather, 1);
         out[r] = Some(Arc::new(value));
 
         let next = (r + 1) % p;
@@ -814,7 +733,7 @@ impl Comm {
             op(&mut acc, mine);
         }
         if r + 1 < p {
-            self.shared().stats().record_coll_clones(CollOp::Scan, 1);
+            self.shared.stats().record_coll_clones(CollOp::Scan, 1);
             self.coll_send(r + 1, base, acc.clone(), CollOp::Scan)?;
         }
         Ok(acc)

@@ -1,93 +1,90 @@
-//! Communicators: groups of ranks with isolated message contexts.
+//! Communicators and the point-to-point endpoint under them.
+//!
+//! MPI gives intra- and inter-communicators one point-to-point semantics;
+//! they differ only in which group a rank number addresses. [`Endpoint`]
+//! is that semantics, written once: the world handle, this rank's world
+//! rank and its rank in its own group, the *addressed* group, the context
+//! and the recovery sequence. A [`Comm`] is an endpoint that addresses its
+//! own group; an [`InterComm`](crate::InterComm) is one that addresses the
+//! remote group. Both are aliases of `Endpoint`, so `send`, `multicast`,
+//! the `recv` family, `try_recv`, `iprobe`, the mailbox gauges, `revoke`
+//! and `is_revoked` exist once for both.
+//!
+//! Every blocking receive of either handle and of the collectives goes
+//! through one private choke point, which keeps the two accounting planes
+//! (the `WorldStats` counters and the trace) in step. Receives come in
+//! three flavours:
+//!
+//! | receive                                  | counts an op | on a match           | on an error       |
+//! |------------------------------------------|--------------|----------------------|-------------------|
+//! | point-to-point (`recv*`)                 | yes          | emits `MailboxMatch` | `record_op_error` |
+//! | collective (`coll_take`, `gather`, `barrier`) | no      | emits `MailboxMatch` | `record_op_error` |
+//! | `split`'s bootstrap context receive      | no           | silent               | `record_op_error` |
+//!
+//! "Counts an op" means the receive counts against the caller's scheduled
+//! death in the fault plane; collectives count their operations on the
+//! send side instead. `split`'s receive bypasses the choke point because
+//! `Universe` bootstraps through it, and its matches stay out of the trace.
 
 use std::any::type_name;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::envelope::{Envelope, MessageInfo, Payload, Src, Tag};
 use crate::error::{Result, RuntimeError};
 use crate::mailbox::PeerRef;
+use crate::membership::agree_over;
 use crate::msgsize::MsgSize;
+use crate::reconfig::Rule;
 use crate::shared::{WorldShared, WORLD_CONTEXT};
 use crate::stats::{TrafficClass, WorldStats};
 use crate::tracing::{ctx_class, record_op_error, tag_arg};
 use mxn_trace::{emit_instant, EventId};
 
-/// A communicator: an ordered group of world ranks plus a private message
-/// context, held by one rank (communicators are per-thread handles, exactly
-/// like `MPI_Comm` values).
-///
-/// Point-to-point operations address peers by *communicator-local* rank.
-/// Collective operations (see [`crate::collectives`]) must be called by every
-/// member, in the same order.
-pub struct Comm {
-    shared: Arc<WorldShared>,
-    /// Global rank per local rank; index = local rank.
-    group: Arc<Vec<usize>>,
-    /// This rank's local rank within `group`.
-    local_rank: usize,
-    /// Point-to-point context (collective context is `context + 1`).
-    context: u32,
-    /// Per-handle collective sequence number; members stay in lock-step
-    /// because collectives are ordered.
-    pub(crate) coll_seq: Cell<u64>,
-    /// Per-handle recovery sequence number (agreements/shrinks are ordered
-    /// collectives too, on the recovery tag space).
+/// One rank's point-to-point handle on a group of peers, held by one rank
+/// (handles are per-thread, exactly like `MPI_Comm` values). Rank numbers
+/// index the *addressed* group; `K` holds what only one kind of handle
+/// needs. See the [module docs](self) and the aliases [`Comm`] and
+/// [`InterComm`](crate::InterComm).
+pub struct Endpoint<K> {
+    /// The world this handle's ranks live in.
+    pub(crate) shared: Arc<WorldShared>,
+    /// This rank's world rank.
+    pub(crate) me: usize,
+    /// This rank's rank within its own group: the source peers see.
+    pub(crate) rank: usize,
+    /// World rank per addressed rank; index = the rank callers pass.
+    pub(crate) group: Arc<Vec<usize>>,
+    /// Point-to-point context (a `Comm`'s collectives use `context + 1`).
+    pub(crate) context: u32,
+    /// Recovery sequence number: agreements, shrinks and reconfigurations
+    /// over one handle are ordered, like collectives.
     pub(crate) recovery_seq: Cell<u64>,
+    /// The `Src::Any` peer list, built on first use.
+    any_peers: OnceCell<Vec<PeerRef>>,
+    pub(crate) kind: K,
 }
 
-impl Comm {
-    /// Builds the world communicator handle for `global_rank`.
-    pub(crate) fn world(shared: Arc<WorldShared>, global_rank: usize) -> Self {
-        let n = shared.size();
-        Comm {
-            shared,
-            group: Arc::new((0..n).collect()),
-            local_rank: global_rank,
-            context: WORLD_CONTEXT,
-            coll_seq: Cell::new(0),
-            recovery_seq: Cell::new(0),
-        }
-    }
-
-    pub(crate) fn from_parts(
+impl<K> Endpoint<K> {
+    pub(crate) fn new(
         shared: Arc<WorldShared>,
+        me: usize,
+        rank: usize,
         group: Arc<Vec<usize>>,
-        local_rank: usize,
         context: u32,
+        kind: K,
     ) -> Self {
-        Comm {
-            shared,
-            group,
-            local_rank,
-            context,
-            coll_seq: Cell::new(0),
-            recovery_seq: Cell::new(0),
-        }
-    }
-
-    /// This rank's rank within the communicator.
-    pub fn rank(&self) -> usize {
-        self.local_rank
-    }
-
-    /// Number of ranks in the communicator.
-    pub fn size(&self) -> usize {
-        self.group.len()
-    }
-
-    /// The global (world) ranks of the members, in local-rank order.
-    pub fn group(&self) -> &[usize] {
-        &self.group
+        let (recovery_seq, any_peers) = (Cell::new(0), OnceCell::new());
+        Endpoint { shared, me, rank, group, context, recovery_seq, any_peers, kind }
     }
 
     /// This rank's global (world) rank.
     pub fn global_rank(&self) -> usize {
-        self.group[self.local_rank]
+        self.me
     }
 
-    /// The communicator's point-to-point context id.
+    /// The point-to-point context id.
     pub fn context(&self) -> u32 {
         self.context
     }
@@ -96,24 +93,14 @@ impl Comm {
     /// queued for this rank right now, and the most that has ever been.
     /// Spans all communicators of the world (the mailbox is per *rank*).
     pub fn mailbox_bytes(&self) -> (u64, u64) {
-        let mb = self.shared.mailbox(self.global_rank());
+        let mb = self.shared.mailbox(self.me);
         (mb.live_bytes(), mb.peak_bytes())
     }
 
     /// Resets this rank's mailbox byte high-water mark to its current live
     /// level (between measurement phases).
     pub fn reset_mailbox_peak(&self) {
-        self.shared.mailbox(self.global_rank()).reset_peak_bytes();
-    }
-
-    pub(crate) fn shared(&self) -> &Arc<WorldShared> {
-        &self.shared
-    }
-
-    /// The recovery view of this communicator: ULFM-style revoke / agree /
-    /// shrink. See [`crate::membership::Membership`].
-    pub fn membership(&self) -> crate::membership::Membership<'_> {
-        crate::membership::Membership::new(self)
+        self.shared.mailbox(self.me).reset_peak_bytes();
     }
 
     fn check_rank(&self, rank: usize) -> Result<()> {
@@ -124,49 +111,37 @@ impl Comm {
         }
     }
 
-    /// The peers that could satisfy a receive matching `src`: a single rank,
-    /// or (for `Src::Any`) every other member. Used for dead-peer detection
-    /// in blocked waits.
-    pub(crate) fn peers_of(&self, src: Src) -> Vec<PeerRef> {
-        match src {
-            Src::Rank(r) if r < self.group.len() => {
-                vec![PeerRef { global: self.group[r], local: r }]
-            }
-            Src::Rank(_) => Vec::new(),
-            Src::Any => (0..self.group.len())
-                .filter(|&r| r != self.local_rank)
-                .map(|r| PeerRef { global: self.group[r], local: r })
-                .collect(),
-        }
+    /// Addressed rank `r` as a peer a blocked receive watches for death.
+    fn peer(&self, r: usize) -> Option<PeerRef> {
+        self.group.get(r).map(|&global| PeerRef { global, local: r })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_envelope(
+    /// Every addressed rank but this one (which is there when the group is
+    /// its own): who can satisfy a `Src::Any` receive. Built on the first
+    /// wildcard receive and kept, as the group never changes.
+    fn wildcard_peers(&self) -> &[PeerRef] {
+        self.any_peers.get_or_init(|| {
+            let peers = (0..self.group.len()).filter_map(|r| self.peer(r));
+            peers.filter(|p| p.global != self.me).collect()
+        })
+    }
+
+    /// Posts one envelope to addressed rank `dst` (already checked).
+    pub(crate) fn post(
         &self,
-        dst_local: usize,
+        dst: usize,
         context: u32,
         tag: i32,
         bytes: usize,
         payload: Payload,
-        replicate: Option<&dyn Fn() -> Payload>,
         class: TrafficClass,
     ) -> Result<()> {
-        let dst_global = self.group[dst_local];
-        self.shared.send_envelope(
-            self.global_rank(),
-            self.local_rank,
-            dst_global,
-            dst_local,
-            context,
-            tag,
-            bytes,
-            payload,
-            replicate,
-            class,
-        )
+        let to = self.group[dst];
+        self.shared
+            .send_envelope(self.me, self.rank, to, dst, context, tag, bytes, payload, None, class)
     }
 
-    /// Sends `value` to communicator-local rank `dst` with `tag`.
+    /// Sends `value` to addressed rank `dst` with `tag`.
     ///
     /// Sends never block: the runtime models an eager/buffered MPI send, so
     /// deadlock can only arise from receives (which is exactly the behaviour
@@ -177,46 +152,14 @@ impl Comm {
     pub fn send<T: Send + MsgSize + 'static>(&self, dst: usize, tag: i32, value: T) -> Result<()> {
         self.check_rank(dst)?;
         let bytes = value.msg_size();
-        self.push_envelope(
-            dst,
-            self.context,
-            tag,
-            bytes,
-            Payload::owned(value),
-            None,
-            TrafficClass::PointToPoint,
-        )
+        self.post(dst, self.context, tag, bytes, Payload::owned(value), TrafficClass::PointToPoint)
     }
 
-    /// Like [`Comm::send`] for clonable values. Payloads normally move into
-    /// the destination mailbox, so a fault plane that duplicates a frame has
-    /// no second copy to deliver; this variant posts the value as a shared
-    /// payload, which replicates itself in O(1) — no eager clone, and the
-    /// sole receiver unwraps it without copying.
-    pub fn send_replicable<T: Send + Sync + Clone + MsgSize + 'static>(
-        &self,
-        dst: usize,
-        tag: i32,
-        value: T,
-    ) -> Result<()> {
-        self.check_rank(dst)?;
-        let bytes = value.msg_size();
-        self.shared.stats().record_payload_alloc();
-        self.push_envelope(
-            dst,
-            self.context,
-            tag,
-            bytes,
-            Payload::shared(Arc::new(value)),
-            None,
-            TrafficClass::PointToPoint,
-        )
-    }
-
-    /// Sends one shared payload to every rank in `dsts` (communicator-local,
-    /// duplicates allowed): O(1) payload allocations however many receivers.
-    /// Receivers see an ordinary message — `recv` unwraps copy-on-write,
-    /// [`Comm::recv_shared`] borrows the shared allocation outright.
+    /// Sends one shared payload to every rank in `dsts` (addressed ranks,
+    /// duplicates allowed): O(1) payload allocations however many
+    /// receivers, each unwrapping it copy-on-write. This is the transport
+    /// under collective remote method invocation, where one caller's
+    /// argument fans out to every rank of the remote program.
     pub fn multicast<T: Send + Sync + Clone + MsgSize + 'static>(
         &self,
         dsts: &[usize],
@@ -236,8 +179,8 @@ impl Comm {
                 self.shared.stats().record_payload_alloc();
                 let dst_globals: Vec<usize> = dsts.iter().map(|&d| self.group[d]).collect();
                 self.shared.multicast_envelope(
-                    self.global_rank(),
-                    self.local_rank,
+                    self.me,
+                    self.rank,
                     &dst_globals,
                     self.context,
                     tag,
@@ -262,24 +205,37 @@ impl Comm {
         })
     }
 
-    /// Every blocking receive funnels through here: counts the caller's
-    /// operation, takes the earliest match, and keeps both accounting
-    /// planes consistent — a matched envelope emits `MailboxMatch`, an
-    /// error return (`Timeout`/`PeerDead`/`Aborted`) goes through
-    /// [`record_op_error`] so it bumps the stats counters *and* the trace,
-    /// never just one.
-    pub(crate) fn recv_envelope(
+    /// The receive choke point (see the [module docs](self)): takes the
+    /// earliest envelope matching `(context, src, tag)`, waiting at most
+    /// `timeout` (forever if `None`). A point-to-point receive (`p2p`)
+    /// first counts an operation against this rank's scheduled death. A
+    /// match emits `MailboxMatch`; an error return (`Timeout`, `PeerDead`,
+    /// `Revoked`, `Aborted`) goes through [`record_op_error`], so it bumps
+    /// the stats counters *and* the trace, never just one.
+    pub(crate) fn take(
         &self,
         context: u32,
         src: Src,
         tag: Tag,
         timeout: Option<Duration>,
+        p2p: bool,
     ) -> Result<Envelope> {
-        let res = self.shared.note_op(self.global_rank(), self.local_rank).and_then(|()| {
-            let mailbox = self.shared.mailbox(self.global_rank());
+        // The peers that could satisfy the receive; it fails with
+        // `PeerDead` instead of hanging once all of them have died.
+        let one;
+        let peers = match src {
+            Src::Rank(r) => {
+                one = self.peer(r);
+                one.as_slice()
+            }
+            Src::Any => self.wildcard_peers(),
+        };
+        let counted = if p2p { self.shared.note_op(self.me, self.rank) } else { Ok(()) };
+        let res = counted.and_then(|()| {
+            let mailbox = self.shared.mailbox(self.me);
             match timeout {
-                None => mailbox.take(context, src, tag, &self.peers_of(src)),
-                Some(t) => mailbox.take_timeout(context, src, tag, t, &self.peers_of(src)),
+                None => mailbox.take(context, src, tag, peers),
+                Some(t) => mailbox.take_timeout(context, src, tag, t, peers),
             }
         });
         match &res {
@@ -290,6 +246,16 @@ impl Comm {
             Err(e) => record_op_error(self.shared.stats(), e),
         }
         res
+    }
+
+    fn recv_p2p<T: 'static>(
+        &self,
+        src: Src,
+        tag: Tag,
+        timeout: Option<Duration>,
+    ) -> Result<(T, MessageInfo)> {
+        let env = self.take(self.context, src, tag, timeout, true)?;
+        self.downcast(env)
     }
 
     /// Receives the earliest message matching `src`/`tag`, blocking until one
@@ -303,43 +269,36 @@ impl Comm {
         self.recv_with_info(src, tag).map(|(v, _)| v)
     }
 
-    /// Like [`Comm::recv`] but also returns the sender/tag/size metadata
-    /// (needed with `Src::Any` / `Tag::Any`).
+    /// Like [`Endpoint::recv`] but also returns the sender/tag/size
+    /// metadata (needed with `Src::Any` / `Tag::Any`).
     pub fn recv_with_info<T: 'static>(
         &self,
         src: impl Into<Src>,
         tag: impl Into<Tag>,
     ) -> Result<(T, MessageInfo)> {
-        let src = src.into();
-        let env = self.recv_envelope(self.context, src, tag.into(), None)?;
-        self.downcast(env)
-    }
-
-    /// Like [`Comm::recv`] but borrows a shared payload without copying it:
-    /// the zero-clone receive side of [`Comm::multicast`] and the shared
-    /// collectives. Owned payloads are promoted into a fresh `Arc` (an O(1)
-    /// pointer move, not a deep copy).
-    pub fn recv_shared<T: Send + Sync + 'static>(
-        &self,
-        src: impl Into<Src>,
-        tag: impl Into<Tag>,
-    ) -> Result<Arc<T>> {
-        let src = src.into();
-        let env = self.recv_envelope(self.context, src, tag.into(), None)?;
-        self.downcast_shared(env).map(|(v, _)| v)
+        self.recv_p2p(src.into(), tag.into(), None)
     }
 
     /// Receives with a deadline; `Err(Timeout)` if nothing matched in time.
-    /// This is the deadlock-detection primitive.
+    /// This is the deadlock-detection primitive, within one program and
+    /// across two.
     pub fn recv_timeout<T: 'static>(
         &self,
         src: impl Into<Src>,
         tag: impl Into<Tag>,
         timeout: Duration,
     ) -> Result<T> {
-        let src = src.into();
-        let env = self.recv_envelope(self.context, src, tag.into(), Some(timeout))?;
-        self.downcast(env).map(|(v, _)| v)
+        self.recv_timeout_with_info(src, tag, timeout).map(|(v, _)| v)
+    }
+
+    /// Receive with a deadline and sender metadata (for `Src::Any`).
+    pub fn recv_timeout_with_info<T: 'static>(
+        &self,
+        src: impl Into<Src>,
+        tag: impl Into<Tag>,
+        timeout: Duration,
+    ) -> Result<(T, MessageInfo)> {
+        self.recv_p2p(src.into(), tag.into(), Some(timeout))
     }
 
     /// Non-blocking receive: `Ok(None)` when no matching message is queued.
@@ -348,57 +307,104 @@ impl Comm {
         src: impl Into<Src>,
         tag: impl Into<Tag>,
     ) -> Result<Option<(T, MessageInfo)>> {
-        match self.shared.mailbox(self.global_rank()).try_take(self.context, src.into(), tag.into())
-        {
+        match self.shared.mailbox(self.me).try_take(self.context, src.into(), tag.into()) {
             Some(env) => self.downcast(env).map(Some),
             None => Ok(None),
         }
     }
 
-    /// Blocks until a matching message is queued, without consuming it.
-    pub fn probe(&self, src: impl Into<Src>, tag: impl Into<Tag>) -> Result<MessageInfo> {
-        let src = src.into();
-        let res = self.shared.note_op(self.global_rank(), self.local_rank).and_then(|()| {
-            self.shared.mailbox(self.global_rank()).probe(
-                self.context,
-                src,
-                tag.into(),
-                &self.peers_of(src),
-            )
-        });
-        if let Err(e) = &res {
-            record_op_error(self.shared.stats(), e);
-        }
-        res
-    }
-
     /// Checks for a matching queued message without consuming or blocking.
     pub fn iprobe(&self, src: impl Into<Src>, tag: impl Into<Tag>) -> Option<MessageInfo> {
-        self.shared.mailbox(self.global_rank()).iprobe(self.context, src.into(), tag.into())
+        self.shared.mailbox(self.me).iprobe(self.context, src.into(), tag.into())
     }
 
-    /// Combined send-then-receive, the classic shift primitive.
-    pub fn sendrecv<S: Send + MsgSize + 'static, R: 'static>(
-        &self,
-        dst: usize,
-        send_tag: i32,
-        value: S,
-        src: usize,
-        recv_tag: i32,
-    ) -> Result<R> {
-        self.send(dst, send_tag, value)?;
-        self.recv(src, recv_tag)
+    /// Poisons this handle's context pair: every pending and future
+    /// operation on it (point-to-point and, on a [`Comm`], collective)
+    /// fails with [`RuntimeError::Revoked`] on every rank, both sides of
+    /// an intercomm included. Idempotent; returns whether this call newly
+    /// revoked it. The world communicator cannot be revoked — recovery
+    /// itself runs on it — so revoking it returns `false` and changes
+    /// nothing.
+    pub fn revoke(&self) -> bool {
+        self.shared.revoke_context(self.context)
+    }
+
+    /// Whether this handle's context has been revoked.
+    pub fn is_revoked(&self) -> bool {
+        self.shared.revocations().is_revoked(self.context)
+    }
+
+    /// One ordered recovery decision over `members` (world ranks) on this
+    /// handle's recovery channel (see [`crate::reconfig`]).
+    pub(crate) fn decide(&self, members: &[usize], rule: Rule, value: u64) -> Result<u64> {
+        let seq = self.recovery_seq.get();
+        self.recovery_seq.set(seq + 1);
+        let world = Comm::world(self.shared.clone(), self.me);
+        agree_over(&world, members, (self.context, seq), rule, value)
+    }
+}
+
+/// What only a [`Comm`] carries beside its endpoint.
+pub struct Intra {
+    /// Per-handle collective sequence number; members stay in lock-step
+    /// because collectives are ordered.
+    pub(crate) coll_seq: Cell<u64>,
+}
+
+/// A communicator: an ordered group of world ranks plus a private message
+/// context. Point-to-point operations address peers by
+/// *communicator-local* rank. Collective operations (see
+/// [`crate::collectives`]) must be called by every member, in the same
+/// order.
+pub type Comm = Endpoint<Intra>;
+
+impl Comm {
+    /// Builds the world communicator handle for `global_rank`.
+    pub(crate) fn world(shared: Arc<WorldShared>, global_rank: usize) -> Self {
+        let group = Arc::new((0..shared.size()).collect());
+        Comm::from_parts(shared, group, global_rank, WORLD_CONTEXT)
+    }
+
+    pub(crate) fn from_parts(
+        shared: Arc<WorldShared>,
+        group: Arc<Vec<usize>>,
+        local_rank: usize,
+        context: u32,
+    ) -> Self {
+        let me = group[local_rank];
+        Endpoint::new(shared, me, local_rank, group, context, Intra { coll_seq: Cell::new(0) })
+    }
+
+    /// This rank's rank within the communicator.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Number of ranks in the communicator.
+    pub fn size(&self) -> usize {
+        self.group.len()
+    }
+
+    /// The global (world) ranks of the members, in local-rank order.
+    pub fn group(&self) -> &[usize] {
+        &self.group
+    }
+
+    /// The recovery view of this communicator: ULFM-style agree / shrink.
+    /// See [`crate::membership::Membership`].
+    pub fn membership(&self) -> crate::membership::Membership<'_> {
+        crate::membership::Membership::new(self)
     }
 
     /// Duplicates the communicator into a fresh context. Collective.
     pub fn dup(&self) -> Result<Comm> {
-        let ctx = if self.local_rank == 0 {
+        let ctx = if self.rank == 0 {
             let ctx = self.shared.allocate_context_pair();
             self.bcast(0, Some(ctx))?
         } else {
             self.bcast::<u32>(0, None)?
         };
-        Ok(Comm::from_parts(self.shared.clone(), self.group.clone(), self.local_rank, ctx))
+        Ok(Comm::from_parts(self.shared.clone(), self.group.clone(), self.rank, ctx))
     }
 
     /// Splits the communicator by `color`, ordering members of each new
@@ -419,24 +425,24 @@ impl Comm {
         members.sort_by_key(|&r| (all[r].1, r));
         let my_new_rank = members
             .iter()
-            .position(|&r| r == self.local_rank)
+            .position(|&r| r == self.rank)
             .expect("calling rank is in its own color group");
 
         // The lowest *old* rank of the color allocates the context and sends
         // it to the other members over the parent communicator.
         let owner = *members.iter().min().expect("non-empty color group");
         const SPLIT_TAG: i32 = crate::envelope::COLLECTIVE_TAG_BASE + 1;
-        let ctx = if self.local_rank == owner {
+        let ctx = if self.rank == owner {
             let ctx = self.shared.allocate_context_pair();
             // One shared payload fans out to every other member.
             let others: Vec<usize> =
-                members.iter().filter(|&&m| m != self.local_rank).map(|&m| self.group[m]).collect();
+                members.iter().filter(|&&m| m != self.rank).map(|&m| self.group[m]).collect();
             if !others.is_empty() {
                 let payload = Payload::shared(Arc::new(ctx));
                 self.shared.stats().record_payload_alloc();
                 self.shared.multicast_envelope(
-                    self.global_rank(),
-                    self.local_rank,
+                    self.me,
+                    self.rank,
                     &others,
                     self.context,
                     SPLIT_TAG,
@@ -447,13 +453,17 @@ impl Comm {
             }
             ctx
         } else {
-            let env = self.shared.mailbox(self.global_rank()).take(
+            // The bootstrap receive: silent on a match, accounted on an error.
+            let res = self.shared.mailbox(self.me).take(
                 self.context,
                 Src::Rank(owner),
                 Tag::Value(SPLIT_TAG),
-                &self.peers_of(Src::Rank(owner)),
-            )?;
-            self.downcast::<u32>(env)?.0
+                self.peer(owner).as_slice(),
+            );
+            if let Err(e) = &res {
+                record_op_error(self.shared.stats(), e);
+            }
+            self.downcast::<u32>(res?)?.0
         };
 
         let group: Vec<usize> = members.iter().map(|&m| self.group[m]).collect();
@@ -464,7 +474,7 @@ impl Comm {
     /// need not be sorted; new ranks follow the given order). Collective over
     /// the parent; non-members receive `None`.
     pub fn subgroup(&self, ranks: &[usize]) -> Result<Option<Comm>> {
-        let key = ranks.iter().position(|&r| r == self.local_rank);
+        let key = ranks.iter().position(|&r| r == self.rank);
         let color = if key.is_some() { 0 } else { -1 };
         self.split(color, key.map_or(0, |k| k as i64))
     }
@@ -473,7 +483,7 @@ impl Comm {
 /// Checks `env`'s integrity and unwraps its payload with `take`, which
 /// also says whether it had to copy the payload. Failures and copies are
 /// counted in `stats`, so every receive path accounts for them alike.
-pub(crate) fn unwrap_payload<V>(
+fn unwrap_payload<V>(
     stats: &WorldStats,
     env: Envelope,
     expected: &'static str,
@@ -559,17 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_shift() {
-        let res = World::run(3, |p| {
-            let c = p.world();
-            let next = (c.rank() + 1) % 3;
-            let prev = (c.rank() + 2) % 3;
-            c.sendrecv::<usize, usize>(next, 1, c.rank(), prev, 1).unwrap()
-        });
-        assert_eq!(res, vec![2, 0, 1]);
-    }
-
-    #[test]
     fn try_recv_and_iprobe() {
         World::run(2, |p| {
             let c = p.world();
@@ -577,10 +576,14 @@ mod tests {
                 assert!(c.try_recv::<u8>(Src::Any, Tag::Any).unwrap().is_none());
                 c.send(1, 0, 9u8).unwrap();
             } else {
-                // Wait until the message is visible, then probe + take it.
-                let info = c.probe(0, 0).unwrap();
+                // Wait until the message is visible, then take it.
+                let info = loop {
+                    match c.iprobe(0, 0) {
+                        Some(info) => break info,
+                        None => std::thread::yield_now(),
+                    }
+                };
                 assert_eq!(info.bytes, 1);
-                assert!(c.iprobe(0, 0).is_some());
                 let (v, _) = c.try_recv::<u8>(0, 0).unwrap().unwrap();
                 assert_eq!(v, 9);
                 assert!(c.iprobe(0, 0).is_none());
@@ -701,22 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_shared_borrows_the_multicast_allocation() {
-        let stats = World::run_opts(3, RunOpts::default(), |p| {
-            let c = p.world();
-            if c.rank() == 0 {
-                c.multicast(&[1, 2], 7, String::from("shared")).unwrap();
-            } else {
-                let arc = c.recv_shared::<String>(0, 7).unwrap();
-                assert_eq!(*arc, "shared");
-            }
-        })
-        .stats;
-        assert_eq!(stats.payload_allocs, 1);
-        assert_eq!(stats.payload_clones, 0, "Arc receivers never deep-copy");
-    }
-
-    #[test]
     fn multicast_to_one_or_zero_destinations() {
         World::run(2, |p| {
             let c = p.world();
@@ -730,16 +717,43 @@ mod tests {
     }
 
     #[test]
-    fn send_replicable_is_clone_free_without_faults() {
-        let stats = World::run_opts(2, RunOpts::default(), |p| {
+    fn only_point_to_point_receives_count_fault_plane_ops() {
+        // Rank 0 dies at its op 2. Its barrier's send is op 0 and its
+        // receive counts nothing; the point-to-point receive is op 1, so
+        // the death lands on the send after it.
+        let cfg = crate::fault::FaultConfig::reliable(23).with_death(0, 2);
+        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+        World::run_opts(2, opts, |p| {
             let c = p.world();
+            c.barrier().unwrap();
             if c.rank() == 0 {
-                c.send_replicable(1, 0, vec![9u64; 8]).unwrap();
+                assert_eq!(c.recv::<u8>(1, 7).unwrap(), 1);
+                let e = c.send(1, 8, 2u8).unwrap_err();
+                assert!(matches!(e, RuntimeError::PeerDead { rank: 0 }), "{e}");
             } else {
-                assert_eq!(c.recv::<Vec<u64>>(0, 0).unwrap(), vec![9; 8]);
+                c.send(0, 7, 1u8).unwrap();
+                let e = c.recv::<u8>(0, 8).unwrap_err();
+                assert!(matches!(e, RuntimeError::PeerDead { rank: 0 }), "{e}");
             }
-        })
-        .stats;
-        assert_eq!(stats.payload_clones, 0, "sole receiver unwraps the shared payload in place");
+        });
+    }
+
+    #[test]
+    fn a_wildcard_receive_fails_once_every_other_member_died() {
+        // The caller is in its own group but never waits on itself: with
+        // both peers dead the wildcard fails fast instead of timing out.
+        let cfg = crate::fault::FaultConfig::reliable(29);
+        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+        World::run_opts(3, opts, |p| {
+            if p.rank() != 0 {
+                p.kill_rank(p.rank());
+                return;
+            }
+            while !(p.is_dead(1) && p.is_dead(2)) {
+                std::thread::yield_now();
+            }
+            let e = p.world().recv_timeout::<u8>(Src::Any, 3, Duration::from_secs(5)).unwrap_err();
+            assert!(matches!(e, RuntimeError::PeerDead { .. }), "{e}");
+        });
     }
 }

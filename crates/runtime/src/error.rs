@@ -71,7 +71,7 @@ pub enum RuntimeError {
         detail: String,
     },
     /// The communicator context was revoked by the recovery plane: a
-    /// survivor called `Membership::revoke` (or `InterComm::revoke`) after
+    /// survivor called `revoke` on a `Comm` or `InterComm` after
     /// observing a failure, poisoning every pending and future operation on
     /// that context so all participants fall out of the old epoch together.
     Revoked {

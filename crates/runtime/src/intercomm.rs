@@ -1,56 +1,50 @@
 //! Inter-communicators: point-to-point messaging between two disjoint
 //! groups ("parallel programs"), the substrate for inter-framework M×N
 //! transfers (Figure 3 of the paper).
+//!
+//! An [`InterComm`] is the same [`Endpoint`] as a [`Comm`], addressing the
+//! *remote* group instead of its own: rank numbers name remote-local
+//! ranks, exactly like inter-communicator point-to-point in MPI, and every
+//! send and receive is the endpoint's (see [`crate::comm`] for the receive
+//! flavours and their accounting). What is added here is the two-group
+//! bookkeeping: creation, the side index, liveness queries over both
+//! groups, and the epoch changes (shrink, expand, contract, join).
 
-use std::any::type_name;
-use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::comm::{unwrap_payload, Comm};
-use crate::envelope::{Envelope, MessageInfo, Payload, Src, Tag};
+use crate::comm::{Comm, Endpoint};
+use crate::envelope::Src;
 use crate::error::{Result, RuntimeError};
-use crate::mailbox::PeerRef;
 use crate::membership::{agree_over, JoinOffer, ReconfigReport, ShrinkReport, JOIN_TAG};
-use crate::msgsize::MsgSize;
 use crate::reconfig::{mask, Rule};
 use crate::shared::WorldShared;
-use crate::stats::{MailboxGauge, TrafficClass};
-use crate::tracing::{ctx_class, record_op_error, tag_arg};
+use crate::stats::MailboxGauge;
+use crate::tracing::ctx_class;
 use mxn_trace::{emit_instant, EventId};
 
-/// A one-sided handle to an inter-communicator.
-///
-/// Each side addresses the *other* side's ranks by their remote-local rank
-/// (0-based within the remote group), exactly like `MPI_Comm_remote_size` /
-/// inter-communicator point-to-point in MPI.
-pub struct InterComm {
-    shared: Arc<WorldShared>,
-    /// My rank within my own (local) group.
-    local_rank: usize,
-    /// My global world rank.
-    my_global: usize,
+/// What only an [`InterComm`] carries beside its endpoint.
+pub struct Inter {
     /// Global ranks of my own (local) group, index = local rank.
     local_group: Arc<Vec<usize>>,
-    /// Global ranks of the remote group, index = remote-local rank.
-    remote_group: Arc<Vec<usize>>,
-    /// Shared context for inter-group traffic.
-    context: u32,
     /// Which side of the intercomm this handle is (0 or 1, as passed to
     /// [`InterComm::create`]); gives the two programs a symmetric identity.
     side: usize,
-    /// Per-handle recovery sequence number (agreements and shrinks over an
-    /// intercomm are ordered, like collectives).
-    recovery_seq: Cell<u64>,
 }
+
+/// A one-sided handle to an inter-communicator: an [`Endpoint`] whose
+/// rank numbers address the *other* side's ranks by their remote-local
+/// rank (0-based within the remote group), exactly like
+/// `MPI_Comm_remote_size` / inter-communicator point-to-point in MPI.
+pub type InterComm = Endpoint<Inter>;
 
 impl std::fmt::Debug for InterComm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InterComm")
-            .field("side", &self.side)
-            .field("local_rank", &self.local_rank)
-            .field("local_group", &self.local_group)
-            .field("remote_group", &self.remote_group)
+            .field("side", &self.kind.side)
+            .field("local_rank", &self.rank)
+            .field("local_group", &self.kind.local_group)
+            .field("remote_group", &self.group)
             .field("context", &self.context)
             .finish()
     }
@@ -76,14 +70,14 @@ impl InterComm {
         }
 
         let ctx = if pair.rank() == 0 {
-            let ctx = pair.shared().allocate_context_pair();
+            let ctx = pair.shared.allocate_context_pair();
             pair.bcast(0, Some(ctx))?
         } else {
             pair.bcast::<u32>(0, None)?
         };
 
         let groups = [local.group().to_vec(), remote_group];
-        let ic = Self::at(pair.shared(), pair.global_rank(), groups, ctx, side);
+        let ic = Self::at(&pair.shared, pair.global_rank(), groups, ctx, side);
         Ok((local, ic.expect("a rank belongs to its own side")))
     }
 
@@ -96,63 +90,42 @@ impl InterComm {
         context: u32,
         side: usize,
     ) -> Option<InterComm> {
-        Some(InterComm {
-            shared: shared.clone(),
-            local_rank: local.iter().position(|&g| g == my_global)?,
-            my_global,
-            local_group: Arc::new(local),
-            remote_group: Arc::new(remote),
-            context,
-            side,
-            recovery_seq: Cell::new(0),
-        })
+        let local_rank = local.iter().position(|&g| g == my_global)?;
+        let kind = Inter { local_group: Arc::new(local), side };
+        Some(Endpoint::new(shared.clone(), my_global, local_rank, Arc::new(remote), context, kind))
     }
 
     /// This handle's side index (0 or 1) — consistent across the ranks of
     /// one program and opposite on the peer program.
     pub fn side(&self) -> usize {
-        self.side
+        self.kind.side
     }
 
     /// My rank within my own group.
     pub fn local_rank(&self) -> usize {
-        self.local_rank
+        self.rank
     }
 
     /// Size of my own group.
     pub fn local_size(&self) -> usize {
-        self.local_group.len()
+        self.kind.local_group.len()
     }
 
     /// Size of the remote group.
     pub fn remote_size(&self) -> usize {
-        self.remote_group.len()
+        self.group.len()
     }
 
     /// The world ranks of my own group, in local-rank order. Elastic
     /// reconfiguration (connection-level expand/contract) uses these as
     /// the member lists of the redistribution window.
     pub fn local_group(&self) -> &[usize] {
-        &self.local_group
+        &self.kind.local_group
     }
 
     /// The world ranks of the remote group, in remote-rank order.
     pub fn remote_group(&self) -> &[usize] {
-        &self.remote_group
-    }
-
-    /// `(live, peak)` payload bytes of this rank's own mailbox — what the
-    /// eager transport has queued for this rank right now and the most it
-    /// ever held. Spans all communicators (the mailbox is per *rank*).
-    pub fn mailbox_bytes(&self) -> (u64, u64) {
-        let mb = self.shared.mailbox(self.local_group[self.local_rank]);
-        (mb.live_bytes(), mb.peak_bytes())
-    }
-
-    /// Resets this rank's mailbox byte high-water mark to its current live
-    /// level (between measurement phases).
-    pub fn reset_mailbox_peak(&self) {
-        self.shared.mailbox(self.local_group[self.local_rank]).reset_peak_bytes();
+        &self.group
     }
 
     /// Takes one *measured* mailbox-depth sample for this rank: live bytes,
@@ -163,7 +136,7 @@ impl InterComm {
     /// the sampling point autoscaling policies are meant to feed on,
     /// replacing caller-invented synthetic load numbers.
     pub fn sample_mailbox_gauge(&self) -> MailboxGauge {
-        let mb = self.shared.mailbox(self.local_group[self.local_rank]);
+        let mb = self.shared.mailbox(self.me);
         let gauge = MailboxGauge {
             live_bytes: mb.live_bytes(),
             peak_bytes: mb.peak_bytes(),
@@ -174,33 +147,9 @@ impl InterComm {
         gauge
     }
 
-    fn check_remote(&self, rank: usize) -> Result<()> {
-        if rank < self.remote_group.len() {
-            Ok(())
-        } else {
-            Err(RuntimeError::InvalidRank { rank, size: self.remote_group.len() })
-        }
-    }
-
-    /// The remote peers that could satisfy a receive matching `src`.
-    fn peers_of(&self, src: Src) -> Vec<PeerRef> {
-        match src {
-            Src::Rank(r) if r < self.remote_group.len() => {
-                vec![PeerRef { global: self.remote_group[r], local: r }]
-            }
-            Src::Rank(_) => Vec::new(),
-            Src::Any => self
-                .remote_group
-                .iter()
-                .enumerate()
-                .map(|(r, &g)| PeerRef { global: g, local: r })
-                .collect(),
-        }
-    }
-
     /// Whether remote-local rank `r` has been marked dead.
     pub fn is_remote_dead(&self, r: usize) -> bool {
-        r < self.remote_group.len() && self.shared.liveness().is_dead(self.remote_group[r])
+        self.remote_group().get(r).is_some_and(|&g| self.shared.liveness().is_dead(g))
     }
 
     /// The lowest-numbered dead rank on *either* side of the intercomm, as
@@ -208,188 +157,21 @@ impl InterComm {
     /// transfer fail consistently on every surviving rank.
     pub fn any_dead(&self) -> Option<usize> {
         let liveness = self.shared.liveness();
-        self.local_group
+        self.local_group()
             .iter()
-            .chain(self.remote_group.iter())
+            .chain(self.remote_group())
             .copied()
             .filter(|&g| liveness.is_dead(g))
             .min()
-    }
-
-    /// Sends to remote-local rank `dst`.
-    ///
-    /// Under a fault plane a send fails with [`RuntimeError::PeerDead`] only
-    /// when the sending rank's own scheduled death triggers; a dead remote
-    /// rank is detected on the receive side (see [`InterComm::recv_timeout`]
-    /// and [`InterComm::is_remote_dead`]).
-    pub fn send<T: Send + MsgSize + 'static>(&self, dst: usize, tag: i32, value: T) -> Result<()> {
-        self.check_remote(dst)?;
-        let bytes = value.msg_size();
-        let dst_global = self.remote_group[dst];
-        self.shared.send_envelope(
-            self.my_global,
-            self.local_rank,
-            dst_global,
-            dst,
-            self.context,
-            tag,
-            bytes,
-            Payload::owned(value),
-            None,
-            TrafficClass::PointToPoint,
-        )
-    }
-
-    /// Sends one value to *many* remote-local ranks as a single shared
-    /// payload: one allocation however many destinations, each receiver
-    /// unwrapping copy-on-write (or borrowing it outright via
-    /// [`InterComm::recv_shared`]). This is the transport under collective
-    /// remote method invocation, where one caller's argument fans out to
-    /// every rank of the remote program.
-    pub fn multicast<T: Send + Sync + Clone + MsgSize + 'static>(
-        &self,
-        dsts: &[usize],
-        tag: i32,
-        value: T,
-    ) -> Result<()> {
-        for &d in dsts {
-            self.check_remote(d)?;
-        }
-        match dsts {
-            [] => Ok(()),
-            [dst] => self.send(*dst, tag, value),
-            _ => {
-                let bytes = value.msg_size();
-                self.shared.stats().record_payload_alloc();
-                let payload = Payload::shared(Arc::new(value));
-                let dst_globals: Vec<usize> = dsts.iter().map(|&d| self.remote_group[d]).collect();
-                self.shared.multicast_envelope(
-                    self.my_global,
-                    self.local_rank,
-                    &dst_globals,
-                    self.context,
-                    tag,
-                    bytes,
-                    &payload,
-                    TrafficClass::PointToPoint,
-                )
-            }
-        }
-    }
-
-    fn downcast<T: 'static>(&self, env: Envelope) -> Result<(T, MessageInfo)> {
-        unwrap_payload(self.shared.stats(), env, type_name::<T>(), Payload::into_owned)
-    }
-
-    /// The intercomm's receive choke point, mirroring `Comm::recv_envelope`:
-    /// `MailboxMatch` on a match, uniform error accounting on failure.
-    fn recv_envelope(&self, src: Src, tag: Tag, timeout: Option<Duration>) -> Result<Envelope> {
-        let res = self.shared.note_op(self.my_global, self.local_rank).and_then(|()| {
-            let mailbox = self.shared.mailbox(self.my_global);
-            match timeout {
-                None => mailbox.take(self.context, src, tag, &self.peers_of(src)),
-                Some(t) => mailbox.take_timeout(self.context, src, tag, t, &self.peers_of(src)),
-            }
-        });
-        match &res {
-            Ok(env) => emit_instant(
-                EventId::MailboxMatch,
-                [ctx_class(self.context), tag_arg(env.tag), env.src_local as u64, env.bytes as u64],
-            ),
-            Err(e) => record_op_error(self.shared.stats(), e),
-        }
-        res
-    }
-
-    /// Receives a multicast payload as a shared handle — zero-copy: the
-    /// returned `Arc` aliases the sender's single allocation.
-    pub fn recv_shared<T: Send + Sync + 'static>(
-        &self,
-        src: impl Into<Src>,
-        tag: impl Into<Tag>,
-    ) -> Result<Arc<T>> {
-        let env = self.recv_envelope(src.into(), tag.into(), None)?;
-        let take = |p: Payload| p.into_shared().map(|(v, _promoted)| (v, false));
-        unwrap_payload(self.shared.stats(), env, type_name::<T>(), take).map(|(v, _)| v)
-    }
-
-    /// Receives from the remote group; `src` is a remote-local rank pattern.
-    ///
-    /// Fails with [`RuntimeError::PeerDead`] instead of hanging when every
-    /// remote rank that could satisfy the receive has died.
-    pub fn recv<T: 'static>(&self, src: impl Into<Src>, tag: impl Into<Tag>) -> Result<T> {
-        self.recv_with_info(src, tag).map(|(v, _)| v)
-    }
-
-    /// Receive with sender metadata (for `Src::Any`).
-    pub fn recv_with_info<T: 'static>(
-        &self,
-        src: impl Into<Src>,
-        tag: impl Into<Tag>,
-    ) -> Result<(T, MessageInfo)> {
-        let src = src.into();
-        let env = self.recv_envelope(src, tag.into(), None)?;
-        self.downcast(env)
-    }
-
-    /// Receive with a deadline (deadlock detection across programs).
-    pub fn recv_timeout<T: 'static>(
-        &self,
-        src: impl Into<Src>,
-        tag: impl Into<Tag>,
-        timeout: Duration,
-    ) -> Result<T> {
-        self.recv_timeout_with_info(src, tag, timeout).map(|(v, _)| v)
-    }
-
-    /// Receive with a deadline and sender metadata (for `Src::Any`).
-    pub fn recv_timeout_with_info<T: 'static>(
-        &self,
-        src: impl Into<Src>,
-        tag: impl Into<Tag>,
-        timeout: Duration,
-    ) -> Result<(T, MessageInfo)> {
-        let src = src.into();
-        let env = self.recv_envelope(src, tag.into(), Some(timeout))?;
-        self.downcast(env)
-    }
-
-    /// Non-blocking receive attempt.
-    pub fn try_recv<T: 'static>(
-        &self,
-        src: impl Into<Src>,
-        tag: impl Into<Tag>,
-    ) -> Result<Option<(T, MessageInfo)>> {
-        match self.shared.mailbox(self.my_global).try_take(self.context, src.into(), tag.into()) {
-            Some(env) => self.downcast(env).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Checks for a queued remote message without consuming it.
-    pub fn iprobe(&self, src: impl Into<Src>, tag: impl Into<Tag>) -> Option<MessageInfo> {
-        self.shared.mailbox(self.my_global).iprobe(self.context, src.into(), tag.into())
     }
 
     /// Both groups' global ranks, sorted — the agreement membership, which
     /// every rank of either side computes identically.
     fn union_sorted(&self) -> Vec<usize> {
         let mut m: Vec<usize> =
-            self.local_group.iter().chain(self.remote_group.iter()).copied().collect();
+            self.local_group().iter().chain(self.remote_group()).copied().collect();
         m.sort_unstable();
         m
-    }
-
-    /// Poisons this intercomm's context: every pending and future operation
-    /// on it fails with [`RuntimeError::Revoked`] on both sides. Idempotent;
-    /// returns whether this call newly revoked it.
-    pub fn revoke(&self) -> bool {
-        self.shared.revoke_context(self.context)
-    }
-
-    /// Whether this intercomm's context has been revoked.
-    pub fn is_revoked(&self) -> bool {
-        self.shared.revocations().is_revoked(self.context)
     }
 
     /// Fault-tolerant agreement across *both* groups: returns the bitwise
@@ -405,14 +187,6 @@ impl InterComm {
     /// primitive under transactional transfer commit.
     pub fn agree_all(&self, ok: bool) -> Result<bool> {
         self.agree(if ok { u64::MAX } else { 0 }).map(|v| v == u64::MAX)
-    }
-
-    /// One ordered recovery decision over `members` (see [`crate::reconfig`]).
-    fn decide(&self, members: &[usize], rule: Rule, value: u64) -> Result<u64> {
-        let seq = self.recovery_seq.get();
-        self.recovery_seq.set(seq + 1);
-        let world = Comm::world(self.shared.clone(), self.my_global);
-        agree_over(&world, members, (self.context, seq), rule, value)
     }
 
     /// Shrinks the intercomm to its survivors: both sides agree on the
@@ -435,16 +209,16 @@ impl InterComm {
             agreed & (1 << i) != 0
         };
         let local_survivors: Vec<usize> =
-            (0..self.local_group.len()).filter(|&r| alive(self.local_group[r])).collect();
+            (0..self.local_group().len()).filter(|&r| alive(self.local_group()[r])).collect();
         let remote_survivors: Vec<usize> =
-            (0..self.remote_group.len()).filter(|&r| alive(self.remote_group[r])).collect();
+            (0..self.remote_group().len()).filter(|&r| alive(self.remote_group()[r])).collect();
         if local_survivors.is_empty() || remote_survivors.is_empty() {
             return Err(RuntimeError::CollectiveMismatch {
                 detail: "shrink would leave one side of the intercomm empty".into(),
             });
         }
-        if !local_survivors.contains(&self.local_rank) {
-            return Err(RuntimeError::PeerDead { rank: self.local_rank });
+        if !local_survivors.contains(&self.rank) {
+            return Err(RuntimeError::PeerDead { rank: self.rank });
         }
         let (ctx, epoch) = self.shared.epoch_context(self.context, agreed, None);
         emit_instant(
@@ -457,10 +231,10 @@ impl InterComm {
             ],
         );
         let groups = [
-            local_survivors.iter().map(|&r| self.local_group[r]).collect(),
-            remote_survivors.iter().map(|&r| self.remote_group[r]).collect(),
+            local_survivors.iter().map(|&r| self.local_group()[r]).collect(),
+            remote_survivors.iter().map(|&r| self.remote_group()[r]).collect(),
         ];
-        let ic = Self::at(&self.shared, self.my_global, groups, ctx, self.side);
+        let ic = Self::at(&self.shared, self.me, groups, ctx, self.kind.side);
         let ic = ic.expect("survivors include the caller");
         Ok((ic, ShrinkReport { local_survivors, remote_survivors, epoch }))
     }
@@ -522,16 +296,14 @@ impl InterComm {
 
         // The reconfiguration as rank `g` sees it; `flip` for the far side.
         let view = |g: usize, flip: bool| {
-            let (mut sides, mut old) = (
-                [&new_local[..], &new_remote[..]],
-                [&self.local_group[..], &self.remote_group[..]],
-            );
+            let (mut sides, mut old) =
+                ([&new_local[..], &new_remote[..]], [self.local_group(), self.remote_group()]);
             if flip {
                 sides.reverse();
                 old.reverse();
             }
             JoinOffer {
-                side: self.side ^ usize::from(flip),
+                side: self.kind.side ^ usize::from(flip),
                 local_rank: sides[0].iter().position(|&x| x == g).unwrap_or(sides[0].len()),
                 context: ctx,
                 attempt,
@@ -543,15 +315,15 @@ impl InterComm {
                 participants: participants.clone(),
             }
         };
-        let sponsor = old_members[0] == self.my_global;
-        let world = Comm::world(self.shared.clone(), self.my_global);
-        let _reliable = self.shared.reliable(self.my_global);
+        let sponsor = old_members[0] == self.me;
+        let world = Comm::world(self.shared.clone(), self.me);
+        let _reliable = self.shared.reliable(self.me);
         if sponsor {
             for &g in participants.iter().filter(|g| old_members.binary_search(g).is_err()) {
                 world.send(g, JOIN_TAG, view(g, !new_local.contains(&g)))?;
             }
         }
-        let joined = Self::join(&world, view(self.my_global, false))?;
+        let joined = Self::join(&world, view(self.me, false))?;
         // One designated revoker: the Revoke trace event fires only on the
         // newly-revoking caller, so racing revokes would be digest-racy.
         if sponsor {
@@ -569,9 +341,9 @@ impl InterComm {
         add_local: &[usize],
         add_remote: &[usize],
     ) -> Result<(InterComm, ReconfigReport)> {
-        let mut new_local = self.local_group.to_vec();
+        let mut new_local = self.local_group().to_vec();
         new_local.extend_from_slice(add_local);
-        let mut new_remote = self.remote_group.to_vec();
+        let mut new_remote = self.remote_group().to_vec();
         new_remote.extend_from_slice(add_remote);
         let (ic, report) = self.reconfigure(new_local, new_remote)?;
         Ok((ic.expect("expand keeps every incumbent member"), report))
@@ -597,8 +369,8 @@ impl InterComm {
                 })
                 .collect()
         };
-        let new_local = pick(&self.local_group, keep_local_ranks)?;
-        let new_remote = pick(&self.remote_group, keep_remote_ranks)?;
+        let new_local = pick(self.local_group(), keep_local_ranks)?;
+        let new_remote = pick(self.remote_group(), keep_remote_ranks)?;
         self.reconfigure(new_local, new_remote)
     }
 
@@ -614,7 +386,7 @@ impl InterComm {
         world: &Comm,
         timeout: Duration,
     ) -> Result<(InterComm, ReconfigReport)> {
-        let _reliable = world.shared().reliable(world.global_rank());
+        let _reliable = world.shared.reliable(world.global_rank());
         let offer: JoinOffer = world.recv_timeout(Src::Any, JOIN_TAG, timeout)?;
         let (ic, report) = Self::join(world, offer)?;
         Ok((ic.expect("an offer names the newcomer in its new group"), report))
@@ -623,7 +395,7 @@ impl InterComm {
     /// Any participant's seat in the join vote on `offer` (written from its
     /// side); on commit, its handle in the new epoch (`None` for a leaver).
     fn join(world: &Comm, offer: JoinOffer) -> Result<(Option<InterComm>, ReconfigReport)> {
-        let shared = world.shared();
+        let shared = &world.shared;
         let members = &offer.participants;
         let n = members.len();
         let liveness = shared.liveness();
@@ -661,6 +433,7 @@ impl InterComm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::Tag;
     use crate::world::{RunOpts, World};
 
     /// Splits a world of m + n ranks into two programs joined by an

@@ -10,13 +10,14 @@
 //!
 //! * **Point-to-point**: eager [`Comm::send`] / blocking [`Comm::recv`] with
 //!   `(source, tag)` matching including wildcards, plus nonblocking
-//!   [`Comm::isend`] / [`Comm::irecv`], probes, and timeouts
+//!   [`Comm::isend`] / [`Comm::irecv`], `iprobe`, and timeouts
 //!   ([`Comm::recv_timeout`]) for the deadlock experiments of Figure 5.
 //! * **Communicators**: [`Comm::dup`], [`Comm::split`], [`Comm::subgroup`],
 //!   each with a private message context.
 //! * **Collectives**: barrier, bcast, gather, scatter, allgather,
 //!   alltoall(v), reduce, allreduce, scan (see [`collectives`]).
-//! * **Inter-communicators** ([`InterComm`]) and multi-program
+//! * **Inter-communicators** ([`InterComm`]), the same point-to-point
+//!   [`comm::Endpoint`] as a [`Comm`] addressing the remote group, and multi-program
 //!   [`Universe`]s for coupled-code runs (the "M job talks to N job" case).
 //! * **Traffic accounting** ([`stats`]): every payload reports its wire
 //!   size via [`MsgSize`], so benchmarks can report message counts and

@@ -453,31 +453,6 @@ impl Mailbox {
         })
     }
 
-    /// Blocks until a matching envelope is present and deliverable,
-    /// returning its metadata without removing it.
-    pub fn probe(
-        &self,
-        context: u32,
-        src: Src,
-        tag: Tag,
-        peers: &[PeerRef],
-    ) -> Result<MessageInfo> {
-        let mut inner = self.inner.lock();
-        loop {
-            self.revocations.check(context)?;
-            if let Some((key, i)) = inner.find(context, src, tag) {
-                let e = &inner.buckets[&key].queue[i];
-                return Ok(MessageInfo { src: e.src_local, tag: e.tag, bytes: e.bytes });
-            }
-            if self.abort.load(Ordering::Acquire) {
-                return Err(RuntimeError::Aborted);
-            }
-            self.check_peers(peers)?;
-            let wake_at = inner.earliest_pending(context, src, tag);
-            self.wait_for(&mut inner, context, tag, wake_at);
-        }
-    }
-
     /// Number of messages currently queued (all contexts).
     pub fn len(&self) -> usize {
         self.inner.lock().total
@@ -671,17 +646,6 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(val(m.take(0, Src::Rank(2), Tag::Value(4), &[]).unwrap()), 44);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn blocking_probe_waits() {
-        let m = Arc::new(mbox());
-        let m2 = m.clone();
-        let h = thread::spawn(move || m2.probe(0, Src::Any, Tag::Value(3), &[]).unwrap());
-        thread::sleep(Duration::from_millis(10));
-        m.push(env(1, 0, 3, 1));
-        let info = h.join().unwrap();
-        assert_eq!(info.src, 1);
     }
 
     #[test]

@@ -289,7 +289,7 @@ impl ControlPlane for WorldPlane<'_> {
     fn send(&mut self, to: usize, round: u8, value: u64) -> Result<()> {
         let (peer, tag) = (self.members[to], self.tags[round as usize]);
         let link = (self.world.global_rank(), peer, tag);
-        self.world.shared().revocations().vote_sent(link, self.id);
+        self.world.shared.revocations().vote_sent(link, self.id);
         // Sends to dead peers succeed silently, so an error here is the
         // caller's own death (or abort): propagate.
         self.world.send(peer, tag, AgreeMsg { value })
@@ -302,7 +302,7 @@ impl ControlPlane for WorldPlane<'_> {
         loop {
             let left = deadline.saturating_duration_since(Instant::now());
             let msg = self.world.recv_timeout::<AgreeMsg>(peer, tag, left)?;
-            if self.world.shared().revocations().vote_arrived(link) == Some(self.id) {
+            if self.world.shared.revocations().vote_arrived(link) == Some(self.id) {
                 self.heard += 1;
                 return Ok(msg.value);
             }
@@ -328,7 +328,7 @@ pub(crate) fn agree_over(
         id: (channel, seq),
         tags: [agree_tag(channel, seq, 0), agree_tag(channel, seq, 1)],
         heard: 0,
-        _reliable: world.shared().reliable(world.global_rank()),
+        _reliable: world.shared.reliable(world.global_rank()),
     };
     let mut guard = span(EventId::Agree, [n as u64, seq, 0, 0]);
     let agreed = drive(&mut machine, &mut plane)?;
@@ -336,8 +336,9 @@ pub(crate) fn agree_over(
     Ok(agreed)
 }
 
-/// The recovery view of a [`Comm`]: ULFM-style revoke / agree / shrink.
-/// Obtained via [`Comm::membership`].
+/// The recovery view of a [`Comm`]: ULFM-style agree / shrink (revoke is
+/// the endpoint's, [`crate::comm::Endpoint::revoke`]). Obtained via
+/// [`Comm::membership`].
 pub struct Membership<'a> {
     comm: &'a Comm,
 }
@@ -347,26 +348,11 @@ impl<'a> Membership<'a> {
         Membership { comm }
     }
 
-    /// Whether this communicator's context has been revoked.
-    pub fn is_revoked(&self) -> bool {
-        self.comm.shared().revocations().is_revoked(self.comm.context())
-    }
-
-    /// Poisons this communicator's context pair: every pending and future
-    /// operation on it (point-to-point and collective) fails with
-    /// [`RuntimeError::Revoked`] on every rank. Idempotent; returns whether
-    /// this call newly revoked it. The world communicator cannot be
-    /// revoked — recovery itself runs on it — so revoking it returns
-    /// `false` and changes nothing.
-    pub fn revoke(&self) -> bool {
-        self.comm.shared().revoke_context(self.comm.context())
-    }
-
     /// Fault-tolerant agreement across the group: returns the bitwise AND
     /// of every surviving member's `value`. Must be called by all surviving
     /// members, in the same recovery order.
     pub fn agree(&self, value: u64) -> Result<u64> {
-        self.decide(Rule::Value, value)
+        self.comm.decide(self.comm.group(), Rule::Value, value)
     }
 
     /// Builds the dense survivor communicator: members agree on the alive
@@ -378,11 +364,11 @@ impl<'a> Membership<'a> {
     /// and gets [`RuntimeError::PeerDead`].
     pub fn shrink(&self) -> Result<Comm> {
         let comm = self.comm;
-        let shared = comm.shared();
+        let shared = &comm.shared;
         let n = comm.size();
         let liveness = shared.liveness();
         let alive = mask(n, |i| !liveness.is_dead(comm.group()[i]));
-        let agreed = self.decide(Rule::Membership, alive)?;
+        let agreed = comm.decide(comm.group(), Rule::Membership, alive)?;
         let survivors: Vec<usize> = (0..n).filter(|&i| agreed & (1 << i) != 0).collect();
         let my_new = survivors
             .iter()
@@ -392,14 +378,6 @@ impl<'a> Membership<'a> {
         emit_instant(EventId::Shrink, [n as u64, survivors.len() as u64, ctx_class(ctx), 0]);
         let group: Vec<usize> = survivors.iter().map(|&i| comm.group()[i]).collect();
         Ok(Comm::from_parts(shared.clone(), Arc::new(group), my_new, ctx))
-    }
-
-    fn decide(&self, rule: Rule, value: u64) -> Result<u64> {
-        let comm = self.comm;
-        let seq = comm.recovery_seq.get();
-        comm.recovery_seq.set(seq + 1);
-        let world = Comm::world(comm.shared().clone(), comm.global_rank());
-        agree_over(&world, comm.group(), (comm.context(), seq), rule, value)
     }
 }
 
@@ -420,8 +398,8 @@ mod tests {
                 // Wait for rank 1 to be parked on the derived comm, then
                 // revoke it from the other side.
                 c.recv::<u8>(1, 1).unwrap();
-                assert!(d.membership().revoke());
-                assert!(!d.membership().revoke(), "idempotent");
+                assert!(d.revoke());
+                assert!(!d.revoke(), "idempotent");
                 // Future ops fail too, on the revoker itself.
                 let e = d.send(1, 9, 1u8).unwrap_err();
                 assert!(e.is_revoked(), "send on revoked ctx: {e}");
@@ -444,8 +422,8 @@ mod tests {
     fn world_context_cannot_be_revoked() {
         World::run(1, |p| {
             let c = p.world();
-            assert!(!c.membership().revoke());
-            assert!(!c.membership().is_revoked());
+            assert!(!c.revoke());
+            assert!(!c.is_revoked());
             c.send(0, 0, 3u8).unwrap();
             assert_eq!(c.recv::<u8>(0, 0).unwrap(), 3);
         });
@@ -461,7 +439,7 @@ mod tests {
                 c.send(1, 0, 0u8).unwrap(); // "sent" signal
             } else {
                 c.recv::<u8>(0, 0).unwrap();
-                d.membership().revoke();
+                d.revoke();
                 let e = d.recv::<u8>(0, 4).unwrap_err();
                 assert!(e.is_revoked(), "stale-epoch message must not deliver: {e}");
             }
@@ -654,7 +632,7 @@ mod tests {
             let d = c.dup().unwrap();
             if c.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(30));
-                d.membership().revoke();
+                d.revoke();
             } else {
                 let e = d.recv::<u8>(0, 3).unwrap_err();
                 assert!(e.is_revoked());

@@ -5,7 +5,8 @@
 use std::time::Duration;
 
 use mxn_runtime::{
-    err_code, ChannelPolicy, CollOp, EventId, FaultConfig, RunOpts, RuntimeError, World,
+    err_code, ChannelPolicy, CollOp, EventId, FaultConfig, InterComm, RunOpts, RunReport,
+    RuntimeError, World,
 };
 
 /// Drives every collective at least once, then checks that the trace's
@@ -79,10 +80,28 @@ fn per_collective_trace_aggregates_match_world_stats() {
     assert!(agg.count(EventId::Collective) >= 4 * CollOp::COUNT as u64 - 4);
 }
 
-/// Satellite fix regression test: `Timeout` and `PeerDead` error returns
-/// update the stats counters and emit `OpError` events *consistently* —
-/// one counter bump and one event per failed operation, on every mailbox
-/// branch (plain recv, intercomm recv, collective take).
+/// Each counted error class has exactly one `OpError` event per counter
+/// bump in `report`: `Timeout` = `recv_timeouts`, `PeerDead` =
+/// `peer_dead_errors`.
+fn assert_planes_agree<R>(report: &RunReport<R>) {
+    let agg = report.trace.as_ref().expect("traced run").aggregate();
+    let events = |code| agg.errors.get(&code).copied().unwrap_or(0);
+    assert_eq!(
+        events(err_code::TIMEOUT),
+        report.stats.recv_timeouts,
+        "OpError(Timeout) events == recv_timeouts counter"
+    );
+    assert_eq!(
+        events(err_code::PEER_DEAD),
+        report.stats.peer_dead_errors,
+        "OpError(PeerDead) events == peer_dead_errors counter"
+    );
+}
+
+/// `Timeout` and `PeerDead` error returns update the stats counters and
+/// emit `OpError` events *consistently* — one counter bump and one event
+/// per failed operation, on every mailbox branch: plain recv, intercomm
+/// recv, and collective take (through `barrier_timeout`).
 #[test]
 fn error_returns_update_both_accounting_planes() {
     // A lossy channel drops the only message, so rank 1 times out twice;
@@ -110,22 +129,11 @@ fn error_returns_update_both_accounting_planes() {
             assert!(matches!(e, RuntimeError::PeerDead { .. }), "got {e}");
         }
     });
-    let (stats, trace) = (report.stats, report.trace.unwrap());
-
-    assert_eq!(stats.recv_timeouts, 2, "both timeouts counted");
-    assert!(stats.peer_dead_errors >= 1, "the PeerDead return counted");
-    let agg = trace.aggregate();
-    assert_eq!(
-        agg.errors.get(&err_code::TIMEOUT).copied().unwrap_or(0),
-        stats.recv_timeouts,
-        "OpError(Timeout) events == recv_timeouts counter"
-    );
-    assert_eq!(
-        agg.errors.get(&err_code::PEER_DEAD).copied().unwrap_or(0),
-        stats.peer_dead_errors,
-        "OpError(PeerDead) events == peer_dead_errors counter"
-    );
+    assert_eq!(report.stats.recv_timeouts, 2, "both timeouts counted");
+    assert!(report.stats.peer_dead_errors >= 1, "the PeerDead return counted");
+    assert_planes_agree(&report);
     // The timeouts carry the awaited (src, tag) for diagnosis.
+    let trace = report.trace.unwrap();
     let timeout_ev = trace
         .events
         .iter()
@@ -133,4 +141,47 @@ fn error_returns_update_both_accounting_planes() {
         .expect("a Timeout OpError event");
     assert_eq!(timeout_ev.args[1], 0, "src rank recorded");
     assert_eq!(timeout_ev.args[2], 3, "tag recorded");
+
+    // An intercomm receive from a remote rank that never sends.
+    let traced = || RunOpts { trace: true, ..RunOpts::default() };
+    let report = World::run_opts(2, traced(), |p| {
+        let (_, ic) = InterComm::create(p.world(), p.rank()).unwrap();
+        if p.rank() == 1 {
+            let e = ic.recv_timeout::<u8>(0, 5, Duration::from_millis(25)).unwrap_err();
+            assert!(matches!(e, RuntimeError::Timeout { .. }), "got {e}");
+        }
+    });
+    assert_eq!(report.stats.recv_timeouts, 1, "the intercomm timeout counted");
+    assert_planes_agree(&report);
+
+    // A barrier that rank 1 never enters: rank 0's collective take times
+    // out. Rank 1 waits for rank 0 to give up before it leaves.
+    let report = World::run_opts(2, traced(), |p| {
+        let c = p.world();
+        if c.rank() == 0 {
+            let e = c.barrier_timeout(Duration::from_millis(25)).unwrap_err();
+            assert!(matches!(e, RuntimeError::Timeout { .. }), "got {e}");
+            c.send(1, 1, 0u8).unwrap();
+        } else {
+            c.recv::<u8>(0, 1).unwrap();
+        }
+    });
+    assert_eq!(report.stats.recv_timeouts, 1, "the barrier timeout counted");
+    assert_planes_agree(&report);
+}
+
+/// `Comm::split`'s bootstrap receive accounts its errors: the context
+/// owner (rank 0) dies at its context multicast — its op 1, after the
+/// allgather's one send — so rank 1's `split` returns `PeerDead`, and that
+/// return is counted and traced like any other.
+#[test]
+fn split_bootstrap_receive_accounts_its_errors() {
+    let cfg = FaultConfig::reliable(0x5917).with_death(0, 1);
+    let opts = RunOpts { faults: Some(cfg), trace: true, ..RunOpts::default() };
+    let report = World::run_opts(2, opts, |p| {
+        let e = p.world().split(0, 0).err().expect("the context owner dies");
+        assert!(matches!(e, RuntimeError::PeerDead { .. }), "rank {}: {e}", p.rank());
+    });
+    assert!(report.stats.peer_dead_errors >= 1, "rank 1's PeerDead counted");
+    assert_planes_agree(&report);
 }
