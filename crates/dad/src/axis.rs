@@ -148,159 +148,129 @@ impl AxisDist {
     /// The contiguous global runs `(start, len)` owned by grid position `q`,
     /// in ascending order.
     pub fn segments(&self, q: usize, extent: usize) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        self.for_each_segment(q, extent, |start, len| out.push((start, len)));
+        out
+    }
+
+    /// [`Self::segments`] without the vector: `f(start, len)` for each run,
+    /// in ascending order.
+    pub(crate) fn for_each_segment(
+        &self,
+        q: usize,
+        extent: usize,
+        mut f: impl FnMut(usize, usize),
+    ) {
         match self {
-            AxisDist::Collapsed => {
-                if extent > 0 {
-                    vec![(0, extent)]
-                } else {
-                    vec![]
-                }
-            }
+            AxisDist::Collapsed if extent > 0 => f(0, extent),
+            AxisDist::Collapsed => {}
             AxisDist::Block { nprocs } => {
                 let b = extent.div_ceil(*nprocs);
-                let start = q * b;
-                if start >= extent {
-                    vec![]
-                } else {
-                    vec![(start, (extent - start).min(b))]
+                if q * b < extent {
+                    f(q * b, (extent - q * b).min(b));
                 }
             }
-            AxisDist::Cyclic { nprocs } => (q..extent).step_by(*nprocs).map(|i| (i, 1)).collect(),
+            AxisDist::Cyclic { nprocs } => (q..extent).step_by(*nprocs).for_each(|i| f(i, 1)),
             AxisDist::BlockCyclic { block, nprocs } => {
-                let mut out = Vec::new();
                 let mut start = q * block;
                 while start < extent {
-                    out.push((start, (*block).min(extent - start)));
+                    f(start, (*block).min(extent - start));
                     start += block * nprocs;
                 }
-                out
             }
-            AxisDist::GenBlock { sizes } => {
-                let start: usize = sizes[..q].iter().sum();
-                if sizes[q] > 0 {
-                    vec![(start, sizes[q])]
-                } else {
-                    vec![]
-                }
-            }
+            AxisDist::GenBlock { sizes } if sizes[q] > 0 => f(sizes[..q].iter().sum(), sizes[q]),
+            AxisDist::GenBlock { .. } => {}
             AxisDist::Implicit { owners, .. } => {
-                let mut out: Vec<(usize, usize)> = Vec::new();
                 for (i, &o) in owners.iter().enumerate() {
-                    if o == q {
-                        match out.last_mut() {
-                            Some((s, l)) if *s + *l == i => *l += 1,
-                            _ => out.push((i, 1)),
-                        }
+                    if o == q && (i == 0 || owners[i - 1] != q) {
+                        f(i, owners[i..].iter().take_while(|&&o| o == q).count());
                     }
                 }
-                out
             }
         }
     }
 
     /// Number of elements grid position `q` owns.
     pub fn local_size(&self, q: usize, extent: usize) -> usize {
-        self.segments(q, extent).iter().map(|&(_, l)| l).sum()
+        let mut size = 0;
+        self.for_each_segment(q, extent, |_, len| size += len);
+        size
     }
 
     /// The grid positions whose owned segments overlap the half-open
     /// interval `[lo, hi)`, each paired with its overlapping segments
     /// `(start, len)` clipped to the interval, ascending by position (and
-    /// by start within a position).
-    ///
-    /// This is the ownership structure that makes schedule construction
-    /// sublinear in the grid size: the candidate set is found in closed
-    /// form (block family, via cut-point arithmetic / modular arithmetic)
-    /// or by scanning only the queried interval (gen-block via its sorted
-    /// cut points, implicit via run-length encoding of `owners[lo..hi]`) —
-    /// never by probing all `nprocs` positions.
+    /// by start within a position). The candidates are found in closed form
+    /// or by scanning only the interval, never by probing every position.
     pub fn overlaps(
         &self,
         lo: usize,
         hi: usize,
         extent: usize,
     ) -> Vec<(usize, Vec<(usize, usize)>)> {
+        let mut pieces = Vec::new();
+        self.for_each_overlap(lo, hi, extent, |pos, start, len| pieces.push((pos, start, len)));
+        pieces.sort_unstable();
+        let mut out: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+        for (pos, start, len) in pieces {
+            match out.last_mut() {
+                Some((q, segs)) if *q == pos => segs.push((start, len)),
+                _ => out.push((pos, vec![(start, len)])),
+            }
+        }
+        out
+    }
+
+    /// Calls `f(pos, start, len)` for every owned segment overlapping
+    /// `[lo, hi)`, clipped to it, in no particular order.
+    ///
+    /// This is the ownership structure that makes schedule construction
+    /// sublinear in the grid size: the candidate set is found in closed
+    /// form (block family, via cut-point arithmetic / modular arithmetic)
+    /// or by scanning only the queried interval (gen-block via its sorted
+    /// cut points, implicit via run-length encoding of `owners[lo..hi]`) —
+    /// never by probing all `nprocs` positions — and nothing is allocated.
+    pub(crate) fn for_each_overlap(
+        &self,
+        lo: usize,
+        hi: usize,
+        extent: usize,
+        mut f: impl FnMut(usize, usize, usize),
+    ) {
         let hi = hi.min(extent);
         if lo >= hi {
-            return vec![];
+            return;
         }
+        // Blocks of `b` elements, block `j` owned by `pos(j)`: only the
+        // blocks intersecting [lo, hi) are visited.
+        let mut blocks = |b: usize, pos: &dyn Fn(usize) -> usize| {
+            for j in lo / b..=(hi - 1) / b {
+                let (s, e) = (lo.max(j * b), hi.min((j + 1) * b));
+                f(pos(j), s, e - s);
+            }
+        };
         match self {
-            AxisDist::Collapsed => vec![(0, vec![(lo, hi - lo)])],
-            AxisDist::Block { nprocs } => {
-                let b = extent.div_ceil(*nprocs);
-                let q_lo = lo / b;
-                let q_hi = (hi - 1) / b;
-                (q_lo..=q_hi)
-                    .map(|q| {
-                        let s = lo.max(q * b);
-                        let e = hi.min((q + 1) * b);
-                        (q, vec![(s, e - s)])
-                    })
-                    .collect()
-            }
-            AxisDist::Cyclic { nprocs } => {
-                // Element i belongs to i % nprocs; group the interval's
-                // unit segments by position without touching absent ones.
-                let p = *nprocs;
-                // Only positions (lo + k) % p for k < min(p, hi - lo) are
-                // present; visiting exactly those keeps the query
-                // output-bound rather than O(nprocs).
-                let mut out: Vec<(usize, Vec<(usize, usize)>)> = (0..p.min(hi - lo))
-                    .map(|k| {
-                        let first = lo + k;
-                        let q = first % p;
-                        let segs: Vec<(usize, usize)> =
-                            (first..hi).step_by(p).map(|i| (i, 1)).collect();
-                        (q, segs)
-                    })
-                    .collect();
-                out.sort_by_key(|&(q, _)| q);
-                out
-            }
-            AxisDist::BlockCyclic { block, nprocs } => {
-                // Walk only the blocks intersecting [lo, hi); group by the
-                // owning position.
-                let b = *block;
-                let p = *nprocs;
-                let j_lo = lo / b;
-                let j_hi = (hi - 1) / b;
-                let mut per_pos: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-                for j in j_lo..=j_hi {
-                    let q = j % p;
-                    let s = lo.max(j * b);
-                    let e = hi.min((j + 1) * b);
-                    if s >= e {
-                        continue;
-                    }
-                    match per_pos.iter_mut().find(|(pos, _)| *pos == q) {
-                        Some((_, segs)) => segs.push((s, e - s)),
-                        None => per_pos.push((q, vec![(s, e - s)])),
-                    }
-                }
-                per_pos.sort_by_key(|&(q, _)| q);
-                per_pos
-            }
+            AxisDist::Collapsed => blocks(extent, &|_| 0),
+            AxisDist::Block { nprocs } => blocks(extent.div_ceil(*nprocs), &|j| j),
+            AxisDist::Cyclic { nprocs } => blocks(1, &|j| j % nprocs),
+            AxisDist::BlockCyclic { block, nprocs } => blocks(*block, &|j| j % nprocs),
             AxisDist::GenBlock { sizes } => {
                 // Sorted cut points: position q owns [cuts[q], cuts[q+1]).
-                let mut out = Vec::new();
                 let mut start = 0;
                 for (q, &s) in sizes.iter().enumerate() {
                     let end = start + s;
                     if start >= hi {
                         break;
                     }
-                    let l = lo.max(start);
-                    let h = hi.min(end);
+                    let (l, h) = (lo.max(start), hi.min(end));
                     if l < h {
-                        out.push((q, vec![(l, h - l)]));
+                        f(q, l, h - l);
                     }
                     start = end;
                 }
-                out
             }
             AxisDist::Implicit { owners, .. } => {
                 // Run-length encode just the queried window.
-                let mut per_pos: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
                 let mut i = lo;
                 while i < hi {
                     let q = owners[i];
@@ -308,14 +278,9 @@ impl AxisDist {
                     while j < hi && owners[j] == q {
                         j += 1;
                     }
-                    match per_pos.iter_mut().find(|(pos, _)| *pos == q) {
-                        Some((_, segs)) => segs.push((i, j - i)),
-                        None => per_pos.push((q, vec![(i, j - i)])),
-                    }
+                    f(q, i, j - i);
                     i = j;
                 }
-                per_pos.sort_by_key(|&(q, _)| q);
-                per_pos
             }
         }
     }

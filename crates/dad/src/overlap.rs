@@ -39,10 +39,12 @@ struct Piece {
 }
 
 /// One axis's overlap pieces, sorted by `(pos, start)`, with the
-/// `[first, end)` piece range of each distinct grid position.
+/// `[first, end)` piece range of each distinct grid position and the
+/// axis's local segment count.
 struct AxisPieces {
     pieces: Vec<Piece>,
     groups: Vec<(usize, usize)>,
+    segs: usize,
 }
 
 /// Result of an overlap query: the peers found and the candidate count
@@ -62,10 +64,13 @@ pub struct OverlapHits {
 /// peer — what schedule construction consumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatchHits {
-    /// `(peer rank, [(local patch index, overlap region)])`, ascending by
-    /// rank; every entry holds at least one region, and within a rank the
-    /// regions are sorted by lower corner.
-    pub hits: Vec<(usize, Vec<(usize, Region)>)>,
+    /// `(peer rank, overlap regions)`, ascending by rank; every entry holds
+    /// at least one region, and within a rank the regions are sorted by
+    /// lower corner.
+    pub hits: Vec<(usize, Vec<Region>)>,
+    /// The index in `mine.patches(rank)` of the local patch each region of
+    /// `hits` lies in, in the order of `hits` flattened.
+    pub sources: Vec<usize>,
     /// `(local patch, candidate)` pairs examined: the sum of
     /// [`OverlapHits::probes`] over per-patch queries.
     pub probes: usize,
@@ -133,15 +138,11 @@ impl<'a> OverlapIndex<'a> {
         match self {
             OverlapIndex::Regular(t) => {
                 // The one-segment-per-axis case of the product query.
-                let segs: Vec<Vec<(usize, usize)>> =
-                    region.lo().iter().zip(region.hi()).map(|(&l, &h)| vec![(l, h - l)]).collect();
-                let found = Self::query_product(t, &segs);
-                let hits = found
-                    .hits
-                    .into_iter()
-                    .map(|(peer, parts)| (peer, parts.into_iter().map(|(_, r)| r).collect()))
-                    .collect();
-                OverlapHits { hits, probes: found.probes }
+                let segs: Vec<(usize, usize)> =
+                    region.lo().iter().zip(region.hi()).map(|(&l, &h)| (l, h - l)).collect();
+                let spans = Region::from_axes(segs.len(), |d| (d, d + 1));
+                let found = Self::query_product(t, &segs, &spans);
+                OverlapHits { hits: found.hits, probes: found.probes }
             }
             OverlapIndex::Explicit { dist, cuts, slabs } => {
                 Self::query_explicit(dist, cuts, slabs, region)
@@ -156,11 +157,9 @@ impl<'a> OverlapIndex<'a> {
     /// sides are regular it is computed per axis, once for all patches.
     pub fn query_patches(&self, mine: &Dad, rank: usize) -> PatchHits {
         if let (OverlapIndex::Regular(t), Distribution::Regular(m)) = (self, mine.distribution()) {
-            let segs = m.axis_segments(rank);
-            if segs.iter().any(Vec::is_empty) {
-                return PatchHits { hits: Vec::new(), probes: 0 };
-            }
-            return Self::query_product(t, &segs);
+            let mut segs = Vec::new();
+            let spans = m.axis_segments(rank, &mut segs);
+            return Self::query_product(t, &segs, &spans);
         }
         let mut per_peer: BTreeMap<usize, Vec<(usize, Region)>> = BTreeMap::new();
         let mut probes = 0;
@@ -171,83 +170,94 @@ impl<'a> OverlapIndex<'a> {
                 per_peer.entry(peer).or_default().extend(regions.into_iter().map(|r| (pi, r)));
             }
         }
-        let mut hits: Vec<_> = per_peer.into_iter().collect();
-        for (_, parts) in &mut hits {
-            parts.sort_by(|a, b| a.1.lo().cmp(b.1.lo()));
-        }
-        PatchHits { hits, probes }
+        let mut sources = Vec::new();
+        let hits = per_peer
+            .into_iter()
+            .map(|(peer, mut parts)| {
+                parts.sort_by(|a, b| a.1.lo().cmp(b.1.lo()));
+                sources.extend(parts.iter().map(|&(pi, _)| pi));
+                (peer, parts.into_iter().map(|(_, r)| r).collect())
+            })
+            .collect();
+        PatchHits { hits, sources, probes }
     }
 
-    /// Overlaps of the patches `Π_d segs[d]` (row-major patch numbering,
-    /// as [`Template::patches`]) with a regular template. Each axis is
-    /// resolved once per local segment; a probe is one (local patch,
-    /// candidate peer) pair, so the count is `Π_d Σ_k |candidates_d(k)|`,
-    /// the same as querying every patch on its own.
-    fn query_product(t: &Template, segs: &[Vec<(usize, usize)>]) -> PatchHits {
-        let nd = segs.len();
+    /// Overlaps of the patches in the cartesian product of per-axis
+    /// segments (`segs[spans.lo()[d]..spans.hi()[d]]` on axis `d`, patches
+    /// numbered row-major, as [`Template::patches`]) with a regular
+    /// template. Each axis is resolved once per local segment; a probe is
+    /// one (local patch, candidate peer) pair, so the count is
+    /// `Π_d Σ_k |candidates_d(k)|`, the same as querying every patch on its
+    /// own. Allocates per axis and per peer, never per region.
+    fn query_product(t: &Template, segs: &[(usize, usize)], spans: &Region) -> PatchHits {
+        let nd = spans.ndim();
+        let none = || PatchHits { hits: Vec::new(), sources: Vec::new(), probes: 0 };
         let mut probes = 1;
         let mut axes = Vec::with_capacity(nd);
-        for (d, (ax, local)) in t.axes().iter().zip(segs).enumerate() {
+        for d in 0..nd {
+            let (ax, extent) = (&t.axes()[d], t.extents().dim(d));
             let mut pieces = Vec::new();
-            let mut candidates = 0;
-            for (seg, &(start, len)) in local.iter().enumerate() {
-                let found = ax.overlaps(start, start + len, t.extents().dim(d));
-                candidates += found.len();
-                for (pos, parts) in found {
-                    pieces.extend(parts.into_iter().map(|(start, len)| Piece {
-                        pos,
-                        start,
-                        len,
-                        seg,
-                    }));
-                }
+            for (seg, &(start, len)) in segs[spans.lo()[d]..spans.hi()[d]].iter().enumerate() {
+                ax.for_each_overlap(start, start + len, extent, |pos, start, len| {
+                    pieces.push(Piece { pos, start, len, seg })
+                });
             }
-            if candidates == 0 {
-                return PatchHits { hits: Vec::new(), probes: 0 };
+            if pieces.is_empty() {
+                return none();
             }
-            probes *= candidates;
             // Local segments are disjoint and ascending, so within one grid
             // position start order is also segment order.
             pieces.sort_unstable_by_key(|p| (p.pos, p.start));
-            let mut groups = Vec::new();
-            let mut first = 0;
-            for i in 1..=pieces.len() {
-                if i == pieces.len() || pieces[i].pos != pieces[first].pos {
-                    groups.push((first, i));
-                    first = i;
+            // A candidate is a distinct (position, segment) pair; the pieces
+            // of one position form a group.
+            let mut candidates = 0;
+            let mut groups: Vec<(usize, usize)> = Vec::new();
+            for (i, p) in pieces.iter().enumerate() {
+                match groups.last_mut() {
+                    Some((first, end)) if pieces[*first].pos == p.pos => {
+                        candidates += usize::from(pieces[i - 1].seg != p.seg);
+                        *end = i + 1;
+                    }
+                    _ => {
+                        candidates += 1;
+                        groups.push((i, i + 1));
+                    }
                 }
             }
-            axes.push(AxisPieces { pieces, groups });
+            probes *= candidates;
+            axes.push(AxisPieces { pieces, groups, segs: spans.hi()[d] - spans.lo()[d] });
         }
 
-        let mut hits = Vec::new();
+        // Every peer's regions are the product of its per-axis pieces, so
+        // all peers' are the product of every axis's.
+        let mut hits = Vec::with_capacity(axes.iter().map(|ax| ax.groups.len()).product());
+        let mut sources = Vec::with_capacity(axes.iter().map(|ax| ax.pieces.len()).product());
         // Odometer over per-axis grid positions, last axis fastest: with the
         // row-major grid→rank fold this emits peers in ascending order.
         let mut pick = vec![0usize; nd];
         let mut at = vec![0usize; nd];
         'peers: loop {
             let mut peer = 0;
+            let mut count = 1;
             for (d, ax) in axes.iter().enumerate() {
-                let (first, _) = ax.groups[pick[d]];
+                let (first, end) = ax.groups[pick[d]];
                 peer = peer * t.axes()[d].nprocs() + ax.pieces[first].pos;
                 at[d] = first;
+                count *= end - first;
             }
             // Regions: the cross-product of this peer's per-axis pieces,
             // last axis fastest, so lower corners ascend.
-            let mut parts = Vec::new();
+            let mut parts = Vec::with_capacity(count);
             'pieces: loop {
                 let mut patch = 0;
                 for (d, ax) in axes.iter().enumerate() {
-                    patch = patch * segs[d].len() + ax.pieces[at[d]].seg;
+                    patch = patch * ax.segs + ax.pieces[at[d]].seg;
                 }
-                let lo: Vec<usize> = (0..nd).map(|d| axes[d].pieces[at[d]].start).collect();
-                let hi: Vec<usize> = (0..nd)
-                    .map(|d| {
-                        let p = &axes[d].pieces[at[d]];
-                        p.start + p.len
-                    })
-                    .collect();
-                parts.push((patch, Region::new(lo, hi)));
+                sources.push(patch);
+                parts.push(Region::from_axes(nd, |d| {
+                    let p = &axes[d].pieces[at[d]];
+                    (p.start, p.start + p.len)
+                }));
                 let mut d = nd;
                 loop {
                     if d == 0 {
@@ -277,7 +287,7 @@ impl<'a> OverlapIndex<'a> {
                 pick[d] = 0;
             }
         }
-        PatchHits { hits, probes }
+        PatchHits { hits, sources, probes }
     }
 
     fn query_explicit(

@@ -6,6 +6,10 @@
 //! patch" of the paper's explicit distributions and of per-rank local
 //! storage.
 
+use std::borrow::Borrow;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+
 /// The shape of an n-dimensional array: one extent per axis.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Extents(Vec<usize>);
@@ -70,7 +74,7 @@ impl Extents {
 
     /// The region covering the whole array.
     pub fn full_region(&self) -> Region {
-        Region::new(vec![0; self.ndim()], self.0.clone())
+        Region::from_axes(self.ndim(), |d| (0, self.0[d]))
     }
 }
 
@@ -152,78 +156,124 @@ impl Iterator for IndexIter {
     }
 }
 
-/// A half-open axis-aligned box `[lo, hi)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Region {
-    lo: Vec<usize>,
-    hi: Vec<usize>,
+/// Axes whose corners a [`Region`] keeps inline.
+const INLINE_AXES: usize = 4;
+
+/// Where a region's corners live.
+#[derive(Clone)]
+enum Corners {
+    /// Up to [`INLINE_AXES`] axes, in place; slots past `ndim` stay 0.
+    Inline { ndim: u8, lo: [usize; INLINE_AXES], hi: [usize; INLINE_AXES] },
+    /// More axes: one heap slice, `lo` then `hi`.
+    Heap { ndim: usize, corners: Box<[usize]> },
 }
+
+/// A half-open axis-aligned box `[lo, hi)`.
+///
+/// A plain value: with up to four axes both corners are stored inline, so
+/// making, cloning or dropping a region never calls the allocator; a region
+/// with more axes keeps its corners in one heap slice. Equality, hashing
+/// and `{:?}` see only [`Region::lo`] then [`Region::hi`], exactly as for a
+/// pair of vectors, so hashes and fingerprints do not depend on the storage.
+#[derive(Clone)]
+pub struct Region(Corners);
 
 impl Region {
     /// Creates a region; `lo[d] <= hi[d]` must hold on every axis.
     ///
     /// # Panics
     /// On rank mismatch or inverted bounds.
-    pub fn new(lo: impl Into<Vec<usize>>, hi: impl Into<Vec<usize>>) -> Self {
-        let (lo, hi) = (lo.into(), hi.into());
+    pub fn new(lo: impl Borrow<[usize]>, hi: impl Borrow<[usize]>) -> Self {
+        let (lo, hi) = (lo.borrow(), hi.borrow());
         assert_eq!(lo.len(), hi.len(), "region bound rank mismatch");
-        for d in 0..lo.len() {
-            assert!(lo[d] <= hi[d], "inverted region bounds on axis {d}");
-        }
-        Region { lo, hi }
+        Region::from_axes(lo.len(), |d| (lo[d], hi[d]))
     }
 
+    /// The region whose axis `d` spans `[corners(d).0, corners(d).1)`,
+    /// built in place, axes in order; allocates only past four axes.
+    ///
+    /// # Panics
+    /// On inverted bounds.
+    pub(crate) fn from_axes(ndim: usize, mut corners: impl FnMut(usize) -> (usize, usize)) -> Self {
+        let mut fill = |lo: &mut [usize], hi: &mut [usize]| {
+            for d in 0..ndim {
+                (lo[d], hi[d]) = corners(d);
+                assert!(lo[d] <= hi[d], "inverted region bounds on axis {d}");
+            }
+        };
+        if ndim <= INLINE_AXES {
+            let (mut lo, mut hi) = ([0; INLINE_AXES], [0; INLINE_AXES]);
+            fill(&mut lo, &mut hi);
+            return Region(Corners::Inline { ndim: ndim as u8, lo, hi });
+        }
+        let mut both = vec![0; 2 * ndim].into_boxed_slice();
+        let (lo, hi) = both.split_at_mut(ndim);
+        fill(lo, hi);
+        Region(Corners::Heap { ndim, corners: both })
+    }
+
+    // The accessors and `eq` are `#[inline]`: plans and samplers in other
+    // crates call them per region or element, and a `match` is more than
+    // is inlined across crates unasked.
+
     /// Lower (inclusive) corner.
+    #[inline]
     pub fn lo(&self) -> &[usize] {
-        &self.lo
+        match &self.0 {
+            Corners::Inline { ndim, lo, .. } => &lo[..*ndim as usize],
+            Corners::Heap { ndim, corners } => &corners[..*ndim],
+        }
     }
 
     /// Upper (exclusive) corner.
+    #[inline]
     pub fn hi(&self) -> &[usize] {
-        &self.hi
+        match &self.0 {
+            Corners::Inline { ndim, hi, .. } => &hi[..*ndim as usize],
+            Corners::Heap { ndim, corners } => &corners[*ndim..],
+        }
     }
 
     /// Number of axes.
+    #[inline]
     pub fn ndim(&self) -> usize {
-        self.lo.len()
+        match &self.0 {
+            Corners::Inline { ndim, .. } => *ndim as usize,
+            Corners::Heap { ndim, .. } => *ndim,
+        }
     }
 
     /// Per-axis sizes.
     pub fn shape(&self) -> Vec<usize> {
-        (0..self.ndim()).map(|d| self.hi[d] - self.lo[d]).collect()
+        self.lo().iter().zip(self.hi()).map(|(l, h)| h - l).collect()
     }
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        (0..self.ndim()).map(|d| self.hi[d] - self.lo[d]).product()
+        self.lo().iter().zip(self.hi()).map(|(l, h)| h - l).product()
     }
 
     /// True when any axis is empty.
     pub fn is_empty(&self) -> bool {
-        (0..self.ndim()).any(|d| self.lo[d] == self.hi[d])
+        self.lo().iter().zip(self.hi()).any(|(l, h)| l == h)
     }
 
     /// Does the region contain `idx`?
     pub fn contains(&self, idx: &[usize]) -> bool {
-        idx.len() == self.ndim()
-            && (0..self.ndim()).all(|d| self.lo[d] <= idx[d] && idx[d] < self.hi[d])
+        let (lo, hi) = (self.lo(), self.hi());
+        idx.len() == lo.len() && (0..lo.len()).all(|d| lo[d] <= idx[d] && idx[d] < hi[d])
     }
 
-    /// Intersection with `other`; `None` when empty.
+    /// Intersection with `other`; `None` when empty. Never allocates for
+    /// regions of up to four axes.
     pub fn intersect(&self, other: &Region) -> Option<Region> {
         assert_eq!(self.ndim(), other.ndim(), "region rank mismatch");
-        let mut lo = Vec::with_capacity(self.ndim());
-        let mut hi = Vec::with_capacity(self.ndim());
-        for d in 0..self.ndim() {
-            let l = self.lo[d].max(other.lo[d]);
-            let h = self.hi[d].min(other.hi[d]);
-            if l >= h {
-                return None;
-            }
-            lo.push(l);
-            hi.push(h);
+        let (a_lo, a_hi, b_lo, b_hi) = (self.lo(), self.hi(), other.lo(), other.hi());
+        let axis = |d: usize| (a_lo[d].max(b_lo[d]), a_hi[d].min(b_hi[d]));
+        if (0..a_lo.len()).map(axis).any(|(l, h)| l >= h) {
+            return None;
         }
-        Some(Region { lo, hi })
+        Some(Region::from_axes(a_lo.len(), axis))
     }
 
     /// Do the two regions share any element?
@@ -233,7 +283,7 @@ impl Region {
 
     /// Iterates global indices inside the region, row-major.
     pub fn iter(&self) -> RegionIter {
-        IndexIter::new(self.lo.clone(), self.hi.clone())
+        IndexIter::new(self.lo().to_vec(), self.hi().to_vec())
     }
 
     /// Row-major offset of `idx` *within* this region (for local storage).
@@ -242,23 +292,43 @@ impl Region {
     /// If `idx` is not inside the region.
     pub fn local_offset(&self, idx: &[usize]) -> usize {
         assert!(self.contains(idx), "index {idx:?} outside region");
-        let mut off = 0;
-        for (d, &i) in idx.iter().enumerate().take(self.ndim()) {
-            off = off * (self.hi[d] - self.lo[d]) + (i - self.lo[d]);
-        }
-        off
+        let (lo, hi) = (self.lo(), self.hi());
+        (0..lo.len()).fold(0, |off, d| off * (hi[d] - lo[d]) + (idx[d] - lo[d]))
     }
 
     /// Inverse of [`Region::local_offset`].
     pub fn index_at(&self, mut off: usize) -> Vec<usize> {
         assert!(off < self.len(), "offset out of bounds");
-        let mut idx = vec![0; self.ndim()];
-        for d in (0..self.ndim()).rev() {
-            let ext = self.hi[d] - self.lo[d];
-            idx[d] = self.lo[d] + off % ext;
+        let (lo, hi) = (self.lo(), self.hi());
+        let mut idx = vec![0; lo.len()];
+        for d in (0..lo.len()).rev() {
+            let ext = hi[d] - lo[d];
+            idx[d] = lo[d] + off % ext;
             off /= ext;
         }
         idx
+    }
+}
+
+impl PartialEq for Region {
+    #[inline]
+    fn eq(&self, other: &Region) -> bool {
+        self.lo() == other.lo() && self.hi() == other.hi()
+    }
+}
+
+impl Eq for Region {}
+
+impl Hash for Region {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.lo().hash(state);
+        self.hi().hash(state);
+    }
+}
+
+impl fmt::Debug for Region {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Region").field("lo", &self.lo()).field("hi", &self.hi()).finish()
     }
 }
 
@@ -295,6 +365,173 @@ pub(crate) mod tests {
         per_element(r.shape())
             .map(|rel| rel.iter().zip(r.lo()).map(|(i, lo)| i + lo).collect())
             .collect()
+    }
+
+    /// The `Vec`-backed region the inline one replaced, kept as its oracle:
+    /// same name, so `{:?}` and the derived `Hash` are the old ones.
+    mod vec_backed {
+        #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+        pub struct Region {
+            pub lo: Vec<usize>,
+            pub hi: Vec<usize>,
+        }
+
+        impl Region {
+            pub fn shape(&self) -> Vec<usize> {
+                (0..self.lo.len()).map(|d| self.hi[d] - self.lo[d]).collect()
+            }
+
+            pub fn len(&self) -> usize {
+                self.shape().iter().product()
+            }
+
+            pub fn is_empty(&self) -> bool {
+                (0..self.lo.len()).any(|d| self.lo[d] == self.hi[d])
+            }
+
+            pub fn contains(&self, idx: &[usize]) -> bool {
+                idx.len() == self.lo.len()
+                    && (0..self.lo.len()).all(|d| self.lo[d] <= idx[d] && idx[d] < self.hi[d])
+            }
+
+            pub fn intersect(&self, other: &Region) -> Option<Region> {
+                let mut lo = Vec::with_capacity(self.lo.len());
+                let mut hi = Vec::with_capacity(self.lo.len());
+                for d in 0..self.lo.len() {
+                    let l = self.lo[d].max(other.lo[d]);
+                    let h = self.hi[d].min(other.hi[d]);
+                    if l >= h {
+                        return None;
+                    }
+                    lo.push(l);
+                    hi.push(h);
+                }
+                Some(Region { lo, hi })
+            }
+
+            pub fn local_offset(&self, idx: &[usize]) -> usize {
+                assert!(self.contains(idx));
+                let mut off = 0;
+                for (d, &i) in idx.iter().enumerate() {
+                    off = off * (self.hi[d] - self.lo[d]) + (i - self.lo[d]);
+                }
+                off
+            }
+
+            pub fn index_at(&self, mut off: usize) -> Vec<usize> {
+                assert!(off < self.len());
+                let mut idx = vec![0; self.lo.len()];
+                for d in (0..self.lo.len()).rev() {
+                    let ext = self.hi[d] - self.lo[d];
+                    idx[d] = self.lo[d] + off % ext;
+                    off /= ext;
+                }
+                idx
+            }
+        }
+    }
+
+    /// A `Hasher` that records the bytes it is fed.
+    #[derive(Default)]
+    struct Recording(Vec<u8>);
+
+    impl Hasher for Recording {
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+
+        fn finish(&self) -> u64 {
+            0
+        }
+    }
+
+    fn hashed(value: &impl Hash) -> Vec<u8> {
+        let mut h = Recording::default();
+        value.hash(&mut h);
+        h.0
+    }
+
+    /// A region and its `Vec`-backed twin from per-axis `(lo, size)`.
+    fn twins(axes: &[(usize, usize)]) -> (Region, vec_backed::Region) {
+        let lo: Vec<usize> = axes.iter().map(|a| a.0).collect();
+        let hi: Vec<usize> = axes.iter().map(|a| a.0 + a.1).collect();
+        (Region::new(lo.as_slice(), hi.as_slice()), vec_backed::Region { lo, hi })
+    }
+
+    /// Inline (≤ 4 axes) and heap (5 and 6 axes) regions.
+    fn axes_strategy() -> impl proptest::strategy::Strategy<Value = Vec<(usize, usize)>> {
+        proptest::collection::vec((0usize..4, 0usize..4), 0..=6)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn regions_match_the_vec_backed_oracle(
+            a in axes_strategy(),
+            b_seed in proptest::collection::vec((0usize..4, 0usize..4), 6),
+            probe in proptest::collection::vec(0usize..8, 6),
+        ) {
+            let (r, old) = twins(&a);
+            let b: Vec<_> = b_seed[..a.len()].to_vec();
+            let (s, old_s) = twins(&b);
+            proptest::prop_assert_eq!(r.lo(), &old.lo[..]);
+            proptest::prop_assert_eq!(r.hi(), &old.hi[..]);
+            proptest::prop_assert_eq!(r.ndim(), old.lo.len());
+            proptest::prop_assert_eq!(r.len(), old.len());
+            proptest::prop_assert_eq!(r.shape(), old.shape());
+            proptest::prop_assert_eq!(r.is_empty(), old.is_empty());
+            proptest::prop_assert_eq!(format!("{r:?}"), format!("{old:?}"));
+            proptest::prop_assert_eq!(format!("{r:#?}"), format!("{old:#?}"));
+            proptest::prop_assert_eq!(hashed(&r), hashed(&old));
+            proptest::prop_assert_eq!(r.clone(), Region::new(old.lo.clone(), old.hi.clone()));
+            let got = r.intersect(&s);
+            let want = old.intersect(&old_s);
+            proptest::prop_assert_eq!(got.is_some(), want.is_some());
+            proptest::prop_assert_eq!(r.overlaps(&s), want.is_some());
+            if let (Some(got), Some(want)) = (got, want) {
+                proptest::prop_assert_eq!((got.lo(), got.hi()), (&want.lo[..], &want.hi[..]));
+                proptest::prop_assert_eq!(hashed(&got), hashed(&want));
+            }
+            proptest::prop_assert_eq!(r == s, old == old_s);
+            proptest::prop_assert_eq!(hashed(&r) == hashed(&s), old == old_s);
+            let idx = &probe[..a.len()];
+            proptest::prop_assert_eq!(r.contains(idx), old.contains(idx));
+            let walked: Vec<Vec<usize>> = r.iter().collect();
+            for (k, idx) in walked.iter().enumerate() {
+                proptest::prop_assert!(old.contains(idx));
+                proptest::prop_assert_eq!(r.local_offset(idx), old.local_offset(idx));
+                proptest::prop_assert_eq!(r.local_offset(idx), k);
+                proptest::prop_assert_eq!(r.index_at(k), old.index_at(k));
+            }
+            proptest::prop_assert_eq!(walked.len(), old.len());
+        }
+    }
+
+    #[test]
+    fn fingerprints_are_those_of_the_vec_backed_region() {
+        use crate::{AxisDist, Dad, ExplicitDist, Template};
+        let block = Dad::block(Extents::new([8, 6]), &[2, 3]).unwrap();
+        let cyclic = Dad::regular(
+            Template::new(
+                Extents::new([512, 512]),
+                vec![AxisDist::BlockCyclic { block: 4, nprocs: 2 }, AxisDist::Collapsed],
+            )
+            .unwrap(),
+        );
+        let explicit = Dad::explicit(
+            ExplicitDist::new(
+                Extents::new([4, 4]),
+                vec![
+                    (Region::new([0, 0], [2, 3]), 0),
+                    (Region::new([0, 3], [2, 4]), 1),
+                    (Region::new([2, 0], [4, 4]), 2),
+                ],
+                3,
+            )
+            .unwrap(),
+        );
+        assert_eq!(block.fingerprint(), 0x2ce8fa2238888bf203054e28b7ef71aa);
+        assert_eq!(cyclic.fingerprint(), 0xd47a23d89626d3ec8c0b6ac8d08bd7a9);
+        assert_eq!(explicit.fingerprint(), 0x88b205cae96a6704236052947dc0ff7c);
     }
 
     proptest::proptest! {

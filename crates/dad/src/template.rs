@@ -66,7 +66,7 @@ impl Template {
 
     /// Total number of ranks the template is distributed over.
     pub fn nranks(&self) -> usize {
-        self.grid().iter().product()
+        self.axes.iter().map(AxisDist::nprocs).product()
     }
 
     /// Row-major rank of a process-grid coordinate.
@@ -106,46 +106,52 @@ impl Template {
 
     /// The rectangular patches of the template owned by `rank`, in
     /// row-major order of their lower corners. For block-family axes this is
-    /// the cartesian product of per-axis segments.
+    /// the cartesian product of per-axis segments. Allocates the returned
+    /// vector and one list of segments, nothing per patch.
     pub fn patches(&self, rank: usize) -> Vec<Region> {
-        let seglists = self.axis_segments(rank);
-        if seglists.iter().any(|s| s.is_empty()) {
-            return vec![];
-        }
-        // Cartesian product, odometer over segment indices.
-        let mut out = Vec::new();
-        let mut pick = vec![0usize; seglists.len()];
-        loop {
-            let lo: Vec<usize> = pick.iter().zip(&seglists).map(|(&k, s)| s[k].0).collect();
-            let hi: Vec<usize> =
-                pick.iter().zip(&seglists).map(|(&k, s)| s[k].0 + s[k].1).collect();
-            out.push(Region::new(lo, hi));
-            // Advance odometer (last axis fastest).
-            let mut d = seglists.len();
-            loop {
-                if d == 0 {
-                    return out;
-                }
-                d -= 1;
-                pick[d] += 1;
-                if pick[d] < seglists[d].len() {
-                    break;
-                }
-                pick[d] = 0;
-            }
-        }
+        let mut segs = Vec::new();
+        let spans = self.axis_segments(rank, &mut segs);
+        let (count, nd) = (spans.len(), spans.ndim());
+        (0..count)
+            .map(|n| {
+                // Axis d's segment is digit d of `n` in the radix of the
+                // per-axis segment counts (last axis fastest).
+                let (mut rem, mut stride) = (n, count);
+                Region::from_axes(nd, |d| {
+                    stride /= spans.hi()[d] - spans.lo()[d];
+                    let (start, len) = segs[spans.lo()[d] + rem / stride];
+                    rem %= stride;
+                    (start, start + len)
+                })
+            })
+            .collect()
     }
 
-    /// The segments `(start, len)` `rank`'s grid position owns on each axis:
-    /// [`Template::patches`] is their cartesian product, so patch number
-    /// `Σ_d k_d · Π_{e>d} n_e` is built from segment `k_d` of axis `d`.
-    pub(crate) fn axis_segments(&self, rank: usize) -> Vec<Vec<(usize, usize)>> {
-        let coord = self.rank_to_grid(rank);
-        self.axes
-            .iter()
-            .enumerate()
-            .map(|(d, ax)| ax.segments(coord[d], self.extents.dim(d)))
-            .collect()
+    /// Appends to `segs` the segments `(start, len)` `rank`'s grid position
+    /// owns on each axis, axis after axis (reserving once), and returns the
+    /// box of their index ranges: axis `d`'s segments are
+    /// `segs[spans.lo()[d]..spans.hi()[d]]`. [`Template::patches`] is their
+    /// cartesian product, so patch number `Σ_d k_d · Π_{e>d} n_e` is built
+    /// from segment `k_d` of axis `d`, and `spans.len()` patches exist.
+    pub(crate) fn axis_segments(&self, rank: usize, segs: &mut Vec<(usize, usize)>) -> Region {
+        assert!(rank < self.nranks(), "rank out of range");
+        // `rank`'s grid position on axis d, with the axis and its extent.
+        let axis = |d: usize| {
+            let stride: usize = self.axes[d + 1..].iter().map(AxisDist::nprocs).product();
+            (&self.axes[d], rank / stride % self.axes[d].nprocs(), self.extents.dim(d))
+        };
+        let mut total = 0;
+        for d in 0..self.axes.len() {
+            let (ax, q, extent) = axis(d);
+            ax.for_each_segment(q, extent, |_, _| total += 1);
+        }
+        segs.reserve(total);
+        Region::from_axes(self.axes.len(), |d| {
+            let (ax, q, extent) = axis(d);
+            let first = segs.len();
+            ax.for_each_segment(q, extent, |start, len| segs.push((start, len)));
+            (first, segs.len())
+        })
     }
 
     /// Number of elements owned by `rank`.

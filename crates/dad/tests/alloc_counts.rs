@@ -1,11 +1,12 @@
-//! Heap allocations of the row walks, counted by a global allocator that
-//! counts on the calling thread only, so tests running in parallel do not
-//! disturb each other's counts.
+//! Heap allocations of the row walks and of the region geometry behind
+//! schedule builds, counted by a global allocator that counts on the
+//! calling thread only, so tests running in parallel do not disturb each
+//! other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mxn_dad::{Dad, Extents, LocalArray};
+use mxn_dad::{AxisDist, Dad, Extents, LocalArray, Region, Template};
 
 struct Counting;
 
@@ -72,4 +73,43 @@ fn region_iter_allocates_once_per_index() {
     let (n, walked) = allocations(|| region.iter().count());
     assert_eq!(walked, region.len());
     assert!(n <= region.len() + 8, "{n} allocations for {walked} indices");
+}
+
+/// A 512×512 field in block-cyclic row (`rows`) or column blocks of
+/// `block` over 2 ranks: the regrid workload's layouts.
+fn regrid(block: usize, rows: bool) -> Dad {
+    let cyclic = AxisDist::BlockCyclic { block, nprocs: 2 };
+    let axes =
+        if rows { vec![cyclic, AxisDist::Collapsed] } else { vec![AxisDist::Collapsed, cyclic] };
+    Dad::regular(Template::new(Extents::new([512, 512]), axes).unwrap())
+}
+
+#[test]
+fn region_intersection_never_allocates() {
+    let (a, b, c) =
+        (Region::new([0, 0], [4, 4]), Region::new([2, 3], [6, 8]), Region::new([4, 0], [5, 4]));
+    let (n, hit) = allocations(|| a.intersect(&b));
+    assert_eq!(hit, Some(Region::new([2, 3], [4, 4])));
+    assert_eq!(n, 0, "a hit made {n} allocations");
+    let (n, miss) = allocations(|| a.intersect(&c));
+    assert_eq!(miss, None);
+    assert_eq!(n, 0, "a miss made {n} allocations");
+}
+
+#[test]
+fn patches_allocate_per_call_not_per_patch() {
+    let dad = regrid(4, true);
+    let (n, patches) = allocations(|| dad.patches(0));
+    assert_eq!(patches.len(), 64);
+    assert_eq!(patches[1], Region::new([8, 0], [12, 512]));
+    assert!(n <= 2, "64 patches made {n} allocations");
+}
+
+#[test]
+fn patch_queries_allocate_per_axis_and_peer_not_per_region() {
+    let (src, dst) = (regrid(4, true), regrid(4, false));
+    let index = dst.overlap_index();
+    let (n, found) = allocations(|| index.query_patches(&src, 0));
+    assert_eq!(found.hits.iter().map(|(_, r)| r.len()).sum::<usize>(), 64 * 128);
+    assert!(n <= 64, "8 192 regions made {n} allocations");
 }

@@ -66,18 +66,25 @@ impl CopyPlan {
         plan
     }
 
-    /// Like [`Self::compile`], but with known provenance: `parts` pairs
-    /// each region with the index of the single patch that covers it, so
-    /// every region becomes one block per leading-axis index, in closed
-    /// form from the patch's row-major layout (schedule builders know the
-    /// source patch because each pair region *is* an intersection with one
-    /// local patch).
+    /// Like [`Self::compile`], but with known provenance: `sources[i]` is
+    /// the index of the single patch that covers `regions[i]`, so every
+    /// region becomes one block per leading-axis index, in closed form from
+    /// the patch's row-major layout (schedule builders know the source
+    /// patch because each pair region *is* an intersection with one local
+    /// patch). The block list is reserved once.
     ///
     /// # Panics
-    /// If a region does not lie inside its source patch.
-    pub fn from_sources(patches: &[Region], parts: &[(usize, Region)]) -> CopyPlan {
+    /// If the two lists differ in length or a region does not lie inside
+    /// its source patch.
+    pub fn from_sources(patches: &[Region], sources: &[usize], regions: &[Region]) -> CopyPlan {
+        assert_eq!(sources.len(), regions.len(), "one source patch per region");
         let mut plan = CopyPlan::default();
-        for (pi, region) in parts {
+        // At most one block per region and index of its leading axes.
+        let lead = |r: &Region| -> usize {
+            r.lo().iter().zip(r.hi()).rev().skip(2).map(|(l, h)| h - l).product()
+        };
+        plan.blocks.reserve(regions.iter().map(lead).sum());
+        for (pi, region) in sources.iter().zip(regions) {
             let patch = &patches[*pi];
             let (lo, hi, plo, phi) = (region.lo(), region.hi(), patch.lo(), patch.hi());
             assert!(

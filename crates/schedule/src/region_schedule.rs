@@ -84,8 +84,8 @@ fn finish_pair(
     mut parts: Vec<(usize, Region)>,
 ) -> (PairRegions, CopyPlan) {
     parts.sort_by(|a, b| a.1.lo().cmp(b.1.lo()));
-    let plan = CopyPlan::from_sources(mine, &parts);
-    let regions = parts.into_iter().map(|(_, r)| r).collect();
+    let (sources, regions): (Vec<usize>, Vec<Region>) = parts.into_iter().unzip();
+    let plan = CopyPlan::from_sources(mine, &sources, &regions);
     (PairRegions { peer, regions }, plan)
 }
 
@@ -107,9 +107,12 @@ impl RegionSchedule {
         let probes = found.probes as u64;
         let mut pairs = Vec::with_capacity(found.hits.len());
         let mut plans = Vec::with_capacity(pairs.capacity());
-        for (peer, parts) in found.hits {
-            plans.push(CopyPlan::from_sources(&mine, &parts));
-            pairs.push(PairRegions { peer, regions: parts.into_iter().map(|(_, r)| r).collect() });
+        let mut sources = found.sources.as_slice();
+        for (peer, regions) in found.hits {
+            let (these, rest) = sources.split_at(regions.len());
+            plans.push(CopyPlan::from_sources(&mine, these, &regions));
+            pairs.push(PairRegions { peer, regions });
+            sources = rest;
         }
         record_schedule_build(probes, pairs.len() as u64);
         build_span.set_end([role as u64, probes, pairs.len() as u64, 0]);
