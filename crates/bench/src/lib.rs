@@ -5,6 +5,8 @@
 //! index. The helpers here time *inside* a running universe so that
 //! thread-spawn and wiring costs don't pollute per-transfer numbers.
 
+#![warn(unreachable_pub)]
+
 use std::time::Duration;
 
 use mxn_runtime::{ProgramCtx, Universe};

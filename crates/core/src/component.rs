@@ -117,7 +117,7 @@ impl MxnComponent {
     }
 
     /// Waits for a third-party controller's order on `ctrl_ic` and executes
-    /// it on `data_ic` (see [`crate::coordinator`]).
+    /// it on `data_ic` (the controller side is [`crate::order_connection`]).
     pub fn follow_controller(
         &mut self,
         ctrl_ic: &InterComm,

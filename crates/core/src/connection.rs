@@ -167,7 +167,7 @@ impl MsgSize for Direction {
 }
 
 /// Connection request (initiator rank 0 → every acceptor rank).
-pub struct ConnReq {
+pub(crate) struct ConnReq {
     /// The initiating program's connection id.
     pub initiator_id: u32,
     /// Field name *on the accepting side*.
@@ -190,7 +190,7 @@ impl MsgSize for ConnReq {
 /// Carries either the acceptor's descriptor or a rejection, so a failed
 /// validation on the accepting side surfaces as an error at the initiator
 /// instead of a hang.
-pub struct ConnAck {
+pub(crate) struct ConnAck {
     /// The accepting program's connection id.
     pub acceptor_id: u32,
     /// The acceptor's descriptor, or why it refused.
@@ -422,11 +422,6 @@ impl MxnConnection {
     /// Current recovery epoch (0 = never healed).
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Whether transfers run transactionally.
-    pub fn is_transactional(&self) -> bool {
-        self.transactional
     }
 
     /// Switches transactional transfers on or off. Both sides of the

@@ -80,7 +80,7 @@ pub fn order_connection(
 /// Component side: waits for a controller order on `ctrl_ic`, then runs
 /// the corresponding handshake on `data_ic`. The component never needed to
 /// know what it would be coupled to.
-pub fn follow_order(
+pub(crate) fn follow_order(
     ctrl_ic: &InterComm,
     data_ic: &InterComm,
     registry: &FieldRegistry,

@@ -158,7 +158,7 @@ impl FieldRegistry {
     /// [`FieldRegistry::rebind`] (the lossy death-shrink path), nothing is
     /// zeroed here: the caller moved every element through the RMA window
     /// before rebinding.
-    pub fn rebind_elastic(
+    pub(crate) fn rebind_elastic(
         &mut self,
         name: &str,
         new_dad: Dad,
@@ -183,7 +183,7 @@ impl FieldRegistry {
     }
 
     /// Unregisters a field (e.g. before re-decomposition).
-    pub fn unregister(&mut self, name: &str) -> Result<()> {
+    pub(crate) fn unregister(&mut self, name: &str) -> Result<()> {
         self.fields
             .remove(name)
             .map(|_| ())
@@ -203,7 +203,7 @@ impl FieldRegistry {
     }
 
     /// Checks a field may serve as a transfer *source*.
-    pub fn check_exportable(&self, name: &str) -> Result<&FieldEntry> {
+    pub(crate) fn check_exportable(&self, name: &str) -> Result<&FieldEntry> {
         let f = self.get(name)?;
         if f.access.readable() {
             Ok(f)
@@ -213,7 +213,7 @@ impl FieldRegistry {
     }
 
     /// Checks a field may serve as a transfer *destination*.
-    pub fn check_importable(&self, name: &str) -> Result<&FieldEntry> {
+    pub(crate) fn check_importable(&self, name: &str) -> Result<&FieldEntry> {
         let f = self.get(name)?;
         if f.access.writable() {
             Ok(f)

@@ -113,11 +113,6 @@ impl ParticleField {
         &self.particles
     }
 
-    /// Mutable access for the application's "push" phase.
-    pub fn particles_mut(&mut self) -> &mut Vec<Particle> {
-        &mut self.particles
-    }
-
     /// Number of local particles.
     pub fn len(&self) -> usize {
         self.particles.len()

@@ -31,7 +31,6 @@ impl MsgSize for SteerUpdate {
 #[derive(Debug, Default)]
 pub struct SteeringRegistry {
     params: HashMap<String, f64>,
-    updates_applied: u64,
 }
 
 impl SteeringRegistry {
@@ -61,11 +60,6 @@ impl SteeringRegistry {
         v
     }
 
-    /// Number of steering updates applied so far.
-    pub fn updates_applied(&self) -> u64 {
-        self.updates_applied
-    }
-
     /// Drains pending steering messages (non-blocking) and applies them.
     /// Unknown parameter names are ignored (the viewer may be newer than
     /// the component). Returns the applied `(name, value)` pairs in
@@ -75,7 +69,6 @@ impl SteeringRegistry {
         while let Some((u, _)) = ic.try_recv::<SteerUpdate>(mxn_runtime::Src::Any, STEER_TAG)? {
             if let Some(slot) = self.params.get_mut(&u.name) {
                 *slot = u.value;
-                self.updates_applied += 1;
                 applied.push((u.name, u.value));
             }
         }
@@ -174,7 +167,6 @@ mod tests {
                 let applied = s.poll(ic).unwrap();
                 assert_eq!(applied, vec![("alpha".to_string(), 3.0)]);
                 assert_eq!(s.get("alpha"), 3.0);
-                assert_eq!(s.updates_applied(), 1);
             } else {
                 let ic = ctx.intercomm(0);
                 steer(ic, "no_such_param", 9.9).unwrap();

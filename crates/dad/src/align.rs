@@ -60,22 +60,8 @@ impl AlignedArray {
     }
 
     /// Maps an array index to its template cell.
-    pub fn to_template(&self, idx: &[usize]) -> Vec<usize> {
+    pub(crate) fn to_template(&self, idx: &[usize]) -> Vec<usize> {
         idx.iter().zip(&self.offsets).map(|(i, o)| i + o).collect()
-    }
-
-    /// Maps a template cell back to an array index, if it falls inside the
-    /// aligned span.
-    pub fn from_template(&self, cell: &[usize]) -> Option<Vec<usize>> {
-        let mut idx = Vec::with_capacity(cell.len());
-        for (d, &cv) in cell.iter().enumerate() {
-            let c = cv.checked_sub(self.offsets[d])?;
-            if c >= self.extents.dim(d) {
-                return None;
-            }
-            idx.push(c);
-        }
-        Some(idx)
     }
 
     /// Rank owning array element `idx` (through the template).
@@ -152,9 +138,6 @@ mod tests {
     fn template_roundtrip() {
         let a = AlignedArray::new(template(), Extents::new([4, 4]), vec![3, 0]).unwrap();
         assert_eq!(a.to_template(&[1, 2]), vec![4, 2]);
-        assert_eq!(a.from_template(&[4, 2]), Some(vec![1, 2]));
-        assert_eq!(a.from_template(&[2, 2]), None, "before the span");
-        assert_eq!(a.from_template(&[7, 5]), None, "past the span");
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl SyntheticPackage {
     ///
     /// A rotation composed with a conditional reversal — a cheap bijection
     /// that still forces a genuine gather on every conversion.
-    pub fn native_pos(&self, i: usize, n: usize) -> usize {
+    pub(crate) fn native_pos(&self, i: usize, n: usize) -> usize {
         if n == 0 {
             return 0;
         }
@@ -53,7 +53,7 @@ impl SyntheticPackage {
     }
 
     /// Converts this package's native-order data back to canonical order.
-    pub fn to_canonical(&self, native: &[f64]) -> Vec<f64> {
+    pub(crate) fn to_canonical(self, native: &[f64]) -> Vec<f64> {
         let n = native.len();
         let mut out = vec![0.0; n];
         for i in 0..n {

@@ -76,7 +76,7 @@ impl ExplicitDist {
     }
 
     /// All `(patch, owner)` pairs.
-    pub fn all_patches(&self) -> &[(Region, usize)] {
+    pub(crate) fn all_patches(&self) -> &[(Region, usize)] {
         &self.patches
     }
 

@@ -333,7 +333,7 @@ impl fmt::Debug for Region {
 }
 
 /// Row-major iterator over a region's global indices.
-pub type RegionIter = IndexIter;
+pub(crate) type RegionIter = IndexIter;
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -371,30 +371,30 @@ pub(crate) mod tests {
     /// same name, so `{:?}` and the derived `Hash` are the old ones.
     mod vec_backed {
         #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-        pub struct Region {
+        pub(super) struct Region {
             pub lo: Vec<usize>,
             pub hi: Vec<usize>,
         }
 
         impl Region {
-            pub fn shape(&self) -> Vec<usize> {
+            pub(super) fn shape(&self) -> Vec<usize> {
                 (0..self.lo.len()).map(|d| self.hi[d] - self.lo[d]).collect()
             }
 
-            pub fn len(&self) -> usize {
+            pub(super) fn len(&self) -> usize {
                 self.shape().iter().product()
             }
 
-            pub fn is_empty(&self) -> bool {
+            pub(super) fn is_empty(&self) -> bool {
                 (0..self.lo.len()).any(|d| self.lo[d] == self.hi[d])
             }
 
-            pub fn contains(&self, idx: &[usize]) -> bool {
+            pub(super) fn contains(&self, idx: &[usize]) -> bool {
                 idx.len() == self.lo.len()
                     && (0..self.lo.len()).all(|d| self.lo[d] <= idx[d] && idx[d] < self.hi[d])
             }
 
-            pub fn intersect(&self, other: &Region) -> Option<Region> {
+            pub(super) fn intersect(&self, other: &Region) -> Option<Region> {
                 let mut lo = Vec::with_capacity(self.lo.len());
                 let mut hi = Vec::with_capacity(self.lo.len());
                 for d in 0..self.lo.len() {
@@ -409,7 +409,7 @@ pub(crate) mod tests {
                 Some(Region { lo, hi })
             }
 
-            pub fn local_offset(&self, idx: &[usize]) -> usize {
+            pub(super) fn local_offset(&self, idx: &[usize]) -> usize {
                 assert!(self.contains(idx));
                 let mut off = 0;
                 for (d, &i) in idx.iter().enumerate() {
@@ -418,7 +418,7 @@ pub(crate) mod tests {
                 off
             }
 
-            pub fn index_at(&self, mut off: usize) -> Vec<usize> {
+            pub(super) fn index_at(&self, mut off: usize) -> Vec<usize> {
                 assert!(off < self.len());
                 let mut idx = vec![0; self.lo.len()];
                 for d in (0..self.lo.len()).rev() {

@@ -69,20 +69,8 @@ impl Template {
         self.axes.iter().map(AxisDist::nprocs).product()
     }
 
-    /// Row-major rank of a process-grid coordinate.
-    pub fn grid_to_rank(&self, coord: &[usize]) -> usize {
-        let grid = self.grid();
-        assert_eq!(coord.len(), grid.len(), "grid coordinate rank mismatch");
-        let mut r = 0;
-        for (d, (&c, &g)) in coord.iter().zip(&grid).enumerate() {
-            assert!(c < g, "grid coordinate {c} out of bounds on axis {d}");
-            r = r * g + c;
-        }
-        r
-    }
-
-    /// Inverse of [`Template::grid_to_rank`].
-    pub fn rank_to_grid(&self, mut rank: usize) -> Vec<usize> {
+    /// The row-major process-grid coordinate of `rank`.
+    pub(crate) fn rank_to_grid(&self, mut rank: usize) -> Vec<usize> {
         let grid = self.grid();
         assert!(rank < self.nranks(), "rank out of range");
         let mut coord = vec![0; grid.len()];
@@ -192,9 +180,10 @@ mod tests {
         .unwrap();
         assert_eq!(t.grid(), vec![2, 3, 1]);
         assert_eq!(t.nranks(), 6);
-        for r in 0..6 {
-            assert_eq!(t.grid_to_rank(&t.rank_to_grid(r)), r);
-        }
+        // Row-major: the last grid axis varies fastest.
+        let coords: Vec<Vec<usize>> = (0..6).map(|r| t.rank_to_grid(r)).collect();
+        assert_eq!(coords[1], vec![0, 1, 0]);
+        assert_eq!(coords[5], vec![1, 2, 0]);
     }
 
     #[test]
@@ -268,7 +257,7 @@ mod tests {
             total += t.local_size(r);
         }
         assert_eq!(total, 90);
-        assert_eq!(t.owner(&[8, 4]), t.grid_to_rank(&[1, 1]));
+        assert_eq!(t.rank_to_grid(t.owner(&[8, 4])), vec![1, 1]);
     }
 
     #[test]

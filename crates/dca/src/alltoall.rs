@@ -53,13 +53,8 @@ impl AlltoallvSpec {
         &self.counts
     }
 
-    /// Per-peer start offsets into the flat buffer.
-    pub fn displs(&self) -> &[usize] {
-        &self.displs
-    }
-
     /// Number of peers the spec addresses.
-    pub fn npeers(&self) -> usize {
+    pub(crate) fn npeers(&self) -> usize {
         self.counts.len()
     }
 
@@ -89,7 +84,11 @@ impl AlltoallvSpec {
 /// on the size regime by allreducing the largest chunk, then every member
 /// takes the same path — Bruck's ⌈log₂ p⌉-round algorithm in the
 /// latency-bound small-message regime, pairwise exchange otherwise.
-pub fn alltoallv_subgroup<T>(comm: &Comm, data: &[T], spec: &AlltoallvSpec) -> Result<Vec<Vec<T>>>
+pub(crate) fn alltoallv_subgroup<T>(
+    comm: &Comm,
+    data: &[T],
+    spec: &AlltoallvSpec,
+) -> Result<Vec<Vec<T>>>
 where
     T: Clone + Send + MsgSize + 'static,
 {
@@ -188,7 +187,7 @@ mod tests {
     #[test]
     fn contiguous_spec_displacements() {
         let s = AlltoallvSpec::contiguous(&[2, 0, 3]);
-        assert_eq!(s.displs(), &[0, 2, 2]);
+        assert_eq!(s.displs, [0, 2, 2]);
         assert_eq!(s.npeers(), 3);
         s.validate(5).unwrap();
         assert!(s.validate(4).is_err());

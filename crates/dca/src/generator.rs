@@ -16,7 +16,7 @@
 
 use std::any::TypeId;
 
-use mxn_framework::sidl::{InterfaceSpec, InvocationMode, MethodSpec, SidlType};
+use mxn_framework::{InterfaceSpec, InvocationMode, MethodSpec, SidlType};
 use mxn_runtime::{Comm, InterComm, MsgSize};
 
 use mxn_prmi::{Endpoint, PrmiError, Result};
@@ -102,7 +102,7 @@ impl GeneratedStub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mxn_framework::sidl::parse_interface;
+    use mxn_framework::parse_interface;
     use mxn_framework::{AnyPayload, Dispatch, RemoteService};
     use mxn_prmi::{serve, ServeOpts};
     use mxn_runtime::Universe;

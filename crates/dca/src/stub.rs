@@ -22,7 +22,7 @@ use mxn_prmi::{DeliveryPolicy, Endpoint, Invocation, Result, ServeOpts};
 
 /// Maps a participation communicator's members to program-local ranks,
 /// given the program communicator (both share global world ranks).
-pub fn program_local_ranks(program: &Comm, participants: &Comm) -> Vec<usize> {
+pub(crate) fn program_local_ranks(program: &Comm, participants: &Comm) -> Vec<usize> {
     let local = |g: &usize| program.group().iter().position(|pg| pg == g);
     let member = |g| local(g).expect("participant is a member of the program");
     participants.group().iter().map(member).collect()
@@ -64,7 +64,7 @@ impl DcaPort {
     /// # Panics
     /// If a uniform port is invoked with a proper participant subset (a
     /// broken promise the generated stub can check cheaply).
-    pub fn policy_for(&self, participants: &Comm) -> DeliveryPolicy {
+    pub(crate) fn policy_for(&self, participants: &Comm) -> DeliveryPolicy {
         if self.uniform {
             assert_eq!(
                 participants.size(),

@@ -19,8 +19,10 @@
 //! one `put`/`get` call processes one peer's chunk, and the caller loops
 //! until completion.
 
-pub mod partition;
-pub mod reorg;
+#![warn(unreachable_pub)]
+
+mod partition;
+mod reorg;
 
 pub use partition::{DriDist, DriPartition, LocalLayout};
 pub use reorg::{DriReorg, ReorgPhase};

@@ -127,23 +127,6 @@ impl DriReorg {
         }
         Ok(self.get_phase())
     }
-
-    /// Convenience: drive puts and gets to completion (the simple caller
-    /// that doesn't interleave compute).
-    pub fn run_to_completion(
-        &mut self,
-        comm: &Comm,
-        send_buf: &LocalArray<f64>,
-        recv_buf: &mut LocalArray<f64>,
-    ) -> Result<()> {
-        while self.put_phase() != ReorgPhase::Complete {
-            self.put(comm, send_buf)?;
-        }
-        while self.get_phase() != ReorgPhase::Complete {
-            self.get(comm, recv_buf)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -151,6 +134,23 @@ mod tests {
     use super::*;
     use crate::partition::{DriDist, LocalLayout};
     use mxn_runtime::World;
+
+    /// Drives puts and gets to completion (a caller that doesn't
+    /// interleave compute).
+    fn run_to_completion(
+        reorg: &mut DriReorg,
+        comm: &Comm,
+        send_buf: &LocalArray<f64>,
+        recv_buf: &mut LocalArray<f64>,
+    ) -> Result<()> {
+        while reorg.put_phase() != ReorgPhase::Complete {
+            reorg.put(comm, send_buf)?;
+        }
+        while reorg.get_phase() != ReorgPhase::Complete {
+            reorg.get(comm, recv_buf)?;
+        }
+        Ok(())
+    }
 
     fn partitions(layout_dst: LocalLayout) -> (DriPartition, DriPartition) {
         let src =
@@ -197,7 +197,7 @@ mod tests {
             let mut recv_buf: LocalArray<f64> = LocalArray::allocate(dst.dad(), comm.rank());
             reorg.put(comm, &send_buf).unwrap();
             assert_eq!(reorg.put_phase(), ReorgPhase::InProgress { done: 1, total: 4 });
-            reorg.run_to_completion(comm, &send_buf, &mut recv_buf).unwrap();
+            run_to_completion(&mut reorg, comm, &send_buf, &mut recv_buf).unwrap();
             assert!(reorg.is_complete());
             // Further calls are no-ops.
             reorg.put(comm, &send_buf).unwrap();
@@ -220,7 +220,7 @@ mod tests {
             let send_buf =
                 LocalArray::from_fn(src.dad(), comm.rank(), |idx| (idx[0] * 8 + idx[1]) as f64);
             let mut recv_buf: LocalArray<f64> = LocalArray::allocate(dst.dad(), comm.rank());
-            reorg.run_to_completion(comm, &send_buf, &mut recv_buf).unwrap();
+            run_to_completion(&mut reorg, comm, &send_buf, &mut recv_buf).unwrap();
 
             // Export into the user's column-major buffer and check order.
             let region = dst.dad().patches(comm.rank())[0].clone();

@@ -43,13 +43,8 @@ impl ProvidedPort {
     }
 
     /// The SIDL interface name.
-    pub fn port_type(&self) -> &str {
+    pub(crate) fn port_type(&self) -> &str {
         &self.port_type
-    }
-
-    /// The Rust type name of the stored handle (diagnostics).
-    pub fn rust_type(&self) -> &'static str {
-        self.rust_type
     }
 
     /// Recovers the handle as the Rust type it was registered with.

@@ -13,13 +13,9 @@
 use std::any::Any;
 use std::time::Duration;
 
-use mxn_runtime::{splitmix64, unit, Comm, InterComm, MsgSize, Result as RtResult};
+use mxn_runtime::{splitmix64, unit, MsgSize};
 
 use crate::error::{FrameworkError, Result};
-
-/// Tag the port-name directory travels under (the RMI response tag: user
-/// ranks receive the names where they later receive RMI replies).
-const PORT_NAMES_TAG: i32 = 0x5252;
 
 /// Re-creates a marshalled value: how a payload built with
 /// [`AnyPayload::replicable`] is copied for fan-out and replayed from
@@ -277,27 +273,9 @@ impl CallPolicy {
     }
 }
 
-/// Provider side: rank 0 publishes the provider program's port names to
-/// every user rank (a minimal distributed-framework directory).
-pub fn publish_port_names(ic: &InterComm, local: &Comm, names: &[&str]) -> RtResult<()> {
-    if local.rank() == 0 {
-        let list: Vec<String> = names.iter().map(|s| s.to_string()).collect();
-        for r in 0..ic.remote_size() {
-            ic.send(r, PORT_NAMES_TAG, list.clone())?;
-        }
-    }
-    Ok(())
-}
-
-/// User side: every rank receives the provider's published port names.
-pub fn receive_port_names(ic: &InterComm) -> RtResult<Vec<String>> {
-    ic.recv(0, PORT_NAMES_TAG)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mxn_runtime::Universe;
 
     /// A counter service: method 0 = add(delta) -> new total,
     /// method 1 = reset.
@@ -318,18 +296,6 @@ mod tests {
                 _ => Dispatch::MethodNotFound,
             }
         }
-    }
-
-    #[test]
-    fn port_name_directory() {
-        Universe::run(&[2, 2], |_, ctx| {
-            if ctx.program == 1 {
-                publish_port_names(ctx.intercomm(0), &ctx.comm, &["field", "control"]).unwrap();
-            } else {
-                let names = receive_port_names(ctx.intercomm(1)).unwrap();
-                assert_eq!(names, vec!["field".to_string(), "control".to_string()]);
-            }
-        });
     }
 
     #[test]

@@ -112,13 +112,6 @@ pub struct MethodSpec {
     pub args: Vec<ArgSpec>,
 }
 
-impl MethodSpec {
-    /// Does any argument carry parallel data?
-    pub fn has_parallel_args(&self) -> bool {
-        self.args.iter().any(|a| a.parallel)
-    }
-}
-
 /// A parsed interface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InterfaceSpec {
@@ -382,12 +375,10 @@ mod tests {
         assert!(solve.args[1].parallel);
         assert_eq!(solve.args[1].intent, Intent::InOut);
         assert_eq!(solve.args[1].ty, SidlType::Array { elem: Box::new(SidlType::Double), dim: 2 });
-        assert!(solve.has_parallel_args());
 
         let log = spec.method("log").unwrap();
         assert_eq!(log.mode, InvocationMode::Oneway);
         assert_eq!(log.id, 2);
-        assert!(!log.has_parallel_args());
 
         // Default mode is independent.
         assert_eq!(spec.method("is_ready").unwrap().mode, InvocationMode::Independent);

@@ -23,16 +23,6 @@ pub enum ICDescriptor {
     Partitioned(PartitionedDescriptor),
 }
 
-impl ICDescriptor {
-    /// Bytes of descriptor storage held by *this* rank.
-    pub fn local_bytes(&self) -> usize {
-        match self {
-            ICDescriptor::Replicated(d) => d.descriptor_bytes(),
-            ICDescriptor::Partitioned(p) => p.shard_bytes(),
-        }
-    }
-}
-
 /// One rank's shard of an elementwise owner table.
 pub struct PartitionedDescriptor {
     extents: Extents,
@@ -67,12 +57,12 @@ impl PartitionedDescriptor {
     }
 
     /// Rank holding the table entry for linear position `pos`.
-    pub fn table_home(&self, pos: usize) -> usize {
+    pub(crate) fn table_home(&self, pos: usize) -> usize {
         (pos / self.chunk).min(self.nranks - 1)
     }
 
     /// Owner of `pos` if its table entry lives on this rank.
-    pub fn local_owner(&self, pos: usize) -> Option<usize> {
+    pub(crate) fn local_owner(&self, pos: usize) -> Option<usize> {
         pos.checked_sub(self.shard_start).and_then(|off| self.shard.get(off).copied())
     }
 
@@ -171,13 +161,11 @@ mod tests {
             })
             .collect();
         let replicated = Dad::explicit(mxn_dad::ExplicitDist::new(e, scattered, nranks).unwrap());
-        let rep = ICDescriptor::Replicated(replicated);
-        let part = ICDescriptor::Partitioned(part);
         assert!(
-            part.local_bytes() * 4 < rep.local_bytes(),
+            part.shard_bytes() * 4 < replicated.descriptor_bytes(),
             "sharded table ({}) ≪ replicated table ({})",
-            part.local_bytes(),
-            rep.local_bytes()
+            part.shard_bytes(),
+            replicated.descriptor_bytes()
         );
     }
 

@@ -17,7 +17,7 @@ use crate::segments::SegmentList;
 ///
 /// # Panics
 /// If any position in the run is not locally stored.
-pub fn extract_run<T: Copy>(
+pub(crate) fn extract_run<T: Copy>(
     local: &LocalArray<T>,
     extents: &Extents,
     order: ArrayOrder,
@@ -72,7 +72,7 @@ pub fn extract_segments<T: Copy>(
 ///
 /// # Panics
 /// If lengths mismatch or any position is not locally stored.
-pub fn insert_run<T: Copy>(
+pub(crate) fn insert_run<T: Copy>(
     local: &mut LocalArray<T>,
     extents: &Extents,
     order: ArrayOrder,

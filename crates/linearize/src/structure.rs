@@ -40,7 +40,7 @@ impl Tree {
     }
 
     /// Depth-first preorder of node ids.
-    pub fn preorder(&self) -> Vec<usize> {
+    pub(crate) fn preorder(&self) -> Vec<usize> {
         let mut out = Vec::with_capacity(self.children.len());
         let mut stack = vec![self.root];
         let mut visited = vec![false; self.children.len()];
@@ -81,7 +81,7 @@ impl Graph {
 
     /// Breadth-first order from `root`; unreachable nodes are appended in
     /// id order so the result is always a complete linearization.
-    pub fn bfs_order(&self, root: usize) -> Vec<usize> {
+    pub(crate) fn bfs_order(&self, root: usize) -> Vec<usize> {
         let n = self.adj.len();
         let mut out = Vec::with_capacity(n);
         let mut seen = vec![false; n];
@@ -122,7 +122,7 @@ impl StructLinearization {
     ///
     /// # Panics
     /// If `order` is not a permutation.
-    pub fn from_order(order: Vec<usize>) -> Self {
+    pub(crate) fn from_order(order: Vec<usize>) -> Self {
         let n = order.len();
         let mut pos = vec![usize::MAX; n];
         for (p, &v) in order.iter().enumerate() {

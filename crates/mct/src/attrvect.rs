@@ -53,28 +53,13 @@ impl AttrVect {
     }
 
     /// Number of real fields.
-    pub fn num_real(&self) -> usize {
+    pub(crate) fn num_real(&self) -> usize {
         self.reals.len()
     }
 
-    /// Number of integer fields.
-    pub fn num_int(&self) -> usize {
-        self.ints.len()
-    }
-
     /// Real field names in storage order.
-    pub fn real_names(&self) -> &[String] {
+    pub(crate) fn real_names(&self) -> &[String] {
         &self.real_names
-    }
-
-    /// Integer field names in storage order.
-    pub fn int_names(&self) -> &[String] {
-        &self.int_names
-    }
-
-    /// Position of a real field.
-    pub fn real_field_index(&self, name: &str) -> Option<usize> {
-        self.real_index.get(name).copied()
     }
 
     /// Borrow a real field's buffer.
@@ -90,11 +75,6 @@ impl AttrVect {
     pub fn real_mut(&mut self, name: &str) -> &mut [f64] {
         let i = self.real_index[name];
         &mut self.reals[i]
-    }
-
-    /// Borrow a real field by storage index (hot loops).
-    pub fn real_at(&self, index: usize) -> &[f64] {
-        &self.reals[index]
     }
 
     /// Mutably borrow a real field by storage index.
@@ -133,42 +113,9 @@ impl AttrVect {
         }
     }
 
-    /// Adds `other`'s real fields into this one (matching field sets and
-    /// lengths required).
-    pub fn add_assign(&mut self, other: &AttrVect) {
-        assert_eq!(self.length, other.length, "length mismatch");
-        assert_eq!(self.real_names, other.real_names, "field mismatch");
-        for (dst, src) in self.reals.iter_mut().zip(&other.reals) {
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
-    }
-
-    /// Copies the shared real fields of `other` into `self` ("aVect copy").
-    pub fn copy_shared_from(&mut self, other: &AttrVect) {
-        assert_eq!(self.length, other.length, "length mismatch");
-        for (i, name) in self.real_names.iter().enumerate() {
-            if let Some(j) = other.real_index.get(name) {
-                self.reals[i].copy_from_slice(&other.reals[*j]);
-            }
-        }
-    }
-
-    /// Exports one real field as a fresh vector ("exportRAttr").
-    pub fn export_real(&self, name: &str) -> Vec<f64> {
-        self.real(name).to_vec()
-    }
-
-    /// Imports a buffer into one real field ("importRAttr").
-    pub fn import_real(&mut self, name: &str, data: &[f64]) {
-        assert_eq!(data.len(), self.length, "import length mismatch");
-        self.real_mut(name).copy_from_slice(data);
-    }
-
     /// Gathers the given point indices of every real field into a packed,
     /// field-major buffer (the Router's pack kernel).
-    pub fn pack_points(&self, points: &[usize]) -> Vec<f64> {
+    pub(crate) fn pack_points(&self, points: &[usize]) -> Vec<f64> {
         let mut out = Vec::with_capacity(points.len() * self.reals.len());
         for field in &self.reals {
             out.extend(points.iter().map(|&p| field[p]));
@@ -177,7 +124,7 @@ impl AttrVect {
     }
 
     /// Scatters a packed field-major buffer into the given point indices.
-    pub fn unpack_points(&mut self, points: &[usize], data: &[f64]) {
+    pub(crate) fn unpack_points(&mut self, points: &[usize], data: &[f64]) {
         assert_eq!(data.len(), points.len() * self.reals.len(), "unpack size mismatch");
         for (fi, field) in self.reals.iter_mut().enumerate() {
             let chunk = &data[fi * points.len()..(fi + 1) * points.len()];
@@ -201,7 +148,7 @@ mod tests {
         let a = av();
         assert_eq!(a.lsize(), 4);
         assert_eq!(a.num_real(), 2);
-        assert_eq!(a.num_int(), 1);
+        assert_eq!(a.ints.len(), 1);
         assert_eq!(a.real_names(), &["temp".to_string(), "salt".to_string()]);
         assert!(a.real("temp").iter().all(|&v| v == 0.0));
     }
@@ -219,47 +166,23 @@ mod tests {
         a.int_mut("mask").copy_from_slice(&[1, 0, 1, 0]);
         assert_eq!(a.real("temp")[2], 3.0);
         assert_eq!(a.int("mask")[1], 0);
-        assert_eq!(a.real_field_index("salt"), Some(1));
-        assert_eq!(a.real_field_index("nope"), None);
     }
 
     #[test]
-    fn zero_scale_add() {
+    fn zero_and_scale() {
         let mut a = av();
         a.real_mut("temp").copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         a.scale(2.0);
         assert_eq!(a.real("temp"), &[2.0, 4.0, 6.0, 8.0]);
-        let mut b = av();
-        b.real_mut("temp").copy_from_slice(&[1.0; 4]);
-        b.add_assign(&a);
-        assert_eq!(b.real("temp"), &[3.0, 5.0, 7.0, 9.0]);
-        b.zero();
-        assert!(b.real("temp").iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn copy_shared_fields_only() {
-        let mut a = av();
-        let mut other = AttrVect::new(&["salt", "wind"], &[], 4);
-        other.real_mut("salt").copy_from_slice(&[9.0; 4]);
-        other.real_mut("wind").copy_from_slice(&[5.0; 4]);
-        a.copy_shared_from(&other);
-        assert_eq!(a.real("salt"), &[9.0; 4]);
-        assert!(a.real("temp").iter().all(|&v| v == 0.0), "unshared untouched");
-    }
-
-    #[test]
-    fn export_import_roundtrip() {
-        let mut a = av();
-        a.import_real("temp", &[7.0, 8.0, 9.0, 10.0]);
-        assert_eq!(a.export_real("temp"), vec![7.0, 8.0, 9.0, 10.0]);
+        a.zero();
+        assert!(a.real("temp").iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn pack_unpack_field_major() {
         let mut a = av();
-        a.import_real("temp", &[1.0, 2.0, 3.0, 4.0]);
-        a.import_real("salt", &[10.0, 20.0, 30.0, 40.0]);
+        a.real_mut("temp").copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        a.real_mut("salt").copy_from_slice(&[10.0, 20.0, 30.0, 40.0]);
         let packed = a.pack_points(&[3, 1]);
         // Field-major: temp points then salt points.
         assert_eq!(packed, vec![4.0, 2.0, 40.0, 20.0]);

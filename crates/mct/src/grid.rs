@@ -46,7 +46,7 @@ impl GeneralGrid {
     }
 
     /// Number of local points.
-    pub fn npoints(&self) -> usize {
+    pub(crate) fn npoints(&self) -> usize {
         self.npoints
     }
 
@@ -78,18 +78,10 @@ impl GeneralGrid {
 
     /// The effective weight of point `p` under an optional mask: zero for
     /// masked-out points.
-    pub fn masked_weight(&self, p: usize, mask: Option<&str>) -> f64 {
+    pub(crate) fn masked_weight(&self, p: usize, mask: Option<&str>) -> f64 {
         match mask.and_then(|m| self.masks.get(m)) {
             Some(m) if m[p] == 0 => 0.0,
             _ => self.weights[p],
-        }
-    }
-
-    /// Number of active points under a mask (all, if no such mask).
-    pub fn active_points(&self, mask: Option<&str>) -> usize {
-        match mask.and_then(|m| self.masks.get(m)) {
-            Some(m) => m.iter().filter(|&&v| v != 0).count(),
-            None => self.npoints,
         }
     }
 }
@@ -121,8 +113,6 @@ mod tests {
     fn land_ocean_mask() {
         let mut g = GeneralGrid::uniform_1d(4, 0.0, 4.0);
         g.set_mask("ocean", vec![1, 0, 1, 0]);
-        assert_eq!(g.active_points(Some("ocean")), 2);
-        assert_eq!(g.active_points(None), 4);
         assert_eq!(g.masked_weight(0, Some("ocean")), 1.0);
         assert_eq!(g.masked_weight(1, Some("ocean")), 0.0);
         assert_eq!(g.masked_weight(1, None), 1.0);

@@ -27,26 +27,6 @@ pub fn global_integral(
     comm.allreduce(local, |a, b| *a += b)
 }
 
-/// Global weighted average of one field (integral / total active weight).
-pub fn global_average(
-    comm: &Comm,
-    av: &AttrVect,
-    field: &str,
-    grid: &GeneralGrid,
-    mask: Option<&str>,
-) -> Result<f64> {
-    let f = av.real(field);
-    let (num, den) = (0..av.lsize()).fold((0.0, 0.0), |(n, d), p| {
-        let w = grid.masked_weight(p, mask);
-        (n + f[p] * w, d + w)
-    });
-    let pair = comm.allreduce((num, den), |a, b| {
-        a.0 += b.0;
-        a.1 += b.1;
-    })?;
-    Ok(pair.0 / pair.1)
-}
-
 /// A pair of flux integrals computed together — the source-side and
 /// destination-side values whose agreement certifies conservative
 /// interpolation.
@@ -111,7 +91,7 @@ mod tests {
     }
 
     #[test]
-    fn masked_average() {
+    fn masked_integral() {
         World::run(2, |p| {
             let comm = p.world();
             let mut grid = GeneralGrid::uniform_1d(2, 0.0, 2.0);
@@ -120,8 +100,8 @@ mod tests {
             let mut av = AttrVect::new(&["t"], &[], 2);
             av.real_mut("t")[0] = (comm.rank() + 1) as f64; // 1 and 2
             av.real_mut("t")[1] = 999.0; // must be ignored
-            let avg = global_average(comm, &av, "t", &grid, Some("ocean")).unwrap();
-            assert_eq!(avg, 1.5);
+            let total = global_integral(comm, &av, "t", &grid, Some("ocean")).unwrap();
+            assert_eq!(total, 3.0);
         });
     }
 

@@ -15,8 +15,6 @@ use mxn_runtime::{Comm, Result, RuntimeError};
 pub struct ModelRegistry {
     /// component id → world ranks, in component-rank order.
     components: HashMap<u32, Vec<usize>>,
-    /// This process's component id.
-    my_component: u32,
 }
 
 impl ModelRegistry {
@@ -30,39 +28,15 @@ impl ModelRegistry {
         for (world_rank, id) in ids.iter().enumerate() {
             components.entry(*id).or_default().push(world.group()[world_rank]);
         }
-        Ok(ModelRegistry { components, my_component })
-    }
-
-    /// This process's component id.
-    pub fn my_component(&self) -> u32 {
-        self.my_component
-    }
-
-    /// The component ids present, sorted.
-    pub fn component_ids(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.components.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Number of processes a component occupies.
-    pub fn component_size(&self, id: u32) -> Result<usize> {
-        self.components.get(&id).map(Vec::len).ok_or_else(|| RuntimeError::CollectiveMismatch {
-            detail: format!("unknown component id {id}"),
-        })
+        Ok(ModelRegistry { components })
     }
 
     /// The process ID look-up: world rank of `component`'s rank `r`.
-    pub fn world_rank(&self, component: u32, r: usize) -> Result<usize> {
+    pub(crate) fn world_rank(&self, component: u32, r: usize) -> Result<usize> {
         let ranks = self.components.get(&component).ok_or_else(|| {
             RuntimeError::CollectiveMismatch { detail: format!("unknown component id {component}") }
         })?;
         ranks.get(r).copied().ok_or(RuntimeError::InvalidRank { rank: r, size: ranks.len() })
-    }
-
-    /// All world ranks of a component.
-    pub fn component_ranks(&self, id: u32) -> Option<&[usize]> {
-        self.components.get(&id).map(Vec::as_slice)
     }
 }
 
@@ -78,10 +52,9 @@ mod tests {
             // Even ranks are the "atmosphere" (id 1), odd the "ocean" (2).
             let my = if p.rank() % 2 == 0 { 1 } else { 2 };
             let reg = ModelRegistry::init(world, my).unwrap();
-            assert_eq!(reg.my_component(), my);
-            assert_eq!(reg.component_ids(), vec![1, 2]);
-            assert_eq!(reg.component_size(1).unwrap(), 3);
-            assert_eq!(reg.component_size(2).unwrap(), 3);
+            assert_eq!(reg.components.len(), 2);
+            assert_eq!(reg.components[&1].len(), 3);
+            assert_eq!(reg.components[&2].len(), 3);
             // Process ID lookup: ocean rank 2 lives at world rank 5.
             assert_eq!(reg.world_rank(2, 2).unwrap(), 5);
             assert_eq!(reg.world_rank(1, 0).unwrap(), 0);
@@ -100,13 +73,11 @@ mod tests {
             let reg = ModelRegistry::init(world, my).unwrap();
             if my == 10 {
                 // Component 10 rank r sends to component 20 rank r.
-                let me =
-                    reg.component_ranks(10).unwrap().iter().position(|&w| w == p.rank()).unwrap();
+                let me = reg.components[&10].iter().position(|&w| w == p.rank()).unwrap();
                 let dst = reg.world_rank(20, me).unwrap();
                 world.send(dst, 1, me as u64).unwrap();
             } else {
-                let me =
-                    reg.component_ranks(20).unwrap().iter().position(|&w| w == p.rank()).unwrap();
+                let me = reg.components[&20].iter().position(|&w| w == p.rank()).unwrap();
                 let src = reg.world_rank(10, me).unwrap();
                 let v: u64 = world.recv(src, 1).unwrap();
                 assert_eq!(v as usize, me);

@@ -46,18 +46,13 @@ impl CellGrid1d {
     }
 
     /// Number of cells.
-    pub fn ncells(&self) -> usize {
+    pub(crate) fn ncells(&self) -> usize {
         self.edges.len() - 1
     }
 
     /// Width of cell `i` (its integral weight).
     pub fn width(&self, i: usize) -> f64 {
         self.edges[i + 1] - self.edges[i]
-    }
-
-    /// Cell widths as a weights vector (for [`crate::grid::GeneralGrid`]).
-    pub fn widths(&self) -> Vec<f64> {
-        (0..self.ncells()).map(|i| self.width(i)).collect()
     }
 
     /// The edge coordinates.
@@ -69,7 +64,7 @@ impl CellGrid1d {
 /// Generates first-order conservative remap weights from `src` to `dst`.
 /// Destination cells (or parts of them) outside the source span receive
 /// no contribution — their row sums fall short of 1, which callers can
-/// detect with [`SparseMatrix::local_row_sums`].
+/// detect by summing [`SparseMatrix::elems`] per row.
 pub fn conservative_remap_1d(src: &CellGrid1d, dst: &CellGrid1d) -> SparseMatrix {
     let mut elems = Vec::new();
     let mut s = 0usize;
@@ -96,13 +91,14 @@ pub fn conservative_remap_1d(src: &CellGrid1d, dst: &CellGrid1d) -> SparseMatrix
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparsemat::tests::local_row_sums;
 
     #[test]
     fn grid_construction_and_validation() {
         let g = CellGrid1d::uniform(4, 0.0, 2.0);
         assert_eq!(g.ncells(), 4);
         assert_eq!(g.width(0), 0.5);
-        assert_eq!(g.widths(), vec![0.5; 4]);
+        assert_eq!((0..4).map(|i| g.width(i)).collect::<Vec<_>>(), vec![0.5; 4]);
         assert!(CellGrid1d::new(vec![0.0]).is_err());
         assert!(CellGrid1d::new(vec![0.0, 0.0]).is_err());
         assert!(CellGrid1d::new(vec![0.0, 1.0, 0.5]).is_err());
@@ -119,7 +115,7 @@ mod tests {
             assert!((e.weight - 0.5).abs() < 1e-12);
             assert!(e.col / 2 == e.row);
         }
-        for (_, s) in a.local_row_sums() {
+        for (_, s) in local_row_sums(&a) {
             assert!((s - 1.0).abs() < 1e-12);
         }
     }
@@ -131,7 +127,7 @@ mod tests {
         let dst = CellGrid1d::new(vec![0.2, 0.9, 2.6, 3.9]).unwrap();
         let a = conservative_remap_1d(&src, &dst);
         // Row sums are 1 (dst fully inside src span).
-        for (_, s) in a.local_row_sums() {
+        for (_, s) in local_row_sums(&a) {
             assert!((s - 1.0).abs() < 1e-12, "row sum {s}");
         }
         // Conservation: ∫dst f = ∫src f restricted to dst span, for f = 1
@@ -160,7 +156,7 @@ mod tests {
         let src = CellGrid1d::uniform(2, 0.0, 1.0);
         let dst = CellGrid1d::new(vec![-1.0, 0.0, 0.5, 2.0]).unwrap();
         let a = conservative_remap_1d(&src, &dst);
-        let sums = a.local_row_sums();
+        let sums = local_row_sums(&a);
         assert!(!sums.contains_key(&0), "cell before the source span gets nothing");
         assert!((sums[&1] - 1.0).abs() < 1e-12);
         // Cell 2 spans [0.5, 2.0] but the source only covers [0.5, 1.0]:

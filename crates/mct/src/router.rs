@@ -70,11 +70,6 @@ impl Router {
         &self.pairs
     }
 
-    /// Total points this rank exchanges.
-    pub fn total_points(&self) -> usize {
-        self.pairs.iter().map(|p| p.local_points.len()).sum()
-    }
-
     /// Sends `av`'s real fields to the peer component (MCT `MCT_Send`).
     pub fn send(&self, world: &Comm, av: &AttrVect, tag: i32) -> Result<()> {
         assert_eq!(av.lsize(), self.my_lsize, "attribute vector does not match the map");
@@ -260,7 +255,7 @@ mod tests {
             if p.rank() == 0 {
                 let r = Router::new(&a, 0, &b, &reg, 2).unwrap();
                 assert_eq!(r.pairs().len(), 1);
-                assert_eq!(r.total_points(), 8);
+                assert_eq!(r.pairs().iter().map(|p| p.local_points.len()).sum::<usize>(), 8);
             }
         });
     }

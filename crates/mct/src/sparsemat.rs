@@ -58,12 +58,12 @@ impl SparseMatrix {
     }
 
     /// Global row count (destination grid size).
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.nrows
     }
 
     /// Global column count (source grid size).
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         self.ncols
     }
 
@@ -75,16 +75,6 @@ impl SparseMatrix {
     /// Number of local nonzeros.
     pub fn lsize(&self) -> usize {
         self.elems.len()
-    }
-
-    /// Row sums of the local portion (for conservation checks: a
-    /// conservative remap has unit row sums).
-    pub fn local_row_sums(&self) -> HashMap<usize, f64> {
-        let mut sums = HashMap::new();
-        for e in &self.elems {
-            *sums.entry(e.row).or_insert(0.0) += e.weight;
-        }
-        sums
     }
 }
 
@@ -191,11 +181,6 @@ impl SparseMatrixPlus {
         })
     }
 
-    /// Elements this rank applies.
-    pub fn nnz(&self) -> usize {
-        self.local_elems.len()
-    }
-
     /// Interpolates every real field of `x` into `y`
     /// (`y = A·x`, collectively over `comm`). Field lists must match.
     pub fn apply(&self, comm: &Comm, x: &AttrVect, y: &mut AttrVect, tag: i32) -> Result<()> {
@@ -233,9 +218,19 @@ impl SparseMatrixPlus {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mxn_runtime::World;
+
+    /// Row sums of `a`'s local portion (a conservative remap has unit row
+    /// sums).
+    pub(crate) fn local_row_sums(a: &SparseMatrix) -> HashMap<usize, f64> {
+        let mut sums = HashMap::new();
+        for e in a.elems() {
+            *sums.entry(e.row).or_insert(0.0) += e.weight;
+        }
+        sums
+    }
 
     /// Conservative 2:1 coarsening on an 8-point grid: dst cell i averages
     /// src cells 2i, 2i+1.
@@ -284,7 +279,7 @@ mod tests {
     fn row_sums_of_conservative_remap_are_one() {
         let dst_map = GlobalSegMap::block(4, 1);
         let a = SparseMatrix::new(4, 8, coarsen_elems(&dst_map, 0)).unwrap();
-        for (_, s) in a.local_row_sums() {
+        for (_, s) in local_row_sums(&a) {
             assert!((s - 1.0).abs() < 1e-12);
         }
         assert_eq!(a.lsize(), 8);

@@ -47,11 +47,6 @@ impl UnitConversion {
     pub fn celsius_to_kelvin() -> Self {
         UnitConversion { scale: 1.0, offset: 273.15 }
     }
-
-    /// Pascal → hectopascal.
-    pub fn pa_to_hpa() -> Self {
-        UnitConversion { scale: 0.01, offset: 0.0 }
-    }
 }
 
 impl Filter for UnitConversion {
@@ -122,7 +117,7 @@ pub struct TemporalBlend {
 // A minimal internal mutex shim so this crate doesn't need parking_lot
 // just for one optional state cell.
 mod parking_lot_like {
-    pub use std::sync::Mutex;
+    pub(super) use std::sync::Mutex;
 }
 
 impl TemporalBlend {

@@ -37,9 +37,9 @@ use crate::invocation::{
 use crate::parallel_args::{array_tag, ArrayStage};
 
 /// Tag carrying collective requests.
-pub const COLL_REQ_TAG: i32 = 0x434d; // "CM"
+pub(crate) const COLL_REQ_TAG: i32 = 0x434d; // "CM"
 /// Tag carrying collective responses.
-pub const COLL_RESP_TAG: i32 = 0x4352; // "CR"
+pub(crate) const COLL_RESP_TAG: i32 = 0x4352; // "CR"
 /// How often a recovering serve loop re-checks participant liveness while
 /// blocked waiting for its owner caller's request.
 const COLL_LIVENESS_POLL: Duration = Duration::from_millis(25);

@@ -20,12 +20,12 @@ use crate::invocation::{
 };
 
 /// Tag carrying RMI requests.
-pub const RMI_REQ_TAG: i32 = 0x524d; // "RM"
+pub(crate) const RMI_REQ_TAG: i32 = 0x524d; // "RM"
 /// Tag carrying RMI responses.
-pub const RMI_RESP_TAG: i32 = 0x5252; // "RR"
+pub(crate) const RMI_RESP_TAG: i32 = 0x5252; // "RR"
 /// `call_id` of a NACK response: the server received a request it could not
 /// decode (corrupt or mistyped) and is asking the sender to retry.
-pub const NACK_CALL_ID: u64 = u64::MAX;
+pub(crate) const NACK_CALL_ID: u64 = u64::MAX;
 
 /// How often a blocked server re-checks client liveness, so a client that
 /// dies without sending its shutdown does not wedge the serve loop.
@@ -37,7 +37,7 @@ const SERVE_LIVENESS_POLL: Duration = Duration::from_millis(25);
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
 /// An RMI request envelope.
-pub struct RmiRequest {
+pub(crate) struct RmiRequest {
     /// Method selector on the remote port.
     pub method: u32,
     /// Client-side correlation id.
@@ -59,7 +59,7 @@ impl MsgSize for RmiRequest {
 }
 
 /// An RMI response envelope.
-pub struct RmiResponse {
+pub(crate) struct RmiResponse {
     /// Correlates with [`RmiRequest::call_id`].
     pub call_id: u64,
     /// The marshalled return value.

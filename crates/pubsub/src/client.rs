@@ -68,16 +68,6 @@ impl Publisher {
         Ok(())
     }
 
-    /// The topic name.
-    pub fn topic(&self) -> &str {
-        &self.topic
-    }
-
-    /// Whether this rank carries the commit flag.
-    pub fn is_committer(&self) -> bool {
-        self.committer
-    }
-
     /// This rank's index in the cohort.
     pub fn rank(&self) -> usize {
         self.my_rank
@@ -142,16 +132,6 @@ impl Subscriber {
             values: m.values,
         })
     }
-
-    /// Non-blocking update poll.
-    pub fn try_update(ic: &InterComm) -> Result<Option<Update>> {
-        Ok(ic.try_recv::<UpdateMsg>(0, UPD_TAG)?.map(|(m, _)| Update {
-            topic: m.topic,
-            version: m.version,
-            region: Region::new(m.lo, m.hi),
-            values: m.values,
-        }))
-    }
 }
 
 /// Administrative shutdown of the broker.
@@ -185,7 +165,7 @@ mod tests {
                 0 | 1 => {
                     // Publishing cohort: field value = step * 100 + index.
                     let publisher = Publisher::new("pressure", dad.clone(), rank, 2);
-                    assert_eq!(publisher.is_committer(), rank == 1);
+                    assert_eq!(publisher.committer, rank == 1);
                     // Wait for the early subscriber to be registered so the
                     // version sequence below is deterministic.
                     if rank == 0 {
@@ -313,7 +293,7 @@ mod tests {
             assert_eq!(u.region, Region::new([4], [6]));
             assert_eq!(u.values, vec![4.0, 5.0]);
             // Exactly one update (the old region did not also fire).
-            assert!(Subscriber::try_update(ic).unwrap().is_none());
+            assert!(ic.try_recv::<UpdateMsg>(0, UPD_TAG).unwrap().is_none());
             shutdown_broker(ic).unwrap();
         });
     }

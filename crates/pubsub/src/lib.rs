@@ -17,8 +17,10 @@
 //! subscriber immediately receives the retained version, so components
 //! can arrive and depart freely.
 
-pub mod broker;
-pub mod client;
+#![warn(unreachable_pub)]
+
+mod broker;
+mod client;
 
 pub use broker::{run_broker, BrokerStats};
 pub use client::{shutdown_broker, Publisher, Subscriber, Transform, Update};

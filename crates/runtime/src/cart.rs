@@ -2,42 +2,13 @@
 //!
 //! The paper's decompositions live on process grids ("one simulation
 //! executes on a set of M processes" arranged 2×2×2, Figure 1); MPI codes
-//! express that with Cartesian topologies. [`dims_create`] balances a
-//! rank count over dimensions and [`CartComm`] provides rank↔coordinate
-//! mapping and neighbour shifts (with optional periodicity) — the pieces
-//! stencil codes combine with `mxn_schedule`'s halo exchange.
+//! express that with Cartesian topologies. [`CartComm`] provides
+//! rank↔coordinate mapping and neighbour shifts (with optional
+//! periodicity) — the pieces stencil codes combine with `mxn_schedule`'s
+//! halo exchange.
 
 use crate::comm::Comm;
 use crate::error::{Result, RuntimeError};
-
-/// Balances `nnodes` ranks over `ndims` dimensions (the `MPI_Dims_create`
-/// heuristic): prime factors are folded, largest first, into the currently
-/// smallest dimension; the result is sorted non-increasing.
-pub fn dims_create(nnodes: usize, ndims: usize) -> Vec<usize> {
-    assert!(nnodes > 0 && ndims > 0);
-    let mut factors = Vec::new();
-    let mut n = nnodes;
-    let mut d = 2;
-    while d * d <= n {
-        while n.is_multiple_of(d) {
-            factors.push(d);
-            n /= d;
-        }
-        d += 1;
-    }
-    if n > 1 {
-        factors.push(n);
-    }
-    factors.sort_unstable_by(|a, b| b.cmp(a));
-    let mut dims = vec![1usize; ndims];
-    for f in factors {
-        let smallest =
-            dims.iter().enumerate().min_by_key(|(_, &v)| v).map(|(i, _)| i).expect("ndims ≥ 1");
-        dims[smallest] *= f;
-    }
-    dims.sort_unstable_by(|a, b| b.cmp(a));
-    dims
-}
 
 /// A communicator with Cartesian structure.
 pub struct CartComm {
@@ -83,7 +54,7 @@ impl CartComm {
     }
 
     /// Coordinates of any rank.
-    pub fn coords_of(&self, mut rank: usize) -> Vec<usize> {
+    pub(crate) fn coords_of(&self, mut rank: usize) -> Vec<usize> {
         assert!(rank < self.comm.size());
         let mut c = vec![0; self.dims.len()];
         for d in (0..self.dims.len()).rev() {
@@ -134,22 +105,6 @@ impl CartComm {
 mod tests {
     use super::*;
     use crate::world::World;
-
-    #[test]
-    fn dims_create_balances() {
-        assert_eq!(dims_create(12, 2), vec![4, 3]);
-        assert_eq!(dims_create(8, 3), vec![2, 2, 2]);
-        assert_eq!(dims_create(27, 3), vec![3, 3, 3]);
-        assert_eq!(dims_create(7, 2), vec![7, 1]);
-        assert_eq!(dims_create(1, 3), vec![1, 1, 1]);
-        assert_eq!(dims_create(24, 2), vec![6, 4]);
-        // Always multiplies back.
-        for n in 1..40 {
-            for nd in 1..4 {
-                assert_eq!(dims_create(n, nd).iter().product::<usize>(), n);
-            }
-        }
-    }
 
     #[test]
     fn coords_roundtrip() {

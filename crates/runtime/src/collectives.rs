@@ -981,6 +981,24 @@ mod tests {
     }
 
     #[test]
+    fn allreduce_finds_where_the_maximum_lives() {
+        World::run(4, |p| {
+            let c = p.world();
+            // Who holds the largest value of (rank*7 mod 5)? Ties go to the
+            // smaller rank, as MPI_MAXLOC breaks them.
+            let mine = ((c.rank() * 7) % 5) as f64;
+            let maxloc = |acc: &mut (f64, usize), inc: (f64, usize)| {
+                if inc.0 > acc.0 || (inc.0 == acc.0 && inc.1 < acc.1) {
+                    *acc = inc;
+                }
+            };
+            let (val, who) = c.allreduce((mine, c.rank()), maxloc).unwrap();
+            assert_eq!(val, 4.0);
+            assert_eq!(who, 2, "rank 2 holds 14 mod 5 = 4");
+        });
+    }
+
+    #[test]
     fn allreduce_small_and_large_payloads_agree() {
         // Every payload size takes reduce+bcast; both a scalar and a bulk
         // vector must produce the fold of every rank's value, at every size

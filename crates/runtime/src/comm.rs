@@ -45,8 +45,7 @@ use mxn_trace::{emit_instant, EventId};
 /// One rank's point-to-point handle on a group of peers, held by one rank
 /// (handles are per-thread, exactly like `MPI_Comm` values). Rank numbers
 /// index the *addressed* group; `K` holds what only one kind of handle
-/// needs. See the [module docs](self) and the aliases [`Comm`] and
-/// [`InterComm`](crate::InterComm).
+/// needs. See the aliases [`Comm`] and [`InterComm`](crate::InterComm).
 pub struct Endpoint<K> {
     /// The world this handle's ranks live in.
     pub(crate) shared: Arc<WorldShared>,
@@ -80,7 +79,7 @@ impl<K> Endpoint<K> {
     }
 
     /// This rank's global (world) rank.
-    pub fn global_rank(&self) -> usize {
+    pub(crate) fn global_rank(&self) -> usize {
         self.me
     }
 
@@ -329,11 +328,6 @@ impl<K> Endpoint<K> {
         self.shared.revoke_context(self.context)
     }
 
-    /// Whether this handle's context has been revoked.
-    pub fn is_revoked(&self) -> bool {
-        self.shared.revocations().is_revoked(self.context)
-    }
-
     /// One ordered recovery decision over `members` (world ranks) on this
     /// handle's recovery channel (see [`crate::reconfig`]).
     pub(crate) fn decide(&self, members: &[usize], rule: Rule, value: u64) -> Result<u64> {
@@ -354,7 +348,7 @@ pub struct Intra {
 /// A communicator: an ordered group of world ranks plus a private message
 /// context. Point-to-point operations address peers by
 /// *communicator-local* rank. Collective operations (see
-/// [`crate::collectives`]) must be called by every member, in the same
+/// [`Comm::bcast`] and its siblings) must be called by every member, in the same
 /// order.
 pub type Comm = Endpoint<Intra>;
 

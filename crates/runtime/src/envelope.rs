@@ -10,7 +10,7 @@ use std::time::Instant;
 /// collective operations stamp their traffic with tags at or above it so that
 /// point-to-point traffic on the same communicator context can never match a
 /// collective's internal messages.
-pub const COLLECTIVE_TAG_BASE: i32 = i32::MAX - (1 << 24);
+pub(crate) const COLLECTIVE_TAG_BASE: i32 = i32::MAX - (1 << 24);
 
 /// Source-rank pattern for a receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +64,7 @@ impl From<i32> for Tag {
 
 /// Copy-on-write unwrap of a shared payload into an owned box; the flag is
 /// `true` when a deep clone was required (other handles still live).
-pub type UnwrapShared = fn(Arc<dyn Any + Send + Sync>) -> (Box<dyn Any + Send>, bool);
+pub(crate) type UnwrapShared = fn(Arc<dyn Any + Send + Sync>) -> (Box<dyn Any + Send>, bool);
 
 /// A message payload in flight.
 ///
@@ -117,14 +117,9 @@ impl Payload {
         }
     }
 
-    /// Is this a [`Payload::Shared`] handle?
-    pub fn is_shared(&self) -> bool {
-        matches!(self, Payload::Shared { .. })
-    }
-
     /// Another handle to the same payload: O(1) for shared payloads, `None`
     /// for owned ones (the caller must supply its own replication strategy).
-    pub fn another_handle(&self) -> Option<Payload> {
+    pub(crate) fn another_handle(&self) -> Option<Payload> {
         match self {
             Payload::Owned(_) => None,
             Payload::Shared { value, unwrap_value } => {
@@ -157,7 +152,7 @@ impl Payload {
     /// payloads are moved into a fresh `Arc`; the flag reports whether that
     /// (O(1), pointer-sized) promotion happened. On type mismatch the payload
     /// is returned unchanged.
-    pub fn into_shared<T: Any + Send + Sync>(self) -> Result<(Arc<T>, bool), Payload> {
+    pub(crate) fn into_shared<T: Any + Send + Sync>(self) -> Result<(Arc<T>, bool), Payload> {
         match self {
             Payload::Owned(b) => match b.downcast::<T>() {
                 Ok(v) => Ok((Arc::new(*v), true)),
@@ -250,7 +245,12 @@ impl Envelope {
     }
 
     /// The checksum a well-formed envelope with these fields must carry.
-    pub fn expected_checksum(src_global: usize, context: u32, tag: i32, bytes: usize) -> u64 {
+    pub(crate) fn expected_checksum(
+        src_global: usize,
+        context: u32,
+        tag: i32,
+        bytes: usize,
+    ) -> u64 {
         // splitmix64-style mix of the metadata words.
         let mut h = (src_global as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
             ^ ((context as u64) << 32 | (tag as u32 as u64))
@@ -347,7 +347,7 @@ mod tests {
     fn owned_payload_roundtrips_without_clone() {
         let p = Payload::owned(vec![1u32, 2, 3]);
         assert!(p.is::<Vec<u32>>());
-        assert!(!p.is_shared());
+        assert!(!matches!(p, Payload::Shared { .. }));
         let (v, cloned) = p.into_owned::<Vec<u32>>().unwrap();
         assert_eq!(v, vec![1, 2, 3]);
         assert!(!cloned);

@@ -99,15 +99,8 @@ impl RuntimeError {
 
     /// True for the failure-detection variants (`Timeout`/`PeerDead`),
     /// the errors a caller can meaningfully retry or degrade around.
-    pub fn is_failure_detection(&self) -> bool {
+    pub(crate) fn is_failure_detection(&self) -> bool {
         matches!(self, RuntimeError::Timeout { .. } | RuntimeError::PeerDead { .. })
-    }
-
-    /// True if the operation failed because its communicator was revoked;
-    /// the caller should join the shrink/heal protocol rather than retry
-    /// on the same context.
-    pub fn is_revoked(&self) -> bool {
-        matches!(self, RuntimeError::Revoked { .. })
     }
 
     /// True if a membership reconfiguration rolled back before commit; the
@@ -223,10 +216,8 @@ mod tests {
     #[test]
     fn revoked_classification_and_display() {
         let e = RuntimeError::Revoked { context: 6 };
-        assert!(e.is_revoked());
         assert!(!e.is_failure_detection());
         assert!(e.to_string().contains("context 6"));
-        assert!(!RuntimeError::Aborted.is_revoked());
     }
 
     #[test]
@@ -234,7 +225,6 @@ mod tests {
         let e = RuntimeError::ReconfigAborted { context: 8, attempt: 2 };
         assert!(e.is_reconfig_aborted());
         assert!(!e.is_failure_detection());
-        assert!(!e.is_revoked());
         assert!(e.to_string().contains("attempt 2"));
         assert!(e.to_string().contains("remains valid"));
         assert!(!RuntimeError::Aborted.is_reconfig_aborted());

@@ -16,7 +16,7 @@
 //!
 //! Rank death is modelled by a [`Liveness`] registry shared by all ranks:
 //! a dead rank's sends stop reaching the network and its own operations
-//! fail with [`RuntimeError::PeerDead`], while peers blocked on it are
+//! fail with [`RuntimeError::PeerDead`](crate::RuntimeError::PeerDead), while peers blocked on it are
 //! woken and get `PeerDead` instead of hanging (see `Mailbox`).
 
 use std::collections::HashMap;
@@ -24,8 +24,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-
-use crate::error::RuntimeError;
 
 /// Per-channel fault probabilities and delay bounds.
 ///
@@ -208,7 +206,7 @@ fn fault_kind_code(k: FaultKind) -> u64 {
 
 /// What [`FaultPlane::judge`] decided for one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// Deliver unchanged.
     Deliver,
     /// Discard the message.
@@ -238,7 +236,7 @@ pub fn unit(draw: u64) -> f64 {
 /// Liveness registry: which global ranks are still alive.
 ///
 /// Shared by every rank of a world; consulted by blocked receives so that a
-/// wait on a dead peer fails with [`RuntimeError::PeerDead`] instead of
+/// wait on a dead peer fails with [`RuntimeError::PeerDead`](crate::RuntimeError::PeerDead) instead of
 /// hanging forever.
 pub struct Liveness {
     dead: Vec<AtomicBool>,
@@ -273,16 +271,11 @@ impl Liveness {
     pub fn is_dead(&self, rank: usize) -> bool {
         self.dead[rank].load(Ordering::Acquire)
     }
-
-    /// Global ranks currently dead, ascending.
-    pub fn dead_ranks(&self) -> Vec<usize> {
-        (0..self.dead.len()).filter(|&r| self.is_dead(r)).collect()
-    }
 }
 
 /// The per-world fault injector. All decisions are deterministic functions
 /// of `(seed, channel, per-channel sequence)`; see the module docs.
-pub struct FaultPlane {
+pub(crate) struct FaultPlane {
     config: FaultConfig,
     /// Per-channel message counters: `chan_seq[src * n + dst]`.
     chan_seq: Vec<AtomicU64>,
@@ -301,7 +294,7 @@ pub struct FaultPlane {
 impl FaultPlane {
     /// Builds the fault plane for an `n`-rank world; every rank starts
     /// armed.
-    pub fn new(config: FaultConfig, n: usize) -> Self {
+    pub(crate) fn new(config: FaultConfig, n: usize) -> Self {
         FaultPlane {
             config,
             chan_seq: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
@@ -315,7 +308,7 @@ impl FaultPlane {
     /// Arms or disarms the plane for `rank`'s *outgoing* traffic and op
     /// counting. Must only be called by rank `rank` itself (see the field
     /// docs for why that keeps runs deterministic).
-    pub fn set_armed(&self, rank: usize, armed: bool) {
+    pub(crate) fn set_armed(&self, rank: usize, armed: bool) {
         self.armed[rank].store(armed, Ordering::Release);
     }
 
@@ -327,7 +320,7 @@ impl FaultPlane {
     /// The configured seed — the root of every verdict drawn here. Exposed
     /// so derived randomness (retry jitter, experiment shuffles) can be
     /// keyed off the same value and stay replayable.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.config.seed
     }
 
@@ -341,7 +334,7 @@ impl FaultPlane {
 
     /// Judges the next message on channel `src → dst`. Returns the verdict
     /// plus any extra visibility delay. Self-messages are never faulted.
-    pub fn judge(&self, src: usize, dst: usize) -> (Verdict, Duration) {
+    pub(crate) fn judge(&self, src: usize, dst: usize) -> (Verdict, Duration) {
         if src == dst || !self.is_armed(src) {
             return (Verdict::Deliver, Duration::ZERO);
         }
@@ -386,7 +379,7 @@ impl FaultPlane {
     /// Returns the rank to kill when the threshold is crossed (the caller —
     /// `WorldShared` — performs the kill so it can wake blocked receivers).
     /// Ops while disarmed are neither counted nor fatal.
-    pub fn note_op(&self, rank: usize) -> Option<u64> {
+    pub(crate) fn note_op(&self, rank: usize) -> Option<u64> {
         if !self.is_armed(rank) {
             return None;
         }
@@ -405,16 +398,11 @@ impl FaultPlane {
     }
 
     /// The canonical, sorted trace of everything injected so far.
-    pub fn trace(&self) -> FaultTrace {
+    pub(crate) fn trace(&self) -> FaultTrace {
         let mut events = self.trace.lock().clone();
         events.sort_unstable();
         FaultTrace { events }
     }
-}
-
-/// Helper shared by the receive paths: the error for a wait on a dead peer.
-pub fn peer_dead(local_rank: usize) -> RuntimeError {
-    RuntimeError::PeerDead { rank: local_rank }
 }
 
 #[cfg(test)]
@@ -534,7 +522,7 @@ mod tests {
         assert!(l.kill(1));
         assert!(!l.kill(1), "second kill reports already-dead");
         assert!(l.is_dead(1));
-        assert_eq!(l.dead_ranks(), vec![1]);
+        assert_eq!((0..l.dead.len()).filter(|&r| l.is_dead(r)).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl InterComm {
     /// the byte high-water mark since the previous sample, and the number
     /// of queued envelopes. The peak is reset as part of the read (so each
     /// sample covers exactly the interval since the last), and the gauge is
-    /// published through [`crate::WorldStats::note_queue_gauge`] — this is
+    /// published to [`crate::WorldStats::queue_gauge`] — this is
     /// the sampling point autoscaling policies are meant to feed on,
     /// replacing caller-invented synthetic load numbers.
     pub fn sample_mailbox_gauge(&self) -> MailboxGauge {
@@ -540,12 +540,15 @@ mod tests {
             if p.rank() == 0 {
                 assert!(ic.revoke());
                 assert!(!ic.revoke(), "idempotent");
-                assert!(ic.is_revoked());
+                assert!(ic.shared.revocations().is_revoked(ic.context));
                 let e = ic.send(0, 1, 1u8).unwrap_err();
-                assert!(e.is_revoked());
+                assert!(matches!(e, RuntimeError::Revoked { .. }));
             } else {
                 let e = ic.recv::<u8>(Src::Any, Tag::Any).unwrap_err();
-                assert!(e.is_revoked(), "both sides fall out of the epoch: {e}");
+                assert!(
+                    matches!(e, RuntimeError::Revoked { .. }),
+                    "both sides fall out of the epoch: {e}"
+                );
             }
             // Intra-side communicators and the world keep working.
             local.barrier().unwrap();
@@ -604,7 +607,7 @@ mod tests {
             }
             // The old epoch is retired (by the sponsor, so slightly after
             // other ranks commit): stale traffic cannot match.
-            while !ic.is_revoked() {
+            while !ic.shared.revocations().is_revoked(ic.context) {
                 std::thread::yield_now();
             }
             // And the grown channel works incumbent-to-incumbent too.
@@ -649,7 +652,7 @@ mod tests {
                 if side == 0 { ic.expand(&[4], &[]) } else { ic.expand(&[], &[4]) }.unwrap_err();
             assert!(attempt1.is_reconfig_aborted(), "dead joiner aborts the vote: {attempt1}");
             // Transactional rollback: the old epoch is untouched and live.
-            assert!(!ic.is_revoked());
+            assert!(!ic.shared.revocations().is_revoked(ic.context));
             ic.send(ic.local_rank(), 3, p.rank() as u64).unwrap();
             let echoed = ic.recv::<u64>(ic.local_rank(), 3).unwrap();
             let expect = if side == 0 { p.rank() + 2 } else { p.rank() - 2 };
@@ -707,7 +710,7 @@ mod tests {
             let shrunk = shrunk.unwrap();
             assert_eq!(shrunk.local_size() + shrunk.remote_size(), 4);
             // Retired by the sponsor once the contract commits.
-            while !ic.is_revoked() {
+            while !ic.shared.revocations().is_revoked(ic.context) {
                 std::thread::yield_now();
             }
             shrunk.send(shrunk.local_rank(), 6, p.rank() as u64).unwrap();

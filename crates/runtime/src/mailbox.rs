@@ -246,14 +246,14 @@ impl Mailbox {
     }
 
     /// High-water mark of queued payload bytes since creation (or the last
-    /// [`Self::reset_peak_bytes`]).
+    /// reset).
     pub fn peak_bytes(&self) -> u64 {
         self.peak_bytes.load(Ordering::Relaxed)
     }
 
     /// Resets the high-water mark to the current live level (between
     /// measurement phases).
-    pub fn reset_peak_bytes(&self) {
+    pub(crate) fn reset_peak_bytes(&self) {
         self.peak_bytes.store(self.live_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
@@ -461,11 +461,6 @@ impl Mailbox {
     /// Whether the mailbox is currently empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of live `(context, tag)` buckets (test/diagnostic hook).
-    pub fn bucket_count(&self) -> usize {
-        self.inner.lock().buckets.len()
     }
 }
 
@@ -752,10 +747,10 @@ mod tests {
         for tag in 0..32 {
             m.push(env(0, 0, tag, tag as u32));
         }
-        assert_eq!(m.bucket_count(), 32);
+        assert_eq!(m.inner.lock().buckets.len(), 32);
         for tag in 0..32 {
             assert_eq!(val(m.try_take(0, Src::Any, Tag::Value(tag)).unwrap()), tag as u32);
         }
-        assert_eq!(m.bucket_count(), 0, "empty waiterless buckets must be dropped");
+        assert_eq!(m.inner.lock().buckets.len(), 0, "empty waiterless buckets must be dropped");
     }
 }

@@ -129,7 +129,7 @@ impl Revocations {
 
     /// Whether `context` has been revoked.
     #[inline]
-    pub fn is_revoked(&self, context: u32) -> bool {
+    pub(crate) fn is_revoked(&self, context: u32) -> bool {
         self.count.load(Ordering::Acquire) != 0 && self.revoked.lock().contains(&context)
     }
 
@@ -402,14 +402,17 @@ mod tests {
                 assert!(!d.revoke(), "idempotent");
                 // Future ops fail too, on the revoker itself.
                 let e = d.send(1, 9, 1u8).unwrap_err();
-                assert!(e.is_revoked(), "send on revoked ctx: {e}");
+                assert!(matches!(e, RuntimeError::Revoked { .. }), "send on revoked ctx: {e}");
             } else {
                 c.send(0, 1, 1u8).unwrap();
                 let e = d.recv::<u8>(0, 3).unwrap_err();
                 assert_eq!(e, RuntimeError::Revoked { context: d.context() });
                 // Collectives ride ctx + 1 of the pair: poisoned as well.
                 let e = d.barrier().unwrap_err();
-                assert!(e.is_revoked(), "collective on revoked ctx: {e}");
+                assert!(
+                    matches!(e, RuntimeError::Revoked { .. }),
+                    "collective on revoked ctx: {e}"
+                );
             }
             // World traffic is unaffected.
             let peer = 1 - c.rank();
@@ -423,7 +426,7 @@ mod tests {
         World::run(1, |p| {
             let c = p.world();
             assert!(!c.revoke());
-            assert!(!c.is_revoked());
+            assert!(!c.shared.revocations().is_revoked(c.context));
             c.send(0, 0, 3u8).unwrap();
             assert_eq!(c.recv::<u8>(0, 0).unwrap(), 3);
         });
@@ -441,7 +444,10 @@ mod tests {
                 c.recv::<u8>(0, 0).unwrap();
                 d.revoke();
                 let e = d.recv::<u8>(0, 4).unwrap_err();
-                assert!(e.is_revoked(), "stale-epoch message must not deliver: {e}");
+                assert!(
+                    matches!(e, RuntimeError::Revoked { .. }),
+                    "stale-epoch message must not deliver: {e}"
+                );
             }
         });
     }
@@ -635,7 +641,7 @@ mod tests {
                 d.revoke();
             } else {
                 let e = d.recv::<u8>(0, 3).unwrap_err();
-                assert!(e.is_revoked());
+                assert!(matches!(e, RuntimeError::Revoked { .. }));
             }
         });
     }
@@ -658,6 +664,9 @@ mod tests {
         m.push(Envelope::new(0, 0, 6, 1, 4, None, Payload::owned(6u8)));
         revs.mark(6);
         assert!(m.try_take(6, Src::Any, Tag::Any).is_some());
-        assert!(m.take(6, Src::Any, Tag::Any, &[]).unwrap_err().is_revoked());
+        assert!(matches!(
+            m.take(6, Src::Any, Tag::Any, &[]).unwrap_err(),
+            RuntimeError::Revoked { .. }
+        ));
     }
 }

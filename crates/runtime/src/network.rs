@@ -43,7 +43,7 @@ impl NetworkModel {
 
 /// Tracks per-channel (sender → receiver) delivery horizons so delivery
 /// times stay monotone per channel (non-overtaking).
-pub struct ChannelClock {
+pub(crate) struct ChannelClock {
     model: NetworkModel,
     /// `horizons[src * n + dst]` = earliest next delivery instant.
     horizons: Vec<Mutex<Option<Instant>>>,
@@ -52,13 +52,13 @@ pub struct ChannelClock {
 
 impl ChannelClock {
     /// Creates clocks for an `n`-rank world.
-    pub fn new(model: NetworkModel, n: usize) -> Self {
+    pub(crate) fn new(model: NetworkModel, n: usize) -> Self {
         ChannelClock { model, horizons: (0..n * n).map(|_| Mutex::new(None)).collect(), n }
     }
 
     /// Computes (and records) the delivery instant for a message of
     /// `bytes` from `src` to `dst`, sent now. Self-messages are immediate.
-    pub fn delivery_time(&self, src: usize, dst: usize, bytes: usize) -> Instant {
+    pub(crate) fn delivery_time(&self, src: usize, dst: usize, bytes: usize) -> Instant {
         let now = Instant::now();
         if src == dst {
             return now;
@@ -71,11 +71,6 @@ impl ChannelClock {
         };
         *horizon = Some(at);
         at
-    }
-
-    /// The model in force.
-    pub fn model(&self) -> NetworkModel {
-        self.model
     }
 }
 

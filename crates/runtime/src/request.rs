@@ -1,8 +1,7 @@
 //! Nonblocking point-to-point operations.
 //!
 //! Sends in this runtime are eager (they deposit the payload and return), so
-//! [`SendRequest`] completes immediately; it exists so code ported from MPI
-//! keeps its shape. [`RecvRequest`] is a genuine deferred receive: it pins
+//! there is no send request. [`RecvRequest`] is a genuine deferred receive: it pins
 //! the `(src, tag)` pattern at post time and can be tested or waited on
 //! later, letting components overlap computation with communication — the
 //! "asynchronous, nonblocking transfers" feature of Section 3 of the paper.
@@ -12,24 +11,6 @@ use std::time::Duration;
 use crate::comm::Comm;
 use crate::envelope::{Src, Tag};
 use crate::error::Result;
-use crate::msgsize::MsgSize;
-
-/// Handle for a nonblocking send. Always already complete.
-#[derive(Debug)]
-#[must_use = "wait on send requests to mirror MPI semantics"]
-pub struct SendRequest(());
-
-impl SendRequest {
-    /// Completes immediately.
-    pub fn wait(self) -> Result<()> {
-        Ok(())
-    }
-
-    /// Always `true` for eager sends.
-    pub fn test(&self) -> bool {
-        true
-    }
-}
 
 /// Handle for a nonblocking receive of a `T`.
 #[must_use = "irecv does nothing until waited or tested"]
@@ -72,17 +53,6 @@ impl<'c, T: 'static> RecvRequest<'c, T> {
 }
 
 impl Comm {
-    /// Nonblocking send. Eager: the payload is deposited before returning.
-    pub fn isend<T: Send + MsgSize + 'static>(
-        &self,
-        dst: usize,
-        tag: i32,
-        value: T,
-    ) -> Result<SendRequest> {
-        self.send(dst, tag, value)?;
-        Ok(SendRequest(()))
-    }
-
     /// Posts a nonblocking receive for a `T` matching `src`/`tag`.
     pub fn irecv<T: 'static>(
         &self,
@@ -93,29 +63,10 @@ impl Comm {
     }
 }
 
-/// Waits for every request, returning payloads in request order.
-pub fn wait_all<T: 'static>(requests: Vec<RecvRequest<'_, T>>) -> Result<Vec<T>> {
-    requests.into_iter().map(RecvRequest::wait).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::world::World;
-
-    #[test]
-    fn isend_completes_immediately() {
-        World::run(2, |p| {
-            let c = p.world();
-            if c.rank() == 0 {
-                let req = c.isend(1, 0, 42u32).unwrap();
-                assert!(req.test());
-                req.wait().unwrap();
-            } else {
-                assert_eq!(c.recv::<u32>(0, 0).unwrap(), 42);
-            }
-        });
-    }
 
     #[test]
     fn irecv_test_then_wait() {
@@ -158,7 +109,8 @@ mod tests {
             let c = p.world();
             if c.rank() == 0 {
                 let reqs = vec![c.irecv::<u64>(1, 0), c.irecv::<u64>(2, 0)];
-                assert_eq!(wait_all(reqs).unwrap(), vec![100, 200]);
+                let got: Result<Vec<u64>> = reqs.into_iter().map(RecvRequest::wait).collect();
+                assert_eq!(got.unwrap(), vec![100, 200]);
             } else {
                 c.send(0, 0, c.rank() as u64 * 100).unwrap();
             }

@@ -19,11 +19,11 @@ use mxn_trace::{emit_instant, EventId};
 ///
 /// Every communicator owns a *pair* of contexts: `ctx` for point-to-point
 /// and `ctx + 1` for collective-internal traffic, mirroring MPICH's design.
-pub const WORLD_CONTEXT: u32 = 0;
+pub(crate) const WORLD_CONTEXT: u32 = 0;
 
 /// State shared by every rank of one [`crate::World`]: the mailboxes, the
 /// abort flag, the communicator-context allocator and the traffic counters.
-pub struct WorldShared {
+pub(crate) struct WorldShared {
     transport: InProcTransport,
     abort: Arc<AtomicBool>,
     next_context: AtomicU32,
@@ -35,14 +35,9 @@ pub struct WorldShared {
 }
 
 impl WorldShared {
-    /// Creates shared state for `n` ranks (instant delivery, no faults).
-    pub fn new(n: usize) -> Arc<Self> {
-        Self::with_config(n, None, None)
-    }
-
     /// Creates shared state with an optional network model and an optional
     /// fault plane.
-    pub fn with_config(
+    pub(crate) fn with_config(
         n: usize,
         network: Option<NetworkModel>,
         faults: Option<FaultConfig>,
@@ -66,22 +61,17 @@ impl WorldShared {
     }
 
     /// Delivery instant for a message, under the network model (if any).
-    pub fn delivery_time(&self, src: usize, dst: usize, bytes: usize) -> Option<Instant> {
+    pub(crate) fn delivery_time(&self, src: usize, dst: usize, bytes: usize) -> Option<Instant> {
         self.network.as_ref().map(|c| c.delivery_time(src, dst, bytes))
     }
 
     /// Number of ranks in the world.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.transport.size()
     }
 
-    /// The world's delivery mechanism.
-    pub fn transport(&self) -> &InProcTransport {
-        &self.transport
-    }
-
     /// The mailbox of a global rank.
-    pub fn mailbox(&self, global_rank: usize) -> &Mailbox {
+    pub(crate) fn mailbox(&self, global_rank: usize) -> &Mailbox {
         self.transport.mailbox(global_rank)
     }
 
@@ -90,38 +80,33 @@ impl WorldShared {
     /// The caller is responsible for distributing the id to all members of
     /// the new communicator (this is what makes communicator creation a
     /// collective operation).
-    pub fn allocate_context_pair(&self) -> u32 {
+    pub(crate) fn allocate_context_pair(&self) -> u32 {
         self.next_context.fetch_add(2, Ordering::Relaxed)
     }
 
     /// Marks the world aborted and wakes every blocked receiver.
-    pub fn abort(&self) {
+    pub(crate) fn abort(&self) {
         self.abort.store(true, Ordering::Release);
         self.transport.wake_all();
     }
 
-    /// Whether the world has been aborted.
-    pub fn is_aborted(&self) -> bool {
-        self.abort.load(Ordering::Acquire)
-    }
-
     /// The world's traffic counters.
-    pub fn stats(&self) -> &WorldStats {
+    pub(crate) fn stats(&self) -> &WorldStats {
         &self.stats
     }
 
     /// The liveness registry shared by this world's ranks.
-    pub fn liveness(&self) -> &Arc<Liveness> {
+    pub(crate) fn liveness(&self) -> &Arc<Liveness> {
         &self.liveness
     }
 
     /// The fault plane, if one is configured.
-    pub fn fault(&self) -> Option<&FaultPlane> {
+    pub(crate) fn fault(&self) -> Option<&FaultPlane> {
         self.fault.as_ref()
     }
 
     /// The world's revocation state (recovery plane).
-    pub fn revocations(&self) -> &Arc<Revocations> {
+    pub(crate) fn revocations(&self) -> &Arc<Revocations> {
         &self.revocations
     }
 
@@ -133,7 +118,7 @@ impl WorldShared {
     ///
     /// The world pair (0/1) cannot be revoked — recovery protocols run on
     /// it — so revoking it is a no-op returning `false`.
-    pub fn revoke_context(&self, context: u32) -> bool {
+    pub(crate) fn revoke_context(&self, context: u32) -> bool {
         let base = context & !1;
         if base == WORLD_CONTEXT {
             return false;
@@ -150,12 +135,17 @@ impl WorldShared {
     /// reconfiguration attempt of `old_context` toward the agreed `mask`
     /// opens: the first participant to call allocates a fresh pair, every
     /// later one reads the identical `(context, epoch)` back.
-    pub fn epoch_context(&self, old_context: u32, mask: u64, attempt: Option<u64>) -> (u32, u64) {
+    pub(crate) fn epoch_context(
+        &self,
+        old_context: u32,
+        mask: u64,
+        attempt: Option<u64>,
+    ) -> (u32, u64) {
         self.revocations.epoch_context(old_context, mask, attempt, || self.allocate_context_pair())
     }
 
     /// The canonical trace of injected faults (empty without a fault plane).
-    pub fn fault_trace(&self) -> FaultTrace {
+    pub(crate) fn fault_trace(&self) -> FaultTrace {
         self.fault.as_ref().map(|f| f.trace()).unwrap_or_default()
     }
 
@@ -178,7 +168,7 @@ impl WorldShared {
 
     /// Marks a rank dead and wakes every blocked receiver, so waits on the
     /// dead rank fail with [`RuntimeError::PeerDead`] instead of hanging.
-    pub fn kill_rank(&self, global: usize) {
+    pub(crate) fn kill_rank(&self, global: usize) {
         if self.liveness.kill(global) {
             self.stats.record_fault(FaultClass::RankDeath);
             emit_instant(EventId::FaultInject, [fault_kind::DEATH, global as u64, 0, 0]);
@@ -190,7 +180,7 @@ impl WorldShared {
     /// an already-dead caller — or one whose scheduled death this very
     /// operation triggers — gets `PeerDead` carrying its own
     /// communicator-local rank (`local`).
-    pub fn note_op(&self, global: usize, local: usize) -> Result<()> {
+    pub(crate) fn note_op(&self, global: usize, local: usize) -> Result<()> {
         if self.liveness.is_dead(global) {
             return Err(RuntimeError::PeerDead { rank: local });
         }
@@ -221,7 +211,7 @@ impl WorldShared {
     /// duplicated owned frame is delivered once and the duplication is
     /// visible only in the trace and stats.
     #[allow(clippy::too_many_arguments)]
-    pub fn send_envelope(
+    pub(crate) fn send_envelope(
         &self,
         src_global: usize,
         src_local: usize,
@@ -312,7 +302,7 @@ impl WorldShared {
     /// `payload` must be [`Payload::Shared`]; owned payloads cannot be
     /// handed to more than one mailbox.
     #[allow(clippy::too_many_arguments)]
-    pub fn multicast_envelope(
+    pub(crate) fn multicast_envelope(
         &self,
         src_global: usize,
         src_local: usize,
@@ -355,7 +345,7 @@ mod tests {
 
     #[test]
     fn context_pairs_are_disjoint() {
-        let s = WorldShared::new(2);
+        let s = WorldShared::with_config(2, None, None);
         let a = s.allocate_context_pair();
         let b = s.allocate_context_pair();
         assert!(a >= 2, "0/1 reserved for the world communicator");
@@ -364,15 +354,15 @@ mod tests {
 
     #[test]
     fn abort_is_visible_everywhere() {
-        let s = WorldShared::new(3);
-        assert!(!s.is_aborted());
+        let s = WorldShared::with_config(3, None, None);
+        assert!(!s.abort.load(Ordering::Acquire));
         s.abort();
-        assert!(s.is_aborted());
+        assert!(s.abort.load(Ordering::Acquire));
     }
 
     #[test]
     fn size_matches_mailboxes() {
-        let s = WorldShared::new(5);
+        let s = WorldShared::with_config(5, None, None);
         assert_eq!(s.size(), 5);
         s.mailbox(4); // must not panic
     }
@@ -382,7 +372,7 @@ mod tests {
         // Failing a send because the *destination* died would make outcomes
         // depend on whether the destination reached its death yet — an
         // interleaving artifact. Detection is receive-side only.
-        let s = WorldShared::new(3);
+        let s = WorldShared::with_config(3, None, None);
         s.kill_rank(2);
         s.send_envelope(
             0,
@@ -403,7 +393,7 @@ mod tests {
 
     #[test]
     fn dead_sender_cannot_send() {
-        let s = WorldShared::new(2);
+        let s = WorldShared::with_config(2, None, None);
         s.kill_rank(0);
         let e = s
             .send_envelope(
@@ -536,7 +526,7 @@ mod tests {
 
     #[test]
     fn revoked_context_refuses_sends_but_world_is_protected() {
-        let s = WorldShared::new(2);
+        let s = WorldShared::with_config(2, None, None);
         let ctx = s.allocate_context_pair();
         assert!(s.revoke_context(ctx + 1), "either member of the pair revokes it");
         assert!(!s.revoke_context(ctx), "idempotent across the pair");
@@ -554,7 +544,7 @@ mod tests {
                 TrafficClass::PointToPoint,
             )
             .unwrap_err();
-        assert!(e.is_revoked());
+        assert!(matches!(e, RuntimeError::Revoked { .. }));
         assert!(s.mailbox(1).is_empty(), "refused before delivery");
         assert_eq!(s.stats().snapshot().p2p_messages, 0, "refused before accounting");
         assert!(!s.revoke_context(0), "world pair is not revocable");
@@ -576,7 +566,7 @@ mod tests {
 
     #[test]
     fn survivor_context_is_shared_across_callers() {
-        let s = WorldShared::new(2);
+        let s = WorldShared::with_config(2, None, None);
         let (a, e1) = s.epoch_context(2, 0b01, None);
         let (b, e2) = s.epoch_context(2, 0b01, None);
         assert_eq!((a, e1), (b, e2));
@@ -589,7 +579,7 @@ mod tests {
     #[test]
     fn multicast_shares_one_allocation() {
         use crate::envelope::{Src, Tag};
-        let s = WorldShared::new(4);
+        let s = WorldShared::with_config(4, None, None);
         let arc = Arc::new(vec![1.0f64; 8]);
         let payload = Payload::shared(Arc::clone(&arc));
         s.multicast_envelope(0, 0, &[1, 2, 3], 0, 5, 64, &payload, TrafficClass::Collective)

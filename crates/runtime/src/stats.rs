@@ -96,7 +96,7 @@ impl CollOp {
 
 /// A fault injected by the fault plane, for accounting purposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
+pub(crate) enum FaultClass {
     /// Message silently dropped.
     Dropped,
     /// Message delivered twice.
@@ -187,7 +187,7 @@ impl WorldStats {
     /// Records one message of `bytes` wire bytes attributed to a specific
     /// collective algorithm (in addition to the aggregate
     /// [`TrafficClass::Collective`] counters, which the send path updates).
-    pub fn record_coll(&self, op: CollOp, bytes: usize) {
+    pub(crate) fn record_coll(&self, op: CollOp, bytes: usize) {
         let i = op.index();
         self.coll_op_msgs[i].fetch_add(1, Ordering::Relaxed);
         self.coll_op_bytes[i].fetch_add(bytes as u64, Ordering::Relaxed);
@@ -197,7 +197,7 @@ impl WorldStats {
     }
 
     /// Records `n` deep payload copies performed by a collective algorithm.
-    pub fn record_coll_clones(&self, op: CollOp, n: u64) {
+    pub(crate) fn record_coll_clones(&self, op: CollOp, n: u64) {
         if n > 0 {
             self.coll_op_clones[op.index()].fetch_add(n, Ordering::Relaxed);
             self.payload_clones.fetch_add(n, Ordering::Relaxed);
@@ -206,7 +206,7 @@ impl WorldStats {
     }
 
     /// Records `n` shared-payload allocations made by a collective algorithm.
-    pub fn record_coll_allocs(&self, op: CollOp, n: u64) {
+    pub(crate) fn record_coll_allocs(&self, op: CollOp, n: u64) {
         if n > 0 {
             self.coll_op_allocs[op.index()].fetch_add(n, Ordering::Relaxed);
             self.payload_allocs.fetch_add(n, Ordering::Relaxed);
@@ -216,17 +216,17 @@ impl WorldStats {
 
     /// Records one deep payload copy outside any collective (copy-on-write
     /// unwrap of a shared point-to-point payload, replicated send).
-    pub fn record_payload_clone(&self) {
+    pub(crate) fn record_payload_clone(&self) {
         self.payload_clones.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one shared-payload allocation outside any collective.
-    pub fn record_payload_alloc(&self) {
+    pub(crate) fn record_payload_alloc(&self) {
         self.payload_allocs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one injected fault (called by the fault plane's send path).
-    pub fn record_fault(&self, class: FaultClass) {
+    pub(crate) fn record_fault(&self, class: FaultClass) {
         let counter = match class {
             FaultClass::Dropped => &self.dropped,
             FaultClass::Duplicated => &self.duplicated,
@@ -238,31 +238,32 @@ impl WorldStats {
     }
 
     /// Records one receive that failed with `Timeout`.
-    pub fn record_recv_timeout(&self) {
+    pub(crate) fn record_recv_timeout(&self) {
         self.recv_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one operation that failed with `PeerDead`.
-    pub fn record_peer_dead_error(&self) {
+    pub(crate) fn record_peer_dead_error(&self) {
         self.peer_dead_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Raises the per-rank transfer-memory high-water mark to `peak` if it
     /// is higher than anything recorded so far (CAS-max).
-    pub fn note_transfer_peak(&self, peak: u64) {
+    pub(crate) fn note_transfer_peak(&self, peak: u64) {
         self.transfer_peak_bytes.fetch_max(peak, Ordering::Relaxed);
     }
 
     /// Stores the latest measured mailbox-depth gauge. Samplers (e.g.
     /// `InterComm::sample_mailbox_gauge`) call this so the most recent
     /// measured queue depth is visible alongside the world counters.
-    pub fn note_queue_gauge(&self, gauge: &MailboxGauge) {
+    pub(crate) fn note_queue_gauge(&self, gauge: &MailboxGauge) {
         self.queue_live_bytes.store(gauge.live_bytes, Ordering::Relaxed);
         self.queue_peak_bytes.store(gauge.peak_bytes, Ordering::Relaxed);
         self.queue_depth_msgs.store(gauge.depth_msgs, Ordering::Relaxed);
     }
 
-    /// The most recent gauge stored by [`WorldStats::note_queue_gauge`]
+    /// The most recent gauge sampled by
+    /// [`InterComm::sample_mailbox_gauge`](crate::InterComm::sample_mailbox_gauge)
     /// (zeroed if nothing has sampled yet).
     pub fn queue_gauge(&self) -> MailboxGauge {
         MailboxGauge {
@@ -385,15 +386,6 @@ impl StatsSnapshot {
     /// Total bytes of both classes.
     pub fn total_bytes(&self) -> u64 {
         self.p2p_bytes + self.collective_bytes
-    }
-
-    /// Total faults of every class injected by the fault plane.
-    pub fn total_faults(&self) -> u64 {
-        self.dropped_messages
-            + self.duplicated_messages
-            + self.corrupted_messages
-            + self.delayed_messages
-            + self.rank_deaths
     }
 
     /// Per-algorithm view: (messages, bytes, payload clones, payload allocs)
@@ -735,7 +727,6 @@ mod tests {
         assert_eq!(snap.corrupted_messages, 1);
         assert_eq!(snap.delayed_messages, 1);
         assert_eq!(snap.rank_deaths, 1);
-        assert_eq!(snap.total_faults(), 6);
         assert_eq!(snap.total_messages(), 0, "faults are not traffic");
     }
 

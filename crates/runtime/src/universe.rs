@@ -29,11 +29,6 @@ impl ProgramCtx {
     pub fn intercomm(&self, other: usize) -> &InterComm {
         self.intercomms[other].as_ref().expect("no intercomm to own program; use `comm` instead")
     }
-
-    /// Number of programs in the universe.
-    pub fn num_programs(&self) -> usize {
-        self.intercomms.len()
-    }
 }
 
 /// Entry point for coupled multi-program runs.
@@ -137,7 +132,7 @@ mod tests {
                 assert_eq!(ctx.comm.size(), 3);
                 assert_eq!(ctx.comm.rank(), p.rank() - 2);
             }
-            assert_eq!(ctx.num_programs(), 2);
+            assert_eq!(ctx.intercomms.len(), 2);
         });
     }
 

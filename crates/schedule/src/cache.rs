@@ -135,7 +135,7 @@ impl ScheduleCache {
     /// [`ScheduleCache::route_for`] salted with a recovery epoch, mirroring
     /// [`ScheduleCache::get_or_build_for_epoch`].
     #[allow(clippy::too_many_arguments)]
-    pub fn route_for_epoch(
+    pub(crate) fn route_for_epoch(
         &self,
         src: &Dad,
         dst: &Dad,

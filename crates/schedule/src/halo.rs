@@ -47,7 +47,7 @@ impl<T: Copy> GhostedPatch<T> {
     }
 
     /// Copies the owned interior in from plain local storage.
-    pub fn load_interior(&mut self, local: &LocalArray<T>) {
+    pub(crate) fn load_interior(&mut self, local: &LocalArray<T>) {
         for idx in self.owned.iter() {
             let off = self.expanded.local_offset(&idx);
             self.data[off] = *local.get(&idx).expect("interior is owned");

@@ -24,13 +24,15 @@
 //! inter-communicator (coupled programs) or a single communicator
 //! (self-connections such as transposes).
 
-pub mod cache;
-pub mod halo;
-pub mod linear_schedule;
-pub mod plan;
-pub mod redistribute;
-pub mod region_schedule;
-pub mod route;
+#![warn(unreachable_pub)]
+
+mod cache;
+mod halo;
+mod linear_schedule;
+mod plan;
+mod redistribute;
+mod region_schedule;
+mod route;
 
 pub use cache::ScheduleCache;
 pub use halo::{GhostedPatch, HaloSchedule};

@@ -76,7 +76,11 @@ impl CopyPlan {
     /// # Panics
     /// If the two lists differ in length or a region does not lie inside
     /// its source patch.
-    pub fn from_sources(patches: &[Region], sources: &[usize], regions: &[Region]) -> CopyPlan {
+    pub(crate) fn from_sources(
+        patches: &[Region],
+        sources: &[usize],
+        regions: &[Region],
+    ) -> CopyPlan {
         assert_eq!(sources.len(), regions.len(), "one source patch per region");
         let mut plan = CopyPlan::default();
         // At most one block per region and index of its leading axes.
@@ -199,7 +203,7 @@ impl CopyPlan {
     /// Packs the planned elements into `out` (cleared first) with straight
     /// `extend_from_slice` runs — no per-region allocation, no index
     /// arithmetic beyond the precompiled offsets.
-    pub fn pack_into<T: Copy>(&self, local: &LocalArray<T>, out: &mut Vec<T>) {
+    pub(crate) fn pack_into<T: Copy>(&self, local: &LocalArray<T>, out: &mut Vec<T>) {
         self.pack_range_into(local, out, 0, self.total);
     }
 
@@ -249,7 +253,7 @@ impl CopyPlan {
 
     /// Unpacks a packed per-peer buffer into local storage with straight
     /// `copy_from_slice` runs.
-    pub fn unpack_from<T: Copy>(&self, local: &mut LocalArray<T>, data: &[T]) {
+    pub(crate) fn unpack_from<T: Copy>(&self, local: &mut LocalArray<T>, data: &[T]) {
         assert_eq!(data.len(), self.total, "packed buffer length mismatch");
         self.unpack_range_from(local, data, 0, self.total);
     }
@@ -295,7 +299,7 @@ impl<T> TransferBuffers<T> {
     /// An empty pool keeping at most `max_free` idle buffers (recycling
     /// beyond that drops the buffer, bounding memory in one-directional
     /// flows where receives outnumber sends).
-    pub fn with_max_free(max_free: usize) -> Self {
+    pub(crate) fn with_max_free(max_free: usize) -> Self {
         Self::with_byte_cap(max_free, usize::MAX)
     }
 

@@ -23,7 +23,7 @@
 //!   trace events (`ServeConn`/`ServeBatch`/`ServeOverload`/`ServePark`),
 //!   so a plane run is observable with the same tooling as a collective.
 //! * [`wire_front::WireFront`] exposes a plane to real client processes
-//!   over one Unix-domain-socket listener via [`mxn_wire::mux`].
+//!   over one Unix-domain-socket listener via [`mxn_wire::MuxServer`].
 //!
 //! In-process quickstart:
 //!
@@ -54,9 +54,11 @@
 //! assert_eq!(stats.totals().replies, 1);
 //! ```
 
-pub mod backend;
-pub mod plane;
-pub mod wire_front;
+#![warn(unreachable_pub)]
+
+mod backend;
+mod plane;
+mod wire_front;
 
 #[doc(hidden)]
 pub use backend::BatchReply;

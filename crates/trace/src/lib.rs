@@ -32,6 +32,8 @@
 //! [`TraceCollector`] drains every rank buffer into a merged [`RunTrace`]
 //! ordered by `(rank, seq)`.
 
+#![warn(unreachable_pub)]
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -288,7 +290,7 @@ impl EventId {
     }
 
     /// Reverses the stable numeric id.
-    pub fn from_u16(v: u16) -> Option<EventId> {
+    pub(crate) fn from_u16(v: u16) -> Option<EventId> {
         ALL_EVENT_IDS.iter().copied().find(|id| *id as u16 == v)
     }
 
@@ -312,7 +314,7 @@ impl EventId {
     /// depend on OS thread scheduling across free-running clients.
     /// They are still recorded, merged, exported and aggregated — they just
     /// never participate in golden digests, exactly like `wall_us`.
-    pub fn in_digest(self) -> bool {
+    pub(crate) fn in_digest(self) -> bool {
         !matches!(
             self,
             EventId::CollClone
@@ -386,7 +388,7 @@ static ACTIVE_COLLECTORS: AtomicUsize = AtomicUsize::new(0);
 /// True while at least one [`TraceCollector`] is live. This is the cheap
 /// check: one relaxed atomic load and a branch.
 #[inline(always)]
-pub fn tracing_enabled() -> bool {
+pub(crate) fn tracing_enabled() -> bool {
     TRACING_ENABLED.load(Ordering::Relaxed)
 }
 
@@ -781,7 +783,7 @@ impl RunTrace {
     /// attribution, wildcard matches, timeout polls) can neither appear in
     /// the bytes nor shift the logical clocks of the events that do.
     /// Identical seeds therefore produce identical bytes on any machine.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
+    pub(crate) fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.events.len() * 39);
         out.extend_from_slice(b"MXNTRACE1");
         out.extend_from_slice(&(self.nranks as u32).to_le_bytes());
@@ -798,7 +800,7 @@ impl RunTrace {
         out
     }
 
-    /// FNV-1a digest of [`Self::canonical_bytes`]. Deterministic runs must
+    /// FNV-1a digest of the canonical event bytes. Deterministic runs must
     /// produce identical digests — the golden-trace axiom.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;

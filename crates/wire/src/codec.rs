@@ -372,7 +372,7 @@ impl CodecRegistry {
     /// Appends the encoding of a type-erased payload to `out` and returns
     /// its tag, or returns `None` having written nothing if the concrete
     /// type was never registered.
-    pub fn encode_any_into(&self, value: &dyn Any, out: &mut Vec<u8>) -> Option<u32> {
+    pub(crate) fn encode_any_into(&self, value: &dyn Any, out: &mut Vec<u8>) -> Option<u32> {
         let (tag, enc) = self.by_type.get(&value.type_id())?;
         let matched = enc(value, out);
         debug_assert!(matched, "TypeId lookup and downcast must agree");
@@ -380,18 +380,22 @@ impl CodecRegistry {
     }
 
     /// Decodes payload bytes under `tag` back into a type-erased box.
-    pub fn decode_any(&self, tag: u32, bytes: &[u8]) -> Result<Box<dyn Any + Send>, CodecError> {
+    pub(crate) fn decode_any(
+        &self,
+        tag: u32,
+        bytes: &[u8],
+    ) -> Result<Box<dyn Any + Send>, CodecError> {
         let dec = self.by_tag.get(&tag).ok_or(CodecError::BadTag { tag })?;
         dec(bytes)
     }
 
     /// The wire tag `T` is registered under, if any.
-    pub fn tag_of<T: Any>(&self) -> Option<u32> {
+    pub(crate) fn tag_of<T: Any>(&self) -> Option<u32> {
         self.by_type.get(&TypeId::of::<T>()).map(|(tag, _)| *tag)
     }
 
     /// The wire tag `value`'s type is registered under, if any.
-    pub fn tag_of_value(&self, value: &dyn Any) -> Option<u32> {
+    pub(crate) fn tag_of_value(&self, value: &dyn Any) -> Option<u32> {
         self.by_type.get(&value.type_id()).map(|(tag, _)| *tag)
     }
 

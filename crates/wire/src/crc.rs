@@ -240,7 +240,7 @@ fn sse42_one(reg: u32, bytes: &[u8]) -> u32 {
 
 /// Shortest input [`crc32_continue`] folds: below it the three chains are
 /// as fast, and the fold's setup and 256-byte flush are not paid.
-pub const FOLD_MIN: usize = 1024;
+pub(crate) const FOLD_MIN: usize = 1024;
 
 /// Bytes the fold's four 512-bit accumulators cover: one block.
 const FOLD_BLOCK: usize = 256;

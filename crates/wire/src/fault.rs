@@ -5,10 +5,13 @@
 //! the encoded *frame*: a dropped frame models a lost packet, a flipped
 //! bit models line noise the CRCs must catch, a delay models congestion.
 //! The decision function is the same stateless seeded-hash design as the
-//! in-proc plane (reusing its [`splitmix64`]/[`unit`](fn@unit) mixers), so the
-//! `MXN_FAULT_SEED` × `MXN_FAULT_KIND` CI matrix drives both transports
-//! with the same environment variables — and the same seed replays the
-//! same byte-level damage.
+//! in-proc plane (reusing its [`splitmix64`]/[`unit`](fn@unit) mixers), so
+//! the same seed replays the same byte-level damage. Nothing reads the
+//! environment: a node injects faults only when its
+//! [`WireConfig::faults`](crate::WireConfig::faults) says so, and the
+//! seeded link explorer (`tests/link_explorer.rs`) draws a `WireFaults`
+//! per schedule. The `MXN_FAULT_SEED` × `MXN_FAULT_KIND` matrix drives
+//! only the in-proc plane.
 //!
 //! Decisions are keyed on a per-link *send-attempt* counter rather than
 //! the frame's sequence number: a frame retransmitted by session resume
@@ -50,20 +53,6 @@ impl WireFaults {
     /// No faults.
     pub fn none() -> Self {
         WireFaults { seed: 0, drop: 0.0, corrupt: 0.0, delay: Duration::ZERO }
-    }
-
-    /// Reads the CI fault-matrix environment: `MXN_FAULT_SEED` (default 1)
-    /// picks the RNG stream and `MXN_FAULT_KIND` ∈ {`drop`, `corrupt`}
-    /// picks the failure class (anything else — including the in-proc-only
-    /// `death` — injects nothing at the frame layer).
-    pub fn from_env() -> Self {
-        let seed =
-            std::env::var("MXN_FAULT_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(1u64);
-        match std::env::var("MXN_FAULT_KIND").as_deref() {
-            Ok("drop") => WireFaults { seed, drop: 0.25, ..Self::none() },
-            Ok("corrupt") => WireFaults { seed, corrupt: 0.25, ..Self::none() },
-            _ => WireFaults { seed, ..Self::none() },
-        }
     }
 
     /// Whether any fault can ever fire.
@@ -137,8 +126,6 @@ mod tests {
 
     #[test]
     fn env_matrix_shapes() {
-        // from_env is driven by process-global env vars, so exercise the
-        // pure constructor equivalents instead of mutating the environment.
         let drop = WireFaults { seed: 9, drop: 0.25, ..WireFaults::none() };
         assert!(!drop.is_reliable());
         let none = WireFaults::none();

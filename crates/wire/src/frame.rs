@@ -64,7 +64,7 @@
 //! process with `process_vm_readv` into a vector of exactly that count and
 //! checks it as a landed body is checked. Which streams carry descriptors
 //! is decided by a probe, [`FrameKind::PullOffer`] answered by
-//! [`FrameKind::PullAccept`] (see [`crate::link`] and [`crate::node`]).
+//! [`FrameKind::PullAccept`] (see [`LinkSender`](crate::LinkSender) and [`WireNode`](crate::WireNode)).
 
 use std::io::{self, IoSliceMut, Read};
 use std::sync::Arc;

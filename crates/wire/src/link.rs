@@ -180,7 +180,7 @@ impl LinkSender {
     }
 
     /// Announces the cookie `cookie`, kept at address `at` in this process,
-    /// in every [`LinkSender::send_offer`].
+    /// in every pull offer it sends.
     pub fn offering(mut self, at: u64, cookie: u64) -> Self {
         self.offer = Some((at, cookie));
         self
@@ -195,7 +195,7 @@ impl LinkSender {
 
     /// Detaches the socket after an I/O failure; the ring keeps the
     /// unacknowledged tail for the next resume.
-    pub fn detach(&mut self) {
+    pub(crate) fn detach(&mut self) {
         self.stream = None;
         self.lends = false;
     }
@@ -224,7 +224,7 @@ impl LinkSender {
     }
 
     /// Whether a socket is currently attached.
-    pub fn is_connected(&self) -> bool {
+    pub(crate) fn is_connected(&self) -> bool {
         self.stream.is_some()
     }
 
@@ -334,7 +334,7 @@ impl LinkSender {
 
     /// Replays every retained data frame with `seq > last_recv` (session
     /// resume). Replays go through the fault plane with fresh draws.
-    pub fn resend_since(&mut self, last_recv: u64) -> io::Result<usize> {
+    pub(crate) fn resend_since(&mut self, last_recv: u64) -> io::Result<usize> {
         let pending: Vec<(u64, Arc<Retained>)> = self
             .ring
             .iter()
@@ -351,7 +351,7 @@ impl LinkSender {
     /// ack or progress fence proves it delivered them, so no resume or
     /// repair can ask for them again, and no pull can read a lent vector
     /// of theirs any more.
-    pub fn trim_through(&mut self, watermark: u64) {
+    pub(crate) fn trim_through(&mut self, watermark: u64) {
         self.lent.retain(|&(seq, _)| seq > watermark);
         // Held frames are older than any in the ring: oldest first.
         let (covered, held): (Vec<_>, _) =
@@ -385,7 +385,7 @@ impl LinkSender {
 
     /// Announces where the peer's reader may find this process's cookie
     /// ([`FrameKind::PullOffer`]), if this sender has one to offer.
-    pub fn send_offer(&mut self) -> io::Result<()> {
+    pub(crate) fn send_offer(&mut self) -> io::Result<()> {
         match self.offer {
             Some((at, cookie)) => self.send_pair(FrameKind::PullOffer, at, cookie),
             None => Ok(()),
@@ -393,7 +393,7 @@ impl LinkSender {
     }
 
     /// Sends a control frame: unsequenced, unretained, never faulted.
-    pub fn send_control(&mut self, kind: FrameKind) -> io::Result<()> {
+    pub(crate) fn send_control(&mut self, kind: FrameKind) -> io::Result<()> {
         let frame = Frame::control(kind, self.src);
         self.write_clean(&frame.encode())
     }
@@ -401,7 +401,7 @@ impl LinkSender {
     /// Sends a control frame whose payload is the pair `(a, b)`: a `Hello`
     /// (session, highest data seq received) or a progress fence (fence
     /// seq, delivered watermark; fence seq 0 makes it an ack).
-    pub fn send_pair(&mut self, kind: FrameKind, a: u64, b: u64) -> io::Result<()> {
+    pub(crate) fn send_pair(&mut self, kind: FrameKind, a: u64, b: u64) -> io::Result<()> {
         let mut frame = Frame::control(kind, self.src);
         frame.payload = encode_value(&(a, b));
         self.write_clean(&frame.encode())
@@ -413,7 +413,7 @@ impl LinkSender {
     /// `last_recv_seq == 0`, and replaying the old occupant's frames at it
     /// would deliver another rank's traffic. Nor can the old occupant pull
     /// a lent vector any more, so those are reused too.
-    pub fn clear_ring(&mut self) {
+    pub(crate) fn clear_ring(&mut self) {
         while let Some((_, frame)) = self.pop_oldest() {
             self.recycle(frame);
         }

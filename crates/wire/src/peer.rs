@@ -332,7 +332,7 @@ impl Link {
     }
 
     /// Whether a write is owed.
-    pub fn owes(&self) -> bool {
+    pub(crate) fn owes(&self) -> bool {
         self.owed != Owed::default()
     }
 

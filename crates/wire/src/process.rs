@@ -13,19 +13,19 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// Environment variable carrying a worker's rank (presence ⇒ worker).
-pub const ENV_RANK: &str = "MXN_WIRE_RANK";
+pub(crate) const ENV_RANK: &str = "MXN_WIRE_RANK";
 /// Environment variable carrying the mesh size.
-pub const ENV_SIZE: &str = "MXN_WIRE_SIZE";
+pub(crate) const ENV_SIZE: &str = "MXN_WIRE_SIZE";
 /// Environment variable carrying the socket directory.
-pub const ENV_DIR: &str = "MXN_WIRE_DIR";
+pub(crate) const ENV_DIR: &str = "MXN_WIRE_DIR";
 /// Environment variable carrying the shared deterministic seed.
-pub const ENV_SEED: &str = "MXN_WIRE_SEED";
+pub(crate) const ENV_SEED: &str = "MXN_WIRE_SEED";
 /// Environment variable carrying the membership ceiling (`max_size`).
-pub const ENV_MAX: &str = "MXN_WIRE_MAX";
+pub(crate) const ENV_MAX: &str = "MXN_WIRE_MAX";
 /// Environment variable marking a spare process (set to `1`): a worker
 /// launched *after* the initial mesh, expected to join via the wire
 /// handshake instead of participating in startup connect.
-pub const ENV_SPARE: &str = "MXN_WIRE_SPARE";
+pub(crate) const ENV_SPARE: &str = "MXN_WIRE_SPARE";
 
 /// What a re-exec'd process is supposed to be.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -61,13 +61,11 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use mxn_runtime::splitmix64;
-use mxn_wire::codec::decode_value;
-use mxn_wire::crc32_continue;
-use mxn_wire::link::Conn;
 use mxn_wire::peer::{Action, Actions, Event, Link, Peer, Standing};
 use mxn_wire::{
-    Arrival, Descriptor, Frame, FrameError, FrameKind, FrameReader, LinkSender, PullError,
-    SpareValues, WireConfig, WireFaults, WireVerdict, DESCRIPTOR_CODEC, RING_BYTES, RING_FRAMES,
+    crc32_continue, decode_value, Arrival, Conn, Descriptor, Frame, FrameError, FrameKind,
+    FrameReader, LinkSender, PullError, SpareValues, WireConfig, WireFaults, WireVerdict,
+    DESCRIPTOR_CODEC, RING_BYTES, RING_FRAMES,
 };
 
 /// Seeds the sweep explores.

@@ -49,6 +49,8 @@
 //! });
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod feature_matrix;
 
 /// The MPI-like message-passing runtime (`mxn-runtime`).
