@@ -37,7 +37,7 @@ fn run_buffered(rule: MatchRule, iters: u64) -> Duration {
             Duration::ZERO
         } else {
             let ic = ctx.intercomm(0);
-            let mut im = Importer::new(&d, &d, 0, rule);
+            let mut im = Importer::new(&d, &d, 0);
             let mut dst: LocalArray<f64> = LocalArray::allocate(&d, 0);
             let start = Instant::now();
             for i in 0..iters {
@@ -78,7 +78,7 @@ fn bench(c: &mut Criterion) {
             Duration::ZERO
         } else {
             let ic = ctx.intercomm(0);
-            let mut im = Importer::new(&d, &d, 0, MatchRule::UpperBound);
+            let mut im = Importer::new(&d, &d, 0);
             let mut dst: LocalArray<f64> = LocalArray::allocate(&d, 0);
             // Ask for t=5 immediately: must wait ~5 producer steps.
             let start = Instant::now();

@@ -113,7 +113,7 @@ impl Autoscaler {
     /// Feeds one load sample; returns what to do. The decision is purely
     /// advisory — the policy's own size only changes via
     /// [`Autoscaler::record_scaled`].
-    pub fn observe(&mut self, sample: &LoadSample) -> ScaleDecision {
+    pub(crate) fn observe(&mut self, sample: &LoadSample) -> ScaleDecision {
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
             self.high_streak = 0;
@@ -143,9 +143,8 @@ impl Autoscaler {
     }
 
     /// Feeds one *measured* mailbox-depth gauge — the sample
-    /// `InterComm::sample_mailbox_gauge` (or any
-    /// [`mxn_runtime::WorldStats::queue_gauge`] reader) produces — instead
-    /// of a caller-invented [`LoadSample`]. The peak since the last sample
+    /// `InterComm::sample_mailbox_gauge` produces — instead of a
+    /// caller-invented [`LoadSample`]. The peak since the last sample
     /// is the queue-pressure signal (a backlog that built and drained
     /// between samples still counts).
     ///

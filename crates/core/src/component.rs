@@ -325,6 +325,6 @@ mod tests {
         let port: MxnPort = user.services.unwrap().get_port("coupler").unwrap();
         let dad = Dad::block(Extents::new([4]), &[1]).unwrap();
         port.write().register_allocated("x", dad, AccessMode::ReadWrite).unwrap();
-        assert_eq!(port.read().registry().names(), vec!["x".to_string()]);
+        assert!(port.read().registry().get("x").is_ok());
     }
 }

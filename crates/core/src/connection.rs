@@ -152,7 +152,7 @@ pub enum Direction {
 
 impl Direction {
     /// The peer side's direction.
-    pub fn opposite(&self) -> Direction {
+    pub(crate) fn opposite(&self) -> Direction {
         match self {
             Direction::Export => Direction::Import,
             Direction::Import => Direction::Export,
@@ -394,19 +394,9 @@ impl MxnConnection {
         })
     }
 
-    /// The coupled field's name on this side.
-    pub fn field(&self) -> &str {
-        &self.field
-    }
-
     /// This side's direction.
     pub fn direction(&self) -> Direction {
         self.direction
-    }
-
-    /// The connection's cadence.
-    pub fn kind(&self) -> ConnectionKind {
-        self.kind
     }
 
     /// `(data_ready calls, transfers executed)` so far.

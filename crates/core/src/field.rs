@@ -35,7 +35,7 @@ impl FieldEntry {
     }
 
     /// The allowed transfer directions.
-    pub fn access(&self) -> AccessMode {
+    pub(crate) fn access(&self) -> AccessMode {
         self.access
     }
 
@@ -64,14 +64,9 @@ impl FieldRegistry {
         FieldRegistry { rank, ..Self::default() }
     }
 
-    /// The rank this registry belongs to.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
     /// The schedule cache, with its transfer-buffer pool, that this rank's
     /// connections transfer through.
-    pub fn cache(&self) -> &ScheduleCache {
+    pub(crate) fn cache(&self) -> &ScheduleCache {
         &self.cache
     }
 
@@ -195,13 +190,6 @@ impl FieldRegistry {
         self.fields.get(name).ok_or_else(|| MxnError::FieldNotFound { field: name.to_string() })
     }
 
-    /// Registered field names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.fields.keys().cloned().collect();
-        v.sort();
-        v
-    }
-
     /// Checks a field may serve as a transfer *source*.
     pub(crate) fn check_exportable(&self, name: &str) -> Result<&FieldEntry> {
         let f = self.get(name)?;
@@ -239,7 +227,6 @@ mod tests {
         assert_eq!(data.read().len(), 8);
         let f = reg.get("temp").unwrap();
         assert_eq!(f.access(), AccessMode::ReadWrite);
-        assert_eq!(reg.names(), vec!["temp".to_string()]);
     }
 
     #[test]

@@ -78,22 +78,6 @@ impl ParticleField {
         self.cells.owner(&c)
     }
 
-    /// Adds a particle (must belong to this rank).
-    ///
-    /// # Panics
-    /// If the particle's position is owned by another rank.
-    pub fn insert(&mut self, p: Particle) {
-        assert_eq!(
-            self.owner_of(p.pos),
-            self.my_rank,
-            "particle {} at {:?} inserted on non-owning rank {}",
-            p.id,
-            p.pos,
-            self.my_rank
-        );
-        self.particles.push(p);
-    }
-
     /// Seeds particles deterministically across the whole domain; each
     /// rank keeps the ones it owns (collective-by-convention).
     pub fn seed_global(&mut self, count: usize) {
@@ -246,13 +230,6 @@ mod tests {
             })
             .sum();
         assert_eq!(total, 1000, "every particle seeded exactly once");
-    }
-
-    #[test]
-    #[should_panic(expected = "non-owning rank")]
-    fn insert_checks_ownership() {
-        let mut f = ParticleField::new([1.0, 1.0], cells(&[2, 2]), 0);
-        f.insert(Particle { id: 0, pos: [0.9, 0.9], value: 0.0 });
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl SteeringRegistry {
     }
 
     /// Registered parameter names, sorted.
-    pub fn names(&self) -> Vec<String> {
+    pub(crate) fn names(&self) -> Vec<String> {
         let mut v: Vec<String> = self.params.keys().cloned().collect();
         v.sort();
         v

@@ -57,7 +57,7 @@ pub enum AxisDist {
 
 impl AxisDist {
     /// Number of process-grid positions along this axis.
-    pub fn nprocs(&self) -> usize {
+    pub(crate) fn nprocs(&self) -> usize {
         match self {
             AxisDist::Collapsed => 1,
             AxisDist::Block { nprocs }
@@ -69,7 +69,7 @@ impl AxisDist {
     }
 
     /// Validates the distribution against an axis extent.
-    pub fn validate(&self, extent: usize) -> Result<(), String> {
+    pub(crate) fn validate(&self, extent: usize) -> Result<(), String> {
         match self {
             AxisDist::Collapsed => Ok(()),
             AxisDist::Block { nprocs } | AxisDist::Cyclic { nprocs } => {
@@ -121,7 +121,7 @@ impl AxisDist {
 
     /// Grid position owning global element `i` (of an axis with `extent`
     /// elements).
-    pub fn owner(&self, i: usize, extent: usize) -> usize {
+    pub(crate) fn owner(&self, i: usize, extent: usize) -> usize {
         debug_assert!(i < extent);
         match self {
             AxisDist::Collapsed => 0,
@@ -145,16 +145,8 @@ impl AxisDist {
         }
     }
 
-    /// The contiguous global runs `(start, len)` owned by grid position `q`,
-    /// in ascending order.
-    pub fn segments(&self, q: usize, extent: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        self.for_each_segment(q, extent, |start, len| out.push((start, len)));
-        out
-    }
-
-    /// [`Self::segments`] without the vector: `f(start, len)` for each run,
-    /// in ascending order.
+    /// Calls `f(start, len)` for each contiguous global run grid position
+    /// `q` owns, in ascending order.
     pub(crate) fn for_each_segment(
         &self,
         q: usize,
@@ -191,34 +183,10 @@ impl AxisDist {
     }
 
     /// Number of elements grid position `q` owns.
-    pub fn local_size(&self, q: usize, extent: usize) -> usize {
+    pub(crate) fn local_size(&self, q: usize, extent: usize) -> usize {
         let mut size = 0;
         self.for_each_segment(q, extent, |_, len| size += len);
         size
-    }
-
-    /// The grid positions whose owned segments overlap the half-open
-    /// interval `[lo, hi)`, each paired with its overlapping segments
-    /// `(start, len)` clipped to the interval, ascending by position (and
-    /// by start within a position). The candidates are found in closed form
-    /// or by scanning only the interval, never by probing every position.
-    pub fn overlaps(
-        &self,
-        lo: usize,
-        hi: usize,
-        extent: usize,
-    ) -> Vec<(usize, Vec<(usize, usize)>)> {
-        let mut pieces = Vec::new();
-        self.for_each_overlap(lo, hi, extent, |pos, start, len| pieces.push((pos, start, len)));
-        pieces.sort_unstable();
-        let mut out: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
-        for (pos, start, len) in pieces {
-            match out.last_mut() {
-                Some((q, segs)) if *q == pos => segs.push((start, len)),
-                _ => out.push((pos, vec![(start, len)])),
-            }
-        }
-        out
     }
 
     /// Calls `f(pos, start, len)` for every owned segment overlapping
@@ -288,7 +256,7 @@ impl AxisDist {
     /// Bytes this axis descriptor occupies — the compactness metric of
     /// experiment E8. Regular distributions are O(1); gen-block is O(P);
     /// implicit is O(extent).
-    pub fn descriptor_bytes(&self) -> usize {
+    pub(crate) fn descriptor_bytes(&self) -> usize {
         use std::mem::size_of;
         match self {
             AxisDist::Collapsed => size_of::<u8>(),
@@ -305,6 +273,37 @@ impl AxisDist {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Vector-returning views of the two segment walks, for the oracles.
+    impl AxisDist {
+        /// The runs `(start, len)` owned by grid position `q`, ascending.
+        fn segments(&self, q: usize, extent: usize) -> Vec<(usize, usize)> {
+            let mut out = Vec::new();
+            self.for_each_segment(q, extent, |start, len| out.push((start, len)));
+            out
+        }
+
+        /// The positions overlapping `[lo, hi)`, each with its clipped
+        /// segments, ascending by position and by start within one.
+        fn overlaps(
+            &self,
+            lo: usize,
+            hi: usize,
+            extent: usize,
+        ) -> Vec<(usize, Vec<(usize, usize)>)> {
+            let mut pieces = Vec::new();
+            self.for_each_overlap(lo, hi, extent, |pos, start, len| pieces.push((pos, start, len)));
+            pieces.sort_unstable();
+            let mut out: Vec<(usize, Vec<(usize, usize)>)> = Vec::new();
+            for (pos, start, len) in pieces {
+                match out.last_mut() {
+                    Some((q, segs)) if *q == pos => segs.push((start, len)),
+                    _ => out.push((pos, vec![(start, len)])),
+                }
+            }
+            out
+        }
+    }
 
     fn check_partition(dist: &AxisDist, extent: usize) {
         dist.validate(extent).unwrap();

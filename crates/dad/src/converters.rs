@@ -91,11 +91,6 @@ impl ConverterRegistry {
         }
     }
 
-    /// The packages known to the registry.
-    pub fn packages(&self) -> &[SyntheticPackage] {
-        &self.packages
-    }
-
     /// Number of converter implementations this strategy requires for the
     /// registry's package count — the paper's 2N-vs-N² argument.
     pub fn converter_count(&self) -> usize {

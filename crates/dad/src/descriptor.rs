@@ -96,7 +96,7 @@ impl Dad {
     }
 
     /// The underlying distribution.
-    pub fn distribution(&self) -> &Distribution {
+    pub(crate) fn distribution(&self) -> &Distribution {
         &self.dist
     }
 

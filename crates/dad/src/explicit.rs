@@ -66,12 +66,12 @@ impl ExplicitDist {
     }
 
     /// Template extents.
-    pub fn extents(&self) -> &Extents {
+    pub(crate) fn extents(&self) -> &Extents {
         &self.extents
     }
 
     /// Number of ranks.
-    pub fn nranks(&self) -> usize {
+    pub(crate) fn nranks(&self) -> usize {
         self.nranks
     }
 
@@ -82,7 +82,7 @@ impl ExplicitDist {
 
     /// Rank owning `idx` (linear scan over patches; explicit distributions
     /// trade query cost for total flexibility — exactly the E8 trade-off).
-    pub fn owner(&self, idx: &[usize]) -> usize {
+    pub(crate) fn owner(&self, idx: &[usize]) -> usize {
         self.patches
             .iter()
             .find(|(p, _)| p.contains(idx))
@@ -91,17 +91,17 @@ impl ExplicitDist {
     }
 
     /// The patches owned by `rank`, in insertion order.
-    pub fn patches(&self, rank: usize) -> Vec<Region> {
+    pub(crate) fn patches(&self, rank: usize) -> Vec<Region> {
         self.patches.iter().filter(|&&(_, o)| o == rank).map(|(p, _)| p.clone()).collect()
     }
 
     /// Number of elements owned by `rank`.
-    pub fn local_size(&self, rank: usize) -> usize {
+    pub(crate) fn local_size(&self, rank: usize) -> usize {
         self.patches.iter().filter(|&&(_, o)| o == rank).map(|(p, _)| p.len()).sum()
     }
 
     /// Descriptor size in bytes: two corners plus an owner per patch.
-    pub fn descriptor_bytes(&self) -> usize {
+    pub(crate) fn descriptor_bytes(&self) -> usize {
         let per_patch = (2 * self.extents.ndim() + 1) * std::mem::size_of::<usize>();
         self.patches.len() * per_patch
     }

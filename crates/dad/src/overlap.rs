@@ -97,7 +97,7 @@ pub enum OverlapIndex<'a> {
 impl<'a> OverlapIndex<'a> {
     /// Builds the index. O(1) for regular distributions; O(P log P + S·P̄)
     /// for explicit ones (P patches over S slabs).
-    pub fn new(dad: &'a Dad) -> OverlapIndex<'a> {
+    pub(crate) fn new(dad: &'a Dad) -> OverlapIndex<'a> {
         match dad.distribution() {
             Distribution::Regular(t) => OverlapIndex::Regular(t),
             Distribution::Explicit(e) => {

@@ -243,11 +243,6 @@ impl Region {
         }
     }
 
-    /// Per-axis sizes.
-    pub fn shape(&self) -> Vec<usize> {
-        self.lo().iter().zip(self.hi()).map(|(l, h)| h - l).collect()
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.lo().iter().zip(self.hi()).map(|(l, h)| h - l).product()
@@ -277,7 +272,7 @@ impl Region {
     }
 
     /// Do the two regions share any element?
-    pub fn overlaps(&self, other: &Region) -> bool {
+    pub(crate) fn overlaps(&self, other: &Region) -> bool {
         self.intersect(other).is_some()
     }
 
@@ -294,19 +289,6 @@ impl Region {
         assert!(self.contains(idx), "index {idx:?} outside region");
         let (lo, hi) = (self.lo(), self.hi());
         (0..lo.len()).fold(0, |off, d| off * (hi[d] - lo[d]) + (idx[d] - lo[d]))
-    }
-
-    /// Inverse of [`Region::local_offset`].
-    pub fn index_at(&self, mut off: usize) -> Vec<usize> {
-        assert!(off < self.len(), "offset out of bounds");
-        let (lo, hi) = (self.lo(), self.hi());
-        let mut idx = vec![0; lo.len()];
-        for d in (0..lo.len()).rev() {
-            let ext = hi[d] - lo[d];
-            idx[d] = lo[d] + off % ext;
-            off /= ext;
-        }
-        idx
     }
 }
 
@@ -338,6 +320,26 @@ pub(crate) type RegionIter = IndexIter;
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// Per-axis sizes and offset-to-index, for the oracles below.
+    impl Region {
+        fn shape(&self) -> Vec<usize> {
+            self.lo().iter().zip(self.hi()).map(|(l, h)| h - l).collect()
+        }
+
+        /// Inverse of [`Region::local_offset`].
+        fn index_at(&self, mut off: usize) -> Vec<usize> {
+            assert!(off < self.len(), "offset out of bounds");
+            let (lo, hi) = (self.lo(), self.hi());
+            let mut idx = vec![0; lo.len()];
+            for d in (0..lo.len()).rev() {
+                let ext = hi[d] - lo[d];
+                idx[d] = lo[d] + off % ext;
+                off /= ext;
+            }
+            idx
+        }
+    }
 
     /// The per-element walk the row walk replaced, kept as its oracle: a
     /// fresh index vector per step of an odometer over `[0, dims)`.

@@ -55,12 +55,12 @@ impl Template {
     }
 
     /// Per-axis distributions.
-    pub fn axes(&self) -> &[AxisDist] {
+    pub(crate) fn axes(&self) -> &[AxisDist] {
         &self.axes
     }
 
     /// Process-grid dimensions (one entry per axis).
-    pub fn grid(&self) -> Vec<usize> {
+    pub(crate) fn grid(&self) -> Vec<usize> {
         self.axes.iter().map(AxisDist::nprocs).collect()
     }
 
@@ -153,7 +153,7 @@ impl Template {
     }
 
     /// Descriptor size in bytes (compactness metric, experiment E8).
-    pub fn descriptor_bytes(&self) -> usize {
+    pub(crate) fn descriptor_bytes(&self) -> usize {
         self.extents.ndim() * std::mem::size_of::<usize>()
             + self.axes.iter().map(AxisDist::descriptor_bytes).sum::<usize>()
     }

@@ -48,18 +48,13 @@ impl AlltoallvSpec {
         AlltoallvSpec { counts: counts.to_vec(), displs }
     }
 
-    /// Per-peer element counts.
-    pub fn counts(&self) -> &[usize] {
-        &self.counts
-    }
-
     /// Number of peers the spec addresses.
     pub(crate) fn npeers(&self) -> usize {
         self.counts.len()
     }
 
     /// Verifies every chunk fits inside a buffer of `len` elements.
-    pub fn validate(&self, len: usize) -> Result<()> {
+    pub(crate) fn validate(&self, len: usize) -> Result<()> {
         for (p, (&c, &d)) in self.counts.iter().zip(&self.displs).enumerate() {
             if d + c > len {
                 return Err(RuntimeError::CollectiveMismatch {

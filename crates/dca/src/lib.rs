@@ -3,11 +3,13 @@
 //! The DCA framework of the paper's §4.3: a distributed CCA built directly
 //! on MPI idioms.
 //!
-//! * [`DcaPort`] and [`GeneratedStub`] — the stub-generator analogue: every port invocation carries
-//!   a participation communicator as an extra trailing argument, and the
-//!   stub inserts the delivery barrier exactly when a *proper subset* of
+//! * [`DcaPort`] — the glue the DCA stub generator emits, written as a
+//!   type instead of generated from SIDL: every port invocation carries a
+//!   participation communicator as an extra trailing argument, and the
+//!   port inserts the delivery barrier exactly when a *proper subset* of
 //!   the component's processes participates (the rule that fixes Figure 5;
-//!   all-participate calls skip it).
+//!   all-participate calls skip it). [`DcaPort::invocation`] builds the
+//!   call, so one-way methods are `.oneway()` on it.
 //! * [`AlltoallvSpec`] — user-specified redistribution with MPI-style count and
 //!   displacement arrays, intra-program (over `alltoallv`) and
 //!   cross-program, plus the "DAD as a layer on top of the DCA
@@ -19,11 +21,9 @@
 #![warn(unreachable_pub)]
 
 mod alltoall;
-mod generator;
 mod stub;
 
 pub use alltoall::{
     alltoallv_within, gather_from_remote, scatter_to_remote, spec_from_dads, AlltoallvSpec,
 };
-pub use generator::GeneratedStub;
 pub use stub::DcaPort;

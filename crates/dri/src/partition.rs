@@ -70,19 +70,9 @@ impl DriPartition {
         &self.dad
     }
 
-    /// The declared local memory layout.
-    pub fn layout(&self) -> LocalLayout {
-        self.layout
-    }
-
     /// Number of processes in the partition.
-    pub fn nprocs(&self) -> usize {
+    pub(crate) fn nprocs(&self) -> usize {
         self.dad.nranks()
-    }
-
-    /// Elements rank `p` stores locally.
-    pub fn local_size(&self, p: usize) -> usize {
-        self.dad.local_size(p)
     }
 
     /// Packs a sub-`region` of `local` into a buffer ordered per this
@@ -151,14 +141,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.nprocs(), 4);
-        assert_eq!(p.local_size(0), 32);
+        assert_eq!(p.dad().local_size(0), 32);
         let bc = DriPartition::new(
             &[16],
             &[DriDist::BlockCyclic { size: 2, n: 2 }],
             LocalLayout::ColMajor,
         )
         .unwrap();
-        assert_eq!(bc.local_size(0), 8);
+        assert_eq!(bc.dad().local_size(0), 8);
     }
 
     #[test]

@@ -33,9 +33,6 @@ pub enum ReorgPhase {
 /// partitions of the same dataset, within one communicator whose ranks
 /// cover both partitions (the DRI model: process groups of one job).
 pub struct DriReorg {
-    /// Kept for introspection and user-buffer helpers.
-    src: DriPartition,
-    dst: DriPartition,
     send: RegionSchedule,
     recv: RegionSchedule,
     send_cursor: usize,
@@ -64,7 +61,7 @@ impl DriReorg {
         }
         let send = RegionSchedule::for_sender(src.dad(), dst.dad(), my_rank);
         let recv = RegionSchedule::for_receiver(src.dad(), dst.dad(), my_rank);
-        Ok(DriReorg { src, dst, send, recv, send_cursor: 0, recv_cursor: 0, tag })
+        Ok(DriReorg { send, recv, send_cursor: 0, recv_cursor: 0, tag })
     }
 
     /// Progress of the outgoing direction.
@@ -85,16 +82,6 @@ impl DriReorg {
         }
     }
 
-    /// The source partition.
-    pub fn source(&self) -> &DriPartition {
-        &self.src
-    }
-
-    /// The destination partition.
-    pub fn destination(&self) -> &DriPartition {
-        &self.dst
-    }
-
     /// Both directions drained?
     pub fn is_complete(&self) -> bool {
         self.put_phase() == ReorgPhase::Complete && self.get_phase() == ReorgPhase::Complete
@@ -107,7 +94,7 @@ impl DriReorg {
         if let Some(pair) = self.send.pairs().get(self.send_cursor) {
             // Wire format is canonical (row-major per region), independent
             // of either side's *local* layout — layouts apply only at the
-            // user-buffer boundary (see DriPartition::import/export).
+            // user-buffer boundary (see DriPartition::pack/unpack).
             let mut chunk = Vec::new();
             self.send.pack_pair_into(self.send_cursor, send_buf, &mut chunk);
             comm.send(pair.peer, self.tag, chunk)?;

@@ -62,11 +62,6 @@ impl Framework {
         Ok(services)
     }
 
-    /// Instance names in registration order.
-    pub fn components(&self) -> Vec<String> {
-        self.inner.lock().components.clone()
-    }
-
     fn check_component(inner: &Inner, name: &str) -> Result<()> {
         if inner.components.iter().any(|c| c == name) {
             Ok(())
@@ -113,17 +108,6 @@ impl Framework {
         }
         inner.connections.insert(uses_key, (provider.to_string(), provides_port.to_string()));
         Ok(())
-    }
-
-    /// Severs a uses-port connection (BuilderService `disconnect`).
-    pub fn disconnect(&self, user: &str, uses_port: &str) -> Result<()> {
-        let mut inner = self.inner.lock();
-        inner.connections.remove(&(user.to_string(), uses_port.to_string())).map(|_| ()).ok_or_else(
-            || FrameworkError::NotConnected {
-                component: user.to_string(),
-                port: uses_port.to_string(),
-            },
-        )
     }
 
     fn go_handle(&self, component: &str) -> Result<Arc<dyn GoPort>> {
@@ -185,11 +169,6 @@ pub struct Services {
 }
 
 impl Services {
-    /// The owning component's instance name.
-    pub fn component(&self) -> &str {
-        &self.component
-    }
-
     /// Registers a provides port under `name` with SIDL type `port_type`.
     pub fn add_provides_port<T: Clone + Send + Sync + 'static>(
         &self,
@@ -236,11 +215,6 @@ impl Services {
             .get(&(prov_comp.clone(), prov_port.clone()))
             .expect("connection targets a registered provides port");
         provided.downcast::<T>(prov_port)
-    }
-
-    /// The framework this services handle belongs to.
-    pub fn framework(&self) -> &Framework {
-        &self.fw
     }
 }
 
@@ -323,12 +297,10 @@ mod tests {
     }
 
     #[test]
-    fn double_connect_rejected_and_disconnect_allows_rewire() {
+    fn double_connect_is_rejected() {
         let (fw, _services) = wired();
         let r = fw.connect("driver", "solver", "integrator", "integrator");
         assert!(matches!(r, Err(FrameworkError::AlreadyConnected { .. })));
-        fw.disconnect("driver", "solver").unwrap();
-        fw.connect("driver", "solver", "integrator", "integrator").unwrap();
     }
 
     #[test]

@@ -26,7 +26,6 @@ mod direct;
 mod error;
 mod port;
 mod remote;
-mod sidl;
 
 pub use direct::{Component, Framework, Services};
 pub use error::{FrameworkError, Result};
@@ -36,8 +35,4 @@ pub use remote::BatchService;
 pub use remote::{
     AnyPayload, CallPolicy, Dispatch, MethodNotFound, Overloaded, RemoteService, Replicator,
     ShedReason,
-};
-pub use sidl::{
-    parse_interface, ArgSpec, Intent, InterfaceSpec, InvocationMode, MethodSpec, SidlError,
-    SidlType,
 };

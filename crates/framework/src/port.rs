@@ -34,7 +34,7 @@ pub struct ProvidedPort {
 impl ProvidedPort {
     /// Wraps a concrete handle (commonly `Arc<dyn Trait>`; any `Clone +
     /// Send + Sync` value works) under a SIDL port type.
-    pub fn new<T: Clone + Send + Sync + 'static>(port_type: &str, handle: T) -> Self {
+    pub(crate) fn new<T: Clone + Send + Sync + 'static>(port_type: &str, handle: T) -> Self {
         ProvidedPort {
             port_type: port_type.to_string(),
             handle: Arc::new(handle),
@@ -48,7 +48,7 @@ impl ProvidedPort {
     }
 
     /// Recovers the handle as the Rust type it was registered with.
-    pub fn downcast<T: Clone + 'static>(&self, port_name: &str) -> Result<T> {
+    pub(crate) fn downcast<T: Clone + 'static>(&self, port_name: &str) -> Result<T> {
         self.handle.downcast_ref::<T>().cloned().ok_or(FrameworkError::PortDowncast {
             port: port_name.to_string(),
             requested: std::any::type_name::<T>(),

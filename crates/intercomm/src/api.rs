@@ -83,7 +83,6 @@ struct PendingRequest {
 
 /// The exporting side of one coupled field, per rank.
 pub struct Exporter {
-    dad: Dad,
     rule: MatchRule,
     /// `(timestamp, snapshot)`, ascending time, bounded length.
     buffer: VecDeque<(f64, LocalArray<f64>)>,
@@ -91,21 +90,19 @@ pub struct Exporter {
     frontier: f64,
     pending: Vec<PendingRequest>,
     schedule: RegionSchedule,
-    peer_dad: Dad,
     stats: ExportStats,
 }
 
 impl Exporter {
     /// Creates an exporter for a field distributed as `dad` on this side
     /// and as `peer_dad` on the importing side, keeping at most `capacity`
-    /// buffered versions. The `rule` must equal the importers' rule.
+    /// buffered versions. The `rule` decides which version answers each
+    /// import request.
     pub fn new(dad: Dad, peer_dad: Dad, my_rank: usize, rule: MatchRule, capacity: usize) -> Self {
         assert!(capacity > 0, "version buffer needs capacity");
         assert!(dad.conforms(&peer_dad), "export/import descriptors must conform");
         Exporter {
             schedule: RegionSchedule::for_sender(&dad, &peer_dad, my_rank),
-            dad,
-            peer_dad,
             rule,
             buffer: VecDeque::new(),
             capacity,
@@ -199,48 +196,18 @@ impl Exporter {
         self.pending = remaining;
         Ok(())
     }
-
-    /// The export-side descriptor.
-    pub fn dad(&self) -> &Dad {
-        &self.dad
-    }
-
-    /// The import-side descriptor.
-    pub fn peer_dad(&self) -> &Dad {
-        &self.peer_dad
-    }
-
-    /// The rank this exporter serves.
-    pub fn rank(&self) -> usize {
-        self.schedule.rank()
-    }
 }
 
 /// The importing side of one coupled field, per rank.
 pub struct Importer {
     schedule: RegionSchedule,
-    rule: MatchRule,
-    imports: u64,
 }
 
 impl Importer {
     /// Creates an importer; `peer_dad` is the exporting side's descriptor.
-    pub fn new(dad: &Dad, peer_dad: &Dad, my_rank: usize, rule: MatchRule) -> Self {
-        Importer {
-            schedule: RegionSchedule::for_receiver(peer_dad, dad, my_rank),
-            rule,
-            imports: 0,
-        }
-    }
-
-    /// The matching rule in force.
-    pub fn rule(&self) -> MatchRule {
-        self.rule
-    }
-
-    /// Number of import calls made.
-    pub fn imports(&self) -> u64 {
-        self.imports
+    /// The exporters' [`MatchRule`] decides what each import receives.
+    pub fn new(dad: &Dad, peer_dad: &Dad, my_rank: usize) -> Self {
+        Importer { schedule: RegionSchedule::for_receiver(peer_dad, dad, my_rank) }
     }
 
     /// Requests the version matching time `t`; blocks until the rule
@@ -251,7 +218,6 @@ impl Importer {
         t: f64,
         dst: &mut LocalArray<f64>,
     ) -> Result<ImportOutcome> {
-        self.imports += 1;
         // Ask every exporter rank (each buffers only its own portion).
         for x in 0..ic.remote_size() {
             ic.send(x, IMP_REQ_TAG, ImportReq { t })?;
@@ -319,7 +285,7 @@ mod tests {
             } else {
                 let ic = ctx.intercomm(0);
                 let rank = ctx.comm.rank();
-                let mut im = Importer::new(&md, &xd, rank, rule);
+                let mut im = Importer::new(&md, &xd, rank);
                 let mut dst: LocalArray<f64> = LocalArray::allocate(&md, rank);
                 // Request 2.5 → version 2.0.
                 let out = im.import(ic, 2.5, &mut dst).unwrap();
@@ -350,7 +316,7 @@ mod tests {
                 assert_eq!(ex.stats().transfers, 1);
             } else {
                 let ic = ctx.intercomm(0);
-                let mut im = Importer::new(&dad, &dad, 0, MatchRule::Exact);
+                let mut im = Importer::new(&dad, &dad, 0);
                 let mut dst: LocalArray<f64> = LocalArray::allocate(&dad, 0);
                 assert_eq!(
                     im.import(ic, 2.0, &mut dst).unwrap(),
@@ -388,7 +354,7 @@ mod tests {
                 ex.serve_until_answered(ic, 1).unwrap();
             } else {
                 let ic = ctx.intercomm(0);
-                let mut im = Importer::new(&dad, &dad, 0, rule);
+                let mut im = Importer::new(&dad, &dad, 0);
                 let mut dst: LocalArray<f64> = LocalArray::allocate(&dad, 0);
                 let out = im.import(ic, 3.0, &mut dst).unwrap();
                 assert_eq!(out, ImportOutcome::Fulfilled { version: 3.0 });
@@ -418,7 +384,7 @@ mod tests {
                 assert!(ex.stats().evictions >= 3);
             } else {
                 let ic = ctx.intercomm(0);
-                let mut im = Importer::new(&dad, &dad, 0, rule);
+                let mut im = Importer::new(&dad, &dad, 0);
                 let mut dst: LocalArray<f64> = LocalArray::allocate(&dad, 0);
                 ic.recv::<()>(0, 0x70).unwrap();
                 // Version 1.0 was evicted (buffer holds 3.0, 4.0).
@@ -444,7 +410,7 @@ mod tests {
                 ex.serve_until_answered(ic, 3).unwrap();
             } else {
                 let ic = ctx.intercomm(0);
-                let mut im = Importer::new(&dad, &dad, 0, rule);
+                let mut im = Importer::new(&dad, &dad, 0);
                 let mut dst: LocalArray<f64> = LocalArray::allocate(&dad, 0);
                 for (treq, want) in [(1.0, 0.0), (3.7, 2.0), (5.9, 4.0)] {
                     let out = im.import(ic, treq, &mut dst).unwrap();

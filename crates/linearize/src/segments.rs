@@ -15,7 +15,7 @@ pub struct SegmentList {
 
 impl SegmentList {
     /// An empty list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SegmentList::default()
     }
 
@@ -98,11 +98,6 @@ impl SegmentList {
     /// Iterates every covered position in ascending order.
     pub fn positions(&self) -> impl Iterator<Item = usize> + '_ {
         self.runs.iter().flat_map(|&(s, l)| s..s + l)
-    }
-
-    /// Memory footprint of the list itself (descriptor-size metric).
-    pub fn descriptor_bytes(&self) -> usize {
-        self.runs.len() * std::mem::size_of::<(usize, usize)>()
     }
 }
 

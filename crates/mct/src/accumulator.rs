@@ -36,11 +36,6 @@ impl Accumulator {
         Accumulator { running: AttrVect::new(&names, &[], length), actions, steps: 0 }
     }
 
-    /// Number of accumulated steps since the last reset.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
     /// Accumulates one time-step of data (fields not in the register are
     /// ignored; registered fields must be present in `av`).
     pub fn accumulate(&mut self, av: &AttrVect) {
@@ -77,7 +72,7 @@ impl Accumulator {
     }
 
     /// Zeroes the register.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.running.zero();
         self.steps = 0;
     }
@@ -101,14 +96,14 @@ mod tests {
         for step in 1..=4 {
             acc.accumulate(&step_av(step as f64));
         }
-        assert_eq!(acc.steps(), 4);
+        assert_eq!(acc.steps, 4);
         let out = acc.retrieve();
         // Average of 1..4 = 2.5 per unit.
         assert_eq!(out.real("state"), &[2.5, 5.0, 7.5]);
         // Sum of four unit fluxes.
         assert_eq!(out.real("flux"), &[4.0, 4.0, 4.0]);
         // Register reset after retrieve.
-        assert_eq!(acc.steps(), 0);
+        assert_eq!(acc.steps, 0);
     }
 
     #[test]

@@ -95,21 +95,12 @@ impl AttrVect {
     }
 
     /// Zeroes every field.
-    pub fn zero(&mut self) {
+    pub(crate) fn zero(&mut self) {
         for f in &mut self.reals {
             f.fill(0.0);
         }
         for f in &mut self.ints {
             f.fill(0);
-        }
-    }
-
-    /// Scales every real field by `s`.
-    pub fn scale(&mut self, s: f64) {
-        for f in &mut self.reals {
-            for v in f {
-                *v *= s;
-            }
         }
     }
 
@@ -169,11 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_and_scale() {
+    fn zero_clears_the_reals() {
         let mut a = av();
         a.real_mut("temp").copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        a.scale(2.0);
-        assert_eq!(a.real("temp"), &[2.0, 4.0, 6.0, 8.0]);
         a.zero();
         assert!(a.real("temp").iter().all(|&v| v == 0.0));
     }

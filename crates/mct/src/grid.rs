@@ -28,7 +28,7 @@ impl GeneralGrid {
     ///
     /// # Panics
     /// If lengths disagree.
-    pub fn new(coords: Vec<Vec<f64>>, weights: Vec<f64>) -> Self {
+    pub(crate) fn new(coords: Vec<Vec<f64>>, weights: Vec<f64>) -> Self {
         let npoints = weights.len();
         for (d, c) in coords.iter().enumerate() {
             assert_eq!(c.len(), npoints, "coordinate axis {d} length mismatch");
@@ -50,30 +50,10 @@ impl GeneralGrid {
         self.npoints
     }
 
-    /// Number of coordinate dimensions.
-    pub fn ndim(&self) -> usize {
-        self.coords.len()
-    }
-
-    /// Coordinate axis `d`.
-    pub fn coord(&self, d: usize) -> &[f64] {
-        &self.coords[d]
-    }
-
-    /// Cell weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
     /// Adds (or replaces) a named mask; nonzero entries are active.
     pub fn set_mask(&mut self, name: &str, mask: Vec<i64>) {
         assert_eq!(mask.len(), self.npoints, "mask length mismatch");
         self.masks.insert(name.to_string(), mask);
-    }
-
-    /// A named mask, if present.
-    pub fn mask(&self, name: &str) -> Option<&[i64]> {
-        self.masks.get(name).map(Vec::as_slice)
     }
 
     /// The effective weight of point `p` under an optional mask: zero for
@@ -94,19 +74,19 @@ mod tests {
     fn uniform_grid_geometry() {
         let g = GeneralGrid::uniform_1d(4, 0.0, 2.0);
         assert_eq!(g.npoints(), 4);
-        assert_eq!(g.ndim(), 1);
-        assert_eq!(g.coord(0), &[0.25, 0.75, 1.25, 1.75]);
-        assert_eq!(g.weights(), &[0.5; 4]);
-        assert_eq!(g.weights().iter().sum::<f64>(), 2.0, "weights cover the domain");
+        assert_eq!(g.coords.len(), 1);
+        assert_eq!(g.coords[0], [0.25, 0.75, 1.25, 1.75]);
+        assert_eq!(g.weights, [0.5; 4]);
+        assert_eq!(g.weights.iter().sum::<f64>(), 2.0, "weights cover the domain");
     }
 
     #[test]
     fn unstructured_2d_grid() {
         let g =
             GeneralGrid::new(vec![vec![0.0, 1.0, 0.5], vec![0.0, 0.0, 1.0]], vec![0.3, 0.3, 0.4]);
-        assert_eq!(g.ndim(), 2);
+        assert_eq!(g.coords.len(), 2);
         assert_eq!(g.npoints(), 3);
-        assert_eq!(g.coord(1)[2], 1.0);
+        assert_eq!(g.coords[1][2], 1.0);
     }
 
     #[test]
@@ -118,8 +98,8 @@ mod tests {
         assert_eq!(g.masked_weight(1, None), 1.0);
         // Unknown mask name behaves as unmasked.
         assert_eq!(g.masked_weight(1, Some("ice")), 1.0);
-        assert!(g.mask("ocean").is_some());
-        assert!(g.mask("ice").is_none());
+        assert!(g.masks.contains_key("ocean"));
+        assert!(!g.masks.contains_key("ice"));
     }
 
     #[test]

@@ -74,7 +74,8 @@ impl GlobalSegMap {
 
     /// Round-robin decomposition in runs of `chunk` points — produces the
     /// many-segment maps that stress routers.
-    pub fn cyclic(gsize: usize, nranks: usize, chunk: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn cyclic(gsize: usize, nranks: usize, chunk: usize) -> Self {
         assert!(chunk > 0);
         let mut segments = Vec::new();
         let mut start = 0;
@@ -89,18 +90,13 @@ impl GlobalSegMap {
     }
 
     /// Total grid points.
-    pub fn gsize(&self) -> usize {
+    pub(crate) fn gsize(&self) -> usize {
         self.gsize
     }
 
     /// Ranks in the component.
-    pub fn nranks(&self) -> usize {
+    pub(crate) fn nranks(&self) -> usize {
         self.nranks
-    }
-
-    /// All segments (unsorted, as given).
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
     }
 
     /// The segments owned by `rank`, in ascending start order.

@@ -19,7 +19,6 @@
 //!   integrals for flux conservation across inter-grid interpolation.
 //! * [`Accumulator`] — time-averaging registers for components that do not
 //!   share a time-step.
-//! * [`merge()`] — blending of state/flux data from multiple sources.
 
 #![warn(unreachable_pub)]
 
@@ -28,7 +27,6 @@ mod attrvect;
 mod grid;
 mod gsmap;
 mod integrals;
-mod merge;
 mod registry;
 mod remap;
 mod router;
@@ -39,7 +37,7 @@ pub use attrvect::AttrVect;
 pub use grid::GeneralGrid;
 pub use gsmap::{GlobalSegMap, Segment};
 pub use integrals::{global_integral, paired_integral, PairedIntegral};
-pub use merge::{merge, MergeSource};
+
 pub use registry::ModelRegistry;
 pub use remap::{conservative_remap_1d, CellGrid1d};
 pub use router::{Rearranger, Router, RouterPair};

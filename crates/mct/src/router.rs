@@ -65,11 +65,6 @@ impl Router {
         Ok(Router { pairs, my_lsize: my_map.lsize(my_comp_rank) })
     }
 
-    /// The per-peer plans.
-    pub fn pairs(&self) -> &[RouterPair] {
-        &self.pairs
-    }
-
     /// Sends `av`'s real fields to the peer component (MCT `MCT_Send`).
     pub fn send(&self, world: &Comm, av: &AttrVect, tag: i32) -> Result<()> {
         assert_eq!(av.lsize(), self.my_lsize, "attribute vector does not match the map");
@@ -254,8 +249,8 @@ mod tests {
             let b = GlobalSegMap::block(8, 1);
             if p.rank() == 0 {
                 let r = Router::new(&a, 0, &b, &reg, 2).unwrap();
-                assert_eq!(r.pairs().len(), 1);
-                assert_eq!(r.pairs().iter().map(|p| p.local_points.len()).sum::<usize>(), 8);
+                assert_eq!(r.pairs.len(), 1);
+                assert_eq!(r.pairs.iter().map(|p| p.local_points.len()).sum::<usize>(), 8);
             }
         });
     }

@@ -68,13 +68,8 @@ impl SparseMatrix {
     }
 
     /// Local elements.
-    pub fn elems(&self) -> &[SparseElem] {
+    pub(crate) fn elems(&self) -> &[SparseElem] {
         &self.elems
-    }
-
-    /// Number of local nonzeros.
-    pub fn lsize(&self) -> usize {
-        self.elems.len()
     }
 }
 
@@ -282,7 +277,7 @@ pub(crate) mod tests {
         for (_, s) in local_row_sums(&a) {
             assert!((s - 1.0).abs() < 1e-12);
         }
-        assert_eq!(a.lsize(), 8);
+        assert_eq!(a.elems().len(), 8);
     }
 
     #[test]

@@ -107,47 +107,6 @@ impl Filter for Clamp {
     }
 }
 
-/// Temporal interpolation between the previous coupling snapshot and the
-/// current one: `y = (1−w)·prev + w·x`. Stateful; not affine across calls.
-pub struct TemporalBlend {
-    weight: f64,
-    prev: parking_lot_like::Mutex<Option<Vec<f64>>>,
-}
-
-// A minimal internal mutex shim so this crate doesn't need parking_lot
-// just for one optional state cell.
-mod parking_lot_like {
-    pub(super) use std::sync::Mutex;
-}
-
-impl TemporalBlend {
-    /// Creates a blender with interpolation weight `w ∈ [0, 1]` toward the
-    /// newest data. The first application passes data through unchanged.
-    pub fn new(weight: f64) -> Self {
-        assert!((0.0..=1.0).contains(&weight), "weight must be in [0, 1]");
-        TemporalBlend { weight, prev: parking_lot_like::Mutex::new(None) }
-    }
-}
-
-impl Filter for TemporalBlend {
-    fn describe(&self) -> String {
-        format!("temporal_blend(w={})", self.weight)
-    }
-
-    fn apply(&self, data: &mut [f64]) {
-        let mut prev = self.prev.lock().expect("blend state lock");
-        match prev.as_ref() {
-            Some(p) if p.len() == data.len() => {
-                for (v, &old) in data.iter_mut().zip(p) {
-                    *v = (1.0 - self.weight) * old + self.weight * *v;
-                }
-            }
-            _ => {}
-        }
-        *prev = Some(data.to_vec());
-    }
-}
-
 /// Fuses a run of affine filters into a single affine filter:
 /// `(a₂, b₂) ∘ (a₁, b₁) = (a₂·a₁, a₂·b₁ + b₂)`.
 pub fn fuse_affine(coeffs: &[(f64, f64)]) -> UnitConversion {
@@ -194,22 +153,5 @@ mod tests {
         UnitConversion { scale: 3.0, offset: 4.0 }.apply(&mut a);
         fused.apply(&mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn temporal_blend_state() {
-        let f = TemporalBlend::new(0.25);
-        let mut v = vec![4.0];
-        f.apply(&mut v);
-        assert_eq!(v, vec![4.0], "first call passes through");
-        let mut v2 = vec![8.0];
-        f.apply(&mut v2);
-        assert_eq!(v2, vec![0.75 * 4.0 + 0.25 * 8.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight")]
-    fn blend_weight_validated() {
-        TemporalBlend::new(1.5);
     }
 }

@@ -7,7 +7,7 @@
 //! component" (the super-component rewrite).
 //!
 //! * [`Filter`] — in-place pointwise transformations (unit conversions,
-//!   scaling, clamping, temporal blending), with affine filters exposing
+//!   scaling, clamping), with affine filters exposing
 //!   coefficients for fusion.
 //! * [`Pipeline`] — staged pipelines over distributed fields, an optimizer
 //!   that fuses affine runs and collapses all redistributions into one,
@@ -18,5 +18,5 @@
 mod filter;
 mod pipeline;
 
-pub use filter::{fuse_affine, Clamp, Filter, Scale, TemporalBlend, UnitConversion};
+pub use filter::{fuse_affine, Clamp, Filter, Scale, UnitConversion};
 pub use pipeline::{Pipeline, Stage};

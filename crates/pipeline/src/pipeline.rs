@@ -69,18 +69,13 @@ impl Pipeline {
         self
     }
 
-    /// The stages, for introspection.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
-    }
-
     /// The input decomposition.
     pub fn input(&self) -> &Dad {
         &self.input
     }
 
     /// The output decomposition (last redistribution, or the input).
-    pub fn output(&self) -> &Dad {
+    pub(crate) fn output(&self) -> &Dad {
         self.stages
             .iter()
             .rev()

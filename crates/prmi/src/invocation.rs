@@ -246,7 +246,7 @@ impl Endpoint {
 
     /// The intercommunicator calls currently travel over: `ic` until the
     /// first heal, the latest survivor intercommunicator afterwards.
-    pub fn current<'b>(&'b self, ic: &'b InterComm) -> &'b InterComm {
+    pub(crate) fn current<'b>(&'b self, ic: &'b InterComm) -> &'b InterComm {
         self.healed.as_ref().unwrap_or(ic)
     }
 

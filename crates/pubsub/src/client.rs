@@ -26,7 +26,6 @@ impl Transform {
 pub struct Publisher {
     topic: String,
     dad: Dad,
-    my_rank: usize,
     /// Program-local rank that carries the commit flag (highest publisher
     /// rank, by convention).
     committer: bool,
@@ -38,7 +37,7 @@ impl Publisher {
     /// cohort.
     pub fn new(topic: &str, dad: Dad, my_rank: usize, nranks: usize) -> Self {
         assert!(my_rank < nranks);
-        Publisher { topic: topic.to_string(), dad, my_rank, committer: my_rank + 1 == nranks }
+        Publisher { topic: topic.to_string(), dad, committer: my_rank + 1 == nranks }
     }
 
     /// Publishes this rank's portion. Call on every cohort rank each step;
@@ -66,11 +65,6 @@ impl Publisher {
             )?;
         }
         Ok(())
-    }
-
-    /// This rank's index in the cohort.
-    pub fn rank(&self) -> usize {
-        self.my_rank
     }
 }
 

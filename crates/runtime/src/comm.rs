@@ -84,7 +84,7 @@ impl<K> Endpoint<K> {
     }
 
     /// The point-to-point context id.
-    pub fn context(&self) -> u32 {
+    pub(crate) fn context(&self) -> u32 {
         self.context
     }
 
@@ -384,23 +384,6 @@ impl Comm {
         &self.group
     }
 
-    /// The recovery view of this communicator: ULFM-style agree / shrink.
-    /// See [`crate::membership::Membership`].
-    pub fn membership(&self) -> crate::membership::Membership<'_> {
-        crate::membership::Membership::new(self)
-    }
-
-    /// Duplicates the communicator into a fresh context. Collective.
-    pub fn dup(&self) -> Result<Comm> {
-        let ctx = if self.rank == 0 {
-            let ctx = self.shared.allocate_context_pair();
-            self.bcast(0, Some(ctx))?
-        } else {
-            self.bcast::<u32>(0, None)?
-        };
-        Ok(Comm::from_parts(self.shared.clone(), self.group.clone(), self.rank, ctx))
-    }
-
     /// Splits the communicator by `color`, ordering members of each new
     /// communicator by `(key, old rank)`. A negative color opts out
     /// (returns `None`). Collective.
@@ -586,16 +569,16 @@ mod tests {
     }
 
     #[test]
-    fn dup_isolates_traffic() {
+    fn a_derived_comm_isolates_traffic() {
         World::run(2, |p| {
             let c = p.world();
-            let d = c.dup().unwrap();
+            let d = c.split(0, c.rank() as i64).unwrap().unwrap();
             assert_ne!(c.context(), d.context());
             if c.rank() == 0 {
                 c.send(1, 0, 1u8).unwrap();
                 d.send(1, 0, 2u8).unwrap();
             } else {
-                // Receive on the dup first: the world message must not match.
+                // Receive on the derived comm first: the world message must not match.
                 assert_eq!(d.recv::<u8>(0, 0).unwrap(), 2);
                 assert_eq!(c.recv::<u8>(0, 0).unwrap(), 1);
             }

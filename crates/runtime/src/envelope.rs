@@ -23,7 +23,7 @@ pub enum Src {
 
 impl Src {
     /// Does this pattern accept a message from `rank`?
-    pub fn matches(&self, rank: usize) -> bool {
+    pub(crate) fn matches(&self, rank: usize) -> bool {
         match self {
             Src::Rank(r) => *r == rank,
             Src::Any => true,
@@ -46,15 +46,7 @@ pub enum Tag {
     Any,
 }
 
-impl Tag {
-    /// Does this pattern accept a message with `tag`?
-    pub fn matches(&self, tag: i32) -> bool {
-        match self {
-            Tag::Value(t) => *t == tag,
-            Tag::Any => true,
-        }
-    }
-}
+impl Tag {}
 
 impl From<i32> for Tag {
     fn from(t: i32) -> Self {
@@ -106,14 +98,6 @@ impl Payload {
                     Err(arc) => (Box::new((*arc).clone()), true),
                 }
             },
-        }
-    }
-
-    /// Is the contained value of type `T`?
-    pub fn is<T: Any>(&self) -> bool {
-        match self {
-            Payload::Owned(b) => b.is::<T>(),
-            Payload::Shared { value, .. } => (**value).is::<T>(),
         }
     }
 
@@ -271,11 +255,6 @@ impl Envelope {
     pub fn corrupt(&mut self) {
         self.checksum ^= 0xdead_beef_dead_beef;
     }
-
-    /// Does this envelope match the given (context, src, tag) patterns?
-    pub fn matches(&self, context: u32, src: Src, tag: Tag) -> bool {
-        self.context == context && src.matches(self.src_local) && tag.matches(self.tag)
-    }
 }
 
 /// Metadata about a matched but not yet received message, as returned by
@@ -307,21 +286,8 @@ mod tests {
     }
 
     #[test]
-    fn tag_matching() {
-        assert!(Tag::Any.matches(-1));
-        assert!(Tag::Value(7).matches(7));
-        assert!(!Tag::Value(7).matches(8));
+    fn tag_converts_from_i32() {
         assert_eq!(Tag::from(9), Tag::Value(9));
-    }
-
-    #[test]
-    fn envelope_matches_all_three_fields() {
-        let e = env(2, 10, 5);
-        assert!(e.matches(10, Src::Rank(2), Tag::Value(5)));
-        assert!(e.matches(10, Src::Any, Tag::Any));
-        assert!(!e.matches(11, Src::Any, Tag::Any), "wrong context");
-        assert!(!e.matches(10, Src::Rank(1), Tag::Any), "wrong src");
-        assert!(!e.matches(10, Src::Any, Tag::Value(6)), "wrong tag");
     }
 
     #[test]
@@ -346,7 +312,6 @@ mod tests {
     #[test]
     fn owned_payload_roundtrips_without_clone() {
         let p = Payload::owned(vec![1u32, 2, 3]);
-        assert!(p.is::<Vec<u32>>());
         assert!(!matches!(p, Payload::Shared { .. }));
         let (v, cloned) = p.into_owned::<Vec<u32>>().unwrap();
         assert_eq!(v, vec![1, 2, 3]);
@@ -386,7 +351,8 @@ mod tests {
     fn payload_type_mismatch_returns_payload() {
         let p = Payload::shared(Arc::new(1u8));
         let p = p.into_owned::<u16>().unwrap_err();
-        assert!(p.is::<u8>(), "mismatch must hand the payload back intact");
+        let (v, _) = p.into_owned::<u8>().unwrap();
+        assert_eq!(v, 1, "mismatch must hand the payload back intact");
         assert!(Payload::owned(1u8).into_shared::<u16>().is_err());
     }
 

@@ -66,7 +66,7 @@ impl ChannelPolicy {
     }
 
     /// Whether this policy can ever inject a fault.
-    pub fn is_reliable(&self) -> bool {
+    pub(crate) fn is_reliable(&self) -> bool {
         self.drop == 0.0
             && self.duplicate == 0.0
             && self.corrupt == 0.0

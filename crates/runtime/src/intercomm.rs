@@ -119,22 +119,21 @@ impl InterComm {
     /// The world ranks of my own group, in local-rank order. Elastic
     /// reconfiguration (connection-level expand/contract) uses these as
     /// the member lists of the redistribution window.
-    pub fn local_group(&self) -> &[usize] {
+    pub(crate) fn local_group(&self) -> &[usize] {
         &self.kind.local_group
     }
 
     /// The world ranks of the remote group, in remote-rank order.
-    pub fn remote_group(&self) -> &[usize] {
+    pub(crate) fn remote_group(&self) -> &[usize] {
         &self.group
     }
 
     /// Takes one *measured* mailbox-depth sample for this rank: live bytes,
     /// the byte high-water mark since the previous sample, and the number
     /// of queued envelopes. The peak is reset as part of the read (so each
-    /// sample covers exactly the interval since the last), and the gauge is
-    /// published to [`crate::WorldStats::queue_gauge`] — this is
-    /// the sampling point autoscaling policies are meant to feed on,
-    /// replacing caller-invented synthetic load numbers.
+    /// sample covers exactly the interval since the last) — this is the
+    /// sampling point autoscaling policies are meant to feed on, replacing
+    /// caller-invented synthetic load numbers.
     pub fn sample_mailbox_gauge(&self) -> MailboxGauge {
         let mb = self.shared.mailbox(self.me);
         let gauge = MailboxGauge {
@@ -143,7 +142,6 @@ impl InterComm {
             depth_msgs: mb.len() as u64,
         };
         mb.reset_peak_bytes();
-        self.shared.stats().note_queue_gauge(&gauge);
         gauge
     }
 
@@ -177,7 +175,7 @@ impl InterComm {
     /// Fault-tolerant agreement across *both* groups: returns the bitwise
     /// AND of every surviving participant's `value`. Must be called by all
     /// survivors of both sides, in the same recovery order.
-    pub fn agree(&self, value: u64) -> Result<u64> {
+    pub(crate) fn agree(&self, value: u64) -> Result<u64> {
         self.decide(&self.union_sorted(), Rule::Value, value)
     }
 
@@ -263,7 +261,7 @@ impl InterComm {
     ///
     /// Returns `(None, report)` for a leaver, `(Some(ic), report)` for a
     /// member of the new epoch; `ic.recovery_seq` restarts at 0 for all.
-    pub fn reconfigure(
+    pub(crate) fn reconfigure(
         &self,
         new_local: Vec<usize>,
         new_remote: Vec<usize>,
@@ -334,8 +332,10 @@ impl InterComm {
 
     /// Grows the intercomm: appends `add_local` / `add_remote` (global
     /// ranks, each parked in [`InterComm::await_join_with_report`]) to the
-    /// two groups. Collective over every incumbent member; see
-    /// [`InterComm::reconfigure`] for the handshake and abort semantics.
+    /// two groups. Collective over every incumbent member. The sponsor
+    /// offers each newcomer its seat and everyone votes once: anything
+    /// short of a unanimous commit returns [`RuntimeError::ReconfigAborted`]
+    /// everywhere with the old intercomm untouched.
     pub fn expand(
         &self,
         add_local: &[usize],
@@ -768,6 +768,90 @@ mod tests {
                 assert_eq!(info.src, healed.local_rank());
                 assert_eq!(v, 2 * healed.local_rank() as u64, "old rank of the new sender");
             }
+        });
+    }
+
+    #[test]
+    fn agree_ands_votes_and_skips_the_dead() {
+        use crate::fault::FaultConfig;
+        let opts = RunOpts { faults: Some(FaultConfig::reliable(7)), ..RunOpts::default() };
+        let masks = World::run_opts(4, opts, |p| {
+            // Side 0 = ranks {0,1}, side 1 = ranks {2,3}; rank 0 dies.
+            let (_, ic) = InterComm::create(p.world(), usize::from(p.rank() >= 2)).unwrap();
+            if p.rank() == 0 {
+                p.kill_rank(0);
+                return 0;
+            }
+            ic.agree(if p.rank() == 1 { 0b110 } else { 0b111 }).unwrap()
+        })
+        .results;
+        assert_eq!(masks[1..], [0b110; 3], "all survivors agree on the AND of survivor votes");
+    }
+
+    #[test]
+    fn a_late_vote_does_not_poison_the_agreement_64_instances_later() {
+        // Rank 1's first vote lands after rank 0's 150 ms deadline, so it
+        // waits in rank 0's mailbox on a tag that agreement #64 reuses.
+        let decided = World::run(2, |p| {
+            let (_, ic) = InterComm::create(p.world(), p.rank()).unwrap();
+            if p.rank() == 1 {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+            ic.agree(if p.rank() == 1 { 0 } else { u64::MAX }).unwrap();
+            for _ in 1..64 {
+                ic.agree(u64::MAX).unwrap();
+            }
+            ic.agree(u64::MAX).unwrap()
+        });
+        assert_eq!(decided, vec![u64::MAX; 2], "agreement #64 read #0's late vote");
+    }
+
+    #[test]
+    fn membership_above_64_ranks_is_a_typed_error_on_every_rank() {
+        let errors = World::run(65, |p| {
+            let (_, ic) = InterComm::create(p.world(), usize::from(p.rank() >= 64)).unwrap();
+            let shrink = ic.shrink_with_report().expect_err("65 ranks cannot shrink");
+            [ic.agree(1).unwrap_err(), shrink]
+        });
+        for e in errors.iter().flatten() {
+            assert!(matches!(e, RuntimeError::CollectiveMismatch { .. }), "{e}");
+        }
+    }
+
+    #[test]
+    fn a_live_rank_entering_shrink_late_within_its_budget_survives() {
+        // Three participants give each round (3 − 1) × 150 ms: a rank 170 ms
+        // late is still heard, and nobody is voted out.
+        World::run(3, |p| {
+            let (_, ic) = InterComm::create(p.world(), usize::from(p.rank() >= 2)).unwrap();
+            if p.rank() == 2 {
+                std::thread::sleep(Duration::from_millis(170));
+            }
+            let (_, report) = ic.shrink_with_report().unwrap();
+            let sizes = (report.local_survivors.len(), report.remote_survivors.len());
+            assert_eq!(sizes, if p.rank() < 2 { (2, 1) } else { (1, 2) });
+        });
+    }
+
+    #[test]
+    fn repeated_shrink_is_idempotent_on_the_same_failure() {
+        use crate::fault::FaultConfig;
+        let opts = RunOpts { faults: Some(FaultConfig::reliable(13)), ..RunOpts::default() };
+        World::run_opts(4, opts, |p| {
+            // Side 0 = ranks {0,1}, side 1 = ranks {2,3}; rank 3 dies.
+            let (_, ic) = InterComm::create(p.world(), usize::from(p.rank() >= 2)).unwrap();
+            if p.rank() == 3 {
+                p.kill_rank(3);
+                return;
+            }
+            while !p.is_dead(3) {
+                std::thread::yield_now();
+            }
+            let (first, first_report) = ic.shrink_with_report().unwrap();
+            let (second, second_report) = ic.shrink_with_report().unwrap();
+            assert_eq!(first.context, second.context, "same survivor mask, same context");
+            assert_eq!(first.local_rank(), second.local_rank());
+            assert_eq!(first_report, second_report);
         });
     }
 }

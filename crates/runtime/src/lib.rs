@@ -12,8 +12,8 @@
 //!   `(source, tag)` matching including wildcards, plus nonblocking
 //!   [`Comm::irecv`], `iprobe`, and timeouts
 //!   ([`Comm::recv_timeout`]) for the deadlock experiments of Figure 5.
-//! * **Communicators**: [`Comm::dup`], [`Comm::split`], [`Comm::subgroup`],
-//!   each with a private message context.
+//! * **Communicators**: [`Comm::split`] and [`Comm::subgroup`], each with
+//!   a private message context.
 //! * **Collectives**: barrier, bcast, gather, scatter, allgather,
 //!   alltoall(v), reduce, allreduce, scan, each a [`Comm`] method.
 //! * **Inter-communicators** ([`InterComm`]), the same point-to-point
@@ -27,11 +27,11 @@
 //!   kills ranks mid-run ([`RunOpts::faults`]); blocked peers of a
 //!   dead rank get [`RuntimeError::PeerDead`] instead of hanging, and the
 //!   same seed always reproduces a byte-identical [`FaultTrace`].
-//! * **Self-healing recovery** ([`Membership`]): ULFM-style epoch-based
-//!   membership — survivors `revoke` a failed communicator's context,
-//!   `agree` on the alive set with a fault-tolerant agreement, and `shrink`
-//!   to a dense survivor communicator on a fresh context
-//!   ([`Comm::membership`], [`InterComm::shrink_with_report`]).
+//! * **Self-healing recovery**: ULFM-style epoch-based membership —
+//!   survivors revoke a failed channel's context ([`Endpoint::revoke`]),
+//!   vote with a fault-tolerant agreement ([`InterComm::agree_all`]), and
+//!   shrink to a dense survivor intercomm on a fresh context
+//!   ([`InterComm::shrink_with_report`]).
 //!
 //! ## Quick example
 //!
@@ -47,7 +47,6 @@
 
 #![warn(unreachable_pub)]
 
-mod cart;
 mod collectives;
 mod comm;
 mod envelope;
@@ -68,7 +67,6 @@ mod transport;
 mod universe;
 mod world;
 
-pub use cart::CartComm;
 pub use collectives::SMALL_COLLECTIVE_BYTES;
 pub use comm::{Comm, Endpoint, Intra};
 pub use envelope::{Envelope, MessageInfo, Payload, Src, Tag};
@@ -79,7 +77,7 @@ pub use fault::{
 };
 pub use intercomm::{Inter, InterComm};
 pub use mailbox::{Mailbox, PeerRef};
-pub use membership::{JoinOffer, Membership, ReconfigReport, Revocations, ShrinkReport};
+pub use membership::{JoinOffer, ReconfigReport, Revocations, ShrinkReport};
 pub use msgsize::MsgSize;
 pub use network::NetworkModel;
 pub use request::RecvRequest;

@@ -241,13 +241,13 @@ impl Mailbox {
     }
 
     /// Payload bytes currently queued in this mailbox.
-    pub fn live_bytes(&self) -> u64 {
+    pub(crate) fn live_bytes(&self) -> u64 {
         self.live_bytes.load(Ordering::Relaxed)
     }
 
     /// High-water mark of queued payload bytes since creation (or the last
     /// reset).
-    pub fn peak_bytes(&self) -> u64 {
+    pub(crate) fn peak_bytes(&self) -> u64 {
         self.peak_bytes.load(Ordering::Relaxed)
     }
 
@@ -445,7 +445,7 @@ impl Mailbox {
 
     /// Returns metadata for the earliest matching envelope without removing
     /// it, or `None` if nothing matches right now.
-    pub fn iprobe(&self, context: u32, src: Src, tag: Tag) -> Option<MessageInfo> {
+    pub(crate) fn iprobe(&self, context: u32, src: Src, tag: Tag) -> Option<MessageInfo> {
         let inner = self.inner.lock();
         inner.find(context, src, tag).map(|(key, i)| {
             let e = &inner.buckets[&key].queue[i];
@@ -454,13 +454,8 @@ impl Mailbox {
     }
 
     /// Number of messages currently queued (all contexts).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().total
-    }
-
-    /// Whether the mailbox is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -640,7 +635,7 @@ mod tests {
         assert_eq!(info, MessageInfo { src: 2, tag: 4, bytes: 4 });
         assert_eq!(m.len(), 1);
         assert_eq!(val(m.take(0, Src::Rank(2), Tag::Value(4), &[]).unwrap()), 44);
-        assert!(m.is_empty());
+        assert_eq!(m.len(), 0);
     }
 
     #[test]

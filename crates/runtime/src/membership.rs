@@ -21,8 +21,7 @@
 //!   agreement.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -31,10 +30,9 @@ use crate::comm::Comm;
 use crate::envelope::COLLECTIVE_TAG_BASE;
 use crate::error::{Result, RuntimeError};
 use crate::msgsize::MsgSize;
-use crate::reconfig::{drive, mask, ControlPlane, Reconfig, Rule};
+use crate::reconfig::{drive, ControlPlane, Reconfig, Rule};
 use crate::shared::Reliable;
-use crate::tracing::ctx_class;
-use mxn_trace::{emit_instant, span, EventId};
+use mxn_trace::{span, EventId};
 
 /// Base of the tag range reserved for recovery-plane traffic on the world
 /// context. Sits far above application tags (which stay small in practice)
@@ -95,8 +93,8 @@ struct RecoveryTable {
 /// `(sender, receiver, tag)` of an agreement message.
 type VoteLink = (usize, usize, i32);
 
-/// World-global revocation state: which context pairs are poisoned, the
-/// global revocation epoch, and the survivor-context registry.
+/// World-global revocation state: which context pairs are poisoned, and
+/// the survivor-context registry.
 ///
 /// Shared by every mailbox of a world; consulted on every blocking receive
 /// and every send so a revoked communicator fails everywhere at once.
@@ -107,8 +105,6 @@ pub struct Revocations {
     /// Cached `revoked.len()`; the fast path (`count == 0`, no revocations
     /// ever) skips the lock on every message operation.
     count: AtomicUsize,
-    /// Bumped once per newly revoked pair.
-    epoch: AtomicU64,
     table: Mutex<RecoveryTable>,
     /// The `(channel, seq)` of every agreement message in flight, per
     /// `(sender, receiver, tag)` in send order. `agree_tag` keeps only the
@@ -135,17 +131,12 @@ impl Revocations {
 
     /// `Err(Revoked)` if `context` has been revoked.
     #[inline]
-    pub fn check(&self, context: u32) -> Result<()> {
+    pub(crate) fn check(&self, context: u32) -> Result<()> {
         if self.is_revoked(context) {
             Err(RuntimeError::Revoked { context })
         } else {
             Ok(())
         }
-    }
-
-    /// Number of context pairs revoked so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 
     /// Poisons the pair `(base, base + 1)`. Returns whether this call newly
@@ -155,10 +146,6 @@ impl Revocations {
         let newly = set.insert(base);
         set.insert(base + 1);
         self.count.store(set.len(), Ordering::Release);
-        drop(set);
-        if newly {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
         newly
     }
 
@@ -336,64 +323,18 @@ pub(crate) fn agree_over(
     Ok(agreed)
 }
 
-/// The recovery view of a [`Comm`]: ULFM-style agree / shrink (revoke is
-/// the endpoint's, [`crate::comm::Endpoint::revoke`]). Obtained via
-/// [`Comm::membership`].
-pub struct Membership<'a> {
-    comm: &'a Comm,
-}
-
-impl<'a> Membership<'a> {
-    pub(crate) fn new(comm: &'a Comm) -> Self {
-        Membership { comm }
-    }
-
-    /// Fault-tolerant agreement across the group: returns the bitwise AND
-    /// of every surviving member's `value`. Must be called by all surviving
-    /// members, in the same recovery order.
-    pub fn agree(&self, value: u64) -> Result<u64> {
-        self.comm.decide(self.comm.group(), Rule::Value, value)
-    }
-
-    /// Builds the dense survivor communicator: members agree on the alive
-    /// mask, dead ranks are dropped, and survivors are renumbered 0..s in
-    /// ascending old-rank order on a fresh context. Deaths *during* the
-    /// call surface on the next shrink, exactly like ULFM's
-    /// `MPI_Comm_shrink`. A live member that enters the shrink more than
-    /// `(size − 1) × 150 ms` after the others is voted out like a dead one
-    /// and gets [`RuntimeError::PeerDead`].
-    pub fn shrink(&self) -> Result<Comm> {
-        let comm = self.comm;
-        let shared = &comm.shared;
-        let n = comm.size();
-        let liveness = shared.liveness();
-        let alive = mask(n, |i| !liveness.is_dead(comm.group()[i]));
-        let agreed = comm.decide(comm.group(), Rule::Membership, alive)?;
-        let survivors: Vec<usize> = (0..n).filter(|&i| agreed & (1 << i) != 0).collect();
-        let my_new = survivors
-            .iter()
-            .position(|&i| i == comm.rank())
-            .ok_or(RuntimeError::PeerDead { rank: comm.rank() })?;
-        let (ctx, _epoch) = shared.epoch_context(comm.context(), agreed, None);
-        emit_instant(EventId::Shrink, [n as u64, survivors.len() as u64, ctx_class(ctx), 0]);
-        let group: Vec<usize> = survivors.iter().map(|&i| comm.group()[i]).collect();
-        Ok(Comm::from_parts(shared.clone(), Arc::new(group), my_new, ctx))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::envelope::{Src, Tag};
-    use crate::fault::FaultConfig;
-    use crate::world::{RunOpts, World};
-    use std::time::Duration;
+    use crate::world::World;
+    use std::sync::Arc;
 
     #[test]
     fn revoke_poisons_pending_and_future_ops() {
         World::run(2, |p| {
             let c = p.world();
-            let d = c.dup().unwrap();
+            let d = c.split(0, c.rank() as i64).unwrap().unwrap();
             if c.rank() == 0 {
                 // Wait for rank 1 to be parked on the derived comm, then
                 // revoke it from the other side.
@@ -436,7 +377,7 @@ mod tests {
     fn revoked_messages_already_queued_are_not_delivered() {
         World::run(2, |p| {
             let c = p.world();
-            let d = c.dup().unwrap();
+            let d = c.split(0, c.rank() as i64).unwrap().unwrap();
             if c.rank() == 0 {
                 d.send(1, 4, 9u8).unwrap(); // queued before the revoke
                 c.send(1, 0, 0u8).unwrap(); // "sent" signal
@@ -449,120 +390,6 @@ mod tests {
                     "stale-epoch message must not deliver: {e}"
                 );
             }
-        });
-    }
-
-    #[test]
-    fn agree_ands_votes_and_skips_the_dead() {
-        let cfg = FaultConfig::reliable(7);
-        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
-        let masks = World::run_opts(3, opts, |p| {
-            if p.rank() == 0 {
-                p.kill_rank(0);
-                return 0;
-            }
-            let c = p.world();
-            let vote = if c.rank() == 1 { 0b110 } else { 0b111 };
-            c.membership().agree(vote).unwrap()
-        })
-        .results;
-        assert_eq!(masks[1], 0b110);
-        assert_eq!(masks[2], 0b110, "all survivors agree on the AND of survivor votes");
-    }
-
-    #[test]
-    fn a_late_vote_does_not_poison_the_agreement_64_instances_later() {
-        // Rank 1's first vote lands after rank 0's 150 ms deadline, so it
-        // waits in rank 0's mailbox on a tag that agreement #64 reuses.
-        let decided = World::run(2, |p| {
-            let m = p.world().membership();
-            if p.rank() == 1 {
-                std::thread::sleep(Duration::from_millis(200));
-            }
-            m.agree(if p.rank() == 1 { 0 } else { u64::MAX }).unwrap();
-            for _ in 1..64 {
-                m.agree(u64::MAX).unwrap();
-            }
-            m.agree(u64::MAX).unwrap()
-        });
-        assert_eq!(decided, vec![u64::MAX; 2], "agreement #64 read #0's late vote");
-    }
-
-    #[test]
-    fn membership_above_64_ranks_is_a_typed_error_on_every_rank() {
-        let errors = World::run(65, |p| {
-            let m = p.world().membership();
-            [m.agree(1).unwrap_err(), m.shrink().err().expect("65 ranks cannot shrink")]
-        });
-        for e in errors.iter().flatten() {
-            assert!(matches!(e, RuntimeError::CollectiveMismatch { .. }), "{e}");
-        }
-    }
-
-    #[test]
-    fn shrink_renumbers_and_survivor_comm_works() {
-        let cfg = FaultConfig::reliable(11);
-        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
-        World::run_opts(4, opts, |p| {
-            if p.rank() == 1 {
-                p.kill_rank(1);
-                return;
-            }
-            // Shrink drops only deaths already visible; wait for the kill.
-            while !p.is_dead(1) {
-                std::thread::yield_now();
-            }
-            let c = p.world();
-            let d = c.dup().unwrap();
-            let s = d.membership().shrink().unwrap();
-            assert_eq!(s.size(), 3);
-            let expect_rank = match c.rank() {
-                0 => 0,
-                2 => 1,
-                3 => 2,
-                _ => unreachable!(),
-            };
-            assert_eq!(s.rank(), expect_rank, "dense ascending renumbering");
-            assert_eq!(s.group(), &[0, 2, 3]);
-            assert_ne!(s.context(), d.context(), "fresh context pair");
-            // The survivor communicator is fully operational, collectives
-            // included.
-            let total: u64 = s.allreduce(c.rank() as u64, |a, b| *a += b).unwrap();
-            assert_eq!(total, 2 + 3);
-        });
-    }
-
-    #[test]
-    fn a_live_rank_entering_shrink_late_within_its_budget_survives() {
-        // Three ranks give each round (3 − 1) × 150 ms: a rank 170 ms late
-        // is still heard, and nobody is voted out.
-        World::run(3, |p| {
-            if p.rank() == 2 {
-                std::thread::sleep(Duration::from_millis(170));
-            }
-            let s = p.world().membership().shrink().unwrap();
-            assert_eq!(s.group(), &[0, 1, 2]);
-        });
-    }
-
-    #[test]
-    fn repeated_shrink_is_idempotent_on_the_same_failure() {
-        let cfg = FaultConfig::reliable(13);
-        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
-        World::run_opts(3, opts, |p| {
-            if p.rank() == 2 {
-                p.kill_rank(2);
-                return;
-            }
-            while !p.is_dead(2) {
-                std::thread::yield_now();
-            }
-            let c = p.world();
-            let d = c.dup().unwrap();
-            let s1 = d.membership().shrink().unwrap();
-            let s2 = d.membership().shrink().unwrap();
-            assert_eq!(s1.context(), s2.context(), "same survivor mask, same context");
-            assert_eq!(s1.rank(), s2.rank());
         });
     }
 
@@ -616,15 +443,13 @@ mod tests {
     };
 
     #[test]
-    fn revocation_epoch_counts_pairs() {
+    fn revocation_marks_pairs_once() {
         let r = Revocations::new();
-        assert_eq!(r.epoch(), 0);
         assert!(r.mark(4));
         assert!(r.is_revoked(4));
         assert!(r.is_revoked(5), "collective context revoked with its pair");
         assert!(!r.is_revoked(6));
         assert!(!r.mark(4));
-        assert_eq!(r.epoch(), 1);
         assert!(r.check(4).is_err());
         assert!(r.check(0).is_ok());
     }
@@ -635,7 +460,7 @@ mod tests {
         // must be woken and see Revoked.
         World::run(2, |p| {
             let c = p.world();
-            let d = c.dup().unwrap();
+            let d = c.split(0, c.rank() as i64).unwrap().unwrap();
             if c.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(30));
                 d.revoke();

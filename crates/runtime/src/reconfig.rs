@@ -7,7 +7,7 @@
 //! sends the own value, round 1 the round-0 combination, and the decision
 //! is that combination ANDed with every round-1 value heard. Round `r`
 //! closes `(r + 1) × timeout` after the participant started, so it decides
-//! within [`Reconfig::bound`]. Under [`Rule::Membership`] values carry one
+//! within `2 × timeout`. Under [`Rule::Membership`] values carry one
 //! bit per participant, and a participant silent to me in round 0 has its
 //! bit cleared from the value I send in round 1; round-1 silence changes
 //! nothing. So a bit survives in my decision only if I heard its
@@ -94,11 +94,6 @@ impl Reconfig {
         }
         let (start, late, done) = (Duration::ZERO, u64::MAX, [1 << me; 2]);
         Ok(Reconfig { n, me, rule, timeout, start, round: 0, acc: value, late, done })
-    }
-
-    /// The latest a participant decides, counted from its start.
-    pub fn bound(&self) -> Duration {
-        self.timeout * 2
     }
 
     /// Starts at `now`: the round-0 sends, then the first wait.

@@ -1,30 +1,28 @@
-//! One-sided RMA windows: expose / put / get / fence over the envelope
+//! One-sided RMA windows: expose / get / fence over the envelope
 //! transport.
 //!
 //! Dynamic reconfiguration wants one-sided data motion: when an epoch's
 //! membership changes, the new owner of a region knows what it needs and
-//! *pulls* it (or the old owner *pushes* it) without the peer posting a
-//! matching receive — the argument of the RMA-reconfiguration line of work
-//! (see PAPERS.md). This module reproduces the MPI one-sided model in
-//! BSP-style *active target* form, the flavor every redistribution epoch
-//! actually uses:
+//! *pulls* it without the peer posting a matching receive — the argument
+//! of the RMA-reconfiguration line of work (see PAPERS.md). This module
+//! reproduces the MPI one-sided model in BSP-style *active target* form,
+//! the flavor every redistribution epoch actually uses:
 //!
 //! * [`RmaWindow::expose`] publishes a rank's local `f64` block to a
 //!   window group.
-//! * [`RmaWindow::put`] / [`RmaWindow::get_runs`] issue one-sided
-//!   operations eagerly; they complete only at the fence.
+//! * [`RmaWindow::get_runs`] issues a one-sided read eagerly; it
+//!   completes only at the fence.
 //! * [`RmaWindow::fence`] closes the access epoch: every member announces
-//!   how many operations it issued toward each peer, applies all puts it
-//!   is the target of, serves all gets, and collects its own get results
-//!   (returned in issue order).
+//!   how many gets it issued toward each peer, serves all gets, and
+//!   collects its own get results (returned in issue order).
 //!
 //! The fence is deterministic and deadlock-free by construction: all sends
 //! (operation traffic at issue time, completion counts at fence entry)
 //! precede every blocking receive, and the drain walks the member list in
-//! one agreed order. Under the in-process transport a put is an ownership
-//! transfer — the "network" cost is the envelope, exactly like the rest of
-//! the runtime, so the trace plane ([`EventId::RmaPut`] et al.) is how
-//! experiments see one-sidedness.
+//! one agreed order. Under the in-process transport a get response is an
+//! ownership transfer — the "network" cost is the envelope, exactly like
+//! the rest of the runtime, so the trace plane ([`EventId::RmaGet`] et
+//! al.) is how experiments see one-sidedness.
 
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -43,7 +41,6 @@ const RMA_FENCE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Message kinds multiplexed onto a window's tag block.
 const KIND_FIN: u8 = 0;
-const KIND_PUT: u8 = 1;
 const KIND_GET_REQ: u8 = 2;
 const KIND_GET_RESP: u8 = 3;
 
@@ -54,30 +51,18 @@ fn rma_tag(win_id: u32, kind: u8) -> i32 {
     RMA_TAG_BASE + (((win_id & 0xfff) as i32) << 2) + kind as i32
 }
 
-/// Fence announcement: how many puts and gets the sender issued toward the
+/// Fence announcement: how many gets the sender issued toward the
 /// receiver this epoch.
 #[derive(Debug, Clone, Copy)]
 struct RmaFin {
-    puts: u64,
     gets: u64,
 }
 
 impl MsgSize for RmaFin {
+    /// Two words, as when the announcement also counted puts: traced byte
+    /// counts and the golden trace digests depend on this size.
     fn msg_size(&self) -> usize {
         2 * std::mem::size_of::<u64>()
-    }
-}
-
-/// One-sided put: write `data` at `dst_off` in the target's exposed block.
-#[derive(Debug, Clone)]
-struct RmaPutMsg {
-    dst_off: usize,
-    data: Vec<f64>,
-}
-
-impl MsgSize for RmaPutMsg {
-    fn msg_size(&self) -> usize {
-        std::mem::size_of::<u64>() + self.data.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -117,8 +102,8 @@ pub struct RmaWindow<'a> {
     members: Vec<usize>,
     win_id: u32,
     data: Vec<f64>,
-    /// Per-member `(puts, gets)` issued this epoch, indexed like `members`.
-    sent: Vec<(u64, u64)>,
+    /// Per-member gets issued this epoch, indexed like `members`.
+    sent: Vec<u64>,
     /// Member index of each issued get, in issue order.
     get_order: Vec<usize>,
 }
@@ -149,33 +134,14 @@ impl<'a> RmaWindow<'a> {
             EventId::RmaExpose,
             [win_id as u64, data.len() as u64, members.len() as u64, 0],
         );
-        let sent = vec![(0, 0); members.len()];
+        let sent = vec![0; members.len()];
         Ok(RmaWindow { comm, members, win_id, data, sent, get_order: Vec::new() })
-    }
-
-    /// The exposed block (updated by remote puts only at a fence).
-    pub fn data(&self) -> &[f64] {
-        &self.data
     }
 
     fn member_index(&self, target: usize) -> Result<usize> {
         self.members
             .binary_search(&target)
             .map_err(|_| RuntimeError::InvalidRank { rank: target, size: self.comm.size() })
-    }
-
-    /// One-sided write of `data` at `dst_off` in `target`'s exposed block
-    /// (`target` is a comm-local member rank). Completes at the next
-    /// [`RmaWindow::fence`]; until then the target's block is unchanged.
-    pub fn put(&mut self, target: usize, dst_off: usize, data: Vec<f64>) -> Result<()> {
-        let idx = self.member_index(target)?;
-        emit_instant(
-            EventId::RmaPut,
-            [self.win_id as u64, target as u64, dst_off as u64, data.len() as u64],
-        );
-        self.comm.send(target, rma_tag(self.win_id, KIND_PUT), RmaPutMsg { dst_off, data })?;
-        self.sent[idx].0 += 1;
-        Ok(())
     }
 
     /// One-sided read of the `(offset, len)` runs of `target`'s exposed
@@ -189,58 +155,39 @@ impl<'a> RmaWindow<'a> {
             [self.win_id as u64, target as u64, runs.len() as u64, elems as u64],
         );
         self.comm.send(target, rma_tag(self.win_id, KIND_GET_REQ), RmaGetReq { runs })?;
-        self.sent[idx].1 += 1;
+        self.sent[idx] += 1;
         self.get_order.push(idx);
         Ok(())
     }
 
-    /// Closes the access epoch: applies every put this rank is the target
-    /// of, serves every get against the exposed block, and returns this
-    /// rank's own get results in issue order. Collective over the members;
+    /// Closes the access epoch: serves every get against the exposed
+    /// block and returns this rank's own get results in issue order. Collective over the members;
     /// afterwards the window is ready for the next epoch.
     ///
     /// Deterministic drain order (ascending member rank) keeps traces
     /// digest-stable; a peer silent past the fence timeout (it died
     /// mid-epoch) surfaces as a failure-detection error.
     pub fn fence(&mut self) -> Result<Vec<Vec<f64>>> {
-        let my_puts: u64 = self.sent.iter().map(|s| s.0).sum();
-        let my_gets: u64 = self.sent.iter().map(|s| s.1).sum();
-        let mut guard = span(EventId::RmaFence, [self.win_id as u64, my_puts, my_gets, 0]);
+        // The span's second argument, once the put count, stays 0 so the
+        // golden trace digests do not move.
+        let my_gets: u64 = self.sent.iter().sum();
+        let mut guard = span(EventId::RmaFence, [self.win_id as u64, 0, my_gets, 0]);
 
         // Phase 0: announce per-peer completion counts. All operation
         // traffic was already sent eagerly at issue time, so after this
         // loop everything the drain below waits for is in flight.
-        for (idx, &m) in self.members.iter().enumerate() {
-            let (puts, gets) = self.sent[idx];
-            self.comm.send(m, rma_tag(self.win_id, KIND_FIN), RmaFin { puts, gets })?;
+        for (&m, &gets) in self.members.iter().zip(&self.sent) {
+            self.comm.send(m, rma_tag(self.win_id, KIND_FIN), RmaFin { gets })?;
         }
 
-        // Phase 1: drain each member in ascending order — its counts, its
-        // puts into our block, its gets against our block (served
-        // immediately; responses are sends, so no cycle).
+        // Phase 1: drain each member in ascending order — its counts, then
+        // its gets against our block (served immediately; responses are
+        // sends, so no cycle).
         let fin_tag = Tag::Value(rma_tag(self.win_id, KIND_FIN));
-        let put_tag = Tag::Value(rma_tag(self.win_id, KIND_PUT));
         let req_tag = Tag::Value(rma_tag(self.win_id, KIND_GET_REQ));
-        let mut served_puts = 0u64;
         let mut served_gets = 0u64;
         for &m in &self.members {
             let fin: RmaFin = self.comm.recv_timeout(m, fin_tag, RMA_FENCE_TIMEOUT)?;
-            for _ in 0..fin.puts {
-                let put: RmaPutMsg = self.comm.recv_timeout(m, put_tag, RMA_FENCE_TIMEOUT)?;
-                let end = put.dst_off + put.data.len();
-                if end > self.data.len() {
-                    return Err(RuntimeError::CollectiveMismatch {
-                        detail: format!(
-                            "put from member {m} spans {}..{end} but the exposed block has {} \
-                             elements",
-                            put.dst_off,
-                            self.data.len()
-                        ),
-                    });
-                }
-                self.data[put.dst_off..end].copy_from_slice(&put.data);
-                served_puts += 1;
-            }
             for _ in 0..fin.gets {
                 let req: RmaGetReq = self.comm.recv_timeout(m, req_tag, RMA_FENCE_TIMEOUT)?;
                 let total: usize = req.runs.iter().map(|&(_, len)| len).sum();
@@ -269,7 +216,7 @@ impl<'a> RmaWindow<'a> {
         let mut per_member: Vec<VecDeque<Vec<f64>>> =
             self.members.iter().map(|_| VecDeque::new()).collect();
         for (idx, &m) in self.members.iter().enumerate() {
-            for _ in 0..self.sent[idx].1 {
+            for _ in 0..self.sent[idx] {
                 let resp: RmaGetResp = self.comm.recv_timeout(m, resp_tag, RMA_FENCE_TIMEOUT)?;
                 per_member[idx].push_back(resp.data);
             }
@@ -280,9 +227,9 @@ impl<'a> RmaWindow<'a> {
             .map(|&idx| per_member[idx].pop_front().expect("one response per issued get"))
             .collect();
 
-        self.sent.iter_mut().for_each(|s| *s = (0, 0));
+        self.sent.iter_mut().for_each(|s| *s = 0);
         self.get_order.clear();
-        guard.set_end([self.win_id as u64, served_puts, served_gets, 0]);
+        guard.set_end([self.win_id as u64, 0, served_gets, 0]);
         Ok(results)
     }
 }
@@ -291,25 +238,6 @@ impl<'a> RmaWindow<'a> {
 mod tests {
     use super::*;
     use crate::world::World;
-
-    #[test]
-    fn put_writes_remote_block_at_the_fence() {
-        World::run(2, |p| {
-            let c = p.world();
-            let mine = vec![c.rank() as f64; 4];
-            let mut win = RmaWindow::expose(c, 7, vec![0, 1], mine).unwrap();
-            if c.rank() == 0 {
-                win.put(1, 2, vec![40.0, 41.0]).unwrap();
-            }
-            let got = win.fence().unwrap();
-            assert!(got.is_empty());
-            if c.rank() == 1 {
-                assert_eq!(win.data(), &[1.0, 1.0, 40.0, 41.0]);
-            } else {
-                assert_eq!(win.data(), &[0.0; 4], "no put targeted rank 0");
-            }
-        });
-    }
 
     #[test]
     fn get_runs_return_in_issue_order() {
@@ -342,31 +270,19 @@ mod tests {
     fn window_supports_repeated_epochs() {
         World::run(2, |p| {
             let c = p.world();
-            let mut win = RmaWindow::expose(c, 9, vec![0, 1], vec![0.0; 2]).unwrap();
-            for epoch in 1..=3u32 {
+            let mine: Vec<f64> = (0..3).map(|i| (10 * c.rank() + i) as f64).collect();
+            let mut win = RmaWindow::expose(c, 9, vec![0, 1], mine).unwrap();
+            for epoch in 0..3usize {
                 if c.rank() == 0 {
-                    win.put(1, 0, vec![epoch as f64]).unwrap();
-                    win.fence().unwrap();
-                } else {
-                    win.fence().unwrap();
-                    assert_eq!(win.data()[0], epoch as f64);
+                    win.get_runs(1, vec![(epoch, 1)]).unwrap();
                 }
-            }
-        });
-    }
-
-    #[test]
-    fn puts_from_one_source_apply_in_program_order() {
-        World::run(2, |p| {
-            let c = p.world();
-            let mut win = RmaWindow::expose(c, 1, vec![0, 1], vec![0.0; 3]).unwrap();
-            if c.rank() == 0 {
-                win.put(1, 0, vec![1.0, 1.0]).unwrap();
-                win.put(1, 1, vec![2.0, 2.0]).unwrap();
-            }
-            win.fence().unwrap();
-            if c.rank() == 1 {
-                assert_eq!(win.data(), &[1.0, 2.0, 2.0], "later put overwrites the overlap");
+                // Each fence returns only its own epoch's gets.
+                let got = win.fence().unwrap();
+                if c.rank() == 0 {
+                    assert_eq!(got, vec![vec![(10 + epoch) as f64]]);
+                } else {
+                    assert!(got.is_empty());
+                }
             }
         });
     }
@@ -376,14 +292,9 @@ mod tests {
         World::run(1, |p| {
             let c = p.world();
             let mut win = RmaWindow::expose(c, 5, vec![0], vec![1.0, 2.0, 3.0]).unwrap();
-            win.put(0, 0, vec![9.0]).unwrap();
             win.get_runs(0, vec![(1, 2)]).unwrap();
-            let got = win.fence().unwrap();
-            // Within one member's drain, puts apply before gets are
-            // served: the get sees the put at offset 0 already landed, and
-            // its own runs (offsets 1..3) are untouched by it.
-            assert_eq!(got, vec![vec![2.0, 3.0]]);
-            assert_eq!(win.data(), &[9.0, 2.0, 3.0]);
+            win.get_runs(0, vec![(0, 1)]).unwrap();
+            assert_eq!(win.fence().unwrap(), vec![vec![2.0, 3.0], vec![1.0]]);
         });
     }
 
@@ -397,11 +308,11 @@ mod tests {
             }
             let mut win = RmaWindow::expose(c, 2, vec![0, 2], vec![c.rank() as f64; 2]).unwrap();
             if c.rank() == 0 {
-                win.put(2, 0, vec![7.0]).unwrap();
+                win.get_runs(2, vec![(1, 1)]).unwrap();
             }
-            win.fence().unwrap();
-            if c.rank() == 2 {
-                assert_eq!(win.data(), &[7.0, 2.0]);
+            let got = win.fence().unwrap();
+            if c.rank() == 0 {
+                assert_eq!(got, vec![vec![2.0]]);
             }
         });
     }
@@ -416,19 +327,18 @@ mod tests {
                 assert!(RmaWindow::expose(c, 0, vec![0, 9], vec![]).is_err(), "out of range");
                 assert!(RmaWindow::expose(c, 0, vec![1], vec![]).is_err(), "caller excluded");
                 let mut win = RmaWindow::expose(c, 0, vec![0], vec![0.0]).unwrap();
-                assert!(win.put(1, 0, vec![1.0]).is_err(), "non-member target");
-                assert!(win.get_runs(1, vec![(0, 1)]).is_err());
+                assert!(win.get_runs(1, vec![(0, 1)]).is_err(), "non-member target");
             }
         });
     }
 
     #[test]
-    fn out_of_bounds_put_fails_the_target_fence() {
+    fn out_of_bounds_get_fails_the_target_fence() {
         World::run(2, |p| {
             let c = p.world();
             let mut win = RmaWindow::expose(c, 4, vec![0, 1], vec![0.0; 2]).unwrap();
             if c.rank() == 0 {
-                win.put(1, 1, vec![1.0, 2.0]).unwrap();
+                win.get_runs(1, vec![(1, 2)]).unwrap();
                 // Rank 1's fence fails before serving, so don't block on it.
                 let _ = win.fence();
             } else {

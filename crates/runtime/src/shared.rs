@@ -410,7 +410,7 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(e, RuntimeError::PeerDead { rank: 0 }, "reports the caller's own rank");
-        assert!(s.mailbox(1).is_empty(), "nothing was delivered");
+        assert_eq!(s.mailbox(1).len(), 0, "nothing was delivered");
     }
 
     #[test]
@@ -469,7 +469,7 @@ mod tests {
             TrafficClass::PointToPoint,
         )
         .unwrap();
-        assert!(s.mailbox(1).is_empty());
+        assert_eq!(s.mailbox(1).len(), 0);
         let snap = s.stats().snapshot();
         assert_eq!(snap.dropped_messages, 1);
         assert_eq!(snap.p2p_messages, 1, "a dropped message still counts as sent");
@@ -545,7 +545,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(e, RuntimeError::Revoked { .. }));
-        assert!(s.mailbox(1).is_empty(), "refused before delivery");
+        assert_eq!(s.mailbox(1).len(), 0, "refused before delivery");
         assert_eq!(s.stats().snapshot().p2p_messages, 0, "refused before accounting");
         assert!(!s.revoke_context(0), "world pair is not revocable");
         assert!(!s.revoke_context(1));

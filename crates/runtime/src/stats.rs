@@ -76,22 +76,6 @@ impl CollOp {
             CollOp::Scan => 9,
         }
     }
-
-    /// Stable lowercase name, for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CollOp::Barrier => "barrier",
-            CollOp::Bcast => "bcast",
-            CollOp::Gather => "gather",
-            CollOp::Scatter => "scatter",
-            CollOp::Allgather => "allgather",
-            CollOp::Alltoall => "alltoall",
-            CollOp::Reduce => "reduce",
-            CollOp::ReduceScatter => "reduce_scatter",
-            CollOp::Allreduce => "allreduce",
-            CollOp::Scan => "scan",
-        }
-    }
 }
 
 /// A fault injected by the fault plane, for accounting purposes.
@@ -141,12 +125,6 @@ pub struct WorldStats {
     /// mailbox — the per-rank peak transfer memory an eager transport
     /// actually commits. Folded in at the send choke point.
     transfer_peak_bytes: AtomicU64,
-    /// Latest measured mailbox-depth gauge (see [`MailboxGauge`]); written
-    /// by [`WorldStats::note_queue_gauge`] at sampling points, read by
-    /// autoscaling policy drivers.
-    queue_live_bytes: AtomicU64,
-    queue_peak_bytes: AtomicU64,
-    queue_depth_msgs: AtomicU64,
 }
 
 /// One measured sample of a rank's mailbox occupancy — the *queue depth*
@@ -166,12 +144,12 @@ pub struct MailboxGauge {
 
 impl WorldStats {
     /// Creates zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Records one sent message of `bytes` wire bytes.
-    pub fn record(&self, class: TrafficClass, bytes: usize) {
+    pub(crate) fn record(&self, class: TrafficClass, bytes: usize) {
         match class {
             TrafficClass::PointToPoint => {
                 self.p2p_msgs.fetch_add(1, Ordering::Relaxed);
@@ -253,28 +231,8 @@ impl WorldStats {
         self.transfer_peak_bytes.fetch_max(peak, Ordering::Relaxed);
     }
 
-    /// Stores the latest measured mailbox-depth gauge. Samplers (e.g.
-    /// `InterComm::sample_mailbox_gauge`) call this so the most recent
-    /// measured queue depth is visible alongside the world counters.
-    pub(crate) fn note_queue_gauge(&self, gauge: &MailboxGauge) {
-        self.queue_live_bytes.store(gauge.live_bytes, Ordering::Relaxed);
-        self.queue_peak_bytes.store(gauge.peak_bytes, Ordering::Relaxed);
-        self.queue_depth_msgs.store(gauge.depth_msgs, Ordering::Relaxed);
-    }
-
-    /// The most recent gauge sampled by
-    /// [`InterComm::sample_mailbox_gauge`](crate::InterComm::sample_mailbox_gauge)
-    /// (zeroed if nothing has sampled yet).
-    pub fn queue_gauge(&self) -> MailboxGauge {
-        MailboxGauge {
-            live_bytes: self.queue_live_bytes.load(Ordering::Relaxed),
-            peak_bytes: self.queue_peak_bytes.load(Ordering::Relaxed),
-            depth_msgs: self.queue_depth_msgs.load(Ordering::Relaxed),
-        }
-    }
-
     /// Snapshot of the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let table = |arr: &[AtomicU64; CollOp::COUNT]| {
             let mut out = [0u64; CollOp::COUNT];
             for (o, a) in out.iter_mut().zip(arr) {
@@ -302,34 +260,6 @@ impl WorldStats {
             peer_dead_errors: self.peer_dead_errors.load(Ordering::Relaxed),
             transfer_peak_bytes: self.transfer_peak_bytes.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets all counters to zero (used between benchmark phases).
-    pub fn reset(&self) {
-        self.p2p_msgs.store(0, Ordering::Relaxed);
-        self.p2p_bytes.store(0, Ordering::Relaxed);
-        self.coll_msgs.store(0, Ordering::Relaxed);
-        self.coll_bytes.store(0, Ordering::Relaxed);
-        for table in
-            [&self.coll_op_msgs, &self.coll_op_bytes, &self.coll_op_clones, &self.coll_op_allocs]
-        {
-            for a in table {
-                a.store(0, Ordering::Relaxed);
-            }
-        }
-        self.payload_clones.store(0, Ordering::Relaxed);
-        self.payload_allocs.store(0, Ordering::Relaxed);
-        self.dropped.store(0, Ordering::Relaxed);
-        self.duplicated.store(0, Ordering::Relaxed);
-        self.corrupted.store(0, Ordering::Relaxed);
-        self.delayed.store(0, Ordering::Relaxed);
-        self.deaths.store(0, Ordering::Relaxed);
-        self.recv_timeouts.store(0, Ordering::Relaxed);
-        self.peer_dead_errors.store(0, Ordering::Relaxed);
-        self.transfer_peak_bytes.store(0, Ordering::Relaxed);
-        self.queue_live_bytes.store(0, Ordering::Relaxed);
-        self.queue_peak_bytes.store(0, Ordering::Relaxed);
-        self.queue_depth_msgs.store(0, Ordering::Relaxed);
     }
 }
 
@@ -381,11 +311,6 @@ impl StatsSnapshot {
     /// Total messages of both classes.
     pub fn total_messages(&self) -> u64 {
         self.p2p_messages + self.collective_messages
-    }
-
-    /// Total bytes of both classes.
-    pub fn total_bytes(&self) -> u64 {
-        self.p2p_bytes + self.collective_bytes
     }
 
     /// Per-algorithm view: (messages, bytes, payload clones, payload allocs)
@@ -615,8 +540,6 @@ mod tests {
         let later = s.snapshot();
         assert_eq!(later.transfer_peak_bytes, 250);
         assert_eq!(later.since(&snap).transfer_peak_bytes, 250, "since carries, not subtracts");
-        s.reset();
-        assert_eq!(s.snapshot().transfer_peak_bytes, 0);
     }
 
     #[test]
@@ -647,7 +570,6 @@ mod tests {
         assert_eq!(snap.collective_messages, 1);
         assert_eq!(snap.collective_bytes, 8);
         assert_eq!(snap.total_messages(), 3);
-        assert_eq!(snap.total_bytes(), 158);
     }
 
     #[test]
@@ -664,16 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes() {
-        let s = WorldStats::new();
-        s.record(TrafficClass::Collective, 5);
-        s.record_fault(FaultClass::Dropped);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
-    fn per_collective_counters_accumulate_and_reset() {
+    fn per_collective_counters_accumulate() {
         let s = WorldStats::new();
         s.record_coll(CollOp::Bcast, 100);
         s.record_coll(CollOp::Bcast, 100);
@@ -699,16 +612,13 @@ mod tests {
             delta.coll(CollOp::Bcast),
             CollOpStats { messages: 1, bytes: 50, ..Default::default() }
         );
-
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
     fn coll_op_table_is_consistent() {
         assert_eq!(CollOp::ALL.len(), CollOp::COUNT);
         for (i, op) in CollOp::ALL.iter().enumerate() {
-            assert_eq!(op.index(), i, "{} out of order", op.name());
+            assert_eq!(op.index(), i, "{op:?} out of order");
         }
     }
 
@@ -731,7 +641,7 @@ mod tests {
     }
 
     #[test]
-    fn recv_error_counters_accumulate_and_reset() {
+    fn recv_error_counters_accumulate() {
         let s = WorldStats::new();
         s.record_recv_timeout();
         s.record_recv_timeout();
@@ -741,7 +651,5 @@ mod tests {
         assert_eq!(snap.peer_dead_errors, 1);
         let delta = s.snapshot().since(&snap);
         assert_eq!(delta.recv_timeouts, 0);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 }

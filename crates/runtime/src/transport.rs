@@ -81,7 +81,7 @@ pub struct InProcTransport {
 impl InProcTransport {
     /// One mailbox per rank, all sharing the world's abort flag, liveness
     /// registry and revocation table.
-    pub fn new(
+    pub(crate) fn new(
         n: usize,
         abort: Arc<AtomicBool>,
         liveness: Arc<Liveness>,
@@ -95,7 +95,7 @@ impl InProcTransport {
 
     /// Direct access to a rank's mailbox (receive side needs matching,
     /// probing and blocking — richer than the deliver-only trait surface).
-    pub fn mailbox(&self, rank: usize) -> &Mailbox {
+    pub(crate) fn mailbox(&self, rank: usize) -> &Mailbox {
         &self.mailboxes[rank]
     }
 }

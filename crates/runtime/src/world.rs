@@ -33,11 +33,6 @@ impl Process {
         self.global_rank
     }
 
-    /// Total number of ranks in the world.
-    pub fn size(&self) -> usize {
-        self.shared.size()
-    }
-
     /// The world communicator (all ranks, context 0).
     pub fn world(&self) -> &Comm {
         &self.world_comm
@@ -60,12 +55,6 @@ impl Process {
     /// from [`crate::fault::FaultConfig::with_death`].
     pub fn kill_rank(&self, rank: usize) {
         self.shared.kill_rank(rank);
-    }
-
-    /// The canonical trace of faults injected so far (empty when the world
-    /// runs without a fault plane).
-    pub fn fault_trace(&self) -> FaultTrace {
-        self.shared.fault_trace()
     }
 
     /// Arms or disarms the fault plane for **this rank's** outgoing traffic
@@ -204,7 +193,7 @@ mod tests {
 
     #[test]
     fn ranks_and_sizes() {
-        let r = World::run(4, |p| (p.rank(), p.size()));
+        let r = World::run(4, |p| (p.rank(), p.world().size()));
         assert_eq!(r, vec![(0, 4), (1, 4), (2, 4), (3, 4)]);
     }
 

@@ -143,11 +143,6 @@ impl HaloSchedule {
         &self.expanded
     }
 
-    /// Number of neighbour messages sent per exchange.
-    pub fn num_messages(&self) -> usize {
-        self.sends.len()
-    }
-
     /// The `(peer, region)` pairs this rank sends.
     pub fn sends(&self) -> &[(usize, Region)] {
         &self.sends
@@ -226,7 +221,7 @@ mod tests {
         let mid = HaloSchedule::build(&dad, 1, 2);
         assert_eq!(mid.owned(), &Region::new([4], [8]));
         assert_eq!(mid.expanded(), &Region::new([2], [10]));
-        assert_eq!(mid.num_messages(), 2, "two neighbours");
+        assert_eq!(mid.sends().len(), 2, "two neighbours");
         assert_eq!(mid.halo_cells(), 4);
         // Edge ranks clip at the boundary.
         let left = HaloSchedule::build(&dad, 0, 2);
@@ -263,7 +258,7 @@ mod tests {
                 assert_eq!(g.get(&idx), (idx[0] * 8 + idx[1]) as f64);
             }
             // Interior ranks exchange with 3 neighbours (2 edges + corner).
-            assert_eq!(plan.num_messages(), 3);
+            assert_eq!(plan.sends().len(), 3);
         });
     }
 
@@ -317,7 +312,7 @@ mod tests {
         reset_schedule_stats();
         let plan = HaloSchedule::build(&dad, 128, 2);
         let stats = schedule_stats();
-        assert_eq!(plan.num_messages(), 2, "two neighbours");
+        assert_eq!(plan.sends().len(), 2, "two neighbours");
         assert!(
             stats.peer_probes <= 4,
             "probed {} of 256 ranks for a width-2 halo",

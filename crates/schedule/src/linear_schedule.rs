@@ -9,7 +9,7 @@
 
 use mxn_dad::{Dad, LocalArray};
 use mxn_linearize::{extract_segments, insert_segments, ArrayOrder, SegmentList};
-use mxn_runtime::{Comm, InterComm, MsgSize, Result};
+use mxn_runtime::{InterComm, MsgSize, Result};
 
 use crate::region_schedule::Role;
 
@@ -48,29 +48,9 @@ impl LinearSchedule {
         Self::build(dst, src, my_rank, order, Role::Receiver)
     }
 
-    /// The schedule's role.
-    pub fn role(&self) -> Role {
-        self.role
-    }
-
-    /// Per-peer segment plans.
-    pub fn pairs(&self) -> &[(usize, SegmentList)] {
-        &self.pairs
-    }
-
-    /// Number of messages exchanged.
-    pub fn num_messages(&self) -> usize {
-        self.pairs.len()
-    }
-
     /// Total elements moved by this rank.
     pub fn total_elements(&self) -> usize {
         self.pairs.iter().map(|(_, s)| s.total_len()).sum()
-    }
-
-    /// In-memory size of the schedule.
-    pub fn schedule_bytes(&self) -> usize {
-        self.pairs.iter().map(|(_, s)| std::mem::size_of::<usize>() + s.descriptor_bytes()).sum()
     }
 
     /// Sender side over an inter-communicator. Returns elements sent.
@@ -114,37 +94,6 @@ impl LinearSchedule {
         }
         Ok(moved)
     }
-
-    /// Intra-communicator redistribution; see
-    /// [`crate::RegionSchedule::execute_local`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn execute_local<T>(
-        send: &LinearSchedule,
-        recv: &LinearSchedule,
-        comm: &Comm,
-        src_dad: &Dad,
-        dst_dad: &Dad,
-        src_local: &LocalArray<T>,
-        dst_local: &mut LocalArray<T>,
-        tag: i32,
-    ) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
-        assert_eq!(send.role, Role::Sender);
-        assert_eq!(recv.role, Role::Receiver);
-        for (peer, segs) in &send.pairs {
-            let buf = extract_segments(src_local, src_dad.extents(), send.order, segs);
-            comm.send(*peer, tag, buf)?;
-        }
-        let mut moved = 0;
-        for (peer, segs) in &recv.pairs {
-            let data: Vec<T> = comm.recv(*peer, tag)?;
-            moved += data.len();
-            insert_segments(dst_local, dst_dad.extents(), recv.order, segs, &data);
-        }
-        Ok(moved)
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +101,7 @@ mod tests {
     use super::*;
     use crate::region_schedule::RegionSchedule;
     use mxn_dad::Extents;
-    use mxn_runtime::{Universe, World};
+    use mxn_runtime::Universe;
 
     #[test]
     fn agrees_with_region_schedule_on_totals() {
@@ -164,7 +113,7 @@ mod tests {
             let reg = RegionSchedule::for_sender(&src, &dst, rank);
             assert_eq!(lin.total_elements(), reg.total_elements());
             assert_eq!(
-                lin.pairs().iter().map(|(p, _)| *p).collect::<Vec<_>>(),
+                lin.pairs.iter().map(|(p, _)| *p).collect::<Vec<_>>(),
                 reg.pairs().iter().map(|p| p.peer).collect::<Vec<_>>()
             );
         }
@@ -195,31 +144,24 @@ mod tests {
     }
 
     #[test]
-    fn intra_comm_col_major() {
-        World::run(2, |p| {
-            let comm = p.world();
+    fn cross_program_col_major() {
+        Universe::run(&[2, 2], |_, ctx| {
             let e = Extents::new([4, 4]);
             let src = Dad::block(e.clone(), &[2, 1]).unwrap();
             let dst = Dad::block(e, &[1, 2]).unwrap();
             let order = ArrayOrder::ColMajor;
-            let send = LinearSchedule::for_sender(&src, &dst, order, comm.rank());
-            let recv = LinearSchedule::for_receiver(&src, &dst, order, comm.rank());
-            let src_local =
-                LocalArray::from_fn(&src, comm.rank(), |idx| (idx[0] * 4 + idx[1]) as i32);
-            let mut dst_local: LocalArray<i32> = LocalArray::allocate(&dst, comm.rank());
-            LinearSchedule::execute_local(
-                &send,
-                &recv,
-                comm,
-                &src,
-                &dst,
-                &src_local,
-                &mut dst_local,
-                0,
-            )
-            .unwrap();
-            for (idx, &v) in dst_local.iter() {
-                assert_eq!(v, (idx[0] * 4 + idx[1]) as i32);
+            let rank = ctx.comm.rank();
+            if ctx.program == 0 {
+                let sched = LinearSchedule::for_sender(&src, &dst, order, rank);
+                let local = LocalArray::from_fn(&src, rank, |idx| (idx[0] * 4 + idx[1]) as i32);
+                sched.execute_send(ctx.intercomm(1), &src, &local, 0).unwrap();
+            } else {
+                let sched = LinearSchedule::for_receiver(&src, &dst, order, rank);
+                let mut local: LocalArray<i32> = LocalArray::allocate(&dst, rank);
+                sched.execute_recv(ctx.intercomm(0), &dst, &mut local, 0).unwrap();
+                for (idx, &v) in local.iter() {
+                    assert_eq!(v, (idx[0] * 4 + idx[1]) as i32);
+                }
             }
         });
     }
@@ -232,9 +174,9 @@ mod tests {
         let d = Dad::block(e, &[4, 1]).unwrap();
         for rank in 0..4 {
             let s = LinearSchedule::for_sender(&d, &d, ArrayOrder::RowMajor, rank);
-            assert_eq!(s.num_messages(), 1);
-            assert_eq!(s.pairs()[0].0, rank);
-            assert_eq!(s.pairs()[0].1.runs().len(), 1, "contiguous rows merge");
+            assert_eq!(s.pairs.len(), 1);
+            assert_eq!(s.pairs[0].0, rank);
+            assert_eq!(s.pairs[0].1.runs().len(), 1, "contiguous rows merge");
         }
     }
 }

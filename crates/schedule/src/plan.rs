@@ -56,7 +56,7 @@ impl CopyPlan {
     /// patch layout. `regions` must each be fully covered by `patches`
     /// (they are, by construction: every pair region is an intersection
     /// with one of this rank's patches).
-    pub fn compile(patches: &[Region], regions: &[Region]) -> CopyPlan {
+    pub(crate) fn compile(patches: &[Region], regions: &[Region]) -> CopyPlan {
         let mut plan = CopyPlan::default();
         for region in regions {
             for run in region_runs(patches.iter(), region) {
@@ -389,14 +389,15 @@ impl<T> TransferBuffers<T> {
         }
     }
 
-    /// Buffers currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-
     /// Bytes currently parked idle in the pool.
     pub fn idle_bytes(&self) -> usize {
         self.idle_bytes
+    }
+
+    /// Buffers currently idle in the pool: what the pool tests observe.
+    #[cfg(test)]
+    pub(crate) fn idle(&self) -> usize {
+        self.free.len()
     }
 
     /// `(leases, fresh_allocs)` so far: in steady state `fresh_allocs`

@@ -175,13 +175,8 @@ impl RegionSchedule {
     }
 
     /// The schedule's role.
-    pub fn role(&self) -> Role {
+    pub(crate) fn role(&self) -> Role {
         self.role
-    }
-
-    /// The rank this schedule was built for.
-    pub fn rank(&self) -> usize {
-        self.my_rank
     }
 
     /// Per-peer transfer plans (peers with nothing to exchange omitted).

@@ -141,7 +141,7 @@ pub enum RouteKind {
 
 impl RouteKind {
     /// Stable numeric code used in trace span arguments.
-    pub fn code(self) -> u64 {
+    pub(crate) fn code(self) -> u64 {
         match self {
             RouteKind::Direct => 0,
             RouteKind::Chunked => 1,
@@ -240,11 +240,6 @@ impl Default for RoutePlanner {
 }
 
 impl RoutePlanner {
-    /// A planner scoring time with `model`.
-    pub fn new(model: NetworkModel) -> Self {
-        RoutePlanner { model }
-    }
-
     /// Resident (non-transfer) array bytes a rank holds during the
     /// exchange: one shard across an inter-communicator, both shards for
     /// an in-place intra-communicator redistribution.
@@ -330,7 +325,7 @@ impl RoutePlanner {
     /// `intra` admits the allgather lowering (it needs one communicator)
     /// and charges both shards as resident. When nothing fits, returns
     /// the smallest-peak candidate with [`RedistRoute::fits`] = `false`.
-    pub fn plan(&self, p: &RedistProfile, budget_bytes: u64, intra: bool) -> RedistRoute {
+    pub(crate) fn plan(&self, p: &RedistProfile, budget_bytes: u64, intra: bool) -> RedistRoute {
         let mut cands =
             vec![self.direct_candidate(p, intra), self.chunked_candidate(p, budget_bytes, intra)];
         if intra {
@@ -349,7 +344,11 @@ impl RoutePlanner {
             .clone()
     }
 
-    /// [`RoutePlanner::plan`] from descriptors: profiles then plans.
+    /// Plans the fastest route from `src` to `dst` with declared peak ≤
+    /// `budget_bytes`. `intra` admits the allgather lowering (it needs one
+    /// communicator) and charges both shards as resident. When nothing
+    /// fits, returns the smallest-peak candidate with
+    /// [`RedistRoute::fits`] = `false`.
     pub fn plan_for(
         &self,
         src: &Dad,

@@ -64,7 +64,7 @@ mod wire_front;
 pub use backend::BatchReply;
 pub use backend::{PlaneBackend, PrmiBackend, ServiceBackend};
 pub use plane::{
-    PlaneClient, PlaneHandle, PlaneReceiver, PlaneReply, PlaneSender, PlaneStats, ServeError,
-    ServeOutcome, ServePolicy, ServingPlane, ShardStats,
+    PlaneClient, PlaneHandle, PlaneReply, PlaneStats, ServeError, ServeOutcome, ServePolicy,
+    ServingPlane, ShardStats,
 };
 pub use wire_front::{DecodeFn, EncodeFn, WireFront};

@@ -578,7 +578,7 @@ impl PlaneShared {
 
 /// Sending half of a plane connection. Single-owner by design: the wire
 /// front gives it to the connection's reader thread.
-pub struct PlaneSender {
+pub(crate) struct PlaneSender {
     shared: Arc<PlaneShared>,
     conn: u64,
     next_seq: u64,
@@ -586,14 +586,9 @@ pub struct PlaneSender {
 }
 
 impl PlaneSender {
-    /// This connection's plane-assigned id.
-    pub fn conn(&self) -> u64 {
-        self.conn
-    }
-
     /// Submits a request under an auto-assigned sequence id (returned).
     /// May park the calling thread (backpressure); never blocks a shard.
-    pub fn send(&mut self, method: u32, arg: AnyPayload) -> Result<u64, ServeError> {
+    pub(crate) fn send(&mut self, method: u32, arg: AnyPayload) -> Result<u64, ServeError> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.shared.ingress(self.conn, seq, method, arg)?;
@@ -613,7 +608,7 @@ impl PlaneSender {
 
     /// Closes the connection: pending replies still drain, then the
     /// receiver observes `Closed`.
-    pub fn close(mut self) {
+    pub(crate) fn close(mut self) {
         self.close_inner();
     }
 
@@ -632,7 +627,7 @@ impl Drop for PlaneSender {
 }
 
 /// Receiving half of a plane connection.
-pub struct PlaneReceiver {
+pub(crate) struct PlaneReceiver {
     shared: Arc<PlaneShared>,
     conn: u64,
     buffer: VecDeque<PlaneReply>,
@@ -641,7 +636,7 @@ pub struct PlaneReceiver {
 impl PlaneReceiver {
     /// Blocks for the next reply on this connection. Replies arrive in
     /// request order.
-    pub fn recv(&mut self) -> Result<PlaneReply, ServeError> {
+    pub(crate) fn recv(&mut self) -> Result<PlaneReply, ServeError> {
         loop {
             if let Some(r) = self.buffer.pop_front() {
                 return Ok(r);
@@ -667,7 +662,7 @@ impl PlaneReceiver {
 
     /// Non-blocking receive: `Ok(None)` when no reply has been delivered
     /// yet. Ordering and close semantics match [`PlaneReceiver::recv`].
-    pub fn try_recv(&mut self) -> Result<Option<PlaneReply>, ServeError> {
+    pub(crate) fn try_recv(&mut self) -> Result<Option<PlaneReply>, ServeError> {
         loop {
             if let Some(r) = self.buffer.pop_front() {
                 return Ok(Some(r));
@@ -689,31 +684,28 @@ impl PlaneReceiver {
     }
 }
 
-/// A full-duplex plane connection: a [`PlaneSender`] and [`PlaneReceiver`]
-/// pair plus call conveniences. Split it to put the halves on different
-/// threads.
+/// A full-duplex plane connection: a sending and a receiving half plus
+/// call conveniences.
 pub struct PlaneClient {
     sender: PlaneSender,
     receiver: PlaneReceiver,
 }
 
 impl PlaneClient {
-    /// This connection's plane-assigned id.
-    pub fn conn(&self) -> u64 {
-        self.sender.conn
-    }
-
-    /// Pipelined submit; see [`PlaneSender::send`].
+    /// Pipelined submit under an auto-assigned sequence id (returned). May
+    /// park the calling thread (backpressure); never blocks a shard.
     pub fn send(&mut self, method: u32, arg: AnyPayload) -> Result<u64, ServeError> {
         self.sender.send(method, arg)
     }
 
-    /// Blocking receive; see [`PlaneReceiver::recv`].
+    /// Blocks for the next reply on this connection. Replies arrive in
+    /// request order.
     pub fn recv(&mut self) -> Result<PlaneReply, ServeError> {
         self.receiver.recv()
     }
 
-    /// Non-blocking receive; see [`PlaneReceiver::try_recv`].
+    /// Non-blocking receive: `Ok(None)` when no reply has been delivered
+    /// yet. Ordering and close semantics match [`PlaneClient::recv`].
     pub fn try_recv(&mut self) -> Result<Option<PlaneReply>, ServeError> {
         self.receiver.try_recv()
     }
@@ -734,7 +726,7 @@ impl PlaneClient {
     }
 
     /// Splits into independently-owned halves.
-    pub fn split(self) -> (PlaneSender, PlaneReceiver) {
+    pub(crate) fn split(self) -> (PlaneSender, PlaneReceiver) {
         (self.sender, self.receiver)
     }
 }
@@ -772,17 +764,12 @@ impl PlaneHandle {
     }
 
     /// Snapshot of every shard's counters.
-    pub fn stats(&self) -> PlaneStats {
+    pub(crate) fn stats(&self) -> PlaneStats {
         PlaneStats {
             per_shard: self.shared.shards.iter().map(|s| s.stats.snapshot()).collect(),
             conns_opened: self.shared.conns_opened.load(Ordering::Relaxed),
             conns_closed: self.shared.conns_closed.load(Ordering::Relaxed),
         }
-    }
-
-    /// Whether the plane has shut down.
-    pub fn is_closed(&self) -> bool {
-        self.shared.closed.load(Ordering::Acquire)
     }
 }
 

@@ -203,11 +203,6 @@ impl WireFront {
         Ok(WireFront { server })
     }
 
-    /// Client connections currently attached.
-    pub fn connections(&self) -> usize {
-        self.server.connections()
-    }
-
     /// Stops accepting and closes every connection (plane connections
     /// close with them; the plane itself keeps running).
     pub fn shutdown(self) {

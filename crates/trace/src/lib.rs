@@ -205,7 +205,7 @@ pub const ALL_EVENT_IDS: [EventId; 41] = [
 
 impl EventId {
     /// Stable display name (also the Chrome trace event name).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EventId::ScheduleBuild => "ScheduleBuild",
             EventId::CopyPack => "CopyPack",
@@ -252,7 +252,7 @@ impl EventId {
     }
 
     /// Category grouping for aggregation and the Chrome `cat` field.
-    pub fn category(self) -> &'static str {
+    pub(crate) fn category(self) -> &'static str {
         match self {
             EventId::ScheduleBuild
             | EventId::CopyPack
@@ -531,15 +531,10 @@ impl RankRecorder {
         }
     }
 
-    /// The rank this recorder belongs to.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
     /// Appends one event. Lock-free: claim a sequence number, write the
     /// slot, publish. Overflow past the fixed capacity increments the
     /// dropped counter instead of blocking or reallocating.
-    pub fn record(&self, id: EventId, phase: Phase, args: [u64; 4]) {
+    pub(crate) fn record(&self, id: EventId, phase: Phase, args: [u64; 4]) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let idx = seq as usize;
         let ci = idx / CHUNK_CAP;
@@ -589,17 +584,6 @@ impl RankRecorder {
                 unsafe { &*existing }
             }
         }
-    }
-
-    /// Events recorded so far (claimed sequence numbers, including any
-    /// dropped past capacity).
-    pub fn len(&self) -> u64 {
-        self.next_seq.load(Ordering::Acquire)
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Snapshots every published event in sequence order. Slots claimed but
@@ -665,11 +649,6 @@ pub struct TraceHandle {
 }
 
 impl TraceHandle {
-    /// The rank this handle records for.
-    pub fn rank(&self) -> u32 {
-        self.rec.rank()
-    }
-
     /// Installs this recorder as the calling thread's emit target until the
     /// guard drops (restoring whatever was installed before).
     pub fn install(&self) -> InstallGuard {
@@ -732,11 +711,6 @@ impl TraceCollector {
         let epoch = Instant::now();
         let recorders = (0..nranks).map(|r| Arc::new(RankRecorder::new(r as u32, epoch))).collect();
         TraceCollector { recorders, _enable: EnableGuard::new() }
-    }
-
-    /// Number of ranks this collector records.
-    pub fn nranks(&self) -> usize {
-        self.recorders.len()
     }
 
     /// The handle for `rank`'s recorder.
@@ -802,7 +776,7 @@ impl RunTrace {
 
     /// FNV-1a digest of the canonical event bytes. Deterministic runs must
     /// produce identical digests — the golden-trace axiom.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in self.canonical_bytes() {
             h ^= b as u64;
@@ -811,7 +785,9 @@ impl RunTrace {
         h
     }
 
-    /// [`Self::digest`] as a fixed-width hex string (golden files).
+    /// The FNV-1a digest of the canonical event bytes as a fixed-width hex
+    /// string (golden files). Deterministic runs must produce identical
+    /// digests — the golden-trace axiom.
     pub fn digest_hex(&self) -> String {
         format!("{:016x}", self.digest())
     }

@@ -317,13 +317,12 @@ pub struct CodecRegistry {
 
 impl CodecRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// A registry preloaded with the scalar and vector types the coupling
-    /// and PRMI layers send: use this unless an application needs custom
-    /// structs, and extend it with [`CodecRegistry::register`] when it does.
+    /// and PRMI layers send.
     pub fn with_defaults() -> Self {
         let mut r = Self::new();
         r.register::<()>(1);
@@ -352,7 +351,7 @@ impl CodecRegistry {
     /// already taken — tag collisions are configuration bugs, and failing
     /// at registration is the only place they are locally detectable — or
     /// if `tag` is [`DESCRIPTOR_CODEC`], which names lent bodies.
-    pub fn register<T: WireCodec + Any + Send>(&mut self, tag: u32) {
+    pub(crate) fn register<T: WireCodec + Any + Send>(&mut self, tag: u32) {
         assert_ne!(tag, DESCRIPTOR_CODEC, "payload tag {tag} is reserved for descriptors");
         let enc: EncodeFn = |any, out| match any.downcast_ref::<T>() {
             Some(v) => {
@@ -397,11 +396,6 @@ impl CodecRegistry {
     /// The wire tag `value`'s type is registered under, if any.
     pub(crate) fn tag_of_value(&self, value: &dyn Any) -> Option<u32> {
         self.by_type.get(&value.type_id()).map(|(tag, _)| *tag)
-    }
-
-    /// Whether `T` has an encoder registered.
-    pub fn knows<T: Any>(&self) -> bool {
-        self.by_type.contains_key(&TypeId::of::<T>())
     }
 }
 

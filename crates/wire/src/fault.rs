@@ -56,7 +56,7 @@ impl WireFaults {
     }
 
     /// Whether any fault can ever fire.
-    pub fn is_reliable(&self) -> bool {
+    pub(crate) fn is_reliable(&self) -> bool {
         self.drop == 0.0 && self.corrupt == 0.0 && self.delay.is_zero()
     }
 

@@ -506,7 +506,7 @@ impl SpareValues {
 
     /// The smallest kept vector that holds `len` values without growing,
     /// if any: a large spare stays for the next large body.
-    pub fn take(&self, len: usize) -> Option<Vec<f64>> {
+    pub(crate) fn take(&self, len: usize) -> Option<Vec<f64>> {
         let mut list = self.list.lock();
         let fits = list.iter().enumerate().filter(|(_, v)| v.capacity() >= len);
         let (i, _) = fits.min_by_key(|(_, v)| v.capacity())?;
@@ -524,7 +524,8 @@ impl SpareValues {
     }
 
     /// Bytes of capacity kept now.
-    pub fn bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> usize {
         Self::bytes_of(&self.list.lock())
     }
 
@@ -742,11 +743,6 @@ impl FrameReader {
     /// Appends raw bytes from the stream.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes currently buffered (complete or partial frames).
-    pub fn buffered(&self) -> usize {
-        self.buf.len() + self.body.as_ref().map_or(0, |b| HEADER_LEN + b.filled)
     }
 
     /// Makes one `read` call on `src` and takes in what it returned: into
@@ -975,7 +971,7 @@ mod tests {
         r.feed(&f.encode());
         assert_eq!(r.next(), Some(Ok(f)));
         assert_eq!(r.next(), None);
-        assert_eq!(r.buffered(), 0);
+        assert!(r.buf.is_empty() && r.body.is_none(), "nothing stays buffered");
     }
 
     #[test]

@@ -207,7 +207,8 @@ impl LinkSender {
     }
 
     /// Whether retained vectors are lent on the current stream.
-    pub fn lends(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn lends(&self) -> bool {
         self.lends
     }
 
@@ -230,7 +231,7 @@ impl LinkSender {
 
     /// Shuts down the attached stream (both directions), unblocking the
     /// peer's reader, and detaches.
-    pub fn shutdown(&mut self) {
+    pub(crate) fn shutdown(&mut self) {
         self.lends = false;
         if let Some(mut s) = self.stream.take() {
             s.close();
@@ -238,7 +239,7 @@ impl LinkSender {
     }
 
     /// Arms or disarms fault injection on this link.
-    pub fn set_armed(&mut self, armed: bool) {
+    pub(crate) fn set_armed(&mut self, armed: bool) {
         self.armed = armed;
     }
 

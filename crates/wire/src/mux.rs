@@ -18,8 +18,9 @@
 //!   up) is just "the handler blocks": the socket's kernel buffer then
 //!   fills, the client's sends stall, and no other connection notices.
 //! * **Replies are decoupled from request flow.** Each connection owns a
-//!   writer thread fed by an unbounded channel; [`MuxServer::reply`] never
-//!   blocks the caller (the shard executor), it enqueues and returns.
+//!   writer thread fed by an unbounded channel; [`MuxReplier::reply`]
+//!   (from [`MuxServer::replier`]) never blocks the caller (the shard
+//!   executor), it enqueues and returns.
 //!
 //! Frames reuse the `MxN1` framing layer ([`crate::frame`]): header + CRCs,
 //! resync on damage. Request/response bodies are [`MuxRequest`] /
@@ -213,21 +214,9 @@ impl MuxServer {
         Ok(MuxServer { shared, path, listener_fd, acceptor: Some(acc) })
     }
 
-    /// Enqueues a reply for `conn`'s writer thread. Never blocks. Returns
-    /// `false` if the connection is already gone (the reply is dropped —
-    /// the client will retransmit or observe the close).
-    pub fn reply(&self, conn: ConnId, resp: MuxResponse) -> bool {
-        self.shared.reply(conn, resp)
-    }
-
     /// A clonable reply handle, for executors that outlive the borrow.
     pub fn replier(&self) -> MuxReplier {
         MuxReplier { shared: Arc::clone(&self.shared) }
-    }
-
-    /// Connections currently attached.
-    pub fn connections(&self) -> usize {
-        self.shared.conns.lock().len()
     }
 
     /// Stops accepting, closes every connection, removes the socket file.
@@ -269,7 +258,9 @@ pub struct MuxReplier {
 }
 
 impl MuxReplier {
-    /// See [`MuxServer::reply`].
+    /// Enqueues a reply for `conn`'s writer thread. Never blocks. Returns
+    /// `false` if the connection is already gone (the reply is dropped —
+    /// the client will retransmit or observe the close).
     pub fn reply(&self, conn: ConnId, resp: MuxResponse) -> bool {
         self.shared.reply(conn, resp)
     }
@@ -621,7 +612,7 @@ mod tests {
         let mut busy = MuxClient::connect(&path).unwrap();
         // Accepted in order: a finished call means both are attached.
         assert_eq!(busy.call(0, 12, vec![1]).unwrap().status, MuxStatus::Ok);
-        assert_eq!(server.connections(), 2);
+        assert_eq!(server.shared.conns.lock().len(), 2);
         // Half a request: the busy reader blocks for the rest of the frame.
         let req = MuxRequest { method: 0, call_id: 1, oneway: false, codec: 12, arg: vec![2; 64] };
         let frame = Frame {

@@ -238,7 +238,7 @@ impl WireConfig {
     }
 
     /// Socket path of `rank` under this configuration.
-    pub fn sock_path(&self, rank: usize) -> PathBuf {
+    pub(crate) fn sock_path(&self, rank: usize) -> PathBuf {
         self.dir.join(format!("rank_{rank}.sock"))
     }
 
@@ -810,7 +810,7 @@ impl WireNode {
     }
 
     /// This node's global rank.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.shared.cfg.rank
     }
 
@@ -819,19 +819,8 @@ impl WireNode {
         self.shared.cur_size()
     }
 
-    /// The preallocated membership ceiling ([`WireConfig::max_size`]).
-    pub fn max_size(&self) -> usize {
-        self.shared.cfg.max_size
-    }
-
-    /// The shared liveness registry — the same type, with the same
-    /// semantics, the in-proc world uses.
-    pub fn liveness(&self) -> &Arc<Liveness> {
-        &self.shared.liveness
-    }
-
     /// Whether `rank` has been declared dead.
-    pub fn is_dead(&self, rank: usize) -> bool {
+    pub(crate) fn is_dead(&self, rank: usize) -> bool {
         self.shared.liveness.is_dead(rank)
     }
 
@@ -1001,7 +990,7 @@ impl WireNode {
     }
 
     /// Sponsors one attempt to admit a spare process as rank `self.size()`,
-    /// in the same join vote the in-proc `InterComm::reconfigure` runs:
+    /// in the same join vote the in-proc `InterComm::expand` runs:
     /// open the admission window, wait for the newcomer's `JoinReq` (it
     /// has dialed the whole mesh by then), offer a [`JoinOffer`] to
     /// every live incumbent and the newcomer, and vote readiness — an

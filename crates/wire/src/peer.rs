@@ -312,22 +312,23 @@ impl Link {
         self.standing
     }
 
-    /// Our session, announced in `Hello`s.
-    pub fn session(&self) -> u64 {
-        self.session
-    }
-
     fn hello(&self) -> Action {
         Action::Hello { session: self.session, last_recv: self.recv }
     }
 
+    /// Our session, announced in `Hello`s.
+    #[cfg(test)]
+    pub(crate) fn session(&self) -> u64 {
+        self.session
+    }
+
     /// The current stream's generation.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
     /// Highest data seq delivered from the peer.
-    pub fn recv(&self) -> u64 {
+    pub(crate) fn recv(&self) -> u64 {
         self.recv
     }
 

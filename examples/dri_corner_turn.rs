@@ -4,7 +4,9 @@
 //! written for: a radar datacube processed first along rows (per-pulse
 //! filtering, row-block partition) must be reorganized to a column-block
 //! partition for the cross-pulse stage. DRI's low-level get/put model lets
-//! each process interleave the reorganization with its own compute.
+//! each process interleave the reorganization with its own compute, and
+//! the stage-2 partition declares a column-major local layout: DRI hands
+//! that stage its columns contiguous, the order a cross-pulse pass reads.
 //!
 //! ```text
 //! cargo run --example dri_corner_turn
@@ -35,7 +37,7 @@ fn main() {
         let cols_part = DriPartition::new(
             &[ROWS, COLS],
             &[DriDist::Whole, DriDist::Block(P)],
-            LocalLayout::RowMajor,
+            LocalLayout::ColMajor,
         )
         .unwrap();
 
@@ -58,16 +60,27 @@ fn main() {
             }
         }
 
-        // Stage 2: verify every column element landed correctly.
+        // Every element landed in the rank's (canonical) local storage.
         for (idx, &v) in recv.iter() {
             assert_eq!(v, (idx[0] * COLS + idx[1]) as f64, "at {idx:?}");
         }
-        let sum: f64 = recv.iter().map(|(_, &v)| v).sum();
+
+        // Stage 2 reads its patch through the declared column-major
+        // layout: each column of the patch is one contiguous run.
+        let patch = &cols_part.dad().patches(rank)[0];
+        let cols = cols_part.pack(&recv, patch);
+        let first_col = patch.lo()[1];
+        for (k, &v) in cols.iter().enumerate() {
+            let (row, col) = (k % ROWS, first_col + k / ROWS);
+            assert_eq!(v, (row * COLS + col) as f64, "column-major element {k}");
+        }
+        // The cross-pulse pass: one sum per contiguous column.
+        let sum: f64 = cols.chunks(ROWS).map(|column| column.iter().sum::<f64>()).sum();
         let total: f64 = comm.allreduce(sum, |a, b| *a += b).unwrap();
         if rank == 0 {
             let n = (ROWS * COLS) as f64;
             assert_eq!(total, n * (n - 1.0) / 2.0);
-            println!("rank 0: drove {chunks} put chunks; datacube checksum verified");
+            println!("rank 0: drove {chunks} put chunks; column-major checksum verified");
             println!("\ncorner turn complete: all {} elements in column-block layout", ROWS * COLS);
         }
     });

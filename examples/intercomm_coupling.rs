@@ -62,7 +62,7 @@ fn run_coupling(rule: MatchRule) {
             }
         } else {
             let ic = ctx.intercomm(0);
-            let mut im = Importer::new(&dst_dad, &src_dad, rank, rule);
+            let mut im = Importer::new(&dst_dad, &src_dad, rank);
             let mut dst: LocalArray<f64> = LocalArray::allocate(&dst_dad, rank);
             for &treq in &requests {
                 match im.import(ic, treq, &mut dst).unwrap() {

@@ -31,7 +31,7 @@ pub enum ParallelDataKind {
 
 impl ParallelDataKind {
     /// The label used in the paper's table.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ParallelDataKind::MpiArrays => "MPI-based arrays",
             ParallelDataKind::DenseArrays => "Dense arrays",
@@ -107,7 +107,7 @@ fn probe_intercomm() -> bool {
             true
         } else {
             let ic = ctx.intercomm(0);
-            let mut im = Importer::new(&dad, &dad, 0, rule);
+            let mut im = Importer::new(&dad, &dad, 0);
             let mut dst: LocalArray<f64> = LocalArray::allocate(&dad, 0);
             im.import(ic, 2.5, &mut dst).unwrap() == ImportOutcome::Fulfilled { version: 2.0 }
                 && *dst.get(&[0]).unwrap() == 2.0
