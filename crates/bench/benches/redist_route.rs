@@ -24,10 +24,9 @@
 
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use mxn_bench::{criterion_config, field_value, fmt_bytes};
+use mxn_bench::{field_value, fmt_bytes};
 use mxn_dad::{Dad, Extents, LocalArray};
-use mxn_runtime::{reset_schedule_stats, schedule_stats, RunOpts, Universe, World};
+use mxn_runtime::{reset_schedule_stats, schedule_stats, RunOpts, Universe};
 use mxn_schedule::{Redist, RouteKind, RoutePlanner};
 use mxn_trace::EventId;
 
@@ -106,24 +105,7 @@ fn committed_baseline(path: &str) -> Option<u64> {
     text[at..].split(|c: char| !c.is_ascii_digit()).next()?.parse().ok()
 }
 
-fn bench(c: &mut Criterion) {
-    // Criterion smoke cell: a small budget-routed within-world exchange.
-    let mut group = c.benchmark_group("redist_route");
-    group.bench_function("budgeted_within_p4", |b| {
-        b.iter(|| {
-            World::run(4, |proc| {
-                let comm = proc.world();
-                let e = Extents::new([32, 32]);
-                let src = Dad::block(e.clone(), &[4, 1]).unwrap();
-                let dst = Dad::block(e, &[1, 4]).unwrap();
-                let local = LocalArray::from_fn(&src, comm.rank(), field_value);
-                let out = Redist::between(&src, &dst).budget(2048).within(comm, &local, 0).unwrap();
-                std::hint::black_box(out);
-            });
-        });
-    });
-    group.finish();
-
+fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_redist.json");
     let enforce = std::env::var_os("MXN_ENFORCE_REDIST_BASELINE").is_some();
     let baseline = committed_baseline(path);
@@ -239,10 +221,3 @@ fn bench(c: &mut Criterion) {
     std::fs::write(path, json).expect("write BENCH_redist.json");
     println!("wrote {path}");
 }
-
-criterion_group! {
-    name = benches;
-    config = criterion_config();
-    targets = bench
-}
-criterion_main!(benches);

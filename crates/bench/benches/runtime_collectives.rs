@@ -19,9 +19,7 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-use mxn_bench::{criterion_config, fmt_bytes};
+use mxn_bench::fmt_bytes;
 use mxn_runtime::{CollOp, Comm, RunOpts, StatsSnapshot, World};
 
 const KIB: usize = 1 << 10;
@@ -222,18 +220,7 @@ fn committed_mailbox_baseline(path: &str) -> Option<f64> {
     text[at..].split(|c: char| !(c.is_ascii_digit() || c == '.')).next()?.parse().ok()
 }
 
-fn bench(c: &mut Criterion) {
-    // Criterion smoke cells (small p, whole world per measurement).
-    let mut group = c.benchmark_group("runtime_collectives");
-    let (p, payload) = (16usize, KIB);
-    group.bench_with_input(BenchmarkId::new("bcast_shared", p), &p, |b, _| {
-        b.iter(|| bcast_cell(p, payload, true).ns_per_op)
-    });
-    group.bench_with_input(BenchmarkId::new("bcast_cloning", p), &p, |b, _| {
-        b.iter(|| bcast_cell(p, payload, false).ns_per_op)
-    });
-    group.finish();
-
+fn main() {
     let mut cells = Vec::new();
     for &p in &[16usize, 64, 256] {
         for &payload in &[KIB, MIB] {
@@ -338,10 +325,3 @@ fn bench(c: &mut Criterion) {
     std::fs::write(path, json).expect("write BENCH_runtime.json");
     println!("wrote {path}");
 }
-
-criterion_group! {
-    name = benches;
-    config = criterion_config();
-    targets = bench
-}
-criterion_main!(benches);

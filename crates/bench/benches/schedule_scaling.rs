@@ -16,9 +16,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-
-use mxn_bench::criterion_config;
 use mxn_dad::{AxisDist, Dad, Extents, LocalArray, Template};
 use mxn_runtime::{reset_schedule_stats, schedule_stats, World};
 use mxn_schedule::{RegionSchedule, TransferBuffers};
@@ -147,19 +144,7 @@ fn transfer_reuse(steps: usize) -> (f64, u64, u64) {
     (ns, after_first, at_end)
 }
 
-fn bench(c: &mut Criterion) {
-    let mut group = c.benchmark_group("schedule_scaling");
-    for p in [16usize, 64, 256] {
-        let (src, dst) = aligned(p);
-        group.bench_with_input(BenchmarkId::new("aligned_pruned", p), &p, |b, _| {
-            b.iter(|| std::hint::black_box(RegionSchedule::for_sender(&src, &dst, 0)))
-        });
-        group.bench_with_input(BenchmarkId::new("aligned_naive", p), &p, |b, _| {
-            b.iter(|| std::hint::black_box(RegionSchedule::for_sender_naive(&src, &dst, 0)))
-        });
-    }
-    group.finish();
-
+fn main() {
     // Wall-clock + probe-count measurements for the JSON report.
     let mut cases = Vec::new();
     for p in [16usize, 64, 256] {
@@ -219,10 +204,3 @@ fn bench(c: &mut Criterion) {
     std::fs::write(path, json).expect("write BENCH_schedule.json");
     println!("wrote {path}");
 }
-
-criterion_group! {
-    name = benches;
-    config = criterion_config();
-    targets = bench
-}
-criterion_main!(benches);

@@ -26,9 +26,6 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
-use mxn_bench::criterion_config;
 use mxn_framework::{AnyPayload, Dispatch, RemoteService};
 use mxn_prmi::{serve, ServeOpts};
 use mxn_runtime::{InterComm, World};
@@ -243,18 +240,7 @@ fn committed_baseline(path: &str) -> Option<f64> {
     text[at..].split(|c: char| !(c.is_ascii_digit() || c == '.')).next()?.parse().ok()
 }
 
-fn bench(c: &mut Criterion) {
-    // Criterion smoke cell: one small plane round-trip.
-    let mut group = c.benchmark_group("serving_plane");
-    group.bench_function("call_roundtrip", |b| {
-        let plane = echo_plane(ServePolicy::default().with_shards(1));
-        let mut client = plane.client();
-        b.iter(|| {
-            std::hint::black_box(client.call(0, AnyPayload::new(vec![7u8; 64])).unwrap());
-        });
-    });
-    group.finish();
-
+fn main() {
     let enforce = std::env::var_os("MXN_ENFORCE_SERVING_BASELINE").is_some();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
     let baseline = committed_baseline(path);
@@ -421,10 +407,3 @@ fn bench(c: &mut Criterion) {
     std::fs::write(path, json).expect("write BENCH_serving.json");
     println!("wrote {path}");
 }
-
-criterion_group! {
-    name = benches;
-    config = criterion_config();
-    targets = bench
-}
-criterion_main!(benches);

@@ -27,9 +27,6 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, Criterion};
-
-use mxn_bench::criterion_config;
 use mxn_runtime::{
     Envelope, Liveness, Mailbox, NetworkModel, Payload, PeerRef, Revocations, Src, Tag,
 };
@@ -148,7 +145,7 @@ fn measure_zombie(fence_ms: u64, stall: u32, grace_ms: u64) -> (Duration, Durati
     (quarantine, evict)
 }
 
-fn bench(_c: &mut Criterion) {
+fn main() {
     let mut cells: Vec<Cell> = Vec::new();
 
     for &bytes in &SIZES {
@@ -253,10 +250,3 @@ fn bench(_c: &mut Criterion) {
     std::fs::write(path, json).expect("write BENCH_transport.json");
     println!("wrote {path}");
 }
-
-criterion_group! {
-    name = benches;
-    config = criterion_config();
-    targets = bench
-}
-criterion_main!(benches);

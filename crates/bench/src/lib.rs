@@ -1,35 +1,11 @@
-//! Shared support for the experiment benchmarks.
+//! Shared support for the gated benches.
 //!
-//! Each bench target in `benches/` regenerates one figure/table of the
-//! paper (or one of its quantitative claims); see `DESIGN.md`'s experiment
-//! index. The helpers here time *inside* a running universe so that
-//! thread-spawn and wiring costs don't pollute per-transfer numbers.
+//! Each bench target in `benches/` is a plain `harness = false` main that
+//! measures one subsystem at scale, asserts its invariants and writes one
+//! `BENCH_*.json` report at the repository root; see `EXPERIMENTS.md`
+//! for the experiment each one regenerates.
 
 #![warn(unreachable_pub)]
-
-use std::time::Duration;
-
-use mxn_runtime::{ProgramCtx, Universe};
-
-/// Runs `f` on a universe and returns the maximum of the per-rank
-/// durations that participating ranks report (ranks may return
-/// `Duration::ZERO` to opt out of timing).
-pub fn time_universe<F>(sizes: &[usize], f: F) -> Duration
-where
-    F: Fn(&ProgramCtx) -> Duration + Send + Sync,
-{
-    let durations = Universe::run(sizes, |_, ctx| f(ctx));
-    durations.into_iter().max().unwrap_or(Duration::ZERO)
-}
-
-/// Standard tiny-but-stable Criterion configuration for benches that spawn
-/// whole universes per measurement.
-pub fn criterion_config() -> criterion::Criterion {
-    criterion::Criterion::default()
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(500))
-}
 
 /// A deterministic synthetic field value.
 pub fn field_value(idx: &[usize]) -> f64 {
@@ -54,18 +30,6 @@ pub fn fmt_bytes(b: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_universe_returns_max() {
-        let d = time_universe(&[1, 1], |ctx| {
-            if ctx.program == 0 {
-                Duration::from_millis(5)
-            } else {
-                Duration::ZERO
-            }
-        });
-        assert_eq!(d, Duration::from_millis(5));
-    }
 
     #[test]
     fn fmt_bytes_scales() {

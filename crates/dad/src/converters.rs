@@ -93,7 +93,8 @@ impl ConverterRegistry {
 
     /// Number of converter implementations this strategy requires for the
     /// registry's package count — the paper's 2N-vs-N² argument.
-    pub fn converter_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn converter_count(&self) -> usize {
         let n = self.packages.len();
         match self.strategy {
             ConvertStrategy::Hub => 2 * n,

@@ -42,13 +42,6 @@ pub struct UnitConversion {
     pub offset: f64,
 }
 
-impl UnitConversion {
-    /// Celsius → Kelvin.
-    pub fn celsius_to_kelvin() -> Self {
-        UnitConversion { scale: 1.0, offset: 273.15 }
-    }
-}
-
 impl Filter for UnitConversion {
     fn describe(&self) -> String {
         format!("unit({} x + {})", self.scale, self.offset)
@@ -124,7 +117,7 @@ mod tests {
 
     #[test]
     fn unit_conversion_applies_affine() {
-        let f = UnitConversion::celsius_to_kelvin();
+        let f = UnitConversion { scale: 1.0, offset: 273.15 };
         let mut v = vec![0.0, 100.0];
         f.apply(&mut v);
         assert_eq!(v, vec![273.15, 373.15]);

@@ -69,11 +69,6 @@ impl Pipeline {
         self
     }
 
-    /// The input decomposition.
-    pub fn input(&self) -> &Dad {
-        &self.input
-    }
-
     /// The output decomposition (last redistribution, or the input).
     pub(crate) fn output(&self) -> &Dad {
         self.stages
@@ -87,12 +82,14 @@ impl Pipeline {
     }
 
     /// Number of redistributions the pipeline performs.
-    pub fn num_redistributions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_redistributions(&self) -> usize {
         self.stages.iter().filter(|s| matches!(s, Stage::Redistribute(_))).count()
     }
 
     /// Number of element passes (filter applications).
-    pub fn num_passes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_passes(&self) -> usize {
         self.stages.iter().filter(|s| matches!(s, Stage::Filter(_))).count()
     }
 
@@ -297,7 +294,7 @@ mod tests {
             let d = Dad::block(e, &[1]).unwrap();
             let seed = LocalArray::from_fn(&d, 0, |idx| idx[0] as f64);
             let out = Pipeline::new(d)
-                .filter(UnitConversion::celsius_to_kelvin())
+                .filter(UnitConversion { scale: 1.0, offset: 273.15 })
                 .execute(comm, seed, 0)
                 .unwrap();
             assert_eq!(*out.get(&[0]).unwrap(), 273.15);

@@ -87,7 +87,7 @@ impl Payload {
     }
 
     /// Wraps an `Arc` handle for shared delivery to one of many receivers.
-    pub fn shared<T: Any + Send + Sync + Clone>(value: Arc<T>) -> Self {
+    pub(crate) fn shared<T: Any + Send + Sync + Clone>(value: Arc<T>) -> Self {
         Payload::Shared {
             value,
             unwrap_value: |any| {

@@ -63,7 +63,6 @@ mod rma;
 mod shared;
 mod stats;
 mod tracing;
-mod transport;
 mod universe;
 mod world;
 
@@ -88,7 +87,6 @@ pub use stats::{
     CollOp, CollOpStats, MailboxGauge, ScheduleStats, StatsSnapshot, TrafficClass, WorldStats,
 };
 pub use tracing::{coll_algo, err_code, fault_kind};
-pub use transport::{InProcTransport, Transport};
 pub use universe::{ProgramCtx, Universe};
 pub use world::{Process, RunOpts, RunReport, World};
 

@@ -79,15 +79,16 @@ impl MsgSize for RmaGetReq {
     }
 }
 
-/// Get response: the requested runs, concatenated.
+/// Get response: the requested runs, concatenated, or why the target
+/// refused them.
 #[derive(Debug, Clone)]
 struct RmaGetResp {
-    data: Vec<f64>,
+    data: std::result::Result<Vec<f64>, String>,
 }
 
 impl MsgSize for RmaGetResp {
     fn msg_size(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
+        self.data.as_ref().map_or(0, |data| data.len() * std::mem::size_of::<f64>())
     }
 }
 
@@ -166,7 +167,10 @@ impl<'a> RmaWindow<'a> {
     ///
     /// Deterministic drain order (ascending member rank) keeps traces
     /// digest-stable; a peer silent past the fence timeout (it died
-    /// mid-epoch) surfaces as a failure-detection error.
+    /// mid-epoch) surfaces as a failure-detection error. A get that reads
+    /// past the target's block is answered with a refusal, so the fence
+    /// still runs to its end on every member and then fails with
+    /// [`RuntimeError::CollectiveMismatch`] on the target and the issuer.
     pub fn fence(&mut self) -> Result<Vec<Vec<f64>>> {
         // The span's second argument, once the put count, stays 0 so the
         // golden trace digests do not move.
@@ -186,26 +190,16 @@ impl<'a> RmaWindow<'a> {
         let fin_tag = Tag::Value(rma_tag(self.win_id, KIND_FIN));
         let req_tag = Tag::Value(rma_tag(self.win_id, KIND_GET_REQ));
         let mut served_gets = 0u64;
+        let mut failure = None;
         for &m in &self.members {
             let fin: RmaFin = self.comm.recv_timeout(m, fin_tag, RMA_FENCE_TIMEOUT)?;
             for _ in 0..fin.gets {
                 let req: RmaGetReq = self.comm.recv_timeout(m, req_tag, RMA_FENCE_TIMEOUT)?;
-                let total: usize = req.runs.iter().map(|&(_, len)| len).sum();
-                let mut out = Vec::with_capacity(total);
-                for &(off, len) in &req.runs {
-                    let end = off + len;
-                    if end > self.data.len() {
-                        return Err(RuntimeError::CollectiveMismatch {
-                            detail: format!(
-                                "get from member {m} reads {off}..{end} but the exposed block \
-                                 has {} elements",
-                                self.data.len()
-                            ),
-                        });
-                    }
-                    out.extend_from_slice(&self.data[off..end]);
+                let data = self.serve_get(m, &req.runs);
+                if let Err(detail) = &data {
+                    failure.get_or_insert_with(|| detail.clone());
                 }
-                self.comm.send(m, rma_tag(self.win_id, KIND_GET_RESP), RmaGetResp { data: out })?;
+                self.comm.send(m, rma_tag(self.win_id, KIND_GET_RESP), RmaGetResp { data })?;
                 served_gets += 1;
             }
         }
@@ -218,8 +212,18 @@ impl<'a> RmaWindow<'a> {
         for (idx, &m) in self.members.iter().enumerate() {
             for _ in 0..self.sent[idx] {
                 let resp: RmaGetResp = self.comm.recv_timeout(m, resp_tag, RMA_FENCE_TIMEOUT)?;
-                per_member[idx].push_back(resp.data);
+                match resp.data {
+                    Ok(data) => per_member[idx].push_back(data),
+                    Err(detail) => {
+                        failure.get_or_insert(detail);
+                    }
+                }
             }
+        }
+        self.sent.iter_mut().for_each(|s| *s = 0);
+        if let Some(detail) = failure {
+            self.get_order.clear();
+            return Err(RuntimeError::CollectiveMismatch { detail });
         }
         let results: Vec<Vec<f64>> = self
             .get_order
@@ -227,10 +231,33 @@ impl<'a> RmaWindow<'a> {
             .map(|&idx| per_member[idx].pop_front().expect("one response per issued get"))
             .collect();
 
-        self.sent.iter_mut().for_each(|s| *s = 0);
         self.get_order.clear();
         guard.set_end([self.win_id as u64, 0, served_gets, 0]);
         Ok(results)
+    }
+
+    /// The `runs` of the exposed block that member `m` asked for,
+    /// concatenated, or why they cannot be served.
+    fn serve_get(
+        &self,
+        m: usize,
+        runs: &[(usize, usize)],
+    ) -> std::result::Result<Vec<f64>, String> {
+        let total: usize = runs.iter().map(|&(_, len)| len).sum();
+        let mut out = Vec::with_capacity(total);
+        for &(off, len) in runs {
+            let end = off + len;
+            if end > self.data.len() {
+                return Err(format!(
+                    "get from member {m} reads {off}..{end} but the exposed block of member {} \
+                     has {} elements",
+                    self.comm.rank(),
+                    self.data.len()
+                ));
+            }
+            out.extend_from_slice(&self.data[off..end]);
+        }
+        Ok(out)
     }
 }
 
@@ -339,12 +366,15 @@ mod tests {
             let mut win = RmaWindow::expose(c, 4, vec![0, 1], vec![0.0; 2]).unwrap();
             if c.rank() == 0 {
                 win.get_runs(1, vec![(1, 2)]).unwrap();
-                // Rank 1's fence fails before serving, so don't block on it.
-                let _ = win.fence();
-            } else {
-                let e = win.fence().unwrap_err();
-                assert!(matches!(e, RuntimeError::CollectiveMismatch { .. }), "{e}");
             }
+            // The target refuses the read and answers the issuer, so both
+            // fences fail with the range error, the issuer's well inside
+            // the fence timeout.
+            let start = std::time::Instant::now();
+            let e = win.fence().unwrap_err();
+            assert!(matches!(e, RuntimeError::CollectiveMismatch { .. }), "{e}");
+            assert!(e.to_string().contains("reads 1..3"), "{e}");
+            assert!(start.elapsed() < Duration::from_secs(1), "rank {}: {e}", c.rank());
         });
     }
 }

@@ -12,7 +12,6 @@ use crate::membership::Revocations;
 use crate::network::{ChannelClock, NetworkModel};
 use crate::stats::{FaultClass, TrafficClass, WorldStats};
 use crate::tracing::{ctx_class, fault_kind, tag_arg};
-use crate::transport::{InProcTransport, Transport};
 use mxn_trace::{emit_instant, EventId};
 
 /// Context id of the world communicator's point-to-point traffic.
@@ -24,7 +23,9 @@ pub(crate) const WORLD_CONTEXT: u32 = 0;
 /// State shared by every rank of one [`crate::World`]: the mailboxes, the
 /// abort flag, the communicator-context allocator and the traffic counters.
 pub(crate) struct WorldShared {
-    transport: InProcTransport,
+    /// One mailbox per rank; delivery is a push under the destination's
+    /// bucket lock, moving or sharing the payload.
+    mailboxes: Vec<Mailbox>,
     abort: Arc<AtomicBool>,
     next_context: AtomicU32,
     stats: WorldStats,
@@ -45,10 +46,11 @@ impl WorldShared {
         let abort = Arc::new(AtomicBool::new(false));
         let liveness = Arc::new(Liveness::new(n));
         let revocations = Arc::new(Revocations::new());
-        let transport =
-            InProcTransport::new(n, abort.clone(), liveness.clone(), revocations.clone());
+        let mailboxes = (0..n)
+            .map(|_| Mailbox::new(abort.clone(), liveness.clone(), revocations.clone()))
+            .collect();
         Arc::new(WorldShared {
-            transport,
+            mailboxes,
             abort,
             // Context 0/1 belong to the world communicator.
             next_context: AtomicU32::new(2),
@@ -67,12 +69,12 @@ impl WorldShared {
 
     /// Number of ranks in the world.
     pub(crate) fn size(&self) -> usize {
-        self.transport.size()
+        self.mailboxes.len()
     }
 
     /// The mailbox of a global rank.
     pub(crate) fn mailbox(&self, global_rank: usize) -> &Mailbox {
-        self.transport.mailbox(global_rank)
+        &self.mailboxes[global_rank]
     }
 
     /// Allocates a fresh context *pair* and returns its point-to-point id.
@@ -87,7 +89,15 @@ impl WorldShared {
     /// Marks the world aborted and wakes every blocked receiver.
     pub(crate) fn abort(&self) {
         self.abort.store(true, Ordering::Release);
-        self.transport.wake_all();
+        self.wake_all();
+    }
+
+    /// Wakes every receiver blocked on any of this world's mailboxes
+    /// (abort, revocation and death propagation).
+    fn wake_all(&self) {
+        for m in &self.mailboxes {
+            m.wake_all();
+        }
     }
 
     /// The world's traffic counters.
@@ -126,7 +136,7 @@ impl WorldShared {
         let newly = self.revocations.mark(base);
         if newly {
             emit_instant(EventId::Revoke, [ctx_class(base), 0, 0, 0]);
-            self.transport.wake_all();
+            self.wake_all();
         }
         newly
     }
@@ -173,7 +183,7 @@ impl WorldShared {
             self.stats.record_fault(FaultClass::RankDeath);
             emit_instant(EventId::FaultInject, [fault_kind::DEATH, global as u64, 0, 0]);
         }
-        self.transport.wake_all();
+        self.wake_all();
     }
 
     /// Counts one operation by the calling rank and enforces its liveness:
@@ -271,9 +281,10 @@ impl WorldShared {
                     let dup =
                         Envelope::new(src_global, src_local, context, tag, bytes, deliver_at, p);
                     // Duplicate first, then the original, under one lock.
-                    let res = self.transport.deliver_pair(dst_global, dup, env);
-                    self.stats.note_transfer_peak(self.mailbox(dst_global).peak_bytes());
-                    return res;
+                    let mailbox = self.mailbox(dst_global);
+                    mailbox.post_many([dup, env]);
+                    self.stats.note_transfer_peak(mailbox.peak_bytes());
+                    return Ok(());
                 }
             }
             Verdict::Corrupt => {
@@ -285,11 +296,12 @@ impl WorldShared {
                 env.corrupt();
             }
         }
-        let res = self.transport.deliver(dst_global, env);
+        let mailbox = self.mailbox(dst_global);
+        mailbox.push(env);
         // Fold this destination's mailbox high-water mark into the world
         // peak at the same choke point that counted the bytes.
-        self.stats.note_transfer_peak(self.mailbox(dst_global).peak_bytes());
-        res
+        self.stats.note_transfer_peak(mailbox.peak_bytes());
+        Ok(())
     }
 
     /// Posts one shared payload to many destinations: the multicast
@@ -342,6 +354,7 @@ impl Drop for Reliable<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::{Src, Tag};
 
     #[test]
     fn context_pairs_are_disjoint() {
@@ -365,6 +378,32 @@ mod tests {
         let s = WorldShared::with_config(5, None, None);
         assert_eq!(s.size(), 5);
         s.mailbox(4); // must not panic
+    }
+
+    fn env(src: usize, tag: i32, v: u32) -> Envelope {
+        Envelope::new(src, src, 0, tag, 4, None, Payload::owned(v))
+    }
+
+    #[test]
+    fn deliver_lands_in_destination_mailbox() {
+        let s = WorldShared::with_config(2, None, None);
+        let class = TrafficClass::PointToPoint;
+        s.send_envelope(0, 0, 1, 1, 0, 7, 4, Payload::owned(42u32), None, class).unwrap();
+        let got = s.mailbox(1).try_take(0, Src::Rank(0), Tag::Value(7)).unwrap();
+        assert_eq!(got.payload.into_owned::<u32>().unwrap().0, 42);
+    }
+
+    #[test]
+    fn deliver_pair_is_adjacent_and_ordered() {
+        // What the duplicate verdict posts: the duplicate, then the
+        // original, under one lock.
+        let s = WorldShared::with_config(2, None, None);
+        s.mailbox(1).post_many([env(0, 7, 1), env(0, 7, 2)]);
+        assert_eq!(s.mailbox(1).len(), 2);
+        let a = s.mailbox(1).try_take(0, Src::Any, Tag::Any).unwrap();
+        let b = s.mailbox(1).try_take(0, Src::Any, Tag::Any).unwrap();
+        assert_eq!(a.payload.into_owned::<u32>().unwrap().0, 1);
+        assert_eq!(b.payload.into_owned::<u32>().unwrap().0, 2);
     }
 
     #[test]

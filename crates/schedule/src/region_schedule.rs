@@ -199,8 +199,9 @@ impl RegionSchedule {
         self.pairs.iter().map(PairRegions::elements).sum()
     }
 
-    /// In-memory size of the schedule (E6/E8 metric).
-    pub fn schedule_bytes(&self) -> usize {
+    /// In-memory size of the schedule (EXPERIMENTS.md E6's size column).
+    #[cfg(test)]
+    pub(crate) fn schedule_bytes(&self) -> usize {
         self.pairs
             .iter()
             .map(|p| {

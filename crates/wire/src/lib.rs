@@ -2,9 +2,9 @@
 //!
 //! The in-proc runtime (`mxn-runtime`) models ranks as threads in one
 //! address space: envelopes move by pointer, broadcasts share one `Arc`.
-//! This crate is the other side of the [`mxn_runtime::Transport`] seam —
-//! ranks as *real OS processes*, envelopes as length-prefixed CRC-checked
-//! frames over Unix-domain sockets, and the paper's robustness story
+//! This crate carries the same envelopes between *real OS processes*:
+//! length-prefixed CRC-checked frames over Unix-domain sockets, delivered
+//! into the same [`mxn_runtime::Mailbox`] a thread rank reads, and the paper's robustness story
 //! (heartbeat liveness, bounded reconnect, survivor shrink) carried across
 //! a wire that can actually fail.
 //!
@@ -49,7 +49,7 @@
 //!   evicting it (final) on frozen delivery watermarks. The membership is
 //!   elastic up to `max_size`: a spare OS process joins at runtime through
 //!   the same join vote the in-proc membership plane runs
-//!   ([`mxn_runtime::reconfig`]). [`UdsTransport`] is the `Transport` impl.
+//!   ([`mxn_runtime::reconfig`]).
 //! * [`MuxServer`] — connection multiplexing over *one* UDS listener: the
 //!   serving plane's wire front. Any number of client connections, each
 //!   with a reader/writer thread pair, requests handed to a pluggable
@@ -84,7 +84,7 @@ pub use mux::{
     MUX_REQ_CODEC, MUX_RESP_CODEC,
 };
 pub use node::{
-    UdsTransport, WireConfig, WireNode, WireStats, JOIN_OFFER_TAG, JOIN_REQ_TAG, JOIN_STATE_TAG,
+    WireConfig, WireNode, WireStats, JOIN_OFFER_TAG, JOIN_REQ_TAG, JOIN_STATE_TAG,
     WIRE_CTRL_CONTEXT,
 };
 pub use process::{spawn_spare, spawn_worker, spawn_worker_max, wire_role, WireRole, WorkerGuard};

@@ -41,8 +41,7 @@
 //! `mxn_runtime::Mailbox`: the wire changes how envelopes
 //! arrive, not how they match.
 //!
-//! A `Vec<f64>` sent with [`WireNode::send`] or [`UdsTransport::deliver`]
-//! moves into the link: a large one is written to the socket from its own
+//! A `Vec<f64>` sent with [`WireNode::send`] moves into the link: a large one is written to the socket from its own
 //! memory and retained as itself for resends ([`LinkSender::send_values`]).
 //! The node's readers land large `Vec<f64>` bodies in vectors from one
 //! node-wide [`SpareValues`] list, which acknowledged sends refill, and
@@ -76,8 +75,8 @@ use parking_lot::{Condvar, Mutex};
 use mxn_framework::CallPolicy;
 use mxn_runtime::reconfig::{drive, mask, ControlPlane, Reconfig, Rule};
 use mxn_runtime::{
-    splitmix64, Envelope, JoinOffer, Liveness, Mailbox, Payload, PeerRef, Result, Revocations,
-    RuntimeError, Src, Tag, Transport,
+    splitmix64, Envelope, JoinOffer, Liveness, Mailbox, PeerRef, Result, Revocations, RuntimeError,
+    Src, Tag,
 };
 use mxn_trace::{emit, emit_instant, EventId, Phase, TraceHandle};
 
@@ -1118,12 +1117,6 @@ impl WireNode {
         s
     }
 
-    /// A [`Transport`] handle over this node, for code written against
-    /// the runtime's transport seam.
-    pub fn transport(&self) -> UdsTransport {
-        UdsTransport { shared: Arc::clone(&self.shared) }
-    }
-
     /// Orderly shutdown: says goodbye to every live peer, stops the
     /// service threads, closes every link, and removes the socket file.
     pub fn shutdown(mut self) {
@@ -1196,57 +1189,6 @@ fn peer_pid(stream: &UnixStream) -> Option<i32> {
     // the descriptor is borrowed from `stream` for the call.
     let ok = unsafe { getsockopt(stream.as_raw_fd(), level, name, &mut cred, &mut len) } == 0;
     (ok && len as usize == std::mem::size_of::<Ucred>() && cred.pid > 0).then_some(cred.pid)
-}
-
-/// The Unix-domain-socket [`Transport`]: envelopes crossing this seam are
-/// codec-encoded into frames. [`Payload::Shared`] — the `Arc`-based
-/// zero-clone multicast representation — is rejected: sharing one
-/// allocation only means something inside one address space, and a silent
-/// deep copy here would falsify the in-proc zero-clone accounting.
-pub struct UdsTransport {
-    shared: Arc<NodeShared>,
-}
-
-impl Transport for UdsTransport {
-    fn kind(&self) -> &'static str {
-        "uds"
-    }
-
-    fn size(&self) -> usize {
-        self.shared.cur_size()
-    }
-
-    fn capacity(&self) -> usize {
-        self.shared.cfg.max_size
-    }
-
-    fn deliver(&self, dst: usize, env: Envelope) -> Result<()> {
-        let (src, tag) = (env.src_global, env.tag);
-        let Payload::Owned(boxed) = env.payload else {
-            let expected = "wire-encodable payload (Payload::Shared is in-proc-only)";
-            return Err(RuntimeError::TypeMismatch { expected, src, tag });
-        };
-        let expected = "a type registered in the CodecRegistry";
-        let unregistered = || RuntimeError::TypeMismatch { expected, src, tag };
-        let other;
-        let value = match boxed.downcast::<Vec<f64>>() {
-            Ok(values) => Outgoing::Values(*values),
-            Err(any) => {
-                other = any;
-                Outgoing::Any(other.as_ref())
-            }
-        };
-        self.shared.send_any(dst, env.context, tag, value, unregistered)
-    }
-
-    fn deliver_pair(&self, dst: usize, first: Envelope, second: Envelope) -> Result<()> {
-        self.deliver(dst, first)?;
-        self.deliver(dst, second)
-    }
-
-    fn wake_all(&self) {
-        self.shared.mailbox.wake_all();
-    }
 }
 
 #[cfg(test)]
@@ -1326,23 +1268,6 @@ mod tests {
         let nodes = mesh(&dir, 2);
         let err = nodes[0].send(1, 1, 1, Opaque).unwrap_err();
         assert!(matches!(err, RuntimeError::TypeMismatch { .. }));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_payloads_are_rejected_by_the_uds_transport() {
-        let dir = test_dir("shared");
-        let nodes = mesh(&dir, 2);
-        let t = nodes[0].transport();
-        let env = Envelope::new(0, 0, 1, 1, 8, None, Payload::shared(Arc::new(5u64)));
-        assert!(matches!(t.deliver(1, env), Err(RuntimeError::TypeMismatch { .. })));
-        // Owned payloads of registered types go through the same seam.
-        let env = Envelope::new(0, 0, 1, 2, 8, None, Payload::owned(9u64));
-        t.deliver(1, env).unwrap();
-        let got: u64 = nodes[1].recv_timeout(0, 1, 2, Duration::from_secs(5)).unwrap();
-        assert_eq!(got, 9);
-        assert_eq!(t.kind(), "uds");
-        assert_eq!(t.size(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1800,9 +1725,8 @@ mod tests {
         let got: u64 = nodes[2].recv_timeout(3, 2, 10, t).unwrap();
         assert_eq!(got, 321);
         assert_eq!(nodes[0].stats().joins_committed, 1);
-        let transport = nodes[0].transport();
-        assert_eq!(transport.size(), 4);
-        assert_eq!(transport.capacity(), 4);
+        assert_eq!(nodes[0].shared.cur_size(), 4);
+        assert_eq!(nodes[0].shared.cfg.max_size, 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,6 +9,9 @@
 //! ```text
 //! cargo run --example fluid_structure
 //! ```
+//!
+//! It exits non-zero unless every transfer verified and the persistent
+//! channels moved data on exactly one `data_ready` call in `COUPLE_EVERY`.
 
 use std::sync::Arc;
 
@@ -82,10 +85,13 @@ fn fluid(ic: &mxn::runtime::InterComm, rank: usize, dad: &Dad, mxn: &mut MxnComp
             assert_eq!(sample, -(step as f64));
         }
     }
+    // Figure 3's persistent channel: the handshake was paid once, and only
+    // every COUPLE_EVERY-th data_ready moves data; the rest bump a counter.
     let (calls, transfers) = out.stats();
     if rank == 0 {
         println!("fluid: {calls} data_ready calls, {transfers} transfers out");
     }
+    assert_eq!((calls, transfers), (STEPS, STEPS / COUPLE_EVERY as u64));
 }
 
 fn structure(ic: &mxn::runtime::InterComm, rank: usize, dad: &Dad, mxn: &mut MxnComponent) {

@@ -246,6 +246,8 @@ fn figure1_3d_schedules_complete() {
     let mut delivered = vec![false; 216];
     for s in 0..8 {
         let sched = RegionSchedule::for_sender(&src, &dst, s);
+        // Each sender overlaps 8 of the 27 receivers: 64 messages in all.
+        assert_eq!(sched.num_messages(), 8);
         for pair in sched.pairs() {
             for region in &pair.regions {
                 for idx in region.iter() {
