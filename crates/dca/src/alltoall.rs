@@ -164,8 +164,8 @@ pub fn spec_from_dads(
     let sched = RegionSchedule::for_sender(src, dst, my_rank);
     let mut counts = vec![0usize; dst.nranks()];
     let mut flat = Vec::new();
-    for pair in sched.pairs() {
-        counts[pair.peer] = pair.elements();
+    for (i, pair) in sched.pairs().iter().enumerate() {
+        counts[pair.peer] = sched.plan(i).total();
         for region in &pair.regions {
             flat.extend(local.pack_region(region));
         }

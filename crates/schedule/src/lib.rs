@@ -41,7 +41,7 @@ pub use plan::{CopyPlan, TransferBuffers};
 pub use redistribute::Redist;
 #[doc(hidden)]
 pub use redistribute::{recv_redistributed_cached, send_redistributed_cached};
-pub use region_schedule::{PairRegions, RegionSchedule, Role};
+pub use region_schedule::{LazyRegions, PairRegions, RegionSchedule, Role};
 pub use route::{
     execute_recv_routed, execute_send_routed, execute_within_routed, RedistProfile, RedistRoute,
     RouteKind, RoutePlanner, RouteStep, StepOp, ROUTE_ACK_BIT,

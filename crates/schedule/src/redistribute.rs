@@ -565,6 +565,46 @@ mod tests {
     }
 
     #[test]
+    fn transfers_on_regular_layouts_never_expand_region_lists() {
+        use crate::region_schedule::tests::EXPANSIONS;
+        use crate::route::{RedistProfile, RouteKind};
+        let expansions = || EXPANSIONS.with(std::cell::Cell::get);
+        let budget = 3000u64;
+        Universe::run(&[2, 3], move |_, ctx| {
+            let before = expansions();
+            let e = Extents::new([24, 22]);
+            let (src, dst) = (Dad::block(e.clone(), &[2, 1]).unwrap(), cyclic_cols(&e));
+            let route = RoutePlanner::default().plan_for(&src, &dst, 8, budget, false);
+            assert_eq!(route.kind, RouteKind::Chunked);
+            let cache = ScheduleCache::new();
+            let direct = Redist::between(&src, &dst).cache(&cache);
+            let rank = ctx.comm.rank();
+            let value = |idx: &[usize]| (idx[0] * 22 + idx[1]) as f64;
+            for (step, redist) in [direct, direct, direct.budget(budget)].iter().enumerate() {
+                if ctx.program == 0 {
+                    let local = LocalArray::from_fn(&src, rank, value);
+                    redist.send(ctx.intercomm(1), &local, step as i32).unwrap();
+                } else {
+                    let got: LocalArray<f64> = redist.recv(ctx.intercomm(0), step as i32).unwrap();
+                    assert_eq!(got, LocalArray::from_fn(&dst, rank, value), "step {step}");
+                }
+            }
+            RedistProfile::compute(&src, &dst, size_of::<f64>());
+            assert_eq!(expansions(), before, "program {} rank {rank}", ctx.program);
+        });
+        // The probe sees an expansion: a region-level caller makes one.
+        let e = Extents::new([24, 22]);
+        let sched = RegionSchedule::for_sender(
+            &Dad::block(e.clone(), &[2, 1]).unwrap(),
+            &cyclic_cols(&e),
+            0,
+        );
+        let before = expansions();
+        assert_eq!(sched.pairs()[0].regions.len(), 3);
+        assert_eq!(expansions(), before + 1);
+    }
+
+    #[test]
     fn cached_transpose_loop_is_allocation_free() {
         World::run(3, |p| {
             let comm = p.world();

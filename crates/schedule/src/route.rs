@@ -100,8 +100,8 @@ impl RedistProfile {
         for s in 0..src.nranks() {
             let sched = RegionSchedule::for_sender(src, dst, s);
             let mut sent = 0u64;
-            for pair in sched.pairs() {
-                let b = pair.elements() as u64 * es;
+            for (i, pair) in sched.pairs().iter().enumerate() {
+                let b = sched.plan(i).total() as u64 * es;
                 sent += b;
                 max_pair_bytes = max_pair_bytes.max(b);
                 recv_bytes[pair.peer] += b;

@@ -85,3 +85,15 @@ fn schedule_builds_allocate_per_peer_not_per_region() {
         );
     }
 }
+
+#[test]
+fn template_builds_allocate_no_more_for_finer_blocks() {
+    // A pair of regular layouts keeps one run list per axis and peer, so
+    // a finer block size, with 256× the regions, allocates no more.
+    for (side, ((fine, _), (coarse, _))) in ["sender", "receiver"]
+        .into_iter()
+        .zip(build_allocations(4).into_iter().zip(build_allocations(67)))
+    {
+        assert!(fine <= coarse, "{side}: {fine} allocations at block 4, {coarse} at block 67");
+    }
+}
