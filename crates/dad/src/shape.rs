@@ -236,7 +236,7 @@ impl Region {
 
     /// Number of axes.
     #[inline]
-    pub fn ndim(&self) -> usize {
+    pub(crate) fn ndim(&self) -> usize {
         match &self.0 {
             Corners::Inline { ndim, .. } => *ndim as usize,
             Corners::Heap { ndim, .. } => *ndim,

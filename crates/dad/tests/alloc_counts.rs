@@ -109,7 +109,10 @@ fn patches_allocate_per_call_not_per_patch() {
 fn patch_queries_allocate_per_axis_and_peer_not_per_region() {
     let (src, dst) = (regrid(4, true), regrid(4, false));
     let index = dst.overlap_index();
-    let (n, found) = allocations(|| index.query_patches(&src, 0));
-    assert_eq!(found.hits.iter().map(|(_, r)| r.len()).sum::<usize>(), 64 * 128);
+    let (n, regions) = allocations(|| {
+        let found = index.query_axes(&src, 0).unwrap();
+        (0..found.peers.len()).map(|i| found.regions(i).len()).sum::<usize>()
+    });
+    assert_eq!(regions, 64 * 128);
     assert!(n <= 64, "8 192 regions made {n} allocations");
 }
