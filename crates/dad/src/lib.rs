@@ -51,7 +51,7 @@ pub use axis::AxisDist;
 pub use converters::{ConvertStrategy, ConverterRegistry, SyntheticPackage};
 pub use descriptor::{AccessMode, Dad, Distribution};
 pub use explicit::ExplicitDist;
-pub use local::{region_runs, CopyRun, LocalArray};
+pub use local::{region_runs, CopyRun, LocalArray, PatchLayout};
 pub use overlap::{AxisHits, AxisRun, OverlapHits, OverlapIndex};
 pub use shape::{Extents, Region};
 pub use template::Template;

@@ -5,6 +5,9 @@
 //! the buffer of every patch is exposed as a slice, and region copies move
 //! whole rows with `copy_from_slice` rather than element-by-element.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
+use std::sync::OnceLock;
+
 use crate::descriptor::Dad;
 use crate::shape::{for_each_index, for_each_row, Region};
 
@@ -52,24 +55,59 @@ pub fn region_runs<'a>(
     runs
 }
 
+/// A patch list's fingerprint, collected from its regions in order: their
+/// count and a 64-bit SipHash. A schedule keeps its layout's and checks
+/// every array against it, a probabilistic check: other patches pass only
+/// if the hashes collide (about 2⁻⁶⁴ for layouts not built to collide).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PatchLayout {
+    patches: usize,
+    hash: u64,
+}
+
+impl<'a> FromIterator<&'a Region> for PatchLayout {
+    fn from_iter<I: IntoIterator<Item = &'a Region>>(regions: I) -> PatchLayout {
+        let mut h = DefaultHasher::new();
+        let patches = regions.into_iter().inspect(|r| r.hash(&mut h)).count();
+        PatchLayout { patches, hash: h.finish() }
+    }
+}
+
+impl<T> From<&LocalArray<T>> for PatchLayout {
+    /// Hashed on an array's first call (about 2 µs at 64 patches), then kept.
+    fn from(local: &LocalArray<T>) -> PatchLayout {
+        *local.layout.get_or_init(|| local.regions().collect())
+    }
+}
+
 /// One rank's portion of a distributed array: a set of `(region, buffer)`
 /// patches, row-major within each patch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LocalArray<T> {
     rank: usize,
     patches: Vec<(Region, Vec<T>)>,
+    /// The patches' [`PatchLayout`], set on first use (they never change).
+    layout: OnceLock<PatchLayout>,
+}
+
+impl<T: PartialEq> PartialEq for LocalArray<T> {
+    fn eq(&self, other: &LocalArray<T>) -> bool {
+        self.rank == other.rank && self.patches == other.patches
+    }
 }
 
 impl<T: Clone + Default> LocalArray<T> {
     /// Allocates zero/default-initialized storage for `rank`'s patches of
-    /// `dad` (the receiving-side allocation step of an M×N transfer).
+    /// `dad` (the receiving-side allocation step of an M×N transfer, except
+    /// an unbudgeted `Redist` receive between regular layouts, which builds
+    /// its storage from the messages with no fill).
     pub fn allocate(dad: &Dad, rank: usize) -> LocalArray<T> {
         let patches = dad
             .patches(rank)
             .into_iter()
             .map(|r| (r.clone(), vec![T::default(); r.len()]))
             .collect();
-        LocalArray { rank, patches }
+        LocalArray { rank, patches, layout: OnceLock::new() }
     }
 }
 
@@ -86,7 +124,7 @@ impl<T: Clone> LocalArray<T> {
                 (r, data)
             })
             .collect();
-        LocalArray { rank, patches }
+        LocalArray { rank, patches, layout: OnceLock::new() }
     }
 }
 
@@ -154,25 +192,15 @@ impl<T> LocalArray<T> {
 }
 
 impl<T> LocalArray<T> {
-    /// Rebuilds `rank`'s storage from a flat buffer holding its patches
-    /// concatenated in canonical (descriptor) order — the inverse of
-    /// [`LocalArray::to_flat`]. Collective redistribution routes use this
-    /// to reconstitute a peer's shard after moving it whole (allgather)
-    /// and slice out the needed regions locally.
+    /// Takes `rank`'s patches as built elsewhere, in canonical order, with
+    /// the [`PatchLayout`] collected from their regions, which it keeps.
     ///
     /// # Panics
-    /// If `data.len()` differs from the rank's local size under `dad`.
-    pub fn from_flat(dad: &Dad, rank: usize, data: Vec<T>) -> LocalArray<T> {
-        let regions = dad.patches(rank);
-        let expected: usize = regions.iter().map(|r| r.len()).sum();
-        assert_eq!(data.len(), expected, "flat shard length mismatch for rank {rank}");
-        let mut rest = data;
-        let mut patches = Vec::with_capacity(regions.len());
-        for r in regions {
-            let tail = rest.split_off(r.len());
-            patches.push((r, std::mem::replace(&mut rest, tail)));
-        }
-        LocalArray { rank, patches }
+    /// If a buffer's length differs from its region's.
+    pub fn from_patches(rank: usize, patches: Vec<(Region, Vec<T>)>, layout: PatchLayout) -> Self {
+        assert!(patches.iter().all(|(r, d)| r.len() == d.len()), "a patch of the wrong length");
+        debug_assert_eq!(layout, patches.iter().map(|(r, _)| r).collect(), "another layout");
+        LocalArray { rank, patches, layout: OnceLock::from(layout) }
     }
 }
 
@@ -457,8 +485,9 @@ mod tests {
 
     #[test]
     fn flat_round_trip_preserves_patch_layout() {
-        // Cyclic rows give rank 0 two disjoint patches — the flat form must
-        // split back onto them in canonical order.
+        // Cyclic rows give rank 0 two disjoint patches — the flat form
+        // concatenates them in canonical order, and patches cut back out of
+        // it rebuild the array with the layout it had.
         let t = Template::new(
             Extents::new([4, 3]),
             vec![AxisDist::Cyclic { nprocs: 2 }, AxisDist::Collapsed],
@@ -468,15 +497,22 @@ mod tests {
         let a = LocalArray::from_fn(&d, 0, |idx| (idx[0] * 3 + idx[1]) as i32);
         let flat = a.to_flat();
         assert_eq!(flat, vec![0, 1, 2, 6, 7, 8]);
-        let b = LocalArray::from_flat(&d, 0, flat);
+        let regions = d.patches(0);
+        let layout: PatchLayout = regions.iter().collect();
+        assert_eq!(layout, PatchLayout::from(&a));
+        let patches = regions.into_iter().zip(flat.chunks(3)).map(|(r, c)| (r, c.to_vec()));
+        let b = LocalArray::from_patches(0, patches.collect(), layout);
         assert_eq!(a, b);
+        assert_ne!(layout, d.patches(1).iter().collect(), "rank 1's rows hash otherwise");
     }
 
     #[test]
-    #[should_panic(expected = "flat shard length mismatch")]
-    fn from_flat_rejects_wrong_length() {
+    #[should_panic(expected = "a patch of the wrong length")]
+    fn from_patches_rejects_wrong_length() {
         let d = dad_2x2();
-        let _ = LocalArray::<u8>::from_flat(&d, 0, vec![0; 3]);
+        let regions = d.patches(0);
+        let layout = regions.iter().collect();
+        let _ = LocalArray::<u8>::from_patches(0, vec![(regions[0].clone(), vec![0; 3])], layout);
     }
 
     #[test]

@@ -169,6 +169,124 @@ fn product_blocks(hits: &AxisHits, i: usize, start: usize, mut f: impl FnMut(Blo
     }
 }
 
+/// One overlap piece of a landing on one axis: `len` elements at offset
+/// `off` of local segment `seg`, `at` into the pieces of its peer group,
+/// which sum to `total`; the group is `peer` peers into the peer list.
+#[derive(Clone, Copy)]
+struct Slot {
+    seg: usize,
+    off: usize,
+    len: usize,
+    at: usize,
+    total: usize,
+    peer: usize,
+}
+
+/// One axis of a landing: every peer group's pieces in local order, so that
+/// `slots[bounds[s]..bounds[s + 1]]` tile local segment `s`.
+struct Merged {
+    slots: Vec<Slot>,
+    bounds: Vec<usize>,
+}
+
+impl Merged {
+    /// Axis `d` of `hits`, whose later axes' group counts multiply to
+    /// `stride`, and its group count.
+    fn new(hits: &AxisHits, d: usize, stride: usize) -> (Merged, usize) {
+        // Peers are the product of every axis's groups, last axis fastest:
+        // axis `d`'s groups are peers `0, stride, …` until it wraps.
+        let group = |g: usize| hits.peers[g * stride].1[d];
+        let groups =
+            (0..hits.peers.len() / stride).take_while(|&g| g == 0 || group(g).0 > 0).count();
+        let runs = |g| &hits.runs[d][group(g).0..group(g).1];
+        let mut slots = Vec::with_capacity((0..groups).flat_map(runs).map(|r| r.count).sum());
+        for g in 0..groups {
+            let (total, peer) = (total(runs(g)), g * stride);
+            for r in runs(g) {
+                slots.extend((0..r.count).map(|k| {
+                    let (seg, off) = (r.seg + k * r.seg_step, r.off + k * r.off_step);
+                    Slot { seg, off, len: r.len, at: r.at + k * r.len, total, peer }
+                }));
+            }
+        }
+        slots.sort_unstable_by_key(|s| (s.seg, s.off));
+        let bounds: Vec<_> =
+            (0..=hits.segs[d]).map(|seg| slots.partition_point(|s| s.seg < seg)).collect();
+        // The peer layout owns every index, so no gap is left to fill.
+        debug_assert!(
+            bounds.windows(2).all(|w| {
+                let mut pieces = slots[w[0]..w[1]].iter();
+                w[0] < w[1]
+                    && pieces.try_fold(0, |off, s| (s.off == off).then_some(off + s.len)).is_some()
+            }),
+            "pieces of axis {d} do not tile its segments"
+        );
+        (Merged { slots, bounds }, groups)
+    }
+
+    fn pieces(&self, seg: usize) -> &[Slot] {
+        &self.slots[self.bounds[seg]..self.bounds[seg + 1]]
+    }
+}
+
+/// Calls `f(at, rows)` for band `band`'s rows in order, `rows` at a time
+/// (each last leading piece at once when `whole`), with `at` the offset
+/// terms of [`land`] and the peer folded over the leading axes.
+fn each_row(
+    lead: &[Merged],
+    band: usize,
+    stride: usize,
+    (base, mult, row, peer): (usize, usize, usize, usize),
+    whole: bool,
+    f: &mut impl FnMut((usize, usize, usize, usize), usize),
+) {
+    let Some((axis, rest)) = lead.split_first() else { return f((base, mult, row, peer), 1) };
+    let stride = stride / (axis.bounds.len() - 1);
+    for s in axis.pieces(band / stride % (axis.bounds.len() - 1)) {
+        let at = (base * s.total + mult * s.at, mult * s.len, row * s.len, peer + s.peer);
+        if rest.is_empty() && whole {
+            f(at, s.len);
+            continue;
+        }
+        for r in 0..s.len {
+            each_row(rest, band, stride, (at.0, at.1, at.2 + r, at.3), whole, f);
+        }
+    }
+}
+
+/// Builds the buffers of a rank's `patches` (canonical order) from its
+/// peers' messages (`msgs[i]` from `hits.peers[i]`, packed by its product
+/// plan), each `Vec::with_capacity` written front to back. Patches sharing
+/// their leading axes' segments fill together, a row of each in turn, so
+/// messages are read in their own order too. A piece starts at `base ·
+/// total + mult · at + row · len` of its message: `base` and `mult` fold
+/// the leading axes' `P_d` and lengths as [`product_blocks`] does, `row` is
+/// the row's index in its region. When every row is one piece, a region's
+/// rows follow each other in message and patch, and copy as one slice.
+pub(crate) fn land<T: Copy>(hits: &AxisHits, patches: &[Region], msgs: &[Vec<T>]) -> Vec<Vec<T>> {
+    let (mut lead, mut stride) = (Vec::with_capacity(hits.segs.len()), 1);
+    for d in (0..hits.segs.len()).rev() {
+        let (axis, groups) = Merged::new(hits, d, stride);
+        lead.insert(0, axis);
+        stride *= groups;
+    }
+    let last = lead.pop().expect("at least one axis");
+    let (segs, whole) = (last.bounds.len() - 1, last.slots.len() == last.bounds.len() - 1);
+    let mut landed: Vec<Vec<T>> = patches.iter().map(|r| Vec::with_capacity(r.len())).collect();
+    for (b, band) in landed.chunks_mut(segs).enumerate() {
+        each_row(&lead, b, patches.len() / segs, (0, 1, 0, 0), whole, &mut |at, rows| {
+            let (base, mult, row, peer) = at;
+            for (seg, buf) in band.iter_mut().enumerate() {
+                for s in last.pieces(seg) {
+                    let off = base * s.total + mult * s.at + row * s.len;
+                    buf.extend_from_slice(&msgs[peer + s.peer][off..off + rows * s.len]);
+                }
+            }
+        });
+    }
+    landed
+}
+
 /// A precompiled pack/unpack program for one peer: the runs that tile the
 /// peer's packed buffer `[0, total)`, each resolved to a patch index and
 /// offset in the local storage layout.
@@ -445,11 +563,13 @@ impl CopyPlan {
             let (_, buf) = local.patch_mut(patch);
             buf[off..off + (hi - lo)].copy_from_slice(&data[lo - start..hi - start]);
         });
-        record_schedule_copy((end - start) as u64, nruns);
-        mxn_trace::emit_instant(
-            mxn_trace::EventId::CopyUnpack,
-            [(end - start) as u64, nruns, 0, 0],
-        );
+        record_unpack(end - start, nruns);
+    }
+
+    /// The per-axis runs of a plan of that form.
+    pub(crate) fn axes(&self) -> Option<&AxisHits> {
+        let Form::Axes(hits, _) = &self.form else { return None };
+        Some(hits)
     }
 
     /// Unpacks a packed per-peer buffer into local storage with straight
@@ -458,6 +578,13 @@ impl CopyPlan {
         assert_eq!(data.len(), self.total, "packed buffer length mismatch");
         self.unpack_range_from(local, data, 0, self.total);
     }
+}
+
+/// Counts an unpack of `elems` elements in `nruns` runs in the schedule
+/// stats and the trace; a landed receive counts each pair's plan whole.
+pub(crate) fn record_unpack(elems: usize, nruns: u64) {
+    record_schedule_copy(elems as u64, nruns);
+    mxn_trace::emit_instant(mxn_trace::EventId::CopyUnpack, [elems as u64, nruns, 0, 0]);
 }
 
 /// A pool of reusable transfer buffers.

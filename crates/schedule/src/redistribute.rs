@@ -131,15 +131,27 @@ impl<'a> Redist<'a> {
         })
     }
 
-    /// Receiver side of a cross-program redistribution; allocates the
-    /// destination storage.
+    /// Receiver side of a cross-program redistribution; returns fresh
+    /// storage. Unbudgeted between two regular layouts it takes every
+    /// peer's message first (senders post eagerly, so they are in the
+    /// mailbox either way), then builds each patch front to back from them
+    /// with no fill. Otherwise (explicit layouts, or budgeted routes, which
+    /// must not hold every message at once) it unpacks pair by pair into
+    /// [`LocalArray::allocate`]d, zero-filled storage.
     pub fn recv<T>(&self, ic: &InterComm, tag: i32) -> Result<LocalArray<T>>
     where
         T: Copy + Default + Send + MsgSize + 'static,
     {
-        let mut local = None;
-        self.land(ic, tag, || local.insert(LocalArray::allocate(self.dst, ic.local_rank())))?;
-        Ok(local.expect("land asks for the storage before it receives"))
+        let route = self.route(size_of::<T>(), false);
+        let sched = self.schedule(ic.local_rank(), Role::Receiver);
+        self.fresh(route.as_deref(), |pool| match route.as_deref() {
+            None => sched.recv_fresh(self.dst, pool, |peer| ic.recv(peer, tag)),
+            Some(r) => {
+                let mut local = LocalArray::allocate(self.dst, ic.local_rank());
+                let moved = execute_recv_routed(r, &sched, ic, &mut local, tag, pool)?;
+                Ok((local, moved))
+            }
+        })
     }
 
     /// Receiver side of a cross-program redistribution, landing in place
@@ -150,33 +162,37 @@ impl<'a> Redist<'a> {
     where
         T: Copy + Send + MsgSize + 'static,
     {
-        self.land(ic, tag, || local)
-    }
-
-    /// The receive both terminals share. The storage is asked for only
-    /// once the route and schedule are in hand: a fresh allocation then
-    /// follows a schedule build instead of sitting under its temporaries,
-    /// which slows a loop that rebuilds its schedules every step.
-    fn land<'l, T>(
-        &self,
-        ic: &InterComm,
-        tag: i32,
-        local: impl FnOnce() -> &'l mut LocalArray<T>,
-    ) -> Result<usize>
-    where
-        T: Copy + Send + MsgSize + 'static,
-    {
         let route = self.route(size_of::<T>(), false);
         let sched = self.schedule(ic.local_rank(), Role::Receiver);
-        let local = local();
         self.pooled(route.as_deref(), |pool| match route.as_deref() {
             Some(r) => execute_recv_routed(r, &sched, ic, local, tag, pool),
             None => sched.execute_recv(ic, local, tag, pool),
         })
     }
 
+    /// Runs a receive into fresh storage on this redistribution's pool.
+    /// The storage is made inside `receive`, once the route and schedule
+    /// are in hand: a fresh allocation then follows a schedule build
+    /// instead of sitting under its temporaries, which slows a loop that
+    /// rebuilds its schedules every step.
+    fn fresh<T: Send + 'static>(
+        &self,
+        route: Option<&RedistRoute>,
+        receive: impl FnOnce(&mut TransferBuffers<T>) -> Result<(LocalArray<T>, usize)>,
+    ) -> Result<LocalArray<T>> {
+        let mut local = None;
+        self.pooled(route, |pool| {
+            let (landed, moved) = receive(pool)?;
+            local = Some(landed);
+            Ok(moved)
+        })?;
+        Ok(local.expect("every receive leaves its storage"))
+    }
+
     /// Intra-program redistribution (self-connection, e.g. transpose): every
     /// rank of `comm` calls this collectively; returns the new local storage.
+    /// Unbudgeted, a rank posts its sends and then receives as
+    /// [`Redist::recv`] does.
     ///
     /// `T: Sync` is required with or without a budget (the free function
     /// this replaced asked for it only when budgeted): the allgather+slice
@@ -194,30 +210,19 @@ impl<'a> Redist<'a> {
         let route = self.route(size_of::<T>(), true);
         let send = self.schedule(comm.rank(), Role::Sender);
         let recv = self.schedule(comm.rank(), Role::Receiver);
-        let mut dst_local = LocalArray::allocate(self.dst, comm.rank());
-        self.pooled(route.as_deref(), |pool| match route.as_deref() {
-            Some(r) => execute_within_routed(
-                r,
-                &send,
-                &recv,
-                comm,
-                self.src,
-                src_local,
-                &mut dst_local,
-                tag,
-                pool,
-            ),
-            None => RegionSchedule::execute_local(
-                &send,
-                &recv,
-                comm,
-                src_local,
-                &mut dst_local,
-                tag,
-                pool,
-            ),
-        })?;
-        Ok(dst_local)
+        self.fresh(route.as_deref(), |pool| match route.as_deref() {
+            None => {
+                send.post(src_local, pool, |peer, buf| comm.send(peer, tag, buf))?;
+                recv.recv_fresh(self.dst, pool, |peer| comm.recv(peer, tag))
+            }
+            Some(r) => {
+                let mut local = LocalArray::allocate(self.dst, comm.rank());
+                let (src, dst) = (src_local, &mut local);
+                let moved =
+                    execute_within_routed(r, &send, &recv, comm, self.src, src, dst, tag, pool)?;
+                Ok((local, moved))
+            }
+        })
     }
 }
 
@@ -698,5 +703,146 @@ mod tests {
         let parked = cache.with_pool(|p: &mut TransferBuffers<f64>| p.idle_bytes());
         assert!(parked <= 30 * size_of::<f64>(), "{parked} B parked");
         assert_eq!(cache.len(), 4, "two ranks × two roles");
+    }
+
+    use mxn_dad::{AxisDist, Template};
+    use proptest::prelude::*;
+
+    /// Axis distribution `kind` (collapsed, block, cyclic, block-cyclic,
+    /// gen-block or implicit) over `nprocs` positions of `extent`
+    /// elements; `seed` deals the gen-block sizes and implicit owners.
+    fn any_axis(kind: usize, nprocs: usize, block: usize, extent: usize, seed: u64) -> AxisDist {
+        let mut state = seed;
+        let mut draw = |n: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        match kind {
+            0 => AxisDist::Collapsed,
+            1 => AxisDist::Block { nprocs },
+            2 => AxisDist::Cyclic { nprocs },
+            3 => AxisDist::BlockCyclic { block, nprocs },
+            4 => {
+                let mut cuts: Vec<usize> = (1..nprocs).map(|_| draw(extent + 1)).collect();
+                cuts.sort_unstable();
+                cuts.push(extent);
+                let sizes = cuts.iter().scan(0, |lo, &hi| Some(hi - std::mem::replace(lo, hi)));
+                AxisDist::GenBlock { sizes: sizes.collect() }
+            }
+            _ => AxisDist::Implicit { owners: (0..extent).map(|_| draw(nprocs)).collect(), nprocs },
+        }
+    }
+
+    /// Two regular layouts of one 1–3-axis array: per axis an extent, then
+    /// a kind, positions and block size for each side.
+    fn any_pair() -> impl Strategy<Value = (Dad, Dad)> {
+        let side = || (0usize..6, 1usize..4, 1usize..4);
+        let axis = (1usize..10, side(), side());
+        (proptest::collection::vec(axis, 1..=3), 0u64..1 << 32).prop_map(|(axes, seed)| {
+            let extents = Extents::new(axes.iter().map(|a| a.0).collect::<Vec<_>>());
+            let dad = |side: usize| {
+                let dists = axes.iter().enumerate().map(|(d, &(extent, a, b))| {
+                    let (kind, nprocs, block) = if side == 0 { a } else { b };
+                    let nprocs = if kind == 0 { 1 } else { nprocs };
+                    any_axis(kind, nprocs, block, extent, seed + 8 * d as u64 + side as u64)
+                });
+                Dad::regular(Template::new(extents.clone(), dists.collect()).unwrap())
+            };
+            (dad(0), dad(1))
+        })
+    }
+
+    /// A value with distinct bits at every index.
+    fn value(idx: &[usize]) -> u64 {
+        idx.iter().fold(0x9e37_79b9, |h: u64, &i| h.wrapping_mul(1_000_003) + i as u64)
+    }
+
+    /// What sender `peer` packs for receiver `rank`.
+    fn message(src: &Dad, dst: &Dad, peer: usize, rank: usize) -> Vec<u64> {
+        let sched = RegionSchedule::for_sender(src, dst, peer);
+        let i = sched.pairs().iter().position(|p| p.peer == rank).expect("a mirrored pair");
+        let mut buf = Vec::new();
+        sched.pack_pair_into(i, &LocalArray::from_fn(src, peer, value), &mut buf);
+        buf
+    }
+
+    /// Rank `rank`'s storage under `dst` as a zero-filled allocation with
+    /// every pair unpacked into it.
+    fn unpacked(src: &Dad, dst: &Dad, rank: usize) -> LocalArray<u64> {
+        let sched = RegionSchedule::for_receiver(src, dst, rank);
+        let mut local = LocalArray::allocate(dst, rank);
+        for (i, p) in sched.pairs().iter().enumerate() {
+            sched.unpack_pair_from(i, &mut local, &message(src, dst, p.peer, rank));
+        }
+        local
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// A landed receive builds, bit for bit, what zero-filled storage
+        /// holds after every pair is unpacked into it.
+        #[test]
+        fn landed_storage_matches_allocate_and_unpack(pair in any_pair()) {
+            let (src, dst) = pair;
+            for rank in 0..dst.nranks() {
+                let sched = RegionSchedule::for_receiver(&src, &dst, rank);
+                let want = unpacked(&src, &dst, rank);
+                // Every rank that owns something lands from per-axis runs.
+                prop_assert_eq!(sched.pairs().is_empty(), want.num_patches() == 0);
+                prop_assert!(sched.pairs().is_empty() || sched.plan(0).axes().is_some());
+                let mut pool = TransferBuffers::new();
+                let (mut got, moved) = sched
+                    .recv_fresh(&dst, &mut pool, |peer| Ok(message(&src, &dst, peer, rank)))
+                    .unwrap();
+                prop_assert_eq!(moved, want.len());
+                prop_assert_eq!(&got, &want);
+                // The storage carries the schedule's layout.
+                for (i, p) in sched.pairs().iter().enumerate() {
+                    sched.unpack_pair_from(i, &mut got, &message(&src, &dst, p.peer, rank));
+                }
+            }
+        }
+    }
+
+    /// M≠N through the user paths: a landed `recv` (3 → 5 and 4 → 6
+    /// ranks, uneven block-cyclic and gen-block tails) equals zero-filled
+    /// storage with every pair unpacked into it.
+    #[test]
+    fn landed_receives_match_allocate_and_unpack_for_m_not_n() {
+        let e = Extents::new([11, 7, 5]);
+        let t = |axes| Dad::regular(Template::new(e.clone(), axes).unwrap());
+        let three = t(vec![
+            AxisDist::BlockCyclic { block: 2, nprocs: 3 },
+            AxisDist::Collapsed,
+            AxisDist::Collapsed,
+        ]);
+        let five = t(vec![
+            AxisDist::Collapsed,
+            AxisDist::GenBlock { sizes: vec![3, 0, 4, 0, 0] },
+            AxisDist::Cyclic { nprocs: 1 },
+        ]);
+        let four = t(vec![
+            AxisDist::Block { nprocs: 2 },
+            AxisDist::Collapsed,
+            AxisDist::BlockCyclic { block: 3, nprocs: 2 },
+        ]);
+        let six = t(vec![
+            AxisDist::Cyclic { nprocs: 3 },
+            AxisDist::BlockCyclic { block: 2, nprocs: 2 },
+            AxisDist::Collapsed,
+        ]);
+        for (src, dst) in [(three, five), (four, six)] {
+            Universe::run(&[src.nranks(), dst.nranks()], |_, ctx| {
+                let rank = ctx.comm.rank();
+                let redist = Redist::between(&src, &dst);
+                if ctx.program == 0 {
+                    let local = LocalArray::from_fn(&src, rank, value);
+                    redist.send(ctx.intercomm(1), &local, 4).unwrap();
+                } else {
+                    let got: LocalArray<u64> = redist.recv(ctx.intercomm(0), 4).unwrap();
+                    assert_eq!(got, unpacked(&src, &dst, rank), "rank {rank} of {:?}", dst);
+                }
+            });
+        }
     }
 }

@@ -36,12 +36,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use crate::plan::{CopyPlan, TransferBuffers};
-use mxn_dad::{AxisHits, Dad, LocalArray, Region};
+use crate::plan::{land, record_unpack, CopyPlan, TransferBuffers};
+use mxn_dad::{AxisHits, Dad, LocalArray, PatchLayout, Region};
 use mxn_runtime::{record_schedule_build, Comm, InterComm, MsgSize, Result};
 
 /// The regions this rank exchanges with one peer, canonically ordered.
@@ -122,23 +121,12 @@ pub struct RegionSchedule {
     pairs: Vec<PairRegions>,
     /// One precompiled copy plan per pair, against this rank's patches.
     plans: Vec<CopyPlan>,
-    /// This rank's patch count and a hash of its patches at build time:
-    /// execution asserts the `LocalArray` it is handed matches, since plan
-    /// offsets index into its patches.
-    layout: (usize, u64),
-}
-
-/// The patch count and a 64-bit SipHash of `patches`, what a schedule keeps
-/// of the layout it was built against: O(1) held where the patch list is
-/// O(patches). The check is probabilistic: an array with as many patches
-/// but other ones passes only if the two hashes collide (about 2⁻⁶⁴ for
-/// layouts not built to collide). It costs about 2 µs a call for 64
-/// patches, where comparing the patch list takes about 0.6 µs (2-vCPU
-/// Xeon).
-fn layout<'a>(patches: impl Iterator<Item = &'a Region>) -> (usize, u64) {
-    let mut h = DefaultHasher::new();
-    let n = patches.inspect(|r| r.hash(&mut h)).count();
-    (n, h.finish())
+    /// The fingerprint of this rank's patches at build time: execution
+    /// asserts the `LocalArray` it is handed has the same one, since plan
+    /// offsets index into its patches. An array hashes its patches once
+    /// and keeps the result, so the check compares two values (the first
+    /// check of an array hashes its patches: about 2 µs at 64).
+    layout: PatchLayout,
 }
 
 /// Sorts `(source patch, region)` parts into the canonical by-lower-corner
@@ -218,7 +206,7 @@ impl RegionSchedule {
         };
         record_schedule_build(probes as u64, pairs.len() as u64);
         build_span.set_end([role as u64, probes as u64, pairs.len() as u64, 0]);
-        RegionSchedule { role, my_rank, pairs, plans, layout: layout(mine.iter()) }
+        RegionSchedule { role, my_rank, pairs, plans, layout: mine.iter().collect() }
     }
 
     /// Builds the sending side's schedule for `my_rank` of `src`.
@@ -293,7 +281,7 @@ impl RegionSchedule {
 
     fn check_layout<T>(&self, local: &LocalArray<T>) {
         assert!(
-            layout(local.regions()) == self.layout,
+            PatchLayout::from(local) == self.layout,
             "LocalArray layout does not match the descriptor/rank this schedule was built for"
         );
     }
@@ -330,15 +318,7 @@ impl RegionSchedule {
         T: Copy + Send + MsgSize + 'static,
     {
         assert_eq!(self.role, Role::Sender, "execute_send needs a sender schedule");
-        self.check_layout(local);
-        let mut moved = 0;
-        for (pair, plan) in self.pairs.iter().zip(&self.plans) {
-            let mut buf = pool.lease(plan.total());
-            plan.pack_into(local, &mut buf);
-            moved += buf.len();
-            ic.send(pair.peer, tag, buf)?;
-        }
-        Ok(moved)
+        self.post(local, pool, |peer, buf| ic.send(peer, tag, buf))
     }
 
     /// Receiver side, across an inter-communicator; every received buffer
@@ -358,15 +338,7 @@ impl RegionSchedule {
         T: Copy + Send + MsgSize + 'static,
     {
         assert_eq!(self.role, Role::Receiver, "execute_recv needs a receiver schedule");
-        self.check_layout(local);
-        let mut moved = 0;
-        for (pair, plan) in self.pairs.iter().zip(&self.plans) {
-            let data: Vec<T> = ic.recv(pair.peer, tag)?;
-            moved += data.len();
-            plan.unpack_from(local, &data);
-            pool.recycle(data);
-        }
-        Ok(moved)
+        self.drain(local, pool, |peer| ic.recv(peer, tag))
     }
 
     /// Intra-communicator redistribution (e.g. a transpose
@@ -391,21 +363,83 @@ impl RegionSchedule {
     {
         assert_eq!(send.role, Role::Sender);
         assert_eq!(recv.role, Role::Receiver);
-        send.check_layout(src_local);
         recv.check_layout(dst_local);
-        for (pair, plan) in send.pairs.iter().zip(&send.plans) {
-            let mut buf = pool.lease(plan.total());
-            plan.pack_into(src_local, &mut buf);
-            comm.send(pair.peer, tag, buf)?;
-        }
+        send.post(src_local, pool, |peer, buf| comm.send(peer, tag, buf))?;
+        recv.drain(dst_local, pool, |peer| comm.recv(peer, tag))
+    }
+
+    /// Packs each pair's share of `local` into a buffer from `pool` and
+    /// hands it to `send` with the peer. Returns elements sent.
+    pub(crate) fn post<T: Copy>(
+        &self,
+        local: &LocalArray<T>,
+        pool: &mut TransferBuffers<T>,
+        mut send: impl FnMut(usize, Vec<T>) -> Result<()>,
+    ) -> Result<usize> {
+        self.check_layout(local);
         let mut moved = 0;
-        for (pair, plan) in recv.pairs.iter().zip(&recv.plans) {
-            let data: Vec<T> = comm.recv(pair.peer, tag)?;
+        for (pair, plan) in self.pairs.iter().zip(&self.plans) {
+            let mut buf = pool.lease(plan.total());
+            plan.pack_into(local, &mut buf);
+            moved += buf.len();
+            send(pair.peer, buf)?;
+        }
+        Ok(moved)
+    }
+
+    /// Unpacks each pair's message, taken with `recv` one at a time, into
+    /// `local` and recycles it into `pool`. Returns elements received.
+    fn drain<T: Copy>(
+        &self,
+        local: &mut LocalArray<T>,
+        pool: &mut TransferBuffers<T>,
+        mut recv: impl FnMut(usize) -> Result<Vec<T>>,
+    ) -> Result<usize> {
+        self.check_layout(local);
+        let mut moved = 0;
+        for (pair, plan) in self.pairs.iter().zip(&self.plans) {
+            let data = recv(pair.peer)?;
             moved += data.len();
-            plan.unpack_from(dst_local, &data);
+            plan.unpack_from(local, &data);
             pool.recycle(data);
         }
         Ok(moved)
+    }
+
+    /// Receives into fresh storage under `dst`, the schedule's descriptor,
+    /// recycling the messages into `pool`. With per-axis runs (both
+    /// layouts regular) it takes every pair's message first and builds the
+    /// storage from them front to back, with no fill, recording each
+    /// pair's unpack as [`Self::execute_recv`] does; otherwise it drains
+    /// pair by pair into [`LocalArray::allocate`]d storage. Returns the
+    /// storage and the elements received.
+    pub(crate) fn recv_fresh<T: Copy + Default>(
+        &self,
+        dst: &Dad,
+        pool: &mut TransferBuffers<T>,
+        mut recv: impl FnMut(usize) -> Result<Vec<T>>,
+    ) -> Result<(LocalArray<T>, usize)> {
+        let axes = self.plans.first().and_then(CopyPlan::axes);
+        let Some(hits) = axes.filter(|hits| !hits.segs.is_empty()) else {
+            let mut local = LocalArray::allocate(dst, self.my_rank);
+            let moved = self.drain(&mut local, pool, recv)?;
+            return Ok((local, moved));
+        };
+        let mut msgs = Vec::with_capacity(self.pairs.len());
+        for (pair, plan) in self.pairs.iter().zip(&self.plans) {
+            msgs.push(recv(pair.peer)?);
+            assert_eq!(msgs.last().map(Vec::len), Some(plan.total()), "packed length mismatch");
+        }
+        let regions = dst.patches(self.my_rank);
+        let bufs = land(hits, &regions, &msgs);
+        let mut moved = 0;
+        for (plan, data) in self.plans.iter().zip(msgs) {
+            record_unpack(plan.total(), plan.num_runs() as u64);
+            moved += data.len();
+            pool.recycle(data);
+        }
+        let patches = regions.into_iter().zip(bufs).collect();
+        Ok((LocalArray::from_patches(self.my_rank, patches, self.layout), moved))
     }
 }
 

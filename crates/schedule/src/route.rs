@@ -684,7 +684,7 @@ where
     );
     let kind = RouteKind::AllgatherSlice.code();
     let mut gather = mxn_trace::span(EventId::RouteStep, [kind, 0, 0, 0]);
-    let mut shards: Vec<Vec<T>> = comm.allgather(src_local.to_flat())?;
+    let shards: Vec<Vec<T>> = comm.allgather(src_local.to_flat())?;
     let total_bytes: u64 = shards.iter().map(|s| (s.len() * size_of::<T>()) as u64).sum();
     record_transfer_acquired(total_bytes);
     gather.set_end([kind, 0, total_bytes, 0]);
@@ -692,8 +692,16 @@ where
     let mut slice = mxn_trace::span(EventId::RouteStep, [kind, 1, 0, 0]);
     let mut moved = 0;
     for (i, pair) in recv.pairs().iter().enumerate() {
-        let peer = LocalArray::from_flat(src, pair.peer, std::mem::take(&mut shards[pair.peer]));
-        let cut = CopyPlan::compile(&src.patches(pair.peer), &pair.regions);
+        // The gathered shard holds the peer's patches back to back.
+        let (regions, mut shard) = (src.patches(pair.peer), shards[pair.peer].as_slice());
+        let layout = regions.iter().collect();
+        let cut = CopyPlan::compile(&regions, &pair.regions);
+        let patches = regions.into_iter().map(|r| {
+            let (data, rest) = shard.split_at(r.len());
+            shard = rest;
+            (r, data.to_vec())
+        });
+        let peer = LocalArray::from_patches(pair.peer, patches.collect(), layout);
         let mut buf = pool.lease(cut.total());
         cut.pack_into(&peer, &mut buf);
         recv.plan(i).unpack_from(dst_local, &buf);

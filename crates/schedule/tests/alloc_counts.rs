@@ -1,17 +1,20 @@
-//! Heap allocations of a schedule build, counted by a global allocator
-//! that counts on the calling thread only, so tests running in parallel do
-//! not disturb each other's counts.
+//! Heap allocations of a schedule build and of a receive, counted by a
+//! global allocator that counts on the calling thread only, so tests
+//! running in parallel do not disturb each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mxn_dad::{AxisDist, Dad, Extents, Template};
-use mxn_schedule::RegionSchedule;
+use mxn_dad::{AxisDist, Dad, Extents, LocalArray, Template};
+use mxn_runtime::Universe;
+use mxn_schedule::{Redist, RegionSchedule, ScheduleCache};
 
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes asked for through `alloc_zeroed`.
+    static ZEROED: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count() {
@@ -28,6 +31,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        let _ = ZEROED.try_with(|c| c.set(c.get() + layout.size()));
         System.alloc_zeroed(layout)
     }
 
@@ -49,6 +53,13 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// The bytes `f` asks for zeroed on this thread.
+fn zeroed(f: impl FnOnce()) -> usize {
+    let before = ZEROED.with(Cell::get);
+    f();
+    ZEROED.with(Cell::get) - before
 }
 
 /// The regrid workload's pair at block size `block`: 512×512 block-cyclic
@@ -96,4 +107,44 @@ fn template_builds_allocate_no_more_for_finer_blocks() {
     {
         assert!(fine <= coarse, "{side}: {fine} allocations at block 4, {coarse} at block 67");
     }
+}
+
+#[test]
+fn a_cached_receive_builds_its_storage_without_zero_filling_it() {
+    // Rank 0 of the receiving side owns 64 column blocks of 512 × 4.
+    let (src, dst) = regrid_pair(4);
+    let patches = dst.patches(0).len();
+    assert_eq!(patches, 64);
+    Universe::run(&[2, 2], |_, ctx| {
+        let rank = ctx.comm.rank();
+        let cache = ScheduleCache::new();
+        let redist = Redist::between(&src, &dst).cache(&cache);
+        let value = |idx: &[usize]| (idx[0] * 512 + idx[1]) as f64;
+        // The first step builds the schedule; the second is measured.
+        for step in 0..2 {
+            if ctx.program == 0 {
+                redist
+                    .send(ctx.intercomm(1), &LocalArray::from_fn(&src, rank, value), step)
+                    .unwrap();
+                continue;
+            }
+            let mut got = None;
+            let mut n = 0;
+            let bytes = zeroed(|| {
+                (n, got) =
+                    allocations(|| Some(redist.recv::<f64>(ctx.intercomm(0), step).unwrap()));
+            });
+            let got = got.unwrap();
+            assert_eq!(got, LocalArray::from_fn(&dst, rank, value), "step {step}");
+            if step == 1 && rank == 0 {
+                assert_eq!(bytes, 0, "a landed receive zero-fills nothing");
+                // One per patch, and a fixed few: the message and patch
+                // lists and two merged piece lists per axis.
+                assert!(
+                    (patches..=patches + 12).contains(&n),
+                    "{n} allocations for {patches} destination patches"
+                );
+            }
+        }
+    });
 }
