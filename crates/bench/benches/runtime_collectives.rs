@@ -1,19 +1,14 @@
-//! Zero-clone collective transport: shared-envelope broadcast vs the
-//! clone-per-child baseline, algorithmic collectives, and mailbox
-//! contention throughput.
+//! Collective costs over owned payloads, and mailbox contention
+//! throughput.
 //!
-//! Cells: bcast (shared vs cloning), allgather, allreduce at
-//! p ∈ {16, 64, 256} × payload ∈ {1 KiB, 1 MiB}, timed *inside* one
-//! running world so thread-spawn cost does not pollute per-op numbers, plus
-//! an 8×8 point-to-point flood exercising bucketed-mailbox post/take
-//! contention.
+//! Cells: bcast, allgather and allreduce at p ∈ {16, 64, 256} × payload ∈
+//! {1 KiB, 1 MiB}, timed *inside* one running world so thread-spawn cost
+//! does not pollute per-op numbers, plus an 8×8 point-to-point flood
+//! exercising bucketed-mailbox post/take contention.
 //!
-//! The headline claims are asserted, not just printed:
-//!
-//! * shared bcast performs exactly **one payload allocation per op**,
-//!   independent of p (16 and 256 checked), and zero payload clones;
-//! * at p = 256 / 1 MiB the shared path beats the clone-per-child baseline
-//!   by ≥ 5×.
+//! Every message owns its value, so each cell's clones per op follow from
+//! its algorithm, and that is asserted: p−1 for the binomial bcast and for
+//! reduce+bcast allreduce, p(p−1) for the ring allgather.
 //!
 //! Results are written to `BENCH_runtime.json` at the repo root.
 
@@ -52,18 +47,26 @@ struct Cell {
     p: usize,
     payload_bytes: usize,
     ns_per_op: f64,
-    /// Payload allocations per op attributed to this collective.
-    allocs_per_op: f64,
-    /// Payload deep-clones per op attributed to this collective.
+    /// Payload clones per op attributed to this collective.
     clones_per_op: f64,
 }
 
 impl Cell {
+    fn new(op: CollOp, p: usize, payload_bytes: usize, ns: f64, stats: StatsSnapshot) -> Self {
+        let (name, variant) = match op {
+            CollOp::Bcast => ("bcast", "binomial"),
+            CollOp::Allgather => ("allgather", "ring"),
+            _ => ("allreduce", "reduce_bcast"),
+        };
+        let ops = (iters_for(payload_bytes) + 1) as f64;
+        let clones_per_op = stats.coll(op).payload_clones as f64 / ops;
+        Cell { op: name, variant, p, payload_bytes, ns_per_op: ns, clones_per_op }
+    }
+
     fn json(&self) -> String {
         format!(
-            "    {{\"op\": \"{}\", \"variant\": \"{}\", \"p\": {}, \"payload_bytes\": {}, \"ns_per_op\": {:.0}, \"allocs_per_op\": {:.2}, \"clones_per_op\": {:.2}}}",
-            self.op, self.variant, self.p, self.payload_bytes, self.ns_per_op,
-            self.allocs_per_op, self.clones_per_op,
+            "    {{\"op\": \"{}\", \"variant\": \"{}\", \"p\": {}, \"payload_bytes\": {}, \"ns_per_op\": {:.0}, \"clones_per_op\": {:.2}}}",
+            self.op, self.variant, self.p, self.payload_bytes, self.ns_per_op, self.clones_per_op,
         )
     }
 }
@@ -76,55 +79,28 @@ fn iters_for(payload: usize) -> usize {
     }
 }
 
-fn bcast_cell(p: usize, payload: usize, shared: bool) -> Cell {
-    let iters = iters_for(payload);
+fn bcast_cell(p: usize, payload: usize) -> Cell {
     let n = payload / 8;
-    let (ns, stats) = time_collective(p, iters, move |comm| {
+    let (ns, stats) = time_collective(p, iters_for(payload), move |comm| {
         let v = if comm.rank() == 0 { Some(vec![1.0f64; n]) } else { None };
-        if shared {
-            std::hint::black_box(comm.bcast_shared(0, v).unwrap());
-        } else {
-            std::hint::black_box(comm.bcast_cloning(0, v).unwrap());
-        }
+        std::hint::black_box(comm.bcast(0, v).unwrap());
     });
-    let ops = (iters + 1) as f64;
-    let coll = stats.coll(CollOp::Bcast);
-    Cell {
-        op: "bcast",
-        variant: if shared { "shared" } else { "cloning" },
-        p,
-        payload_bytes: payload,
-        ns_per_op: ns,
-        allocs_per_op: coll.payload_allocs as f64 / ops,
-        clones_per_op: coll.payload_clones as f64 / ops,
-    }
+    Cell::new(CollOp::Bcast, p, payload, ns, stats)
 }
 
 fn allgather_cell(p: usize, total_payload: usize) -> Cell {
-    let iters = iters_for(total_payload);
     // `total_payload` is the size of the *gathered* result; each rank
     // contributes one p-th.
     let n = (total_payload / 8 / p).max(1);
-    let (ns, stats) = time_collective(p, iters, move |comm| {
-        std::hint::black_box(comm.allgather_shared(vec![comm.rank() as f64; n]).unwrap());
+    let (ns, stats) = time_collective(p, iters_for(total_payload), move |comm| {
+        std::hint::black_box(comm.allgather(vec![comm.rank() as f64; n]).unwrap());
     });
-    let ops = (iters + 1) as f64;
-    let coll = stats.coll(CollOp::Allgather);
-    Cell {
-        op: "allgather",
-        variant: "shared_ring",
-        p,
-        payload_bytes: total_payload,
-        ns_per_op: ns,
-        allocs_per_op: coll.payload_allocs as f64 / ops,
-        clones_per_op: coll.payload_clones as f64 / ops,
-    }
+    Cell::new(CollOp::Allgather, p, total_payload, ns, stats)
 }
 
 fn allreduce_cell(p: usize, payload: usize) -> Cell {
-    let iters = iters_for(payload);
     let n = payload / 8;
-    let (ns, stats) = time_collective(p, iters, move |comm| {
+    let (ns, stats) = time_collective(p, iters_for(payload), move |comm| {
         std::hint::black_box(
             comm.allreduce(vec![1.0f64; n], |a, b| {
                 for (x, y) in a.iter_mut().zip(b) {
@@ -134,20 +110,7 @@ fn allreduce_cell(p: usize, payload: usize) -> Cell {
             .unwrap(),
         );
     });
-    let ops = (iters + 1) as f64;
-    let coll = stats.coll(CollOp::Allreduce);
-    Cell {
-        op: "allreduce",
-        // Single path at every size: binomial reduce folding moved blocks
-        // in place + one-alloc shared bcast (recursive doubling and its
-        // clone-per-round cost were removed).
-        variant: "reduce_bcast_shared",
-        p,
-        payload_bytes: payload,
-        ns_per_op: ns,
-        allocs_per_op: coll.payload_allocs as f64 / ops,
-        clones_per_op: coll.payload_clones as f64 / ops,
-    }
+    Cell::new(CollOp::Allreduce, p, payload, ns, stats)
 }
 
 /// 8 senders flood 8 receivers (1 KiB messages, 4 tags round-robin):
@@ -186,8 +149,8 @@ fn mailbox_contention(msgs_per_sender: usize, traced: bool) -> f64 {
     best
 }
 
-/// One traced shared bcast cell (p ranks, `payload` bytes): max per-rank
-/// ns/op with the trace collector armed, for the E20 on/off comparison.
+/// One traced bcast cell (p ranks, `payload` bytes): max per-rank ns/op
+/// with the trace collector armed, for the E20 on/off comparison.
 fn traced_bcast_ns(p: usize, payload: usize) -> f64 {
     let iters = iters_for(payload);
     let n = payload / 8;
@@ -196,7 +159,7 @@ fn traced_bcast_ns(p: usize, payload: usize) -> f64 {
         let comm = proc.world();
         let op = |comm: &Comm| {
             let v = if comm.rank() == 0 { Some(vec![1.0f64; n]) } else { None };
-            std::hint::black_box(comm.bcast_shared(0, v).unwrap());
+            std::hint::black_box(comm.bcast(0, v).unwrap());
         };
         op(comm);
         comm.barrier().unwrap();
@@ -224,8 +187,7 @@ fn main() {
     let mut cells = Vec::new();
     for &p in &[16usize, 64, 256] {
         for &payload in &[KIB, MIB] {
-            cells.push(bcast_cell(p, payload, true));
-            cells.push(bcast_cell(p, payload, false));
+            cells.push(bcast_cell(p, payload));
             cells.push(allgather_cell(p, payload));
             cells.push(allreduce_cell(p, payload));
         }
@@ -239,59 +201,38 @@ fn main() {
     println!("\n--- runtime_collectives ---");
     for cell in &cells {
         println!(
-            "{:<10} {:<20} p={:>3} payload={:>9} {:>14.0} ns/op  allocs/op={:<6.2} clones/op={:.2}",
+            "{:<10} {:<13} p={:>3} payload={:>9} {:>14.0} ns/op  clones/op={:.2}",
             cell.op,
             cell.variant,
             cell.p,
             fmt_bytes(cell.payload_bytes),
             cell.ns_per_op,
-            cell.allocs_per_op,
             cell.clones_per_op,
         );
     }
     println!("mailbox 8x8 flood: {mailbox_msgs_per_sec:.0} msgs/s");
 
-    let find = |variant: &str, p: usize, payload: usize| {
-        cells
-            .iter()
-            .find(|c| c.variant == variant && c.p == p && c.payload_bytes == payload)
-            .expect("cell present")
-    };
-
-    // Zero-clone claim: one allocation per broadcast, independent of p.
-    for &p in &[16usize, 256] {
-        let shared = find("shared", p, MIB);
+    // Owned payloads: each cell's clones per op follow from its algorithm.
+    for cell in &cells {
+        let p = cell.p as f64;
+        let expect = if cell.op == "allgather" { p * (p - 1.0) } else { p - 1.0 };
         assert!(
-            (shared.allocs_per_op - 1.0).abs() < 1e-9,
-            "shared bcast at p={p} must allocate exactly once per op (got {})",
-            shared.allocs_per_op
-        );
-        assert!(
-            shared.clones_per_op == 0.0,
-            "shared bcast at p={p} must never deep-clone (got {} clones/op)",
-            shared.clones_per_op
+            (cell.clones_per_op - expect).abs() < 1e-9,
+            "{} at p={} should clone {expect} times per op (got {})",
+            cell.op,
+            cell.p,
+            cell.clones_per_op
         );
     }
-    // Clone-per-child baseline really does p-1 copies.
-    let cloning = find("cloning", 256, MIB);
-    assert!(
-        (cloning.clones_per_op - 255.0).abs() < 1e-9,
-        "cloning bcast at p=256 should clone p-1 times per op (got {})",
-        cloning.clones_per_op
-    );
-    // Headline speedup: >=5x at p=256 / 1 MiB.
-    let shared = find("shared", 256, MIB);
-    let speedup = cloning.ns_per_op / shared.ns_per_op;
-    assert!(
-        speedup >= 5.0,
-        "shared bcast should be >=5x faster than clone-per-child at p=256/1MiB (got {speedup:.1}x)"
-    );
-    println!("bcast shared vs cloning at p=256/1MiB: {speedup:.1}x");
 
     // E20: tracer cost, on and off. The *disabled* tracer (the default in
     // every cell above) must stay within 5% of the committed flood
     // throughput; the enabled tracer's cost is reported, not gated.
-    let bcast_p256_ns = find("shared", 256, MIB).ns_per_op;
+    let bcast_p256_ns = cells
+        .iter()
+        .find(|c| c.op == "bcast" && c.p == 256 && c.payload_bytes == MIB)
+        .expect("cell present")
+        .ns_per_op;
     let flood_overhead = 1.0 - mailbox_traced_msgs_per_sec / mailbox_msgs_per_sec;
     println!(
         "mailbox flood traced: {mailbox_traced_msgs_per_sec:.0} msgs/s ({:.1}% tracer cost)",
@@ -313,9 +254,8 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"runtime_collectives\",\n  \"cells\": [\n{}\n  ],\n  \"bcast_speedup_p256_1mib\": {:.2},\n  \"mailbox_flood\": {{\"senders\": 8, \"receivers\": 8, \"msgs_per_sender\": 4000, \"payload_bytes\": 1024, \"msgs_per_sec\": {:.0}}},\n  \"trace_overhead\": {{\"mailbox_flood_traced_msgs_per_sec\": {:.0}, \"flood_tracer_cost_frac\": {:.4}, \"bcast_p256_1mib_untraced_ns\": {:.0}, \"bcast_p256_1mib_traced_ns\": {:.0}}}\n}}\n",
+        "{{\n  \"bench\": \"runtime_collectives\",\n  \"cells\": [\n{}\n  ],\n  \"mailbox_flood\": {{\"senders\": 8, \"receivers\": 8, \"msgs_per_sender\": 4000, \"payload_bytes\": 1024, \"msgs_per_sec\": {:.0}}},\n  \"trace_overhead\": {{\"mailbox_flood_traced_msgs_per_sec\": {:.0}, \"flood_tracer_cost_frac\": {:.4}, \"bcast_p256_1mib_untraced_ns\": {:.0}, \"bcast_p256_1mib_traced_ns\": {:.0}}}\n}}\n",
         cells.iter().map(Cell::json).collect::<Vec<_>>().join(",\n"),
-        speedup,
         mailbox_msgs_per_sec,
         mailbox_traced_msgs_per_sec,
         flood_overhead,

@@ -78,7 +78,7 @@ fn measure_inproc(bytes: usize, iters: u64) -> Duration {
     let echo = std::thread::spawn(move || {
         for _ in 0..iters {
             let env = b2.take(1, Src::Rank(0), Tag::Value(1), &peers0).unwrap();
-            let (v, _) = env.payload.into_owned::<Vec<u8>>().ok().unwrap();
+            let v = env.payload.into_owned::<Vec<u8>>().ok().unwrap();
             a2.push(Envelope::new(1, 1, 1, 2, v.len(), None, Payload::owned(v)));
         }
     });
@@ -88,7 +88,7 @@ fn measure_inproc(bytes: usize, iters: u64) -> Duration {
         let n = ball.len();
         b.push(Envelope::new(0, 0, 1, 1, n, None, Payload::owned(ball)));
         let env = a.take(1, Src::Rank(1), Tag::Value(2), &peers1).unwrap();
-        ball = env.payload.into_owned::<Vec<u8>>().ok().unwrap().0;
+        ball = env.payload.into_owned::<Vec<u8>>().ok().unwrap();
     }
     let elapsed = start.elapsed();
     echo.join().unwrap();

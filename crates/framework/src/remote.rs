@@ -24,9 +24,9 @@ pub type Replicator = std::sync::Arc<dyn Fn() -> AnyPayload + Send + Sync>;
 
 /// A type-erased argument or result with explicit wire-size accounting.
 ///
-/// The wrapped value is `Sync` so envelopes carrying payloads (requests,
-/// responses) can travel as shared multicast envelopes — one allocation
-/// fanned out to every rank of a parallel component.
+/// The wrapped value is `Sync` because a payload can itself be the
+/// prototype of a [`Replicator`], which is shared between threads: PRMI
+/// replicates whole batches of payloads for ghost invocations and returns.
 pub struct AnyPayload {
     value: Box<dyn Any + Send + Sync>,
     bytes: usize,

@@ -71,11 +71,10 @@ impl MsgSize for CollReq {
 }
 
 impl Clone for CollReq {
-    /// Ghost-invocation fan-out clones a request when a shared multicast
-    /// envelope must be unwrapped while other receivers still hold it.
-    /// Collective requests always carry replicable args (the caller wraps
-    /// them with [`AnyPayload::replicable`]), so this cannot fail in
-    /// practice.
+    /// Ghost-invocation fan-out multicasts a request, which clones it for
+    /// every provider but the last. Collective requests always carry
+    /// replicable args (the caller wraps them with
+    /// [`AnyPayload::replicable`]), so this cannot fail in practice.
     fn clone(&self) -> Self {
         CollReq {
             method: self.method,
@@ -292,8 +291,8 @@ where
 }
 
 /// Sends this caller's request to the providers it owns. Ghost invocations
-/// (N > M) fan one request out to several providers as a single shared
-/// multicast envelope, so the argument is marshalled once.
+/// (N > M) multicast it: every provider but the last gets a replica of the
+/// argument.
 fn multicast_request<A: Send + Sync + MsgSize + 'static + Clone>(
     ic: &InterComm,
     method: u32,
@@ -498,11 +497,10 @@ fn heal_intercomm(ic: &InterComm, epoch: u64) -> Result<InterComm> {
 }
 
 /// Sends `result` to every respondent. A single respondent receives the
-/// value directly; ghost returns (fewer providers than callers) go out as
-/// one shared multicast envelope — the result is marshalled once, and each
-/// caller unwraps it copy-on-write. `AnyPayload` is not clonable in
-/// general, so the fan-out path requires results wrapped with
-/// [`AnyPayload::replicable`].
+/// value directly; ghost returns (fewer providers than callers) are
+/// multicast, every caller but the last receiving a replica. `AnyPayload`
+/// is not clonable in general, so the fan-out path requires results
+/// wrapped with [`AnyPayload::replicable`].
 fn send_replicated(ic: &InterComm, to: &[usize], call_seq: u64, result: AnyPayload) -> Result<()> {
     let resp = CollResp { call_seq, result };
     match to {

@@ -7,17 +7,14 @@
 //! point-to-point traffic or with each other.
 //!
 //! Algorithms follow the classic implementations: binomial-tree broadcast
-//! and reduce, dissemination barrier, ring allgather, recursive-doubling
-//! allreduce (with a reduce+bcast path for large payloads), recursive-halving
-//! reduce-scatter, pairwise-offset and Bruck all-to-all, and a linear chain
+//! and reduce, dissemination barrier, ring allgather, reduce+bcast
+//! allreduce, pairwise-offset and Bruck all-to-all, and a linear chain
 //! scan. Because the runtime's sends are eager (never block), the simple
 //! orderings are deadlock-free.
 //!
-//! Broadcast-shaped collectives move payloads as [`crate::Payload::Shared`]
-//! envelopes: the value is allocated once (`Arc::new`) and every hop forwards
-//! another handle, so a p-rank broadcast performs O(1) payload allocations.
-//! The `*_shared` variants hand that `Arc` straight to the caller; the owned
-//! variants unwrap it copy-on-write.
+//! Every message owns its value. Where one value must reach several ranks
+//! (a broadcast's children, an allgather's ring, a scan's chain), the
+//! sender clones it per message and counts each clone against the op.
 //!
 //! Every collective receive (`coll_take`, `gather`'s root loop, the one
 //! `barrier` loop with its optional deadline) goes through the endpoint's
@@ -25,7 +22,6 @@
 //! and an error return is accounted in both planes, but no fault-plane op
 //! is counted — a collective counts its ops once, on the send side.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::comm::Comm;
@@ -76,18 +72,17 @@ impl Comm {
         self.post(dst, self.coll_context(), tag, bytes, payload, TrafficClass::Collective)
     }
 
-    /// Forwards a shared handle: no payload copy, whatever the fan-out.
-    fn coll_send_shared<T: Send + Sync + Clone + 'static>(
+    /// Sends a clone of `value`, which the sender keeps, and counts the
+    /// clone against `op`.
+    fn coll_send_clone<T: Clone + Send + MsgSize + 'static>(
         &self,
         dst: usize,
         tag: i32,
-        value: Arc<T>,
-        bytes: usize,
+        value: &T,
         op: CollOp,
     ) -> Result<()> {
-        self.shared.stats().record_coll(op, bytes);
-        let payload = Payload::shared(value);
-        self.post(dst, self.coll_context(), tag, bytes, payload, TrafficClass::Collective)
+        self.shared.stats().record_coll_clone(op);
+        self.coll_send(dst, tag, value.clone(), op)
     }
 
     /// One span per collective invocation, opened at entry so the guard
@@ -108,23 +103,6 @@ impl Comm {
     fn coll_recv<T: 'static>(&self, src: usize, tag: i32) -> Result<T> {
         let env = self.coll_take(src, tag, None)?;
         self.downcast::<T>(env).map(|(v, _)| v)
-    }
-
-    fn coll_recv_shared<T: Send + Sync + 'static>(&self, src: usize, tag: i32) -> Result<Arc<T>> {
-        let env = self.coll_take(src, tag, None)?;
-        self.downcast_shared::<T>(env).map(|(v, _)| v)
-    }
-
-    /// Copy-on-write unwrap of a collective result, attributing any forced
-    /// deep clone to `op`.
-    fn unwrap_cow<T: Clone>(&self, arc: Arc<T>, op: CollOp) -> T {
-        match Arc::try_unwrap(arc) {
-            Ok(v) => v,
-            Err(arc) => {
-                self.shared.stats().record_coll_clones(op, 1);
-                (*arc).clone()
-            }
-        }
     }
 
     /// Blocks until every member has entered the barrier.
@@ -167,105 +145,26 @@ impl Comm {
     /// Broadcasts `root`'s value to every member. `root` must pass
     /// `Some(value)`; all other ranks pass `None` and receive the value.
     ///
-    /// Binomial tree over one shared payload: ⌈log₂ p⌉ hops on the critical
-    /// path, exactly p−1 messages, and a single payload allocation
-    /// regardless of p. Each receiver unwraps copy-on-write: leaves get the
-    /// value without any copy once their subtree's handles drop.
-    pub fn bcast<T: Clone + Send + Sync + MsgSize + 'static>(
+    /// Binomial tree: ⌈log₂ p⌉ hops on the critical path and exactly p−1
+    /// messages, each a clone of the sender's value.
+    pub fn bcast<T: Clone + Send + MsgSize + 'static>(
         &self,
         root: usize,
         value: Option<T>,
     ) -> Result<T> {
         let bytes = value.as_ref().map_or(0, MsgSize::msg_size);
-        let _span = self.coll_span(
-            CollOp::Bcast,
-            coll_algo::BINOMIAL_SHARED,
-            bytes,
-            ceil_log2(self.size()),
-        );
-        let arc = self.bcast_shared_as(root, value, CollOp::Bcast)?;
-        Ok(self.unwrap_cow(arc, CollOp::Bcast))
+        let rounds = ceil_log2(self.size());
+        let _span = self.coll_span(CollOp::Bcast, coll_algo::BINOMIAL, bytes, rounds);
+        self.bcast_as(root, value, CollOp::Bcast)
     }
 
-    /// The zero-clone broadcast: like [`Comm::bcast`], but every member
-    /// receives an `Arc` handle to the *same* allocation — no payload is
-    /// ever deep-copied, whatever the communicator size.
-    pub fn bcast_shared<T: Clone + Send + Sync + MsgSize + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
-    ) -> Result<Arc<T>> {
-        let bytes = value.as_ref().map_or(0, MsgSize::msg_size);
-        let _span = self.coll_span(
-            CollOp::Bcast,
-            coll_algo::BINOMIAL_SHARED,
-            bytes,
-            ceil_log2(self.size()),
-        );
-        self.bcast_shared_as(root, value, CollOp::Bcast)
-    }
-
-    fn bcast_shared_as<T: Clone + Send + Sync + MsgSize + 'static>(
+    fn bcast_as<T: Clone + Send + MsgSize + 'static>(
         &self,
         root: usize,
         value: Option<T>,
         op: CollOp,
-    ) -> Result<Arc<T>> {
-        let p = self.size();
-        if root >= p {
-            return Err(RuntimeError::InvalidRank { rank: root, size: p });
-        }
-        let base = self.next_coll_tag();
-        let rel = (self.rank() + p - root) % p;
-
-        let mut value: Option<Arc<T>> = if rel == 0 {
-            let v = value.ok_or_else(|| RuntimeError::CollectiveMismatch {
-                detail: "bcast root passed None".into(),
-            })?;
-            // The broadcast's single payload allocation.
-            self.shared.stats().record_coll_allocs(op, 1);
-            Some(Arc::new(v))
-        } else {
-            None
-        };
-
-        // Receive phase: find the bit that identifies my parent.
-        let mut mask = 1usize;
-        while mask < p {
-            if rel & mask != 0 {
-                let parent = ((rel - mask) + root) % p;
-                value = Some(self.coll_recv_shared::<T>(parent, base)?);
-                break;
-            }
-            mask <<= 1;
-        }
-        // Send phase: forward handles to children below my identifying bit.
-        let v = value.expect("bcast value present after receive phase");
-        let bytes = v.msg_size();
-        mask >>= 1;
-        while mask > 0 {
-            if rel & mask == 0 && rel + mask < p {
-                let child = (rel + mask + root) % p;
-                self.coll_send_shared(child, base, Arc::clone(&v), bytes, op)?;
-            }
-            mask >>= 1;
-        }
-        Ok(v)
-    }
-
-    /// Clone-per-child broadcast over the same binomial tree, retained as
-    /// the baseline the zero-clone path is compared against (see the
-    /// `runtime_collectives` bench): identical message count, but every
-    /// parent deep-copies the payload once per child — O(p) copies total,
-    /// serialized on the interior ranks.
-    pub fn bcast_cloning<T: Clone + Send + MsgSize + 'static>(
-        &self,
-        root: usize,
-        value: Option<T>,
     ) -> Result<T> {
         let p = self.size();
-        let bytes = value.as_ref().map_or(0, MsgSize::msg_size);
-        let _span = self.coll_span(CollOp::Bcast, coll_algo::BINOMIAL_CLONING, bytes, ceil_log2(p));
         if root >= p {
             return Err(RuntimeError::InvalidRank { rank: root, size: p });
         }
@@ -280,6 +179,7 @@ impl Comm {
             None
         };
 
+        // Receive phase: find the bit that identifies my parent.
         let mut mask = 1usize;
         while mask < p {
             if rel & mask != 0 {
@@ -289,13 +189,13 @@ impl Comm {
             }
             mask <<= 1;
         }
+        // Send phase: a clone to each child below my identifying bit.
         let v = value.expect("bcast value present after receive phase");
         mask >>= 1;
         while mask > 0 {
             if rel & mask == 0 && rel + mask < p {
                 let child = (rel + mask + root) % p;
-                self.shared.stats().record_coll_clones(CollOp::Bcast, 1);
-                self.coll_send(child, base, v.clone(), CollOp::Bcast)?;
+                self.coll_send_clone(child, base, &v, op)?;
             }
             mask >>= 1;
         }
@@ -334,61 +234,26 @@ impl Comm {
 
     /// Gathers one value from every member at *every* member.
     ///
-    /// Ring over shared envelopes: p−1 steps per rank, each member forwards
-    /// a *handle* to the block it just received, so every block is allocated
-    /// exactly once however many ranks end up holding it. The owned result
-    /// unwraps each block copy-on-write.
-    pub fn allgather<T: Clone + Send + Sync + MsgSize + 'static>(
-        &self,
-        value: T,
-    ) -> Result<Vec<T>> {
-        let _span = self.coll_span(
-            CollOp::Allgather,
-            coll_algo::RING,
-            value.msg_size(),
-            (self.size() as u64) - 1,
-        );
-        let shared = self.allgather_shared_inner(value)?;
-        Ok(shared.into_iter().map(|arc| self.unwrap_cow(arc, CollOp::Allgather)).collect())
-    }
-
-    /// The zero-clone allgather: every member receives `Arc` handles to the
-    /// p shared block allocations (one per contributor).
-    pub fn allgather_shared<T: Clone + Send + Sync + MsgSize + 'static>(
-        &self,
-        value: T,
-    ) -> Result<Vec<Arc<T>>> {
-        let _span = self.coll_span(
-            CollOp::Allgather,
-            coll_algo::RING,
-            value.msg_size(),
-            (self.size() as u64) - 1,
-        );
-        self.allgather_shared_inner(value)
-    }
-
-    fn allgather_shared_inner<T: Clone + Send + Sync + MsgSize + 'static>(
-        &self,
-        value: T,
-    ) -> Result<Vec<Arc<T>>> {
+    /// Ring: p−1 steps per rank; at each step a member keeps the block it
+    /// received last and forwards a clone of it.
+    pub fn allgather<T: Clone + Send + MsgSize + 'static>(&self, value: T) -> Result<Vec<T>> {
+        const OP: CollOp = CollOp::Allgather;
         let p = self.size();
+        let _span = self.coll_span(OP, coll_algo::RING, value.msg_size(), (p as u64) - 1);
         let r = self.rank();
         let base = self.next_coll_tag();
-        let mut out: Vec<Option<Arc<T>>> = (0..p).map(|_| None).collect();
-        // My contribution: the one allocation this rank makes.
-        self.shared.stats().record_coll_allocs(CollOp::Allgather, 1);
-        out[r] = Some(Arc::new(value));
+        let mut out: Vec<Option<T>> = (0..p).map(|_| None).collect();
+        out[r] = Some(value);
 
         let next = (r + 1) % p;
         let prev = (r + p - 1) % p;
         // At step s we forward the block that originated at (r - s) mod p.
-        for s in 0..p.saturating_sub(1) {
+        for s in 0..p - 1 {
             let send_origin = (r + p - s) % p;
-            let block = Arc::clone(out[send_origin].as_ref().expect("block present by induction"));
-            let bytes = block.msg_size();
-            self.coll_send_shared(next, base + s as i32, block, bytes, CollOp::Allgather)?;
+            let block = out[send_origin].as_ref().expect("block present by induction");
+            self.coll_send_clone(next, base + s as i32, block, OP)?;
             let recv_origin = (prev + p - s) % p;
-            out[recv_origin] = Some(self.coll_recv_shared::<T>(prev, base + s as i32)?);
+            out[recv_origin] = Some(self.coll_recv::<T>(prev, base + s as i32)?);
         }
         Ok(out.into_iter().map(|o| o.expect("ring delivered all blocks")).collect())
     }
@@ -400,19 +265,9 @@ impl Comm {
         root: usize,
         values: Option<Vec<T>>,
     ) -> Result<T> {
-        let bytes = values.as_ref().map_or(0, MsgSize::msg_size);
-        let _span =
-            self.coll_span(CollOp::Scatter, coll_algo::LINEAR, bytes, (self.size() as u64) - 1);
-        self.scatter_as(root, values, CollOp::Scatter)
-    }
-
-    fn scatter_as<T: Send + MsgSize + 'static>(
-        &self,
-        root: usize,
-        values: Option<Vec<T>>,
-        op: CollOp,
-    ) -> Result<T> {
         let p = self.size();
+        let bytes = values.as_ref().map_or(0, MsgSize::msg_size);
+        let _span = self.coll_span(CollOp::Scatter, coll_algo::LINEAR, bytes, (p as u64) - 1);
         if root >= p {
             return Err(RuntimeError::InvalidRank { rank: root, size: p });
         }
@@ -431,7 +286,7 @@ impl Comm {
                 if dst == root {
                     mine = Some(v);
                 } else {
-                    self.coll_send(dst, base, v, op)?;
+                    self.coll_send(dst, base, v, CollOp::Scatter)?;
                 }
             }
             Ok(mine.expect("root's own element"))
@@ -556,7 +411,7 @@ impl Comm {
     {
         let _span = self.coll_span(
             CollOp::Reduce,
-            coll_algo::BINOMIAL_SHARED,
+            coll_algo::BINOMIAL,
             value.msg_size(),
             ceil_log2(self.size()),
         );
@@ -598,23 +453,15 @@ impl Comm {
 
     /// Every member receives `op` folded over all members' values.
     ///
-    /// One algorithm at every size: binomial reduce — partials are *moved*
-    /// up the tree and folded in place, never cloned — followed by the
-    /// zero-clone shared broadcast (one allocation, `Arc` handles fanned
-    /// out). This replaced recursive doubling for small payloads: RD's
-    /// owned-message exchange rounds force every rank to clone its
-    /// accumulator once per round (both partners need both values, so the
-    /// copy is inherent to the algorithm, not the transport) — p·⌈log₂ p⌉
-    /// deep copies and messages per op, 2048 of each at p=256. Reduce+bcast
-    /// doubles the critical-path round count to 2⌈log₂ p⌉ but sends only
-    /// 2(p−1) messages and copies nothing in the reduce phase (the shared
-    /// bcast's final unwrap still costs one clone per non-root rank), which
-    /// wins outright in this runtime where per-message cost dominates
-    /// (BENCH_runtime.json allreduce cells vs the last recursive-doubling
-    /// run: 1.5x at p=16, 2.4x at p=64, 2.8x at p=256, all at 1KiB).
+    /// One algorithm at every size: binomial reduce to rank 0 — partials
+    /// are moved up the tree and folded in place — then the binomial
+    /// [`Comm::bcast`] of the result: 2(p−1) messages over 2⌈log₂ p⌉
+    /// rounds, and p−1 clones, all in the broadcast. Recursive doubling,
+    /// which this replaced, sends and clones p·⌈log₂ p⌉ partials, which
+    /// costs more in this runtime, where per-message cost dominates.
     pub fn allreduce<T, F>(&self, value: T, op: F) -> Result<T>
     where
-        T: Clone + Send + Sync + MsgSize + 'static,
+        T: Clone + Send + MsgSize + 'static,
         F: Fn(&mut T, T),
     {
         let p = self.size();
@@ -625,89 +472,7 @@ impl Comm {
         let _span =
             self.coll_span(CollOp::Allreduce, coll_algo::REDUCE_BCAST, bytes, 2 * ceil_log2(p));
         let reduced = self.reduce_as(0, value, op, CollOp::Allreduce)?;
-        let arc = self.bcast_shared_as(0, reduced, CollOp::Allreduce)?;
-        Ok(self.unwrap_cow(arc, CollOp::Allreduce))
-    }
-
-    /// Reduces `values` (one block per member, rank order) element-wise and
-    /// scatters the result: rank `r` receives the reduction of every
-    /// member's `values[r]`.
-    ///
-    /// Power-of-two sizes use recursive halving: each round a rank sends
-    /// the half of its remaining blocks the partner is responsible for (the
-    /// blocks are *moved* into the message — no clones) and folds the
-    /// incoming half into its own; ⌈log₂ p⌉ messages per rank, halving in
-    /// volume each round. Other sizes fall back to a binomial vector reduce
-    /// followed by a scatter.
-    pub fn reduce_scatter<T, F>(&self, values: Vec<T>, op: F) -> Result<T>
-    where
-        T: Send + MsgSize + 'static,
-        F: Fn(&mut T, T),
-    {
-        const OP: CollOp = CollOp::ReduceScatter;
-        let p = self.size();
-        let r = self.rank();
-        if values.len() != p {
-            return Err(RuntimeError::CollectiveMismatch {
-                detail: format!("reduce_scatter got {} values for {} ranks", values.len(), p),
-            });
-        }
-        if p == 1 {
-            return Ok(values.into_iter().next().expect("one block for one rank"));
-        }
-        let algo =
-            if p.is_power_of_two() { coll_algo::RECURSIVE_HALVING } else { coll_algo::LINEAR };
-        let _span = self.coll_span(OP, algo, values.msg_size(), ceil_log2(p));
-        if !p.is_power_of_two() {
-            let reduced = self.reduce_as(
-                0,
-                values,
-                |acc: &mut Vec<T>, incoming: Vec<T>| {
-                    for (a, b) in acc.iter_mut().zip(incoming) {
-                        op(a, b);
-                    }
-                },
-                OP,
-            )?;
-            return self.scatter_as(0, reduced, OP);
-        }
-
-        let base = self.next_coll_tag();
-        let mut blocks: Vec<Option<T>> = values.into_iter().map(Some).collect();
-        let (mut lo, mut hi) = (0usize, p);
-        let mut round = 0i32;
-        while hi - lo > 1 {
-            let half = (hi - lo) / 2;
-            let mid = lo + half;
-            let (partner, send_lo, send_hi, keep_lo, keep_hi) =
-                if r < mid { (r + half, mid, hi, lo, mid) } else { (r - half, lo, mid, mid, hi) };
-            let outgoing: Vec<T> =
-                (send_lo..send_hi).map(|i| blocks[i].take().expect("unsent block")).collect();
-            self.coll_send(partner, base + round, outgoing, OP)?;
-            let incoming: Vec<T> = self.coll_recv(partner, base + round)?;
-            if incoming.len() != keep_hi - keep_lo {
-                return Err(RuntimeError::CollectiveMismatch {
-                    detail: format!(
-                        "reduce_scatter round {round}: got {} blocks, expected {}",
-                        incoming.len(),
-                        keep_hi - keep_lo
-                    ),
-                });
-            }
-            for (i, v) in (keep_lo..keep_hi).zip(incoming) {
-                let acc = blocks[i].as_mut().expect("kept block");
-                if partner < r {
-                    let mine = std::mem::replace(acc, v);
-                    op(acc, mine);
-                } else {
-                    op(acc, v);
-                }
-            }
-            lo = keep_lo;
-            hi = keep_hi;
-            round += 1;
-        }
-        Ok(blocks[r].take().expect("own block fully reduced"))
+        self.bcast_as(0, reduced, CollOp::Allreduce)
     }
 
     /// Inclusive prefix reduction: rank r receives `op` applied to the
@@ -733,8 +498,7 @@ impl Comm {
             op(&mut acc, mine);
         }
         if r + 1 < p {
-            self.shared.stats().record_coll_clones(CollOp::Scan, 1);
-            self.coll_send(r + 1, base, acc.clone(), CollOp::Scan)?;
+            self.coll_send_clone(r + 1, base, &acc, CollOp::Scan)?;
         }
         Ok(acc)
     }
@@ -743,8 +507,9 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::{RunOpts, RunReport, World};
+    use crate::world::{RunOpts, World};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn barrier_orders_phases() {
@@ -796,32 +561,16 @@ mod tests {
     }
 
     #[test]
-    fn bcast_cloning_from_every_root() {
-        for p in [1, 2, 3, 5, 8] {
-            for root in 0..p {
-                World::run(p, move |proc| {
-                    let c = proc.world();
-                    let v = if c.rank() == root { Some(vec![root as u64; 3]) } else { None };
-                    assert_eq!(c.bcast_cloning(root, v).unwrap(), vec![root as u64; 3]);
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn bcast_shared_hands_out_one_allocation() {
-        let RunReport { results, stats, .. } = World::run_opts(8, RunOpts::default(), |proc| {
+    fn bcast_clones_once_per_message() {
+        let stats = World::run_opts(8, RunOpts::default(), |proc| {
             let c = proc.world();
             let v = if c.rank() == 0 { Some(vec![3.25f64; 64]) } else { None };
-            let arc = c.bcast_shared(0, v).unwrap();
-            assert_eq!(*arc, vec![3.25; 64]);
-            Arc::as_ptr(&arc) as usize
-        });
-        assert!(results.windows(2).all(|w| w[0] == w[1]), "all ranks see the same allocation");
+            assert_eq!(c.bcast(0, v).unwrap(), vec![3.25; 64]);
+        })
+        .stats;
         let bcast = stats.coll(crate::stats::CollOp::Bcast);
         assert_eq!(bcast.messages, 7, "bcast sends exactly p-1 messages");
-        assert_eq!(bcast.payload_allocs, 1, "one allocation regardless of p");
-        assert_eq!(bcast.payload_clones, 0, "shared broadcast never deep-copies");
+        assert_eq!(bcast.payload_clones, 7, "each message owns a clone");
     }
 
     #[test]
@@ -864,19 +613,18 @@ mod tests {
     }
 
     #[test]
-    fn allgather_shared_allocates_once_per_contributor() {
+    fn allgather_ring_clones_once_per_message() {
         let stats = World::run_opts(4, RunOpts::default(), |proc| {
             let c = proc.world();
-            let got = c.allgather_shared(vec![c.rank() as u32; 8]).unwrap();
-            for (r, arc) in got.iter().enumerate() {
-                assert_eq!(**arc, vec![r as u32; 8]);
+            let got = c.allgather(vec![c.rank() as u32; 8]).unwrap();
+            for (r, block) in got.iter().enumerate() {
+                assert_eq!(*block, vec![r as u32; 8]);
             }
         })
         .stats;
         let ag = stats.coll(crate::stats::CollOp::Allgather);
         assert_eq!(ag.messages, 4 * 3, "ring sends p-1 messages per rank");
-        assert_eq!(ag.payload_allocs, 4, "one allocation per contributed block");
-        assert_eq!(ag.payload_clones, 0);
+        assert_eq!(ag.payload_clones, 4 * 3);
     }
 
     #[test]
@@ -1023,74 +771,62 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_message_complexity_and_zero_clones() {
-        // Reduce (p-1 moved partials) + shared bcast (p-1 Arc handles):
-        // 2(p-1) messages total, no payload deep copies, one allocation.
+    fn allreduce_message_complexity_and_clones() {
+        // Reduce (p-1 moved partials) + bcast (p-1 clones of the result):
+        // 2(p-1) messages, p-1 clones.
         let stats = World::run_opts(8, RunOpts::default(), |proc| {
             proc.world().allreduce(1u64, |a, b| *a += b).unwrap();
         })
         .stats;
         let cell = stats.coll(crate::stats::CollOp::Allreduce);
         assert_eq!(cell.messages, 2 * (8 - 1));
-        // The algorithm itself never clones (partials move and fold in
-        // place); the only copies are COW unwraps of the shared broadcast
-        // result when handles race — bounded by p, vs p·log₂p (24) for the
-        // recursive doubling this replaced.
-        assert!(cell.payload_clones <= 8, "got {}", cell.payload_clones);
-        assert_eq!(cell.payload_allocs, 1, "the bcast's single shared allocation");
+        assert_eq!(cell.payload_clones, 8 - 1);
     }
 
+    /// Message and byte counts per collective, from each algorithm's shape:
+    /// dissemination barrier p·⌈log₂ p⌉ empty messages, binomial bcast and
+    /// root gather p−1, ring allgather and pairwise alltoall p(p−1),
+    /// reduce+bcast allreduce 2(p−1), and a 3-way multicast 3.
     #[test]
-    fn reduce_scatter_power_of_two() {
-        for p in [1, 2, 4, 8] {
-            World::run(p, move |proc| {
+    fn collective_traffic_follows_the_algorithms() {
+        use crate::stats::CollOp;
+        const B: u64 = 32; // a `Vec<u64>` of four
+        for p in [1usize, 2, 5, 16] {
+            let stats = World::run_opts(p, RunOpts::default(), |proc| {
                 let c = proc.world();
                 let r = c.rank();
-                // Block destined for rank d carries r*100 + d.
-                let blocks: Vec<u64> = (0..p).map(|d| (r * 100 + d) as u64).collect();
-                let got = c.reduce_scatter(blocks, |a, b| *a += b).unwrap();
-                let expect: u64 = (0..p).map(|s| (s * 100 + r) as u64).sum();
-                assert_eq!(got, expect);
-            });
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_fallback_sizes() {
-        for p in [3, 5, 6, 7] {
-            World::run(p, move |proc| {
-                let c = proc.world();
-                let r = c.rank();
-                let blocks: Vec<u64> = (0..p).map(|d| (r * 100 + d) as u64).collect();
-                let got = c.reduce_scatter(blocks, |a, b| *a += b).unwrap();
-                let expect: u64 = (0..p).map(|s| (s * 100 + r) as u64).sum();
-                assert_eq!(got, expect);
-            });
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_wrong_count_errors() {
-        World::run(2, |proc| {
-            let c = proc.world();
-            if c.rank() == 0 {
-                let e = c.reduce_scatter(vec![1u8], |a, b| *a += b).unwrap_err();
-                assert!(matches!(e, RuntimeError::CollectiveMismatch { .. }));
+                c.barrier().unwrap();
+                c.bcast(0, (r == 0).then(|| vec![1u64; 4])).unwrap();
+                c.gather(0, vec![2u64; 4]).unwrap();
+                c.allgather(vec![3u64; 4]).unwrap();
+                c.alltoall((0..c.size()).map(|_| vec![4u64; 4]).collect()).unwrap();
+                c.allreduce(vec![5u64; 4], |a, b| a[0] += b[0]).unwrap();
+                if r == 0 {
+                    let dsts: Vec<usize> = (1..=3).map(|d| d % c.size()).collect();
+                    c.multicast(&dsts, 6, vec![6u64; 4]).unwrap();
+                }
+                let mine = (1..=3).filter(|d| d % c.size() == r).count();
+                for _ in 0..mine {
+                    c.recv::<Vec<u64>>(0, 6).unwrap();
+                }
+            })
+            .stats;
+            let n = p as u64;
+            let log = n.next_power_of_two().trailing_zeros() as u64;
+            let expect = [
+                (CollOp::Barrier, n * log, 0),
+                (CollOp::Bcast, n - 1, B),
+                (CollOp::Gather, n - 1, B),
+                (CollOp::Allgather, n * (n - 1), B),
+                (CollOp::Alltoall, n * (n - 1), B),
+                (CollOp::Allreduce, 2 * (n - 1), B),
+            ];
+            for (op, messages, bytes) in expect {
+                let got = stats.coll(op);
+                assert_eq!((got.messages, got.bytes), (messages, messages * bytes), "{op:?} p={p}");
             }
-        });
-    }
-
-    #[test]
-    fn reduce_scatter_moves_blocks_without_cloning() {
-        let stats = World::run_opts(8, RunOpts::default(), |proc| {
-            let c = proc.world();
-            let blocks: Vec<u64> = (0..8).map(|d| d as u64).collect();
-            c.reduce_scatter(blocks, |a, b| *a += b).unwrap();
-        })
-        .stats;
-        let rs = stats.coll(crate::stats::CollOp::ReduceScatter);
-        assert_eq!(rs.messages, 8 * 3, "log2(p) halving rounds per rank");
-        assert_eq!(rs.payload_clones, 0, "recursive halving moves every block");
+            assert_eq!((stats.p2p_messages, stats.p2p_bytes), (3, 3 * B), "multicast p={p}");
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::membership::agree_over;
 use crate::msgsize::MsgSize;
 use crate::reconfig::Rule;
 use crate::shared::{WorldShared, WORLD_CONTEXT};
-use crate::stats::{TrafficClass, WorldStats};
+use crate::stats::TrafficClass;
 use crate::tracing::{ctx_class, record_op_error, tag_arg};
 use mxn_trace::{emit_instant, EventId};
 
@@ -136,8 +136,7 @@ impl<K> Endpoint<K> {
         class: TrafficClass,
     ) -> Result<()> {
         let to = self.group[dst];
-        self.shared
-            .send_envelope(self.me, self.rank, to, dst, context, tag, bytes, payload, None, class)
+        self.shared.send_envelope(self.me, self.rank, to, context, tag, bytes, payload, class)
     }
 
     /// Sends `value` to addressed rank `dst` with `tag`.
@@ -154,12 +153,12 @@ impl<K> Endpoint<K> {
         self.post(dst, self.context, tag, bytes, Payload::owned(value), TrafficClass::PointToPoint)
     }
 
-    /// Sends one shared payload to every rank in `dsts` (addressed ranks,
-    /// duplicates allowed): O(1) payload allocations however many
-    /// receivers, each unwrapping it copy-on-write. This is the transport
-    /// under collective remote method invocation, where one caller's
-    /// argument fans out to every rank of the remote program.
-    pub fn multicast<T: Send + Sync + Clone + MsgSize + 'static>(
+    /// Sends `value` to every rank in `dsts` (addressed ranks, duplicates
+    /// allowed), in order: a loop of sends, each destination but the last
+    /// receiving its own clone. This is the transport under collective
+    /// remote method invocation, where one caller's argument fans out to
+    /// every rank of the remote program.
+    pub fn multicast<T: Send + Clone + MsgSize + 'static>(
         &self,
         dsts: &[usize],
         tag: i32,
@@ -168,40 +167,28 @@ impl<K> Endpoint<K> {
         for &d in dsts {
             self.check_rank(d)?;
         }
-        match dsts {
-            [] => Ok(()),
-            // A single destination needs no sharing machinery.
-            [dst] => self.send(*dst, tag, value),
-            _ => {
-                let bytes = value.msg_size();
-                let payload = Payload::shared(Arc::new(value));
-                self.shared.stats().record_payload_alloc();
-                let dst_globals: Vec<usize> = dsts.iter().map(|&d| self.group[d]).collect();
-                self.shared.multicast_envelope(
-                    self.me,
-                    self.rank,
-                    &dst_globals,
-                    self.context,
-                    tag,
-                    bytes,
-                    &payload,
-                    TrafficClass::PointToPoint,
-                )
-            }
+        let Some((&last, rest)) = dsts.split_last() else { return Ok(()) };
+        for &d in rest {
+            self.shared.stats().record_payload_clone();
+            self.send(d, tag, value.clone())?;
         }
+        self.send(last, tag, value)
     }
 
+    /// Checks `env`'s integrity and unwraps its payload as a `T`; a failure
+    /// is accounted like any other error return.
     pub(crate) fn downcast<T: 'static>(&self, env: Envelope) -> Result<(T, MessageInfo)> {
-        unwrap_payload(self.shared.stats(), env, type_name::<T>(), Payload::into_owned)
-    }
-
-    pub(crate) fn downcast_shared<T: Send + Sync + 'static>(
-        &self,
-        env: Envelope,
-    ) -> Result<(Arc<T>, MessageInfo)> {
-        unwrap_payload(self.shared.stats(), env, type_name::<T>(), |p| {
-            p.into_shared().map(|(v, _promoted)| (v, false))
-        })
+        let info = MessageInfo { src: env.src_local, tag: env.tag, bytes: env.bytes };
+        let got = if env.verify() {
+            env.payload.into_owned().map_err(|_| RuntimeError::TypeMismatch {
+                expected: type_name::<T>(),
+                src: info.src,
+                tag: info.tag,
+            })
+        } else {
+            Err(RuntimeError::Corrupt { src: info.src, tag: info.tag })
+        };
+        got.map(|v| (v, info)).inspect_err(|e| record_op_error(self.shared.stats(), e))
     }
 
     /// The receive choke point (see the [module docs](self)): takes the
@@ -411,22 +398,10 @@ impl Comm {
         const SPLIT_TAG: i32 = crate::envelope::COLLECTIVE_TAG_BASE + 1;
         let ctx = if self.rank == owner {
             let ctx = self.shared.allocate_context_pair();
-            // One shared payload fans out to every other member.
-            let others: Vec<usize> =
-                members.iter().filter(|&&m| m != self.rank).map(|&m| self.group[m]).collect();
-            if !others.is_empty() {
-                let payload = Payload::shared(Arc::new(ctx));
-                self.shared.stats().record_payload_alloc();
-                self.shared.multicast_envelope(
-                    self.me,
-                    self.rank,
-                    &others,
-                    self.context,
-                    SPLIT_TAG,
-                    std::mem::size_of::<u32>(),
-                    &payload,
-                    TrafficClass::Collective,
-                )?;
+            for &m in members.iter().filter(|&&m| m != self.rank) {
+                let payload = Payload::owned(ctx);
+                let class = TrafficClass::Collective;
+                self.post(m, self.context, SPLIT_TAG, size_of::<u32>(), payload, class)?;
             }
             ctx
         } else {
@@ -454,39 +429,6 @@ impl Comm {
         let key = ranks.iter().position(|&r| r == self.rank);
         let color = if key.is_some() { 0 } else { -1 };
         self.split(color, key.map_or(0, |k| k as i64))
-    }
-}
-
-/// Checks `env`'s integrity and unwraps its payload with `take`, which
-/// also says whether it had to copy the payload. Failures and copies are
-/// counted in `stats`, so every receive path accounts for them alike.
-fn unwrap_payload<V>(
-    stats: &WorldStats,
-    env: Envelope,
-    expected: &'static str,
-    take: impl FnOnce(Payload) -> std::result::Result<(V, bool), Payload>,
-) -> Result<(V, MessageInfo)> {
-    let info = MessageInfo { src: env.src_local, tag: env.tag, bytes: env.bytes };
-    let got = if env.verify() {
-        take(env.payload).map_err(|_| RuntimeError::TypeMismatch {
-            expected,
-            src: info.src,
-            tag: info.tag,
-        })
-    } else {
-        Err(RuntimeError::Corrupt { src: info.src, tag: info.tag })
-    };
-    match got {
-        Ok((v, copied)) => {
-            if copied {
-                stats.record_payload_clone();
-            }
-            Ok((v, info))
-        }
-        Err(e) => {
-            record_op_error(stats, &e);
-            Err(e)
-        }
     }
 }
 
@@ -675,9 +617,31 @@ mod tests {
         })
         .stats;
         assert_eq!(stats.p2p_messages, 3);
-        assert_eq!(stats.payload_allocs, 1, "one shared allocation for three receivers");
-        // Two receivers unwrap while other handles live; the last is free.
-        assert!(stats.payload_clones <= 2);
+        assert_eq!(stats.p2p_bytes, 3 * 128);
+        assert_eq!(stats.payload_clones, 2, "a clone per destination but the last");
+    }
+
+    #[test]
+    fn a_duplicated_multicast_message_is_delivered_once() {
+        // The fault plane duplicates everything on 0 -> 1. Every payload is
+        // owned, so the duplicate is counted but not delivered a second time.
+        let policy = crate::fault::ChannelPolicy {
+            duplicate: 1.0,
+            ..crate::fault::ChannelPolicy::reliable()
+        };
+        let cfg = crate::fault::FaultConfig::reliable(31).with_channel(0, 1, policy);
+        let opts = RunOpts { faults: Some(cfg), ..RunOpts::default() };
+        let stats = World::run_opts(3, opts, |p| {
+            let c = p.world();
+            if c.rank() == 0 {
+                c.multicast(&[1, 2], 4, 9u64).unwrap();
+            } else {
+                assert_eq!(c.recv::<u64>(0, 4).unwrap(), 9);
+                assert!(c.try_recv::<u64>(0, 4).unwrap().is_none(), "rank {}", c.rank());
+            }
+        })
+        .stats;
+        assert_eq!(stats.duplicated_messages, 1);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Message envelopes, payload representations and matching patterns.
+//! Message envelopes, payloads and matching patterns.
 
 use std::any::Any;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Tag value ranges reserved by the runtime itself.
@@ -54,110 +53,33 @@ impl From<i32> for Tag {
     }
 }
 
-/// Copy-on-write unwrap of a shared payload into an owned box; the flag is
-/// `true` when a deep clone was required (other handles still live).
-pub(crate) type UnwrapShared = fn(Arc<dyn Any + Send + Sync>) -> (Box<dyn Any + Send>, bool);
-
-/// A message payload in flight.
+/// A message payload in flight: one uniquely-owned, type-erased value,
+/// moved from sender to receiver.
 ///
 /// Payloads travel as type-erased values because all ranks share one address
-/// space; the typed façade lives in [`crate::Comm`]. Point-to-point sends move
-/// the value ([`Payload::Owned`]); multicast paths post one `Arc`-shared
-/// allocation to many mailboxes ([`Payload::Shared`]) so a p-rank broadcast
-/// performs O(1) payload allocations instead of O(p) deep copies.
-pub enum Payload {
-    /// A uniquely-owned value, moved from sender to receiver.
-    Owned(Box<dyn Any + Send>),
-    /// One allocation shared among many receivers. `unwrap_value` is captured
-    /// at construction (where the concrete type is known) and performs the
-    /// copy-on-write unwrap: zero-copy when this handle is the last one,
-    /// a single deep clone otherwise.
-    Shared {
-        /// The shared value.
-        value: Arc<dyn Any + Send + Sync>,
-        /// Copy-on-write unwrap of `value`, captured where `T` is known.
-        unwrap_value: UnwrapShared,
-    },
-}
+/// space; the typed façade lives in [`crate::Comm`]. A value bound for
+/// several receivers (a broadcast, a multicast) is cloned for them, so
+/// every envelope owns its value, as a message on the wire does.
+#[derive(Debug)]
+pub struct Payload(Box<dyn Any + Send>);
 
 impl Payload {
-    /// Wraps a value for single-receiver delivery.
+    /// Wraps a value for delivery.
     pub fn owned<T: Any + Send>(value: T) -> Self {
-        Payload::Owned(Box::new(value))
+        Payload(Box::new(value))
     }
 
-    /// Wraps an `Arc` handle for shared delivery to one of many receivers.
-    pub(crate) fn shared<T: Any + Send + Sync + Clone>(value: Arc<T>) -> Self {
-        Payload::Shared {
-            value,
-            unwrap_value: |any| {
-                let arc =
-                    any.downcast::<T>().expect("unwrap_value is captured with the payload type");
-                match Arc::try_unwrap(arc) {
-                    Ok(v) => (Box::new(v), false),
-                    Err(arc) => (Box::new((*arc).clone()), true),
-                }
-            },
-        }
-    }
-
-    /// Another handle to the same payload: O(1) for shared payloads, `None`
-    /// for owned ones (the caller must supply its own replication strategy).
-    pub(crate) fn another_handle(&self) -> Option<Payload> {
-        match self {
-            Payload::Owned(_) => None,
-            Payload::Shared { value, unwrap_value } => {
-                Some(Payload::Shared { value: Arc::clone(value), unwrap_value: *unwrap_value })
-            }
-        }
-    }
-
-    /// Extracts the value as owned `T`. Shared payloads unwrap copy-on-write;
-    /// the flag reports whether a deep clone happened. On type mismatch the
-    /// payload is returned unchanged.
-    pub fn into_owned<T: Any>(self) -> Result<(T, bool), Payload> {
-        match self {
-            Payload::Owned(b) => match b.downcast::<T>() {
-                Ok(v) => Ok((*v, false)),
-                Err(b) => Err(Payload::Owned(b)),
-            },
-            Payload::Shared { value, unwrap_value } => {
-                if !(*value).is::<T>() {
-                    return Err(Payload::Shared { value, unwrap_value });
-                }
-                let (boxed, cloned) = unwrap_value(value);
-                let v = boxed.downcast::<T>().expect("unwrap_value preserves the payload type");
-                Ok((*v, cloned))
-            }
-        }
-    }
-
-    /// Extracts the value as `Arc<T>` without copying the payload. Owned
-    /// payloads are moved into a fresh `Arc`; the flag reports whether that
-    /// (O(1), pointer-sized) promotion happened. On type mismatch the payload
-    /// is returned unchanged.
-    pub(crate) fn into_shared<T: Any + Send + Sync>(self) -> Result<(Arc<T>, bool), Payload> {
-        match self {
-            Payload::Owned(b) => match b.downcast::<T>() {
-                Ok(v) => Ok((Arc::new(*v), true)),
-                Err(b) => Err(Payload::Owned(b)),
-            },
-            Payload::Shared { value, unwrap_value } => match value.downcast::<T>() {
-                Ok(arc) => Ok((arc, false)),
-                Err(value) => Err(Payload::Shared { value, unwrap_value }),
-            },
-        }
+    /// Extracts the value as `T`. On type mismatch the payload is returned
+    /// unchanged.
+    pub fn into_owned<T: Any>(self) -> Result<T, Payload> {
+        self.0.downcast::<T>().map(|v| *v).map_err(Payload)
     }
 }
 
-impl std::fmt::Debug for Payload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Payload::Owned(_) => f.write_str("Payload::Owned"),
-            Payload::Shared { value, .. } => {
-                write!(f, "Payload::Shared(handles={})", Arc::strong_count(value))
-            }
-        }
+impl From<Box<dyn Any + Send>> for Payload {
+    /// Wraps an already boxed value (a decoded wire frame).
+    fn from(value: Box<dyn Any + Send>) -> Self {
+        Payload(value)
     }
 }
 
@@ -310,60 +232,16 @@ mod tests {
     }
 
     #[test]
-    fn owned_payload_roundtrips_without_clone() {
+    fn owned_payload_roundtrips() {
         let p = Payload::owned(vec![1u32, 2, 3]);
-        assert!(!matches!(p, Payload::Shared { .. }));
-        let (v, cloned) = p.into_owned::<Vec<u32>>().unwrap();
-        assert_eq!(v, vec![1, 2, 3]);
-        assert!(!cloned);
-    }
-
-    #[test]
-    fn shared_payload_last_handle_unwraps_without_clone() {
-        let p = Payload::shared(Arc::new(String::from("hi")));
-        let (v, cloned) = p.into_owned::<String>().unwrap();
-        assert_eq!(v, "hi");
-        assert!(!cloned, "sole handle must unwrap in place");
-    }
-
-    #[test]
-    fn shared_payload_clones_only_while_other_handles_live() {
-        let arc = Arc::new(vec![9u64; 4]);
-        let p = Payload::shared(Arc::clone(&arc));
-        let (v, cloned) = p.into_owned::<Vec<u64>>().unwrap();
-        assert_eq!(v, *arc);
-        assert!(cloned, "a live outside handle forces a copy-on-write clone");
-    }
-
-    #[test]
-    fn shared_payload_into_shared_is_zero_copy() {
-        let arc = Arc::new(vec![1.0f64; 8]);
-        let p = Payload::shared(Arc::clone(&arc));
-        let (got, promoted) = p.into_shared::<Vec<f64>>().unwrap();
-        assert!(Arc::ptr_eq(&got, &arc));
-        assert!(!promoted);
-        let (promoted_arc, promoted) = Payload::owned(7u32).into_shared::<u32>().unwrap();
-        assert_eq!(*promoted_arc, 7);
-        assert!(promoted, "owned payloads are promoted into a fresh Arc");
+        assert_eq!(p.into_owned::<Vec<u32>>().unwrap(), vec![1, 2, 3]);
     }
 
     #[test]
     fn payload_type_mismatch_returns_payload() {
-        let p = Payload::shared(Arc::new(1u8));
+        let p = Payload::owned(1u8);
         let p = p.into_owned::<u16>().unwrap_err();
-        let (v, _) = p.into_owned::<u8>().unwrap();
-        assert_eq!(v, 1, "mismatch must hand the payload back intact");
-        assert!(Payload::owned(1u8).into_shared::<u16>().is_err());
-    }
-
-    #[test]
-    fn another_handle_shares_the_allocation() {
-        let p = Payload::shared(Arc::new(5i64));
-        let dup = p.another_handle().expect("shared payloads replicate in O(1)");
-        let (a, _) = p.into_owned::<i64>().unwrap();
-        let (b, _) = dup.into_owned::<i64>().unwrap();
-        assert_eq!((a, b), (5, 5));
-        assert!(Payload::owned(5i64).another_handle().is_none());
+        assert_eq!(p.into_owned::<u8>().unwrap(), 1, "mismatch must hand the payload back intact");
     }
 
     #[test]

@@ -478,7 +478,7 @@ mod tests {
     }
 
     fn val(e: Envelope) -> u32 {
-        e.payload.into_owned::<u32>().unwrap().0
+        e.payload.into_owned::<u32>().unwrap()
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub(crate) const WORLD_CONTEXT: u32 = 0;
 /// abort flag, the communicator-context allocator and the traffic counters.
 pub(crate) struct WorldShared {
     /// One mailbox per rank; delivery is a push under the destination's
-    /// bucket lock, moving or sharing the payload.
+    /// bucket lock, moving the payload.
     mailboxes: Vec<Mailbox>,
     abort: Arc<AtomicBool>,
     next_context: AtomicU32,
@@ -213,25 +213,20 @@ impl WorldShared {
     /// message lands in a mailbox nobody will read; peers detect the death
     /// deterministically on the receive side.
     ///
-    /// Ranks are global except `src_local`/`_dst_local`, which are the
-    /// communicator-local numbers used in envelopes and errors. `replicate`
-    /// produces a second payload when the fault plane duplicates an *owned*
-    /// frame (shared payloads replicate themselves in O(1)); payloads are
-    /// moved (not copied) in this in-process runtime, so without it a
-    /// duplicated owned frame is delivered once and the duplication is
-    /// visible only in the trace and stats.
+    /// Ranks are global except `src_local`, the communicator-local number
+    /// used in envelopes and errors. A duplicate verdict is counted and
+    /// traced but delivers the message once: the payload is moved, not
+    /// copied, so there is no second value to deliver.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn send_envelope(
         &self,
         src_global: usize,
         src_local: usize,
         dst_global: usize,
-        _dst_local: usize,
         context: u32,
         tag: i32,
         bytes: usize,
         payload: Payload,
-        replicate: Option<&dyn Fn() -> Payload>,
         class: TrafficClass,
     ) -> Result<()> {
         // A revoked context refuses new traffic before it is counted, so
@@ -275,17 +270,6 @@ impl WorldShared {
                     EventId::FaultInject,
                     [fault_kind::DUPLICATE, dst_global as u64, tag_arg(tag), bytes as u64],
                 );
-                let dup_payload =
-                    env.payload.another_handle().or_else(|| replicate.map(|rep| rep()));
-                if let Some(p) = dup_payload {
-                    let dup =
-                        Envelope::new(src_global, src_local, context, tag, bytes, deliver_at, p);
-                    // Duplicate first, then the original, under one lock.
-                    let mailbox = self.mailbox(dst_global);
-                    mailbox.post_many([dup, env]);
-                    self.stats.note_transfer_peak(mailbox.peak_bytes());
-                    return Ok(());
-                }
             }
             Verdict::Corrupt => {
                 self.stats.record_fault(FaultClass::Corrupted);
@@ -301,37 +285,6 @@ impl WorldShared {
         // Fold this destination's mailbox high-water mark into the world
         // peak at the same choke point that counted the bytes.
         self.stats.note_transfer_peak(mailbox.peak_bytes());
-        Ok(())
-    }
-
-    /// Posts one shared payload to many destinations: the multicast
-    /// counterpart of [`WorldShared::send_envelope`]. Each destination goes
-    /// through the same choke point (its own fault verdict, delivery clock
-    /// and traffic accounting, exactly like a loop of sends), but every
-    /// delivered envelope holds another `Arc` handle to the *same* payload
-    /// allocation — O(1) payload allocations for p receivers.
-    ///
-    /// `payload` must be [`Payload::Shared`]; owned payloads cannot be
-    /// handed to more than one mailbox.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn multicast_envelope(
-        &self,
-        src_global: usize,
-        src_local: usize,
-        dst_globals: &[usize],
-        context: u32,
-        tag: i32,
-        bytes: usize,
-        payload: &Payload,
-        class: TrafficClass,
-    ) -> Result<()> {
-        for &dst_global in dst_globals {
-            let handle =
-                payload.another_handle().expect("multicast requires a Payload::Shared handle");
-            self.send_envelope(
-                src_global, src_local, dst_global, 0, context, tag, bytes, handle, None, class,
-            )?;
-        }
         Ok(())
     }
 }
@@ -355,6 +308,13 @@ impl Drop for Reliable<'_> {
 mod tests {
     use super::*;
     use crate::envelope::{Src, Tag};
+    use crate::fault::ChannelPolicy;
+
+    /// Rank 0 posts `v` to `dst` on `context`, tag 1, as point-to-point.
+    fn post(s: &WorldShared, dst: usize, context: u32, v: u32) -> Result<()> {
+        let payload = Payload::owned(v);
+        s.send_envelope(0, 0, dst, context, 1, 4, payload, TrafficClass::PointToPoint)
+    }
 
     #[test]
     fn context_pairs_are_disjoint() {
@@ -380,30 +340,12 @@ mod tests {
         s.mailbox(4); // must not panic
     }
 
-    fn env(src: usize, tag: i32, v: u32) -> Envelope {
-        Envelope::new(src, src, 0, tag, 4, None, Payload::owned(v))
-    }
-
     #[test]
     fn deliver_lands_in_destination_mailbox() {
         let s = WorldShared::with_config(2, None, None);
-        let class = TrafficClass::PointToPoint;
-        s.send_envelope(0, 0, 1, 1, 0, 7, 4, Payload::owned(42u32), None, class).unwrap();
-        let got = s.mailbox(1).try_take(0, Src::Rank(0), Tag::Value(7)).unwrap();
-        assert_eq!(got.payload.into_owned::<u32>().unwrap().0, 42);
-    }
-
-    #[test]
-    fn deliver_pair_is_adjacent_and_ordered() {
-        // What the duplicate verdict posts: the duplicate, then the
-        // original, under one lock.
-        let s = WorldShared::with_config(2, None, None);
-        s.mailbox(1).post_many([env(0, 7, 1), env(0, 7, 2)]);
-        assert_eq!(s.mailbox(1).len(), 2);
-        let a = s.mailbox(1).try_take(0, Src::Any, Tag::Any).unwrap();
-        let b = s.mailbox(1).try_take(0, Src::Any, Tag::Any).unwrap();
-        assert_eq!(a.payload.into_owned::<u32>().unwrap().0, 1);
-        assert_eq!(b.payload.into_owned::<u32>().unwrap().0, 2);
+        post(&s, 1, 0, 42).unwrap();
+        let got = s.mailbox(1).try_take(0, Src::Rank(0), Tag::Value(1)).unwrap();
+        assert_eq!(got.payload.into_owned::<u32>().unwrap(), 42);
     }
 
     #[test]
@@ -413,19 +355,7 @@ mod tests {
         // interleaving artifact. Detection is receive-side only.
         let s = WorldShared::with_config(3, None, None);
         s.kill_rank(2);
-        s.send_envelope(
-            0,
-            0,
-            2,
-            2,
-            0,
-            1,
-            4,
-            Payload::owned(1u32),
-            None,
-            TrafficClass::PointToPoint,
-        )
-        .unwrap();
+        post(&s, 2, 0, 1).unwrap();
         assert_eq!(s.mailbox(2).len(), 1, "delivered to a mailbox nobody reads");
         assert_eq!(s.stats().snapshot().rank_deaths, 1);
     }
@@ -434,20 +364,7 @@ mod tests {
     fn dead_sender_cannot_send() {
         let s = WorldShared::with_config(2, None, None);
         s.kill_rank(0);
-        let e = s
-            .send_envelope(
-                0,
-                0,
-                1,
-                1,
-                0,
-                1,
-                4,
-                Payload::owned(1u32),
-                None,
-                TrafficClass::PointToPoint,
-            )
-            .unwrap_err();
+        let e = post(&s, 1, 0, 1).unwrap_err();
         assert_eq!(e, RuntimeError::PeerDead { rank: 0 }, "reports the caller's own rank");
         assert_eq!(s.mailbox(1).len(), 0, "nothing was delivered");
     }
@@ -456,34 +373,8 @@ mod tests {
     fn scheduled_death_triggers_on_send() {
         let cfg = FaultConfig::reliable(1).with_death(0, 1);
         let s = WorldShared::with_config(2, None, Some(cfg));
-        assert!(s
-            .send_envelope(
-                0,
-                0,
-                1,
-                1,
-                0,
-                1,
-                4,
-                Payload::owned(1u32),
-                None,
-                TrafficClass::PointToPoint
-            )
-            .is_ok());
-        let e = s
-            .send_envelope(
-                0,
-                0,
-                1,
-                1,
-                0,
-                1,
-                4,
-                Payload::owned(2u32),
-                None,
-                TrafficClass::PointToPoint,
-            )
-            .unwrap_err();
+        assert!(post(&s, 1, 0, 1).is_ok());
+        let e = post(&s, 1, 0, 2).unwrap_err();
         assert_eq!(e, RuntimeError::PeerDead { rank: 0 });
         assert!(s.liveness().is_dead(0));
         assert_eq!(s.mailbox(1).len(), 1, "only the pre-death message landed");
@@ -492,22 +383,9 @@ mod tests {
 
     #[test]
     fn drop_verdict_suppresses_delivery() {
-        use crate::fault::ChannelPolicy;
         let cfg = FaultConfig::reliable(3).with_default_policy(ChannelPolicy::lossy(1.0));
         let s = WorldShared::with_config(2, None, Some(cfg));
-        s.send_envelope(
-            0,
-            0,
-            1,
-            1,
-            0,
-            1,
-            4,
-            Payload::owned(1u32),
-            None,
-            TrafficClass::PointToPoint,
-        )
-        .unwrap();
+        post(&s, 1, 0, 1).unwrap();
         assert_eq!(s.mailbox(1).len(), 0);
         let snap = s.stats().snapshot();
         assert_eq!(snap.dropped_messages, 1);
@@ -515,49 +393,21 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_verdict_delivers_twice_with_replicator() {
-        use crate::fault::ChannelPolicy;
+    fn duplicate_verdict_is_counted_and_delivered_once() {
         let policy = ChannelPolicy { duplicate: 1.0, ..ChannelPolicy::reliable() };
         let cfg = FaultConfig::reliable(3).with_default_policy(policy);
         let s = WorldShared::with_config(2, None, Some(cfg));
-        let rep = || Payload::owned(7u32);
-        s.send_envelope(
-            0,
-            0,
-            1,
-            1,
-            0,
-            1,
-            4,
-            Payload::owned(7u32),
-            Some(&rep),
-            TrafficClass::PointToPoint,
-        )
-        .unwrap();
-        assert_eq!(s.mailbox(1).len(), 2);
+        post(&s, 1, 0, 7).unwrap();
+        assert_eq!(s.mailbox(1).len(), 1, "an owned payload is delivered once");
         assert_eq!(s.stats().snapshot().duplicated_messages, 1);
     }
 
     #[test]
     fn corrupt_verdict_damages_checksum() {
-        use crate::envelope::{Src, Tag};
-        use crate::fault::ChannelPolicy;
         let policy = ChannelPolicy { corrupt: 1.0, ..ChannelPolicy::reliable() };
         let cfg = FaultConfig::reliable(3).with_default_policy(policy);
         let s = WorldShared::with_config(2, None, Some(cfg));
-        s.send_envelope(
-            0,
-            0,
-            1,
-            1,
-            0,
-            1,
-            4,
-            Payload::owned(1u32),
-            None,
-            TrafficClass::PointToPoint,
-        )
-        .unwrap();
+        post(&s, 1, 0, 1).unwrap();
         let env = s.mailbox(1).try_take(0, Src::Any, Tag::Any).unwrap();
         assert!(!env.verify());
         assert_eq!(s.stats().snapshot().corrupted_messages, 1);
@@ -569,38 +419,13 @@ mod tests {
         let ctx = s.allocate_context_pair();
         assert!(s.revoke_context(ctx + 1), "either member of the pair revokes it");
         assert!(!s.revoke_context(ctx), "idempotent across the pair");
-        let e = s
-            .send_envelope(
-                0,
-                0,
-                1,
-                1,
-                ctx,
-                1,
-                4,
-                Payload::owned(1u32),
-                None,
-                TrafficClass::PointToPoint,
-            )
-            .unwrap_err();
+        let e = post(&s, 1, ctx, 1).unwrap_err();
         assert!(matches!(e, RuntimeError::Revoked { .. }));
         assert_eq!(s.mailbox(1).len(), 0, "refused before delivery");
         assert_eq!(s.stats().snapshot().p2p_messages, 0, "refused before accounting");
         assert!(!s.revoke_context(0), "world pair is not revocable");
         assert!(!s.revoke_context(1));
-        s.send_envelope(
-            0,
-            0,
-            1,
-            1,
-            0,
-            1,
-            4,
-            Payload::owned(1u32),
-            None,
-            TrafficClass::PointToPoint,
-        )
-        .unwrap();
+        post(&s, 1, 0, 1).unwrap();
     }
 
     #[test]
@@ -613,42 +438,5 @@ mod tests {
         let (c, e3) = s.epoch_context(2, 0b10, None);
         assert_ne!(c, a);
         assert_eq!((e1, e3), (1, 2), "shrink epochs count per old context");
-    }
-
-    #[test]
-    fn multicast_shares_one_allocation() {
-        use crate::envelope::{Src, Tag};
-        let s = WorldShared::with_config(4, None, None);
-        let arc = Arc::new(vec![1.0f64; 8]);
-        let payload = Payload::shared(Arc::clone(&arc));
-        s.multicast_envelope(0, 0, &[1, 2, 3], 0, 5, 64, &payload, TrafficClass::Collective)
-            .unwrap();
-        drop(payload);
-        // All three receivers hold handles to the same allocation.
-        assert_eq!(Arc::strong_count(&arc), 4);
-        for dst in 1..4 {
-            let env = s.mailbox(dst).try_take(0, Src::Rank(0), Tag::Value(5)).unwrap();
-            let (got, promoted) = env.payload.into_shared::<Vec<f64>>().unwrap();
-            assert!(Arc::ptr_eq(&got, &arc));
-            assert!(!promoted);
-        }
-        assert_eq!(s.stats().snapshot().collective_messages, 3);
-    }
-
-    #[test]
-    fn duplicate_verdict_replicates_shared_payload_without_replicator() {
-        use crate::envelope::{Src, Tag};
-        use crate::fault::ChannelPolicy;
-        let policy = ChannelPolicy { duplicate: 1.0, ..ChannelPolicy::reliable() };
-        let cfg = FaultConfig::reliable(3).with_default_policy(policy);
-        let s = WorldShared::with_config(2, None, Some(cfg));
-        let payload = Payload::shared(Arc::new(9u32));
-        s.send_envelope(0, 0, 1, 1, 0, 1, 4, payload, None, TrafficClass::PointToPoint).unwrap();
-        assert_eq!(s.mailbox(1).len(), 2, "shared payloads self-replicate on duplication");
-        for _ in 0..2 {
-            let env = s.mailbox(1).try_take(0, Src::Any, Tag::Any).unwrap();
-            assert_eq!(env.payload.into_owned::<u32>().unwrap().0, 9);
-        }
-        assert_eq!(s.stats().snapshot().duplicated_messages, 1);
     }
 }

@@ -18,36 +18,36 @@ pub enum TrafficClass {
     Collective,
 }
 
-/// A collective operation, for per-algorithm traffic accounting.
+/// A collective operation, for per-algorithm traffic accounting. The
+/// discriminant is the op's stable code (code 7, a retired reduce-scatter,
+/// stays unused).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollOp {
     /// Dissemination barrier.
-    Barrier,
+    Barrier = 0,
     /// Binomial-tree broadcast.
-    Bcast,
+    Bcast = 1,
     /// Root-gather.
-    Gather,
+    Gather = 2,
     /// Root-scatter.
-    Scatter,
+    Scatter = 3,
     /// Ring allgather.
-    Allgather,
+    Allgather = 4,
     /// All-to-all exchange (pairwise or Bruck).
-    Alltoall,
+    Alltoall = 5,
     /// Binomial-tree reduction.
-    Reduce,
-    /// Recursive-halving reduce-scatter.
-    ReduceScatter,
-    /// Allreduce (recursive doubling or reduce+bcast).
-    Allreduce,
+    Reduce = 6,
+    /// Allreduce: binomial reduce, then binomial broadcast.
+    Allreduce = 8,
     /// Linear-chain prefix scan.
-    Scan,
+    Scan = 9,
 }
 
 impl CollOp {
-    /// Number of distinct collective operations.
+    /// Length of the per-op counter tables: one past the largest code.
     pub const COUNT: usize = 10;
-    /// Every operation, in counter-table order.
-    pub const ALL: [CollOp; Self::COUNT] = [
+    /// Every operation, in code order.
+    pub const ALL: [CollOp; 9] = [
         CollOp::Barrier,
         CollOp::Bcast,
         CollOp::Gather,
@@ -55,7 +55,6 @@ impl CollOp {
         CollOp::Allgather,
         CollOp::Alltoall,
         CollOp::Reduce,
-        CollOp::ReduceScatter,
         CollOp::Allreduce,
         CollOp::Scan,
     ];
@@ -63,18 +62,7 @@ impl CollOp {
     /// Position in the per-op counter tables. Also the stable op code
     /// carried in trace-event args (`CollMsg`/`CollClone`/`CollAlloc`).
     pub fn index(self) -> usize {
-        match self {
-            CollOp::Barrier => 0,
-            CollOp::Bcast => 1,
-            CollOp::Gather => 2,
-            CollOp::Scatter => 3,
-            CollOp::Allgather => 4,
-            CollOp::Alltoall => 5,
-            CollOp::Reduce => 6,
-            CollOp::ReduceScatter => 7,
-            CollOp::Allreduce => 8,
-            CollOp::Scan => 9,
-        }
+        self as usize
     }
 }
 
@@ -100,18 +88,14 @@ pub struct WorldStats {
     p2p_bytes: AtomicU64,
     coll_msgs: AtomicU64,
     coll_bytes: AtomicU64,
-    /// Per-[`CollOp`] message/byte/clone/alloc counters, indexed by
+    /// Per-[`CollOp`] message/byte/clone counters, indexed by
     /// [`CollOp::index`].
     coll_op_msgs: [AtomicU64; CollOp::COUNT],
     coll_op_bytes: [AtomicU64; CollOp::COUNT],
     coll_op_clones: [AtomicU64; CollOp::COUNT],
-    coll_op_allocs: [AtomicU64; CollOp::COUNT],
-    /// Deep payload copies anywhere in the transport (copy-on-write unwraps
-    /// of shared payloads, explicit collective clones, replicated sends).
+    /// Payload clones the transport made so that each of several receivers
+    /// owns its message (collective clones and multicast fan-out).
     payload_clones: AtomicU64,
-    /// Payload allocations made to *share* a value (one `Arc::new` per
-    /// multicast/shared broadcast, regardless of receiver count).
-    payload_allocs: AtomicU64,
     dropped: AtomicU64,
     duplicated: AtomicU64,
     corrupted: AtomicU64,
@@ -174,33 +158,17 @@ impl WorldStats {
         mxn_trace::emit_instant(mxn_trace::EventId::CollMsg, [i as u64, bytes as u64, 0, 0]);
     }
 
-    /// Records `n` deep payload copies performed by a collective algorithm.
-    pub(crate) fn record_coll_clones(&self, op: CollOp, n: u64) {
-        if n > 0 {
-            self.coll_op_clones[op.index()].fetch_add(n, Ordering::Relaxed);
-            self.payload_clones.fetch_add(n, Ordering::Relaxed);
-            mxn_trace::emit_instant(mxn_trace::EventId::CollClone, [op.index() as u64, n, 0, 0]);
-        }
+    /// Records one payload clone made by a collective algorithm.
+    pub(crate) fn record_coll_clone(&self, op: CollOp) {
+        self.coll_op_clones[op.index()].fetch_add(1, Ordering::Relaxed);
+        self.payload_clones.fetch_add(1, Ordering::Relaxed);
+        mxn_trace::emit_instant(mxn_trace::EventId::CollClone, [op.index() as u64, 1, 0, 0]);
     }
 
-    /// Records `n` shared-payload allocations made by a collective algorithm.
-    pub(crate) fn record_coll_allocs(&self, op: CollOp, n: u64) {
-        if n > 0 {
-            self.coll_op_allocs[op.index()].fetch_add(n, Ordering::Relaxed);
-            self.payload_allocs.fetch_add(n, Ordering::Relaxed);
-            mxn_trace::emit_instant(mxn_trace::EventId::CollAlloc, [op.index() as u64, n, 0, 0]);
-        }
-    }
-
-    /// Records one deep payload copy outside any collective (copy-on-write
-    /// unwrap of a shared point-to-point payload, replicated send).
+    /// Records one payload clone outside any collective (a multicast to
+    /// one more destination).
     pub(crate) fn record_payload_clone(&self) {
         self.payload_clones.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one shared-payload allocation outside any collective.
-    pub(crate) fn record_payload_alloc(&self) {
-        self.payload_allocs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one injected fault (called by the fault plane's send path).
@@ -248,9 +216,9 @@ impl WorldStats {
             coll_op_messages: table(&self.coll_op_msgs),
             coll_op_bytes: table(&self.coll_op_bytes),
             coll_op_payload_clones: table(&self.coll_op_clones),
-            coll_op_payload_allocs: table(&self.coll_op_allocs),
+            coll_op_payload_allocs: [0; CollOp::COUNT],
             payload_clones: self.payload_clones.load(Ordering::Relaxed),
-            payload_allocs: self.payload_allocs.load(Ordering::Relaxed),
+            payload_allocs: 0,
             dropped_messages: self.dropped.load(Ordering::Relaxed),
             duplicated_messages: self.duplicated.load(Ordering::Relaxed),
             corrupted_messages: self.corrupted.load(Ordering::Relaxed),
@@ -278,13 +246,17 @@ pub struct StatsSnapshot {
     pub coll_op_messages: [u64; CollOp::COUNT],
     /// Bytes per collective algorithm.
     pub coll_op_bytes: [u64; CollOp::COUNT],
-    /// Deep payload copies per collective algorithm.
+    /// Payload clones per collective algorithm: one per message that
+    /// delivers a value the sender keeps or sends again.
     pub coll_op_payload_clones: [u64; CollOp::COUNT],
-    /// Shared-payload allocations per collective algorithm.
+    /// Always zero: every payload is owned, so no algorithm allocates a
+    /// value to share it. Kept so reports keep their columns.
     pub coll_op_payload_allocs: [u64; CollOp::COUNT],
-    /// Deep payload copies across the whole transport.
+    /// Payload clones across the whole transport: the collectives' clones
+    /// plus one per multicast destination but the last.
     pub payload_clones: u64,
-    /// Shared-payload allocations across the whole transport.
+    /// Always zero: every payload is owned, so the transport never
+    /// allocates a value to share it. Kept so reports keep their columns.
     pub payload_allocs: u64,
     /// Messages dropped by the fault plane.
     pub dropped_messages: u64,
@@ -313,15 +285,14 @@ impl StatsSnapshot {
         self.p2p_messages + self.collective_messages
     }
 
-    /// Per-algorithm view: (messages, bytes, payload clones, payload allocs)
-    /// attributed to `op`.
+    /// Per-algorithm view: (messages, bytes, payload clones) attributed to
+    /// `op`.
     pub fn coll(&self, op: CollOp) -> CollOpStats {
-        let i = CollOp::ALL.iter().position(|o| *o == op).expect("op in table");
+        let i = op.index();
         CollOpStats {
             messages: self.coll_op_messages[i],
             bytes: self.coll_op_bytes[i],
             payload_clones: self.coll_op_payload_clones[i],
-            payload_allocs: self.coll_op_payload_allocs[i],
         }
     }
 
@@ -372,10 +343,8 @@ pub struct CollOpStats {
     pub messages: u64,
     /// Payload bytes sent by this algorithm.
     pub bytes: u64,
-    /// Deep payload copies performed by this algorithm.
+    /// Payload clones made by this algorithm.
     pub payload_clones: u64,
-    /// Shared-payload allocations performed by this algorithm.
-    pub payload_allocs: u64,
 }
 
 /// Per-thread schedule-pipeline counters.
@@ -591,20 +560,16 @@ mod tests {
         s.record_coll(CollOp::Bcast, 100);
         s.record_coll(CollOp::Bcast, 100);
         s.record_coll(CollOp::Allreduce, 8);
-        s.record_coll_clones(CollOp::Bcast, 3);
-        s.record_coll_allocs(CollOp::Bcast, 1);
+        for _ in 0..3 {
+            s.record_coll_clone(CollOp::Bcast);
+        }
         s.record_payload_clone();
-        s.record_payload_alloc();
         let before = s.snapshot();
         let bcast = before.coll(CollOp::Bcast);
-        assert_eq!(
-            bcast,
-            CollOpStats { messages: 2, bytes: 200, payload_clones: 3, payload_allocs: 1 }
-        );
+        assert_eq!(bcast, CollOpStats { messages: 2, bytes: 200, payload_clones: 3 });
         assert_eq!(before.coll(CollOp::Allreduce).messages, 1);
         assert_eq!(before.coll(CollOp::Barrier), CollOpStats::default());
         assert_eq!(before.payload_clones, 4, "per-op clones roll up into the global counter");
-        assert_eq!(before.payload_allocs, 2);
 
         s.record_coll(CollOp::Bcast, 50);
         let delta = s.snapshot().since(&before);
@@ -615,11 +580,10 @@ mod tests {
     }
 
     #[test]
-    fn coll_op_table_is_consistent() {
-        assert_eq!(CollOp::ALL.len(), CollOp::COUNT);
-        for (i, op) in CollOp::ALL.iter().enumerate() {
-            assert_eq!(op.index(), i, "{op:?} out of order");
-        }
+    fn coll_op_codes_are_stable() {
+        let codes: Vec<usize> = CollOp::ALL.iter().map(|op| op.index()).collect();
+        assert_eq!(codes, [0, 1, 2, 3, 4, 5, 6, 8, 9]);
+        assert_eq!(CollOp::COUNT, 10);
     }
 
     #[test]

@@ -45,25 +45,20 @@ pub mod fault_kind {
 }
 
 /// Collective algorithm codes: `args[1]` of [`EventId::Collective`] Begin.
+/// Codes 3, 7 and 9 belonged to retired algorithms and stay unused.
 pub mod coll_algo {
     /// Dissemination barrier.
     pub const DISSEMINATION: u64 = 1;
-    /// Binomial tree over shared envelopes.
-    pub const BINOMIAL_SHARED: u64 = 2;
-    /// Binomial tree with a deep clone per child (baseline).
-    pub const BINOMIAL_CLONING: u64 = 3;
+    /// Binomial tree.
+    pub const BINOMIAL: u64 = 2;
     /// Ring exchange.
     pub const RING: u64 = 4;
     /// Pairwise exchange.
     pub const PAIRWISE: u64 = 5;
     /// Bruck log-round exchange.
     pub const BRUCK: u64 = 6;
-    /// Recursive doubling.
-    pub const RECURSIVE_DOUBLING: u64 = 7;
-    /// Binomial reduce + shared broadcast.
+    /// Binomial reduce + binomial broadcast.
     pub const REDUCE_BCAST: u64 = 8;
-    /// Recursive halving.
-    pub const RECURSIVE_HALVING: u64 = 9;
     /// Linear chain / root loop.
     pub const LINEAR: u64 = 10;
 }

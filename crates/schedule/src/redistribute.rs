@@ -193,11 +193,6 @@ impl<'a> Redist<'a> {
     /// rank of `comm` calls this collectively; returns the new local storage.
     /// Unbudgeted, a rank posts its sends and then receives as
     /// [`Redist::recv`] does.
-    ///
-    /// `T: Sync` is required with or without a budget (the free function
-    /// this replaced asked for it only when budgeted): the allgather+slice
-    /// lowering shares gathered shards between ranks, and one terminal
-    /// serves every policy.
     pub fn within<T>(
         &self,
         comm: &Comm,
@@ -205,7 +200,7 @@ impl<'a> Redist<'a> {
         tag: i32,
     ) -> Result<LocalArray<T>>
     where
-        T: Copy + Default + Send + Sync + MsgSize + 'static,
+        T: Copy + Default + Send + MsgSize + 'static,
     {
         let route = self.route(size_of::<T>(), true);
         let send = self.schedule(comm.rank(), Role::Sender);

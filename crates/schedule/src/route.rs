@@ -451,7 +451,7 @@ pub fn execute_within_routed<T>(
     pool: &mut TransferBuffers<T>,
 ) -> Result<usize>
 where
-    T: Copy + Send + Sync + MsgSize + 'static,
+    T: Copy + Send + MsgSize + 'static,
 {
     let mut span = route_span(route);
     let moved = match route.kind {
@@ -674,7 +674,7 @@ fn allgather_within<T>(
     pool: &mut TransferBuffers<T>,
 ) -> Result<usize>
 where
-    T: Copy + Send + Sync + MsgSize + 'static,
+    T: Copy + Send + MsgSize + 'static,
 {
     assert_eq!(recv.role(), Role::Receiver);
     assert_eq!(

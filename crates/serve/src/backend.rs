@@ -63,7 +63,8 @@ impl PlaneBackend for ServiceBackend {
 ///
 /// Arguments **must** be built with [`AnyPayload::replicable`] — the
 /// collective layer multicasts the request to every provider this caller
-/// rank owns, and non-replicable payloads cannot fan out. On shutdown the
+/// rank owns, replicating it for all but the last, and non-replicable
+/// payloads cannot be replicated. On shutdown the
 /// backend sends the collective shutdown so provider serve loops exit.
 pub struct PrmiBackend {
     ic: InterComm,

@@ -649,7 +649,7 @@ impl PlaneReceiver {
                     RuntimeError::Aborted => ServeError::Closed,
                     other => panic!("plane reply mailbox failed: {other}"),
                 })?;
-            let (batch, _) = env
+            let batch = env
                 .payload
                 .into_owned::<ReplyBatch>()
                 .unwrap_or_else(|_| panic!("foreign payload in plane reply bucket"));
@@ -672,7 +672,7 @@ impl PlaneReceiver {
             else {
                 return Ok(None);
             };
-            let (batch, _) = env
+            let batch = env
                 .payload
                 .into_owned::<ReplyBatch>()
                 .unwrap_or_else(|_| panic!("foreign payload in plane reply bucket"));

@@ -63,6 +63,7 @@ pub enum EventId {
     /// Payload deep-clone attributed to a collective; args = `[op, n]`.
     CollClone = 7,
     /// Payload allocation attributed to a collective; args = `[op, n]`.
+    /// The runtime no longer emits it: its payloads are all owned.
     CollAlloc = 8,
     /// Envelope posted to a peer mailbox; args = `[context, tag, dst, bytes]`.
     MailboxPost = 9,
@@ -298,8 +299,11 @@ impl EventId {
     /// (and therefore the digest).
     ///
     /// Excluded ids record *physical* outcomes that legitimately differ
-    /// between runs of the same seeded program: which receiver won an
-    /// `Arc` refcount race ([`EventId::CollClone`], [`EventId::CollAlloc`]),
+    /// between runs of the same seeded program, or did when they were
+    /// excluded: which receiver won an `Arc` refcount race under the retired
+    /// shared-payload transport ([`EventId::CollClone`],
+    /// [`EventId::CollAlloc`]; clones are now fixed per algorithm and no
+    /// runtime emits allocations, but staying out keeps digests stable),
     /// which sender a wildcard receive happened to match
     /// ([`EventId::MailboxMatch`]), how many timeout polls a serve loop
     /// spun before its message arrived ([`EventId::OpError`]), how many

@@ -9,12 +9,11 @@
 //! damaged payload that somehow passes CRC still cannot crash the decoder.
 //!
 //! A [`CodecRegistry`] maps concrete Rust types to stable numeric tags so
-//! the type-erased send path (`Payload::Owned(Box<dyn Any>)`) can find the
-//! encoder at runtime and the receiver can find the decoder from the tag
-//! in the frame header. `Payload::Shared` (the `Arc`-based zero-clone
-//! multicast representation) is deliberately *not* encodable: sharing one
-//! allocation is an in-proc concept, and the transport returns a type
-//! error rather than silently deep-copying.
+//! the type-erased send path (a `Payload`, one owned `Box<dyn Any>`) can
+//! find the encoder at runtime and the receiver can find the decoder from
+//! the tag in the frame header. Every payload is owned, in-proc as on the
+//! wire, so anything the in-proc runtime sends the wire can encode once
+//! its type is registered.
 
 use std::any::{Any, TypeId};
 use std::collections::HashMap;

@@ -17,8 +17,7 @@
 //!   table everywhere else.
 //! * [`codec`] — [`codec::WireCodec`], byte serialization for payloads
 //!   that cross a process boundary, plus the [`codec::CodecRegistry`]
-//!   mapping `TypeId` ⇄ wire tag. `Payload::Shared` deliberately has no
-//!   encoding: zero-clone sharing is an address-space concept.
+//!   mapping `TypeId` ⇄ wire tag.
 //! * [`frame`] — `MxN1` framing: 40-byte header (own CRC) + payload
 //!   (own CRC), resync-on-damage, never trusts a length the header CRC
 //!   has not vouched for. Payloads are encoded in place after the header,

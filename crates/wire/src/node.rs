@@ -931,7 +931,7 @@ impl WireNode {
         if !env.verify() {
             return Err(RuntimeError::Corrupt { src, tag });
         }
-        env.payload.into_owned::<T>().map(|(v, _)| v).map_err(|_| RuntimeError::TypeMismatch {
+        env.payload.into_owned::<T>().map_err(|_| RuntimeError::TypeMismatch {
             expected: std::any::type_name::<T>(),
             src,
             tag,

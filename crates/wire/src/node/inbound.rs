@@ -609,7 +609,7 @@ pub(super) struct Sink {
 
 /// The envelope a data frame's decoded `value` travels in.
 fn data_envelope(peer: usize, frame: &Frame, bytes: usize, value: Box<dyn Any + Send>) -> Envelope {
-    Envelope::new(peer, peer, frame.context, frame.tag, bytes, None, Payload::Owned(value))
+    Envelope::new(peer, peer, frame.context, frame.tag, bytes, None, Payload::from(value))
 }
 
 /// A checksum-damaged envelope, so a receiver blocked on this `(context,
